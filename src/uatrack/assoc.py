@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kalman
-from .core import Sequence, TrackletLabel
+from .core import Sequence, TrackletLabel, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -294,21 +294,15 @@ def write_pseudo_tracks(path, labels, link_conf: dict[int, list[float]],
 
 
 def read_pseudo_tracks(path) -> tuple[list[TrackletLabel], dict[int, list[float]]]:
-    labels = []
-    conf: dict[int, list[float]] = {}
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            tid = int(obj["track_id"])
-            members = tuple((int(f), int(i)) for f, i in obj["members"])
-            labels.append(TrackletLabel(track_id=tid, members=members))
-            conf[tid] = [float(v) for v in obj["link_conf"]]
-            if len(conf[tid]) != max(len(members) - 1, 0):
-                raise ValueError(
-                    f"track {tid}: {len(conf[tid])} link confidences for {len(members)} members"
-                )
-    return labels, conf
+    def build(obj):
+        tid = int(obj["track_id"])
+        members = tuple((int(f), int(i)) for f, i in obj["members"])
+        link = [float(v) for v in obj["link_conf"]]
+        if len(link) != max(len(members) - 1, 0):
+            raise ValueError(
+                f"track {tid}: {len(link)} link confidences for {len(members)} members"
+            )
+        return TrackletLabel(track_id=tid, members=members), link
+
+    records = read_jsonl(path, build)
+    return [lab for lab, _ in records], {lab.track_id: link for lab, link in records}

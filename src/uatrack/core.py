@@ -227,6 +227,27 @@ class TrackRow:
 # serialization
 
 
+def read_jsonl(path, build) -> list:
+    """build(obj) for the JSON object on each non-empty line of a file.
+
+    A line that is not valid JSON, lacks a key, or holds a value of the
+    wrong type or range raises ValueError("<path>:<line>: ...").
+    """
+    out = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(build(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
 def write_detections(path, seq: Sequence) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
@@ -254,21 +275,14 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
     evaluation).
     """
     by_frame: dict[int, list[Detection]] = {}
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            det = Detection(
-                frame=int(obj["frame"]),
-                box=Box7.from_array(obj["box"]),
-                score=float(obj["score"]),
-                cloud_ref=str(obj["cloud"]),
-                gt_id=None if obj.get("gt_id") is None else int(obj["gt_id"]),
-            )
-            by_frame.setdefault(det.frame, []).append(det)
+    for det in read_jsonl(path, lambda obj: Detection(
+        frame=int(obj["frame"]),
+        box=Box7.from_array(obj["box"]),
+        score=float(obj["score"]),
+        cloud_ref=str(obj["cloud"]),
+        gt_id=None if obj.get("gt_id") is None else int(obj["gt_id"]),
+    )):
+        by_frame.setdefault(det.frame, []).append(det)
     if n_frames is not None:
         indices = range(n_frames)
     elif by_frame:
@@ -297,6 +311,8 @@ def read_point_cloud(path) -> PointCloud:
     raw = path.read_bytes()
     if raw[:4] != CLOUD_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {CLOUD_MAGIC!r}")
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated header, {len(raw)} bytes")
     (count,) = struct.unpack_from("<I", raw, 4)
     expected = 8 + count * 12
     if len(raw) != expected:
@@ -345,20 +361,9 @@ def write_track_rows(path, rows) -> None:
 
 
 def read_track_rows(path) -> list[TrackRow]:
-    rows = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            rows.append(
-                TrackRow(
-                    frame=int(obj["frame"]),
-                    track_id=int(obj["track_id"]),
-                    box=Box7.from_array(obj["box"]),
-                    score=float(obj["score"]),
-                )
-            )
-    return rows
+    return read_jsonl(path, lambda obj: TrackRow(
+        frame=int(obj["frame"]),
+        track_id=int(obj["track_id"]),
+        box=Box7.from_array(obj["box"]),
+        score=float(obj["score"]),
+    ))

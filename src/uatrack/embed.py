@@ -6,6 +6,13 @@ embedding invariant to point order. Gradients are exact reverse-mode and
 hand-written (`backward`), which keeps training dependency-free and
 bit-reproducible.
 
+Inference calls `forward`, which checks the parameters for finiteness on
+every call. Training calls `forward_argmax` instead: it also returns the
+arg-max point of each output coordinate, and leaves the finiteness check
+to the caller, once per step (`check_finite`). The max pool sends gradient
+only to those arg-max points, the crop's critical point set (Qi et al.,
+PointNet, CVPR 2017), so `backward` reruns the MLP on those rows alone.
+
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
 biases (out), all little-endian.
@@ -145,45 +152,65 @@ class EmbedNet:
         return cls(weights=tuple(weights), biases=tuple(biases))
 
 
-def _check_finite(net: EmbedNet) -> None:
+def check_finite(net: EmbedNet) -> None:
+    """Raise NumericalError if any weight or bias is NaN or infinite."""
     for a in net.params():
         if not np.isfinite(a).all():
             raise NumericalError("network parameters contain non-finite values")
 
 
-def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
-    """Embed a canonical cloud: shared per-point MLP, then max over points."""
-    _check_finite(net)
-    x = cloud.points
+def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
+    """Per-point features of the shared MLP, one row per point."""
+    x = points
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         x = x @ w.T + b
         if k < last:
             x = np.maximum(x, 0.0)
-    return x.max(axis=0)
+    return x
 
 
-def backward(net: EmbedNet, cloud: CanonicalCloud, upstream) -> list[np.ndarray]:
+def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
+    """Embed a canonical cloud: shared per-point MLP, then max over points."""
+    check_finite(net)
+    return _mlp(net, cloud.points).max(axis=0)
+
+
+def forward_argmax(net: EmbedNet, cloud: CanonicalCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Training forward pass: (embedding, arg), where arg[j] is the point
+    that attains output coordinate j, the first one on a tie.
+
+    The embedding equals `forward`'s bit for bit. The parameters are not
+    checked for finiteness here; a training step checks them once with
+    `check_finite` before its first call.
+    """
+    x = _mlp(net, cloud.points)
+    arg = x.argmax(axis=0)
+    return x[arg, np.arange(x.shape[1])], arg
+
+
+def backward(net: EmbedNet, cloud: CanonicalCloud, upstream, arg=None) -> list[np.ndarray]:
     """Exact gradients of upstream . embedding w.r.t. every weight and bias.
 
     The max pool routes gradient to the arg-max point of each output
-    coordinate (ties to the lowest point index). Returns arrays aligned with
-    net.params().
+    coordinate (ties to the lowest point index), so only those critical
+    points carry gradient: the MLP is rerun on them alone. arg is the
+    arg-max from `forward_argmax` on the same net and cloud; when None it is
+    computed here. Returns arrays aligned with net.params().
     """
     upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
-    acts = [cloud.points]
+    if arg is None:
+        _, arg = forward_argmax(net, cloud)
+    rows, pos = np.unique(arg, return_inverse=True)
+    acts = [cloud.points[rows]]
     pre = []
     last = len(net.weights) - 1
-    x = cloud.points
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = x @ w.T + b
+        z = acts[-1] @ w.T + b
         pre.append(z)
-        x = np.maximum(z, 0.0) if k < last else z
-        acts.append(x)
-    final = acts[-1]
-    arg = final.argmax(axis=0)  # first max wins ties
-    g = np.zeros_like(final)
-    g[arg, np.arange(final.shape[1])] = upstream
+        acts.append(np.maximum(z, 0.0) if k < last else z)
+    g = np.zeros((rows.size, net.dim))
+    g[pos, np.arange(net.dim)] = upstream
 
     grads: list[np.ndarray] = [None] * (2 * len(net.weights))
     for k in range(last, -1, -1):
@@ -236,18 +263,25 @@ def load_checkpoint(path) -> EmbedNet:
     raw = path.read_bytes()
     if raw[:4] != NET_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {NET_MAGIC!r}")
-    (layers,) = struct.unpack_from("<I", raw, 4)
-    off = 8
+    off = 4
     weights, biases = [], []
-    for _ in range(layers):
-        in_dim, out_dim = struct.unpack_from("<II", raw, off)
-        off += 8
-        w = np.frombuffer(raw, dtype="<f8", count=in_dim * out_dim, offset=off)
-        off += in_dim * out_dim * 8
-        b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=off)
-        off += out_dim * 8
-        weights.append(w.reshape(out_dim, in_dim).copy())
-        biases.append(b.copy())
+    try:
+        (layers,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        for _ in range(layers):
+            in_dim, out_dim = struct.unpack_from("<II", raw, off)
+            off += 8
+            w = np.frombuffer(raw, dtype="<f8", count=in_dim * out_dim, offset=off)
+            off += in_dim * out_dim * 8
+            b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=off)
+            off += out_dim * 8
+            weights.append(w.reshape(out_dim, in_dim).copy())
+            biases.append(b.copy())
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"{path}: truncated at byte {off} of {len(raw)}: {exc}") from exc
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
-    return EmbedNet(weights=tuple(weights), biases=tuple(biases))
+    try:
+        return EmbedNet(weights=tuple(weights), biases=tuple(biases))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

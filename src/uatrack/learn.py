@@ -5,9 +5,17 @@ pseudo-tracks, mine the hardest same-frame negative for each anchor under
 the current network, weight each triplet's hinge loss by its cumulative
 association confidence, sum, and take one Adam step on exact gradients.
 
+Each crop in a step is embedded once (`embed.forward_argmax`), and the
+parameters are checked for finiteness once per step rather than per crop.
+The gradient is linear in each crop's upstream vector for a fixed arg-max,
+so the upstream vectors of every triplet member that is the same crop are
+summed first, and `embed.backward` runs once per distinct crop, on its
+critical points only.
+
 The trainer is deterministic given (config, seed): sampling uses one
 explicit generator, canonical crops are seeded from cloud refs, and
-gradient reduction order is fixed.
+gradient reduction order is fixed (crops in the order the batch's
+triplets first reach them).
 """
 
 import math
@@ -268,36 +276,48 @@ class StepRecord:
     mean_weight: float
 
 
+def memo_forward(net: embed.EmbedNet, crops):
+    """Memoized `embed.forward_argmax`: DetRef -> (embedding, arg-max rows).
+
+    crops maps a DetRef to its CanonicalCloud. The caller checks net with
+    `embed.check_finite` first.
+    """
+    cache: dict = {}
+
+    def fwd(ref):
+        got = cache.get(ref)
+        if got is None:
+            got = cache[ref] = embed.forward_argmax(net, crops(ref))
+        return got
+
+    return fwd
+
+
 def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
-                         use_uncertainty: bool = True, emb=None):
+                         use_uncertainty: bool = True, fwd=None):
     """Summed weighted triplet loss and exact parameter gradients for a
     batch of completed triplets (negatives already chosen).
 
     crops maps a DetRef to its CanonicalCloud. Hinge-inactive or zero-weight
     triplets contribute nothing to the gradient; the mining arg-max is
-    treated as frozen. An already-memoized embedding function for the same
-    net may be passed as emb. Returns (loss_sum, grads, weight_sum).
+    treated as frozen. Each crop's upstream vectors are summed, in the order
+    the triplets first reach the crop, and backpropagated once. A
+    `memo_forward` of the same net may be passed as fwd; without one the
+    net is checked for finiteness here. Returns (loss_sum, grads, weight_sum).
     """
-    params = net.params()
-    grads = [np.zeros_like(p) for p in params]
-    if emb is None:
-        emb_cache: dict = {}
-
-        def emb(ref):
-            got = emb_cache.get(ref)
-            if got is None:
-                got = embed.forward(net, crops(ref))
-                emb_cache[ref] = got
-            return got
+    if fwd is None:
+        embed.check_finite(net)
+        fwd = memo_forward(net, crops)
 
     loss_sum = 0.0
     weight_sum = 0.0
+    upstream: dict = {}
     for t in triplets:
         if t.negative is None:
             raise ValueError("triplet has no mined negative")
-        e_a = emb(t.anchor)
-        e_p = emb(t.positive)
-        e_n = emb(t.negative)
+        e_a = fwd(t.anchor)[0]
+        e_p = fwd(t.positive)[0]
+        e_n = fwd(t.negative)[0]
         w = t.weight if use_uncertainty else 1.0
         cp, dp_a, dp_p = _cosine_and_grads(e_a, e_p)
         cn, dn_a, dn_n = _cosine_and_grads(e_a, e_n)
@@ -310,8 +330,13 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
                 (t.positive, -w * dp_p),
                 (t.negative, w * dn_n),
             ):
-                for slot, g in enumerate(embed.backward(net, crops(ref), up)):
-                    grads[slot] += g
+                prev = upstream.get(ref)
+                upstream[ref] = up if prev is None else prev + up
+
+    grads = [np.zeros_like(p) for p in net.params()]
+    for ref, up in upstream.items():
+        for slot, g in enumerate(embed.backward(net, crops(ref), up, arg=fwd(ref)[1])):
+            grads[slot] += g
     return loss_sum, grads, weight_sum
 
 
@@ -362,14 +387,11 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
                     triplets.append(t)
 
             current = embed.EmbedNet.from_params(params)
-            emb_cache: dict = {}
+            embed.check_finite(current)
+            fwd = memo_forward(current, canon)
 
             def emb(ref: DetRef) -> np.ndarray:
-                got = emb_cache.get(ref)
-                if got is None:
-                    got = embed.forward(current, canon(ref))
-                    emb_cache[ref] = got
-                return got
+                return fwd(ref)[0]
 
             # complete each triplet with a negative under the current net
             completed: list[Triplet] = []
@@ -390,7 +412,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
                     t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
-                current, canon, completed, cfg.margin, cfg.use_uncertainty, emb=emb)
+                current, canon, completed, cfg.margin, cfg.use_uncertainty, fwd=fwd)
             if not math.isfinite(loss_sum):
                 raise NumericalError(
                     f"non-finite batch loss at step {global_step} "

@@ -112,6 +112,9 @@ def fit_logistic(examples) -> LogisticModel:
     Full-batch gradient ascent on standardized features: 5000 iterations,
     step 0.1, lambda 1e-4; the standardization is folded back so the model
     applies to raw features. Raises ValueError on single-class input.
+
+    Warns once when the fitted score fails to fall with Mahalanobis distance
+    somewhere in the fit data's range of m (see `_warn_if_distance_not_penalized`).
     """
     if not examples:
         raise ValueError("no training examples")
@@ -137,7 +140,25 @@ def fit_logistic(examples) -> LogisticModel:
         b = b + step * gb
     coef = w / sigma
     intercept = b - float((w * mu / sigma).sum())
-    return LogisticModel(coef=coef, intercept=intercept)
+    model = LogisticModel(coef=coef, intercept=intercept)
+    _warn_if_distance_not_penalized(model, x[:, 0])
+    return model
+
+
+def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
+    """Warn if d(logit)/dm = c_m + c_log_m / m is >= 0 anywhere on the range
+    of m. It is monotone in m, so the two ends of the range decide."""
+    c_m = model.coef[FEATURE_NAMES.index("m")]
+    c_log_m = model.coef[FEATURE_NAMES.index("log_m")]
+    for end in np.maximum([np.min(m), np.max(m)], LOG_CLAMP):
+        slope = c_m + c_log_m / end
+        if slope >= 0:
+            log.warning(
+                "fitted association score does not fall with Mahalanobis distance "
+                "at m = %.4g (d logit/dm = %.4g; c_m = %.4g, c_log_m = %.4g)",
+                end, slope, c_m, c_log_m,
+            )
+            return
 
 
 @dataclass(frozen=True)
@@ -169,11 +190,6 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
         raise ValueError("appearance mode requires an embedding checkpoint")
     if mcfg.mode != "motion" and model is None:
         raise ValueError(f"mode {mcfg.mode!r} requires a fitted logistic model")
-    if model is not None and model.coef[0] >= 0:
-        log.warning(
-            "fitted Mahalanobis coefficient is non-negative (%.4f); association "
-            "scores will not penalize distance — consider refitting", model.coef[0],
-        )
 
     track_embs: dict[int, np.ndarray] = {}
     frame_embs: list[np.ndarray] = []

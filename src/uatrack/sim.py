@@ -163,11 +163,8 @@ def sample_surface(faces, n: int, rng) -> np.ndarray:
     probs = areas / areas.sum()
     idx = rng.choice(len(faces), size=n, p=probs)
     ab = rng.random((n, 2))
-    pts = np.empty((n, 3))
-    for i, (k, (a, b)) in enumerate(zip(idx, ab)):
-        o, u, v, _ = faces[k]
-        pts[i] = o + a * u + b * v
-    return pts
+    origin, u, v = (np.stack([f[c] for f in faces]) for c in range(3))
+    return origin[idx] + ab[:, :1] * u[idx] + ab[:, 1:] * v[idx]
 
 
 def sample_deform(template: int, rng) -> tuple[float, ...]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -208,3 +209,40 @@ class TestSerialization:
         back = read_detections(tmp_path / "d.jsonl", clouds=None)
         assert back.n_frames == seq.n_frames
         assert all(c.count == 0 for c in back.clouds.values())
+
+    @pytest.mark.parametrize("key", ["frame", "box", "score", "cloud"])
+    def test_detection_missing_key_names_line(self, tmp_path, key):
+        seq = _toy_sequence()
+        write_detections(tmp_path / "d.jsonl", seq)
+        lines = (tmp_path / "d.jsonl").read_text().splitlines()
+        obj = json.loads(lines[2])
+        del obj[key]
+        lines[2] = json.dumps(obj)
+        (tmp_path / "d.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"d\.jsonl:3: missing key '{key}'"):
+            read_detections(tmp_path / "d.jsonl", clouds=None)
+
+    @pytest.mark.parametrize("field, value", [
+        ("frame", "first"), ("frame", None), ("box", [1.0, 2.0]), ("box", 3.0),
+        ("score", "high"), ("score", 2.0), ("gt_id", [1]),
+    ])
+    def test_detection_bad_value_names_line(self, tmp_path, field, value):
+        obj = {"frame": 0, "box": [0, 0, 0, 0, 1, 1, 1], "score": 0.5, "cloud": "c",
+               "gt_id": None}
+        obj[field] = value
+        (tmp_path / "d.jsonl").write_text("\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=r"d\.jsonl:2: "):
+            read_detections(tmp_path / "d.jsonl", clouds=None)
+
+    def test_detection_line_not_json(self, tmp_path):
+        (tmp_path / "d.jsonl").write_text('{"frame": 0, "box": [\n')
+        with pytest.raises(ValueError, match=r"d\.jsonl:1: "):
+            read_detections(tmp_path / "d.jsonl", clouds=None)
+
+    @pytest.mark.parametrize("keep", [2, 4, 6, 8, 19])
+    def test_truncated_point_cloud(self, tmp_path, keep):
+        write_point_cloud(tmp_path / "c.uapc", PointCloud(np.ones((2, 3))))
+        raw = (tmp_path / "c.uapc").read_bytes()
+        (tmp_path / "c.uapc").write_bytes(raw[:keep])
+        with pytest.raises(ValueError, match=r"c\.uapc: "):
+            read_point_cloud(tmp_path / "c.uapc")

@@ -13,6 +13,7 @@ from uatrack.embed import (
     cosine,
     degenerate,
     forward,
+    forward_argmax,
     load_checkpoint,
     save_checkpoint,
 )
@@ -219,6 +220,107 @@ class TestBackward:
             np.testing.assert_array_equal(a, b2)
 
 
+def dense_backward(net, cloud, upstream):
+    """Reference backward over every point: full forward, scatter the
+    upstream onto the first arg-max of each coordinate, backpropagate."""
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
+    acts = [cloud.points]
+    pre = []
+    last = len(net.weights) - 1
+    x = cloud.points
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = x @ w.T + b
+        pre.append(z)
+        x = np.maximum(z, 0.0) if k < last else z
+        acts.append(x)
+    final = acts[-1]
+    g = np.zeros_like(final)
+    g[final.argmax(axis=0), np.arange(final.shape[1])] = upstream
+    grads = [None] * (2 * len(net.weights))
+    for k in range(last, -1, -1):
+        gz = g if k == last else g * (pre[k] > 0)
+        grads[2 * k] = gz.T @ acts[k]
+        grads[2 * k + 1] = gz.sum(axis=0)
+        g = gz @ net.weights[k]
+    return grads
+
+
+def random_widths(rng):
+    """3 inputs, then 2 to 4 layers of random width."""
+    return (3,) + tuple(int(w) for w in rng.integers(1, 12, size=rng.integers(2, 5)))
+
+
+class TestCriticalPointBackward:
+    """backward reruns the MLP on the arg-max rows only; the dense version
+    above is the oracle."""
+
+    @staticmethod
+    def assert_matches_dense(net, cloud, upstream):
+        want = dense_backward(net, cloud, upstream)
+        _, arg = forward_argmax(net, cloud)
+        for got in (backward(net, cloud, upstream), backward(net, cloud, upstream, arg=arg)):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_random_nets(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            net = EmbedNet.random(random_widths(rng), seed=trial)
+            cloud = CanonicalCloud(points=rng.normal(size=(int(rng.integers(1, 40)), 3)),
+                                   source="")
+            self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
+
+    def test_duplicated_points_tie_to_first(self):
+        # resampling with replacement repeats points, so arg-max ties are common
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            net = EmbedNet.random(random_widths(rng), seed=200 + trial)
+            base = rng.normal(size=(5, 3))
+            pts = base[rng.integers(0, 5, size=32)]
+            cloud = CanonicalCloud(points=pts, source="")
+            _, arg = forward_argmax(net, cloud)
+            first = {tuple(p): i for i, p in reversed(list(enumerate(pts)))}
+            assert all(a == first[tuple(pts[a])] for a in arg)
+            self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
+
+    def test_empty_crop(self):
+        # every point is the origin: all coordinates tie, point 0 takes them all
+        rng = np.random.default_rng(13)
+        for trial in range(10):
+            net = EmbedNet(
+                weights=tuple(EmbedNet.random((3, 7, 5, 4), seed=trial).weights),
+                biases=(rng.normal(size=7), rng.normal(size=5), rng.normal(size=4)),
+            )
+            cloud = canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16, seed=0)
+            assert cloud.empty
+            _, arg = forward_argmax(net, cloud)
+            np.testing.assert_array_equal(arg, np.zeros(4, dtype=arg.dtype))
+            self.assert_matches_dense(net, cloud, rng.normal(size=4))
+
+    def test_dead_relu_units(self):
+        rng = np.random.default_rng(14)
+        base = EmbedNet.random((3, 8, 8, 5), seed=4)
+        biases = [b.copy() for b in base.biases]
+        biases[0][:4] = -1e3  # these hidden units never fire
+        biases[1][::2] = -1e3
+        net = EmbedNet(weights=base.weights, biases=tuple(biases))
+        cloud = CanonicalCloud(points=rng.normal(size=(30, 3)), source="")
+        grads = backward(net, cloud, rng.normal(size=5))
+        assert not grads[0][:4].any() and not grads[1][:4].any()
+        self.assert_matches_dense(net, cloud, rng.normal(size=5))
+
+    def test_forward_argmax_equals_forward(self):
+        rng = np.random.default_rng(15)
+        for trial in range(20):
+            net = EmbedNet.random(random_widths(rng), seed=300 + trial)
+            cloud = CanonicalCloud(points=rng.normal(size=(24, 3)), source="")
+            emb, arg = forward_argmax(net, cloud)
+            assert emb.tobytes() == forward(net, cloud).tobytes()
+            assert arg.shape == (net.dim,)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = EmbedNet.random((3, 16, 8, 6), seed=5)
@@ -232,3 +334,11 @@ class TestCheckpoint:
         (tmp_path / "bad.uann").write_bytes(b"XXXX\x00\x00\x00\x00")
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "bad.uann")
+
+    def test_truncated_checkpoint(self, tmp_path):
+        save_checkpoint(tmp_path / "n.uann", EmbedNet.random((3, 4, 2), seed=0))
+        raw = (tmp_path / "n.uann").read_bytes()
+        for keep in (4, 6, 8, 12, 16, 40, len(raw) - 1):
+            (tmp_path / "t.uann").write_bytes(raw[:keep])
+            with pytest.raises(ValueError, match=r"t\.uann: "):
+                load_checkpoint(tmp_path / "t.uann")

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_embed import dense_backward
 
 from uatrack import assoc, embed, kalman, learn, sim
 from uatrack.learn import (
@@ -14,6 +16,7 @@ from uatrack.learn import (
     batch_loss_and_grads,
     build_triplet_source,
     mine_hard_negative,
+    negative_candidates,
     sample_triplet,
     train,
     triplet_loss,
@@ -177,6 +180,28 @@ class TestAdam:
         assert (step2 <= step1 + 1e-9).all()
 
 
+def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=True, fwd=None):
+    """Reference for batch_loss_and_grads: every active triplet member is
+    embedded by forward and backpropagated on its own, through the dense
+    backward over all points. fwd is accepted and ignored."""
+    grads = [np.zeros_like(p) for p in net.params()]
+    loss_sum = weight_sum = 0.0
+    for t in triplets:
+        e_a, e_p, e_n = (embed.forward(net, crops(r)) for r in (t.anchor, t.positive, t.negative))
+        w = t.weight if use_uncertainty else 1.0
+        cp, dp_a, dp_p = learn._cosine_and_grads(e_a, e_p)
+        cn, dn_a, dn_n = learn._cosine_and_grads(e_a, e_n)
+        raw = triplet_loss(cp, cn, margin)
+        loss_sum += raw * w
+        weight_sum += w
+        if raw > 0.0 and w > 0.0:
+            for ref, up in ((t.anchor, w * (dn_a - dp_a)), (t.positive, -w * dp_p),
+                            (t.negative, w * dn_n)):
+                for slot, g in enumerate(dense_backward(net, crops(ref), up)):
+                    grads[slot] += g
+    return loss_sum, grads, weight_sum
+
+
 def _mini_training_setup(seed=0, n_frames=10, n_objects=3):
     scene = sim.SceneConfig(n_objects=n_objects, n_frames=n_frames,
                             base_points=120, min_points=20)
@@ -207,17 +232,45 @@ class TestTrain:
         for a, b in zip(out.params(), net.params()):
             np.testing.assert_array_equal(a, b)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, tmp_path):
         seqs, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=2,
                             points_per_crop=16, seed=7)
-        out1, h1 = train(seqs, tracks, net, cfg)
-        out2, h2 = train(seqs, tracks, net, cfg)
-        for a, b in zip(out1.params(), out2.params()):
-            np.testing.assert_array_equal(a, b)
-        assert [(r.mean_loss, r.mean_weight) for r in h1] == \
-               [(r.mean_loss, r.mean_weight) for r in h2]
+        files = []
+        for run in range(2):
+            out, history = train(seqs, tracks, net, cfg)
+            embed.save_checkpoint(tmp_path / f"{run}.uann", out)
+            learn.write_loss_history(tmp_path / f"{run}.csv", history)
+            files.append(((tmp_path / f"{run}.uann").read_bytes(),
+                          (tmp_path / f"{run}.csv").read_bytes()))
+        assert files[0] == files[1]
+
+    def test_history_matches_dense_per_member_path(self, monkeypatch):
+        seqs, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
+        net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
+        cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4,
+                            points_per_crop=32, seed=2)
+        out, history = train(seqs, tracks, net, cfg)
+        monkeypatch.setattr(learn, "batch_loss_and_grads", dense_batch_loss_and_grads)
+        ref_out, ref_history = train(seqs, tracks, net, cfg)
+        assert len(history) == len(ref_history) > 10
+        for r, q in zip(history, ref_history):
+            assert r.mean_weight == q.mean_weight
+            assert abs(r.mean_loss - q.mean_loss) <= 1e-9
+        for a, b in zip(out.params(), ref_out.params()):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+
+    def test_non_finite_params_raise(self):
+        seqs, tracks = _mini_training_setup()
+        base = embed.EmbedNet.random((3, 8, 4), seed=2)
+        weights = [w.copy() for w in base.weights]
+        weights[1][0, 0] = np.nan
+        net = embed.EmbedNet(weights=tuple(weights), biases=base.biases)
+        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1,
+                            points_per_crop=16, seed=1)
+        with pytest.raises(kalman.NumericalError, match="network parameters"):
+            train(seqs, tracks, net, cfg)
 
     def test_loss_decreases_on_shape_dataset(self):
         seqs, tracks = _mini_training_setup(seed=5, n_frames=16, n_objects=4)
@@ -248,6 +301,52 @@ class TestTrain:
 
 
 class TestBatchGradients:
+    @staticmethod
+    def _batch(seed=0, size=48):
+        seqs, tracks = _mini_training_setup(seed=seed, n_frames=8, n_objects=4)
+        src = build_triplet_source(seqs, tracks)
+        cfg = TrainerConfig(points_per_crop=24, max_gap=3)
+        rng = np.random.default_rng(seed)
+        cache = {}
+
+        def crops(ref):
+            if ref not in cache:
+                det = src.frame_map[(ref.seq, ref.frame)].detections[ref.det]
+                cache[ref] = embed.canonicalize(
+                    seqs[ref.seq].cloud_of(det), det.box, cfg.points_per_crop,
+                    seed=embed.canon_seed(det.cloud_ref))
+            return cache[ref]
+
+        batch = []
+        while len(batch) < size:
+            t = sample_triplet(src, cfg, rng)
+            cands = [] if t is None else negative_candidates(src, t.anchor)
+            if cands:
+                n_det = cands[int(rng.integers(len(cands)))]
+                batch.append(replace(t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
+        return crops, batch
+
+    def test_aggregation_equals_per_member_sum(self):
+        crops, batch = self._batch()
+        members = [r for t in batch for r in (t.anchor, t.positive, t.negative)]
+        assert len(set(members)) < len(members)  # crops repeat, so sums are taken
+        for trial in range(5):
+            net = embed.EmbedNet.random((3, 16, 16, 8), seed=60 + trial)
+            for use_uncertainty in (True, False):
+                got = batch_loss_and_grads(net, crops, batch, 0.5, use_uncertainty)
+                want = dense_batch_loss_and_grads(net, crops, batch, 0.5, use_uncertainty)
+                assert got[0] == want[0] > 0.0 and got[2] == want[2]
+                for a, b in zip(got[1], want[1]):
+                    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_net_rejected(self):
+        crops, batch = self._batch(size=2)
+        base = embed.EmbedNet.random((3, 8, 4), seed=0)
+        net = embed.EmbedNet(weights=base.weights,
+                             biases=(base.biases[0], np.full(4, np.inf)))
+        with pytest.raises(kalman.NumericalError):
+            batch_loss_and_grads(net, crops, batch, 0.2)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         seqs, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3)
@@ -272,11 +371,9 @@ class TestBatchGradients:
             t = sample_triplet(src, cfg, rng)
             if t is None:
                 continue
-            from uatrack.learn import negative_candidates
             cands = negative_candidates(src, t.anchor)
             if not cands:
                 continue
-            from dataclasses import replace
             t = replace(t, negative=DetRef(t.anchor.seq, t.anchor.frame, cands[0]))
             loss, grads, _ = batch_loss_and_grads(net, crops, [t], 0.2)
             if loss < 1e-3:  # keep a margin from the hinge kink

@@ -106,6 +106,28 @@ class TestTemplates:
                     inter.append(self._chamfer(draws[t1][i], draws[t2][i]))
         assert np.mean(inter) > 3.0 * np.mean(intra)
 
+    @staticmethod
+    def _loop_sample_surface(faces, n, rng):
+        """Per-point reference for sample_surface, with the same RNG draws."""
+        areas = np.array([f[3] for f in faces])
+        idx = rng.choice(len(faces), size=n, p=areas / areas.sum())
+        ab = rng.random((n, 2))
+        pts = np.empty((n, 3))
+        for i, (k, (a, b)) in enumerate(zip(idx, ab)):
+            o, u, v, _ = faces[k]
+            pts[i] = o + a * u + b * v
+        return pts
+
+    @pytest.mark.parametrize("n", [1, 50, 400])
+    @pytest.mark.parametrize("template", range(N_TEMPLATES))
+    def test_sample_surface_matches_loop_bytes(self, template, n):
+        deform = sample_deform(template, np.random.default_rng(template))
+        faces = template_faces(template, deform, (4.3, 1.8, 1.6))
+        got = sample_surface(faces, n, np.random.default_rng(n))
+        want = self._loop_sample_surface(faces, n, np.random.default_rng(n))
+        assert got.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPerturb:
     def _seq(self):
