@@ -9,7 +9,7 @@ frame-by-frame decisions coincide whenever their cost matrices do.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class AssocPair:
     track: int
     det: int
     distance: float
-    confidence: float | None = None
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,10 @@ class _Live:
 
 @dataclass(frozen=True)
 class TrackerRun:
-    """Everything the shared loop observed: tracklets, link confidences,
-    per-frame association decisions, and final filter states."""
+    """The tracklets the shared loop built and their link confidences."""
 
     labels: tuple[TrackletLabel, ...]
     link_conf: dict[int, list[float]]
-    decisions: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    final_states: dict[int, kalman.TrackState]
 
 
 def run_tracker(
@@ -173,9 +169,7 @@ def run_tracker(
     tracker to maintain per-track embeddings and by the MOT output path).
     """
     live: list[_Live] = []
-    done: list[_Live] = []
     order: dict[int, _Live] = {}
-    decisions = []
     next_id = 0
     prev_index = None
 
@@ -193,7 +187,6 @@ def run_tracker(
             gate = acfg.gate
         res = greedy_associate(cost, gate)
 
-        frame_pairs = []
         for pair in res.pairs:
             tr = live[pair.track]
             if collect_confidence:
@@ -201,7 +194,6 @@ def run_tracker(
             det = rec.detections[pair.det]
             tr.state = kalman.update(tr.state, det.box, kcfg)
             tr.members.append((rec.index, pair.det))
-            frame_pairs.append((tr.state.track_id, pair.det))
             if on_match is not None:
                 on_match(tr.state.track_id, pair.det, tr.state)
 
@@ -214,8 +206,6 @@ def run_tracker(
             tr.state = kalman.mark_missed(tr.state)
             if tr.state.misses < acfg.max_age:
                 survivors.append(tr)
-            else:
-                done.append(tr)
         for j in res.unmatched_detections:
             tr = _Live(
                 state=kalman.init_track(rec.detections[j], kcfg, next_id),
@@ -224,25 +214,17 @@ def run_tracker(
             )
             order[next_id] = tr
             survivors.append(tr)
-            frame_pairs.append((next_id, j))
             if on_birth is not None:
                 on_birth(next_id, j, tr.state)
             next_id += 1
         live = survivors
-        decisions.append((rec.index, tuple(frame_pairs)))
 
     labels = tuple(
         TrackletLabel(track_id=tid, members=tuple(order[tid].members))
         for tid in sorted(order)
     )
     link_conf = {tid: list(order[tid].link_conf) for tid in sorted(order)}
-    final_states = {tr.state.track_id: tr.state for tr in live}
-    return TrackerRun(
-        labels=labels,
-        link_conf=link_conf,
-        decisions=tuple(decisions),
-        final_states=final_states,
-    )
+    return TrackerRun(labels=labels, link_conf=link_conf)
 
 
 def mahalanobis_matrix(states, detections, kcfg: kalman.NoiseConfig,

@@ -444,9 +444,7 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
 def _cmd_simulate(args) -> int:
     rc = _load_config(args.scene_config or args.config)
     if args.seed is not None:
-        rc = RunConfig(seed=args.seed, kalman=rc.kalman, assoc=rc.assoc,
-                       embed=rc.embed, learn=rc.learn, sim=rc.sim, mot=rc.mot,
-                       eval=rc.eval)
+        rc = replace(rc, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _stage_simulate(rc, out)
@@ -503,6 +501,8 @@ def _assign_gt_from_tracks(seq: Sequence, labels) -> Sequence:
 def _cmd_fit_logistic(args) -> int:
     rc = _load_config(args.config)
     net = embed.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    if len(args.detections) != len(args.clouds):
+        raise ValueError("--detections and --clouds must pair up")
     examples = []
     for det, cl in zip(args.detections, args.clouds):
         seq = _load_sequence(det, cl, rc.sim.frame_period)
@@ -602,9 +602,7 @@ def _cmd_confidence_report(args) -> int:
 def _cmd_pipeline(args) -> int:
     rc = _load_config(args.config)
     if args.seed is not None:
-        rc = RunConfig(seed=args.seed, kalman=rc.kalman, assoc=rc.assoc,
-                       embed=rc.embed, learn=rc.learn, sim=rc.sim, mot=rc.mot,
-                       eval=rc.eval)
+        rc = replace(rc, seed=args.seed)
     stages = args.stages or list(STAGE_ORDER)
     run_pipeline(rc, stages, args.out_dir)
     print(f"pipeline complete; manifest at {Path(args.out_dir) / 'manifest.jsonl'}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .assoc import AssocConfig
+from .embed import DEFAULT_POINTS, DEFAULT_WIDTHS
 from .kalman import NoiseConfig
 from .learn import TrainerConfig
 from .mot import MODES as MOT_MODES
@@ -23,8 +24,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EmbedSection:
-    widths: tuple[int, ...] = (3, 64, 64, 64)
-    points_per_crop: int = 128
+    widths: tuple[int, ...] = DEFAULT_WIDTHS
+    points_per_crop: int = DEFAULT_POINTS
 
     def __post_init__(self):
         if len(self.widths) < 2 or self.widths[0] != 3:
@@ -58,16 +59,16 @@ class SimSection:
 
 @dataclass(frozen=True)
 class LearnSection:
-    margin: float = 0.2
-    learning_rate: float = 2e-5
-    batch_size: int = 64
-    epochs: int = 100
-    max_gap: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    use_uncertainty: bool = True
-    hard_negative_mining: bool = True
+    margin: float = TrainerConfig.margin
+    learning_rate: float = TrainerConfig.learning_rate
+    batch_size: int = TrainerConfig.batch_size
+    epochs: int = TrainerConfig.epochs
+    max_gap: int = TrainerConfig.max_gap
+    beta1: float = TrainerConfig.beta1
+    beta2: float = TrainerConfig.beta2
+    adam_eps: float = TrainerConfig.adam_eps
+    use_uncertainty: bool = TrainerConfig.use_uncertainty
+    hard_negative_mining: bool = TrainerConfig.hard_negative_mining
     mode: str = "selfsup"  # selfsup | weak | oracle
 
     def __post_init__(self):
@@ -75,19 +76,15 @@ class LearnSection:
             raise ValueError(f"mode must be selfsup/weak/oracle, got {self.mode!r}")
 
     def trainer(self, seed: int, points_per_crop: int) -> TrainerConfig:
-        return TrainerConfig(
-            margin=self.margin, learning_rate=self.learning_rate,
-            batch_size=self.batch_size, epochs=self.epochs, max_gap=self.max_gap,
-            beta1=self.beta1, beta2=self.beta2, adam_eps=self.adam_eps,
-            seed=seed, points_per_crop=points_per_crop,
-            use_uncertainty=self.use_uncertainty,
-            hard_negative_mining=self.hard_negative_mining,
-        )
+        """The TrainerConfig with every field this section shares with it."""
+        shared = {f.name for f in fields(TrainerConfig)} & {f.name for f in fields(self)}
+        return TrainerConfig(seed=seed, points_per_crop=points_per_crop,
+                             **{name: getattr(self, name) for name in shared})
 
 
 @dataclass(frozen=True)
 class MotSection:
-    modes: tuple[str, ...] = ("motion", "motion+score", "motion+score+appearance")
+    modes: tuple[str, ...] = MOT_MODES
     score_gate: float = 0.5
 
     def __post_init__(self):

@@ -6,6 +6,12 @@ embedding invariant to point order. Gradients are exact reverse-mode and
 hand-written (`backward`), which keeps training dependency-free and
 bit-reproducible.
 
+A detection has one crop, `detection_crop`, the only caller of
+`canonicalize` in the package; training crops it, and every inference path
+(the tracker, the logistic-fit harvest, SOT evaluation) embeds it through
+`detection_embedder`, which crops and embeds each detection of a sequence
+once.
+
 Inference calls `forward`, which checks the parameters for finiteness on
 every call. Training calls `forward_argmax` instead: it also returns the
 arg-max point of each output coordinate, and leaves the finiteness check
@@ -26,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Box7, PointCloud
+from .core import Box7, Detection, PointCloud, Sequence
 from .kalman import NumericalError
 
 NORM_EPS = 1e-12
@@ -93,6 +99,29 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed,
     else:
         idx = np.arange(count)
     return CanonicalCloud(points=inside[idx], source=source, empty=False)
+
+
+def detection_crop(seq: Sequence, det: Detection, n: int) -> CanonicalCloud:
+    """The canonical crop of a detection: its cloud cut to its box and
+    resampled to n points with a seed taken from its cloud ref."""
+    return canonicalize(seq.cloud_of(det), det.box, n, seed=canon_seed(det.cloud_ref),
+                        source=det.cloud_ref)
+
+
+def detection_embedder(net: "EmbedNet", seq: Sequence, n: int):
+    """det -> forward(net, detection_crop(seq, det, n)), memoised per
+    detection, so a detection of seq is cropped and embedded once. The
+    embeddings returned are shared, hence read-only."""
+    cache: dict[Detection, np.ndarray] = {}
+
+    def embedding(det: Detection) -> np.ndarray:
+        got = cache.get(det)
+        if got is None:
+            got = cache[det] = forward(net, detection_crop(seq, det, n))
+            got.setflags(write=False)
+        return got
+
+    return embedding
 
 
 @dataclass(frozen=True)

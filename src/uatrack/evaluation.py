@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embed
-from .core import Detection, Sequence, TrackletLabel, center_distance
+from .core import Detection, Sequence, center_distance
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,19 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
                  points_per_crop: int = embed.DEFAULT_POINTS) -> SotResult:
     """Classification accuracy of arg-max-cosine association over all tasks.
 
-    The anchor is embedded once per task. Frames without the target are
+    Each detection is embedded once per run of consecutive tasks on the same
+    candidate sequence, anchors included. Frames without the target are
     skipped; ties in cosine go to the lowest candidate index.
     """
     total = 0
     correct = 0
     per_task = []
+    seq = None
     for task in tasks:
-        anchor_crop = embed.canonicalize(
-            task.seq.clouds[task.anchor.cloud_ref], task.anchor.box,
-            points_per_crop, seed=embed.canon_seed(task.anchor.cloud_ref),
-            source=task.anchor.cloud_ref,
-        )
-        anchor_emb = embed.forward(net, anchor_crop)
+        if task.seq is not seq:
+            seq = task.seq
+            embedding = embed.detection_embedder(net, seq, points_per_crop)
+        anchor_emb = embedding(task.anchor)
         t_correct = 0
         t_total = 0
         for rec in task.seq.frames:
@@ -84,11 +84,7 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
             best_idx = None
             best_cos = -math.inf
             for idx, det in enumerate(rec.detections):
-                crop = embed.canonicalize(
-                    task.seq.cloud_of(det), det.box, points_per_crop,
-                    seed=embed.canon_seed(det.cloud_ref), source=det.cloud_ref,
-                )
-                c = embed.cosine(anchor_emb, embed.forward(net, crop))
+                c = embed.cosine(anchor_emb, embedding(det))
                 if c > best_cos:
                     best_cos = c
                     best_idx = idx
@@ -228,10 +224,6 @@ class ConfidenceReport:
     correct_hist: tuple[int, ...]  # 20 bins over [0, 1]
     incorrect_hist: tuple[int, ...]
     n_links: int
-
-    @property
-    def total_binned(self) -> int:
-        return sum(self.correct_hist) + sum(self.incorrect_hist)
 
 
 def confidence_links(seq: Sequence, labels, link_conf):

@@ -363,11 +363,8 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
         got = canon_cache.get(ref)
         if got is None:
             det = src.frame_map[(ref.seq, ref.frame)].detections[ref.det]
-            got = embed.canonicalize(
-                src.seqs[ref.seq].cloud_of(det), det.box, cfg.points_per_crop,
-                seed=embed.canon_seed(det.cloud_ref), source=det.cloud_ref,
-            )
-            canon_cache[ref] = got
+            got = canon_cache[ref] = embed.detection_crop(
+                src.seqs[ref.seq], det, cfg.points_per_crop)
         return got
 
     steps_per_epoch = max(1, math.ceil(src.total_members / cfg.batch_size))

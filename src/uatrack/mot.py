@@ -7,6 +7,13 @@ model fit on a small labeled set. Three modes mirror the ablation rows:
 "motion+score+appearance". All modes share the association kernel in
 assoc.run_tracker, so motion mode reproduces the pseudo-label tracker's
 decisions exactly.
+
+One helper, `_PairFeatures`, builds the features for both the tracker
+(`track_sequence`, which scores each pair with `LogisticModel.score`) and
+the logistic fit (`harvest_features`, which labels each pair). It embeds
+each frame's detections with `embed.detection_embedder`, keeps each track's
+embedding refreshed to that of its matched detection, and calls
+`FeatureVector.build` once per (track, detection) pair.
 """
 
 import json
@@ -65,16 +72,6 @@ class FeatureVector:
 FEATURE_NAMES = ("m", "a", "d", "log_m", "log_a", "log_d")
 
 
-def association_features(pred: kalman.TrackState, det: Detection,
-                         kcfg: kalman.NoiseConfig, net: embed.EmbedNet | None = None,
-                         track_emb=None, det_emb=None) -> FeatureVector:
-    """Features for pairing a predicted track with a detection. Without a
-    network the appearance cosine is 0 (log_a = log 0.5)."""
-    m = kalman.mahalanobis(pred, det.box, kcfg)
-    a = embed.cosine(track_emb, det_emb) if net is not None else 0.0
-    return FeatureVector.build(m=m, a=a, d=det.score)
-
-
 @dataclass(frozen=True)
 class LogisticModel:
     coef: np.ndarray  # (6,) over FEATURE_NAMES
@@ -90,10 +87,6 @@ class LogisticModel:
     def score(self, fv: FeatureVector) -> float:
         z = float(self.coef @ fv.array()) + self.intercept
         return 1.0 / (1.0 + math.exp(-z))
-
-    def score_array(self, feats: np.ndarray) -> np.ndarray:
-        z = feats @ self.coef + self.intercept
-        return 1.0 / (1.0 + np.exp(-z))
 
 
 def save_logistic(path, model: LogisticModel) -> None:
@@ -175,6 +168,45 @@ class MotConfig:
             raise ValueError(f"score_gate must be in (0, 1), got {self.score_gate}")
 
 
+class _PairFeatures:
+    """One sequence's association features, shared by `track_sequence` and
+    `harvest_features`: the Mahalanobis matrix of each frame, the embedding
+    of each detection and each track (refreshed to its matched detection's),
+    and a FeatureVector per (track, detection) pair. Without a network the
+    appearance cosine is 0 (log_a = log 0.5)."""
+
+    def __init__(self, seq: Sequence, kcfg: kalman.NoiseConfig, distance: str,
+                 net: embed.EmbedNet | None, points_per_crop: int):
+        self.kcfg = kcfg
+        self.distance = distance
+        self.embedding = (embed.detection_embedder(net, seq, points_per_crop)
+                          if net is not None else None)
+        self.track_embs: dict[int, np.ndarray] = {}
+        self.dets: tuple[Detection, ...] = ()
+        self.embs: list[np.ndarray] = []
+
+    def frame(self, states, rec) -> np.ndarray:
+        """Start a frame: embed its detections, return its Mahalanobis matrix."""
+        self.dets = rec.detections
+        if self.embedding is not None:
+            self.embs = [self.embedding(d) for d in rec.detections]
+        return mahalanobis_matrix(states, rec.detections, self.kcfg, self.distance)
+
+    def features(self, states, m):
+        """(i, j, FeatureVector) for every (track, detection) pair of the frame."""
+        for i, s in enumerate(states):
+            for j, det in enumerate(self.dets):
+                a = (embed.cosine(self.track_embs[s.track_id], self.embs[j])
+                     if self.embedding is not None else 0.0)
+                yield i, j, FeatureVector.build(m=float(m[i, j]), a=a, d=det.score)
+
+    def matched(self, track_id: int, det_idx: int) -> Detection:
+        """Record a match or birth; returns the detection."""
+        if self.embedding is not None:
+            self.track_embs[track_id] = self.embs[det_idx]
+        return self.dets[det_idx]
+
+
 def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
                    net: embed.EmbedNet | None = None,
                    model: LogisticModel | None = None) -> list[TrackRow]:
@@ -190,40 +222,22 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
         raise ValueError("appearance mode requires an embedding checkpoint")
     if mcfg.mode != "motion" and model is None:
         raise ValueError(f"mode {mcfg.mode!r} requires a fitted logistic model")
-
-    track_embs: dict[int, np.ndarray] = {}
-    frame_embs: list[np.ndarray] = []
-    frame_dets: list[Detection] = []
-
-    def det_embedding(det: Detection) -> np.ndarray:
-        crop = embed.canonicalize(
-            seq.cloud_of(det), det.box, mcfg.points_per_crop,
-            seed=embed.canon_seed(det.cloud_ref), source=det.cloud_ref,
-        )
-        return embed.forward(net, crop)
+    pairs = _PairFeatures(seq, kcfg, mcfg.assoc.distance,
+                          net if use_appearance else None, mcfg.points_per_crop)
 
     def cost_fn(states, rec):
-        nonlocal frame_embs, frame_dets
-        frame_dets = list(rec.detections)
-        if use_appearance:
-            frame_embs = [det_embedding(d) for d in rec.detections]
-        m = mahalanobis_matrix(states, rec.detections, kcfg, mcfg.assoc.distance)
+        m = pairs.frame(states, rec)
         if mcfg.mode == "motion":
             return m, mcfg.assoc.gate
         cost = np.ones_like(m)
-        for i, s in enumerate(states):
-            for j, det in enumerate(rec.detections):
-                a = embed.cosine(track_embs[s.track_id], frame_embs[j]) if use_appearance else 0.0
-                fv = FeatureVector.build(m=float(m[i, j]), a=a, d=det.score)
-                cost[i, j] = 1.0 - model.score(fv)
+        for i, j, fv in pairs.features(states, m):
+            cost[i, j] = 1.0 - model.score(fv)
         return cost, 1.0 - mcfg.score_gate
 
     rows: list[TrackRow] = []
 
     def on_match(track_id, det_idx, state):
-        if use_appearance:
-            track_embs[track_id] = frame_embs[det_idx]
-        det = frame_dets[det_idx]
+        det = pairs.matched(track_id, det_idx)
         rows.append(TrackRow(
             frame=det.frame, track_id=track_id, box=state.box(), score=det.score,
         ))
@@ -248,36 +262,18 @@ def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
     """
     examples = []
     track_gt: dict[int, int | None] = {}
-    track_emb: dict[int, np.ndarray] = {}
-    frame_dets: list[Detection] = []
-    frame_embs: list[np.ndarray] = []
-
-    def det_embedding(det: Detection) -> np.ndarray:
-        crop = embed.canonicalize(
-            seq.cloud_of(det), det.box, points_per_crop,
-            seed=embed.canon_seed(det.cloud_ref), source=det.cloud_ref,
-        )
-        return embed.forward(net, crop)
+    pairs = _PairFeatures(seq, kcfg, acfg.distance, net, points_per_crop)
 
     def cost_fn(states, rec):
-        nonlocal frame_dets, frame_embs
-        frame_dets = list(rec.detections)
-        if net is not None:
-            frame_embs = [det_embedding(d) for d in rec.detections]
-        m = mahalanobis_matrix(states, rec.detections, kcfg, acfg.distance)
-        for i, s in enumerate(states):
-            for j, det in enumerate(rec.detections):
-                a = embed.cosine(track_emb[s.track_id], frame_embs[j]) if net is not None else 0.0
-                fv = FeatureVector.build(m=float(m[i, j]), a=a, d=det.score)
-                tgt = track_gt.get(s.track_id)
-                label = int(tgt is not None and det.gt_id is not None and tgt == det.gt_id)
-                examples.append((fv, label))
+        m = pairs.frame(states, rec)
+        for i, j, fv in pairs.features(states, m):
+            tgt = track_gt.get(states[i].track_id)
+            gt = rec.detections[j].gt_id
+            examples.append((fv, int(tgt is not None and gt is not None and tgt == gt)))
         return m, acfg.gate
 
     def on_match(track_id, det_idx, _state):
-        track_gt[track_id] = frame_dets[det_idx].gt_id
-        if net is not None:
-            track_emb[track_id] = frame_embs[det_idx]
+        track_gt[track_id] = pairs.matched(track_id, det_idx).gt_id
 
     run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match,
                 on_birth=on_match, collect_confidence=False)

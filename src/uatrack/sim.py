@@ -188,12 +188,10 @@ def sample_deform(template: int, rng) -> tuple[float, ...]:
 
 def _in_bounds(spec: ObjectSpec, scene: SceneConfig) -> bool:
     limit = scene.bounds - scene.margin
-    duration = (scene.n_frames - 1) * scene.frame_period
     for f in range(scene.n_frames):
         x, y, _ = spec.pose_at(f * scene.frame_period)
         if abs(x) > limit or abs(y) > limit:
             return False
-    del duration
     return True
 
 

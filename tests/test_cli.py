@@ -96,3 +96,13 @@ class TestMalformedInput:
                                    "--clouds", str(scene / "clouds"),
                                    "--checkpoint", str(tmp_path / "n.uann")])
         self.assert_one_line_error(code, err, "n.uann")
+
+    def test_fit_logistic_unpaired_inputs(self, tiny_run, tmp_path, capsys):
+        scene = tiny_run / "sim" / "fit_00"
+        code, err = _main(capsys, ["fit-logistic",
+                                   "--detections", str(scene / "corrupted.jsonl"),
+                                   str(scene / "detections.jsonl"),
+                                   "--clouds", str(scene / "clouds"),
+                                   "--out-model", str(tmp_path / "m.json")])
+        self.assert_one_line_error(code, err, "--detections and --clouds must pair up")
+        assert not (tmp_path / "m.json").exists()

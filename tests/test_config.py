@@ -1,0 +1,76 @@
+from dataclasses import fields, replace
+
+import numpy as np
+
+from uatrack import embed
+from uatrack.assoc import AssocConfig
+from uatrack.config import (
+    EmbedSection,
+    EvalSection,
+    LearnSection,
+    MotSection,
+    RunConfig,
+    SimSection,
+    parse_config,
+    serialize_config,
+)
+from uatrack.kalman import NoiseConfig
+from uatrack.learn import TrainerConfig
+
+
+def _shared(a, b) -> list[str]:
+    names = {f.name for f in fields(b)}
+    return [f.name for f in fields(a) if f.name in names]
+
+
+class TestDefaults:
+    def test_learn_section_matches_trainer_config(self):
+        shared = _shared(LearnSection, TrainerConfig)
+        assert len(shared) == 10
+        learn, trainer = LearnSection(), TrainerConfig()
+        for name in shared:
+            assert getattr(learn, name) == getattr(trainer, name), name
+
+    def test_trainer_copies_every_shared_field(self):
+        learn = LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
+                             max_gap=4, beta1=0.8, beta2=0.99, adam_eps=1e-6,
+                             use_uncertainty=False, hard_negative_mining=False)
+        cfg = learn.trainer(seed=5, points_per_crop=32)
+        assert (cfg.seed, cfg.points_per_crop) == (5, 32)
+        for name in _shared(LearnSection, TrainerConfig):
+            assert getattr(cfg, name) == getattr(learn, name), name
+
+    def test_embed_section_matches_embed_constants(self):
+        sect = EmbedSection()
+        assert sect.widths == embed.DEFAULT_WIDTHS
+        assert sect.points_per_crop == embed.DEFAULT_POINTS
+
+
+class TestRoundTrip:
+    @staticmethod
+    def _round_trip(rc: RunConfig) -> RunConfig:
+        return parse_config(serialize_config(rc), from_path=False)
+
+    def test_default_config(self):
+        assert self._round_trip(RunConfig()) == RunConfig()
+
+    def test_every_section_changed(self):
+        rc = RunConfig(
+            seed=7,
+            kalman=NoiseConfig(q_diag=np.arange(1.0, 12.0) / 7.0,
+                               r_diag=np.arange(1.0, 8.0) / 3.0,
+                               p0_diag=np.full(11, 2.5)),
+            assoc=AssocConfig(gate=9.5, max_age=5, eps=1e-3, distance="squared"),
+            embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
+            learn=LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
+                               max_gap=4, beta1=0.8, beta2=0.99, adam_eps=1e-6,
+                               use_uncertainty=False, hard_negative_mining=False,
+                               mode="weak"),
+            sim=replace(SimSection(), train_scenes=2, frame_period=0.1, yaw_deg=2.5,
+                        dropout_rate=0.2),
+            mot=MotSection(modes=("motion", "motion+score"), score_gate=0.3),
+            eval=EvalSection(match_dist=1.5, recall_levels=10, sot_noise="on"),
+        )
+        for name in ("kalman", "assoc", "embed", "learn", "sim", "mot", "eval"):
+            assert getattr(rc, name) != getattr(RunConfig(), name), name
+        assert self._round_trip(rc) == rc

@@ -1,9 +1,13 @@
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uatrack.core import Box7, PointCloud
+from uatrack import embed
+from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 from uatrack.embed import (
     CanonicalCloud,
     EmbedNet,
@@ -12,6 +16,8 @@ from uatrack.embed import (
     canonicalize,
     cosine,
     degenerate,
+    detection_crop,
+    detection_embedder,
     forward,
     forward_argmax,
     load_checkpoint,
@@ -342,3 +348,44 @@ class TestCheckpoint:
             (tmp_path / "t.uann").write_bytes(raw[:keep])
             with pytest.raises(ValueError, match=r"t\.uann: "):
                 load_checkpoint(tmp_path / "t.uann")
+
+
+class TestDetectionPath:
+    SRC = Path(__file__).resolve().parent.parent / "src" / "uatrack"
+
+    def test_canonicalize_is_called_only_by_detection_crop(self):
+        callers = []
+
+        def visit(node, path, fn):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = node.name
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")) == "canonicalize":
+                    callers.append((path.name, fn))
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, fn)
+
+        for path in sorted(self.SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+        assert callers == [("embed.py", "detection_crop")]
+
+    def test_detection_crop_and_embedder(self, monkeypatch):
+        det = Detection(frame=0, box=box(x=1.0), score=0.9, cloud_ref="c0")
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 3)) + [1.0, 0.0, 0.0]
+        seq = Sequence(frames=(FrameRecord(index=0, detections=(det,)),),
+                       clouds={"c0": PointCloud(pts)})
+        crop = detection_crop(seq, det, 16)
+        want = canonicalize(PointCloud(pts), det.box, 16, seed=canon_seed("c0"), source="c0")
+        assert crop.source == "c0"
+        assert np.array_equal(crop.points, want.points)
+
+        net = EmbedNet.random((3, 8, 8), seed=0)
+        calls = []
+        monkeypatch.setattr(embed, "forward", lambda n, c: calls.append(c) or forward(n, c))
+        embedding = detection_embedder(net, seq, 16)
+        first = embedding(det)
+        assert embedding(replace(det)) is first
+        assert not first.flags.writeable
+        assert len(calls) == 1
+        assert np.array_equal(first, forward(net, want))
