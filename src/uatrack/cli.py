@@ -1,6 +1,29 @@
 """Unified command line: simulate, pseudo-tracks, train, fit-logistic,
 mot-run, sot-eval, mot-eval, confidence-report, and the staged pipeline.
 
+Each stage is one function of explicit paths. It reads the scenes it is
+given, writes its artifacts and returns the (inputs, outputs) that the
+manifest records; the two evaluation stages that print return their
+results in place of outputs. Each subcommand only maps its flags to those
+paths:
+
+    simulate            _stage_simulate
+    pseudo-tracks       run_pseudo_tracks
+    train               run_train
+    fit-logistic        run_fit_logistic
+    mot-run             run_mot
+    sot-eval            run_sot_eval
+    mot-eval            run_mot_eval
+    confidence-report   run_confidence_report
+    pipeline            run_pipeline, whose _stage_* functions map the
+                        --out-dir layout to the same functions
+
+Settings come only from --config; --seed, where a subcommand has it,
+overrides [global] seed. The pooled stages (train, fit-logistic, sot-eval,
+mot-eval, confidence-report) take their scenes as lists in the pipeline's
+order, and a scene's index is its position in the list: sot-eval seeds the
+box noise of scene i with _scene_seed(rc, "test", i, 200).
+
 The pipeline executes stages in dependency order, writes every artifact
 under --out-dir, and appends one manifest line per stage (stage name,
 execution order, input/output hashes). Wall-clock timings go to a separate
@@ -19,7 +42,6 @@ from pathlib import Path
 from . import assoc, embed, evaluation, learn, mot, sim
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .core import (
-    FrameRecord,
     Sequence,
     TrackRow,
     read_detections,
@@ -45,21 +67,26 @@ STAGE_ORDER = (
 
 SPLITS = ("train", "fit", "test")
 
+APPEARANCE = "motion+score+appearance"  # the one mode that needs the checkpoint
+
 
 class PipelineError(RuntimeError):
     pass
 
 
-def _load_config(path) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return parse_config(path)
+def _load_config(path, seed: int | None = None) -> RunConfig:
+    rc = RunConfig() if path is None else parse_config(path)
+    return rc if seed is None else replace(rc, seed=seed)
 
 
 def _load_sequence(det_path, clouds_dir, frame_period: float,
                    n_frames: int | None = None) -> Sequence:
     clouds = read_clouds(clouds_dir)
     return read_detections(det_path, clouds, frame_period=frame_period, n_frames=n_frames)
+
+
+def _read_scene(rc: RunConfig, det_path, clouds_dir) -> Sequence:
+    return _load_sequence(det_path, clouds_dir, rc.sim.frame_period, rc.sim.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -128,152 +155,99 @@ def _stage_simulate(rc: RunConfig, out: Path):
     return [], outputs
 
 
-def _train_inputs(rc: RunConfig, out: Path, index: int):
-    """(detections path, clouds dir) for one training scene per learn.mode."""
-    d = _scene_dir(out, "train", index)
-    det = d / ("corrupted.jsonl" if rc.learn.mode == "selfsup" else "detections.jsonl")
-    return det, d / "clouds"
+# ---------------------------------------------------------------------------
+# stage functions
 
 
-def _stage_pseudo_tracks(rc: RunConfig, out: Path):
-    inputs, outputs = [], []
-    pseudo_dir = out / "pseudo"
-    pseudo_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(rc.sim.train_scenes):
-        det_path, clouds_dir = _train_inputs(rc, out, i)
-        seq = _load_sequence(det_path, clouds_dir, rc.sim.frame_period, rc.sim.frames)
-        labels, conf = assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc)
-        target = pseudo_dir / f"train_{i:02d}.jsonl"
-        assoc.write_pseudo_tracks(target, labels, conf)
-        inputs += [det_path, clouds_dir]
-        outputs.append(target)
-    return inputs, outputs
+def run_pseudo_tracks(rc: RunConfig, detections, clouds, target):
+    """Pseudo-tracks with link confidences for one scene."""
+    seq = _read_scene(rc, detections, clouds)
+    labels, conf = assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc)
+    assoc.write_pseudo_tracks(target, labels, conf)
+    return [detections, clouds], [target]
 
 
-def _stage_train(rc: RunConfig, out: Path):
-    inputs, outputs = [], []
-    seqs, tracks = [], []
-    for i in range(rc.sim.train_scenes):
-        det_path, clouds_dir = _train_inputs(rc, out, i)
-        seq = _load_sequence(det_path, clouds_dir, rc.sim.frame_period, rc.sim.frames)
-        if rc.learn.mode == "oracle":
-            track_path = _scene_dir(out, "train", i) / "gt_tracks.jsonl"
-        else:
-            track_path = out / "pseudo" / f"train_{i:02d}.jsonl"
-        labels, conf = assoc.read_pseudo_tracks(track_path)
-        seqs.append(seq)
-        tracks.append((labels, conf))
+def run_train(rc: RunConfig, scenes, checkpoint, history):
+    """Train the embedding on (detections, clouds, tracks) scenes."""
+    inputs, seqs, tracks = [], [], []
+    for det_path, clouds_dir, track_path in scenes:
+        seqs.append(_read_scene(rc, det_path, clouds_dir))
+        tracks.append(assoc.read_pseudo_tracks(track_path))
         inputs += [det_path, clouds_dir, track_path]
     net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed)
     cfg = rc.learn.trainer(seed=rc.seed, points_per_crop=rc.embed.points_per_crop)
-    net, history = learn.train(seqs, tracks, net, cfg)
-    train_dir = out / "train"
-    train_dir.mkdir(parents=True, exist_ok=True)
-    embed.save_checkpoint(train_dir / "checkpoint.uann", net)
-    learn.write_loss_history(train_dir / "loss_history.csv", history)
-    outputs += [train_dir / "checkpoint.uann", train_dir / "loss_history.csv"]
-    return inputs, outputs
+    net, rows = learn.train(seqs, tracks, net, cfg)
+    embed.save_checkpoint(checkpoint, net)
+    learn.write_loss_history(history, rows)
+    return inputs, [checkpoint, history]
 
 
-def _mot_models(rc: RunConfig) -> list[str]:
-    return [m for m in rc.mot.modes if m != "motion"]
+def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
+    """Fit the association-score model of each fused mode in `models`
+    ({mode: target}) on the pairs of all (detections, clouds) scenes. The
+    appearance mode embeds with the checkpoint; the other fits without it."""
+    if not models:  # motion-only: nothing to fit, nothing read
+        return [], []
+    net = embed.load_checkpoint(checkpoint) if APPEARANCE in models else None
+    seqs = [_read_scene(rc, det_path, clouds_dir) for det_path, clouds_dir in scenes]
+    for mode, target in models.items():
+        # the examples die with the fit call, so one mode's are held at a time
+        mot.save_logistic(target, mot.fit_logistic([
+            ex for seq in seqs for ex in mot.harvest_features(
+                seq, rc.kalman, rc.assoc, net=net if mode == APPEARANCE else None,
+                points_per_crop=rc.embed.points_per_crop)]))
+    inputs = [p for scene in scenes for p in scene] + ([checkpoint] if net is not None else [])
+    return inputs, list(models.values())
 
 
-def _stage_fit_logistic(rc: RunConfig, out: Path):
-    inputs, outputs = [], []
-    ckpt = out / "train" / "checkpoint.uann"
-    mot_dir = out / "mot"
-    mot_dir.mkdir(parents=True, exist_ok=True)
-    for mode in _mot_models(rc):
-        use_net = mode == "motion+score+appearance"
-        net = embed.load_checkpoint(ckpt) if use_net else None
-        examples = []
-        for i in range(rc.sim.fit_scenes):
-            d = _scene_dir(out, "fit", i)
-            seq = _load_sequence(d / "corrupted.jsonl", d / "clouds",
-                                 rc.sim.frame_period, rc.sim.frames)
-            examples += mot.harvest_features(
-                seq, rc.kalman, rc.assoc, net=net,
-                points_per_crop=rc.embed.points_per_crop,
-            )
-            inputs += [d / "corrupted.jsonl", d / "clouds"]
-        if use_net:
-            inputs.append(ckpt)
-        model = mot.fit_logistic(examples)
-        target = mot_dir / f"logistic_{mode}.json"
-        mot.save_logistic(target, model)
-        outputs.append(target)
-    return inputs, outputs
-
-
-def _stage_mot_run(rc: RunConfig, out: Path):
-    inputs, outputs = [], []
-    ckpt = out / "train" / "checkpoint.uann"
-    for mode in rc.mot.modes:
-        use_net = mode == "motion+score+appearance"
-        net = embed.load_checkpoint(ckpt) if use_net else None
-        model = None
-        if mode != "motion":
-            model_path = out / "mot" / f"logistic_{mode}.json"
-            model = mot.load_logistic(model_path)
-            inputs.append(model_path)
-        if use_net:
-            inputs.append(ckpt)
-        mcfg = mot.MotConfig(
-            mode=mode, score_gate=rc.mot.score_gate, assoc=rc.assoc,
-            points_per_crop=rc.embed.points_per_crop,
-        )
-        for i in range(rc.sim.test_scenes):
-            d = _scene_dir(out, "test", i)
-            seq = _load_sequence(d / "corrupted.jsonl", d / "clouds",
-                                 rc.sim.frame_period, rc.sim.frames)
-            rows = mot.track_sequence(seq, rc.kalman, mcfg, net=net, model=model)
-            target = out / "mot" / f"test_{i:02d}.tracks.{mode}.jsonl"
-            target.parent.mkdir(parents=True, exist_ok=True)
+def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
+    """Track each (detections, clouds, {mode: tracks target}) scene in each
+    of its modes. `logistic` maps each fused mode to its fitted model; the
+    appearance mode also needs the checkpoint."""
+    modes = {mode for *_, targets in scenes for mode in targets}
+    net = (embed.load_checkpoint(checkpoint)
+           if checkpoint is not None and APPEARANCE in modes else None)
+    models = {mode: mot.load_logistic(path) for mode, path in logistic.items()}
+    inputs = list(logistic.values()) + ([checkpoint] if net is not None else [])
+    outputs = []
+    for det_path, clouds_dir, targets in scenes:
+        seq = _read_scene(rc, det_path, clouds_dir)
+        for mode, target in targets.items():
+            mcfg = mot.MotConfig(mode=mode, score_gate=rc.mot.score_gate, assoc=rc.assoc,
+                                 points_per_crop=rc.embed.points_per_crop)
+            rows = mot.track_sequence(seq, rc.kalman, mcfg, net=net, model=models.get(mode))
             write_track_rows(target, rows)
-            inputs += [d / "corrupted.jsonl", d / "clouds"]
             outputs.append(target)
+        inputs += [det_path, clouds_dir]
     return inputs, outputs
 
 
-def _sot_accuracy(rc: RunConfig, out: Path, net, noisy: bool):
-    tasks = []
-    for i in range(rc.sim.test_scenes):
-        d = _scene_dir(out, "test", i)
-        seq = _load_sequence(d / "detections.jsonl", d / "clouds",
-                             rc.sim.frame_period, rc.sim.frames)
-        cand = None
-        if noisy:
-            cand = sim.perturb_boxes(seq, _noise_model(rc, corruption=False),
-                                     _scene_seed(rc, "test", i, 200))
-        tasks += evaluation.build_sot_tasks(seq, candidate_seq=cand)
-    return evaluation.sot_evaluate(net, tasks, rc.embed.points_per_crop)
-
-
-def _stage_sot_eval(rc: RunConfig, out: Path):
-    inputs, outputs = [], []
-    ckpt = out / "train" / "checkpoint.uann"
-    net = embed.load_checkpoint(ckpt)
-    inputs.append(ckpt)
-    for i in range(rc.sim.test_scenes):
-        d = _scene_dir(out, "test", i)
-        inputs += [d / "detections.jsonl", d / "clouds"]
-    eval_dir = out / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    modes = {"off": [False], "on": [True], "both": [False, True]}[rc.eval.sot_noise]
-    for noisy in modes:
-        result = _sot_accuracy(rc, out, net, noisy)
+def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
+    """SOT accuracy over the (detections, clouds) scenes, on clean and/or
+    box-perturbed candidates as [eval] sot_noise says; writes
+    sot_<clean|noisy>.csv and sot_summary.json to out_dir."""
+    net = embed.load_checkpoint(checkpoint)
+    seqs = [_read_scene(rc, det_path, clouds_dir) for det_path, clouds_dir in scenes]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs, summary = [], {}
+    for noisy in {"off": [False], "on": [True], "both": [False, True]}[rc.eval.sot_noise]:
+        tasks = []
+        for i, seq in enumerate(seqs):
+            cand = (sim.perturb_boxes(seq, _noise_model(rc, corruption=False),
+                                      _scene_seed(rc, "test", i, 200)) if noisy else None)
+            tasks += evaluation.build_sot_tasks(seq, candidate_seq=cand)
+        result = evaluation.sot_evaluate(net, tasks, rc.embed.points_per_crop)
         name = "noisy" if noisy else "clean"
-        evaluation.write_sot_csv(eval_dir / f"sot_{name}.csv", result)
-        outputs.append(eval_dir / f"sot_{name}.csv")
+        evaluation.write_sot_csv(out_dir / f"sot_{name}.csv", result)
+        outputs.append(out_dir / f"sot_{name}.csv")
         summary[name] = {"accuracy": result.accuracy, "frames": result.total}
         log.info("sot-eval %s: accuracy %.4f over %d frames",
                  name, result.accuracy, result.total)
-    (eval_dir / "sot_summary.json").write_text(
+    (out_dir / "sot_summary.json").write_text(
         json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
-    outputs.append(eval_dir / "sot_summary.json")
-    return inputs, outputs
+    outputs.append(out_dir / "sot_summary.json")
+    return [checkpoint] + [p for scene in scenes for p in scene], outputs
 
 
 def _gt_rows_from_detections(seq: Sequence) -> list[TrackRow]:
@@ -298,28 +272,116 @@ def _pooled_rows(per_scene_rows, frame_stride: int):
     return pooled
 
 
-def _stage_mot_eval(rc: RunConfig, out: Path):
+def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
+    """AMOTA of each run in `pred_tracks` (a list of track files, one per
+    scene) against the gt_ids of the scenes' detection files, with every
+    scene pooled into one sequence. Returns (inputs, one MotScore per run)."""
+    stride = rc.sim.frames + 100
+    gt_rows = _pooled_rows([_gt_rows_from_detections(read_detections(
+        p, clouds=None, frame_period=rc.sim.frame_period, n_frames=rc.sim.frames))
+        for p in gt_detections], stride)
+    scores = [evaluation.amota(_pooled_rows([read_track_rows(p) for p in paths], stride),
+                               gt_rows, match_dist=rc.eval.match_dist, L=rc.eval.recall_levels)
+              for paths in pred_tracks]
+    return [*gt_detections, *(p for paths in pred_tracks for p in paths)], scores
+
+
+def run_confidence_report(rc: RunConfig, scenes):
+    """AC of the pseudo-track links of each (detections, clouds, tracks)
+    scene, split by whether a link joins two detections of one gt_id.
+    Returns (inputs, ConfidenceReport)."""
+    inputs, correct, incorrect = [], [], []
+    for det_path, clouds_dir, track_path in scenes:
+        seq = _read_scene(rc, det_path, clouds_dir)
+        labels, conf = assoc.read_pseudo_tracks(track_path)
+        c, w = evaluation.confidence_links(seq, labels, conf)
+        correct += c
+        incorrect += w
+        inputs += [det_path, clouds_dir, track_path]
+    return inputs, evaluation.report_from_links(correct, incorrect)
+
+
+# ---------------------------------------------------------------------------
+# the --out-dir layout of the other stages
+
+
+def _scenes(rc: RunConfig, out: Path, split: str, detections: str):
+    """(detections file, clouds dir) of each scene of a split."""
+    dirs = [_scene_dir(out, split, i) for i in range(_split_counts(rc)[split])]
+    return [(d / detections, d / "clouds") for d in dirs]
+
+
+def _train_scenes(rc: RunConfig, out: Path):
+    """(detections file, clouds dir) of each training scene; the detections
+    file follows [learn] mode."""
+    det = "corrupted.jsonl" if rc.learn.mode == "selfsup" else "detections.jsonl"
+    return _scenes(rc, out, "train", det)
+
+
+def _pseudo_path(out: Path, index: int) -> Path:
+    return out / "pseudo" / f"train_{index:02d}.jsonl"
+
+
+def _checkpoint_path(out: Path) -> Path:
+    return out / "train" / "checkpoint.uann"
+
+
+def _tracks_path(out: Path, index: int, mode: str) -> Path:
+    return out / "mot" / f"test_{index:02d}.tracks.{mode}.jsonl"
+
+
+def _mot_models(rc: RunConfig, out: Path) -> dict[str, Path]:
+    return {m: out / "mot" / f"logistic_{m}.json" for m in rc.mot.modes if m != "motion"}
+
+
+def _stage_pseudo_tracks(rc: RunConfig, out: Path):
+    (out / "pseudo").mkdir(parents=True, exist_ok=True)
     inputs, outputs = [], []
+    for i, (det_path, clouds_dir) in enumerate(_train_scenes(rc, out)):
+        scene_inputs, scene_outputs = run_pseudo_tracks(rc, det_path, clouds_dir,
+                                                        _pseudo_path(out, i))
+        inputs += scene_inputs
+        outputs += scene_outputs
+    return inputs, outputs
+
+
+def _stage_train(rc: RunConfig, out: Path):
+    oracle = rc.learn.mode == "oracle"
+    scenes = [(det_path, clouds_dir,
+               _scene_dir(out, "train", i) / "gt_tracks.jsonl" if oracle else _pseudo_path(out, i))
+              for i, (det_path, clouds_dir) in enumerate(_train_scenes(rc, out))]
+    (out / "train").mkdir(parents=True, exist_ok=True)
+    return run_train(rc, scenes, _checkpoint_path(out), out / "train" / "loss_history.csv")
+
+
+def _stage_fit_logistic(rc: RunConfig, out: Path):
+    (out / "mot").mkdir(parents=True, exist_ok=True)
+    return run_fit_logistic(rc, _scenes(rc, out, "fit", "corrupted.jsonl"),
+                            _checkpoint_path(out), _mot_models(rc, out))
+
+
+def _stage_mot_run(rc: RunConfig, out: Path):
+    (out / "mot").mkdir(parents=True, exist_ok=True)
+    scenes = [(det_path, clouds_dir, {m: _tracks_path(out, i, m) for m in rc.mot.modes})
+              for i, (det_path, clouds_dir)
+              in enumerate(_scenes(rc, out, "test", "corrupted.jsonl"))]
+    return run_mot(rc, scenes, _checkpoint_path(out), _mot_models(rc, out))
+
+
+def _stage_sot_eval(rc: RunConfig, out: Path):
+    return run_sot_eval(rc, _scenes(rc, out, "test", "detections.jsonl"),
+                        _checkpoint_path(out), out / "eval")
+
+
+def _stage_mot_eval(rc: RunConfig, out: Path):
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
-    stride = rc.sim.frames + 100
-    gt_per_scene = []
-    for i in range(rc.sim.test_scenes):
-        d = _scene_dir(out, "test", i)
-        seq = _load_sequence(d / "detections.jsonl", d / "clouds",
-                             rc.sim.frame_period, rc.sim.frames)
-        gt_per_scene.append(_gt_rows_from_detections(seq))
-        inputs += [d / "detections.jsonl", d / "clouds"]
-    gt_rows = _pooled_rows(gt_per_scene, stride)
-    for mode in rc.mot.modes:
-        pred_per_scene = []
-        for i in range(rc.sim.test_scenes):
-            p = out / "mot" / f"test_{i:02d}.tracks.{mode}.jsonl"
-            pred_per_scene.append(read_track_rows(p))
-            inputs.append(p)
-        pred_rows = _pooled_rows(pred_per_scene, stride)
-        score = evaluation.amota(pred_rows, gt_rows,
-                                 match_dist=rc.eval.match_dist, L=rc.eval.recall_levels)
+    n = rc.sim.test_scenes
+    inputs, scores = run_mot_eval(
+        rc, [det_path for det_path, _ in _scenes(rc, out, "test", "detections.jsonl")],
+        [[_tracks_path(out, i, mode) for i in range(n)] for mode in rc.mot.modes])
+    outputs = []
+    for mode, score in zip(rc.mot.modes, scores):
         target = eval_dir / f"amota_{mode}.json"
         target.write_text(json.dumps({
             "mode": mode,
@@ -336,19 +398,9 @@ def _stage_mot_eval(rc: RunConfig, out: Path):
 
 
 def _stage_confidence_report(rc: RunConfig, out: Path):
-    inputs, outputs = [], []
-    correct_vals: list[float] = []
-    incorrect_vals: list[float] = []
-    for i in range(rc.sim.train_scenes):
-        det_path, clouds_dir = _train_inputs(rc, out, i)
-        seq = _load_sequence(det_path, clouds_dir, rc.sim.frame_period, rc.sim.frames)
-        track_path = out / "pseudo" / f"train_{i:02d}.jsonl"
-        labels, conf = assoc.read_pseudo_tracks(track_path)
-        c, w = evaluation.confidence_links(seq, labels, conf)
-        correct_vals += c
-        incorrect_vals += w
-        inputs += [det_path, clouds_dir, track_path]
-    report = evaluation.report_from_links(correct_vals, incorrect_vals)
+    inputs, report = run_confidence_report(rc, [
+        (det_path, clouds_dir, _pseudo_path(out, i))
+        for i, (det_path, clouds_dir) in enumerate(_train_scenes(rc, out))])
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_confidence_csv(eval_dir / "confidence.csv", report)
@@ -357,12 +409,11 @@ def _stage_confidence_report(rc: RunConfig, out: Path):
         "mean_incorrect": report.mean_incorrect,
         "n_links": report.n_links,
     }, sort_keys=True) + "\n", encoding="utf-8")
-    outputs += [eval_dir / "confidence.csv", eval_dir / "confidence_summary.json"]
     log.info("confidence-report: correct %.4f vs incorrect %s over %d links",
              report.mean_correct if report.mean_correct is not None else float("nan"),
              f"{report.mean_incorrect:.4f}" if report.mean_incorrect is not None else "absent",
              report.n_links)
-    return inputs, outputs
+    return inputs, [eval_dir / "confidence.csv", eval_dir / "confidence_summary.json"]
 
 
 _STAGES = {
@@ -438,13 +489,21 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: flags to the stage functions' paths
+
+
+def _paired(args, *flags):
+    """The per-scene values of these list flags, zipped; each flag must
+    give one value per scene."""
+    lists = [getattr(args, flag.replace("-", "_")) for flag in flags]
+    if len({len(values) for values in lists}) > 1:
+        names = [f"--{flag}" for flag in flags]
+        raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must pair up")
+    return list(zip(*lists))
 
 
 def _cmd_simulate(args) -> int:
-    rc = _load_config(args.scene_config or args.config)
-    if args.seed is not None:
-        rc = replace(rc, seed=args.seed)
+    rc = _load_config(args.scene_config or args.config, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _stage_simulate(rc, out)
@@ -453,131 +512,49 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pseudo_tracks(args) -> int:
-    rc = _load_config(args.config)
-    seq = _load_sequence(args.detections, args.clouds, rc.sim.frame_period)
-    labels, conf = assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc)
-    assoc.write_pseudo_tracks(args.out, labels, conf)
-    print(f"wrote {len(labels)} pseudo-tracks to {args.out}")
+    run_pseudo_tracks(_load_config(args.config), args.detections, args.clouds, args.out)
+    print(f"wrote pseudo-tracks to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    rc = _load_config(args.config)
-    if len(args.detections) != len(args.pseudo_tracks) or len(args.detections) != len(args.clouds):
-        raise ValueError("--detections, --pseudo-tracks and --clouds must pair up")
-    seqs, tracks = [], []
-    for det, trk, cl in zip(args.detections, args.pseudo_tracks, args.clouds):
-        seqs.append(_load_sequence(det, cl, rc.sim.frame_period))
-        labels, conf = assoc.read_pseudo_tracks(trk)
-        if args.mode == "oracle":
-            conf = {tid: [1.0] * len(v) for tid, v in conf.items()}
-        tracks.append((labels, conf))
-    seed = args.seed if args.seed is not None else rc.seed
-    net = embed.EmbedNet.random(rc.embed.widths, seed=seed)
-    cfg = rc.learn.trainer(seed=seed, points_per_crop=rc.embed.points_per_crop)
-    net, history = learn.train(seqs, tracks, net, cfg)
-    embed.save_checkpoint(args.out_checkpoint, net)
-    history_path = args.out_history or (str(args.out_checkpoint) + ".history.csv")
-    learn.write_loss_history(history_path, history)
-    print(f"trained {len(history)} steps; checkpoint at {args.out_checkpoint}")
+    history = args.out_history or f"{args.out_checkpoint}.history.csv"
+    run_train(_load_config(args.config, args.seed),
+              _paired(args, "detections", "clouds", "pseudo-tracks"),
+              args.out_checkpoint, history)
+    print(f"checkpoint at {args.out_checkpoint}; loss history at {history}")
     return 0
 
 
-def _assign_gt_from_tracks(seq: Sequence, labels) -> Sequence:
-    by_member = {}
-    for lab in labels:
-        for f, d in lab.members:
-            by_member[(f, d)] = lab.track_id
-    frames = []
-    for rec in seq.frames:
-        dets = []
-        for j, det in enumerate(rec.detections):
-            gt = by_member.get((rec.index, j))
-            dets.append(replace(det, gt_id=gt) if det.gt_id is None else det)
-        frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=seq.clouds, frame_period=seq.frame_period)
-
-
 def _cmd_fit_logistic(args) -> int:
-    rc = _load_config(args.config)
-    net = embed.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    if len(args.detections) != len(args.clouds):
-        raise ValueError("--detections and --clouds must pair up")
-    examples = []
-    for det, cl in zip(args.detections, args.clouds):
-        seq = _load_sequence(det, cl, rc.sim.frame_period)
-        if args.gt_tracks:
-            labels, _ = assoc.read_pseudo_tracks(args.gt_tracks)
-            seq = _assign_gt_from_tracks(seq, labels)
-        examples += mot.harvest_features(seq, rc.kalman, rc.assoc, net=net,
-                                         points_per_crop=rc.embed.points_per_crop)
-    model = mot.fit_logistic(examples)
-    mot.save_logistic(args.out_model, model)
-    print(f"fit logistic on {len(examples)} pairs; model at {args.out_model}")
+    mode = APPEARANCE if args.checkpoint else "motion+score"
+    run_fit_logistic(_load_config(args.config), _paired(args, "detections", "clouds"),
+                     args.checkpoint, {mode: args.out_model})
+    print(f"fit the {mode} model; model at {args.out_model}")
     return 0
 
 
 def _cmd_mot_run(args) -> int:
-    rc = _load_config(args.config)
-    net = embed.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    model = mot.load_logistic(args.logistic_model) if args.logistic_model else None
-    mcfg = mot.MotConfig(mode=args.mode, score_gate=rc.mot.score_gate,
-                         assoc=rc.assoc, points_per_crop=rc.embed.points_per_crop)
-    seq = _load_sequence(args.detections, args.clouds, rc.sim.frame_period)
-    rows = mot.track_sequence(seq, rc.kalman, mcfg, net=net, model=model)
-    write_track_rows(args.out_tracks, rows)
-    print(f"wrote {len(rows)} track rows to {args.out_tracks}")
+    logistic = {args.mode: args.logistic_model} if args.logistic_model else {}
+    run_mot(_load_config(args.config),
+            [(args.detections, args.clouds, {args.mode: args.out_tracks})],
+            args.checkpoint, logistic)
+    print(f"wrote {args.mode} tracks to {args.out_tracks}")
     return 0
 
 
 def _cmd_sot_eval(args) -> int:
-    rc = _load_config(args.config)
-    net = embed.load_checkpoint(args.checkpoint)
-    seq = _load_sequence(args.detections, args.clouds, rc.sim.frame_period)
-    cand = None
-    if args.noise == "on":
-        cand = sim.perturb_boxes(seq, _noise_model(rc, corruption=False),
-                                 (args.seed, 200))
-    tasks = evaluation.build_sot_tasks(seq, candidate_seq=cand)
-    result = evaluation.sot_evaluate(net, tasks, rc.embed.points_per_crop)
-    if args.out_csv:
-        evaluation.write_sot_csv(args.out_csv, result)
-    print(f"sot accuracy: {result.accuracy:.4f} ({result.correct}/{result.total} frames)")
+    _, outputs = run_sot_eval(_load_config(args.config, args.seed),
+                              _paired(args, "detections", "clouds"),
+                              args.checkpoint, args.out_dir)
+    print(f"wrote {', '.join(p.name for p in outputs)} to {args.out_dir}")
     return 0
 
 
-def _load_gt_rows(gt_path, detections_path, frame_period) -> list[TrackRow]:
-    """Ground-truth rows from either the track-output schema or the
-    pseudo-track schema (the latter resolves boxes via --detections)."""
-    with open(gt_path, "r", encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-    if not first:
-        return []
-    obj = json.loads(first)
-    if "members" in obj:
-        if detections_path is None:
-            raise ValueError("pseudo-schema gt tracks need --detections to resolve boxes")
-        seq = read_detections(detections_path, clouds=None, frame_period=frame_period)
-        labels, _ = assoc.read_pseudo_tracks(gt_path)
-        rec_by_index = {rec.index: rec for rec in seq.frames}
-        rows = []
-        for lab in labels:
-            for f, d in lab.members:
-                det = rec_by_index[f].detections[d]
-                rows.append(TrackRow(frame=f, track_id=lab.track_id, box=det.box, score=1.0))
-        return rows
-    return read_track_rows(gt_path)
-
-
 def _cmd_mot_eval(args) -> int:
-    rc = _load_config(args.config)
-    pred = read_track_rows(args.pred_tracks)
-    gt = _load_gt_rows(args.gt_tracks, args.detections, rc.sim.frame_period)
-    score = evaluation.amota(pred, gt, match_dist=args.match_dist, L=args.L)
+    scenes = _paired(args, "pred-tracks", "gt-detections")
+    _, (score,) = run_mot_eval(_load_config(args.config), [gt for _, gt in scenes],
+                               [[pred for pred, _ in scenes]])
     print(f"AMOTA: {score.amota:.4f}")
     print("recall_target score_cut recall   mota   fp   fn  ids")
     for t in score.thresholds:
@@ -587,10 +564,8 @@ def _cmd_mot_eval(args) -> int:
 
 
 def _cmd_confidence_report(args) -> int:
-    rc = _load_config(args.config)
-    seq = _load_sequence(args.gt_detections, args.clouds, rc.sim.frame_period)
-    labels, conf = assoc.read_pseudo_tracks(args.pseudo_tracks)
-    report = evaluation.confidence_report(seq, labels, conf)
+    _, report = run_confidence_report(
+        _load_config(args.config), _paired(args, "gt-detections", "clouds", "pseudo-tracks"))
     if args.out_csv:
         evaluation.write_confidence_csv(args.out_csv, report)
     mc = "n/a" if report.mean_correct is None else f"{report.mean_correct:.4f}"
@@ -600,9 +575,7 @@ def _cmd_confidence_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    rc = _load_config(args.config)
-    if args.seed is not None:
-        rc = replace(rc, seed=args.seed)
+    rc = _load_config(args.config, args.seed)
     stages = args.stages or list(STAGE_ORDER)
     run_pipeline(rc, stages, args.out_dir)
     print(f"pipeline complete; manifest at {Path(args.out_dir) / 'manifest.jsonl'}")
@@ -639,14 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-history", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=("selfsup", "weak", "oracle"), default="selfsup")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("fit-logistic", help="fit the association score fusion model")
     p.add_argument("--detections", nargs="+", required=True)
     p.add_argument("--clouds", nargs="+", required=True)
-    p.add_argument("--gt-tracks", default=None)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", default=None,
+                   help="fit the appearance mode's model; without it, motion+score's")
     p.add_argument("--config", default=None)
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=_cmd_fit_logistic)
@@ -662,29 +634,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mot_run)
 
     p = sub.add_parser("sot-eval", help="single-object association accuracy")
-    p.add_argument("--detections", required=True)
-    p.add_argument("--clouds", required=True)
+    p.add_argument("--detections", nargs="+", required=True)
+    p.add_argument("--clouds", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--noise", choices=("on", "off"), default="off")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--out-csv", default=None)
+    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sot_eval)
 
-    p = sub.add_parser("mot-eval", help="AMOTA against ground-truth tracks")
-    p.add_argument("--pred-tracks", required=True)
-    p.add_argument("--gt-tracks", required=True)
-    p.add_argument("--detections", default=None,
-                   help="resolves boxes when --gt-tracks is in pseudo-track schema")
-    p.add_argument("--L", type=int, default=40)
-    p.add_argument("--match-dist", type=float, default=2.0)
+    p = sub.add_parser("mot-eval", help="AMOTA against the gt_ids of detection files")
+    p.add_argument("--pred-tracks", nargs="+", required=True)
+    p.add_argument("--gt-detections", nargs="+", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_mot_eval)
 
     p = sub.add_parser("confidence-report", help="AC validity vs ground truth")
-    p.add_argument("--pseudo-tracks", required=True)
-    p.add_argument("--gt-detections", required=True)
-    p.add_argument("--clouds", required=True)
+    p.add_argument("--pseudo-tracks", nargs="+", required=True)
+    p.add_argument("--gt-detections", nargs="+", required=True)
+    p.add_argument("--clouds", nargs="+", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=_cmd_confidence_report)

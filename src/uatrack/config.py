@@ -15,7 +15,8 @@ from .assoc import AssocConfig
 from .embed import DEFAULT_POINTS, DEFAULT_WIDTHS
 from .kalman import NoiseConfig
 from .learn import TrainerConfig
-from .mot import MODES as MOT_MODES
+from .mot import MODES as MOT_MODES, MotConfig
+from .sim import NoiseModel, SceneConfig
 
 
 class ConfigError(ValueError):
@@ -39,15 +40,15 @@ class SimSection:
     train_scenes: int = 6
     fit_scenes: int = 2
     test_scenes: int = 11
-    objects: int = 5
+    objects: int = SceneConfig.n_objects
     test_objects: int = 4
-    frames: int = 30
-    frame_period: float = 0.5
+    frames: int = SceneConfig.n_frames
+    frame_period: float = SceneConfig.frame_period
     crossings: int = 1
-    bounds: float = 45.0
-    center_pct: float = 0.10
-    size_pct: float = 0.10
-    yaw_deg: float = 5.0
+    bounds: float = SceneConfig.bounds
+    center_pct: float = NoiseModel.center_pct
+    size_pct: float = NoiseModel.size_pct
+    yaw_deg: float = NoiseModel.yaw_deg
     missed_rate: float = 0.05
     spurious_rate: float = 0.10
     dropout_rate: float = 0.0
@@ -85,14 +86,11 @@ class LearnSection:
 @dataclass(frozen=True)
 class MotSection:
     modes: tuple[str, ...] = MOT_MODES
-    score_gate: float = 0.5
+    score_gate: float = MotConfig.score_gate
 
     def __post_init__(self):
-        for m in self.modes:
-            if m not in MOT_MODES:
-                raise ValueError(f"unknown mot mode {m!r}")
-        if not (0.0 < self.score_gate < 1.0):
-            raise ValueError("score_gate must be in (0, 1)")
+        for mode in self.modes or MOT_MODES:
+            MotConfig(mode=mode, score_gate=self.score_gate)  # checks mode and gate
 
 
 @dataclass(frozen=True)

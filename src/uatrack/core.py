@@ -230,20 +230,20 @@ class TrackRow:
 def read_jsonl(path, build) -> list:
     """build(obj) for the JSON object on each non-empty line of a file.
 
-    A line that is not valid JSON, lacks a key, or holds a value of the
-    wrong type or range raises ValueError("<path>:<line>: ...").
+    A line that is not UTF-8 or valid JSON, lacks a key, or holds a value of
+    the wrong type or range raises ValueError("<path>:<line>: ...").
     """
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(build(json.loads(line)))
+                out.append(build(json.loads(line.decode("utf-8"))))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
@@ -272,7 +272,8 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
     (or [0, n_frames) when n_frames is given) so that frames whose detections
     were all dropped still advance the tracker clock. With clouds=None the
     refs resolve to empty stub clouds (box-only workflows such as metric
-    evaluation).
+    evaluation). A detection at frame n_frames or later, or a cloud ref the
+    store lacks, raises ValueError("<path>: ...").
     """
     by_frame: dict[int, list[Detection]] = {}
     for det in read_jsonl(path, lambda obj: Detection(
@@ -284,6 +285,9 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
     )):
         by_frame.setdefault(det.frame, []).append(det)
     if n_frames is not None:
+        if by_frame and max(by_frame) >= n_frames:
+            raise ValueError(f"{path}: detection at frame {max(by_frame)}, "
+                             f"past the {n_frames} frames of the sequence")
         indices = range(n_frames)
     elif by_frame:
         indices = range(min(by_frame), max(by_frame) + 1)
@@ -295,7 +299,10 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
     if clouds is None:
         stub = PointCloud(np.zeros((0, 3)))
         clouds = {d.cloud_ref: stub for dets in by_frame.values() for d in dets}
-    return Sequence(frames=frames, clouds=clouds, frame_period=frame_period)
+    try:
+        return Sequence(frames=frames, clouds=clouds, frame_period=frame_period)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_point_cloud(path, cloud: PointCloud) -> None:
@@ -318,7 +325,10 @@ def read_point_cloud(path) -> PointCloud:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
     pts = np.frombuffer(raw, dtype="<f4", count=count * 3, offset=8).reshape(count, 3)
-    return PointCloud(pts)
+    try:
+        return PointCloud(pts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_clouds(dirpath, clouds: dict[str, PointCloud]) -> None:

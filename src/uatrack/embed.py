@@ -310,6 +310,8 @@ def load_checkpoint(path) -> EmbedNet:
         raise ValueError(f"{path}: truncated at byte {off} of {len(raw)}: {exc}") from exc
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
+    if not all(np.isfinite(a).all() for a in weights + biases):
+        raise ValueError(f"{path}: non-finite parameters")
     try:
         return EmbedNet(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:

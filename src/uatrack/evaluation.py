@@ -266,11 +266,6 @@ def report_from_links(correct_vals, incorrect_vals) -> ConfidenceReport:
     )
 
 
-def confidence_report(seq: Sequence, labels, link_conf) -> ConfidenceReport:
-    """Confidence validity report for one sequence's pseudo-tracks."""
-    return report_from_links(*confidence_links(seq, labels, link_conf))
-
-
 def write_confidence_csv(path, report: ConfidenceReport) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -1,6 +1,7 @@
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 
 from uatrack import embed
 from uatrack.assoc import AssocConfig
@@ -16,6 +17,8 @@ from uatrack.config import (
 )
 from uatrack.kalman import NoiseConfig
 from uatrack.learn import TrainerConfig
+from uatrack.mot import MODES, MotConfig
+from uatrack.sim import NoiseModel, SceneConfig
 
 
 def _shared(a, b) -> list[str]:
@@ -44,6 +47,24 @@ class TestDefaults:
         sect = EmbedSection()
         assert sect.widths == embed.DEFAULT_WIDTHS
         assert sect.points_per_crop == embed.DEFAULT_POINTS
+
+    def test_sim_section_matches_scene_and_noise_models(self):
+        sect, scene, noise = SimSection(), SceneConfig(), NoiseModel()
+        assert (sect.objects, sect.frames, sect.frame_period, sect.bounds) == (
+            scene.n_objects, scene.n_frames, scene.frame_period, scene.bounds)
+        for name in ("center_pct", "size_pct", "yaw_deg"):
+            assert getattr(sect, name) == getattr(noise, name), name
+
+    def test_mot_section_matches_mot_config(self):
+        assert MotSection().score_gate == MotConfig().score_gate
+        assert MotSection().modes == MODES
+
+    @pytest.mark.parametrize("kwargs", [{"score_gate": 0.0}, {"score_gate": 1.0},
+                                        {"modes": (), "score_gate": 1.5},
+                                        {"modes": ("motion", "fused")}])
+    def test_mot_section_rejects_what_mot_config_rejects(self, kwargs):
+        with pytest.raises(ValueError, match="score_gate|mode"):
+            MotSection(**kwargs)
 
 
 class TestRoundTrip:

@@ -1,0 +1,178 @@
+"""Round trips of the on-disk readers, and their answer to damaged bytes:
+a truncated or malformed file loads or raises ValueError naming the file,
+never another exception."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from uatrack.core import (
+    Box7,
+    Detection,
+    FrameRecord,
+    PointCloud,
+    Sequence,
+    TrackRow,
+    read_detections,
+    read_point_cloud,
+    read_track_rows,
+    write_detections,
+    write_point_cloud,
+    write_track_rows,
+)
+from uatrack.embed import EmbedNet, load_checkpoint, save_checkpoint
+
+READER = settings(max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+coord = st.floats(-1e4, 1e4, allow_nan=False)
+extent = st.floats(0.01, 50.0)
+boxes = st.builds(Box7, coord, coord, coord, st.floats(-math.pi, math.pi, exclude_max=True),
+                  extent, extent, extent)
+unit = st.floats(0.0, 1.0)
+refs = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def sequences(draw):
+    n_frames = draw(st.integers(1, 6))
+    frames = []
+    for f in range(n_frames):
+        dets = draw(st.lists(st.builds(Detection, st.just(f), boxes, unit, refs,
+                                       st.none() | st.integers(0, 10**6)), max_size=3))
+        frames.append(FrameRecord(index=f, detections=tuple(dets)))
+    stub = PointCloud(np.zeros((0, 3)))
+    clouds = {d.cloud_ref: stub for rec in frames for d in rec.detections}
+    return Sequence(frames=tuple(frames), clouds=clouds)
+
+
+track_rows = st.lists(st.builds(TrackRow, st.integers(0, 10**6), st.integers(0, 10**9),
+                                boxes, unit), max_size=8)
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """raw cut short, or with one byte replaced, inserted or deleted."""
+    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete"]))
+    i = draw(st.integers(0, max(len(raw) - 1, 0)))
+    byte = bytes([draw(st.integers(0, 255))])
+    if kind == "truncate":
+        return raw[:i]
+    if kind == "replace":
+        return raw[:i] + byte + raw[i + 1:]
+    if kind == "insert":
+        return raw[:i] + byte + raw[i:]
+    return raw[:i] + raw[i + 1:]
+
+
+def assert_loads_or_names_file(read, path):
+    try:
+        read(path)
+    except ValueError as exc:
+        assert path.name in str(exc)
+
+
+class TestDetections:
+    @READER
+    @given(seq=sequences())
+    def test_round_trip(self, tmp_path, seq):
+        write_detections(tmp_path / "d.jsonl", seq)
+        back = read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=seq.n_frames)
+        assert back.frames == seq.frames
+
+    @READER
+    @given(data=st.data(), seq=sequences())
+    def test_damaged_bytes(self, tmp_path, data, seq):
+        write_detections(tmp_path / "d.jsonl", seq)
+        raw = (tmp_path / "d.jsonl").read_bytes()
+        (tmp_path / "d.jsonl").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(
+            lambda p: read_detections(p, clouds=seq.clouds, n_frames=seq.n_frames),
+            tmp_path / "d.jsonl")
+
+    @pytest.mark.parametrize("line", [
+        b'{"frame": 0, "box": [0,0,0,0,1,1,1], "score": 1e999, "cloud": "c"}',
+        b'{"frame": 1e999, "box": [0,0,0,0,1,1,1], "score": 0.5, "cloud": "c"}',
+        b'{"frame": 0, "box": [0,0,0,0,1,1,1e999999], "score": 0.5, "cloud": "c"}',
+        b'{"frame": 0, "box": [0,0,0,0,1,1,' + b"9" * 400 + b'], "score": 0.5, "cloud": "c"}',
+        b'{"frame": 0, "box": [0,0,0,0,1,1,1], "score": 0.5, "cloud": "c", "gt_id": 1e999}',
+        b'{"frame": 0, "box": [0,0,0,0,1,1,1], "score": 0.5, "cloud": "\xff"}',
+        b'{"frame": 9, "box": [0,0,0,0,1,1,1], "score": 0.5, "cloud": "c"}',
+        b'{"frame": 0, "box": [0,0,0,0,1,1,1], "score": 0.5, "cloud": "unknown"}',
+    ])
+    def test_bad_value_raises_value_error(self, tmp_path, line):
+        (tmp_path / "d.jsonl").write_bytes(line + b"\n")
+        clouds = {"c": PointCloud(np.zeros((0, 3)))}
+        with pytest.raises(ValueError, match=r"d\.jsonl"):
+            read_detections(tmp_path / "d.jsonl", clouds=clouds, n_frames=3)
+
+
+class TestTrackRows:
+    @READER
+    @given(rows=track_rows)
+    def test_round_trip(self, tmp_path, rows):
+        write_track_rows(tmp_path / "t.jsonl", rows)
+        assert read_track_rows(tmp_path / "t.jsonl") == rows
+
+    @READER
+    @given(data=st.data(), rows=track_rows)
+    def test_damaged_bytes(self, tmp_path, data, rows):
+        write_track_rows(tmp_path / "t.jsonl", rows)
+        raw = (tmp_path / "t.jsonl").read_bytes()
+        (tmp_path / "t.jsonl").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(read_track_rows, tmp_path / "t.jsonl")
+
+
+class TestPointCloud:
+    points = st.lists(st.tuples(coord, coord, coord), max_size=20).map(
+        lambda p: PointCloud(np.array(p, dtype=np.float32).reshape(-1, 3)))
+
+    @READER
+    @given(cloud=points)
+    def test_round_trip(self, tmp_path, cloud):
+        write_point_cloud(tmp_path / "c.uapc", cloud)
+        assert read_point_cloud(tmp_path / "c.uapc") == cloud
+
+    @READER
+    @given(data=st.data(), cloud=points)
+    def test_damaged_bytes(self, tmp_path, data, cloud):
+        write_point_cloud(tmp_path / "c.uapc", cloud)
+        raw = (tmp_path / "c.uapc").read_bytes()
+        (tmp_path / "c.uapc").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(read_point_cloud, tmp_path / "c.uapc")
+
+    def test_non_finite_point_names_file(self, tmp_path):
+        write_point_cloud(tmp_path / "c.uapc", PointCloud(np.zeros((1, 3))))
+        raw = (tmp_path / "c.uapc").read_bytes()
+        (tmp_path / "c.uapc").write_bytes(raw[:8] + np.float32(np.nan).tobytes() + raw[12:])
+        with pytest.raises(ValueError, match=r"c\.uapc: .*non-finite"):
+            read_point_cloud(tmp_path / "c.uapc")
+
+
+class TestCheckpoint:
+    nets = st.builds(lambda widths, seed: EmbedNet.random((3, *widths), seed=seed),
+                     st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 99))
+
+    @READER
+    @given(net=nets)
+    def test_round_trip(self, tmp_path, net):
+        save_checkpoint(tmp_path / "n.uann", net)
+        back = load_checkpoint(tmp_path / "n.uann")
+        assert all(np.array_equal(a, b) for a, b in zip(back.params(), net.params(), strict=True))
+
+    @READER
+    @given(data=st.data(), net=nets)
+    def test_damaged_bytes(self, tmp_path, data, net):
+        save_checkpoint(tmp_path / "n.uann", net)
+        raw = (tmp_path / "n.uann").read_bytes()
+        (tmp_path / "n.uann").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(load_checkpoint, tmp_path / "n.uann")
+
+    def test_non_finite_parameter_names_file(self, tmp_path):
+        save_checkpoint(tmp_path / "n.uann", EmbedNet.random((3, 2), seed=0))
+        raw = (tmp_path / "n.uann").read_bytes()
+        (tmp_path / "n.uann").write_bytes(raw[:-8] + np.float64(np.inf).tobytes())
+        with pytest.raises(ValueError, match=r"n\.uann: non-finite"):
+            load_checkpoint(tmp_path / "n.uann")
