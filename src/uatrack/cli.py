@@ -79,14 +79,20 @@ def _load_config(path, seed: int | None = None) -> RunConfig:
     return rc if seed is None else replace(rc, seed=seed)
 
 
-def _load_sequence(det_path, clouds_dir, frame_period: float,
-                   n_frames: int | None = None) -> Sequence:
+def _load_sequence(det_path, clouds_dir, frame_period: float, n_frames: int) -> Sequence:
     clouds = read_clouds(clouds_dir)
     return read_detections(det_path, clouds, frame_period=frame_period, n_frames=n_frames)
 
 
 def _read_scene(rc: RunConfig, det_path, clouds_dir) -> Sequence:
     return _load_sequence(det_path, clouds_dir, rc.sim.frame_period, rc.sim.frames)
+
+
+def _read_boxes(rc: RunConfig, det_path) -> Sequence:
+    """A scene's detections without their clouds, for stages that use only
+    boxes and gt_ids."""
+    return read_detections(det_path, clouds=None, frame_period=rc.sim.frame_period,
+                           n_frames=rc.sim.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +283,8 @@ def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
     scene) against the gt_ids of the scenes' detection files, with every
     scene pooled into one sequence. Returns (inputs, one MotScore per run)."""
     stride = rc.sim.frames + 100
-    gt_rows = _pooled_rows([_gt_rows_from_detections(read_detections(
-        p, clouds=None, frame_period=rc.sim.frame_period, n_frames=rc.sim.frames))
-        for p in gt_detections], stride)
+    gt_rows = _pooled_rows([_gt_rows_from_detections(_read_boxes(rc, p))
+                            for p in gt_detections], stride)
     scores = [evaluation.amota(_pooled_rows([read_track_rows(p) for p in paths], stride),
                                gt_rows, match_dist=rc.eval.match_dist, L=rc.eval.recall_levels)
               for paths in pred_tracks]
@@ -287,17 +292,17 @@ def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
 
 
 def run_confidence_report(rc: RunConfig, scenes):
-    """AC of the pseudo-track links of each (detections, clouds, tracks)
-    scene, split by whether a link joins two detections of one gt_id.
-    Returns (inputs, ConfidenceReport)."""
+    """AC of the pseudo-track links of each (detections, tracks) scene,
+    split by whether a link joins two detections of one gt_id. Returns
+    (inputs, ConfidenceReport)."""
     inputs, correct, incorrect = [], [], []
-    for det_path, clouds_dir, track_path in scenes:
-        seq = _read_scene(rc, det_path, clouds_dir)
+    for det_path, track_path in scenes:
+        seq = _read_boxes(rc, det_path)
         labels, conf = assoc.read_pseudo_tracks(track_path)
         c, w = evaluation.confidence_links(seq, labels, conf)
         correct += c
         incorrect += w
-        inputs += [det_path, clouds_dir, track_path]
+        inputs += [det_path, track_path]
     return inputs, evaluation.report_from_links(correct, incorrect)
 
 
@@ -399,8 +404,8 @@ def _stage_mot_eval(rc: RunConfig, out: Path):
 
 def _stage_confidence_report(rc: RunConfig, out: Path):
     inputs, report = run_confidence_report(rc, [
-        (det_path, clouds_dir, _pseudo_path(out, i))
-        for i, (det_path, clouds_dir) in enumerate(_train_scenes(rc, out))])
+        (det_path, _pseudo_path(out, i))
+        for i, (det_path, _) in enumerate(_train_scenes(rc, out))])
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_confidence_csv(eval_dir / "confidence.csv", report)
@@ -565,7 +570,7 @@ def _cmd_mot_eval(args) -> int:
 
 def _cmd_confidence_report(args) -> int:
     _, report = run_confidence_report(
-        _load_config(args.config), _paired(args, "gt-detections", "clouds", "pseudo-tracks"))
+        _load_config(args.config), _paired(args, "gt-detections", "pseudo-tracks"))
     if args.out_csv:
         evaluation.write_confidence_csv(args.out_csv, report)
     mc = "n/a" if report.mean_correct is None else f"{report.mean_correct:.4f}"
@@ -651,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("confidence-report", help="AC validity vs ground truth")
     p.add_argument("--pseudo-tracks", nargs="+", required=True)
     p.add_argument("--gt-detections", nargs="+", required=True)
-    p.add_argument("--clouds", nargs="+", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=_cmd_confidence_report)

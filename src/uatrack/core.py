@@ -215,12 +215,17 @@ class TrackletLabel:
 
 @dataclass(frozen=True)
 class TrackRow:
-    """One line of the tracks output file."""
+    """One line of the tracks output file. The score must be finite: AMOTA
+    cuts the rows by it."""
 
     frame: int
     track_id: int
     box: Box7
     score: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.score):
+            raise ValueError(f"track score must be finite, got {self.score!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +269,15 @@ def write_detections(path, seq: Sequence) -> None:
 
 
 def read_detections(path, clouds: dict[str, PointCloud] | None = None,
-                    frame_period: float = 0.5,
-                    n_frames: int | None = None) -> Sequence:
-    """Rebuild a Sequence from a detections file and a cloud store.
+                    frame_period: float = 0.5, *, n_frames: int) -> Sequence:
+    """Rebuild a Sequence of n_frames frames from a detections file and a
+    cloud store.
 
-    Frame records are materialized for every index in [min_frame, max_frame]
-    (or [0, n_frames) when n_frames is given) so that frames whose detections
-    were all dropped still advance the tracker clock. With clouds=None the
-    refs resolve to empty stub clouds (box-only workflows such as metric
-    evaluation). A detection at frame n_frames or later, or a cloud ref the
-    store lacks, raises ValueError("<path>: ...").
+    Frame records are materialized for every index in [0, n_frames) so that
+    frames whose detections were all dropped still advance the tracker clock.
+    With clouds=None the refs resolve to empty stub clouds (box-only
+    workflows such as metric evaluation). A detection at frame n_frames or
+    later, or a cloud ref the store lacks, raises ValueError("<path>: ...").
     """
     by_frame: dict[int, list[Detection]] = {}
     for det in read_jsonl(path, lambda obj: Detection(
@@ -284,17 +288,11 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
         gt_id=None if obj.get("gt_id") is None else int(obj["gt_id"]),
     )):
         by_frame.setdefault(det.frame, []).append(det)
-    if n_frames is not None:
-        if by_frame and max(by_frame) >= n_frames:
-            raise ValueError(f"{path}: detection at frame {max(by_frame)}, "
-                             f"past the {n_frames} frames of the sequence")
-        indices = range(n_frames)
-    elif by_frame:
-        indices = range(min(by_frame), max(by_frame) + 1)
-    else:
-        indices = range(0)
+    if by_frame and max(by_frame) >= n_frames:
+        raise ValueError(f"{path}: detection at frame {max(by_frame)}, "
+                         f"past the {n_frames} frames of the sequence")
     frames = tuple(
-        FrameRecord(index=i, detections=tuple(by_frame.get(i, ()))) for i in indices
+        FrameRecord(index=i, detections=tuple(by_frame.get(i, ()))) for i in range(n_frames)
     )
     if clouds is None:
         stub = PointCloud(np.zeros((0, 3)))
@@ -351,8 +349,8 @@ def write_sequence(det_path, clouds_dir, seq: Sequence) -> None:
     write_clouds(clouds_dir, seq.clouds)
 
 
-def read_sequence(det_path, clouds_dir, frame_period: float = 0.5,
-                  n_frames: int | None = None) -> Sequence:
+def read_sequence(det_path, clouds_dir, frame_period: float = 0.5, *,
+                  n_frames: int) -> Sequence:
     clouds = read_clouds(clouds_dir)
     return read_detections(det_path, clouds, frame_period=frame_period, n_frames=n_frames)
 

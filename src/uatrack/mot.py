@@ -95,8 +95,16 @@ def save_logistic(path, model: LogisticModel) -> None:
 
 
 def load_logistic(path) -> LogisticModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return LogisticModel(coef=np.array(obj["coef"]), intercept=float(obj["intercept"]))
+    """Read a model written by save_logistic. A file that is not UTF-8 JSON,
+    lacks a key, or holds a value of the wrong type, shape or range raises
+    ValueError("<path>: ...")."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        return LogisticModel(coef=np.array(obj["coef"]), intercept=float(obj["intercept"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def fit_logistic(examples) -> LogisticModel:

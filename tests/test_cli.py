@@ -107,6 +107,15 @@ class TestMalformedInput:
                                    "--out-dir", str(tmp_path / "sot")])
         self.assert_one_line_error(code, err, "n.uann")
 
+    def test_logistic_model_missing_key(self, tiny_run, tmp_path, capsys):
+        (tmp_path / "bad.json").write_text('{"intercept": 0.5}\n')
+        scene = tiny_run / "sim" / "test_00"
+        code, err = _main(capsys, ["mot-run", "--detections", str(scene / "corrupted.jsonl"),
+                                   "--clouds", str(scene / "clouds"), "--mode", "motion+score",
+                                   "--logistic-model", str(tmp_path / "bad.json"),
+                                   "--out-tracks", str(tmp_path / "t.jsonl")])
+        self.assert_one_line_error(code, err, "bad.json: missing key 'coef'")
+
     def test_fit_logistic_unpaired_inputs(self, tiny_run, tmp_path, capsys):
         scene = tiny_run / "sim" / "fit_00"
         code, err = _main(capsys, ["fit-logistic",
@@ -158,8 +167,7 @@ def _parity_case(name, run: Path, out: Path):
                  for f in ("sot_clean.csv", "sot_noisy.csv", "sot_summary.json")])
     if name == "confidence-report":
         return ([["confidence-report", "--pseudo-tracks", run / "pseudo" / "train_00.jsonl",
-                  "--gt-detections", train / "corrupted.jsonl", "--clouds", train / "clouds",
-                  "--out-csv", out / "c.csv"]],
+                  "--gt-detections", train / "corrupted.jsonl", "--out-csv", out / "c.csv"]],
                 [(out / "c.csv", run / "eval" / "confidence.csv")])
     raise ValueError(name)
 

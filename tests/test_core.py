@@ -173,7 +173,8 @@ class TestSerialization:
     def test_sequence_round_trip_bit_exact(self, tmp_path):
         seq = _toy_sequence()
         write_sequence(tmp_path / "dets.jsonl", tmp_path / "clouds", seq)
-        back = read_sequence(tmp_path / "dets.jsonl", tmp_path / "clouds")
+        back = read_sequence(tmp_path / "dets.jsonl", tmp_path / "clouds",
+                             n_frames=seq.n_frames)
         assert back == seq
 
     def test_point_cloud_round_trip(self, tmp_path):
@@ -199,14 +200,14 @@ class TestSerialization:
         frames = (seq.frames[0], FrameRecord(index=1, detections=()), seq.frames[2])
         seq2 = Sequence(frames=frames, clouds=seq.clouds, frame_period=0.5)
         write_detections(tmp_path / "d.jsonl", seq2)
-        back = read_detections(tmp_path / "d.jsonl", seq.clouds)
+        back = read_detections(tmp_path / "d.jsonl", seq.clouds, n_frames=3)
         assert back.n_frames == 3
         assert back.frames[1].detections == ()
 
     def test_box_only_load(self, tmp_path):
         seq = _toy_sequence()
         write_detections(tmp_path / "d.jsonl", seq)
-        back = read_detections(tmp_path / "d.jsonl", clouds=None)
+        back = read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=seq.n_frames)
         assert back.n_frames == seq.n_frames
         assert all(c.count == 0 for c in back.clouds.values())
 
@@ -220,7 +221,7 @@ class TestSerialization:
         lines[2] = json.dumps(obj)
         (tmp_path / "d.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"d\.jsonl:3: missing key '{key}'"):
-            read_detections(tmp_path / "d.jsonl", clouds=None)
+            read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=3)
 
     @pytest.mark.parametrize("field, value", [
         ("frame", "first"), ("frame", None), ("box", [1.0, 2.0]), ("box", 3.0),
@@ -232,12 +233,12 @@ class TestSerialization:
         obj[field] = value
         (tmp_path / "d.jsonl").write_text("\n" + json.dumps(obj) + "\n")
         with pytest.raises(ValueError, match=r"d\.jsonl:2: "):
-            read_detections(tmp_path / "d.jsonl", clouds=None)
+            read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=3)
 
     def test_detection_line_not_json(self, tmp_path):
         (tmp_path / "d.jsonl").write_text('{"frame": 0, "box": [\n')
         with pytest.raises(ValueError, match=r"d\.jsonl:1: "):
-            read_detections(tmp_path / "d.jsonl", clouds=None)
+            read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=3)
 
     @pytest.mark.parametrize("keep", [2, 4, 6, 8, 19])
     def test_truncated_point_cloud(self, tmp_path, keep):

@@ -1,9 +1,20 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uatrack import embed, sim
-from uatrack.evaluation import SotResult, build_sot_tasks, sot_evaluate
+from uatrack import embed, evaluation, sim
+from uatrack.core import Box7, TrackRow, center_distance
+from uatrack.evaluation import (
+    MotScore,
+    SotResult,
+    ThresholdStats,
+    amota,
+    build_sot_tasks,
+    sot_evaluate,
+)
 
 NET = embed.EmbedNet.random((3, 8, 8), seed=2)
 POINTS = 16
@@ -89,3 +100,229 @@ class TestSotEvaluate:
         assert len(calls) == len(distinct)
         assert len(set(calls)) == len(calls)
 
+
+
+# ---------------------------------------------------------------------------
+# AMOTA
+
+
+def _box(x=0.0, y=0.0):
+    return Box7(x=x, y=y, z=0.0, yaw=0.0, l=4.0, w=2.0, h=1.5)
+
+
+def _row(frame, track_id, x=0.0, y=0.0, score=1.0):
+    return TrackRow(frame=frame, track_id=track_id, box=_box(x, y), score=score)
+
+
+def _clear_counts(pred_rows, gt_rows, match_dist):
+    """Greedy per-frame center-distance matching over every frame; returns
+    (tp, fp, fn, ids)."""
+    def by_frame(rows):
+        out = {}
+        for r in rows:
+            out.setdefault(r.frame, []).append(r)
+        return out
+
+    pred_by_frame = by_frame(pred_rows)
+    gt_by_frame = by_frame(gt_rows)
+    last_match = {}  # gt track -> last matched pred track
+    tp = fp = fn = ids = 0
+    for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
+        gts = gt_by_frame.get(frame, [])
+        preds = pred_by_frame.get(frame, [])
+        cand = []
+        for gi, g in enumerate(gts):
+            for pi, p in enumerate(preds):
+                d = center_distance(g.box, p.box)
+                if d <= match_dist:
+                    cand.append((d, gi, pi))
+        cand.sort()
+        used_g, used_p = set(), set()
+        for d, gi, pi in cand:
+            if gi in used_g or pi in used_p:
+                continue
+            used_g.add(gi)
+            used_p.add(pi)
+            tp += 1
+            gt_id = gts[gi].track_id
+            pred_id = preds[pi].track_id
+            if gt_id in last_match and last_match[gt_id] != pred_id:
+                ids += 1
+            last_match[gt_id] = pred_id
+        fn += len(gts) - len(used_g)
+        fp += len(preds) - len(used_p)
+    return tp, fp, fn, ids
+
+
+def oracle_amota(pred_rows, gt_rows, match_dist=2.0, L=40) -> MotScore:
+    """AMOTA that reruns the full CLEAR matching over the kept rows at every
+    distinct score cut."""
+    gt_rows = list(gt_rows)
+    pred_rows = sorted(pred_rows, key=lambda r: (-r.score, r.frame, r.track_id))
+    gt_count = len(gt_rows)
+    per_cut = []
+    for cut in sorted({r.score for r in pred_rows}, reverse=True) or [0.0]:
+        kept = [r for r in pred_rows if r.score >= cut]
+        tp, fp, fn, ids = _clear_counts(kept, gt_rows, match_dist)
+        mota = max(0.0, 1.0 - (fp + fn + ids) / gt_count)
+        per_cut.append((cut, tp / gt_count, mota, fp, fn, ids))
+    thresholds = []
+    for k in range(1, L + 1):
+        r_target = k / L
+        reachable = [pc for pc in per_cut if pc[1] >= r_target]
+        chosen = min(reachable, key=lambda pc: (pc[1], -pc[0])) if reachable else per_cut[-1]
+        cut, recall, mota, fp, fn, ids = chosen
+        thresholds.append(ThresholdStats(
+            recall_target=r_target, score_cut=cut, recall=recall, mota=mota,
+            fp=fp, fn=fn, ids=ids, gt_count=gt_count))
+    return MotScore(amota=float(np.mean([t.mota for t in thresholds])),
+                    thresholds=tuple(thresholds))
+
+
+def _counts(score: MotScore):
+    return [(t.score_cut, t.recall, t.mota, t.fp, t.fn, t.ids) for t in score.thresholds]
+
+
+class TestAmota:
+    def test_perfect_tracker(self):
+        gt = [_row(f, t, x=10.0 * t + f) for f in range(3) for t in (1, 2)]
+        preds = [_row(r.frame, r.track_id + 100, x=r.box.x) for r in gt]
+        got = amota(preds, gt, L=4)
+        assert got.amota == 1.0
+        assert _counts(got) == [(1.0, 1.0, 1.0, 0, 0, 0)] * 4
+
+    @pytest.mark.parametrize("resumed_by, ids", [(7, 0), (8, 1)])
+    def test_id_switch_across_an_unmatched_gap_frame(self, resumed_by, ids):
+        # gt 1 is matched by pred 7 in frame 0, missed in frame 1 (the pred
+        # there is out of reach) and matched by `resumed_by` in frame 2
+        gt = [_row(f, 1) for f in range(3)]
+        preds = [_row(0, 7, score=0.9), _row(1, 7, x=5.0, score=0.7),
+                 _row(2, resumed_by, score=0.5)]
+        got = amota(preds, gt, L=3)
+        assert _counts(got) == [
+            (0.9, 1 / 3, 1 - 2 / 3, 0, 2, 0),
+            (0.5, 2 / 3, 1 - (2 + ids) / 3, 1, 1, ids),
+            (0.5, 2 / 3, 1 - (2 + ids) / 3, 1, 1, ids),  # unreachable: minimal cut
+        ]
+
+    def test_fp_only_frame_and_gt_frame_without_predictions(self):
+        gt = [_row(0, 1), _row(2, 1), _row(3, 1)]
+        preds = [_row(0, 4), _row(1, 4), _row(3, 4)]  # frame 1 has no gt, frame 2 no pred
+        assert _counts(amota(preds, gt, L=1)) == [(1.0, 2 / 3, 1 - 2 / 3, 1, 1, 0)]
+
+    def test_equal_scores_in_different_frames_join_at_one_cut(self):
+        gt = [_row(f, 1) for f in range(3)]
+        preds = [_row(0, 4, score=0.8), _row(1, 4, score=0.8), _row(2, 4, score=0.3)]
+        got = amota(preds, gt, L=3)
+        assert [(t.score_cut, t.recall) for t in got.thresholds] == [
+            (0.8, 2 / 3), (0.8, 2 / 3), (0.3, 1.0)]
+
+    @pytest.mark.parametrize("score_6, ids", [(0.9, 0), (0.8, 1)])
+    def test_equal_distances_break_by_arrival_order(self, score_6, ids):
+        # preds 5 and 6 are 1 m either side of gt 1 in frame 0; the one kept
+        # first, by score then track id, takes it, and pred 6 holds frame 1
+        gt = [_row(0, 1), _row(1, 1)]
+        preds = [_row(0, 6, x=-1.0, score=score_6), _row(0, 5, x=1.0, score=0.8),
+                 _row(1, 6, score=0.7)]
+        got = amota(preds, gt, L=1)
+        assert _counts(got) == [(0.7, 1.0, 1 - (1 + ids) / 2, 1, 0, ids)]
+
+    def test_gt_track_twice_in_one_frame(self):
+        # frame 1 holds gt 1 twice; its matches there, preds 5 then 6 in
+        # greedy order, switch once inside the frame, and frames 0 and 2
+        # (pred 6) link to the frame's first and last match
+        gt = [_row(0, 1), _row(1, 1), _row(1, 1, x=10.0), _row(2, 1)]
+        preds = [_row(1, 5, score=0.9), _row(1, 6, x=10.0, score=0.9),
+                 _row(0, 6, score=0.5), _row(2, 6, score=0.5)]
+        got = amota(preds, gt, L=2)
+        assert _counts(got) == [(0.9, 0.5, 0.25, 0, 2, 1), (0.5, 1.0, 0.5, 0, 0, 2)]
+        assert got == oracle_amota(preds, gt, 2.0, 2)
+
+    def test_unreachable_recall_takes_the_minimal_cut(self):
+        gt = [_row(0, 1), _row(1, 1)]
+        preds = [_row(0, 3, score=0.9), _row(1, 3, x=9.0, score=0.5)]
+        got = amota(preds, gt, L=4)
+        assert _counts(got) == [(0.9, 0.5, 0.5, 0, 1, 0)] * 2 + [(0.5, 0.5, 0.0, 1, 1, 0)] * 2
+        assert got.amota == 0.25
+
+    def test_empty_predictions(self):
+        gt = [_row(0, 1), _row(1, 2)]
+        got = amota([], gt, L=3)
+        assert got.amota == 0.0
+        assert _counts(got) == [(0.0, 0.0, 0.0, 0, 2, 0)] * 3
+
+    @pytest.mark.parametrize("kwargs", [{"match_dist": 0.0}, {"L": 0}])
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            amota([], [_row(0, 1)], **kwargs)
+
+    def test_rejects_empty_ground_truth(self):
+        with pytest.raises(ValueError, match="ground truth is empty"):
+            amota([_row(0, 1)], [])
+
+
+def _random_scene(seed, n_frames, n_tracks=4):
+    """gt tracks on straight lines, some frames missed; noisy preds with ID
+    swaps, misses and spurious rows, every one with its own score."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-20, 20, size=(n_tracks, 2))
+    vel = rng.uniform(-2, 2, size=(n_tracks, 2))
+    gt, preds = [], []
+    for f in range(n_frames):
+        for t in range(n_tracks):
+            if rng.random() < 0.1:
+                continue
+            x, y = start[t] + f * vel[t]
+            gt.append(_row(f, t, x, y))
+            if rng.random() < 0.85:
+                pid = t + 10 * int(rng.random() < 0.15)
+                dx, dy = rng.normal(0, 0.8, size=2)
+                preds.append(_row(f, pid, x + dx, y + dy, float(rng.random())))
+        for _ in range(rng.poisson(0.7)):
+            x, y = rng.uniform(-25, 25, size=2)
+            preds.append(_row(f, 100 + int(rng.integers(5)), x, y, float(rng.random())))
+    return preds, gt
+
+
+# rows on a coarse grid, so that distances tie and some fall exactly on
+# match_dist; scores from a short list, so that cuts hold several rows
+grid_rows = st.builds(_row, st.integers(0, 5), st.integers(0, 3), st.integers(0, 3),
+                      st.integers(0, 2), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 1.0]))
+
+
+class TestAmotaEqualsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(preds=st.lists(grid_rows, max_size=30), gt=st.lists(grid_rows, min_size=1,
+                                                                 max_size=20),
+           L=st.integers(1, 12))
+    def test_grid_rows(self, preds, gt, L):
+        assert amota(preds, gt, match_dist=2.0, L=L) == oracle_amota(preds, gt, 2.0, L)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_scenes(self, seed):
+        preds, gt = _random_scene(seed, n_frames=8)
+        assert amota(preds, gt, L=10) == oracle_amota(preds, gt, 2.0, 10)
+
+
+def test_amota_rematches_only_the_frames_a_cut_touches(monkeypatch):
+    """Cost guard: computing at most g_f * p_f distances each time a row joins
+    frame f bounds the calls by sum_f g_f * p_f * (p_f + 1) / 2; rerunning the
+    whole matching at every cut costs about (number of cuts) times more."""
+    preds, gt = _random_scene(seed=11, n_frames=75)
+    assert len(preds) > 250 and len({r.score for r in preds}) == len(preds)
+    g = Counter(r.frame for r in gt)
+    p = Counter(r.frame for r in preds)
+    bound = sum(g[f] * p[f] * (p[f] + 1) // 2 for f in p)
+    calls = 0
+
+    def counting(b1, b2):
+        nonlocal calls
+        calls += 1
+        return center_distance(b1, b2)
+
+    monkeypatch.setattr(evaluation, "center_distance", counting)
+    got = amota(preds, gt, L=40)
+    assert 0 < calls <= bound
+    monkeypatch.undo()
+    assert got == oracle_amota(preds, gt, 2.0, 40)

@@ -23,6 +23,7 @@ from uatrack.core import (
     write_track_rows,
 )
 from uatrack.embed import EmbedNet, load_checkpoint, save_checkpoint
+from uatrack.mot import LogisticModel, load_logistic, save_logistic
 
 READER = settings(max_examples=60, deadline=None,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -124,6 +125,13 @@ class TestTrackRows:
         (tmp_path / "t.jsonl").write_bytes(data.draw(damaged(raw)))
         assert_loads_or_names_file(read_track_rows, tmp_path / "t.jsonl")
 
+    @pytest.mark.parametrize("score", [b"NaN", b"Infinity", b"1e999"])
+    def test_non_finite_score_names_line(self, tmp_path, score):
+        (tmp_path / "t.jsonl").write_bytes(
+            b'{"frame": 0, "track_id": 1, "box": [0,0,0,0,1,1,1], "score": ' + score + b'}\n')
+        with pytest.raises(ValueError, match=r"t\.jsonl:1: track score must be finite"):
+            read_track_rows(tmp_path / "t.jsonl")
+
 
 class TestPointCloud:
     points = st.lists(st.tuples(coord, coord, coord), max_size=20).map(
@@ -176,3 +184,42 @@ class TestCheckpoint:
         (tmp_path / "n.uann").write_bytes(raw[:-8] + np.float64(np.inf).tobytes())
         with pytest.raises(ValueError, match=r"n\.uann: non-finite"):
             load_checkpoint(tmp_path / "n.uann")
+
+
+class TestLogisticModel:
+    models = st.builds(lambda coef, intercept: LogisticModel(coef=np.array(coef),
+                                                             intercept=intercept),
+                       st.lists(coord, min_size=6, max_size=6), coord)
+
+    @READER
+    @given(model=models)
+    def test_round_trip(self, tmp_path, model):
+        save_logistic(tmp_path / "m.json", model)
+        back = load_logistic(tmp_path / "m.json")
+        assert np.array_equal(back.coef, model.coef) and back.intercept == model.intercept
+
+    @READER
+    @given(data=st.data(), model=models)
+    def test_damaged_bytes(self, tmp_path, data, model):
+        save_logistic(tmp_path / "m.json", model)
+        raw = (tmp_path / "m.json").read_bytes()
+        (tmp_path / "m.json").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(load_logistic, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("text", [
+        b'{"intercept": 0.5}',
+        b'{"coef": [1, 2, 3, 4, 5, 6]}',
+        b'{"coef": [1, 2, 3], "intercept": 0}',
+        b'{"coef": "x", "intercept": 0}',
+        b'{"coef": {"a": 1}, "intercept": 0}',
+        b'{"coef": [1, 2, 3, 4, 5, 1e999], "intercept": 0}',
+        b'{"coef": [1, 2, 3, 4, 5, 6], "intercept": ' + b"9" * 400 + b'}',
+        b'{"coef": [1, 2, 3, 4, 5, 6], "intercept": null}',
+        b'[1, 2]',
+        b'{"coef": [',
+        b'\xff',
+    ])
+    def test_bad_file_raises_value_error(self, tmp_path, text):
+        (tmp_path / "m.json").write_bytes(text)
+        with pytest.raises(ValueError, match=r"m\.json: "):
+            load_logistic(tmp_path / "m.json")
