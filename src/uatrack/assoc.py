@@ -229,12 +229,19 @@ def run_tracker(
 
 def mahalanobis_matrix(states, detections, kcfg: kalman.NoiseConfig,
                        distance: str = "sqrt") -> np.ndarray:
-    """Track x detection Mahalanobis distances (optionally squared)."""
-    m = np.zeros((len(states), len(detections)))
-    for i, s in enumerate(states):
-        for j, det in enumerate(detections):
-            d = kalman.mahalanobis(s, det.box, kcfg)
-            m[i, j] = d * d if distance == "squared" else d
+    """Track x detection Mahalanobis distances (optionally squared).
+
+    One `kalman.mahalanobis` call per track scores all of the frame's
+    detections against that track's single factor of S; a frame without
+    detections factors nothing. "squared" squares the square-root distance,
+    so both variants rank pairs identically.
+    """
+    boxes = [det.box for det in detections]
+    m = np.zeros((len(states), len(boxes)))
+    if boxes:
+        for i, s in enumerate(states):
+            d = kalman.mahalanobis(s, boxes, kcfg)
+            m[i] = d * d if distance == "squared" else d
     return m
 
 

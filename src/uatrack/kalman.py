@@ -7,6 +7,10 @@ carry no velocity and only drift through process noise.
 
 predict/update are pure functions returning new TrackState values, so
 multiple sequences can be filtered concurrently without shared state.
+
+mahalanobis scores one track against many boxes: the innovation covariance
+S is the track's alone, so association factors it once per (frame, track)
+rather than once per (track, detection) pair.
 """
 
 import math
@@ -143,26 +147,45 @@ def predict(s: TrackState, dt: float, cfg: NoiseConfig) -> TrackState:
     return replace(s, mean=mean, cov=cov)
 
 
+def _innovation_cov(s: TrackState, cfg: NoiseConfig) -> np.ndarray:
+    """Innovation covariance S = H P H' + R, symmetrised."""
+    S = s.cov[:OBS_DIM, :OBS_DIM] + np.diag(cfg.r_diag)
+    return 0.5 * (S + S.T)
+
+
 def innovation(s: TrackState, obs: Box7, cfg: NoiseConfig):
     """Observation residual (yaw wrapped) and innovation covariance S."""
     r = obs.to_array() - s.mean[:OBS_DIM]
     r[ANGLE] = wrap_angle(r[ANGLE])
-    S = s.cov[:OBS_DIM, :OBS_DIM] + np.diag(cfg.r_diag)
-    S = 0.5 * (S + S.T)
-    return r, S
+    return r, _innovation_cov(s, cfg)
 
 
-def mahalanobis(s: TrackState, obs: Box7, cfg: NoiseConfig) -> float:
-    """Square-root Mahalanobis distance sqrt(r' S^-1 r) between s and obs."""
-    r, S = innovation(s, obs, cfg)
+def mahalanobis(s: TrackState, boxes, cfg: NoiseConfig) -> np.ndarray:
+    """Square-root Mahalanobis distances sqrt(r' S^-1 r) from s to each box.
+
+    S depends on the track alone, so it is factored once and every box's
+    residual r (yaw wrapped) is solved against that one factor. Returns an
+    array with one distance per box, bit-identical to factoring S and
+    solving for each box on its own. That needs each residual to be its own
+    right-hand side of `solve` and r' r a dot product per box: one solve
+    with all residuals as columns, or an einsum sum, changes the last bits.
+
+    Raises:
+        ValueError: if a yaw residual is not finite.
+        NumericalError: if S is not positive definite.
+    """
+    r = np.array([b.to_array() for b in boxes], dtype=np.float64).reshape(-1, OBS_DIM)
+    r -= s.mean[:OBS_DIM]
+    r[:, ANGLE] = [wrap_angle(a) for a in r[:, ANGLE]]
+    S = _innovation_cov(s, cfg)
     try:
         c = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular (cond={np.linalg.cond(S):.3e})"
         ) from exc
-    y = np.linalg.solve(c, r)
-    return float(math.sqrt(float(y @ y)))
+    y = np.linalg.solve(c, r[:, :, None])
+    return np.sqrt((y.transpose(0, 2, 1) @ y).reshape(-1))
 
 
 def update(s: TrackState, obs: Box7, cfg: NoiseConfig) -> TrackState:

@@ -78,7 +78,9 @@ class LogisticModel:
     intercept: float
 
     def __post_init__(self):
-        c = np.asarray(self.coef, dtype=np.float64).reshape(6).copy()
+        c = np.array(self.coef, dtype=np.float64)
+        if c.shape != (len(FEATURE_NAMES),):
+            raise ValueError(f"coef must have shape ({len(FEATURE_NAMES)},), got {c.shape}")
         if not np.isfinite(c).all() or not math.isfinite(self.intercept):
             raise ValueError("logistic parameters must be finite")
         c.setflags(write=False)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uatrack import assoc, kalman, sim
 from uatrack.assoc import (
@@ -14,6 +14,7 @@ from uatrack.assoc import (
     read_pseudo_tracks,
     write_pseudo_tracks,
 )
+from uatrack.core import Box7, Detection
 
 
 def brute_force_greedy(m, gate, rows=None, cols=None):
@@ -177,6 +178,101 @@ class TestCumulativeConfidence:
         full = cumulative_confidence(vals)
         for k in range(len(vals) + 1):
             assert cumulative_confidence(vals[:k]) >= full - 1e-12
+
+
+def pair_oracle(states, detections, kcfg, distance):
+    """The per-pair form: factor S and solve once for every (track, detection)."""
+    m = np.zeros((len(states), len(detections)))
+    for i, s in enumerate(states):
+        for j, det in enumerate(detections):
+            r, S = kalman.innovation(s, det.box, kcfg)
+            y = np.linalg.solve(np.linalg.cholesky(S), r)
+            d = math.sqrt(float(y @ y))
+            m[i, j] = d * d if distance == "squared" else d
+    return m
+
+
+# yaws near both ends of [-pi, pi), so that residuals cross the wrap
+yaws = st.one_of(
+    st.floats(-math.pi, -math.pi + 0.5),
+    st.floats(math.pi - 0.5, math.pi, exclude_max=True),
+    st.floats(-math.pi, math.pi, exclude_max=True),
+)
+
+
+def _det(yaw, xyz=(1.0, 2.0, 0.5)):
+    return Detection(frame=0, box=Box7(*xyz, yaw, 4.0, 2.0, 1.5), score=1.0, cloud_ref="c")
+
+
+def _predicted_state(seed, yaw, kcfg):
+    """A predicted state whose covariance is a random SPD matrix."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(11, 11)) * rng.uniform(0.05, 2.0)
+    cov = a @ a.T + rng.uniform(1e-3, 1.0) * np.eye(11)
+    mean = rng.normal(size=11) * 3.0
+    mean[3] = yaw
+    mean[4:7] = np.abs(mean[4:7]) + 1.0
+    mean[10] = 0.0  # no yaw rate, so the predicted yaw is still yaw
+    s = kalman.TrackState(mean=mean, cov=0.5 * (cov + cov.T), track_id=0)
+    return kalman.predict(s, float(rng.uniform(0.05, 1.0)), kcfg)
+
+
+class TestMahalanobisMatrix:
+    @given(
+        tracks=st.lists(st.tuples(st.integers(0, 2**32 - 1), yaws), max_size=4),
+        dets=st.lists(st.tuples(yaws, st.tuples(*[st.floats(-20, 20)] * 3)), max_size=6),
+        r_diag=st.lists(st.floats(1e-3, 2.0), min_size=7, max_size=7),
+        distance=st.sampled_from(["sqrt", "squared"]),
+    )
+    @example(tracks=[(1, math.pi - 0.05)], dets=[(-math.pi + 0.05, (1.0, 2.0, 0.5))],
+             r_diag=[0.1] * 7, distance="sqrt")
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pair_oracle_bit_for_bit(self, tracks, dets, r_diag, distance):
+        kcfg = kalman.NoiseConfig(r_diag=np.array(r_diag))
+        states = [_predicted_state(seed, yaw, kcfg) for seed, yaw in tracks]
+        detections = [_det(yaw, xyz) for yaw, xyz in dets]
+        got = assoc.mahalanobis_matrix(states, detections, kcfg, distance)
+        expected = pair_oracle(states, detections, kcfg, distance)
+        assert got.shape == (len(states), len(detections))
+        assert np.array_equal(got, expected)
+
+    def _state(self):
+        mean = np.zeros(11)
+        mean[4:7] = (4, 2, 1.5)
+        return kalman.TrackState(mean=mean, cov=np.eye(11), track_id=0)
+
+    def test_singular_s_raises_numerical_error(self):
+        s = self._state()
+        bad = kalman.NoiseConfig()
+        # bypass frozen validation to force a singular S
+        object.__setattr__(bad, "r_diag", np.zeros(7))
+        object.__setattr__(s, "cov", np.zeros((11, 11)))
+        with pytest.raises(kalman.NumericalError, match="cond="):
+            assoc.mahalanobis_matrix([s], [_det(0.0)], bad)
+
+    def test_nan_state_yaw_raises_value_error(self):
+        s = self._state()
+        mean = s.mean.copy()
+        mean[3] = math.nan
+        object.__setattr__(s, "mean", mean)
+        with pytest.raises(ValueError, match="finite"):
+            assoc.mahalanobis_matrix([s], [_det(0.0), _det(1.0)], kalman.NoiseConfig())
+
+    def test_one_cholesky_per_track(self, monkeypatch):
+        kcfg = kalman.NoiseConfig()
+        states = [_predicted_state(seed, 0.3 * seed, kcfg) for seed in range(4)]
+        dets = [_det(0.5 * k - 1.0, (k, -k, 0.0)) for k in range(6)]
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        m = assoc.mahalanobis_matrix(states, dets, kcfg)
+        assert m.shape == (4, 6)
+        assert len(calls) == 4
 
 
 class TestBuildPseudoTracks:

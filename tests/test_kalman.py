@@ -102,7 +102,7 @@ class TestMahalanobis:
         mean = np.zeros(11)
         mean[4:7] = (4, 2, 1.5)
         s = make_state(mean=mean)
-        assert kalman.mahalanobis(s, Box7(0, 0, 0, 0, 4, 2, 1.5), NoiseConfig()) == 0.0
+        assert kalman.mahalanobis(s, [Box7(0, 0, 0, 0, 4, 2, 1.5)], NoiseConfig())[0] == 0.0
 
     def _state_with_S(self, s_diag):
         # tiny cov so S ~= r_diag
@@ -116,13 +116,13 @@ class TestMahalanobis:
         s, cfg = self._state_with_S(np.ones(7))
         # residual (3, 4, 0, 0, 0, 0, 0) -> 5
         obs = Box7(3, 4, 0, 0, 4, 2, 1.5)
-        assert kalman.mahalanobis(s, obs, cfg) == pytest.approx(5.0, rel=1e-9)
+        assert kalman.mahalanobis(s, [obs], cfg)[0] == pytest.approx(5.0, rel=1e-9)
 
     def test_scaled_s(self):
         # oracle: sqrt(2^2 / 4) = 1
         s, cfg = self._state_with_S([4, 1, 1, 1, 1, 1, 1])
         obs = Box7(2, 0, 0, 0, 4, 2, 1.5)
-        assert kalman.mahalanobis(s, obs, cfg) == pytest.approx(1.0, rel=1e-9)
+        assert kalman.mahalanobis(s, [obs], cfg)[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_singular_s_reports_condition(self):
         mean = np.zeros(11)
@@ -133,7 +133,7 @@ class TestMahalanobis:
         object.__setattr__(bad, "r_diag", np.zeros(7))
         object.__setattr__(s, "cov", np.zeros((11, 11)))
         with pytest.raises(NumericalError):
-            kalman.mahalanobis(s, Box7(1, 0, 0, 0, 4, 2, 1.5), bad)
+            kalman.mahalanobis(s, [Box7(1, 0, 0, 0, 4, 2, 1.5)], bad)
 
 
 class TestUpdate:
@@ -206,7 +206,7 @@ class TestInvariants:
             obs_arr = mean[:7] + rng.normal(0, 0.5, 7)
             obs_arr[4:7] = np.abs(obs_arr[4:7]) + 0.5
             obs = Box7.from_array(obs_arr)
-            d0 = kalman.mahalanobis(s, obs, cfg)
+            d0 = kalman.mahalanobis(s, [obs], cfg)[0]
 
             th = rng.uniform(0, 2 * math.pi)
             c, si = math.cos(th), math.sin(th)
@@ -218,7 +218,7 @@ class TestInvariants:
             obs2_arr = obs_arr.copy()
             obs2_arr[:2] = rot2 @ obs_arr[:2]
             s2 = TrackState(mean=mean2, cov=0.5 * (cov2 + cov2.T), track_id=0)
-            d1 = kalman.mahalanobis(s2, Box7.from_array(obs2_arr), cfg)
+            d1 = kalman.mahalanobis(s2, [Box7.from_array(obs2_arr)], cfg)[0]
             assert d1 == pytest.approx(d0, abs=1e-8)
 
     def test_mark_missed(self):

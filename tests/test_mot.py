@@ -104,7 +104,7 @@ class TestHarvestFeatures:
                 last = det_at[f][d]
                 for det in rec.detections:
                     a = embed.cosine(emb(last), emb(det)) if net is not None else 0.0
-                    fv = FeatureVector.build(m=kalman.mahalanobis(s, det.box, KCFG), a=a,
+                    fv = FeatureVector.build(m=kalman.mahalanobis(s, [det.box], KCFG)[0], a=a,
                                              d=det.score)
                     label = int(last.gt_id is not None and last.gt_id == det.gt_id)
                     expected.append((fv, label))

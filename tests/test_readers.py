@@ -210,6 +210,7 @@ class TestLogisticModel:
         b'{"intercept": 0.5}',
         b'{"coef": [1, 2, 3, 4, 5, 6]}',
         b'{"coef": [1, 2, 3], "intercept": 0}',
+        b'{"coef": [[1, 2, 3], [4, 5, 6]], "intercept": 0}',
         b'{"coef": "x", "intercept": 0}',
         b'{"coef": {"a": 1}, "intercept": 0}',
         b'{"coef": [1, 2, 3, 4, 5, 1e999], "intercept": 0}',
