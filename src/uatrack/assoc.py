@@ -1,10 +1,12 @@
 """Greedy data association, association confidence, and pseudo-track building.
 
 The association kernel is shared: `run_tracker` drives predict -> greedy
-association -> update over a sequence, and both the pseudo-label path
-(`build_pseudo_tracks`, pure Mahalanobis) and the fused multi-object tracker
-(mot.track_sequence, which injects its own cost function) use it, so their
-frame-by-frame decisions coincide whenever their cost matrices do.
+association -> update over a sequence for both the pseudo-label path
+(`build_pseudo_tracks`) and the multi-object tracker (mot.track_sequence).
+It has one admission rule: each frame it computes the Mahalanobis matrix m
+of the predicted tracks against the detections once, and a (track,
+detection) pair may be linked only if m <= AssocConfig.gate. A caller's
+cost hook only ranks the admitted pairs; without one they are ranked by m.
 """
 
 import json
@@ -61,25 +63,29 @@ def _check_matrix(m) -> np.ndarray:
     return m
 
 
-def greedy_associate(m, gate: float) -> AssociationResult:
-    """Greedily pair the globally smallest distances under a gate.
+def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
+    """Greedily pair the admitted entries of m, cheapest first.
 
-    Repeatedly selects the smallest remaining entry; stops once it exceeds
-    the gate. Ties break toward the smallest row index, then column index.
-    Pairs are reported in selection order.
+    An entry is admitted iff m[i, j] <= gate. Repeatedly selects the
+    admitted entry of smallest cost (m itself when cost is None) whose row
+    and column are both still free; stops when none is left. Ties break
+    toward the smallest row index, then column index. Pairs are reported in
+    selection order with their distance m[i, j].
     """
     m = _check_matrix(m)
     if gate <= 0:
         raise ValueError(f"gate must be > 0, got {gate}")
+    cost = m if cost is None else _check_matrix(cost)
+    if cost.shape != m.shape:
+        raise ValueError(f"cost matrix shape {cost.shape} differs from distance shape {m.shape}")
     rows, cols = m.shape
     pairs: list[AssocPair] = []
     if rows and cols:
-        work = m.copy()
+        work = np.where(m <= gate, cost, np.inf)
         for _ in range(min(rows, cols)):
             flat = int(np.argmin(work))  # first minimum in row-major order
             i, j = divmod(flat, cols)
-            val = work[i, j]
-            if val > gate:
+            if work[i, j] == np.inf:
                 break
             pairs.append(AssocPair(track=i, det=j, distance=float(m[i, j])))
             work[i, :] = np.inf
@@ -157,16 +163,18 @@ def run_tracker(
     acfg: AssocConfig,
     cost_fn=None,
     on_match=None,
-    on_birth=None,
     collect_confidence: bool = True,
 ) -> TrackerRun:
     """Drive predict -> greedy associate -> update across a sequence.
 
-    cost_fn(states, frame_record) may return a (matrix, gate) pair to
-    replace the default Mahalanobis cost; on_match(track_id, det_index,
-    state) and on_birth(track_id, det_index, state) observe association
-    decisions and the resulting posterior state (used by the appearance
+    Each frame's Mahalanobis matrix m is computed here, once, and a pair is
+    admitted iff m <= acfg.gate. cost_fn(states, frame_record, m, admitted)
+    may return a matrix that ranks the pairs in the boolean mask `admitted`
+    (its other entries are ignored); without it the pairs rank by m.
+    on_match(track_id, det_index, state) observes every match and every
+    birth with the resulting posterior state (used by the appearance
     tracker to maintain per-track embeddings and by the MOT output path).
+    Link confidences are computed on m.
     """
     live: list[_Live] = []
     order: dict[int, _Live] = {}
@@ -180,17 +188,15 @@ def run_tracker(
                 tr.state = kalman.predict(tr.state, dt, kcfg)
         prev_index = rec.index
 
-        if cost_fn is not None:
-            cost, gate = cost_fn([tr.state for tr in live], rec)
-        else:
-            cost = mahalanobis_matrix([tr.state for tr in live], rec.detections, kcfg, acfg.distance)
-            gate = acfg.gate
-        res = greedy_associate(cost, gate)
+        states = [tr.state for tr in live]
+        m = mahalanobis_matrix(states, rec.detections, kcfg, acfg.distance)
+        cost = None if cost_fn is None else cost_fn(states, rec, m, m <= acfg.gate)
+        res = greedy_associate(m, acfg.gate, cost)
 
         for pair in res.pairs:
             tr = live[pair.track]
             if collect_confidence:
-                tr.link_conf.append(association_confidence(cost, pair.track, pair.det, acfg.eps))
+                tr.link_conf.append(association_confidence(m, pair.track, pair.det, acfg.eps))
             det = rec.detections[pair.det]
             tr.state = kalman.update(tr.state, det.box, kcfg)
             tr.members.append((rec.index, pair.det))
@@ -214,8 +220,8 @@ def run_tracker(
             )
             order[next_id] = tr
             survivors.append(tr)
-            if on_birth is not None:
-                on_birth(next_id, j, tr.state)
+            if on_match is not None:
+                on_match(next_id, j, tr.state)
             next_id += 1
         live = survivors
 

@@ -79,13 +79,9 @@ def _load_config(path, seed: int | None = None) -> RunConfig:
     return rc if seed is None else replace(rc, seed=seed)
 
 
-def _load_sequence(det_path, clouds_dir, frame_period: float, n_frames: int) -> Sequence:
-    clouds = read_clouds(clouds_dir)
-    return read_detections(det_path, clouds, frame_period=frame_period, n_frames=n_frames)
-
-
 def _read_scene(rc: RunConfig, det_path, clouds_dir) -> Sequence:
-    return _load_sequence(det_path, clouds_dir, rc.sim.frame_period, rc.sim.frames)
+    return read_detections(det_path, read_clouds(clouds_dir),
+                           frame_period=rc.sim.frame_period, n_frames=rc.sim.frames)
 
 
 def _read_boxes(rc: RunConfig, det_path) -> Sequence:
@@ -219,7 +215,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     for det_path, clouds_dir, targets in scenes:
         seq = _read_scene(rc, det_path, clouds_dir)
         for mode, target in targets.items():
-            mcfg = mot.MotConfig(mode=mode, score_gate=rc.mot.score_gate, assoc=rc.assoc,
+            mcfg = mot.MotConfig(mode=mode, assoc=rc.assoc,
                                  points_per_crop=rc.embed.points_per_crop)
             rows = mot.track_sequence(seq, rc.kalman, mcfg, net=net, model=models.get(mode))
             write_track_rows(target, rows)
@@ -317,9 +313,9 @@ def _scenes(rc: RunConfig, out: Path, split: str, detections: str):
 
 
 def _train_scenes(rc: RunConfig, out: Path):
-    """(detections file, clouds dir) of each training scene; the detections
-    file follows [learn] mode."""
-    det = "corrupted.jsonl" if rc.learn.mode == "selfsup" else "detections.jsonl"
+    """(detections file, clouds dir) of each training scene: the clean
+    detections for [learn] mode = oracle, the corrupted ones otherwise."""
+    det = "detections.jsonl" if rc.learn.mode == "oracle" else "corrupted.jsonl"
     return _scenes(rc, out, "train", det)
 
 

@@ -70,11 +70,11 @@ class LearnSection:
     adam_eps: float = TrainerConfig.adam_eps
     use_uncertainty: bool = TrainerConfig.use_uncertainty
     hard_negative_mining: bool = TrainerConfig.hard_negative_mining
-    mode: str = "selfsup"  # selfsup | weak | oracle
+    mode: str = "selfsup"  # selfsup | oracle
 
     def __post_init__(self):
-        if self.mode not in ("selfsup", "weak", "oracle"):
-            raise ValueError(f"mode must be selfsup/weak/oracle, got {self.mode!r}")
+        if self.mode not in ("selfsup", "oracle"):
+            raise ValueError(f"mode must be selfsup/oracle, got {self.mode!r}")
 
     def trainer(self, seed: int, points_per_crop: int) -> TrainerConfig:
         """The TrainerConfig with every field this section shares with it."""
@@ -86,11 +86,10 @@ class LearnSection:
 @dataclass(frozen=True)
 class MotSection:
     modes: tuple[str, ...] = MOT_MODES
-    score_gate: float = MotConfig.score_gate
 
     def __post_init__(self):
-        for mode in self.modes or MOT_MODES:
-            MotConfig(mode=mode, score_gate=self.score_gate)  # checks mode and gate
+        for mode in self.modes:
+            MotConfig(mode=mode)  # checks the mode
 
 
 @dataclass(frozen=True)

@@ -344,17 +344,6 @@ def read_clouds(dirpath) -> dict[str, PointCloud]:
     return out
 
 
-def write_sequence(det_path, clouds_dir, seq: Sequence) -> None:
-    write_detections(det_path, seq)
-    write_clouds(clouds_dir, seq.clouds)
-
-
-def read_sequence(det_path, clouds_dir, frame_period: float = 0.5, *,
-                  n_frames: int) -> Sequence:
-    clouds = read_clouds(clouds_dir)
-    return read_detections(det_path, clouds, frame_period=frame_period, n_frames=n_frames)
-
-
 def write_track_rows(path, rows) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:

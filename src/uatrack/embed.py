@@ -254,7 +254,7 @@ def cosine(e1, e2) -> float:
     """Cosine similarity in [-1, 1]; degenerate (near-zero) norms map to 0.
 
     The zero return on degenerate inputs keeps empty-crop embeddings from
-    blowing up training or evaluation (see `degenerate`).
+    blowing up training or evaluation.
     """
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
@@ -264,11 +264,6 @@ def cosine(e1, e2) -> float:
         return 0.0
     c = float(np.dot(e1, e2) / (n1 * n2))
     return min(1.0, max(-1.0, c))
-
-
-def degenerate(e) -> bool:
-    """True when an embedding's norm is too small for cosine to be defined."""
-    return float(np.linalg.norm(np.asarray(e, dtype=np.float64))) < NORM_EPS
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def confidence_links(seq: Sequence, labels, link_conf):
     """Split pseudo-track link confidences into gt-correct / gt-incorrect.
 
     A link is correct iff both endpoint detections carry the same non-null
-    gt_id. Requires gt_ids on the sequence (simulator / weak modes).
+    gt_id. Requires gt_ids on the sequence (the simulator's).
     """
     rec_by_index = {rec.index: rec for rec in seq.frames}
     correct_vals: list[float] = []

@@ -96,12 +96,6 @@ def triplet_loss(cos_pos: float, cos_neg: float, margin: float) -> float:
     return max(cos_neg - cos_pos + margin, 0.0)
 
 
-def weighted_triplet_loss(t: Triplet, cos_pos: float, cos_neg: float,
-                          margin: float) -> float:
-    """Triplet loss scaled by the triplet's association confidence weight."""
-    return triplet_loss(cos_pos, cos_neg, margin) * t.weight
-
-
 def mine_hard_negative(anchor_emb, same_frame):
     """Pick the candidate with highest cosine to the anchor.
 
@@ -128,20 +122,26 @@ def mine_hard_negative(anchor_emb, same_frame):
 class TripletSource:
     """Indexed view over sequences + pseudo-tracks used for sampling.
 
-    tracks: per entry (seq index, TrackletLabel, link confidences)
-    frame_counts[(seq, frame)]: detections present in that frame
+    tracks: per pseudo-track with >= 2 members, (seq index, TrackletLabel,
+        link confidences, member index pairs (i, j), i < j, whose frame gap
+        is within max_gap, in ascending (i, j) order)
+    frame_map[(seq, frame)]: that frame's FrameRecord
     track_of[(seq, frame, det)]: pseudo-track id owning that detection
+    total_members: members of every pseudo-track, whatever its length
     """
 
     seqs: tuple[Sequence, ...]
-    tracks: tuple[tuple[int, TrackletLabel, tuple[float, ...]], ...]
+    tracks: tuple[tuple[int, TrackletLabel, tuple[float, ...], tuple[tuple[int, int], ...]], ...]
     frame_map: dict
     track_of: dict
     total_members: int
 
 
-def build_triplet_source(seqs, tracks_per_seq) -> TripletSource:
-    """tracks_per_seq: per sequence, (list of TrackletLabel, {id: link_conf})."""
+def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
+    """tracks_per_seq: per sequence, (list of TrackletLabel, {id: link_conf}).
+
+    Raises TrainingDataExhausted when no pseudo-track has two members.
+    """
     entries = []
     frame_map: dict = {}
     track_of: dict = {}
@@ -156,10 +156,20 @@ def build_triplet_source(seqs, tracks_per_seq) -> TripletSource:
                 raise ValueError(
                     f"track {lab.track_id}: link confidences do not match members"
                 )
-            entries.append((si, lab, link))
             total += len(lab.members)
             for f, d in lab.members:
                 track_of[(si, f, d)] = lab.track_id
+            members = lab.members
+            if len(members) >= 2:
+                pairs = tuple(
+                    (i, j)
+                    for i in range(len(members))
+                    for j in range(i + 1, len(members))
+                    if 1 <= members[j][0] - members[i][0] <= max_gap
+                )
+                entries.append((si, lab, link, pairs))
+    if not entries:
+        raise TrainingDataExhausted("no pseudo-track has two or more members")
     return TripletSource(
         seqs=tuple(seqs),
         tracks=tuple(entries),
@@ -169,28 +179,20 @@ def build_triplet_source(seqs, tracks_per_seq) -> TripletSource:
     )
 
 
-def sample_triplet(src: TripletSource, cfg: TrainerConfig, rng) -> Triplet | None:
+def sample_triplet(src: TripletSource, rng) -> Triplet | None:
     """Draw one anchor/positive pair; None means skip and resample.
 
-    Uniform over tracks with >= 2 members, then uniform over ordered member
-    pairs whose frame gap is within max_gap. The pair's weight is the
-    product of the link confidences it spans. Skips when the anchor frame
-    offers no other detection to serve as a negative.
+    Uniform over tracks with >= 2 members, then uniform over that track's
+    member pairs within the source's max_gap. The pair's weight is the
+    product of the link confidences it spans. Skips when the track has no
+    such pair, or when the anchor frame offers no other detection to serve
+    as a negative.
     """
-    eligible = [e for e in src.tracks if len(e[1].members) >= 2]
-    if not eligible:
-        raise TrainingDataExhausted("no pseudo-track has two or more members")
-    si, lab, link = eligible[rng.integers(len(eligible))]
-    members = lab.members
-    pairs = [
-        (i, j)
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-        if 1 <= members[j][0] - members[i][0] <= cfg.max_gap
-    ]
+    si, lab, link, pairs = src.tracks[rng.integers(len(src.tracks))]
     if not pairs:
         return None
     i, j = pairs[rng.integers(len(pairs))]
+    members = lab.members
     anchor_rec = src.frame_map.get((si, members[i][0]))
     if anchor_rec is None or len(anchor_rec.detections) < 2:
         return None
@@ -348,11 +350,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
     batch loss is the sum of weighted triplet losses; history records its
     mean per step alongside the mean triplet weight.
     """
-    src = build_triplet_source(seqs, tracks_per_seq)
-    # fail fast if nothing is sampleable at all
-    if not any(len(e[1].members) >= 2 for e in src.tracks):
-        raise TrainingDataExhausted("no pseudo-track has two or more members")
-
+    src = build_triplet_source(seqs, tracks_per_seq, cfg.max_gap)
     rng = np.random.default_rng(cfg.seed)
     params = net.params()
     adam = AdamState.init(params)
@@ -379,7 +377,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
                     raise TrainingDataExhausted(
                         "could not assemble a batch; anchors have no negatives"
                     )
-                t = sample_triplet(src, cfg, rng)
+                t = sample_triplet(src, rng)
                 if t is not None:
                     triplets.append(t)
 

@@ -1,19 +1,22 @@
 """Multi-object tracking with fused motion / score / appearance association.
 
-Association scores fuse six features (Mahalanobis distance m, embedding
-cosine a, detection score d, and their clamped logs) through a logistic
-model fit on a small labeled set. Three modes mirror the ablation rows:
-"motion" (raw Mahalanobis + gate), "motion+score", and
-"motion+score+appearance". All modes share the association kernel in
-assoc.run_tracker, so motion mode reproduces the pseudo-label tracker's
-decisions exactly.
+Every mode admits a (track, detection) pair by one rule, the Mahalanobis
+gate that assoc.run_tracker applies: m <= AssocConfig.gate. The modes differ
+only in how they rank the admitted pairs for greedy association, as in the
+ablation rows: "motion" ranks by m, and "motion+score" and
+"motion+score+appearance" rank by 1 - A, where A is a logistic model's
+score of six features (Mahalanobis distance m, embedding cosine a,
+detection score d, and their clamped logs). All modes share the association
+kernel, so motion mode reproduces the pseudo-label tracker's decisions
+exactly.
 
-One helper, `_PairFeatures`, builds the features for both the tracker
-(`track_sequence`, which scores each pair with `LogisticModel.score`) and
-the logistic fit (`harvest_features`, which labels each pair). It embeds
-each frame's detections with `embed.detection_embedder`, keeps each track's
-embedding refreshed to that of its matched detection, and calls
-`FeatureVector.build` once per (track, detection) pair.
+One helper, `_PairFeatures`, builds the features of the admitted pairs for
+both the tracker (`track_sequence`, which scores each with
+`LogisticModel.score`) and the logistic fit (`harvest_features`, which
+labels each), so the model is fit on exactly the pairs it will score. It
+embeds each frame's detections with `embed.detection_embedder`, keeps each
+track's embedding refreshed to that of its matched detection, and calls
+`FeatureVector.build` once per admitted pair.
 """
 
 import json
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, kalman
-from .assoc import AssocConfig, mahalanobis_matrix, run_tracker
+from .assoc import AssocConfig, run_tracker
 from .core import Detection, Sequence, TrackRow
 
 log = logging.getLogger(__name__)
@@ -167,48 +170,41 @@ def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
 @dataclass(frozen=True)
 class MotConfig:
     mode: str = "motion"
-    score_gate: float = 0.5  # fused modes: require A_ij >= score_gate
     assoc: AssocConfig = AssocConfig()
     points_per_crop: int = embed.DEFAULT_POINTS
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (0.0 < self.score_gate < 1.0):
-            raise ValueError(f"score_gate must be in (0, 1), got {self.score_gate}")
 
 
 class _PairFeatures:
     """One sequence's association features, shared by `track_sequence` and
-    `harvest_features`: the Mahalanobis matrix of each frame, the embedding
-    of each detection and each track (refreshed to its matched detection's),
-    and a FeatureVector per (track, detection) pair. Without a network the
-    appearance cosine is 0 (log_a = log 0.5)."""
+    `harvest_features`: the embedding of each detection and each track
+    (refreshed to its matched detection's), and a FeatureVector per
+    admitted (track, detection) pair, whose m the tracker supplies. Without
+    a network the appearance cosine is 0 (log_a = log 0.5)."""
 
-    def __init__(self, seq: Sequence, kcfg: kalman.NoiseConfig, distance: str,
-                 net: embed.EmbedNet | None, points_per_crop: int):
-        self.kcfg = kcfg
-        self.distance = distance
+    def __init__(self, seq: Sequence, net: embed.EmbedNet | None, points_per_crop: int):
         self.embedding = (embed.detection_embedder(net, seq, points_per_crop)
                           if net is not None else None)
         self.track_embs: dict[int, np.ndarray] = {}
         self.dets: tuple[Detection, ...] = ()
         self.embs: list[np.ndarray] = []
 
-    def frame(self, states, rec) -> np.ndarray:
-        """Start a frame: embed its detections, return its Mahalanobis matrix."""
+    def frame(self, rec) -> None:
+        """Start a frame: embed its detections."""
         self.dets = rec.detections
         if self.embedding is not None:
             self.embs = [self.embedding(d) for d in rec.detections]
-        return mahalanobis_matrix(states, rec.detections, self.kcfg, self.distance)
 
-    def features(self, states, m):
-        """(i, j, FeatureVector) for every (track, detection) pair of the frame."""
-        for i, s in enumerate(states):
-            for j, det in enumerate(self.dets):
-                a = (embed.cosine(self.track_embs[s.track_id], self.embs[j])
-                     if self.embedding is not None else 0.0)
-                yield i, j, FeatureVector.build(m=float(m[i, j]), a=a, d=det.score)
+    def features(self, states, m, admitted):
+        """(i, j, FeatureVector) for every admitted (track, detection) pair
+        of the frame, in row-major order."""
+        for i, j in zip(*np.nonzero(admitted)):
+            a = (embed.cosine(self.track_embs[states[i].track_id], self.embs[j])
+                 if self.embedding is not None else 0.0)
+            yield i, j, FeatureVector.build(m=float(m[i, j]), a=a, d=self.dets[j].score)
 
     def matched(self, track_id: int, det_idx: int) -> Detection:
         """Record a match or birth; returns the detection."""
@@ -222,27 +218,25 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
                    model: LogisticModel | None = None) -> list[TrackRow]:
     """Track a sequence and emit one row per (frame, matched track).
 
-    motion mode greedily associates on raw Mahalanobis under the assoc gate;
-    fused modes associate on cost 1 - A_ij with pairs admitted when
-    A_ij >= score_gate. Appearance mode refreshes each track's embedding to
-    its matched detection's embedding.
+    Pairs are admitted by the Mahalanobis gate in every mode; motion mode
+    ranks them by m, the fused modes by 1 - A_ij. Appearance mode refreshes
+    each track's embedding to its matched detection's embedding.
     """
     use_appearance = mcfg.mode == "motion+score+appearance"
     if use_appearance and net is None:
         raise ValueError("appearance mode requires an embedding checkpoint")
     if mcfg.mode != "motion" and model is None:
         raise ValueError(f"mode {mcfg.mode!r} requires a fitted logistic model")
-    pairs = _PairFeatures(seq, kcfg, mcfg.assoc.distance,
-                          net if use_appearance else None, mcfg.points_per_crop)
+    pairs = _PairFeatures(seq, net if use_appearance else None, mcfg.points_per_crop)
 
-    def cost_fn(states, rec):
-        m = pairs.frame(states, rec)
+    def cost_fn(states, rec, m, admitted):
+        pairs.frame(rec)
         if mcfg.mode == "motion":
-            return m, mcfg.assoc.gate
+            return m
         cost = np.ones_like(m)
-        for i, j, fv in pairs.features(states, m):
+        for i, j, fv in pairs.features(states, m, admitted):
             cost[i, j] = 1.0 - model.score(fv)
-        return cost, 1.0 - mcfg.score_gate
+        return cost
 
     rows: list[TrackRow] = []
 
@@ -252,11 +246,8 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
             frame=det.frame, track_id=track_id, box=state.box(), score=det.score,
         ))
 
-    run_tracker(
-        seq, kcfg, mcfg.assoc,
-        cost_fn=cost_fn, on_match=on_match, on_birth=on_match,
-        collect_confidence=False,
-    )
+    run_tracker(seq, kcfg, mcfg.assoc, cost_fn=cost_fn, on_match=on_match,
+                collect_confidence=False)
     rows.sort(key=lambda r: (r.frame, r.track_id))
     return rows
 
@@ -266,25 +257,25 @@ def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
                      points_per_crop: int = embed.DEFAULT_POINTS):
     """Collect (FeatureVector, label) pairs for fitting the logistic model.
 
-    Runs the motion-only tracker; at every frame each (predicted track,
-    detection) pair is labeled 1 iff the track's last matched detection and
-    the candidate share a non-null gt_id. Requires gt_ids on the sequence.
+    Runs the motion-only tracker; at every frame each admitted (predicted
+    track, detection) pair, m <= acfg.gate, is labeled 1 iff the track's
+    last matched detection and the candidate share a non-null gt_id.
+    Requires gt_ids on the sequence.
     """
     examples = []
     track_gt: dict[int, int | None] = {}
-    pairs = _PairFeatures(seq, kcfg, acfg.distance, net, points_per_crop)
+    pairs = _PairFeatures(seq, net, points_per_crop)
 
-    def cost_fn(states, rec):
-        m = pairs.frame(states, rec)
-        for i, j, fv in pairs.features(states, m):
+    def cost_fn(states, rec, m, admitted):
+        pairs.frame(rec)
+        for i, j, fv in pairs.features(states, m, admitted):
             tgt = track_gt.get(states[i].track_id)
             gt = rec.detections[j].gt_id
             examples.append((fv, int(tgt is not None and gt is not None and tgt == gt)))
-        return m, acfg.gate
+        return m
 
     def on_match(track_id, det_idx, _state):
         track_gt[track_id] = pairs.matched(track_id, det_idx).gt_id
 
-    run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match,
-                on_birth=on_match, collect_confidence=False)
+    run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match, collect_confidence=False)
     return examples

@@ -17,10 +17,12 @@ from uatrack.assoc import (
 from uatrack.core import Box7, Detection
 
 
-def brute_force_greedy(m, gate, rows=None, cols=None):
-    """Independent re-implementation: explicit select-min/delete loop with
-    (row, col) tie-breaking, used as the oracle."""
+def brute_force_greedy(m, gate, rows=None, cols=None, cost=None):
+    """Independent re-implementation: explicit select-min/delete loop over
+    the entries with m <= gate, cheapest cost first (cost defaults to m),
+    with (row, col) tie-breaking, used as the oracle."""
     m = [list(row) for row in m]
+    cost = m if cost is None else [list(row) for row in cost]
     if rows is None:
         rows = len(m)
     if cols is None:
@@ -32,11 +34,11 @@ def brute_force_greedy(m, gate, rows=None, cols=None):
         best = None
         for i in sorted(alive_r):
             for j in sorted(alive_c):
-                if best is None or m[i][j] < best[0]:
-                    best = (m[i][j], i, j)
-        if best is None or best[0] > gate:
+                if m[i][j] <= gate and (best is None or cost[i][j] < best[0]):
+                    best = (cost[i][j], i, j)
+        if best is None:
             break
-        pairs.append((best[1], best[2], best[0]))
+        pairs.append((best[1], best[2], m[best[1]][best[2]]))
         alive_r.remove(best[1])
         alive_c.remove(best[2])
     return pairs, sorted(alive_r), sorted(alive_c)
@@ -83,11 +85,28 @@ class TestGreedy:
                 # inject ties
                 m = np.round(m, 0)
             gate = float(rng.uniform(0.5, 12.0))
-            got = greedy_associate(m, gate)
-            pairs, ur, uc = brute_force_greedy(m.tolist(), gate, rows=rows, cols=cols)
-            assert [(p.track, p.det, p.distance) for p in got.pairs] == pairs
-            assert list(got.unmatched_tracks) == ur
-            assert list(got.unmatched_detections) == uc
+            cost = rng.uniform(0, 1, size=(rows, cols))
+            if rng.random() < 0.3 and cost.size:
+                cost = np.round(cost, 1)
+            for c in (None, cost):
+                got = greedy_associate(m, gate, c)
+                pairs, ur, uc = brute_force_greedy(
+                    m.tolist(), gate, rows=rows, cols=cols,
+                    cost=None if c is None else c.tolist())
+                assert [(p.track, p.det, p.distance) for p in got.pairs] == pairs
+                assert list(got.unmatched_tracks) == ur
+                assert list(got.unmatched_detections) == uc
+
+    def test_cost_ranks_but_never_admits(self):
+        # (0, 1) is the cheapest pair but m = 20 is past the gate
+        m = [[1.0, 20.0], [2.0, 3.0]]
+        res = greedy_associate(m, gate=10.0, cost=[[0.5, 0.0], [0.1, 0.9]])
+        assert [(p.track, p.det, p.distance) for p in res.pairs] == [(1, 0, 2.0)]
+        assert res.unmatched_tracks == (0,) and res.unmatched_detections == (1,)
+
+    def test_cost_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            greedy_associate([[1.0, 2.0]], gate=5.0, cost=[[1.0]])
 
 
 class TestAssociationConfidence:

@@ -127,6 +127,17 @@ class TestMalformedInput:
         assert not (tmp_path / "m.json").exists()
 
 
+def test_removed_score_gate_key_exits_2(tmp_path, capsys):
+    """The fused modes admit pairs by the Mahalanobis gate alone; a config
+    that still sets the score gate they once used is refused, not ignored."""
+    (tmp_path / "old.cfg").write_text(TINY + "\n[mot]\nscore_gate = 0.5\n")
+    code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "old.cfg"),
+                               "--out-dir", str(tmp_path / "run"), "--stages", "mot-eval"])
+    assert code == 2 and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "score_gate" in lines[0]
+
+
 MODES = ("motion", "motion+score", "motion+score+appearance")
 
 

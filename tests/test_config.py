@@ -6,6 +6,7 @@ import pytest
 from uatrack import embed
 from uatrack.assoc import AssocConfig
 from uatrack.config import (
+    ConfigError,
     EmbedSection,
     EvalSection,
     LearnSection,
@@ -56,15 +57,17 @@ class TestDefaults:
             assert getattr(sect, name) == getattr(noise, name), name
 
     def test_mot_section_matches_mot_config(self):
-        assert MotSection().score_gate == MotConfig().score_gate
         assert MotSection().modes == MODES
 
-    @pytest.mark.parametrize("kwargs", [{"score_gate": 0.0}, {"score_gate": 1.0},
-                                        {"modes": (), "score_gate": 1.5},
-                                        {"modes": ("motion", "fused")}])
-    def test_mot_section_rejects_what_mot_config_rejects(self, kwargs):
-        with pytest.raises(ValueError, match="score_gate|mode"):
-            MotSection(**kwargs)
+    def test_learn_mode_weak_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[learn\].*'weak'"):
+            parse_config("[learn]\nmode = weak\n", from_path=False)
+
+    def test_mot_section_rejects_what_mot_config_rejects(self):
+        with pytest.raises(ValueError, match="mode"):
+            MotConfig(mode="fused")
+        with pytest.raises(ValueError, match="mode"):
+            MotSection(modes=("motion", "fused"))
 
 
 class TestRoundTrip:
@@ -86,10 +89,10 @@ class TestRoundTrip:
             learn=LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
                                max_gap=4, beta1=0.8, beta2=0.99, adam_eps=1e-6,
                                use_uncertainty=False, hard_negative_mining=False,
-                               mode="weak"),
+                               mode="oracle"),
             sim=replace(SimSection(), train_scenes=2, frame_period=0.1, yaw_deg=2.5,
                         dropout_rate=0.2),
-            mot=MotSection(modes=("motion", "motion+score"), score_gate=0.3),
+            mot=MotSection(modes=("motion", "motion+score")),
             eval=EvalSection(match_dist=1.5, recall_levels=10, sot_noise="on"),
         )
         for name in ("kalman", "assoc", "embed", "learn", "sim", "mot", "eval"):

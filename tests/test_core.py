@@ -14,14 +14,14 @@ from uatrack.core import (
     TrackletLabel,
     TrackRow,
     center_distance,
+    read_clouds,
     read_detections,
     read_point_cloud,
-    read_sequence,
     read_track_rows,
     wrap_angle,
+    write_clouds,
     write_detections,
     write_point_cloud,
-    write_sequence,
     write_track_rows,
 )
 
@@ -172,9 +172,10 @@ def _toy_sequence():
 class TestSerialization:
     def test_sequence_round_trip_bit_exact(self, tmp_path):
         seq = _toy_sequence()
-        write_sequence(tmp_path / "dets.jsonl", tmp_path / "clouds", seq)
-        back = read_sequence(tmp_path / "dets.jsonl", tmp_path / "clouds",
-                             n_frames=seq.n_frames)
+        write_detections(tmp_path / "dets.jsonl", seq)
+        write_clouds(tmp_path / "clouds", seq.clouds)
+        back = read_detections(tmp_path / "dets.jsonl", read_clouds(tmp_path / "clouds"),
+                               n_frames=seq.n_frames)
         assert back == seq
 
     def test_point_cloud_round_trip(self, tmp_path):

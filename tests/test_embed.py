@@ -15,7 +15,6 @@ from uatrack.embed import (
     canon_seed,
     canonicalize,
     cosine,
-    degenerate,
     detection_crop,
     detection_embedder,
     forward,
@@ -144,8 +143,6 @@ class TestCosine:
 
     def test_degenerate_returns_zero(self):
         assert cosine(np.zeros(4), np.ones(4)) == 0.0
-        assert degenerate(np.zeros(4))
-        assert not degenerate(np.ones(4))
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(2)

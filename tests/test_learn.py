@@ -20,7 +20,6 @@ from uatrack.learn import (
     sample_triplet,
     train,
     triplet_loss,
-    weighted_triplet_loss,
 )
 
 
@@ -36,21 +35,41 @@ class TestTripletLoss:
 
 
 class TestWeightedLoss:
+    """A triplet's weight scales its hinge loss in `batch_loss_and_grads`,
+    run here on one-triplet batches whose hinge is active."""
+
+    MARGIN = 2.0  # above any cosine gap, so the hinge is active
+
     def _triplet(self, w):
         return Triplet(anchor=DetRef(0, 0, 0), positive=DetRef(0, 1, 0),
                        negative=DetRef(0, 0, 1), weight=w)
 
+    def _run(self, w):
+        rng = np.random.default_rng(4)
+        clouds = {ref: embed.CanonicalCloud(points=rng.normal(size=(12, 3)), source="")
+                  for ref in (DetRef(0, 0, 0), DetRef(0, 1, 0), DetRef(0, 0, 1))}
+        net = embed.EmbedNet.random((3, 8, 4), seed=3)
+        loss, grads, weight = batch_loss_and_grads(net, clouds.__getitem__, [self._triplet(w)],
+                                                   self.MARGIN)
+        cp = embed.cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
+                          embed.forward(net, clouds[DetRef(0, 1, 0)]))
+        cn = embed.cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
+                          embed.forward(net, clouds[DetRef(0, 0, 1)]))
+        return loss, grads, weight, triplet_loss(cp, cn, self.MARGIN)
+
     def test_product(self):
-        t = self._triplet(0.5)
-        assert weighted_triplet_loss(t, 0.6, 0.5, 0.2) == pytest.approx(0.05)
+        loss, _, weight, raw = self._run(0.5)
+        assert raw > 0.0 and weight == 0.5
+        assert loss == pytest.approx(0.5 * raw, abs=1e-12)
 
     def test_zero_weight_silences(self):
-        t = self._triplet(0.0)
-        assert weighted_triplet_loss(t, -1.0, 1.0, 0.2) == 0.0
+        loss, grads, _, raw = self._run(0.0)
+        assert raw > 0.0 and loss == 0.0
+        assert all(not g.any() for g in grads)
 
     def test_unit_weight_identity(self):
-        t = self._triplet(1.0)
-        assert weighted_triplet_loss(t, 0.6, 0.5, 0.2) == triplet_loss(0.6, 0.5, 0.2)
+        loss, _, _, raw = self._run(1.0)
+        assert loss == pytest.approx(raw, abs=1e-12)
 
     def test_weight_validated(self):
         with pytest.raises(ValueError):
@@ -82,7 +101,8 @@ class TestMineHardNegative:
         assert mine_hard_negative(np.array([1.0]), []) is None
 
 
-def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3):
+def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3,
+                        max_gap=TrainerConfig.max_gap):
     """Build a TripletSource from hand-specified tracks over a stub sequence."""
     from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 
@@ -102,14 +122,14 @@ def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=
             track_id=tid, members=tuple(members))
         for tid, members in track_members.items()
     ]
-    return build_triplet_source([seq], [(labels, link_conf)])
+    return build_triplet_source([seq], [(labels, link_conf)], max_gap)
 
 
 class TestSampleTriplet:
     def test_forced_pair_and_weight(self):
         src = _source_from_tracks({0: [(0, 0), (1, 0)]}, {0: [0.7]}, {})
         rng = np.random.default_rng(0)
-        t = sample_triplet(src, TrainerConfig(), rng)
+        t = sample_triplet(src, rng)
         assert t.anchor == DetRef(0, 0, 0)
         assert t.positive == DetRef(0, 1, 0)
         assert t.weight == pytest.approx(0.7)
@@ -119,7 +139,7 @@ class TestSampleTriplet:
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(200):
-            t = sample_triplet(src, TrainerConfig(), rng)
+            t = sample_triplet(src, rng)
             seen.add((t.anchor.frame, t.positive.frame, round(t.weight, 6)))
         assert (0, 2, round(0.72, 6)) in seen  # matches the product rule
         assert (0, 1, 0.9) in seen
@@ -129,22 +149,20 @@ class TestSampleTriplet:
         src = _source_from_tracks({0: [(0, 0), (1, 0)]}, {0: [1.0]}, {})
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert sample_triplet(src, TrainerConfig(), rng).weight == 1.0
+            assert sample_triplet(src, rng).weight == 1.0
 
     def test_exhausted_raises(self):
-        src = _source_from_tracks({0: [(0, 0)]}, {0: []}, {})
         with pytest.raises(TrainingDataExhausted):
-            sample_triplet(src, TrainerConfig(), np.random.default_rng(0))
+            _source_from_tracks({0: [(0, 0)]}, {0: []}, {})
 
     def test_lonely_anchor_frame_skips(self):
         src = _source_from_tracks({0: [(0, 0), (1, 0)]}, {0: [1.0]}, {0: 1})
-        t = sample_triplet(src, TrainerConfig(), np.random.default_rng(0))
+        t = sample_triplet(src, np.random.default_rng(0))
         assert t is None
 
     def test_max_gap_respected(self):
-        src = _source_from_tracks({0: [(0, 0), (8, 0)]}, {0: [0.5]}, {})
-        cfg = TrainerConfig(max_gap=3)
-        assert sample_triplet(src, cfg, np.random.default_rng(0)) is None
+        src = _source_from_tracks({0: [(0, 0), (8, 0)]}, {0: [0.5]}, {}, max_gap=3)
+        assert sample_triplet(src, np.random.default_rng(0)) is None
 
 
 class TestAdam:
@@ -304,8 +322,8 @@ class TestBatchGradients:
     @staticmethod
     def _batch(seed=0, size=48):
         seqs, tracks = _mini_training_setup(seed=seed, n_frames=8, n_objects=4)
-        src = build_triplet_source(seqs, tracks)
         cfg = TrainerConfig(points_per_crop=24, max_gap=3)
+        src = build_triplet_source(seqs, tracks, cfg.max_gap)
         rng = np.random.default_rng(seed)
         cache = {}
 
@@ -319,7 +337,7 @@ class TestBatchGradients:
 
         batch = []
         while len(batch) < size:
-            t = sample_triplet(src, cfg, rng)
+            t = sample_triplet(src, rng)
             cands = [] if t is None else negative_candidates(src, t.anchor)
             if cands:
                 n_det = cands[int(rng.integers(len(cands)))]
@@ -350,8 +368,8 @@ class TestBatchGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         seqs, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3)
-        src = build_triplet_source(seqs, tracks)
         cfg = TrainerConfig(points_per_crop=12)
+        src = build_triplet_source(seqs, tracks, cfg.max_gap)
 
         crops_cache = {}
 
@@ -368,7 +386,7 @@ class TestBatchGradients:
             if checked >= 5:
                 break
             net = embed.EmbedNet.random((3, 6, 4), seed=50 + trial)
-            t = sample_triplet(src, cfg, rng)
+            t = sample_triplet(src, rng)
             if t is None:
                 continue
             cands = negative_candidates(src, t.anchor)

@@ -1,10 +1,12 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import AssocConfig
+from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 from uatrack.mot import FeatureVector, LogisticModel, fit_logistic
 
 
@@ -81,14 +83,15 @@ class TestMotionModeEquivalence:
 class TestHarvestFeatures:
     @staticmethod
     def _oracle(seq, net):
-        """Every frame's (track, detection) pairs of the motion tracker, with
-        features from the filter state, the embedding of the track's last
-        matched detection and the detection's own crop."""
+        """Every frame's admitted (track, detection) pairs of the motion
+        tracker, m <= gate, with features from the filter state, the
+        embedding of the track's last matched detection and the detection's
+        own crop. Returns (examples, number of pairs before the gate)."""
         frames = []
 
-        def cost_fn(states, rec):
+        def cost_fn(states, rec, m, admitted):
             frames.append((rec, list(states)))
-            return assoc.mahalanobis_matrix(states, rec.detections, KCFG), ACFG.gate
+            return m
 
         run = assoc.run_tracker(seq, KCFG, ACFG, cost_fn=cost_fn, collect_confidence=False)
         det_at = {rec.index: rec.detections for rec in seq.frames}
@@ -98,23 +101,126 @@ class TestHarvestFeatures:
             return embed.forward(net, embed.detection_crop(seq, det, POINTS))
 
         expected = []
+        n_pairs = 0
         for rec, states in frames:
             for s in states:
                 f, d = [m for m in members[s.track_id] if m[0] < rec.index][-1]
                 last = det_at[f][d]
                 for det in rec.detections:
+                    n_pairs += 1
+                    m = kalman.mahalanobis(s, [det.box], KCFG)[0]
+                    if m > ACFG.gate:
+                        continue
                     a = embed.cosine(emb(last), emb(det)) if net is not None else 0.0
-                    fv = FeatureVector.build(m=kalman.mahalanobis(s, [det.box], KCFG)[0], a=a,
-                                             d=det.score)
+                    fv = FeatureVector.build(m=m, a=a, d=det.score)
                     label = int(last.gt_id is not None and last.gt_id == det.gt_id)
                     expected.append((fv, label))
-        return expected
+        return expected, n_pairs
 
     @pytest.mark.parametrize("net", [NET, None], ids=["appearance", "no-net"])
     def test_examples_equal_oracle(self, net):
         seq = _scene()
         got = mot.harvest_features(seq, KCFG, ACFG, net=net, points_per_crop=POINTS)
-        expected = self._oracle(seq, net)
-        assert len(got) == len(expected) > 100
+        expected, n_pairs = self._oracle(seq, net)
+        assert n_pairs > len(expected) > 50  # the gate drops pairs
         assert sum(lbl for _, lbl in got) > 10
         assert got == expected
+        assert all(fv.m <= ACFG.gate for fv, _ in got)
+
+
+# ---------------------------------------------------------------------------
+# one admission rule: the Mahalanobis gate, in every mode
+
+
+def _box_seq(frames):
+    """A sequence from per-frame lists of (x, y, gt_id); every box is a
+    4 x 2 x 1.5 car at yaw 0 with score 0.9."""
+    recs = [FrameRecord(index=f, detections=tuple(
+        Detection(frame=f, box=Box7(x, y, 0.0, 0.0, 4.0, 2.0, 1.5), score=0.9,
+                  cloud_ref="c", gt_id=g)
+        for x, y, g in dets)) for f, dets in enumerate(frames)]
+    return Sequence(frames=tuple(recs), clouds={"c": PointCloud(np.zeros((1, 3)))})
+
+
+def _cosine_model(a_coef, intercept):
+    """A model whose score depends on the appearance cosine a alone."""
+    coef = np.zeros(6)
+    coef[mot.FEATURE_NAMES.index("a")] = a_coef
+    return LogisticModel(coef=coef, intercept=intercept)
+
+
+def _gt_tracks(seq, rows):
+    """gt_id -> the track ids of the rows at its detections. A row is put at
+    the detection of its frame nearest its (posterior) box centre."""
+    det_at = {rec.index: rec.detections for rec in seq.frames}
+    out: dict[int, list[int]] = {}
+    for r in rows:
+        det = min(det_at[r.frame], key=lambda d: math.dist(
+            (d.box.x, d.box.y), (r.box.x, r.box.y)))
+        out.setdefault(det.gt_id, []).append(r.track_id)
+    return out
+
+
+class TestAdmission:
+    def _walk(self, step):
+        """One object that moves 1 m along x per frame for six frames, then
+        `step` metres in the seventh."""
+        return [[(k * 1.0, 0.0, 0)] for k in range(6)] + [[(5.0 + step, 0.0, 0)]]
+
+    def _m_last(self, seq):
+        """m of the last detection against the filter run over the others."""
+        dets = [rec.detections[0] for rec in seq.frames]
+        s = kalman.init_track(dets[0], KCFG, 0)
+        for det in dets[1:-1]:
+            s = kalman.update(kalman.predict(s, seq.frame_period, KCFG), det.box, KCFG)
+        s = kalman.predict(s, seq.frame_period, KCFG)
+        return float(kalman.mahalanobis(s, [dets[-1].box], KCFG)[0])
+
+    @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])
+    def test_fused_links_an_admitted_pair_whatever_its_score(self, mode):
+        seq = _box_seq(self._walk(1.0))
+        assert self._m_last(seq) <= ACFG.gate
+        model = _cosine_model(0.0, -3.0)  # A = 0.047 for every pair
+        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode=mode, assoc=ACFG),
+                                  net=NET, model=model)
+        assert [r.track_id for r in rows] == [0] * 7
+
+    @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])
+    def test_fused_never_links_past_the_gate(self, mode):
+        seq = _box_seq(self._walk(40.0))
+        assert self._m_last(seq) > ACFG.gate
+        model = _cosine_model(0.0, 30.0)  # A = 1 - 1e-13 for every pair
+        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode=mode, assoc=ACFG),
+                                  net=NET, model=model)
+        assert [r.track_id for r in rows] == [0] * 6 + [1]
+
+
+class TestBounce:
+    """Two cars approach head on in adjacent lanes, stop short of each other
+    and back away. The filter predicts that each drives on into the other's
+    lane, so motion alone swaps their identities; an embedding that tells
+    the two cars apart keeps them."""
+
+    K = 8  # the frame at which both reverse
+
+    def _seq(self):
+        xs = [-0.5 - abs(self.K - k) for k in range(2 * self.K + 1)]
+        return _box_seq([[(x, 0.6, 0), (-x, -0.6, 1)] for x in xs])
+
+    def test_motion_switches_and_appearance_does_not(self, monkeypatch):
+        seq = self._seq()
+        motion = _gt_tracks(seq, mot.track_sequence(seq, KCFG, mot.MotConfig(assoc=ACFG)))
+        assert any(len(set(ids)) > 1 for ids in motion.values())
+
+        def embedder(net, seq, n):  # one-hot by ground-truth identity
+            return lambda det: np.eye(2)[det.gt_id]
+
+        monkeypatch.setattr(embed, "detection_embedder", embedder)
+        # A = 0.38 for the same car and 0.011 for the other: a true
+        # continuation scores below one half, yet it is admitted and wins
+        model = _cosine_model(4.0, -4.5)
+        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode="motion+score+appearance",
+                                                          assoc=ACFG),
+                                  net=NET, model=model)
+        fused = _gt_tracks(seq, rows)
+        assert fused == {0: [0] * 17, 1: [1] * 17}
