@@ -27,7 +27,6 @@ class AssocConfig:
     gate: float = 13.0
     max_age: int = 3
     eps: float = 1e-4
-    distance: str = "sqrt"  # "sqrt" | "squared" Mahalanobis variant
 
     def __post_init__(self):
         if self.gate <= 0:
@@ -36,8 +35,6 @@ class AssocConfig:
             raise ValueError(f"max_age must be >= 1, got {self.max_age}")
         if self.eps <= 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.distance not in ("sqrt", "squared"):
-            raise ValueError(f"distance must be 'sqrt' or 'squared', got {self.distance!r}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,7 @@ def run_tracker(
         prev_index = rec.index
 
         states = [tr.state for tr in live]
-        m = mahalanobis_matrix(states, rec.detections, kcfg, acfg.distance)
+        m = mahalanobis_matrix(states, rec.detections, kcfg)
         cost = None if cost_fn is None else cost_fn(states, rec, m, m <= acfg.gate)
         res = greedy_associate(m, acfg.gate, cost)
 
@@ -233,21 +230,19 @@ def run_tracker(
     return TrackerRun(labels=labels, link_conf=link_conf)
 
 
-def mahalanobis_matrix(states, detections, kcfg: kalman.NoiseConfig,
-                       distance: str = "sqrt") -> np.ndarray:
-    """Track x detection Mahalanobis distances (optionally squared).
+def mahalanobis_matrix(states, detections, kcfg: kalman.NoiseConfig) -> np.ndarray:
+    """Track x detection square-root Mahalanobis distances sqrt(r' S^-1 r),
+    the m that `AssocConfig.gate` bounds.
 
     One `kalman.mahalanobis` call per track scores all of the frame's
     detections against that track's single factor of S; a frame without
-    detections factors nothing. "squared" squares the square-root distance,
-    so both variants rank pairs identically.
+    detections factors nothing.
     """
     boxes = [det.box for det in detections]
     m = np.zeros((len(states), len(boxes)))
     if boxes:
         for i, s in enumerate(states):
-            d = kalman.mahalanobis(s, boxes, kcfg)
-            m[i] = d * d if distance == "squared" else d
+            m[i] = kalman.mahalanobis(s, boxes, kcfg)
     return m
 
 
@@ -297,6 +292,9 @@ def read_pseudo_tracks(path) -> tuple[list[TrackletLabel], dict[int, list[float]
             raise ValueError(
                 f"track {tid}: {len(link)} link confidences for {len(members)} members"
             )
+        for v in link:
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"track {tid}: link confidence {v} is not in [0, 1]")
         return TrackletLabel(track_id=tid, members=members), link
 
     records = read_jsonl(path, build)

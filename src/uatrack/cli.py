@@ -117,7 +117,6 @@ def _noise_model(rc: RunConfig, corruption: bool) -> sim.NoiseModel:
     s = rc.sim
     return sim.NoiseModel(
         center_pct=s.center_pct, size_pct=s.size_pct, yaw_deg=s.yaw_deg,
-        dropout_rate=s.dropout_rate if corruption else 0.0,
         spurious_rate=s.spurious_rate if corruption else 0.0,
         missed_rate=s.missed_rate if corruption else 0.0,
     )
@@ -504,7 +503,7 @@ def _paired(args, *flags):
 
 
 def _cmd_simulate(args) -> int:
-    rc = _load_config(args.scene_config or args.config, args.seed)
+    rc = _load_config(args.config, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _stage_simulate(rc, out)
@@ -592,8 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate synthetic scenes")
-    p.add_argument("--scene-config", default=None, help="config file with a [sim] section")
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_simulate)

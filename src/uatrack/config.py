@@ -51,7 +51,6 @@ class SimSection:
     yaw_deg: float = NoiseModel.yaw_deg
     missed_rate: float = 0.05
     spurious_rate: float = 0.10
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if min(self.train_scenes, self.fit_scenes, self.test_scenes) < 1:
@@ -69,7 +68,6 @@ class LearnSection:
     beta2: float = TrainerConfig.beta2
     adam_eps: float = TrainerConfig.adam_eps
     use_uncertainty: bool = TrainerConfig.use_uncertainty
-    hard_negative_mining: bool = TrainerConfig.hard_negative_mining
     mode: str = "selfsup"  # selfsup | oracle
 
     def __post_init__(self):
@@ -148,11 +146,10 @@ def _parse_value(section: str, key: str, raw: str, current):
             return np.array([float(v) for v in raw.split(",")])
         if isinstance(current, tuple):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if current and isinstance(current[0], int):
+            if isinstance(current[0], int):
                 return tuple(int(p) for p in parts)
-            if current and isinstance(current[0], str):
+            if isinstance(current[0], str):
                 return tuple(parts)
-            return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
     raise ConfigError(f"[{section}] {key}: unsupported value type")

@@ -191,10 +191,6 @@ class Sequence:
     def cloud_of(self, det: Detection) -> PointCloud:
         return self.clouds[det.cloud_ref]
 
-    @property
-    def n_frames(self) -> int:
-        return len(self.frames)
-
 
 @dataclass(frozen=True)
 class TrackletLabel:

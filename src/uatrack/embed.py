@@ -149,10 +149,6 @@ class EmbedNet:
         object.__setattr__(self, "biases", bs)
 
     @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
-    @property
     def dim(self) -> int:
         return self.weights[-1].shape[0]
 

@@ -125,7 +125,6 @@ class ThresholdStats:
     fp: int
     fn: int
     ids: int
-    gt_count: int
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def amota(pred_rows, gt_rows, match_dist: float = 2.0, L: int = 40) -> MotScore:
         cut, recall, mota, fp, fn, ids = chosen
         thresholds.append(ThresholdStats(
             recall_target=r_target, score_cut=cut, recall=recall, mota=mota,
-            fp=fp, fn=fn, ids=ids, gt_count=gt_count,
+            fp=fp, fn=fn, ids=ids,
         ))
     return MotScore(
         amota=float(np.mean([t.mota for t in thresholds])),

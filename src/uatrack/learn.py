@@ -47,7 +47,6 @@ class TrainerConfig:
     seed: int = 0
     points_per_crop: int = embed.DEFAULT_POINTS
     use_uncertainty: bool = True
-    hard_negative_mining: bool = True
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -342,13 +341,15 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     return loss_sum, grads, weight_sum
 
 
-def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
-          debug_asserts: bool = False):
+def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig):
     """Run the full triplet-training loop; returns (trained net, history).
 
-    One epoch is ceil(total pseudo-track members / batch size) steps. The
-    batch loss is the sum of weighted triplet losses; history records its
-    mean per step alongside the mean triplet weight.
+    One epoch is ceil(total pseudo-track members / batch size) steps. Each
+    triplet's negative is the hardest of its `negative_candidates`: the one
+    whose embedding under the current network has the highest cosine to the
+    anchor's (`mine_hard_negative`). The batch loss is the sum of weighted
+    triplet losses; history records its mean per step alongside the mean
+    triplet weight.
     """
     src = build_triplet_source(seqs, tracks_per_seq, cfg.max_gap)
     rng = np.random.default_rng(cfg.seed)
@@ -394,15 +395,9 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig,
                 cands = negative_candidates(src, t.anchor)
                 if not cands:
                     continue
-                if cfg.hard_negative_mining:
-                    e_a = emb(t.anchor)
-                    pairs = [(d, emb(DetRef(t.anchor.seq, t.anchor.frame, d))) for d in cands]
-                    n_det = mine_hard_negative(e_a, pairs)
-                    if debug_asserts:
-                        chosen = embed.cosine(e_a, emb(DetRef(t.anchor.seq, t.anchor.frame, n_det)))
-                        assert all(embed.cosine(e_a, e) <= chosen + 1e-12 for _, e in pairs)
-                else:
-                    n_det = cands[int(rng.integers(len(cands)))]
+                e_a = emb(t.anchor)
+                pairs = [(d, emb(DetRef(t.anchor.seq, t.anchor.frame, d))) for d in cands]
+                n_det = mine_hard_negative(e_a, pairs)
                 completed.append(replace(
                     t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
 

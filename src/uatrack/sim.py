@@ -39,14 +39,13 @@ class NoiseModel:
     center_pct: float = 0.10
     size_pct: float = 0.10
     yaw_deg: float = 5.0
-    dropout_rate: float = 0.0
     spurious_rate: float = 0.0
     missed_rate: float = 0.0
 
     def __post_init__(self):
         if self.center_pct < 0 or self.size_pct < 0 or self.yaw_deg < 0:
             raise ValueError("noise magnitudes must be >= 0")
-        for name in ("dropout_rate", "spurious_rate", "missed_rate"):
+        for name in ("spurious_rate", "missed_rate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
@@ -347,9 +346,9 @@ def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
 
     Real detections draw scores from Beta(8, 2), spurious from Beta(2, 8).
     Spurious counts per frame are Binomial(slots, spurious_rate) over the
-    frame's pre-drop detection count. With dropout_rate > 0, real clouds are
-    re-emitted under a new "<ref>.drop" reference with points removed; the
-    original cloud entries are never modified.
+    frame's detection count before misses. Real detections keep their
+    clouds; each spurious one gets a new sparse cloud under its own
+    reference, and the input's cloud entries are never modified.
     """
     perturbed = perturb_boxes(seq, noise, (seed, 0))
     rng = np.random.default_rng((seed, 1))
@@ -367,14 +366,7 @@ def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
             if rng.random() < noise.missed_rate:
                 continue
             score = float(rng.beta(8.0, 2.0))
-            out = replace(det, score=score)
-            if noise.dropout_rate > 0:
-                pts = seq.clouds[det.cloud_ref].points
-                keep = rng.random(pts.shape[0]) >= noise.dropout_rate
-                ref = f"{det.cloud_ref}.drop"
-                clouds[ref] = PointCloud(pts[keep])
-                out = replace(out, cloud_ref=ref)
-            dets.append(out)
+            dets.append(replace(det, score=score))
         n_spur = int(rng.binomial(len(rec.detections), noise.spurious_rate)) \
             if rec.detections else 0
         for _ in range(n_spur):

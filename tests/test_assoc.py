@@ -199,15 +199,14 @@ class TestCumulativeConfidence:
             assert cumulative_confidence(vals[:k]) >= full - 1e-12
 
 
-def pair_oracle(states, detections, kcfg, distance):
+def pair_oracle(states, detections, kcfg):
     """The per-pair form: factor S and solve once for every (track, detection)."""
     m = np.zeros((len(states), len(detections)))
     for i, s in enumerate(states):
         for j, det in enumerate(detections):
             r, S = kalman.innovation(s, det.box, kcfg)
             y = np.linalg.solve(np.linalg.cholesky(S), r)
-            d = math.sqrt(float(y @ y))
-            m[i, j] = d * d if distance == "squared" else d
+            m[i, j] = math.sqrt(float(y @ y))
     return m
 
 
@@ -241,17 +240,16 @@ class TestMahalanobisMatrix:
         tracks=st.lists(st.tuples(st.integers(0, 2**32 - 1), yaws), max_size=4),
         dets=st.lists(st.tuples(yaws, st.tuples(*[st.floats(-20, 20)] * 3)), max_size=6),
         r_diag=st.lists(st.floats(1e-3, 2.0), min_size=7, max_size=7),
-        distance=st.sampled_from(["sqrt", "squared"]),
     )
     @example(tracks=[(1, math.pi - 0.05)], dets=[(-math.pi + 0.05, (1.0, 2.0, 0.5))],
-             r_diag=[0.1] * 7, distance="sqrt")
+             r_diag=[0.1] * 7)
     @settings(max_examples=200, deadline=None)
-    def test_equals_pair_oracle_bit_for_bit(self, tracks, dets, r_diag, distance):
+    def test_equals_pair_oracle_bit_for_bit(self, tracks, dets, r_diag):
         kcfg = kalman.NoiseConfig(r_diag=np.array(r_diag))
         states = [_predicted_state(seed, yaw, kcfg) for seed, yaw in tracks]
         detections = [_det(yaw, xyz) for yaw, xyz in dets]
-        got = assoc.mahalanobis_matrix(states, detections, kcfg, distance)
-        expected = pair_oracle(states, detections, kcfg, distance)
+        got = assoc.mahalanobis_matrix(states, detections, kcfg)
+        expected = pair_oracle(states, detections, kcfg)
         assert got.shape == (len(states), len(detections))
         assert np.array_equal(got, expected)
 

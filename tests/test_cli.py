@@ -126,16 +126,41 @@ class TestMalformedInput:
         self.assert_one_line_error(code, err, "--detections and --clouds must pair up")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("conf", ["-0.5", "1.5", "NaN"])
+    def test_link_confidence_out_of_range(self, conf, tiny_run, tmp_path, capsys):
+        lines = (tiny_run / "pseudo" / "train_00.jsonl").read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if json.loads(line)["link_conf"])
+        obj = json.loads(lines[k])
+        obj["link_conf"][0] = float(conf)
+        lines[k] = json.dumps(obj)
+        (tmp_path / "pt.jsonl").write_text("\n".join(lines) + "\n")
+        code, err = _main(capsys, ["confidence-report",
+                                   "--pseudo-tracks", str(tmp_path / "pt.jsonl"),
+                                   "--gt-detections",
+                                   str(tiny_run / "sim" / "train_00" / "corrupted.jsonl")])
+        self.assert_one_line_error(code, err, f"pt.jsonl:{k + 1}: ")
 
-def test_removed_score_gate_key_exits_2(tmp_path, capsys):
-    """The fused modes admit pairs by the Mahalanobis gate alone; a config
-    that still sets the score gate they once used is refused, not ignored."""
-    (tmp_path / "old.cfg").write_text(TINY + "\n[mot]\nscore_gate = 0.5\n")
+
+@pytest.mark.parametrize("section, key, value", [
+    ("mot", "score_gate", "0.5"),
+    ("assoc", "distance", "sqrt"),
+    ("learn", "hard_negative_mining", "true"),
+    ("sim", "dropout_rate", "0.0"),
+])
+def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
+    """Keys whose options are gone (the fused modes' score gate, the squared
+    Mahalanobis variant, random negatives, cloud dropout) are refused, not
+    ignored."""
+    header = f"[{section}]\n"
+    setting = f"{key} = {value}\n"
+    text = (TINY.replace(header, header + setting) if header in TINY
+            else TINY + "\n" + header + setting)
+    (tmp_path / "old.cfg").write_text(text)
     code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "old.cfg"),
                                "--out-dir", str(tmp_path / "run"), "--stages", "mot-eval"])
     assert code == 2 and "Traceback" not in err
     lines = err.splitlines()
-    assert len(lines) == 1 and "score_gate" in lines[0]
+    assert len(lines) == 1 and key in lines[0]
 
 
 MODES = ("motion", "motion+score", "motion+score+appearance")
@@ -147,6 +172,8 @@ def _parity_case(name, run: Path, out: Path):
     train, fit, test = (run / "sim" / f"{split}_00" for split in ("train", "fit", "test"))
     ckpt = run / "train" / "checkpoint.uann"
     logistic = {m: run / "mot" / f"logistic_{m}.json" for m in MODES[1:]}
+    if name == "simulate":
+        return [["simulate", "--out-dir", out]], [(out / "sim", run / "sim")]
     if name == "pseudo-tracks":
         return ([["pseudo-tracks", "--detections", train / "corrupted.jsonl",
                   "--clouds", train / "clouds", "--out", out / "pt.jsonl"]],
@@ -183,19 +210,27 @@ def _parity_case(name, run: Path, out: Path):
     raise ValueError(name)
 
 
+def _contents(path: Path):
+    """A file's bytes, or a directory tree's {relative path: bytes}."""
+    if path.is_dir():
+        return {str(p.relative_to(path)): p.read_bytes()
+                for p in sorted(path.rglob("*")) if p.is_file()}
+    return path.read_bytes()
+
+
 class TestSubcommandParity:
     """Each subcommand, run on the pipeline's own inputs and config,
     reproduces the pipeline stage's artifacts byte for byte."""
 
-    @pytest.mark.parametrize("name", ["pseudo-tracks", "train", "fit-logistic", "mot-run",
-                                      "sot-eval", "confidence-report"])
+    @pytest.mark.parametrize("name", ["simulate", "pseudo-tracks", "train", "fit-logistic",
+                                      "mot-run", "sot-eval", "confidence-report"])
     def test_artifacts_match_the_stage(self, name, tiny_run, tiny_config, tmp_path, capsys):
         argvs, pairs = _parity_case(name, tiny_run, tmp_path)
         for argv in argvs:
             code, err = _main(capsys, [*map(str, argv), "--config", str(tiny_config)])
             assert code == 0, err
         for produced, expected in pairs:
-            assert produced.read_bytes() == expected.read_bytes(), expected.name
+            assert _contents(produced) == _contents(expected), expected.name
 
     @pytest.mark.parametrize("mode", MODES)
     def test_mot_eval_prints_the_stage_scores(self, mode, tiny_run, tiny_config, capsys):

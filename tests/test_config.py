@@ -30,7 +30,7 @@ def _shared(a, b) -> list[str]:
 class TestDefaults:
     def test_learn_section_matches_trainer_config(self):
         shared = _shared(LearnSection, TrainerConfig)
-        assert len(shared) == 10
+        assert len(shared) == 9
         learn, trainer = LearnSection(), TrainerConfig()
         for name in shared:
             assert getattr(learn, name) == getattr(trainer, name), name
@@ -38,7 +38,7 @@ class TestDefaults:
     def test_trainer_copies_every_shared_field(self):
         learn = LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
                              max_gap=4, beta1=0.8, beta2=0.99, adam_eps=1e-6,
-                             use_uncertainty=False, hard_negative_mining=False)
+                             use_uncertainty=False)
         cfg = learn.trainer(seed=5, points_per_crop=32)
         assert (cfg.seed, cfg.points_per_crop) == (5, 32)
         for name in _shared(LearnSection, TrainerConfig):
@@ -84,14 +84,12 @@ class TestRoundTrip:
             kalman=NoiseConfig(q_diag=np.arange(1.0, 12.0) / 7.0,
                                r_diag=np.arange(1.0, 8.0) / 3.0,
                                p0_diag=np.full(11, 2.5)),
-            assoc=AssocConfig(gate=9.5, max_age=5, eps=1e-3, distance="squared"),
+            assoc=AssocConfig(gate=9.5, max_age=5, eps=1e-3),
             embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
             learn=LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
                                max_gap=4, beta1=0.8, beta2=0.99, adam_eps=1e-6,
-                               use_uncertainty=False, hard_negative_mining=False,
-                               mode="oracle"),
-            sim=replace(SimSection(), train_scenes=2, frame_period=0.1, yaw_deg=2.5,
-                        dropout_rate=0.2),
+                               use_uncertainty=False, mode="oracle"),
+            sim=replace(SimSection(), train_scenes=2, frame_period=0.1, yaw_deg=2.5),
             mot=MotSection(modes=("motion", "motion+score")),
             eval=EvalSection(match_dist=1.5, recall_levels=10, sot_noise="on"),
         )

@@ -175,7 +175,7 @@ class TestSerialization:
         write_detections(tmp_path / "dets.jsonl", seq)
         write_clouds(tmp_path / "clouds", seq.clouds)
         back = read_detections(tmp_path / "dets.jsonl", read_clouds(tmp_path / "clouds"),
-                               n_frames=seq.n_frames)
+                               n_frames=len(seq.frames))
         assert back == seq
 
     def test_point_cloud_round_trip(self, tmp_path):
@@ -202,14 +202,14 @@ class TestSerialization:
         seq2 = Sequence(frames=frames, clouds=seq.clouds, frame_period=0.5)
         write_detections(tmp_path / "d.jsonl", seq2)
         back = read_detections(tmp_path / "d.jsonl", seq.clouds, n_frames=3)
-        assert back.n_frames == 3
+        assert len(back.frames) == 3
         assert back.frames[1].detections == ()
 
     def test_box_only_load(self, tmp_path):
         seq = _toy_sequence()
         write_detections(tmp_path / "d.jsonl", seq)
-        back = read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=seq.n_frames)
-        assert back.n_frames == seq.n_frames
+        back = read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=len(seq.frames))
+        assert len(back.frames) == len(seq.frames)
         assert all(c.count == 0 for c in back.clouds.values())
 
     @pytest.mark.parametrize("key", ["frame", "box", "score", "cloud"])

@@ -174,7 +174,7 @@ def oracle_amota(pred_rows, gt_rows, match_dist=2.0, L=40) -> MotScore:
         cut, recall, mota, fp, fn, ids = chosen
         thresholds.append(ThresholdStats(
             recall_target=r_target, score_cut=cut, recall=recall, mota=mota,
-            fp=fp, fn=fn, ids=ids, gt_count=gt_count))
+            fp=fp, fn=fn, ids=ids))
     return MotScore(amota=float(np.mean([t.mota for t in thresholds])),
                     thresholds=tuple(thresholds))
 

@@ -310,12 +310,27 @@ class TestTrain:
             train(seqs, [(singles, {l.track_id: [] for l in singles})], net,
                   TrainerConfig(batch_size=2, epochs=1, points_per_crop=8))
 
-    def test_debug_asserts_hard_negative_dominance(self):
-        seqs, tracks = _mini_training_setup()
+    def test_negative_is_the_hardest_candidate(self, monkeypatch):
+        """Every negative train picks has the highest cosine to the anchor
+        among the candidates it was offered."""
+        calls = []
+
+        def recording(anchor_emb, same_frame):
+            pick = mine_hard_negative(anchor_emb, same_frame)
+            calls.append((anchor_emb, list(same_frame), pick))
+            return pick
+
+        monkeypatch.setattr(learn, "mine_hard_negative", recording)
+        # six objects, so that anchors have up to five candidates to rank
+        seqs, tracks = _mini_training_setup(n_objects=6)
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1,
                             points_per_crop=16, seed=1)
-        train(seqs, tracks, net, cfg, debug_asserts=True)
+        train(seqs, tracks, net, cfg)
+        assert calls and max(len(same_frame) for _, same_frame, _ in calls) > 2
+        for anchor_emb, same_frame, pick in calls:
+            cos = {d: embed.cosine(anchor_emb, e) for d, e in same_frame}
+            assert all(c <= cos[pick] + 1e-12 for c in cos.values())
 
 
 class TestBatchGradients:

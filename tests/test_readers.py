@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from uatrack.assoc import read_pseudo_tracks
 from uatrack.core import (
     Box7,
     Detection,
@@ -80,7 +81,7 @@ class TestDetections:
     @given(seq=sequences())
     def test_round_trip(self, tmp_path, seq):
         write_detections(tmp_path / "d.jsonl", seq)
-        back = read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=seq.n_frames)
+        back = read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=len(seq.frames))
         assert back.frames == seq.frames
 
     @READER
@@ -90,7 +91,7 @@ class TestDetections:
         raw = (tmp_path / "d.jsonl").read_bytes()
         (tmp_path / "d.jsonl").write_bytes(data.draw(damaged(raw)))
         assert_loads_or_names_file(
-            lambda p: read_detections(p, clouds=seq.clouds, n_frames=seq.n_frames),
+            lambda p: read_detections(p, clouds=seq.clouds, n_frames=len(seq.frames)),
             tmp_path / "d.jsonl")
 
     @pytest.mark.parametrize("line", [
@@ -131,6 +132,16 @@ class TestTrackRows:
             b'{"frame": 0, "track_id": 1, "box": [0,0,0,0,1,1,1], "score": ' + score + b'}\n')
         with pytest.raises(ValueError, match=r"t\.jsonl:1: track score must be finite"):
             read_track_rows(tmp_path / "t.jsonl")
+
+
+class TestPseudoTracks:
+    @pytest.mark.parametrize("conf", [b"-0.5", b"1.5", b"NaN"])
+    def test_link_confidence_outside_unit_interval_names_line(self, tmp_path, conf):
+        (tmp_path / "p.jsonl").write_bytes(
+            b'{"track_id": 0, "members": [[0, 0], [1, 0]], "link_conf": [1.0]}\n'
+            b'{"track_id": 1, "members": [[0, 1], [1, 1]], "link_conf": [' + conf + b']}\n')
+        with pytest.raises(ValueError, match=r"p\.jsonl:2: track 1: link confidence"):
+            read_pseudo_tracks(tmp_path / "p.jsonl")
 
 
 class TestPointCloud:

@@ -230,7 +230,7 @@ class TestCorrupt:
 
     def test_zero_rates_equals_perturb(self):
         seq = self._seq(6, 3)
-        noise = NoiseModel(spurious_rate=0.0, missed_rate=0.0, dropout_rate=0.0)
+        noise = NoiseModel(spurious_rate=0.0, missed_rate=0.0)
         out = corrupt_detections(seq, noise, seed=4)
         ref = perturb_boxes(seq, noise, (4, 0))
         # boxes identical to the perturb stage; only scores differ
@@ -264,15 +264,10 @@ class TestCorrupt:
     def test_original_clouds_untouched(self):
         seq = self._seq(5, 4)
         snapshot = {k: v.points.copy() for k, v in seq.clouds.items()}
-        out = corrupt_detections(seq, NoiseModel(spurious_rate=0.2, missed_rate=0.1,
-                                                 dropout_rate=0.3), seed=1)
+        out = corrupt_detections(seq, NoiseModel(spurious_rate=0.2, missed_rate=0.1), seed=1)
         for k, pts in snapshot.items():
             np.testing.assert_array_equal(seq.clouds[k].points, pts)
-        # dropped-point clouds live under new refs
-        drop_refs = [r for r in out.clouds if r.endswith(".drop")]
-        assert drop_refs
-        for r in drop_refs:
-            assert out.clouds[r].count <= seq.clouds[r[:-5]].count
+            assert out.clouds[k] is seq.clouds[k]
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
