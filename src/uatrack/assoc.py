@@ -41,13 +41,11 @@ class AssocConfig:
 class AssocPair:
     track: int
     det: int
-    distance: float
 
 
 @dataclass(frozen=True)
 class AssociationResult:
     pairs: tuple[AssocPair, ...]
-    unmatched_tracks: tuple[int, ...]
     unmatched_detections: tuple[int, ...]
 
 
@@ -67,7 +65,7 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
     admitted entry of smallest cost (m itself when cost is None) whose row
     and column are both still free; stops when none is left. Ties break
     toward the smallest row index, then column index. Pairs are reported in
-    selection order with their distance m[i, j].
+    selection order.
     """
     m = _check_matrix(m)
     if gate <= 0:
@@ -84,14 +82,12 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
             i, j = divmod(flat, cols)
             if work[i, j] == np.inf:
                 break
-            pairs.append(AssocPair(track=i, det=j, distance=float(m[i, j])))
+            pairs.append(AssocPair(track=i, det=j))
             work[i, :] = np.inf
             work[:, j] = np.inf
-    used_rows = {p.track for p in pairs}
     used_cols = {p.det for p in pairs}
     return AssociationResult(
         pairs=tuple(pairs),
-        unmatched_tracks=tuple(i for i in range(rows) if i not in used_rows),
         unmatched_detections=tuple(j for j in range(cols) if j not in used_cols),
     )
 
@@ -268,8 +264,7 @@ def build_pseudo_tracks(
 # {"track_id": int, "members": [[frame, det_index], ...], "link_conf": [...]}
 
 
-def write_pseudo_tracks(path, labels, link_conf: dict[int, list[float]],
-                        extra: dict[int, dict] | None = None) -> None:
+def write_pseudo_tracks(path, labels, link_conf: dict[int, list[float]]) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for lab in labels:
@@ -278,15 +273,27 @@ def write_pseudo_tracks(path, labels, link_conf: dict[int, list[float]],
                 "members": [[f, i] for f, i in lab.members],
                 "link_conf": [float(v) for v in link_conf.get(lab.track_id, [])],
             }
-            if extra and lab.track_id in extra:
-                obj.update(extra[lab.track_id])
             fh.write(json.dumps(obj) + "\n")
 
 
-def read_pseudo_tracks(path) -> tuple[list[TrackletLabel], dict[int, list[float]]]:
+def read_pseudo_tracks(path, seq: Sequence) -> tuple[list[TrackletLabel], dict[int, list[float]]]:
+    """The pseudo-tracks of a file that labels the scene seq.
+
+    A member naming a frame seq lacks, or a detection that frame lacks,
+    raises ValueError("<path>:<line>: ..."), as does any other malformed
+    line.
+    """
+    counts = {rec.index: len(rec.detections) for rec in seq.frames}
+
     def build(obj):
         tid = int(obj["track_id"])
         members = tuple((int(f), int(i)) for f, i in obj["members"])
+        for f, i in members:
+            if f not in counts:
+                raise ValueError(f"track {tid}: member [{f}, {i}]: the scene has no frame {f}")
+            if not 0 <= i < counts[f]:
+                raise ValueError(f"track {tid}: member [{f}, {i}]: frame {f} has "
+                                 f"{counts[f]} detections")
         link = [float(v) for v in obj["link_conf"]]
         if len(link) != max(len(members) - 1, 0):
             raise ValueError(

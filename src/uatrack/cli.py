@@ -131,10 +131,9 @@ def _scene_dir(out: Path, split: str, index: int) -> Path:
     return out / "sim" / f"{split}_{index:02d}"
 
 
-def _write_gt_tracks(path, seq: Sequence, labels) -> None:
+def _write_gt_tracks(path, labels) -> None:
     conf = {lab.track_id: [1.0] * (len(lab.members) - 1) for lab in labels}
-    extra = {lab.track_id: {"gt_purity": 1.0, "gt_id": lab.track_id} for lab in labels}
-    assoc.write_pseudo_tracks(path, labels, conf, extra=extra)
+    assoc.write_pseudo_tracks(path, labels, conf)
 
 
 def _stage_simulate(rc: RunConfig, out: Path):
@@ -150,7 +149,7 @@ def _stage_simulate(rc: RunConfig, out: Path):
             write_detections(d / "detections.jsonl", seq)
             write_detections(d / "corrupted.jsonl", corrupted)
             write_clouds(d / "clouds", corrupted.clouds)
-            _write_gt_tracks(d / "gt_tracks.jsonl", seq, labels)
+            _write_gt_tracks(d / "gt_tracks.jsonl", labels)
             outputs += [d / "detections.jsonl", d / "corrupted.jsonl",
                         d / "gt_tracks.jsonl", d / "clouds"]
     return [], outputs
@@ -173,7 +172,7 @@ def run_train(rc: RunConfig, scenes, checkpoint, history):
     inputs, seqs, tracks = [], [], []
     for det_path, clouds_dir, track_path in scenes:
         seqs.append(_read_scene(rc, det_path, clouds_dir))
-        tracks.append(assoc.read_pseudo_tracks(track_path))
+        tracks.append(assoc.read_pseudo_tracks(track_path, seqs[-1]))
         inputs += [det_path, clouds_dir, track_path]
     net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed)
     cfg = rc.learn.trainer(seed=rc.seed, points_per_crop=rc.embed.points_per_crop)
@@ -293,7 +292,7 @@ def run_confidence_report(rc: RunConfig, scenes):
     inputs, correct, incorrect = [], [], []
     for det_path, track_path in scenes:
         seq = _read_boxes(rc, det_path)
-        labels, conf = assoc.read_pseudo_tracks(track_path)
+        labels, conf = assoc.read_pseudo_tracks(track_path, seq)
         c, w = evaluation.confidence_links(seq, labels, conf)
         correct += c
         incorrect += w

@@ -86,6 +86,10 @@ class MotSection:
     modes: tuple[str, ...] = MOT_MODES
 
     def __post_init__(self):
+        if not self.modes:
+            raise ValueError("modes must name at least one mode")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes must not repeat a mode, got {', '.join(self.modes)}")
         for mode in self.modes:
             MotConfig(mode=mode)  # checks the mode
 
@@ -171,7 +175,7 @@ def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
             for key, raw in parser["global"].items():
                 if key != "seed":
                     raise ConfigError(f"[global] unknown key {key!r}")
-                kwargs["seed"] = int(raw)
+                kwargs["seed"] = _parse_value("global", key, raw, RunConfig.seed)
             continue
         if sect not in _SECTION_TYPES:
             raise ConfigError(f"unknown section [{sect}]")

@@ -12,12 +12,12 @@ A detection has one crop, `detection_crop`, the only caller of
 `detection_embedder`, which crops and embeds each detection of a sequence
 once.
 
-Inference calls `forward`, which checks the parameters for finiteness on
-every call. Training calls `forward_argmax` instead: it also returns the
-arg-max point of each output coordinate, and leaves the finiteness check
-to the caller, once per step (`check_finite`). The max pool sends gradient
-only to those arg-max points, the crop's critical point set (Qi et al.,
-PointNet, CVPR 2017), so `backward` reruns the MLP on those rows alone.
+An `EmbedNet` checks its parameters for finiteness once, when it is built,
+so no pass re-checks them. Inference calls `forward`; training calls
+`forward_argmax`, which also returns the arg-max point of each output
+coordinate. The max pool sends gradient only to those arg-max points, the
+crop's critical point set (Qi et al., PointNet, CVPR 2017), so `backward`
+reruns the MLP on those rows alone.
 
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
@@ -42,11 +42,12 @@ DEFAULT_POINTS = 128
 NET_MAGIC = b"UANN"
 
 
-def canon_seed(cloud_ref: str, salt: int = 0) -> tuple[int, int]:
+def canon_seed(cloud_ref: str) -> tuple[int, int]:
     """Stable resampling seed derived from a cloud ref, independent of the
-    order in which detections are processed."""
+    order in which detections are processed. The trailing 0 is part of the
+    seed: dropping it would change every crop."""
     digest = hashlib.sha256(cloud_ref.encode("utf-8")).digest()
-    return (int.from_bytes(digest[:8], "little"), salt)
+    return (int.from_bytes(digest[:8], "little"), 0)
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,6 @@ class CanonicalCloud:
     """Fixed-size crop of a cloud expressed in its box's local frame."""
 
     points: np.ndarray  # (n, 3) float64
-    source: str
-    empty: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -68,14 +67,13 @@ class CanonicalCloud:
         object.__setattr__(self, "points", pts)
 
 
-def canonicalize(cloud: PointCloud, box: Box7, n: int, seed,
-                 source: str = "") -> CanonicalCloud:
+def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
     """Crop a world-frame cloud to a box and resample to exactly n points.
 
     Points are translated by -center and rotated by -yaw about z, then kept
     if they fall inside the axis-aligned extents. More than n survivors are
     subsampled without replacement, fewer are resampled with replacement.
-    A crop with zero survivors yields n copies of the origin, flagged empty.
+    A crop with zero survivors yields n copies of the origin.
     """
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
@@ -90,7 +88,7 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed,
     inside = local[mask]
     count = inside.shape[0]
     if count == 0:
-        return CanonicalCloud(points=np.zeros((n, 3)), source=source, empty=True)
+        return CanonicalCloud(points=np.zeros((n, 3)))
     rng = np.random.default_rng(seed)
     if count > n:
         idx = rng.choice(count, size=n, replace=False)
@@ -98,14 +96,13 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed,
         idx = rng.choice(count, size=n, replace=True)
     else:
         idx = np.arange(count)
-    return CanonicalCloud(points=inside[idx], source=source, empty=False)
+    return CanonicalCloud(points=inside[idx])
 
 
 def detection_crop(seq: Sequence, det: Detection, n: int) -> CanonicalCloud:
     """The canonical crop of a detection: its cloud cut to its box and
     resampled to n points with a seed taken from its cloud ref."""
-    return canonicalize(seq.cloud_of(det), det.box, n, seed=canon_seed(det.cloud_ref),
-                        source=det.cloud_ref)
+    return canonicalize(seq.cloud_of(det), det.box, n, seed=canon_seed(det.cloud_ref))
 
 
 def detection_embedder(net: "EmbedNet", seq: Sequence, n: int):
@@ -126,7 +123,10 @@ def detection_embedder(net: "EmbedNet", seq: Sequence, n: int):
 
 @dataclass(frozen=True)
 class EmbedNet:
-    """Per-point MLP + max pool. weights[k] has shape (out_k, in_k)."""
+    """Per-point MLP + max pool. weights[k] has shape (out_k, in_k).
+
+    Raises NumericalError when built with a NaN or infinite parameter.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -143,6 +143,8 @@ class EmbedNet:
             if w.shape[1] != prev:
                 raise ValueError(f"layer input {w.shape[1]} != previous output {prev}")
             prev = w.shape[0]
+        if not all(np.isfinite(a).all() for a in ws + bs):
+            raise NumericalError("network parameters contain non-finite values")
         for a in ws + bs:
             a.setflags(write=False)
         object.__setattr__(self, "weights", ws)
@@ -177,13 +179,6 @@ class EmbedNet:
         return cls(weights=tuple(weights), biases=tuple(biases))
 
 
-def check_finite(net: EmbedNet) -> None:
-    """Raise NumericalError if any weight or bias is NaN or infinite."""
-    for a in net.params():
-        if not np.isfinite(a).all():
-            raise NumericalError("network parameters contain non-finite values")
-
-
 def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
     """Per-point features of the shared MLP, one row per point."""
     x = points
@@ -197,7 +192,6 @@ def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
 
 def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
     """Embed a canonical cloud: shared per-point MLP, then max over points."""
-    check_finite(net)
     return _mlp(net, cloud.points).max(axis=0)
 
 
@@ -205,9 +199,7 @@ def forward_argmax(net: EmbedNet, cloud: CanonicalCloud) -> tuple[np.ndarray, np
     """Training forward pass: (embedding, arg), where arg[j] is the point
     that attains output coordinate j, the first one on a tie.
 
-    The embedding equals `forward`'s bit for bit. The parameters are not
-    checked for finiteness here; a training step checks them once with
-    `check_finite` before its first call.
+    The embedding equals `forward`'s bit for bit.
     """
     x = _mlp(net, cloud.points)
     arg = x.argmax(axis=0)

@@ -10,10 +10,13 @@ multiple sequences can be filtered concurrently without shared state.
 
 mahalanobis scores one track against many boxes: the innovation covariance
 S is the track's alone, so association factors it once per (frame, track)
-rather than once per (track, detection) pair.
+rather than once per (track, detection) pair. It is also the one place that
+factors a covariance: every state is born in init_track from a validated
+Detection and NoiseConfig, and predict and update symmetrise the covariance
+and wrap the yaw, so a state is not re-validated; a covariance that has lost
+definiteness raises NumericalError at its next mahalanobis.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,8 +31,6 @@ ANGLE = 3  # index of yaw in both state and observation
 H = np.zeros((OBS_DIM, STATE_DIM))
 H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
 H.setflags(write=False)
-
-_SYM_TOL = 1e-9
 
 
 class NumericalError(ArithmeticError):
@@ -80,30 +81,21 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class TrackState:
-    """Kalman mean/covariance plus track bookkeeping.
+    """Kalman mean/covariance plus the track's consecutive-miss count.
 
-    Invariants checked at construction: covariance symmetric to 1e-9,
-    positive definite (Cholesky succeeds), yaw component in [-pi, pi).
+    Construction only normalises: float64 copies of the right shapes, made
+    read-only. Symmetry, definiteness and the yaw range hold by how
+    init_track, predict and update build a state (see the module docstring).
     """
 
     mean: np.ndarray
     cov: np.ndarray
     track_id: int
-    age: int = 1
     misses: int = 0
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64).reshape(STATE_DIM).copy()
         cov = np.asarray(self.cov, dtype=np.float64).reshape(STATE_DIM, STATE_DIM).copy()
-        asym = float(np.abs(cov - cov.T).max())
-        if asym >= _SYM_TOL:
-            raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {_SYM_TOL}")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive definite") from exc
-        if not (-math.pi <= mean[ANGLE] < math.pi):
-            raise ValueError(f"state yaw {mean[ANGLE]} outside [-pi, pi)")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -117,13 +109,7 @@ def init_track(det: Detection, cfg: NoiseConfig, track_id: int) -> TrackState:
     """Birth a track from a detection: velocities zero, cov = diag(p0)."""
     mean = np.zeros(STATE_DIM)
     mean[:OBS_DIM] = det.box.to_array()
-    return TrackState(
-        mean=mean,
-        cov=np.diag(cfg.p0_diag),
-        track_id=track_id,
-        age=1,
-        misses=0,
-    )
+    return TrackState(mean=mean, cov=np.diag(cfg.p0_diag), track_id=track_id)
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -189,7 +175,7 @@ def mahalanobis(s: TrackState, boxes, cfg: NoiseConfig) -> np.ndarray:
 
 
 def update(s: TrackState, obs: Box7, cfg: NoiseConfig) -> TrackState:
-    """Standard Kalman correction; resets misses and increments age."""
+    """Standard Kalman correction; resets misses."""
     r, S = innovation(s, obs, cfg)
     try:
         # K = cov H' S^-1, using S symmetry: solve(S, H cov)' = cov H' S^-1
@@ -202,9 +188,9 @@ def update(s: TrackState, obs: Box7, cfg: NoiseConfig) -> TrackState:
     mean[ANGLE] = wrap_angle(mean[ANGLE])
     cov = (np.eye(STATE_DIM) - k @ H) @ s.cov
     cov = 0.5 * (cov + cov.T)
-    return replace(s, mean=mean, cov=cov, age=s.age + 1, misses=0)
+    return replace(s, mean=mean, cov=cov, misses=0)
 
 
 def mark_missed(s: TrackState) -> TrackState:
     """Bookkeeping for a frame with no associated detection."""
-    return replace(s, age=s.age + 1, misses=s.misses + 1)
+    return replace(s, misses=s.misses + 1)

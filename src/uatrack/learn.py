@@ -5,8 +5,8 @@ pseudo-tracks, mine the hardest same-frame negative for each anchor under
 the current network, weight each triplet's hinge loss by its cumulative
 association confidence, sum, and take one Adam step on exact gradients.
 
-Each crop in a step is embedded once (`embed.forward_argmax`), and the
-parameters are checked for finiteness once per step rather than per crop.
+Each crop in a step is embedded once (`embed.forward_argmax`); the
+step's network checks its parameters for finiteness once, when it is built.
 The gradient is linear in each crop's upstream vector for a fixed arg-max,
 so the upstream vectors of every triplet member that is the same crop are
 summed first, and `embed.backward` runs once per distinct crop, on its
@@ -280,8 +280,7 @@ class StepRecord:
 def memo_forward(net: embed.EmbedNet, crops):
     """Memoized `embed.forward_argmax`: DetRef -> (embedding, arg-max rows).
 
-    crops maps a DetRef to its CanonicalCloud. The caller checks net with
-    `embed.check_finite` first.
+    crops maps a DetRef to its CanonicalCloud.
     """
     cache: dict = {}
 
@@ -303,11 +302,10 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     triplets contribute nothing to the gradient; the mining arg-max is
     treated as frozen. Each crop's upstream vectors are summed, in the order
     the triplets first reach the crop, and backpropagated once. A
-    `memo_forward` of the same net may be passed as fwd; without one the
-    net is checked for finiteness here. Returns (loss_sum, grads, weight_sum).
+    `memo_forward` of the same net may be passed as fwd. Returns (loss_sum,
+    grads, weight_sum).
     """
     if fwd is None:
-        embed.check_finite(net)
         fwd = memo_forward(net, crops)
 
     loss_sum = 0.0
@@ -383,7 +381,6 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig):
                     triplets.append(t)
 
             current = embed.EmbedNet.from_params(params)
-            embed.check_finite(current)
             fwd = memo_forward(current, canon)
 
             def emb(ref: DetRef) -> np.ndarray:

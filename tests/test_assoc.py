@@ -38,30 +38,28 @@ def brute_force_greedy(m, gate, rows=None, cols=None, cost=None):
                     best = (cost[i][j], i, j)
         if best is None:
             break
-        pairs.append((best[1], best[2], m[best[1]][best[2]]))
+        pairs.append((best[1], best[2]))
         alive_r.remove(best[1])
         alive_c.remove(best[2])
-    return pairs, sorted(alive_r), sorted(alive_c)
+    return pairs, sorted(alive_c)
 
 
 class TestGreedy:
     def test_two_by_two_selection_order(self):
         res = greedy_associate([[1.0, 5.0], [2.0, 0.5]], gate=10.0)
-        assert [(p.track, p.det, p.distance) for p in res.pairs] == [
-            (1, 1, 0.5), (0, 0, 1.0)]
-        assert res.unmatched_tracks == () and res.unmatched_detections == ()
+        assert [(p.track, p.det) for p in res.pairs] == [(1, 1), (0, 0)]
+        assert res.unmatched_detections == ()
 
     def test_gate_blocks_suboptimal_pair(self):
         # greedy picks (0,0)=1 and then (1,1)=100 > gate; the globally optimal
         # assignment (0,1)+(1,0)=3.5 is intentionally not found
         res = greedy_associate([[1.0, 2.0], [1.5, 100.0]], gate=10.0)
-        assert [(p.track, p.det, p.distance) for p in res.pairs] == [(0, 0, 1.0)]
-        assert res.unmatched_tracks == (1,)
+        assert [(p.track, p.det) for p in res.pairs] == [(0, 0)]
         assert res.unmatched_detections == (1,)
 
     def test_empty_matrix(self):
         res = greedy_associate(np.zeros((0, 0)), gate=1.0)
-        assert res.pairs == () and res.unmatched_tracks == () and res.unmatched_detections == ()
+        assert res.pairs == () and res.unmatched_detections == ()
 
     def test_rectangular_unmatched(self):
         res = greedy_associate(np.zeros((0, 3)), gate=1.0)
@@ -90,19 +88,18 @@ class TestGreedy:
                 cost = np.round(cost, 1)
             for c in (None, cost):
                 got = greedy_associate(m, gate, c)
-                pairs, ur, uc = brute_force_greedy(
+                pairs, uc = brute_force_greedy(
                     m.tolist(), gate, rows=rows, cols=cols,
                     cost=None if c is None else c.tolist())
-                assert [(p.track, p.det, p.distance) for p in got.pairs] == pairs
-                assert list(got.unmatched_tracks) == ur
+                assert [(p.track, p.det) for p in got.pairs] == pairs
                 assert list(got.unmatched_detections) == uc
 
     def test_cost_ranks_but_never_admits(self):
         # (0, 1) is the cheapest pair but m = 20 is past the gate
         m = [[1.0, 20.0], [2.0, 3.0]]
         res = greedy_associate(m, gate=10.0, cost=[[0.5, 0.0], [0.1, 0.9]])
-        assert [(p.track, p.det, p.distance) for p in res.pairs] == [(1, 0, 2.0)]
-        assert res.unmatched_tracks == (0,) and res.unmatched_detections == (1,)
+        assert [(p.track, p.det) for p in res.pairs] == [(1, 0)]
+        assert res.unmatched_detections == (1,)
 
     def test_cost_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -342,6 +339,6 @@ class TestBuildPseudoTracks:
         seq = self._single_object_seq(8)
         labels, conf = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
         write_pseudo_tracks(tmp_path / "p.jsonl", labels, conf)
-        labels2, conf2 = read_pseudo_tracks(tmp_path / "p.jsonl")
+        labels2, conf2 = read_pseudo_tracks(tmp_path / "p.jsonl", seq)
         assert labels2 == labels
         assert conf2 == {k: list(v) for k, v in conf.items()}

@@ -1,11 +1,12 @@
 import ast
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uatrack import cli
+from uatrack import assoc, cli, embed, sim
 from uatrack.config import parse_config
 from uatrack.core import PointCloud, write_point_cloud
 
@@ -57,6 +58,30 @@ class TestPipeline:
         assert (tmp_path / "manifest.jsonl").read_bytes() == first
         stages = [json.loads(line)["stage"] for line in first.decode().splitlines()]
         assert stages == list(cli.STAGE_ORDER)
+
+    def test_gt_tracks_are_pseudo_tracks_an_oracle_run_trains_on(self, tiny_run, tmp_path):
+        """simulate writes each scene's true tracklets in the pseudo-track
+        format and nothing more: they read back as the simulator's labels
+        with unit link confidences, and [learn] mode = oracle trains on them."""
+        rc = parse_config(TINY, from_path=False)
+        scene = tiny_run / "sim" / "train_00"
+        path = scene / "gt_tracks.jsonl"
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert objs and all(set(obj) == {"track_id", "members", "link_conf"} for obj in objs)
+        _, want = sim.generate_sequence(cli._scene_config(rc, "train"),
+                                        cli._scene_seed(rc, "train", 0))
+        labels, conf = assoc.read_pseudo_tracks(
+            path, cli._read_scene(rc, scene / "detections.jsonl", scene / "clouds"))
+        assert labels == list(want)
+        assert conf == {lab.track_id: [1.0] * (len(lab.members) - 1) for lab in labels}
+        assoc.write_pseudo_tracks(tmp_path / "gt.jsonl", labels, conf)
+        assert (tmp_path / "gt.jsonl").read_bytes() == path.read_bytes()
+
+        oracle = replace(rc, learn=replace(rc.learn, mode="oracle"))
+        lines = cli.run_pipeline(oracle, ["simulate", "train"], tmp_path / "run")
+        assert "sim/train_00/gt_tracks.jsonl" in lines[1]["inputs"]
+        net = embed.load_checkpoint(tmp_path / "run" / "train" / "checkpoint.uann")
+        assert net.dim == 8
 
 
 def _main(capsys, argv):
@@ -140,6 +165,36 @@ class TestMalformedInput:
                                    str(tiny_run / "sim" / "train_00" / "corrupted.jsonl")])
         self.assert_one_line_error(code, err, f"pt.jsonl:{k + 1}: ")
 
+    @pytest.mark.parametrize("member", [[1, 99], [99, 0]], ids=["detection", "frame"])
+    @pytest.mark.parametrize("command", ["train", "confidence-report"])
+    def test_member_outside_the_scene(self, command, member, tiny_run, tiny_config,
+                                      tmp_path, capsys):
+        scene = tiny_run / "sim" / "train_00"
+        lines = (tiny_run / "pseudo" / "train_00.jsonl").read_text().splitlines()
+        lines.append(json.dumps({"track_id": 999, "members": [member], "link_conf": []}))
+        (tmp_path / "pt.jsonl").write_text("\n".join(lines) + "\n")
+        if command == "train":
+            argv = ["train", "--detections", scene / "corrupted.jsonl", "--clouds",
+                    scene / "clouds", "--out-checkpoint", tmp_path / "c.uann"]
+        else:
+            argv = ["confidence-report", "--gt-detections", scene / "corrupted.jsonl"]
+        code, err = _main(capsys, [*map(str, argv), "--pseudo-tracks", str(tmp_path / "pt.jsonl"),
+                                   "--config", str(tiny_config)])
+        self.assert_one_line_error(code, err, f"pt.jsonl:{len(lines)}: track 999: member")
+        assert not (tmp_path / "c.uann").exists()
+
+
+def _config_error(tmp_path, capsys, text):
+    """The stderr line of a pipeline run refused for its config."""
+    (tmp_path / "bad.cfg").write_text(text)
+    code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "bad.cfg"),
+                               "--out-dir", str(tmp_path / "run")])
+    assert code == 2 and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert not (tmp_path / "run").exists()
+    return lines[0]
+
 
 @pytest.mark.parametrize("section, key, value", [
     ("mot", "score_gate", "0.5"),
@@ -155,12 +210,19 @@ def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     setting = f"{key} = {value}\n"
     text = (TINY.replace(header, header + setting) if header in TINY
             else TINY + "\n" + header + setting)
-    (tmp_path / "old.cfg").write_text(text)
-    code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "old.cfg"),
-                               "--out-dir", str(tmp_path / "run"), "--stages", "mot-eval"])
-    assert code == 2 and "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1 and key in lines[0]
+    assert key in _config_error(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("modes", ["", "motion, motion",
+                                   "motion+score, motion, motion+score"])
+def test_mot_modes_empty_or_repeated_exit_2(modes, tmp_path, capsys):
+    line = _config_error(tmp_path, capsys, TINY + f"\n[mot]\nmodes = {modes}\n")
+    assert line.startswith("config error: [mot]: ")
+
+
+def test_non_integer_seed_exits_2(tmp_path, capsys):
+    line = _config_error(tmp_path, capsys, TINY.replace("seed = 3", "seed = abc"))
+    assert line.startswith("config error: [global] seed: ")
 
 
 MODES = ("motion", "motion+score", "motion+score+appearance")

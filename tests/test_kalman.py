@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uatrack import kalman
 from uatrack.core import Box7, Detection
@@ -34,7 +35,7 @@ class TestInit:
 
     def test_birth_counters(self):
         s = kalman.init_track(make_det(), NoiseConfig(), 0)
-        assert s.age == 1 and s.misses == 0
+        assert s.misses == 0
 
 
 class TestPredict:
@@ -146,10 +147,10 @@ class TestUpdate:
 
     def test_zero_residual_identity_on_mean(self):
         cfg = NoiseConfig()
-        s = kalman.init_track(make_det(1, 2, 3, 0.5), cfg, 0)
+        s = kalman.mark_missed(kalman.init_track(make_det(1, 2, 3, 0.5), cfg, 0))
         out = kalman.update(s, s.box(), cfg)
         np.testing.assert_allclose(out.mean, s.mean, atol=1e-12)
-        assert out.age == s.age + 1 and out.misses == 0
+        assert out.misses == 0
 
     def test_variance_monotone_under_repeated_updates(self):
         cfg = NoiseConfig()
@@ -223,5 +224,54 @@ class TestInvariants:
 
     def test_mark_missed(self):
         s = kalman.init_track(make_det(), NoiseConfig(), 0)
-        out = kalman.mark_missed(s)
-        assert out.misses == 1 and out.age == 2
+        out = kalman.mark_missed(kalman.mark_missed(s))
+        assert out.misses == 2
+        np.testing.assert_array_equal(out.mean, s.mean)
+        np.testing.assert_array_equal(out.cov, s.cov)
+
+    boxes = st.builds(Box7, *[st.floats(-50.0, 50.0)] * 3, st.floats(-10.0, 10.0),
+                      *[st.floats(0.5, 8.0)] * 3)
+    # One filter step: ("predict", dt), ("update", box) or ("missed", None).
+    steps = st.one_of(
+        st.tuples(st.just("predict"), st.floats(0.05, 2.0)),
+        st.tuples(st.just("update"), boxes),
+        st.tuples(st.just("missed"), st.none()),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=boxes, scale=st.sampled_from([0.1, 1.0, 10.0]),
+           ops=st.lists(steps, max_size=40))
+    def test_every_state_is_symmetric_pd_with_wrapped_yaw(self, first, scale, ops):
+        """What TrackState once re-checked on every construction holds for
+        every state that init_track, predict, update and mark_missed make."""
+        base = NoiseConfig()
+        cfg = NoiseConfig(q_diag=base.q_diag * scale, r_diag=base.r_diag * scale,
+                          p0_diag=base.p0_diag * scale)
+        s = kalman.init_track(
+            Detection(frame=0, box=first, score=1.0, cloud_ref="c"), cfg, 0)
+        for op, arg in [("init", None)] + ops:
+            if op == "predict":
+                s = kalman.predict(s, arg, cfg)
+            elif op == "update":
+                s = kalman.update(s, arg, cfg)
+            elif op == "missed":
+                s = kalman.mark_missed(s)
+            assert np.abs(s.cov - s.cov.T).max() < 1e-9
+            np.linalg.cholesky(s.cov)  # raises if not PD
+            assert -math.pi <= s.mean[3] < math.pi
+
+    def test_no_factoring_outside_mahalanobis(self, monkeypatch):
+        cfg = NoiseConfig()
+        s = kalman.init_track(make_det(), cfg, 0)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        s = kalman.predict(s, 0.5, cfg)
+        s = kalman.update(s, make_det(1.2, 2.1, 3.0, 0.1).box, cfg)
+        kalman.mark_missed(s)
+        assert calls == []

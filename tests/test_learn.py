@@ -46,7 +46,7 @@ class TestWeightedLoss:
 
     def _run(self, w):
         rng = np.random.default_rng(4)
-        clouds = {ref: embed.CanonicalCloud(points=rng.normal(size=(12, 3)), source="")
+        clouds = {ref: embed.CanonicalCloud(points=rng.normal(size=(12, 3)))
                   for ref in (DetRef(0, 0, 0), DetRef(0, 1, 0), DetRef(0, 0, 1))}
         net = embed.EmbedNet.random((3, 8, 4), seed=3)
         loss, grads, weight = batch_loss_and_grads(net, clouds.__getitem__, [self._triplet(w)],
@@ -279,14 +279,21 @@ class TestTrain:
         for a, b in zip(out.params(), ref_out.params()):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
-    def test_non_finite_params_raise(self):
+    def test_non_finite_params_raise(self, monkeypatch):
+        """A step whose update makes a parameter NaN stops training: the
+        network built from those parameters refuses them."""
         seqs, tracks = _mini_training_setup()
-        base = embed.EmbedNet.random((3, 8, 4), seed=2)
-        weights = [w.copy() for w in base.weights]
-        weights[1][0, 0] = np.nan
-        net = embed.EmbedNet(weights=tuple(weights), biases=base.biases)
+        net = embed.EmbedNet.random((3, 8, 4), seed=2)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1,
                             points_per_crop=16, seed=1)
+        adam_step = learn.adam_step
+
+        def poisoned(params, grads, state, cfg):
+            params, state = adam_step(params, grads, state, cfg)
+            params[1] = params[1] * np.nan
+            return params, state
+
+        monkeypatch.setattr(learn, "adam_step", poisoned)
         with pytest.raises(kalman.NumericalError, match="network parameters"):
             train(seqs, tracks, net, cfg)
 
@@ -373,12 +380,10 @@ class TestBatchGradients:
                     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_non_finite_net_rejected(self):
-        crops, batch = self._batch(size=2)
+        """No non-finite network reaches the loss: building one raises."""
         base = embed.EmbedNet.random((3, 8, 4), seed=0)
-        net = embed.EmbedNet(weights=base.weights,
-                             biases=(base.biases[0], np.full(4, np.inf)))
         with pytest.raises(kalman.NumericalError):
-            batch_loss_and_grads(net, crops, batch, 0.2)
+            embed.EmbedNet(weights=base.weights, biases=(base.biases[0], np.full(4, np.inf)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)

@@ -135,13 +135,32 @@ class TestTrackRows:
 
 
 class TestPseudoTracks:
+    # two frames of two detections each
+    SCENE = Sequence(
+        frames=tuple(FrameRecord(index=f, detections=tuple(
+            Detection(frame=f, box=Box7(d, 0, 0, 0, 1, 1, 1), score=1.0, cloud_ref="c")
+            for d in range(2))) for f in range(2)),
+        clouds={"c": PointCloud(np.zeros((0, 3)))})
+
     @pytest.mark.parametrize("conf", [b"-0.5", b"1.5", b"NaN"])
     def test_link_confidence_outside_unit_interval_names_line(self, tmp_path, conf):
         (tmp_path / "p.jsonl").write_bytes(
             b'{"track_id": 0, "members": [[0, 0], [1, 0]], "link_conf": [1.0]}\n'
             b'{"track_id": 1, "members": [[0, 1], [1, 1]], "link_conf": [' + conf + b']}\n')
         with pytest.raises(ValueError, match=r"p\.jsonl:2: track 1: link confidence"):
-            read_pseudo_tracks(tmp_path / "p.jsonl")
+            read_pseudo_tracks(tmp_path / "p.jsonl", self.SCENE)
+
+    @pytest.mark.parametrize("member, why", [
+        (b"[1, 2]", "frame 1 has 2 detections"),
+        (b"[1, -1]", "frame 1 has 2 detections"),
+        (b"[2, 0]", "the scene has no frame 2"),
+    ], ids=["detection", "negative", "frame"])
+    def test_member_outside_the_scene_names_line(self, tmp_path, member, why):
+        (tmp_path / "p.jsonl").write_bytes(
+            b'{"track_id": 0, "members": [[0, 0], [1, 0]], "link_conf": [1.0]}\n'
+            b'{"track_id": 1, "members": [[0, 1], ' + member + b'], "link_conf": [1.0]}\n')
+        with pytest.raises(ValueError, match=rf"p\.jsonl:2: track 1: member .*: {why}"):
+            read_pseudo_tracks(tmp_path / "p.jsonl", self.SCENE)
 
 
 class TestPointCloud:

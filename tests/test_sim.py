@@ -51,7 +51,7 @@ class TestGenerate:
                 crop = embed.canonicalize(
                     seq.cloud_of(det), det.box, n=seq.cloud_of(det).count, seed=0)
                 # canonicalize keeps only in-box points; all must survive
-                assert not crop.empty
+                assert crop.points.any()  # not the empty crop's origin points
                 half = np.array([det.box.l / 2, det.box.w / 2, det.box.h / 2])
                 assert (np.abs(crop.points) <= half + 1e-9).all()
                 # and none were discarded
