@@ -100,25 +100,23 @@ def _scene_seed(rc: RunConfig, split: str, index: int, salt: int = 0):
 
 
 def _scene_config(rc: RunConfig, split: str) -> sim.SceneConfig:
+    """The splits differ only in the test split's object count and in its
+    giving each object its own template."""
     s = rc.sim
-    if split == "test":
-        return sim.SceneConfig(
-            n_objects=s.test_objects, n_frames=s.frames, frame_period=s.frame_period,
-            bounds=s.bounds, crossings=min(s.crossings, s.test_objects // 2),
-            distinct_templates=True,
-        )
+    n = s.test_objects if split == "test" else s.objects
     return sim.SceneConfig(
-        n_objects=s.objects, n_frames=s.frames, frame_period=s.frame_period,
-        bounds=s.bounds, crossings=min(s.crossings, s.objects // 2),
+        n_objects=n, n_frames=s.frames, frame_period=s.frame_period, bounds=s.bounds,
+        crossings=min(s.crossings, n // 2), distinct_templates=split == "test",
     )
 
 
-def _noise_model(rc: RunConfig, corruption: bool) -> sim.NoiseModel:
+def _noise_model(rc: RunConfig) -> sim.NoiseModel:
+    """The detector noise of corrupt_detections; perturb_boxes reads only
+    its box noise."""
     s = rc.sim
     return sim.NoiseModel(
         center_pct=s.center_pct, size_pct=s.size_pct, yaw_deg=s.yaw_deg,
-        spurious_rate=s.spurious_rate if corruption else 0.0,
-        missed_rate=s.missed_rate if corruption else 0.0,
+        spurious_rate=s.spurious_rate, missed_rate=s.missed_rate,
     )
 
 
@@ -138,12 +136,12 @@ def _write_gt_tracks(path, labels) -> None:
 
 def _stage_simulate(rc: RunConfig, out: Path):
     outputs = []
+    noise = _noise_model(rc)
     for split, count in _split_counts(rc).items():
         scene = _scene_config(rc, split)
         for i in range(count):
             seq, labels = sim.generate_sequence(scene, _scene_seed(rc, split, i))
-            corrupted = sim.corrupt_detections(
-                seq, _noise_model(rc, corruption=True), _scene_seed(rc, split, i, 100))
+            corrupted = sim.corrupt_detections(seq, noise, _scene_seed(rc, split, i, 100))
             d = _scene_dir(out, split, i)
             d.mkdir(parents=True, exist_ok=True)
             write_detections(d / "detections.jsonl", seq)
@@ -175,8 +173,8 @@ def run_train(rc: RunConfig, scenes, checkpoint, history):
         tracks.append(assoc.read_pseudo_tracks(track_path, seqs[-1]))
         inputs += [det_path, clouds_dir, track_path]
     net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed)
-    cfg = rc.learn.trainer(seed=rc.seed, points_per_crop=rc.embed.points_per_crop)
-    net, rows = learn.train(seqs, tracks, net, cfg)
+    net, rows = learn.train(seqs, tracks, net, rc.learn, seed=rc.seed,
+                            points_per_crop=rc.embed.points_per_crop)
     embed.save_checkpoint(checkpoint, net)
     learn.write_loss_history(history, rows)
     return inputs, [checkpoint, history]
@@ -213,9 +211,9 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     for det_path, clouds_dir, targets in scenes:
         seq = _read_scene(rc, det_path, clouds_dir)
         for mode, target in targets.items():
-            mcfg = mot.MotConfig(mode=mode, assoc=rc.assoc,
-                                 points_per_crop=rc.embed.points_per_crop)
-            rows = mot.track_sequence(seq, rc.kalman, mcfg, net=net, model=models.get(mode))
+            rows = mot.track_sequence(seq, rc.kalman, rc.assoc, mode, net=net,
+                                      model=models.get(mode),
+                                      points_per_crop=rc.embed.points_per_crop)
             write_track_rows(target, rows)
             outputs.append(target)
         inputs += [det_path, clouds_dir]
@@ -231,11 +229,12 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, summary = [], {}
+    noise = _noise_model(rc)
     for noisy in {"off": [False], "on": [True], "both": [False, True]}[rc.eval.sot_noise]:
         tasks = []
         for i, seq in enumerate(seqs):
-            cand = (sim.perturb_boxes(seq, _noise_model(rc, corruption=False),
-                                      _scene_seed(rc, "test", i, 200)) if noisy else None)
+            cand = (sim.perturb_boxes(seq, noise, _scene_seed(rc, "test", i, 200))
+                    if noisy else None)
             tasks += evaluation.build_sot_tasks(seq, candidate_seq=cand)
         result = evaluation.sot_evaluate(net, tasks, rc.embed.points_per_crop)
         name = "noisy" if noisy else "clean"

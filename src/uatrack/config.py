@@ -15,7 +15,7 @@ from .assoc import AssocConfig
 from .embed import DEFAULT_POINTS, DEFAULT_WIDTHS
 from .kalman import NoiseConfig
 from .learn import TrainerConfig
-from .mot import MODES as MOT_MODES, MotConfig
+from .mot import MODES as MOT_MODES
 from .sim import NoiseModel, SceneConfig
 
 
@@ -58,27 +58,15 @@ class SimSection:
 
 
 @dataclass(frozen=True)
-class LearnSection:
-    margin: float = TrainerConfig.margin
-    learning_rate: float = TrainerConfig.learning_rate
-    batch_size: int = TrainerConfig.batch_size
-    epochs: int = TrainerConfig.epochs
-    max_gap: int = TrainerConfig.max_gap
-    beta1: float = TrainerConfig.beta1
-    beta2: float = TrainerConfig.beta2
-    adam_eps: float = TrainerConfig.adam_eps
-    use_uncertainty: bool = TrainerConfig.use_uncertainty
+class LearnSection(TrainerConfig):
+    """The trainer's config plus which tracks it trains on."""
+
     mode: str = "selfsup"  # selfsup | oracle
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in ("selfsup", "oracle"):
             raise ValueError(f"mode must be selfsup/oracle, got {self.mode!r}")
-
-    def trainer(self, seed: int, points_per_crop: int) -> TrainerConfig:
-        """The TrainerConfig with every field this section shares with it."""
-        shared = {f.name for f in fields(TrainerConfig)} & {f.name for f in fields(self)}
-        return TrainerConfig(seed=seed, points_per_crop=points_per_crop,
-                             **{name: getattr(self, name) for name in shared})
 
 
 @dataclass(frozen=True)
@@ -91,7 +79,8 @@ class MotSection:
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"modes must not repeat a mode, got {', '.join(self.modes)}")
         for mode in self.modes:
-            MotConfig(mode=mode)  # checks the mode
+            if mode not in MOT_MODES:
+                raise ValueError(f"mode must be one of {MOT_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -119,15 +108,8 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
 
-_SECTION_TYPES = {
-    "kalman": NoiseConfig,
-    "assoc": AssocConfig,
-    "embed": EmbedSection,
-    "learn": LearnSection,
-    "sim": SimSection,
-    "mot": MotSection,
-    "eval": EvalSection,
-}
+# every field but seed is a section, written in field order
+_SECTION_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}
 
 
 def _parse_value(section: str, key: str, raw: str, current):
@@ -188,7 +170,7 @@ def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
                 raise ConfigError(f"[{sect}] unknown key {key!r}")
             updates[key] = _parse_value(sect, key, raw, getattr(defaults, key))
         try:
-            kwargs[sect] = cls(**{**{f.name: getattr(defaults, f.name) for f in fields(cls)}, **updates})
+            kwargs[sect] = cls(**updates)
         except ValueError as exc:
             raise ConfigError(f"[{sect}]: {exc}") from exc
     return RunConfig(**kwargs)

@@ -44,8 +44,6 @@ class TrainerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int = 0
-    points_per_crop: int = embed.DEFAULT_POINTS
     use_uncertainty: bool = True
 
     def __post_init__(self):
@@ -55,8 +53,6 @@ class TrainerConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0 or self.max_gap < 1:
             raise ValueError("batch_size >= 1, epochs >= 0, max_gap >= 1 required")
-        if self.points_per_crop < 1:
-            raise ValueError("points_per_crop must be >= 1")
 
 
 class DetRef(NamedTuple):
@@ -99,9 +95,8 @@ def mine_hard_negative(anchor_emb, same_frame):
     """Pick the candidate with highest cosine to the anchor.
 
     same_frame is a list of (det_index, embedding) pairs excluding the
-    anchor and its own track; returns the winning det_index or None when
-    the list is empty (caller skips the triplet). Ties go to the lowest
-    det_index.
+    anchor; returns the winning det_index or None when the list is empty.
+    Ties go to the lowest det_index.
     """
     best_idx = None
     best_cos = -math.inf
@@ -125,14 +120,12 @@ class TripletSource:
         link confidences, member index pairs (i, j), i < j, whose frame gap
         is within max_gap, in ascending (i, j) order)
     frame_map[(seq, frame)]: that frame's FrameRecord
-    track_of[(seq, frame, det)]: pseudo-track id owning that detection
     total_members: members of every pseudo-track, whatever its length
     """
 
     seqs: tuple[Sequence, ...]
     tracks: tuple[tuple[int, TrackletLabel, tuple[float, ...], tuple[tuple[int, int], ...]], ...]
     frame_map: dict
-    track_of: dict
     total_members: int
 
 
@@ -143,7 +136,6 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
     """
     entries = []
     frame_map: dict = {}
-    track_of: dict = {}
     total = 0
     for si, seq in enumerate(seqs):
         labels, conf = tracks_per_seq[si]
@@ -156,8 +148,6 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
                     f"track {lab.track_id}: link confidences do not match members"
                 )
             total += len(lab.members)
-            for f, d in lab.members:
-                track_of[(si, f, d)] = lab.track_id
             members = lab.members
             if len(members) >= 2:
                 pairs = tuple(
@@ -173,7 +163,6 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
         seqs=tuple(seqs),
         tracks=tuple(entries),
         frame_map=frame_map,
-        track_of=track_of,
         total_members=total,
     )
 
@@ -205,19 +194,11 @@ def sample_triplet(src: TripletSource, rng) -> Triplet | None:
 
 
 def negative_candidates(src: TripletSource, anchor: DetRef) -> list[int]:
-    """Detection indices in the anchor's frame usable as negatives: everything
-    except the anchor itself and members of the anchor's own pseudo-track."""
+    """Detection indices in the anchor's frame usable as negatives: every
+    detection but the anchor. A pseudo-track has at most one member per
+    frame, so none of them belongs to the anchor's own track."""
     rec = src.frame_map[(anchor.seq, anchor.frame)]
-    own = src.track_of.get((anchor.seq, anchor.frame, anchor.det))
-    out = []
-    for d in range(len(rec.detections)):
-        if d == anchor.det:
-            continue
-        cand_track = src.track_of.get((anchor.seq, anchor.frame, d))
-        if own is not None and cand_track == own:
-            continue
-        out.append(d)
-    return out
+    return [d for d in range(len(rec.detections)) if d != anchor.det]
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +320,12 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     return loss_sum, grads, weight_sum
 
 
-def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig):
+def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
+          seed: int = 0, points_per_crop: int = embed.DEFAULT_POINTS):
     """Run the full triplet-training loop; returns (trained net, history).
+
+    seed drives the sampling generator; each crop is canonicalized to
+    points_per_crop points.
 
     One epoch is ceil(total pseudo-track members / batch size) steps. Each
     triplet's negative is the hardest of its `negative_candidates`: the one
@@ -350,7 +335,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig):
     triplet weight.
     """
     src = build_triplet_source(seqs, tracks_per_seq, cfg.max_gap)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     params = net.params()
     adam = AdamState.init(params)
     canon_cache: dict = {}
@@ -361,7 +346,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig):
         if got is None:
             det = src.frame_map[(ref.seq, ref.frame)].detections[ref.det]
             got = canon_cache[ref] = embed.detection_crop(
-                src.seqs[ref.seq], det, cfg.points_per_crop)
+                src.seqs[ref.seq], det, points_per_crop)
         return got
 
     steps_per_epoch = max(1, math.ceil(src.total_members / cfg.batch_size))
@@ -390,8 +375,6 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig):
             completed: list[Triplet] = []
             for t in triplets:
                 cands = negative_candidates(src, t.anchor)
-                if not cands:
-                    continue
                 e_a = emb(t.anchor)
                 pairs = [(d, emb(DetRef(t.anchor.seq, t.anchor.frame, d))) for d in cands]
                 n_det = mine_hard_negative(e_a, pairs)

@@ -167,17 +167,6 @@ def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
             return
 
 
-@dataclass(frozen=True)
-class MotConfig:
-    mode: str = "motion"
-    assoc: AssocConfig = AssocConfig()
-    points_per_crop: int = embed.DEFAULT_POINTS
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
 class _PairFeatures:
     """One sequence's association features, shared by `track_sequence` and
     `harvest_features`: the embedding of each detection and each track
@@ -213,25 +202,29 @@ class _PairFeatures:
         return self.dets[det_idx]
 
 
-def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
+def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, mode: str,
                    net: embed.EmbedNet | None = None,
-                   model: LogisticModel | None = None) -> list[TrackRow]:
-    """Track a sequence and emit one row per (frame, matched track).
+                   model: LogisticModel | None = None,
+                   points_per_crop: int = embed.DEFAULT_POINTS) -> list[TrackRow]:
+    """Track a sequence in one of MODES and emit one row per (frame,
+    matched track).
 
     Pairs are admitted by the Mahalanobis gate in every mode; motion mode
     ranks them by m, the fused modes by 1 - A_ij. Appearance mode refreshes
     each track's embedding to its matched detection's embedding.
     """
-    use_appearance = mcfg.mode == "motion+score+appearance"
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    use_appearance = mode == "motion+score+appearance"
     if use_appearance and net is None:
         raise ValueError("appearance mode requires an embedding checkpoint")
-    if mcfg.mode != "motion" and model is None:
-        raise ValueError(f"mode {mcfg.mode!r} requires a fitted logistic model")
-    pairs = _PairFeatures(seq, net if use_appearance else None, mcfg.points_per_crop)
+    if mode != "motion" and model is None:
+        raise ValueError(f"mode {mode!r} requires a fitted logistic model")
+    pairs = _PairFeatures(seq, net if use_appearance else None, points_per_crop)
 
     def cost_fn(states, rec, m, admitted):
         pairs.frame(rec)
-        if mcfg.mode == "motion":
+        if mode == "motion":
             return m
         cost = np.ones_like(m)
         for i, j, fv in pairs.features(states, m, admitted):
@@ -246,7 +239,7 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, mcfg: MotConfig,
             frame=det.frame, track_id=track_id, box=state.box(), score=det.score,
         ))
 
-    run_tracker(seq, kcfg, mcfg.assoc, cost_fn=cost_fn, on_match=on_match,
+    run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match,
                 collect_confidence=False)
     rows.sort(key=lambda r: (r.frame, r.track_id))
     return rows

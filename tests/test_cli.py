@@ -201,11 +201,14 @@ def _config_error(tmp_path, capsys, text):
     ("assoc", "distance", "sqrt"),
     ("learn", "hard_negative_mining", "true"),
     ("sim", "dropout_rate", "0.0"),
+    ("learn", "seed", "5"),
+    ("learn", "points_per_crop", "32"),
 ])
 def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     """Keys whose options are gone (the fused modes' score gate, the squared
-    Mahalanobis variant, random negatives, cloud dropout) are refused, not
-    ignored."""
+    Mahalanobis variant, random negatives, cloud dropout), and keys set in
+    another section (the trainer's seed is [global] seed, its crop size
+    [embed] points_per_crop), are refused, not ignored."""
     header = f"[{section}]\n"
     setting = f"{key} = {value}\n"
     text = (TINY.replace(header, header + setting) if header in TINY

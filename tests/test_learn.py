@@ -232,9 +232,8 @@ class TestTrain:
     def test_zero_lr_bit_identical(self):
         seqs, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
-        cfg = TrainerConfig(learning_rate=0.0, batch_size=4, epochs=1,
-                            points_per_crop=16, seed=0)
-        out, history = train(seqs, tracks, net, cfg)
+        cfg = TrainerConfig(learning_rate=0.0, batch_size=4, epochs=1)
+        out, history = train(seqs, tracks, net, cfg, seed=0, points_per_crop=16)
         for a, b in zip(out.params(), net.params()):
             np.testing.assert_array_equal(a, b)
         assert history
@@ -244,20 +243,18 @@ class TestTrain:
         labels, conf = tracks[0]
         conf = {tid: [0.0] * len(v) for tid, v in conf.items()}
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
-        cfg = TrainerConfig(learning_rate=1e-2, batch_size=4, epochs=1,
-                            points_per_crop=16, seed=0)
-        out, _ = train(seqs, [(labels, conf)], net, cfg)
+        cfg = TrainerConfig(learning_rate=1e-2, batch_size=4, epochs=1)
+        out, _ = train(seqs, [(labels, conf)], net, cfg, seed=0, points_per_crop=16)
         for a, b in zip(out.params(), net.params()):
             np.testing.assert_array_equal(a, b)
 
     def test_deterministic_given_seed(self, tmp_path):
         seqs, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
-        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=2,
-                            points_per_crop=16, seed=7)
+        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=2)
         files = []
         for run in range(2):
-            out, history = train(seqs, tracks, net, cfg)
+            out, history = train(seqs, tracks, net, cfg, seed=7, points_per_crop=16)
             embed.save_checkpoint(tmp_path / f"{run}.uann", out)
             learn.write_loss_history(tmp_path / f"{run}.csv", history)
             files.append(((tmp_path / f"{run}.uann").read_bytes(),
@@ -267,11 +264,10 @@ class TestTrain:
     def test_history_matches_dense_per_member_path(self, monkeypatch):
         seqs, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
         net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
-        cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4,
-                            points_per_crop=32, seed=2)
-        out, history = train(seqs, tracks, net, cfg)
+        cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
+        out, history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=32)
         monkeypatch.setattr(learn, "batch_loss_and_grads", dense_batch_loss_and_grads)
-        ref_out, ref_history = train(seqs, tracks, net, cfg)
+        ref_out, ref_history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=32)
         assert len(history) == len(ref_history) > 10
         for r, q in zip(history, ref_history):
             assert r.mean_weight == q.mean_weight
@@ -284,8 +280,7 @@ class TestTrain:
         network built from those parameters refuses them."""
         seqs, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
-        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1,
-                            points_per_crop=16, seed=1)
+        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1)
         adam_step = learn.adam_step
 
         def poisoned(params, grads, state, cfg):
@@ -295,14 +290,13 @@ class TestTrain:
 
         monkeypatch.setattr(learn, "adam_step", poisoned)
         with pytest.raises(kalman.NumericalError, match="network parameters"):
-            train(seqs, tracks, net, cfg)
+            train(seqs, tracks, net, cfg, seed=1, points_per_crop=16)
 
     def test_loss_decreases_on_shape_dataset(self):
         seqs, tracks = _mini_training_setup(seed=5, n_frames=16, n_objects=4)
         net = embed.EmbedNet.random((3, 32, 32, 32), seed=0)
-        cfg = TrainerConfig(learning_rate=3e-3, batch_size=16, epochs=30,
-                            points_per_crop=48, seed=0)
-        _, history = train(seqs, tracks, net, cfg)
+        cfg = TrainerConfig(learning_rate=3e-3, batch_size=16, epochs=30)
+        _, history = train(seqs, tracks, net, cfg, seed=0, points_per_crop=48)
         k = max(1, len(history) // 6)
         first = np.mean([r.mean_loss for r in history[:k]])
         last = np.mean([r.mean_loss for r in history[-k:]])
@@ -315,7 +309,7 @@ class TestTrain:
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
         with pytest.raises(TrainingDataExhausted):
             train(seqs, [(singles, {l.track_id: [] for l in singles})], net,
-                  TrainerConfig(batch_size=2, epochs=1, points_per_crop=8))
+                  TrainerConfig(batch_size=2, epochs=1), points_per_crop=8)
 
     def test_negative_is_the_hardest_candidate(self, monkeypatch):
         """Every negative train picks has the highest cosine to the anchor
@@ -331,32 +325,26 @@ class TestTrain:
         # six objects, so that anchors have up to five candidates to rank
         seqs, tracks = _mini_training_setup(n_objects=6)
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
-        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1,
-                            points_per_crop=16, seed=1)
-        train(seqs, tracks, net, cfg)
+        cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1)
+        train(seqs, tracks, net, cfg, seed=1, points_per_crop=16)
         assert calls and max(len(same_frame) for _, same_frame, _ in calls) > 2
         for anchor_emb, same_frame, pick in calls:
             cos = {d: embed.cosine(anchor_emb, e) for d, e in same_frame}
             assert all(c <= cos[pick] + 1e-12 for c in cos.values())
 
 
+def _crops(src, n):
+    """DetRef -> the detection's crop of n points, as train makes it."""
+    return lambda ref: embed.detection_crop(
+        src.seqs[ref.seq], src.frame_map[(ref.seq, ref.frame)].detections[ref.det], n)
+
+
 class TestBatchGradients:
     @staticmethod
     def _batch(seed=0, size=48):
         seqs, tracks = _mini_training_setup(seed=seed, n_frames=8, n_objects=4)
-        cfg = TrainerConfig(points_per_crop=24, max_gap=3)
-        src = build_triplet_source(seqs, tracks, cfg.max_gap)
+        src = build_triplet_source(seqs, tracks, max_gap=3)
         rng = np.random.default_rng(seed)
-        cache = {}
-
-        def crops(ref):
-            if ref not in cache:
-                det = src.frame_map[(ref.seq, ref.frame)].detections[ref.det]
-                cache[ref] = embed.canonicalize(
-                    seqs[ref.seq].cloud_of(det), det.box, cfg.points_per_crop,
-                    seed=embed.canon_seed(det.cloud_ref))
-            return cache[ref]
-
         batch = []
         while len(batch) < size:
             t = sample_triplet(src, rng)
@@ -364,7 +352,7 @@ class TestBatchGradients:
             if cands:
                 n_det = cands[int(rng.integers(len(cands)))]
                 batch.append(replace(t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
-        return crops, batch
+        return _crops(src, 24), batch
 
     def test_aggregation_equals_per_member_sum(self):
         crops, batch = self._batch()
@@ -388,18 +376,8 @@ class TestBatchGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         seqs, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3)
-        cfg = TrainerConfig(points_per_crop=12)
-        src = build_triplet_source(seqs, tracks, cfg.max_gap)
-
-        crops_cache = {}
-
-        def crops(ref):
-            if ref not in crops_cache:
-                det = src.frame_map[(ref.seq, ref.frame)].detections[ref.det]
-                crops_cache[ref] = embed.canonicalize(
-                    seqs[ref.seq].cloud_of(det), det.box, cfg.points_per_crop,
-                    seed=embed.canon_seed(det.cloud_ref))
-            return crops_cache[ref]
+        src = build_triplet_source(seqs, tracks, TrainerConfig.max_gap)
+        crops = _crops(src, 12)
 
         checked = 0
         for trial in range(40):

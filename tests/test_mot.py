@@ -70,7 +70,7 @@ class TestMotionModeEquivalence:
     def test_rows_follow_pseudo_tracks(self, seed):
         seq = _scene(seed)
         labels, _ = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
-        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode="motion", assoc=ACFG))
+        rows = mot.track_sequence(seq, KCFG, ACFG, "motion")
         frames_of: dict[int, list[int]] = {}
         for r in rows:
             frames_of.setdefault(r.track_id, []).append(r.frame)
@@ -181,8 +181,7 @@ class TestAdmission:
         seq = _box_seq(self._walk(1.0))
         assert self._m_last(seq) <= ACFG.gate
         model = _cosine_model(0.0, -3.0)  # A = 0.047 for every pair
-        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode=mode, assoc=ACFG),
-                                  net=NET, model=model)
+        rows = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model)
         assert [r.track_id for r in rows] == [0] * 7
 
     @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])
@@ -190,8 +189,7 @@ class TestAdmission:
         seq = _box_seq(self._walk(40.0))
         assert self._m_last(seq) > ACFG.gate
         model = _cosine_model(0.0, 30.0)  # A = 1 - 1e-13 for every pair
-        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode=mode, assoc=ACFG),
-                                  net=NET, model=model)
+        rows = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model)
         assert [r.track_id for r in rows] == [0] * 6 + [1]
 
 
@@ -209,7 +207,7 @@ class TestBounce:
 
     def test_motion_switches_and_appearance_does_not(self, monkeypatch):
         seq = self._seq()
-        motion = _gt_tracks(seq, mot.track_sequence(seq, KCFG, mot.MotConfig(assoc=ACFG)))
+        motion = _gt_tracks(seq, mot.track_sequence(seq, KCFG, ACFG, "motion"))
         assert any(len(set(ids)) > 1 for ids in motion.values())
 
         def embedder(net, seq, n):  # one-hot by ground-truth identity
@@ -219,8 +217,7 @@ class TestBounce:
         # A = 0.38 for the same car and 0.011 for the other: a true
         # continuation scores below one half, yet it is admitted and wins
         model = _cosine_model(4.0, -4.5)
-        rows = mot.track_sequence(seq, KCFG, mot.MotConfig(mode="motion+score+appearance",
-                                                          assoc=ACFG),
+        rows = mot.track_sequence(seq, KCFG, ACFG, "motion+score+appearance",
                                   net=NET, model=model)
         fused = _gt_tracks(seq, rows)
         assert fused == {0: [0] * 17, 1: [1] * 17}
