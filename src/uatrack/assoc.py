@@ -3,10 +3,12 @@
 The association kernel is shared: `run_tracker` drives predict -> greedy
 association -> update over a sequence for both the pseudo-label path
 (`build_pseudo_tracks`) and the multi-object tracker (mot.track_sequence).
-It has one admission rule: each frame it computes the Mahalanobis matrix m
-of the predicted tracks against the detections once, and a (track,
-detection) pair may be linked only if m <= AssocConfig.gate. A caller's
-cost hook only ranks the admitted pairs; without one they are ranked by m.
+It holds the live tracks as one stacked Kalman state, so each step of a
+frame is one call for all of them. It has one admission rule: each frame it
+computes the Mahalanobis matrix m of the predicted tracks against the
+detections once, and a (track, detection) pair may be linked only if
+m <= AssocConfig.gate. A caller's cost hook only ranks the admitted pairs;
+without one they are ranked by m.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kalman
-from .core import Sequence, TrackletLabel, read_jsonl
+from .core import Box7, Sequence, TrackletLabel, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,6 @@ def cumulative_confidence(per_step) -> float:
 # tracking loop
 
 
-@dataclass
-class _Live:
-    state: kalman.TrackState
-    members: list
-    link_conf: list
-
-
 @dataclass(frozen=True)
 class TrackerRun:
     """The tracklets the shared loop built and their link confidences."""
@@ -160,86 +155,88 @@ def run_tracker(
 ) -> TrackerRun:
     """Drive predict -> greedy associate -> update across a sequence.
 
-    Each frame's Mahalanobis matrix m is computed here, once, and a pair is
-    admitted iff m <= acfg.gate. cost_fn(states, frame_record, m, admitted)
-    may return a matrix that ranks the pairs in the boolean mask `admitted`
-    (its other entries are ignored); without it the pairs rank by m.
-    on_match(track_id, det_index, state) observes every match and every
-    birth with the resulting posterior state (used by the appearance
-    tracker to maintain per-track embeddings and by the MOT output path).
-    Link confidences are computed on m.
+    The live tracks are one stacked state, in birth order: Kalman means
+    (T, 11) and covariances (T, 11, 11), track ids and consecutive-miss
+    counts. Each frame makes one kalman.predict of every track, one
+    Mahalanobis matrix m of every (track, detection) pair and one
+    kalman.update of the matched tracks; a track unmatched for
+    acfg.max_age frames in a row is dropped, and each unmatched detection
+    is appended as a newborn track.
+
+    A pair is admitted iff m <= acfg.gate. cost_fn(ids, frame_record, m,
+    admitted) gets the ids of the live tracks in the row order of m, and may
+    return a matrix that ranks the pairs in the boolean mask `admitted` (its
+    other entries are ignored); without it the pairs rank by m.
+    on_match(track_id, det_index, box) observes every match, in greedy
+    selection order, with the track's posterior box, and then every birth
+    with its detection's box (used by the appearance tracker to maintain
+    per-track embeddings and by the MOT output path). Link confidences are
+    computed on m.
     """
-    live: list[_Live] = []
-    order: dict[int, _Live] = {}
-    next_id = 0
+    mean = np.zeros((0, kalman.STATE_DIM))
+    cov = np.zeros((0, kalman.STATE_DIM, kalman.STATE_DIM))
+    ids = np.zeros(0, dtype=np.int64)
+    misses = np.zeros(0, dtype=np.int64)
+    members: list[list[tuple[int, int]]] = []  # indexed by track id
+    link_conf: list[list[float]] = []
     prev_index = None
 
     for rec in seq.frames:
-        if prev_index is not None and live:
+        if prev_index is not None and len(ids):
             dt = (rec.index - prev_index) * seq.frame_period
-            for tr in live:
-                tr.state = kalman.predict(tr.state, dt, kcfg)
+            mean, cov = kalman.predict(mean, cov, dt, kcfg)
         prev_index = rec.index
 
-        states = [tr.state for tr in live]
-        m = mahalanobis_matrix(states, rec.detections, kcfg)
-        cost = None if cost_fn is None else cost_fn(states, rec, m, m <= acfg.gate)
+        boxes = np.array([det.box.to_array() for det in rec.detections]).reshape(
+            -1, kalman.OBS_DIM)
+        m = mahalanobis_matrix(mean, cov, boxes, kcfg)
+        cost = None if cost_fn is None else cost_fn(ids, rec, m, m <= acfg.gate)
         res = greedy_associate(m, acfg.gate, cost)
 
+        rows = [p.track for p in res.pairs]
+        if rows:
+            mean[rows], cov[rows] = kalman.update(
+                mean[rows], cov[rows], boxes[[p.det for p in res.pairs]], kcfg)
         for pair in res.pairs:
-            tr = live[pair.track]
+            tid = int(ids[pair.track])
             if collect_confidence:
-                tr.link_conf.append(association_confidence(m, pair.track, pair.det, acfg.eps))
-            det = rec.detections[pair.det]
-            tr.state = kalman.update(tr.state, det.box, kcfg)
-            tr.members.append((rec.index, pair.det))
+                link_conf[tid].append(association_confidence(m, pair.track, pair.det, acfg.eps))
+            members[tid].append((rec.index, pair.det))
             if on_match is not None:
-                on_match(tr.state.track_id, pair.det, tr.state)
+                on_match(tid, pair.det, Box7.from_array(mean[pair.track, :kalman.OBS_DIM]))
 
-        survivors = []
-        matched = {p.track for p in res.pairs}
-        for idx, tr in enumerate(live):
-            if idx in matched:
-                survivors.append(tr)
-                continue
-            tr.state = kalman.mark_missed(tr.state)
-            if tr.state.misses < acfg.max_age:
-                survivors.append(tr)
-        for j in res.unmatched_detections:
-            tr = _Live(
-                state=kalman.init_track(rec.detections[j], kcfg, next_id),
-                members=[(rec.index, j)],
-                link_conf=[],
-            )
-            order[next_id] = tr
-            survivors.append(tr)
+        misses += 1
+        misses[rows] = 0
+        keep = misses < acfg.max_age
+        born = list(res.unmatched_detections)
+        born_mean, born_cov = kalman.init_tracks(boxes[born], kcfg)
+        born_ids = np.arange(len(members), len(members) + len(born))
+        for tid, j in zip(born_ids.tolist(), born):
+            members.append([(rec.index, j)])
+            link_conf.append([])
             if on_match is not None:
-                on_match(next_id, j, tr.state)
-            next_id += 1
-        live = survivors
+                on_match(tid, j, rec.detections[j].box)
+        mean = np.concatenate([mean[keep], born_mean])
+        cov = np.concatenate([cov[keep], born_cov])
+        ids = np.concatenate([ids[keep], born_ids])
+        misses = np.concatenate([misses[keep], np.zeros(len(born), dtype=np.int64)])
 
-    labels = tuple(
-        TrackletLabel(track_id=tid, members=tuple(order[tid].members))
-        for tid in sorted(order)
-    )
-    link_conf = {tid: list(order[tid].link_conf) for tid in sorted(order)}
-    return TrackerRun(labels=labels, link_conf=link_conf)
+    labels = tuple(TrackletLabel(track_id=tid, members=tuple(mem))
+                   for tid, mem in enumerate(members))
+    return TrackerRun(labels=labels, link_conf=dict(enumerate(link_conf)))
 
 
-def mahalanobis_matrix(states, detections, kcfg: kalman.NoiseConfig) -> np.ndarray:
+def mahalanobis_matrix(mean, cov, boxes, kcfg: kalman.NoiseConfig) -> np.ndarray:
     """Track x detection square-root Mahalanobis distances sqrt(r' S^-1 r),
-    the m that `AssocConfig.gate` bounds.
+    the m that `AssocConfig.gate` bounds, for the stacked tracks (mean, cov)
+    against the rows of boxes.
 
-    One `kalman.mahalanobis` call per track scores all of the frame's
-    detections against that track's single factor of S; a frame without
-    detections factors nothing.
+    One `kalman.mahalanobis` call scores every pair, factoring each track's
+    S once; a frame without tracks or detections factors nothing.
     """
-    boxes = [det.box for det in detections]
-    m = np.zeros((len(states), len(boxes)))
-    if boxes:
-        for i, s in enumerate(states):
-            m[i] = kalman.mahalanobis(s, boxes, kcfg)
-    return m
+    if len(mean) and len(boxes):
+        return kalman.mahalanobis(mean, cov, boxes, kcfg)
+    return np.zeros((len(mean), len(boxes)))
 
 
 def build_pseudo_tracks(

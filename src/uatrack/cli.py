@@ -183,17 +183,20 @@ def run_train(rc: RunConfig, scenes, checkpoint, history):
 def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
     """Fit the association-score model of each fused mode in `models`
     ({mode: target}) on the pairs of all (detections, clouds) scenes. The
-    appearance mode embeds with the checkpoint; the other fits without it."""
+    motion tracker makes the same decisions in every mode, so the scenes are
+    harvested once, embedding with the checkpoint when the appearance mode
+    is fitted; the other mode fits the same pairs with the cosine at 0."""
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
     net = embed.load_checkpoint(checkpoint) if APPEARANCE in models else None
-    seqs = [_read_scene(rc, det_path, clouds_dir) for det_path, clouds_dir in scenes]
+    examples = [ex for det_path, clouds_dir in scenes for ex in mot.harvest_features(
+        _read_scene(rc, det_path, clouds_dir), rc.kalman, rc.assoc, net=net,
+        points_per_crop=rc.embed.points_per_crop)]
     for mode, target in models.items():
-        # the examples die with the fit call, so one mode's are held at a time
-        mot.save_logistic(target, mot.fit_logistic([
-            ex for seq in seqs for ex in mot.harvest_features(
-                seq, rc.kalman, rc.assoc, net=net if mode == APPEARANCE else None,
-                points_per_crop=rc.embed.points_per_crop)]))
+        # a derived list dies with its fit call, so one is held at a time
+        mot.save_logistic(target, mot.fit_logistic(
+            examples if mode == APPEARANCE
+            else [(mot.FeatureVector.build(fv.m, 0.0, fv.d), lbl) for fv, lbl in examples]))
     inputs = [p for scene in scenes for p in scene] + ([checkpoint] if net is not None else [])
     return inputs, list(models.values())
 

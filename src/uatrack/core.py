@@ -48,6 +48,26 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
+def wrap_angles(theta) -> np.ndarray:
+    """wrap_angle over an array: a new float64 array whose every entry is
+    bit for bit what wrap_angle gives for it (numpy's float remainder takes
+    the sign of the divisor, as Python's does).
+
+    Raises:
+        ValueError: if an entry is NaN or infinite.
+    """
+    theta = np.array(theta, dtype=np.float64)
+    bad = ~np.isfinite(theta)
+    if bad.any():
+        raise ValueError(f"angle must be finite, got {float(theta[bad][0])!r}")
+    out = (theta < -math.pi) | (theta >= math.pi)
+    if out.any():
+        r = (theta[out] + math.pi) % TWO_PI - math.pi
+        r[r >= math.pi] -= TWO_PI
+        theta[out] = r
+    return theta
+
+
 @dataclass(frozen=True)
 class Box7:
     """Oriented 3D bounding box: center (x, y, z), yaw about +z, extents.

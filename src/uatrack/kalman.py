@@ -1,27 +1,33 @@
-"""Constant-velocity Kalman filter over the 11-dim object state.
+"""Constant-velocity Kalman filter over a stack of 11-dim object states.
 
 State layout: (x, y, z, a, l, w, h, v_x, v_y, v_z, v_a) with `a` the box
 yaw. Observations are the first seven components (a detected box). The
 motion model moves position and yaw at their velocity components; extents
 carry no velocity and only drift through process noise.
 
-predict/update are pure functions returning new TrackState values, so
-multiple sequences can be filtered concurrently without shared state.
+Every function takes the states of T tracks as one stack, means (T, 11) and
+covariances (T, 11, 11), and returns new arrays, so one call filters all
+live tracks of a frame and nothing is shared between calls. numpy runs the
+stacked matmul, cholesky and solve slice by slice with the same BLAS/LAPACK
+call as the 2-D form, so a track's numbers are bit for bit those of
+filtering it alone, whatever else is in its stack. That holds only while
+each mean is moved by a matrix-vector product per slice (`f @ mean`, never
+`means @ f.T`) and each residual is its own right-hand side of `solve`.
 
-mahalanobis scores one track against many boxes: the innovation covariance
-S is the track's alone, so association factors it once per (frame, track)
-rather than once per (track, detection) pair. It is also the one place that
-factors a covariance: every state is born in init_track from a validated
-Detection and NoiseConfig, and predict and update symmetrise the covariance
-and wrap the yaw, so a state is not re-validated; a covariance that has lost
+mahalanobis scores every track against every box: the innovation covariance
+S is a track's alone, so it is factored once per (frame, track) rather than
+once per (track, detection) pair. It is also the one place that factors a
+covariance: every state is born in init_tracks from detected boxes and a
+validated NoiseConfig, and predict and update symmetrise the covariance and
+wrap the yaw, so a state is not re-validated; a covariance that has lost
 definiteness raises NumericalError at its next mahalanobis.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box7, Detection, wrap_angle
+from .core import wrap_angles
 
 STATE_DIM = 11
 OBS_DIM = 7
@@ -79,37 +85,14 @@ class NoiseConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrackState:
-    """Kalman mean/covariance plus the track's consecutive-miss count.
-
-    Construction only normalises: float64 copies of the right shapes, made
-    read-only. Symmetry, definiteness and the yaw range hold by how
-    init_track, predict and update build a state (see the module docstring).
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    track_id: int
-    misses: int = 0
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(STATE_DIM).copy()
-        cov = np.asarray(self.cov, dtype=np.float64).reshape(STATE_DIM, STATE_DIM).copy()
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    def box(self) -> Box7:
-        return Box7.from_array(self.mean[:OBS_DIM])
-
-
-def init_track(det: Detection, cfg: NoiseConfig, track_id: int) -> TrackState:
-    """Birth a track from a detection: velocities zero, cov = diag(p0)."""
-    mean = np.zeros(STATE_DIM)
-    mean[:OBS_DIM] = det.box.to_array()
-    return TrackState(mean=mean, cov=np.diag(cfg.p0_diag), track_id=track_id)
+def init_tracks(boxes, cfg: NoiseConfig):
+    """Birth one track per (x, y, z, yaw, l, w, h) row of boxes: velocities
+    zero, cov = diag(p0). Returns (means, covs)."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, OBS_DIM)
+    mean = np.zeros((len(boxes), STATE_DIM))
+    mean[:, :OBS_DIM] = boxes
+    cov = np.repeat(np.diag(cfg.p0_diag)[None], len(boxes), axis=0)
+    return mean, cov
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -121,76 +104,84 @@ def transition_matrix(dt: float) -> np.ndarray:
     return f
 
 
-def predict(s: TrackState, dt: float, cfg: NoiseConfig) -> TrackState:
-    """Propagate mean/cov by dt seconds under the constant-velocity model."""
+def predict(mean, cov, dt: float, cfg: NoiseConfig):
+    """Propagate every track by dt seconds under the constant-velocity model.
+    Returns (means, covs)."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     f = transition_matrix(dt)
-    mean = f @ s.mean
-    mean[ANGLE] = wrap_angle(mean[ANGLE])
-    cov = f @ s.cov @ f.T + np.diag(cfg.q_diag)
-    cov = 0.5 * (cov + cov.T)
-    return replace(s, mean=mean, cov=cov)
+    mean = (f @ mean[:, :, None])[:, :, 0]
+    mean[:, ANGLE] = wrap_angles(mean[:, ANGLE])
+    cov = f @ cov @ f.T + np.diag(cfg.q_diag)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return mean, cov
 
 
-def _innovation_cov(s: TrackState, cfg: NoiseConfig) -> np.ndarray:
-    """Innovation covariance S = H P H' + R, symmetrised."""
-    S = s.cov[:OBS_DIM, :OBS_DIM] + np.diag(cfg.r_diag)
-    return 0.5 * (S + S.T)
+def _innovation_cov(cov, cfg: NoiseConfig) -> np.ndarray:
+    """Innovation covariances S = H P H' + R, symmetrised: (T, 7, 7)."""
+    S = cov[:, :OBS_DIM, :OBS_DIM] + np.diag(cfg.r_diag)
+    return 0.5 * (S + S.transpose(0, 2, 1))
 
 
-def innovation(s: TrackState, obs: Box7, cfg: NoiseConfig):
-    """Observation residual (yaw wrapped) and innovation covariance S."""
-    r = obs.to_array() - s.mean[:OBS_DIM]
-    r[ANGLE] = wrap_angle(r[ANGLE])
-    return r, _innovation_cov(s, cfg)
+def _singular(S, op) -> NumericalError:
+    """The error for a stack S that op (a factor or a solve) refused as a
+    whole: it names the first row op refuses on its own, and its condition
+    number."""
+    for i, s in enumerate(S):
+        try:
+            op(s)
+        except np.linalg.LinAlgError:
+            break
+    return NumericalError(
+        f"innovation covariance of track row {i} is singular (cond={np.linalg.cond(s):.3e})"
+    )
 
 
-def mahalanobis(s: TrackState, boxes, cfg: NoiseConfig) -> np.ndarray:
-    """Square-root Mahalanobis distances sqrt(r' S^-1 r) from s to each box.
+def innovation(mean, cov, obs, cfg: NoiseConfig):
+    """Each track's residual against its row of obs (yaw wrapped), (T, 7),
+    and its innovation covariance S, (T, 7, 7)."""
+    r = np.asarray(obs, dtype=np.float64) - mean[:, :OBS_DIM]
+    r[:, ANGLE] = wrap_angles(r[:, ANGLE])
+    return r, _innovation_cov(cov, cfg)
 
-    S depends on the track alone, so it is factored once and every box's
-    residual r (yaw wrapped) is solved against that one factor. Returns an
-    array with one distance per box, bit-identical to factoring S and
-    solving for each box on its own. That needs each residual to be its own
-    right-hand side of `solve` and r' r a dot product per box: one solve
-    with all residuals as columns, or an einsum sum, changes the last bits.
+
+def mahalanobis(mean, cov, boxes, cfg: NoiseConfig) -> np.ndarray:
+    """Square-root Mahalanobis distances sqrt(r' S^-1 r) of every track to
+    every (x, y, z, yaw, l, w, h) row of boxes: a (T, D) array.
+
+    Each track's S is factored once and every residual r (yaw wrapped) is
+    solved against that factor. A distance is bit-identical to factoring S
+    and solving for that one (track, box) pair alone. That needs each
+    residual to be its own right-hand side of `solve` and r' r a dot
+    product per pair: one solve with all residuals as columns, or an einsum
+    sum, changes the last bits.
 
     Raises:
         ValueError: if a yaw residual is not finite.
-        NumericalError: if S is not positive definite.
+        NumericalError: if an S is not positive definite.
     """
-    r = np.array([b.to_array() for b in boxes], dtype=np.float64).reshape(-1, OBS_DIM)
-    r -= s.mean[:OBS_DIM]
-    r[:, ANGLE] = [wrap_angle(a) for a in r[:, ANGLE]]
-    S = _innovation_cov(s, cfg)
+    r = np.asarray(boxes, dtype=np.float64)[None, :, :] - mean[:, None, :OBS_DIM]
+    r[:, :, ANGLE] = wrap_angles(r[:, :, ANGLE])
+    S = _innovation_cov(cov, cfg)
     try:
         c = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"innovation covariance is singular (cond={np.linalg.cond(S):.3e})"
-        ) from exc
-    y = np.linalg.solve(c, r[:, :, None])
-    return np.sqrt((y.transpose(0, 2, 1) @ y).reshape(-1))
+        raise _singular(S, np.linalg.cholesky) from exc
+    y = np.linalg.solve(c[:, None], r[..., None])
+    return np.sqrt((y.transpose(0, 1, 3, 2) @ y).reshape(r.shape[:2]))
 
 
-def update(s: TrackState, obs: Box7, cfg: NoiseConfig) -> TrackState:
-    """Standard Kalman correction; resets misses."""
-    r, S = innovation(s, obs, cfg)
+def update(mean, cov, obs, cfg: NoiseConfig):
+    """Standard Kalman correction of each track by its row of obs.
+    Returns (means, covs)."""
+    r, S = innovation(mean, cov, obs, cfg)
     try:
         # K = cov H' S^-1, using S symmetry: solve(S, H cov)' = cov H' S^-1
-        k = np.linalg.solve(S, H @ s.cov).T
+        k = np.linalg.solve(S, H @ cov).transpose(0, 2, 1)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"innovation covariance is singular (cond={np.linalg.cond(S):.3e})"
-        ) from exc
-    mean = s.mean + k @ r
-    mean[ANGLE] = wrap_angle(mean[ANGLE])
-    cov = (np.eye(STATE_DIM) - k @ H) @ s.cov
-    cov = 0.5 * (cov + cov.T)
-    return replace(s, mean=mean, cov=cov, misses=0)
-
-
-def mark_missed(s: TrackState) -> TrackState:
-    """Bookkeeping for a frame with no associated detection."""
-    return replace(s, misses=s.misses + 1)
+        raise _singular(S, lambda s: np.linalg.solve(s, np.eye(OBS_DIM))) from exc
+    mean = mean + (k @ r[:, :, None])[:, :, 0]
+    mean[:, ANGLE] = wrap_angles(mean[:, ANGLE])
+    cov = (np.eye(STATE_DIM) - k @ H) @ cov
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    return mean, cov

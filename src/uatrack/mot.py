@@ -187,11 +187,11 @@ class _PairFeatures:
         if self.embedding is not None:
             self.embs = [self.embedding(d) for d in rec.detections]
 
-    def features(self, states, m, admitted):
+    def features(self, ids, m, admitted):
         """(i, j, FeatureVector) for every admitted (track, detection) pair
-        of the frame, in row-major order."""
+        of the frame, in row-major order; ids[i] is row i's track id."""
         for i, j in zip(*np.nonzero(admitted)):
-            a = (embed.cosine(self.track_embs[states[i].track_id], self.embs[j])
+            a = (embed.cosine(self.track_embs[ids[i]], self.embs[j])
                  if self.embedding is not None else 0.0)
             yield i, j, FeatureVector.build(m=float(m[i, j]), a=a, d=self.dets[j].score)
 
@@ -222,22 +222,20 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
         raise ValueError(f"mode {mode!r} requires a fitted logistic model")
     pairs = _PairFeatures(seq, net if use_appearance else None, points_per_crop)
 
-    def cost_fn(states, rec, m, admitted):
+    def cost_fn(ids, rec, m, admitted):
         pairs.frame(rec)
         if mode == "motion":
             return m
         cost = np.ones_like(m)
-        for i, j, fv in pairs.features(states, m, admitted):
+        for i, j, fv in pairs.features(ids, m, admitted):
             cost[i, j] = 1.0 - model.score(fv)
         return cost
 
     rows: list[TrackRow] = []
 
-    def on_match(track_id, det_idx, state):
+    def on_match(track_id, det_idx, box):
         det = pairs.matched(track_id, det_idx)
-        rows.append(TrackRow(
-            frame=det.frame, track_id=track_id, box=state.box(), score=det.score,
-        ))
+        rows.append(TrackRow(frame=det.frame, track_id=track_id, box=box, score=det.score))
 
     run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match,
                 collect_confidence=False)
@@ -259,15 +257,15 @@ def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
     track_gt: dict[int, int | None] = {}
     pairs = _PairFeatures(seq, net, points_per_crop)
 
-    def cost_fn(states, rec, m, admitted):
+    def cost_fn(ids, rec, m, admitted):
         pairs.frame(rec)
-        for i, j, fv in pairs.features(states, m, admitted):
-            tgt = track_gt.get(states[i].track_id)
+        for i, j, fv in pairs.features(ids, m, admitted):
+            tgt = track_gt.get(ids[i])
             gt = rec.detections[j].gt_id
             examples.append((fv, int(tgt is not None and gt is not None and tgt == gt)))
         return m
 
-    def on_match(track_id, det_idx, _state):
+    def on_match(track_id, det_idx, _box):
         track_gt[track_id] = pairs.matched(track_id, det_idx).gt_id
 
     run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match, collect_confidence=False)

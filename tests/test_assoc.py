@@ -1,10 +1,20 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_kalman import (
+    TrackState,
+    ref_init_track,
+    ref_innovation,
+    ref_mahalanobis,
+    ref_mark_missed,
+    ref_predict,
+    ref_update,
+)
 
-from uatrack import assoc, kalman, sim
+from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import (
     AssocConfig,
     association_confidence,
@@ -14,7 +24,8 @@ from uatrack.assoc import (
     read_pseudo_tracks,
     write_pseudo_tracks,
 )
-from uatrack.core import Box7, Detection
+from uatrack.config import RunConfig
+from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackletLabel
 
 
 def brute_force_greedy(m, gate, rows=None, cols=None, cost=None):
@@ -201,10 +212,20 @@ def pair_oracle(states, detections, kcfg):
     m = np.zeros((len(states), len(detections)))
     for i, s in enumerate(states):
         for j, det in enumerate(detections):
-            r, S = kalman.innovation(s, det.box, kcfg)
+            r, S = ref_innovation(s, det.box, kcfg)
             y = np.linalg.solve(np.linalg.cholesky(S), r)
             m[i, j] = math.sqrt(float(y @ y))
     return m
+
+
+def stack(states):
+    """The stacked (means, covs) of one-track reference states."""
+    return (np.array([s.mean for s in states]).reshape(-1, 11),
+            np.array([s.cov for s in states]).reshape(-1, 11, 11))
+
+
+def box_rows(detections):
+    return np.array([d.box.to_array() for d in detections]).reshape(-1, 7)
 
 
 # yaws near both ends of [-pi, pi), so that residuals cross the wrap
@@ -228,8 +249,21 @@ def _predicted_state(seed, yaw, kcfg):
     mean[3] = yaw
     mean[4:7] = np.abs(mean[4:7]) + 1.0
     mean[10] = 0.0  # no yaw rate, so the predicted yaw is still yaw
-    s = kalman.TrackState(mean=mean, cov=0.5 * (cov + cov.T), track_id=0)
-    return kalman.predict(s, float(rng.uniform(0.05, 1.0)), kcfg)
+    s = TrackState(mean=mean, cov=0.5 * (cov + cov.T), track_id=0)
+    return ref_predict(s, float(rng.uniform(0.05, 1.0)), kcfg)
+
+
+def _with_singular_row(n, bad_row):
+    """n stacked tracks and a NoiseConfig under which row bad_row alone has
+    a singular S."""
+    mean = np.zeros((n, 11))
+    mean[:, 4:7] = (4, 2, 1.5)
+    cov = np.repeat(np.eye(11)[None], n, axis=0)
+    cov[bad_row] = 0.0
+    bad = kalman.NoiseConfig()
+    # bypass frozen validation to force a singular S
+    object.__setattr__(bad, "r_diag", np.zeros(7))
+    return mean, cov, bad
 
 
 class TestMahalanobisMatrix:
@@ -245,48 +279,202 @@ class TestMahalanobisMatrix:
         kcfg = kalman.NoiseConfig(r_diag=np.array(r_diag))
         states = [_predicted_state(seed, yaw, kcfg) for seed, yaw in tracks]
         detections = [_det(yaw, xyz) for yaw, xyz in dets]
-        got = assoc.mahalanobis_matrix(states, detections, kcfg)
+        got = assoc.mahalanobis_matrix(*stack(states), box_rows(detections), kcfg)
         expected = pair_oracle(states, detections, kcfg)
         assert got.shape == (len(states), len(detections))
         assert np.array_equal(got, expected)
 
-    def _state(self):
-        mean = np.zeros(11)
-        mean[4:7] = (4, 2, 1.5)
-        return kalman.TrackState(mean=mean, cov=np.eye(11), track_id=0)
-
     def test_singular_s_raises_numerical_error(self):
-        s = self._state()
-        bad = kalman.NoiseConfig()
-        # bypass frozen validation to force a singular S
-        object.__setattr__(bad, "r_diag", np.zeros(7))
-        object.__setattr__(s, "cov", np.zeros((11, 11)))
-        with pytest.raises(kalman.NumericalError, match="cond="):
-            assoc.mahalanobis_matrix([s], [_det(0.0)], bad)
+        mean, cov, bad = _with_singular_row(3, 2)
+        with pytest.raises(kalman.NumericalError, match=r"row 2 .*cond="):
+            assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0)]), bad)
 
     def test_nan_state_yaw_raises_value_error(self):
-        s = self._state()
-        mean = s.mean.copy()
-        mean[3] = math.nan
-        object.__setattr__(s, "mean", mean)
+        mean, cov = kalman.init_tracks(box_rows([_det(0.0), _det(1.0)]), kalman.NoiseConfig())
+        mean[1, 3] = math.nan
         with pytest.raises(ValueError, match="finite"):
-            assoc.mahalanobis_matrix([s], [_det(0.0), _det(1.0)], kalman.NoiseConfig())
+            assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0), _det(1.0)]),
+                                     kalman.NoiseConfig())
 
     def test_one_cholesky_per_track(self, monkeypatch):
         kcfg = kalman.NoiseConfig()
-        states = [_predicted_state(seed, 0.3 * seed, kcfg) for seed in range(4)]
-        dets = [_det(0.5 * k - 1.0, (k, -k, 0.0)) for k in range(6)]
-        calls = []
+        mean, cov = stack([_predicted_state(seed, 0.3 * seed, kcfg) for seed in range(4)])
+        dets = box_rows([_det(0.5 * k - 1.0, (k, -k, 0.0)) for k in range(6)])
+        factored = []
         cholesky = np.linalg.cholesky
 
         def counted(a):
-            calls.append(1)
+            factored.append(int(np.prod(np.shape(a)[:-2])))  # matrices in the stack
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        m = assoc.mahalanobis_matrix(states, dets, kcfg)
-        assert m.shape == (4, 6)
-        assert len(calls) == 4
+        assert assoc.mahalanobis_matrix(mean, cov, dets, kcfg).shape == (4, 6)
+        assert factored == [4]
+        # a frame without detections, or without tracks, factors nothing
+        assert assoc.mahalanobis_matrix(mean, cov, dets[:0], kcfg).shape == (4, 0)
+        assert assoc.mahalanobis_matrix(mean[:0], cov[:0], dets, kcfg).shape == (0, 6)
+        assert factored == [4]
+
+
+@dataclass
+class _Live:
+    state: TrackState
+    members: list
+    link_conf: list
+
+
+def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_confidence=True):
+    """The per-track loop that the stacked run_tracker replaced, on the
+    one-track reference filter: one TrackState per live track, predicted,
+    scored, updated and marked missed one at a time. Its hooks get what
+    run_tracker's get."""
+    live: list[_Live] = []
+    order: dict[int, _Live] = {}
+    next_id = 0
+    prev_index = None
+
+    for rec in seq.frames:
+        if prev_index is not None and live:
+            dt = (rec.index - prev_index) * seq.frame_period
+            for tr in live:
+                tr.state = ref_predict(tr.state, dt, kcfg)
+        prev_index = rec.index
+
+        states = [tr.state for tr in live]
+        m = np.zeros((len(states), len(rec.detections)))
+        if rec.detections:
+            for i, s in enumerate(states):
+                m[i] = ref_mahalanobis(s, [det.box for det in rec.detections], kcfg)
+        ids = np.array([s.track_id for s in states], dtype=np.int64)
+        cost = None if cost_fn is None else cost_fn(ids, rec, m, m <= acfg.gate)
+        res = assoc.greedy_associate(m, acfg.gate, cost)
+
+        for pair in res.pairs:
+            tr = live[pair.track]
+            if collect_confidence:
+                tr.link_conf.append(assoc.association_confidence(m, pair.track, pair.det, acfg.eps))
+            tr.state = ref_update(tr.state, rec.detections[pair.det].box, kcfg)
+            tr.members.append((rec.index, pair.det))
+            if on_match is not None:
+                on_match(tr.state.track_id, pair.det, tr.state.box())
+
+        survivors = []
+        matched = {p.track for p in res.pairs}
+        for idx, tr in enumerate(live):
+            if idx not in matched:
+                tr.state = ref_mark_missed(tr.state)
+                if tr.state.misses >= acfg.max_age:
+                    continue
+            survivors.append(tr)
+        for j in res.unmatched_detections:
+            tr = _Live(state=ref_init_track(rec.detections[j], kcfg, next_id),
+                       members=[(rec.index, j)], link_conf=[])
+            order[next_id] = tr
+            survivors.append(tr)
+            if on_match is not None:
+                on_match(next_id, j, tr.state.box())
+            next_id += 1
+        live = survivors
+
+    labels = tuple(TrackletLabel(track_id=tid, members=tuple(order[tid].members))
+                   for tid in sorted(order))
+    return assoc.TrackerRun(labels=labels,
+                            link_conf={tid: list(order[tid].link_conf) for tid in sorted(order)})
+
+
+def _sim_scene(n_objects, crossings, seed):
+    """A scene of the pipeline's default shape and detector noise, with the
+    object and crossing counts given."""
+    s = RunConfig().sim
+    scene = sim.SceneConfig(n_objects=n_objects, n_frames=s.frames,
+                            frame_period=s.frame_period, bounds=s.bounds, crossings=crossings)
+    seq, _ = sim.generate_sequence(scene, seed=seed)
+    noise = sim.NoiseModel(center_pct=s.center_pct, size_pct=s.size_pct, yaw_deg=s.yaw_deg,
+                           spurious_rate=s.spurious_rate, missed_rate=s.missed_rate)
+    return sim.corrupt_detections(seq, noise, seed=(seed, 100))
+
+
+SCENES = {
+    "default": lambda: _sim_scene(RunConfig().sim.objects, RunConfig().sim.crossings, 4),
+    "12-objects-3-crossings": lambda: _sim_scene(12, 3, 8),
+}
+KCFG = kalman.NoiseConfig()
+ACFG = AssocConfig()
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+class TestRunTracker:
+    """The stacked loop against the per-track reference, bit for bit."""
+
+    @staticmethod
+    def _traced(tracker, seq):
+        """The tracker's run on seq, and every hook call it made, with each
+        float array reduced to its bytes."""
+        calls = []
+
+        def cost_fn(ids, rec, m, admitted):
+            calls.append(("cost", rec.index, [int(i) for i in ids], _bits(m), admitted.tobytes()))
+            return m
+
+        def on_match(track_id, det_idx, box):
+            calls.append(("match", track_id, det_idx, _bits(box.to_array())))
+
+        return tracker(seq, KCFG, ACFG, cost_fn=cost_fn, on_match=on_match), calls
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_equals_per_track_reference(self, scene):
+        seq = SCENES[scene]()
+        got, got_calls = self._traced(assoc.run_tracker, seq)
+        want, want_calls = self._traced(reference_tracker, seq)
+        assert got.labels == want.labels
+        assert got.link_conf == want.link_conf
+        assert got_calls == want_calls
+        # the scene exercises misses, deaths and competing tracks
+        assert len(got.labels) > 2 * len({d.gt_id for r in seq.frames for d in r.detections})
+        assert sum(c[0] == "match" for c in got_calls) > 100
+        assert any(0.0 < ac < 0.5 for link in got.link_conf.values() for ac in link)
+
+    @pytest.mark.parametrize("mode", mot.MODES)
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_track_sequence_rows_equal_per_track_reference(self, scene, mode, monkeypatch):
+        seq = SCENES[scene]()
+        net = embed.EmbedNet.random((3, 8, 8), seed=1)
+        model = mot.LogisticModel(coef=np.array([-0.4, 1.5, 2.0, -0.3, 0.6, 0.4]), intercept=0.5)
+        kw = dict(net=net, model=model, points_per_crop=16)
+        got = mot.track_sequence(seq, KCFG, ACFG, mode, **kw)
+        monkeypatch.setattr(mot, "run_tracker", reference_tracker)
+        want = mot.track_sequence(seq, KCFG, ACFG, mode, **kw)
+        assert len(got) > 100
+        assert [(r.frame, r.track_id, _bits(r.box.to_array()), r.score) for r in got] == \
+            [(r.frame, r.track_id, _bits(r.box.to_array()), r.score) for r in want]
+
+    @staticmethod
+    def _static_seq(present, max_frame):
+        """One parked car, detected at the frames in `present` only."""
+        recs = [FrameRecord(index=f, detections=(
+            Detection(frame=f, box=Box7(0.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.5), score=0.9,
+                      cloud_ref="c", gt_id=0),) if f in present else ())
+                for f in range(max_frame + 1)]
+        return Sequence(frames=tuple(recs), clouds={"c": PointCloud(np.zeros((1, 3)))})
+
+    def _members(self, present):
+        seq = self._static_seq(present, max(present))
+        return [list(lab.members) for lab in assoc.run_tracker(seq, KCFG, ACFG).labels]
+
+    def test_newborn_track_survives_max_age_minus_one_misses(self):
+        gap = ACFG.max_age - 1
+        assert self._members({0, gap + 1}) == [[(0, 0), (gap + 1, 0)]]
+
+    def test_matched_track_dies_after_max_age_misses(self):
+        a = ACFG.max_age
+        # a match resets the count: max_age - 1 misses twice over keep one track
+        assert self._members({0, 1, a + 1, 2 * a + 1}) == [
+            [(0, 0), (1, 0), (a + 1, 0), (2 * a + 1, 0)]]
+        # max_age misses in a row end it, and the car's return is a newborn
+        assert self._members({0, 1, a + 2}) == [[(0, 0), (1, 0)], [(a + 2, 0)]]
 
 
 class TestBuildPseudoTracks:

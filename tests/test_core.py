@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from uatrack.core import (
     Box7,
@@ -19,6 +19,7 @@ from uatrack.core import (
     read_point_cloud,
     read_track_rows,
     wrap_angle,
+    wrap_angles,
     write_clouds,
     write_detections,
     write_point_cloud,
@@ -57,6 +58,46 @@ class TestWrapAngle:
         r = wrap_angle(theta)
         k = (theta - r) / (2 * math.pi)
         assert abs(k - round(k)) < 1e-6
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# angles where the wrap is delicate: either side of -pi and pi, tiny
+# negatives (whose remainder rounds onto the open bound), whole and near
+# multiples of 2 pi, and magnitudes up to the float range
+_ulps = st.integers(-4, 4)
+_angles = st.one_of(
+    st.builds(lambda s, k: s * math.pi + k * 1e-15, st.sampled_from([-1, 1]), _ulps),
+    st.builds(lambda s, k: math.nextafter(s * math.pi, s * math.inf) if k else s * math.pi,
+              st.sampled_from([-1, 1]), st.booleans()),
+    st.floats(-1e-12, 0.0),
+    st.builds(lambda n, d: n * 2 * math.pi + d, st.integers(-10**6, 10**6),
+              st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 5e-324, -5e-324])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestWrapAngles:
+    @given(st.lists(_angles, max_size=12))
+    @example([math.nextafter(-math.pi, -math.inf)])  # its remainder rounds onto pi
+    def test_equals_wrap_angle_bit_for_bit(self, thetas):
+        got = wrap_angles(thetas)
+        assert got.dtype == np.float64 and got.shape == (len(thetas),)
+        assert _bits(got) == _bits([wrap_angle(t) for t in thetas])
+
+    def test_keeps_shape_and_leaves_its_input(self):
+        a = np.array([[3 * math.pi, 0.5], [-0.0, -7.0]])
+        got = wrap_angles(a)
+        assert got.shape == (2, 2) and a[0, 0] == 3 * math.pi
+        assert _bits(got.ravel()) == _bits([wrap_angle(t) for t in a.ravel()])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wrap_angles([0.0, 4.0, bad])
 
 
 class TestCenterDistance:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from test_assoc import reference_tracker
 
 from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import AssocConfig
@@ -83,17 +84,17 @@ class TestMotionModeEquivalence:
 class TestHarvestFeatures:
     @staticmethod
     def _oracle(seq, net):
-        """Every frame's admitted (track, detection) pairs of the motion
-        tracker, m <= gate, with features from the filter state, the
-        embedding of the track's last matched detection and the detection's
-        own crop. Returns (examples, number of pairs before the gate)."""
+        """Every frame's admitted (track, detection) pairs of the per-track
+        reference tracker, m <= gate, with the reference's m, the embedding
+        of the track's last matched detection and the detection's own crop.
+        Returns (examples, number of pairs before the gate)."""
         frames = []
 
-        def cost_fn(states, rec, m, admitted):
-            frames.append((rec, list(states)))
+        def cost_fn(ids, rec, m, admitted):
+            frames.append((rec, list(ids), m.copy()))
             return m
 
-        run = assoc.run_tracker(seq, KCFG, ACFG, cost_fn=cost_fn, collect_confidence=False)
+        run = reference_tracker(seq, KCFG, ACFG, cost_fn=cost_fn, collect_confidence=False)
         det_at = {rec.index: rec.detections for rec in seq.frames}
         members = {lab.track_id: lab.members for lab in run.labels}
 
@@ -102,13 +103,13 @@ class TestHarvestFeatures:
 
         expected = []
         n_pairs = 0
-        for rec, states in frames:
-            for s in states:
-                f, d = [m for m in members[s.track_id] if m[0] < rec.index][-1]
+        for rec, ids, m_frame in frames:
+            for i, tid in enumerate(ids):
+                f, d = [m for m in members[tid] if m[0] < rec.index][-1]
                 last = det_at[f][d]
-                for det in rec.detections:
+                for j, det in enumerate(rec.detections):
                     n_pairs += 1
-                    m = kalman.mahalanobis(s, [det.box], KCFG)[0]
+                    m = float(m_frame[i, j])
                     if m > ACFG.gate:
                         continue
                     a = embed.cosine(emb(last), emb(det)) if net is not None else 0.0
@@ -169,12 +170,12 @@ class TestAdmission:
 
     def _m_last(self, seq):
         """m of the last detection against the filter run over the others."""
-        dets = [rec.detections[0] for rec in seq.frames]
-        s = kalman.init_track(dets[0], KCFG, 0)
-        for det in dets[1:-1]:
-            s = kalman.update(kalman.predict(s, seq.frame_period, KCFG), det.box, KCFG)
-        s = kalman.predict(s, seq.frame_period, KCFG)
-        return float(kalman.mahalanobis(s, [dets[-1].box], KCFG)[0])
+        boxes = [rec.detections[0].box.to_array()[None] for rec in seq.frames]
+        mean, cov = kalman.init_tracks(boxes[0], KCFG)
+        for box in boxes[1:-1]:
+            mean, cov = kalman.update(*kalman.predict(mean, cov, seq.frame_period, KCFG), box, KCFG)
+        mean, cov = kalman.predict(mean, cov, seq.frame_period, KCFG)
+        return float(kalman.mahalanobis(mean, cov, boxes[-1], KCFG)[0, 0])
 
     @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])
     def test_fused_links_an_admitted_pair_whatever_its_score(self, mode):
