@@ -103,23 +103,19 @@ def association_confidence(m, i: int, j: int, eps: float = 1e-4) -> float:
 
     A missing competitor set (single row or column) contributes +inf and
     drops out of the min; with neither competitor the association is
-    unambiguous and AC = 1.
+    unambiguous and AC = 1. m is a 2-D float array that greedy_associate
+    has checked and eps comes from a validated AssocConfig; neither is
+    checked again here, only the indices.
     """
-    m = _check_matrix(m)
     rows, cols = m.shape
     if not (0 <= i < rows and 0 <= j < cols):
         raise ValueError(f"indices ({i}, {j}) out of bounds for {rows}x{cols} matrix")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    denom = m[i, j] + eps
-    ratios = []
-    if cols > 1:
-        ratios.append(np.delete(m[i, :], j).min() / denom)
-    if rows > 1:
-        ratios.append(np.delete(m[:, j], i).min() / denom)
-    if not ratios:
+    row, col = m[i], m[:, j]
+    competitor = min(row[:j].min(initial=np.inf), row[j + 1:].min(initial=np.inf),
+                     col[:i].min(initial=np.inf), col[i + 1:].min(initial=np.inf))
+    if competitor == np.inf:
         return 1.0
-    return float(1.0 - math.exp(-min(ratios)))
+    return float(1.0 - math.exp(-competitor / (m[i, j] + eps)))
 
 
 def cumulative_confidence(per_step) -> float:

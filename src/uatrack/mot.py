@@ -16,7 +16,9 @@ both the tracker (`track_sequence`, which scores each with
 labels each), so the model is fit on exactly the pairs it will score. It
 embeds each frame's detections with `embed.detection_embedder`, keeps each
 track's embedding refreshed to that of its matched detection, and calls
-`FeatureVector.build` once per admitted pair.
+`FeatureVector.build` once per admitted pair. `fit_logistic` fits the
+model to the L2-penalized optimum on standardized features by damped
+Newton's method (IRLS), which converges in about ten steps.
 """
 
 import json
@@ -36,6 +38,10 @@ log = logging.getLogger(__name__)
 LOG_CLAMP = 1e-8
 
 MODES = ("motion", "motion+score", "motion+score+appearance")
+
+FIT_LAMBDA = 1e-4  # L2 penalty on the standardized weights
+FIT_DECREMENT_TOL = 1e-12  # Newton decrement at which fit_logistic stops
+FIT_MAX_STEPS = 50
 
 
 def _clamped_log(v: float) -> float:
@@ -115,9 +121,16 @@ def load_logistic(path) -> LogisticModel:
 def fit_logistic(examples) -> LogisticModel:
     """Deterministic L2-penalized logistic regression.
 
-    Full-batch gradient ascent on standardized features: 5000 iterations,
-    step 0.1, lambda 1e-4; the standardization is folded back so the model
-    applies to raw features. Raises ValueError on single-class input.
+    Maximises the mean log-likelihood minus (lambda/2)|w|^2, lambda =
+    FIT_LAMBDA, on standardized features (a constant feature's column is
+    zeroed, so its weight is exactly 0); the intercept is not penalized.
+    Damped Newton (IRLS) from zero: each step solves the penalized Hessian
+    system and halves the step until the objective does not fall. Once the
+    Newton decrement g'H^-1 g / 2 is below FIT_DECREMENT_TOL the step is
+    taken in full and the fit stops; failing that within FIT_MAX_STEPS
+    steps raises kalman.NumericalError. The standardization is folded back
+    so the model applies to raw features. Raises ValueError on empty or
+    single-class input.
 
     Warns once when the fitted score fails to fall with Mahalanobis distance
     somewhere in the fit data's range of m (see `_warn_if_distance_not_penalized`).
@@ -130,20 +143,39 @@ def fit_logistic(examples) -> LogisticModel:
         raise ValueError("need both positive and negative examples")
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
-    sigma = np.where(sigma < 1e-12, 1.0, sigma)
-    z = (x - mu) / sigma
-
-    lam = 1e-4
-    step = 0.1
-    w = np.zeros(x.shape[1])
-    b = 0.0
+    constant = sigma < 1e-12
+    sigma = np.where(constant, 1.0, sigma)
+    z = np.where(constant, 0.0, (x - mu) / sigma)
     n = len(y)
-    for _ in range(5000):
-        p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
-        gw = z.T @ (y - p) / n - lam * w
-        gb = float((y - p).mean())
-        w = w + step * gw
-        b = b + step * gb
+    za = np.column_stack([z, np.ones(n)])  # last parameter: the intercept
+    penalty = np.append(np.full(z.shape[1], FIT_LAMBDA), 0.0)
+
+    def objective(theta):
+        eta = za @ theta
+        return float((y * eta - np.logaddexp(0.0, eta)).mean()
+                     - 0.5 * (penalty * theta * theta).sum())
+
+    theta = np.zeros(za.shape[1])
+    f = objective(theta)
+    for _ in range(FIT_MAX_STEPS):
+        p = np.exp(-np.logaddexp(0.0, -(za @ theta)))
+        grad = za.T @ (y - p) / n - penalty * theta
+        hess = (za.T * (p * (1.0 - p))) @ za / n + np.diag(penalty)
+        step = np.linalg.solve(hess, grad)
+        if grad @ step / 2 < FIT_DECREMENT_TOL:
+            # this close the full step is safe, and the halving would weigh
+            # gains near the float noise of the objective
+            theta = theta + step
+            break
+        t = 1.0
+        while (f_new := objective(theta + t * step)) < f:
+            t /= 2
+        theta, f = theta + t * step, f_new
+    else:
+        raise kalman.NumericalError(
+            f"logistic fit did not converge in {FIT_MAX_STEPS} Newton steps "
+            f"(gradient norm {np.linalg.norm(grad):.3g})")
+    w, b = theta[:-1], float(theta[-1])
     coef = w / sigma
     intercept = b - float((w * mu / sigma).sum())
     model = LogisticModel(coef=coef, intercept=intercept)

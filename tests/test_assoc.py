@@ -180,6 +180,51 @@ class TestAssociationConfidence:
             assert ac_b4 == pytest.approx(ac_a4, abs=1e-3)
 
 
+def reference_association_confidence(m, i, j, eps=1e-4):
+    """The AC formula as first written, an independent oracle: validate the
+    whole matrix, then take each competitor set's min over an np.delete
+    copy."""
+    m = assoc._check_matrix(m)
+    rows, cols = m.shape
+    denom = m[i, j] + eps
+    ratios = []
+    if cols > 1:
+        ratios.append(np.delete(m[i, :], j).min() / denom)
+    if rows > 1:
+        ratios.append(np.delete(m[:, j], i).min() / denom)
+    if not ratios:
+        return 1.0
+    return float(1.0 - math.exp(-min(ratios)))
+
+
+@st.composite
+def ac_cases(draw):
+    """(m, i, j, eps): entries drawn often from a few values, so that ties
+    between the match and its competitors, and zeros, are common."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 20.0))
+    m = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+    return (m.reshape(rows, cols), draw(st.integers(0, rows - 1)),
+            draw(st.integers(0, cols - 1)), draw(st.sampled_from([1e-4, 1e-12, 1.0])))
+
+
+class TestAssociationConfidenceReference:
+    @given(ac_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([[4.2]]), 0, 0, 1e-4))
+    @example((np.array([[0.0]]), 0, 0, 1e-4))
+    @example((np.array([[2.0, 0.0, 2.0, 7.0]]), 0, 2, 1e-4))  # 1 x n, zero competitor
+    @example((np.array([[3.0], [3.0], [9.0]]), 1, 0, 1e-4))  # n x 1, tied competitor
+    @example((np.array([[1.0, 1.0], [1.0, 1.0]]), 1, 1, 1e-4))  # all tied
+    @example((np.zeros((3, 3)), 0, 2, 1e-4))
+    def test_equals_reference_bit_for_bit(self, case):
+        m, i, j, eps = case
+        got = association_confidence(m, i, j, eps)
+        want = reference_association_confidence(m, i, j, eps)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+
 class TestCumulativeConfidence:
     def test_product(self):
         assert cumulative_confidence([0.9, 0.8]) == pytest.approx(0.72, abs=1e-12)

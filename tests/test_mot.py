@@ -63,6 +63,107 @@ NET = embed.EmbedNet.random((3, 8, 8), seed=1)
 POINTS = 16
 
 
+# ---------------------------------------------------------------------------
+# the logistic fit
+
+
+def reference_gradient_fit(examples):
+    """The fit as first written, the reference: 5,000 full-batch gradient
+    ascent steps of size 0.1 on the same standardized, penalized objective."""
+    x = np.stack([fv.array() for fv, _ in examples])
+    y = np.array([float(lbl) for _, lbl in examples])
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    z = (x - mu) / sigma
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for _ in range(5000):
+        p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
+        w = w + 0.1 * (z.T @ (y - p) / len(y) - 1e-4 * w)
+        b = b + 0.1 * float((y - p).mean())
+    return LogisticModel(coef=w / sigma, intercept=b - float((w * mu / sigma).sum()))
+
+
+def penalized_fit_objective(examples, model):
+    """(objective, gradient) of a model in the fit's standardized
+    coordinates: the mean log-likelihood minus 1e-4/2 |w|^2, and its
+    gradient over (w, intercept)."""
+    x = np.stack([fv.array() for fv, _ in examples])
+    y = np.array([float(lbl) for _, lbl in examples])
+    mu = x.mean(axis=0)
+    sigma = x.std(axis=0)
+    constant = sigma < 1e-12
+    sigma[constant] = 1.0
+    z = (x - mu) / sigma
+    z[:, constant] = 0.0
+    w = model.coef * sigma
+    eta = z @ w + model.intercept + float((model.coef * mu).sum())
+    p = 1.0 / (1.0 + np.exp(-eta))
+    objective = float(np.mean(y * eta - np.logaddexp(0.0, eta)) - 0.5e-4 * (w @ w))
+    grad = np.append(z.T @ (y - p) / len(y) - 1e-4 * w, np.mean(y - p))
+    return objective, grad
+
+
+def _separable(near_is_match):
+    """Near and far pairs that m alone separates; the examples of
+    test_fit_warns_once_per_model."""
+    rng = np.random.default_rng(0)
+    examples = []
+    for _ in range(200):
+        near = float(rng.uniform(0.2, 2.0))
+        far = float(rng.uniform(4.0, 30.0))
+        d = float(rng.uniform(0.5, 1.0))
+        examples.append((FeatureVector.build(m=near, a=0.0, d=d), int(near_is_match)))
+        examples.append((FeatureVector.build(m=far, a=0.0, d=d), int(not near_is_match)))
+    return examples
+
+
+class TestFitLogistic:
+    @pytest.fixture(scope="class")
+    def fit_sets(self):
+        """name -> examples: the harvest of a noisy scene with the cosine of
+        an embedding (appearance) and at 0 (motion+score), and the separable
+        sets."""
+        harvest = mot.harvest_features(_scene(), KCFG, ACFG, net=NET, points_per_crop=POINTS)
+        return {
+            "appearance": harvest,
+            "motion+score": [(FeatureVector.build(fv.m, 0.0, fv.d), lbl) for fv, lbl in harvest],
+            "separable-near": _separable(True),
+            "separable-far": _separable(False),
+        }
+
+    @pytest.mark.parametrize("name", ["appearance", "motion+score",
+                                      "separable-near", "separable-far"])
+    def test_reaches_the_penalized_optimum(self, fit_sets, name):
+        examples = fit_sets[name]
+        model = fit_logistic(examples)
+        objective, grad = penalized_fit_objective(examples, model)
+        assert np.abs(grad).max() <= 1e-8
+        ref_objective, _ = penalized_fit_objective(examples, reference_gradient_fit(examples))
+        assert objective >= ref_objective
+
+    def test_constant_features_get_zero_weight(self, fit_sets):
+        coef = dict(zip(mot.FEATURE_NAMES, fit_logistic(fit_sets["motion+score"]).coef))
+        for name, c in coef.items():
+            if name in ("a", "log_a"):
+                assert c == 0.0 and math.copysign(1.0, c) == 1.0
+            else:
+                assert c != 0.0
+
+    def test_deterministic(self, fit_sets):
+        a = fit_logistic(fit_sets["appearance"])
+        b = fit_logistic(fit_sets["appearance"])
+        assert a.coef.tobytes() == b.coef.tobytes()
+        assert a.intercept.hex() == b.intercept.hex()
+
+    def test_step_cap_raises(self, fit_sets, monkeypatch):
+        monkeypatch.setattr(mot, "FIT_MAX_STEPS", 2)
+        with pytest.raises(kalman.NumericalError, match="2 Newton steps") as exc:
+            fit_logistic(fit_sets["appearance"])
+        assert "gradient norm" in str(exc.value) and "\n" not in str(exc.value)
+
+
 class TestMotionModeEquivalence:
     """Motion mode runs the pseudo-label tracker's decisions: every
     pseudo-track is one output track over exactly its member frames."""
