@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class EmbedSection:
     widths: tuple[int, ...] = DEFAULT_WIDTHS
-    points_per_crop: int = DEFAULT_POINTS
+    points_per_crop: int = DEFAULT_POINTS  # draw size; a crop keeps each drawn point once
 
     def __post_init__(self):
         if len(self.widths) < 2 or self.widths[0] != 3:

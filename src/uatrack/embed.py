@@ -10,7 +10,9 @@ A detection has one crop, `detection_crop`, the only caller of
 `canonicalize` in the package; training crops it, and every inference path
 (the tracker, the logistic-fit harvest, SOT evaluation) embeds it through
 `detection_embedder`, which crops and embeds each detection of a sequence
-once.
+once. `[embed] points_per_crop` is the size of the crop's draw: a sparse
+crop is drawn with replacement and keeps each drawn point once, so a crop
+holds at most that many distinct points and the MLP never embeds a copy.
 
 An `EmbedNet` checks its parameters for finiteness once, when it is built,
 so no pass re-checks them. Inference calls `forward`; training calls
@@ -52,9 +54,10 @@ def canon_seed(cloud_ref: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CanonicalCloud:
-    """Fixed-size crop of a cloud expressed in its box's local frame."""
+    """Crop of a cloud expressed in its box's local frame, one row per
+    distinct drawn point."""
 
-    points: np.ndarray  # (n, 3) float64
+    points: np.ndarray  # (k, 3) float64, k at most the draw size n
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -68,12 +71,16 @@ class CanonicalCloud:
 
 
 def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
-    """Crop a world-frame cloud to a box and resample to exactly n points.
+    """Crop a world-frame cloud to a box and draw n of its points; keep
+    each drawn point once, so the crop has at most n rows.
 
     Points are translated by -center and rotated by -yaw about z, then kept
     if they fall inside the axis-aligned extents. More than n survivors are
-    subsampled without replacement, fewer are resampled with replacement.
-    A crop with zero survivors yields n copies of the origin.
+    subsampled without replacement, exactly n are kept in order. Fewer are
+    drawn n times with replacement and each drawn survivor is kept once, in
+    the order of its first draw: a repeated row changes neither the max
+    pool nor its first arg-max, so the copies are never embedded. A crop
+    with zero survivors is one row, the origin.
     """
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
@@ -88,20 +95,22 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
     inside = local[mask]
     count = inside.shape[0]
     if count == 0:
-        return CanonicalCloud(points=np.zeros((n, 3)))
+        return CanonicalCloud(points=np.zeros((1, 3)))
     rng = np.random.default_rng(seed)
     if count > n:
         idx = rng.choice(count, size=n, replace=False)
     elif count < n:
         idx = rng.choice(count, size=n, replace=True)
+        idx = idx[np.sort(np.unique(idx, return_index=True)[1])]
     else:
         idx = np.arange(count)
     return CanonicalCloud(points=inside[idx])
 
 
 def detection_crop(seq: Sequence, det: Detection, n: int) -> CanonicalCloud:
-    """The canonical crop of a detection: its cloud cut to its box and
-    resampled to n points with a seed taken from its cloud ref."""
+    """The canonical crop of a detection: its cloud cut to its box, with n
+    points drawn by a seed taken from its cloud ref and each drawn point
+    kept once (`canonicalize`)."""
     return canonicalize(seq.cloud_of(det), det.box, n, seed=canon_seed(det.cloud_ref))
 
 

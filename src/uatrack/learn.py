@@ -324,8 +324,9 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
           seed: int = 0, points_per_crop: int = embed.DEFAULT_POINTS):
     """Run the full triplet-training loop; returns (trained net, history).
 
-    seed drives the sampling generator; each crop is canonicalized to
-    points_per_crop points.
+    seed drives the sampling generator; each crop draws points_per_crop
+    points and keeps each drawn point once (`embed.canonicalize`), so it
+    holds at most points_per_crop rows.
 
     One epoch is ceil(total pseudo-track members / batch size) steps. Each
     triplet's negative is the hardest of its `negative_candidates`: the one

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uatrack import embed
 from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
@@ -29,6 +30,36 @@ def box(x=0.0, y=0.0, z=0.0, yaw=0.0, l=4.0, w=2.0, h=1.5):
     return Box7(x, y, z, yaw, l, w, h)
 
 
+def reference_canonicalize(cloud, box, n, seed):
+    """The n-row crop: a sparse crop is padded to n rows with the draw's
+    repeats, and an empty crop is n origin rows. canonicalize keeps each
+    drawn point of it once; this is the reference it is held to."""
+    pts = cloud.points.astype(np.float64)
+    d = pts - box.center
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    local = d @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
+    inside = local[(np.abs(local) <= half).all(axis=1)]
+    count = inside.shape[0]
+    if count == 0:
+        return CanonicalCloud(points=np.zeros((n, 3)))
+    rng = np.random.default_rng(seed)
+    if count > n:
+        idx = rng.choice(count, size=n, replace=False)
+    elif count < n:
+        idx = rng.choice(count, size=n, replace=True)
+    else:
+        idx = np.arange(count)
+    return CanonicalCloud(points=inside[idx])
+
+
+def cloud_in_box(rng, survivors, outside=3):
+    """survivors distinct points inside box(), then a few outside it, shuffled."""
+    inner = rng.uniform(-0.7, 0.7, size=(survivors, 3))
+    outer = rng.uniform(5.0, 9.0, size=(outside, 3)) * rng.choice([-1.0, 1.0], size=(outside, 3))
+    return PointCloud(rng.permutation(np.vstack([inner, outer])))
+
+
 class TestCanonicalize:
     def test_identity_pose(self):
         pc = PointCloud([[0.1, 0.2, 0.3]])
@@ -41,18 +72,56 @@ class TestCanonicalize:
         out = canonicalize(pc, box(x=5.0, yaw=math.pi / 2), n=1, seed=0)
         np.testing.assert_allclose(out.points, [[1.0, 0.0, 0.0]], atol=1e-6)
 
-    def test_resample_with_replacement(self):
-        pc = PointCloud([[0.1, 0.1, 0.1], [-0.2, 0.3, -0.1], [99.0, 99.0, 99.0]])
-        out = canonicalize(pc, box(), n=4, seed=0)
-        assert out.points.shape == (4, 3)
-        originals = np.array([[0.1, 0.1, 0.1], [-0.2, 0.3, -0.1]])
-        for p in out.points:
-            assert np.isclose(originals, p, atol=1e-6).all(axis=1).any()
+    def test_sparse_crop_keeps_each_drawn_survivor_once(self):
+        pc = PointCloud([[0.1, 0.1, 0.1], [-0.2, 0.3, -0.1], [99.0, 99.0, 99.0],
+                         [0.3, -0.4, 0.2]])
+        originals = pc.points[[0, 1, 3]].astype(np.float64)
+        for n in (4, 8, 64):
+            for seed in range(10):
+                out = canonicalize(pc, box(), n=n, seed=seed)
+                assert 1 <= out.points.shape[0] <= min(n, 3)
+                assert len({tuple(p) for p in out.points}) == out.points.shape[0]
+                for p in out.points:
+                    assert (originals == p).all(axis=1).any()
+        # 64 draws from 3 survivors reach all of them
+        assert canonicalize(pc, box(), n=64, seed=0).points.shape == (3, 3)
 
-    def test_empty_crop_flagged(self):
+    def test_sparse_crop_rows_in_first_draw_order(self):
+        # box() at the origin with yaw 0 leaves coordinates exact, so the
+        # survivors are the inside points in cloud order
+        rng = np.random.default_rng(3)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            count = int(rng.integers(1, n))
+            pc = cloud_in_box(rng, count)
+            pts = pc.points.astype(np.float64)
+            inside = pts[(np.abs(pts) <= [2.0, 1.0, 0.75]).all(axis=1)]
+            draw = np.random.default_rng(trial).choice(count, size=n, replace=True)
+            order = []
+            for i in draw:
+                if i not in order:
+                    order.append(i)
+            out = canonicalize(pc, box(), n=n, seed=trial)
+            assert out.points.tobytes() == inside[order].tobytes()
+
+    def test_empty_crop_is_one_origin_row(self):
         pc = PointCloud([[50.0, 50.0, 50.0]])
-        out = canonicalize(pc, box(), n=8, seed=0)
-        np.testing.assert_array_equal(out.points, np.zeros((8, 3)))
+        for n in (1, 8, 128):
+            out = canonicalize(pc, box(), n=n, seed=0)
+            assert out.points.tobytes() == np.zeros((1, 3)).tobytes()
+
+    def test_full_and_dense_crops_equal_reference(self):
+        # count >= n: the draw is kept whole, byte for byte as before
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            n = int(rng.integers(1, 40))
+            count = n + int(rng.integers(0, n + 1))
+            pc = cloud_in_box(rng, count)
+            b = box(x=0.1, yaw=float(rng.uniform(-0.2, 0.2)), l=5.0, w=3.0, h=2.0)
+            out = canonicalize(pc, b, n=n, seed=trial)
+            want = reference_canonicalize(pc, b, n=n, seed=trial)
+            assert want.points.shape == (n, 3)
+            assert out.points.tobytes() == want.points.tobytes()
 
     def test_subsample_without_replacement(self):
         rng = np.random.default_rng(0)
@@ -273,7 +342,7 @@ class TestCriticalPointBackward:
             self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
 
     def test_duplicated_points_tie_to_first(self):
-        # resampling with replacement repeats points, so arg-max ties are common
+        # a cloud that repeats points makes arg-max ties common
         rng = np.random.default_rng(12)
         for trial in range(20):
             net = EmbedNet.random(random_widths(rng), seed=200 + trial)
@@ -286,7 +355,8 @@ class TestCriticalPointBackward:
             self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
 
     def test_empty_crop(self):
-        # every point is the origin: all coordinates tie, point 0 takes them all
+        # the origin row alone embeds as the n origin rows of the reference,
+        # where every coordinate ties and row 0 takes them all
         rng = np.random.default_rng(13)
         for trial in range(10):
             net = EmbedNet(
@@ -294,10 +364,17 @@ class TestCriticalPointBackward:
                 biases=(rng.normal(size=7), rng.normal(size=5), rng.normal(size=4)),
             )
             cloud = canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16, seed=0)
-            np.testing.assert_array_equal(cloud.points, np.zeros((16, 3)))
-            _, arg = forward_argmax(net, cloud)
+            ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16, seed=0)
+            assert cloud.points.tobytes() == np.zeros((1, 3)).tobytes()
+            emb, arg = forward_argmax(net, cloud)
+            ref_emb, ref_arg = forward_argmax(net, ref)
             np.testing.assert_array_equal(arg, np.zeros(4, dtype=arg.dtype))
-            self.assert_matches_dense(net, cloud, rng.normal(size=4))
+            np.testing.assert_array_equal(ref_arg, np.zeros(4, dtype=arg.dtype))
+            np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
+            upstream = rng.normal(size=4)
+            self.assert_matches_dense(net, cloud, upstream)
+            for a, b in zip(backward(net, cloud, upstream), backward(net, ref, upstream)):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_dead_relu_units(self):
         rng = np.random.default_rng(14)
@@ -319,6 +396,52 @@ class TestCriticalPointBackward:
             emb, arg = forward_argmax(net, cloud)
             assert emb.tobytes() == forward(net, cloud).tobytes()
             assert arg.shape == (net.dim,)
+
+
+@st.composite
+def crop_cases(draw):
+    """(cloud, box, n, seed, net, upstream): 0 to 2n survivors of a cloud,
+    on a coarse grid half the time so that points repeat and arg-max ties
+    are common, and a random 2- to 4-layer net whose biases may silence
+    whole layers."""
+    n = draw(st.integers(1, 24))
+    survivors = draw(st.integers(0, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pc = cloud_in_box(rng, survivors)
+    if draw(st.booleans()):
+        pc = PointCloud(np.round(pc.points * 4.0) / 4.0)
+    widths = (3,) + tuple(draw(st.lists(st.integers(1, 12), min_size=2, max_size=4)))
+    bias_scale = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    net = EmbedNet(
+        weights=EmbedNet.random(widths, seed=draw(st.integers(0, 2**16))).weights,
+        biases=tuple(rng.normal(0.0, bias_scale, size=w) for w in widths[1:]),
+    )
+    b = box(yaw=draw(st.sampled_from([0.0, 0.3])))
+    return pc, b, n, draw(st.integers(0, 2**16)), net, rng.normal(size=net.dim)
+
+
+class TestReferenceEquivalence:
+    """Embedding each drawn point once gives the embedding, the critical
+    points and the gradients of the n-row reference crop."""
+
+    @given(crop_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((PointCloud([[50.0, 50.0, 50.0]]), box(), 8, 0,
+              EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
+    def test_matches_reference_crop(self, case):
+        pc, b, n, seed, net, upstream = case
+        cloud = canonicalize(pc, b, n, seed)
+        ref = reference_canonicalize(pc, b, n, seed)
+        assert 1 <= cloud.points.shape[0] <= n
+        np.testing.assert_allclose(forward(net, cloud), forward(net, ref), rtol=0.0, atol=1e-12)
+        emb, arg = forward_argmax(net, cloud)
+        ref_emb, ref_arg = forward_argmax(net, ref)
+        np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
+        assert cloud.points[arg].tobytes() == ref.points[ref_arg].tobytes()
+        got = backward(net, cloud, upstream, arg=arg)
+        want = backward(net, ref, upstream, arg=ref_arg)
+        for a, w in zip(got, want):
+            np.testing.assert_allclose(a, w, rtol=0.0, atol=1e-12)
 
 
 class TestCheckpoint:

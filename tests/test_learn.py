@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_embed import dense_backward
+from test_embed import dense_backward, reference_canonicalize
 
 from uatrack import assoc, embed, kalman, learn, sim
 from uatrack.learn import (
@@ -274,6 +274,32 @@ class TestTrain:
             assert abs(r.mean_loss - q.mean_loss) <= 1e-9
         for a, b in zip(out.params(), ref_out.params()):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+
+    def test_history_matches_reference_crops(self, monkeypatch):
+        """Training on crops that keep each drawn point once follows training
+        on the n-row reference crops, whose copies the max pool ignores."""
+        seqs, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
+        net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
+        cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
+        rows = []
+        canonicalize = embed.canonicalize
+
+        def recording(cloud, box, n, seed):
+            got = canonicalize(cloud, box, n, seed)
+            rows.append(got.points.shape[0])
+            return got
+
+        monkeypatch.setattr(embed, "canonicalize", recording)
+        out, history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=64)
+        assert max(rows) == 64 and min(rows) < 64  # both the dense and the sparse path
+        monkeypatch.setattr(embed, "canonicalize", reference_canonicalize)
+        ref_out, ref_history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=64)
+        assert len(history) == len(ref_history) > 10
+        for r, q in zip(history, ref_history):
+            assert r.mean_weight == q.mean_weight
+            assert abs(r.mean_loss - q.mean_loss) <= 1e-12
+        for a, b in zip(out.params(), ref_out.params()):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_non_finite_params_raise(self, monkeypatch):
         """A step whose update makes a parameter NaN stops training: the
