@@ -79,8 +79,8 @@ def _load_config(path, seed: int | None = None) -> RunConfig:
     return rc if seed is None else replace(rc, seed=seed)
 
 
-def _read_scene(rc: RunConfig, det_path, clouds_dir) -> Sequence:
-    return read_detections(det_path, read_clouds(clouds_dir),
+def _read_scene(rc: RunConfig, det_path, clouds_path) -> Sequence:
+    return read_detections(det_path, read_clouds(clouds_path),
                            frame_period=rc.sim.frame_period, n_frames=rc.sim.frames)
 
 
@@ -144,9 +144,11 @@ def _stage_simulate(rc: RunConfig, out: Path):
             corrupted = sim.corrupt_detections(seq, noise, _scene_seed(rc, split, i, 100))
             d = _scene_dir(out, split, i)
             d.mkdir(parents=True, exist_ok=True)
+            # clouds first: a run made before cloud packs has a directory
+            # there, and write_clouds refuses it before any file is touched
+            write_clouds(d / "clouds", corrupted.clouds)
             write_detections(d / "detections.jsonl", seq)
             write_detections(d / "corrupted.jsonl", corrupted)
-            write_clouds(d / "clouds", corrupted.clouds)
             _write_gt_tracks(d / "gt_tracks.jsonl", labels)
             outputs += [d / "detections.jsonl", d / "corrupted.jsonl",
                         d / "gt_tracks.jsonl", d / "clouds"]
@@ -157,21 +159,22 @@ def _stage_simulate(rc: RunConfig, out: Path):
 # stage functions
 
 
-def run_pseudo_tracks(rc: RunConfig, detections, clouds, target):
-    """Pseudo-tracks with link confidences for one scene."""
-    seq = _read_scene(rc, detections, clouds)
+def run_pseudo_tracks(rc: RunConfig, detections, target):
+    """Pseudo-tracks with link confidences for one scene; the tracker uses
+    only boxes."""
+    seq = _read_boxes(rc, detections)
     labels, conf = assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc)
     assoc.write_pseudo_tracks(target, labels, conf)
-    return [detections, clouds], [target]
+    return [detections], [target]
 
 
 def run_train(rc: RunConfig, scenes, checkpoint, history):
     """Train the embedding on (detections, clouds, tracks) scenes."""
     inputs, seqs, tracks = [], [], []
-    for det_path, clouds_dir, track_path in scenes:
-        seqs.append(_read_scene(rc, det_path, clouds_dir))
+    for det_path, clouds_path, track_path in scenes:
+        seqs.append(_read_scene(rc, det_path, clouds_path))
         tracks.append(assoc.read_pseudo_tracks(track_path, seqs[-1]))
-        inputs += [det_path, clouds_dir, track_path]
+        inputs += [det_path, clouds_path, track_path]
     net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed)
     net, rows = learn.train(seqs, tracks, net, rc.learn, seed=rc.seed,
                             points_per_crop=rc.embed.points_per_crop)
@@ -189,8 +192,8 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
     net = embed.load_checkpoint(checkpoint) if APPEARANCE in models else None
-    examples = [ex for det_path, clouds_dir in scenes for ex in mot.harvest_features(
-        _read_scene(rc, det_path, clouds_dir), rc.kalman, rc.assoc, net=net,
+    examples = [ex for det_path, clouds_path in scenes for ex in mot.harvest_features(
+        _read_scene(rc, det_path, clouds_path), rc.kalman, rc.assoc, net=net,
         points_per_crop=rc.embed.points_per_crop)]
     for mode, target in models.items():
         # a derived list dies with its fit call, so one is held at a time
@@ -211,15 +214,15 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     models = {mode: mot.load_logistic(path) for mode, path in logistic.items()}
     inputs = list(logistic.values()) + ([checkpoint] if net is not None else [])
     outputs = []
-    for det_path, clouds_dir, targets in scenes:
-        seq = _read_scene(rc, det_path, clouds_dir)
+    for det_path, clouds_path, targets in scenes:
+        seq = _read_scene(rc, det_path, clouds_path)
         for mode, target in targets.items():
             rows = mot.track_sequence(seq, rc.kalman, rc.assoc, mode, net=net,
                                       model=models.get(mode),
                                       points_per_crop=rc.embed.points_per_crop)
             write_track_rows(target, rows)
             outputs.append(target)
-        inputs += [det_path, clouds_dir]
+        inputs += [det_path, clouds_path]
     return inputs, outputs
 
 
@@ -228,7 +231,7 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
     box-perturbed candidates as [eval] sot_noise says; writes
     sot_<clean|noisy>.csv and sot_summary.json to out_dir."""
     net = embed.load_checkpoint(checkpoint)
-    seqs = [_read_scene(rc, det_path, clouds_dir) for det_path, clouds_dir in scenes]
+    seqs = [_read_scene(rc, det_path, clouds_path) for det_path, clouds_path in scenes]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs, summary = [], {}
@@ -307,13 +310,13 @@ def run_confidence_report(rc: RunConfig, scenes):
 
 
 def _scenes(rc: RunConfig, out: Path, split: str, detections: str):
-    """(detections file, clouds dir) of each scene of a split."""
+    """(detections file, cloud file) of each scene of a split."""
     dirs = [_scene_dir(out, split, i) for i in range(_split_counts(rc)[split])]
     return [(d / detections, d / "clouds") for d in dirs]
 
 
 def _train_scenes(rc: RunConfig, out: Path):
-    """(detections file, clouds dir) of each training scene: the clean
+    """(detections file, cloud file) of each training scene: the clean
     detections for [learn] mode = oracle, the corrupted ones otherwise."""
     det = "detections.jsonl" if rc.learn.mode == "oracle" else "corrupted.jsonl"
     return _scenes(rc, out, "train", det)
@@ -338,9 +341,8 @@ def _mot_models(rc: RunConfig, out: Path) -> dict[str, Path]:
 def _stage_pseudo_tracks(rc: RunConfig, out: Path):
     (out / "pseudo").mkdir(parents=True, exist_ok=True)
     inputs, outputs = [], []
-    for i, (det_path, clouds_dir) in enumerate(_train_scenes(rc, out)):
-        scene_inputs, scene_outputs = run_pseudo_tracks(rc, det_path, clouds_dir,
-                                                        _pseudo_path(out, i))
+    for i, (det_path, _) in enumerate(_train_scenes(rc, out)):
+        scene_inputs, scene_outputs = run_pseudo_tracks(rc, det_path, _pseudo_path(out, i))
         inputs += scene_inputs
         outputs += scene_outputs
     return inputs, outputs
@@ -348,9 +350,9 @@ def _stage_pseudo_tracks(rc: RunConfig, out: Path):
 
 def _stage_train(rc: RunConfig, out: Path):
     oracle = rc.learn.mode == "oracle"
-    scenes = [(det_path, clouds_dir,
+    scenes = [(det_path, clouds_path,
                _scene_dir(out, "train", i) / "gt_tracks.jsonl" if oracle else _pseudo_path(out, i))
-              for i, (det_path, clouds_dir) in enumerate(_train_scenes(rc, out))]
+              for i, (det_path, clouds_path) in enumerate(_train_scenes(rc, out))]
     (out / "train").mkdir(parents=True, exist_ok=True)
     return run_train(rc, scenes, _checkpoint_path(out), out / "train" / "loss_history.csv")
 
@@ -363,8 +365,8 @@ def _stage_fit_logistic(rc: RunConfig, out: Path):
 
 def _stage_mot_run(rc: RunConfig, out: Path):
     (out / "mot").mkdir(parents=True, exist_ok=True)
-    scenes = [(det_path, clouds_dir, {m: _tracks_path(out, i, m) for m in rc.mot.modes})
-              for i, (det_path, clouds_dir)
+    scenes = [(det_path, clouds_path, {m: _tracks_path(out, i, m) for m in rc.mot.modes})
+              for i, (det_path, clouds_path)
               in enumerate(_scenes(rc, out, "test", "corrupted.jsonl"))]
     return run_mot(rc, scenes, _checkpoint_path(out), _mot_models(rc, out))
 
@@ -430,17 +432,10 @@ _STAGES = {
 
 
 def _hash_path(path: Path) -> str:
-    h = hashlib.sha256()
-    if path.is_dir():
-        for p in sorted(path.rglob("*")):
-            if p.is_file():
-                h.update(p.name.encode())
-                h.update(hashlib.sha256(p.read_bytes()).digest())
-    elif path.is_file():
-        h.update(path.read_bytes())
-    else:
+    """sha256 of an artifact; every artifact is one file."""
+    if not path.is_file():
         raise PipelineError(f"missing artifact: {path}")
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
@@ -513,7 +508,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pseudo_tracks(args) -> int:
-    run_pseudo_tracks(_load_config(args.config), args.detections, args.clouds, args.out)
+    run_pseudo_tracks(_load_config(args.config), args.detections, args.out)
     print(f"wrote pseudo-tracks to {args.out}")
     return 0
 
@@ -599,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudo-tracks", help="build self-supervised pseudo-tracks")
     p.add_argument("--detections", required=True)
-    p.add_argument("--clouds", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pseudo_tracks)
@@ -607,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the embedding on pseudo-tracks")
     p.add_argument("--detections", nargs="+", required=True)
     p.add_argument("--pseudo-tracks", nargs="+", required=True)
-    p.add_argument("--clouds", nargs="+", required=True)
+    p.add_argument("--clouds", nargs="+", required=True,
+                   help="the scene's cloud file, one per --detections")
     p.add_argument("--config", default=None)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-history", default=None)
@@ -616,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-logistic", help="fit the association score fusion model")
     p.add_argument("--detections", nargs="+", required=True)
-    p.add_argument("--clouds", nargs="+", required=True)
+    p.add_argument("--clouds", nargs="+", required=True,
+                   help="the scene's cloud file, one per --detections")
     p.add_argument("--checkpoint", default=None,
                    help="fit the appearance mode's model; without it, motion+score's")
     p.add_argument("--config", default=None)
@@ -625,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mot-run", help="run the multi-object tracker")
     p.add_argument("--detections", required=True)
-    p.add_argument("--clouds", required=True)
+    p.add_argument("--clouds", required=True, help="the scene's cloud file")
     p.add_argument("--mode", choices=mot.MODES, default="motion")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--logistic-model", default=None)
@@ -635,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sot-eval", help="single-object association accuracy")
     p.add_argument("--detections", nargs="+", required=True)
-    p.add_argument("--clouds", nargs="+", required=True)
+    p.add_argument("--clouds", nargs="+", required=True,
+                   help="the scene's cloud file, one per --detections")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)

@@ -8,8 +8,11 @@ File formats:
   * detections: JSON lines, one detection per line
     {"frame": int, "box": [x,y,z,yaw,l,w,h], "score": float,
      "cloud": str, "gt_id": int|null}
-  * point cloud: binary, magic "UAPC", uint32 count, count x 3 float32,
-    all little-endian
+  * cloud pack: one binary file per scene holding every cloud its
+    detections reference, all little-endian: magic "UAPK", uint32 cloud
+    count, then for each cloud in sorted-ref order a uint16 byte length,
+    the UTF-8 ref, and the cloud's UAPC record (magic "UAPC", uint32 point
+    count, count x 3 float32)
   * track output: JSON lines
     {"frame": int, "track_id": int, "box": [...7...], "score": float}
 """
@@ -25,6 +28,11 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 CLOUD_MAGIC = b"UAPC"
+PACK_MAGIC = b"UAPK"
+# a scene's clouds path that is a directory holds the one-file-per-cloud
+# store of a run made before cloud packs
+_OLD_STORE = ("is a directory, not a cloud pack: the per-cloud store of an older run; "
+             "simulate into a new --out-dir")
 
 
 def wrap_angle(theta: float) -> float:
@@ -319,44 +327,87 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_point_cloud(path, cloud: PointCloud) -> None:
+def write_point_cloud(fh, cloud: PointCloud) -> None:
+    """Write one cloud's UAPC record to an open binary file."""
+    fh.write(CLOUD_MAGIC)
+    fh.write(struct.pack("<I", cloud.count))
+    fh.write(np.ascontiguousarray(cloud.points, dtype="<f4").tobytes())
+
+
+def write_clouds(path, clouds: dict[str, PointCloud]) -> None:
+    """Write a scene's clouds as one cloud pack, in sorted-ref order, so the
+    bytes do not depend on the dict's insertion order.
+
+    A ref longer than 65,535 UTF-8 bytes, or a path that is a directory (the
+    one-file-per-cloud store of a run made before packs), raises
+    ValueError("<path>: ...") before anything is written.
+    """
     path = Path(path)
+    refs = sorted(clouds)
+    keys = [ref.encode("utf-8") for ref in refs]
+    for ref, key in zip(refs, keys):
+        if len(key) > 0xFFFF:
+            raise ValueError(f"{path}: cloud ref of {len(key)} UTF-8 bytes, "
+                             f"over the pack's limit of 65535: {ref[:32]!r}...")
+    if path.is_dir():
+        raise ValueError(f"{path}: {_OLD_STORE}")
     with path.open("wb") as fh:
-        fh.write(CLOUD_MAGIC)
-        fh.write(struct.pack("<I", cloud.count))
-        fh.write(np.ascontiguousarray(cloud.points, dtype="<f4").tobytes())
+        fh.write(PACK_MAGIC)
+        fh.write(struct.pack("<I", len(refs)))
+        for ref, key in zip(refs, keys):
+            fh.write(struct.pack("<H", len(key)))
+            fh.write(key)
+            write_point_cloud(fh, clouds[ref])
 
 
-def read_point_cloud(path) -> PointCloud:
+def read_clouds(path) -> dict[str, PointCloud]:
+    """{ref: PointCloud} of a cloud pack, read with one read.
+
+    Bad magic, a truncation, trailing bytes, a ref that is not UTF-8 or
+    appears twice, a non-finite point, or a path that is a directory raise
+    ValueError("<path>: ...").
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != CLOUD_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {CLOUD_MAGIC!r}")
+    try:
+        raw = path.read_bytes()
+    except IsADirectoryError as exc:
+        raise ValueError(f"{path}: {_OLD_STORE}") from exc
+    if raw[:4] != PACK_MAGIC:
+        raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {PACK_MAGIC!r}")
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated header, {len(raw)} bytes")
     (count,) = struct.unpack_from("<I", raw, 4)
-    expected = 8 + count * 12
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    pts = np.frombuffer(raw, dtype="<f4", count=count * 3, offset=8).reshape(count, 3)
-    try:
-        return PointCloud(pts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def write_clouds(dirpath, clouds: dict[str, PointCloud]) -> None:
-    dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    for ref in sorted(clouds):
-        write_point_cloud(dirpath / f"{ref}.uapc", clouds[ref])
-
-
-def read_clouds(dirpath) -> dict[str, PointCloud]:
-    dirpath = Path(dirpath)
     out: dict[str, PointCloud] = {}
-    for p in sorted(dirpath.glob("*.uapc")):
-        out[p.stem] = read_point_cloud(p)
+    pos = 8
+    for k in range(count):
+        ref_at = pos + 2
+        if ref_at > len(raw):
+            raise ValueError(f"{path}: truncated at cloud {k} of {count}")
+        (n,) = struct.unpack_from("<H", raw, pos)
+        rec = ref_at + n  # the cloud's UAPC record: magic, uint32 count, points
+        if rec + 8 > len(raw):
+            raise ValueError(f"{path}: truncated at cloud {k} of {count}")
+        try:
+            ref = raw[ref_at:rec].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: cloud {k}: ref is not UTF-8: {exc}") from exc
+        if ref in out:
+            raise ValueError(f"{path}: cloud {k}: duplicate ref {ref!r}")
+        if raw[rec:rec + 4] != CLOUD_MAGIC:
+            raise ValueError(f"{path}: cloud {ref!r}: bad magic {raw[rec:rec + 4]!r}, "
+                             f"expected {CLOUD_MAGIC!r}")
+        (npts,) = struct.unpack_from("<I", raw, rec + 4)
+        pos = rec + 8 + 12 * npts
+        if pos > len(raw):
+            raise ValueError(f"{path}: cloud {ref!r}: truncated, {npts} points need "
+                             f"{pos} bytes, got {len(raw)}")
+        pts = np.frombuffer(raw, dtype="<f4", count=npts * 3, offset=rec + 8)
+        try:
+            out[ref] = PointCloud(pts.reshape(npts, 3))
+        except ValueError as exc:
+            raise ValueError(f"{path}: cloud {ref!r}: {exc}") from exc
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after {count} clouds")
     return out
 
 

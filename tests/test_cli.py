@@ -8,7 +8,7 @@ import pytest
 
 from uatrack import assoc, cli, embed, sim
 from uatrack.config import parse_config
-from uatrack.core import PointCloud, write_point_cloud
+from uatrack.core import PointCloud, write_clouds
 
 TINY = """\
 [global]
@@ -59,6 +59,19 @@ class TestPipeline:
         stages = [json.loads(line)["stage"] for line in first.decode().splitlines()]
         assert stages == list(cli.STAGE_ORDER)
 
+    def test_each_scene_is_four_files(self, tiny_run):
+        """A scene's clouds are one pack file, not a directory, and the
+        pseudo-tracks stage, which uses boxes only, does not read it."""
+        scenes = sorted((tiny_run / "sim").iterdir())
+        assert [d.name for d in scenes] == ["fit_00", "test_00", "train_00"]
+        for d in scenes:
+            assert sorted(p.name for p in d.iterdir()) == [
+                "clouds", "corrupted.jsonl", "detections.jsonl", "gt_tracks.jsonl"]
+            assert all(p.is_file() for p in d.iterdir())
+        lines = [json.loads(line) for line in (tiny_run / "manifest.jsonl").open()]
+        pseudo = next(line for line in lines if line["stage"] == "pseudo-tracks")
+        assert list(pseudo["inputs"]) == ["sim/train_00/corrupted.jsonl"]
+
     def test_gt_tracks_are_pseudo_tracks_an_oracle_run_trains_on(self, tiny_run, tmp_path):
         """simulate writes each scene's true tracklets in the pseudo-track
         format and nothing more: they read back as the simulator's labels
@@ -107,20 +120,45 @@ class TestMalformedInput:
         del obj["score"]
         (tmp_path / "dets.jsonl").write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
         code, err = _main(capsys, ["pseudo-tracks", "--detections", str(tmp_path / "dets.jsonl"),
-                                   "--clouds", str(scene / "clouds"),
                                    "--out", str(tmp_path / "pt.jsonl")])
         self.assert_one_line_error(code, err, "dets.jsonl:1: missing key 'score'")
 
-    def test_truncated_point_cloud(self, tiny_run, tmp_path, capsys):
-        scene = tiny_run / "sim" / "train_00"
-        clouds = tmp_path / "clouds"
-        clouds.mkdir()
-        write_point_cloud(clouds / "x.uapc", PointCloud(np.ones((3, 3))))
-        (clouds / "x.uapc").write_bytes((clouds / "x.uapc").read_bytes()[:6])
-        code, err = _main(capsys, ["pseudo-tracks",
-                                   "--detections", str(scene / "corrupted.jsonl"),
-                                   "--clouds", str(clouds), "--out", str(tmp_path / "pt.jsonl")])
-        self.assert_one_line_error(code, err, "x.uapc")
+    def test_truncated_cloud_pack(self, tiny_run, tmp_path, capsys):
+        scene = tiny_run / "sim" / "test_00"
+        write_clouds(tmp_path / "x.uapk", {"c": PointCloud(np.ones((3, 3)))})
+        (tmp_path / "x.uapk").write_bytes((tmp_path / "x.uapk").read_bytes()[:-1])
+        code, err = _main(capsys, ["mot-run", "--detections", str(scene / "corrupted.jsonl"),
+                                   "--clouds", str(tmp_path / "x.uapk"),
+                                   "--out-tracks", str(tmp_path / "t.jsonl")])
+        self.assert_one_line_error(code, err, "x.uapk: cloud 'c': truncated")
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_directory_cloud_store(self, tiny_run, tmp_path, capsys):
+        """The clouds/ directory of a run made before cloud packs."""
+        scene = tiny_run / "sim" / "test_00"
+        (tmp_path / "clouds").mkdir()
+        (tmp_path / "clouds" / "f0o0.uapc").write_bytes(b"UAPC" + bytes(4))
+        code, err = _main(capsys, ["mot-run", "--detections", str(scene / "corrupted.jsonl"),
+                                   "--clouds", str(tmp_path / "clouds"),
+                                   "--out-tracks", str(tmp_path / "t.jsonl")])
+        self.assert_one_line_error(code, err, "clouds: is a directory, not a cloud pack")
+        assert [p.name for p in (tmp_path / "clouds").iterdir()] == ["f0o0.uapc"]
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_out_dir_of_a_run_before_cloud_packs(self, command, tiny_config, tmp_path, capsys):
+        """simulate into an --out-dir whose scenes hold clouds/ directories
+        stops at the first one, in one line, and changes no scene file."""
+        before = {}
+        for split in cli.SPLITS:
+            scene = tmp_path / "sim" / f"{split}_00"
+            (scene / "clouds").mkdir(parents=True)
+            for name in ("clouds/f0o0.uapc", "detections.jsonl", "corrupted.jsonl"):
+                (scene / name).write_bytes(b"old " + name.encode())
+                before[scene / name] = b"old " + name.encode()
+        code, err = _main(capsys, [command, "--config", str(tiny_config),
+                                   "--out-dir", str(tmp_path)])
+        self.assert_one_line_error(code, err, "train_00/clouds: is a directory")
+        assert {p: p.read_bytes() for p in tmp_path.glob("sim/*/**/*") if p.is_file()} == before
 
     def test_truncated_checkpoint(self, tiny_run, tmp_path, capsys):
         raw = (tiny_run / "train" / "checkpoint.uann").read_bytes()
@@ -241,7 +279,7 @@ def _parity_case(name, run: Path, out: Path):
         return [["simulate", "--out-dir", out]], [(out / "sim", run / "sim")]
     if name == "pseudo-tracks":
         return ([["pseudo-tracks", "--detections", train / "corrupted.jsonl",
-                  "--clouds", train / "clouds", "--out", out / "pt.jsonl"]],
+                  "--out", out / "pt.jsonl"]],
                 [(out / "pt.jsonl", run / "pseudo" / "train_00.jsonl")])
     if name == "train":
         return ([["train", "--detections", train / "corrupted.jsonl",

@@ -1,11 +1,14 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from uatrack.core import (
+    CLOUD_MAGIC,
+    PACK_MAGIC,
     Box7,
     Detection,
     FrameRecord,
@@ -16,13 +19,11 @@ from uatrack.core import (
     center_distance,
     read_clouds,
     read_detections,
-    read_point_cloud,
     read_track_rows,
     wrap_angle,
     wrap_angles,
     write_clouds,
     write_detections,
-    write_point_cloud,
     write_track_rows,
 )
 
@@ -219,16 +220,6 @@ class TestSerialization:
                                n_frames=len(seq.frames))
         assert back == seq
 
-    def test_point_cloud_round_trip(self, tmp_path):
-        pc = PointCloud(np.random.default_rng(0).normal(size=(17, 3)).astype(np.float32))
-        write_point_cloud(tmp_path / "c.uapc", pc)
-        assert read_point_cloud(tmp_path / "c.uapc") == pc
-
-    def test_point_cloud_magic_checked(self, tmp_path):
-        (tmp_path / "bad.uapc").write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(ValueError):
-            read_point_cloud(tmp_path / "bad.uapc")
-
     def test_track_rows_round_trip(self, tmp_path):
         rows = [
             TrackRow(frame=0, track_id=3, box=make_box(1.5, 2.25, 0.75, -0.3), score=0.5),
@@ -282,10 +273,82 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"d\.jsonl:1: "):
             read_detections(tmp_path / "d.jsonl", clouds=None, n_frames=3)
 
-    @pytest.mark.parametrize("keep", [2, 4, 6, 8, 19])
-    def test_truncated_point_cloud(self, tmp_path, keep):
-        write_point_cloud(tmp_path / "c.uapc", PointCloud(np.ones((2, 3))))
-        raw = (tmp_path / "c.uapc").read_bytes()
-        (tmp_path / "c.uapc").write_bytes(raw[:keep])
-        with pytest.raises(ValueError, match=r"c\.uapc: "):
-            read_point_cloud(tmp_path / "c.uapc")
+
+
+def _pack(*entries, count=None) -> bytes:
+    """A cloud pack built by hand from (ref bytes, points) entries."""
+    raw = PACK_MAGIC + struct.pack("<I", len(entries) if count is None else count)
+    for key, pts in entries:
+        pts = np.asarray(pts, dtype="<f4").reshape(-1, 3)
+        raw += struct.pack("<H", len(key)) + key
+        raw += CLOUD_MAGIC + struct.pack("<I", len(pts)) + pts.tobytes()
+    return raw
+
+
+class TestCloudPack:
+    CLOUDS = {"b": PointCloud(np.arange(6).reshape(2, 3)),
+              "\u00e9t\u00e9": PointCloud(np.zeros((0, 3))),
+              "a": PointCloud([[0.5, -1.0, 2.0]])}
+
+    def test_layout_and_round_trip(self, tmp_path):
+        """magic, uint32 count, then (uint16 length, UTF-8 ref, UAPC record)
+        per cloud in sorted-ref order, all little-endian."""
+        write_clouds(tmp_path / "clouds", self.CLOUDS)
+        assert (tmp_path / "clouds").read_bytes() == _pack(
+            (b"a", [[0.5, -1.0, 2.0]]), (b"b", np.arange(6)),
+            ("\u00e9t\u00e9".encode(), np.zeros((0, 3))))
+        assert read_clouds(tmp_path / "clouds") == self.CLOUDS
+
+    def test_empty_pack_round_trips(self, tmp_path):
+        write_clouds(tmp_path / "clouds", {})
+        assert (tmp_path / "clouds").read_bytes() == PACK_MAGIC + bytes(4)
+        assert read_clouds(tmp_path / "clouds") == {}
+
+    def test_insertion_order_does_not_change_the_bytes(self, tmp_path):
+        write_clouds(tmp_path / "one", self.CLOUDS)
+        write_clouds(tmp_path / "two", dict(reversed(self.CLOUDS.items())))
+        assert (tmp_path / "one").read_bytes() == (tmp_path / "two").read_bytes()
+
+    def test_ref_over_65535_bytes_rejected_at_write(self, tmp_path):
+        longest = {"\u00e9" * 32767 + "a": PointCloud(np.zeros((0, 3)))}  # 65,535 bytes
+        write_clouds(tmp_path / "clouds", longest)
+        with pytest.raises(ValueError, match=r"clouds: cloud ref of 65536 UTF-8 bytes"):
+            write_clouds(tmp_path / "clouds", {"\u00e9" * 32768: PointCloud(np.zeros((0, 3)))})
+        assert read_clouds(tmp_path / "clouds") == longest
+
+    def test_magic_checked(self, tmp_path):
+        (tmp_path / "clouds").write_bytes(b"UAPC" + bytes(4))
+        with pytest.raises(ValueError, match=r"clouds: bad magic b'UAPC', expected b'UAPK'"):
+            read_clouds(tmp_path / "clouds")
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        write_clouds(tmp_path / "clouds", self.CLOUDS)
+        raw = (tmp_path / "clouds").read_bytes()
+        for keep in range(len(raw)):
+            (tmp_path / "clouds").write_bytes(raw[:keep])
+            with pytest.raises(ValueError, match=r"clouds: "):
+                read_clouds(tmp_path / "clouds")
+
+    @pytest.mark.parametrize("raw, why", [
+        (_pack((b"a", np.zeros(3))) + b"\x00", "1 trailing bytes after 1 clouds"),
+        (_pack((b"a", np.zeros(3)), count=0), "23 trailing bytes after 0 clouds"),
+        (_pack((b"\xff", np.zeros(3))), "cloud 0: ref is not UTF-8"),
+        (_pack((b"a", np.zeros(3)), (b"a", np.ones(3))), "cloud 1: duplicate ref 'a'"),
+        (_pack((b"a", [0.0, np.inf, 0.0])), "cloud 'a': point cloud contains non-finite"),
+        (_pack((b"a", np.zeros(3))).replace(CLOUD_MAGIC, b"NOPE"), "cloud 'a': bad magic"),
+    ], ids=["trailing", "count", "utf8", "duplicate", "non-finite", "record-magic"])
+    def test_damaged_pack_names_the_file(self, tmp_path, raw, why):
+        (tmp_path / "clouds").write_bytes(raw)
+        with pytest.raises(ValueError, match=rf"clouds: {why}"):
+            read_clouds(tmp_path / "clouds")
+
+    def test_directory_store_refused_and_kept(self, tmp_path):
+        """The clouds/ directory of a run made before packs is neither read
+        nor overwritten, and nothing in it is deleted."""
+        old = tmp_path / "clouds"
+        old.mkdir()
+        (old / "f0o0.uapc").write_bytes(b"UAPC" + bytes(4))
+        for call in (lambda: read_clouds(old), lambda: write_clouds(old, self.CLOUDS)):
+            with pytest.raises(ValueError, match=r"clouds: is a directory, not a cloud pack"):
+                call()
+        assert [p.name for p in old.iterdir()] == ["f0o0.uapc"]

@@ -16,11 +16,11 @@ from uatrack.core import (
     PointCloud,
     Sequence,
     TrackRow,
+    read_clouds,
     read_detections,
-    read_point_cloud,
     read_track_rows,
+    write_clouds,
     write_detections,
-    write_point_cloud,
     write_track_rows,
 )
 from uatrack.embed import EmbedNet, load_checkpoint, save_checkpoint
@@ -163,30 +163,33 @@ class TestPseudoTracks:
             read_pseudo_tracks(tmp_path / "p.jsonl", self.SCENE)
 
 
-class TestPointCloud:
+class TestCloudPack:
     points = st.lists(st.tuples(coord, coord, coord), max_size=20).map(
         lambda p: PointCloud(np.array(p, dtype=np.float32).reshape(-1, 3)))
+    # any text, so refs may be empty or non-ASCII; clouds may have 0 points
+    packs = st.dictionaries(st.text(max_size=8), points, max_size=6)
 
     @READER
-    @given(cloud=points)
-    def test_round_trip(self, tmp_path, cloud):
-        write_point_cloud(tmp_path / "c.uapc", cloud)
-        assert read_point_cloud(tmp_path / "c.uapc") == cloud
+    @given(clouds=packs)
+    def test_round_trip(self, tmp_path, clouds):
+        write_clouds(tmp_path / "s.uapk", clouds)
+        back = read_clouds(tmp_path / "s.uapk")
+        assert back == clouds and list(back) == sorted(clouds)
 
     @READER
-    @given(data=st.data(), cloud=points)
-    def test_damaged_bytes(self, tmp_path, data, cloud):
-        write_point_cloud(tmp_path / "c.uapc", cloud)
-        raw = (tmp_path / "c.uapc").read_bytes()
-        (tmp_path / "c.uapc").write_bytes(data.draw(damaged(raw)))
-        assert_loads_or_names_file(read_point_cloud, tmp_path / "c.uapc")
+    @given(data=st.data(), clouds=packs)
+    def test_damaged_bytes(self, tmp_path, data, clouds):
+        write_clouds(tmp_path / "s.uapk", clouds)
+        raw = (tmp_path / "s.uapk").read_bytes()
+        (tmp_path / "s.uapk").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(read_clouds, tmp_path / "s.uapk")
 
     def test_non_finite_point_names_file(self, tmp_path):
-        write_point_cloud(tmp_path / "c.uapc", PointCloud(np.zeros((1, 3))))
-        raw = (tmp_path / "c.uapc").read_bytes()
-        (tmp_path / "c.uapc").write_bytes(raw[:8] + np.float32(np.nan).tobytes() + raw[12:])
-        with pytest.raises(ValueError, match=r"c\.uapc: .*non-finite"):
-            read_point_cloud(tmp_path / "c.uapc")
+        write_clouds(tmp_path / "s.uapk", {"c": PointCloud(np.zeros((1, 3)))})
+        raw = (tmp_path / "s.uapk").read_bytes()
+        (tmp_path / "s.uapk").write_bytes(raw[:-4] + np.float32(np.nan).tobytes())
+        with pytest.raises(ValueError, match=r"s\.uapk: cloud 'c': .*non-finite"):
+            read_clouds(tmp_path / "s.uapk")
 
 
 class TestCheckpoint:
