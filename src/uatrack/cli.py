@@ -39,6 +39,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import assoc, embed, evaluation, learn, mot, sim
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .core import (
@@ -192,14 +194,15 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
     net = embed.load_checkpoint(checkpoint) if APPEARANCE in models else None
-    examples = [ex for det_path, clouds_path in scenes for ex in mot.harvest_features(
-        _read_scene(rc, det_path, clouds_path), rc.kalman, rc.assoc, net=net,
-        points_per_crop=rc.embed.points_per_crop)]
+    harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path), rc.kalman,
+                                     rc.assoc, net=net, points_per_crop=rc.embed.points_per_crop)
+                for det_path, clouds_path in scenes]
+    x = np.concatenate([x for x, _ in harvests])
+    y = np.concatenate([y for _, y in harvests])
     for mode, target in models.items():
-        # a derived list dies with its fit call, so one is held at a time
+        # a derived copy dies with its fit call, so one is held at a time
         mot.save_logistic(target, mot.fit_logistic(
-            examples if mode == APPEARANCE
-            else [(mot.FeatureVector.build(fv.m, 0.0, fv.d), lbl) for fv, lbl in examples]))
+            x if mode == APPEARANCE else mot.without_appearance(x), y))
     inputs = [p for scene in scenes for p in scene] + ([checkpoint] if net is not None else [])
     return inputs, list(models.values())
 
@@ -443,7 +446,9 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
 
     Each stage appends a manifest line {stage, order, inputs, outputs} with
     sha256 hashes of every artifact; reruns with identical config and seed
-    produce bit-identical manifests. Timings are logged separately.
+    produce bit-identical manifests. Timings are logged separately. The
+    first stage's lines replace manifest.jsonl and timings.jsonl, so a run
+    whose first stage fails leaves the record of the run before as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -456,31 +461,32 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
     manifest_path = out / "manifest.jsonl"
     timing_path = out / "timings.jsonl"
     lines = []
-    with manifest_path.open("w", encoding="utf-8") as mfh, \
-            timing_path.open("w", encoding="utf-8") as tfh:
-        for order, stage in enumerate(ordered):
-            t0 = time.perf_counter()
-            try:
-                inputs, outputs = _STAGES[stage](rc, out)
-            except FileNotFoundError as exc:
-                raise PipelineError(
-                    f"stage {stage!r} is missing input artifact {exc.filename!r}; "
-                    f"run its upstream stages first"
-                ) from exc
-            elapsed = time.perf_counter() - t0
-            line = {
-                "stage": stage,
-                "order": order,
-                "config": config_hash,
-                "inputs": {str(p.relative_to(out)) if p.is_relative_to(out) else str(p):
-                           _hash_path(Path(p)) for p in sorted(set(map(Path, inputs)))},
-                "outputs": {str(p.relative_to(out)) if p.is_relative_to(out) else str(p):
-                            _hash_path(Path(p)) for p in sorted(set(map(Path, outputs)))},
-            }
-            mfh.write(json.dumps(line, sort_keys=True) + "\n")
-            tfh.write(json.dumps({"stage": stage, "wall_time_s": elapsed}) + "\n")
-            log.info("stage %s done in %.2fs", stage, elapsed)
-            lines.append(line)
+    for order, stage in enumerate(ordered):
+        t0 = time.perf_counter()
+        try:
+            inputs, outputs = _STAGES[stage](rc, out)
+        except FileNotFoundError as exc:
+            raise PipelineError(
+                f"stage {stage!r} is missing input artifact {exc.filename!r}; "
+                f"run its upstream stages first"
+            ) from exc
+        elapsed = time.perf_counter() - t0
+        line = {
+            "stage": stage,
+            "order": order,
+            "config": config_hash,
+            "inputs": {str(p.relative_to(out)) if p.is_relative_to(out) else str(p):
+                       _hash_path(Path(p)) for p in sorted(set(map(Path, inputs)))},
+            "outputs": {str(p.relative_to(out)) if p.is_relative_to(out) else str(p):
+                        _hash_path(Path(p)) for p in sorted(set(map(Path, outputs)))},
+        }
+        mode = "a" if lines else "w"
+        with manifest_path.open(mode, encoding="utf-8") as fh:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
+        with timing_path.open(mode, encoding="utf-8") as fh:
+            fh.write(json.dumps({"stage": stage, "wall_time_s": elapsed}) + "\n")
+        log.info("stage %s done in %.2fs", stage, elapsed)
+        lines.append(line)
     return lines
 
 

@@ -10,9 +10,12 @@ A detection has one crop, `detection_crop`, the only caller of
 `canonicalize` in the package; training crops it, and every inference path
 (the tracker, the logistic-fit harvest, SOT evaluation) embeds it through
 `detection_embedder`, which crops and embeds each detection of a sequence
-once. `[embed] points_per_crop` is the size of the crop's draw: a sparse
-crop is drawn with replacement and keeps each drawn point once, so a crop
-holds at most that many distinct points and the MLP never embeds a copy.
+once. Those paths stack the embeddings they compare into matrices and take
+their cosines with `cosines`, a row-wise `cosine` (training keeps the
+scalar `cosine`). `[embed] points_per_crop` is the size of the crop's draw:
+a sparse crop is drawn with replacement and keeps each drawn point once, so
+a crop holds at most that many distinct points and the MLP never embeds a
+copy.
 
 An `EmbedNet` checks its parameters for finiteness once, when it is built,
 so no pass re-checks them. Inference calls `forward`; training calls
@@ -84,15 +87,14 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
     """
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
-    pts = cloud.points.astype(np.float64)
-    d = pts - box.center
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    # row-vector form of R(-yaw) @ (p - center)
+    # row-vector form of R(-yaw) @ (p - center); the float64 center makes
+    # the difference float64 without a cast copy of the float32 points
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    local = d @ rot
-    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
-    mask = (np.abs(local) <= half).all(axis=1)
-    inside = local[mask]
+    local = (cloud.points - box.center) @ rot
+    dist = np.abs(local)
+    inside = local[(dist[:, 0] <= box.l / 2.0) & (dist[:, 1] <= box.w / 2.0)
+                   & (dist[:, 2] <= box.h / 2.0)]
     count = inside.shape[0]
     if count == 0:
         return CanonicalCloud(points=np.zeros((1, 3)))
@@ -245,6 +247,27 @@ def backward(net: EmbedNet, cloud: CanonicalCloud, upstream, arg=None) -> list[n
         grads[2 * k + 1] = gz.sum(axis=0)
         g = gz @ net.weights[k]
     return grads
+
+
+def norms(x) -> np.ndarray:
+    """Euclidean norm of each row of x (of x itself when it is a vector)."""
+    return np.sqrt(np.einsum("...j,...j->...", x, x))
+
+
+def cosines(x, y, x_norms, y_norms) -> np.ndarray:
+    """`cosine` of each row of x with the matching row of y, the rows
+    broadcast as in numpy, given their `norms`.
+
+    The rule is `cosine`'s: 0 where either norm is below NORM_EPS, else the
+    dot over the product of the norms, clipped to [-1, 1]. Each row's dot
+    and norm are summed in one order whatever the row's position, so equal
+    rows get equal cosines and an arg-max over them takes the first.
+    """
+    dots = np.einsum("...j,...j->...", x, y)
+    ok = (x_norms >= NORM_EPS) & (y_norms >= NORM_EPS)
+    out = np.zeros(np.shape(dots))
+    np.divide(dots, x_norms * y_norms, out=out, where=ok)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def cosine(e1, e2) -> float:

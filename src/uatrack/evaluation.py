@@ -3,7 +3,9 @@ association-confidence validity.
 
 SOT: the target's first-frame detection is the fixed anchor; in every later
 frame containing the target, the candidate with the highest embedding cosine
-is selected and scored against the ground-truth identity.
+is selected and scored against the ground-truth identity. The candidates a
+pass scores are embedded once per candidate sequence into one matrix, and
+each task scores them with one vector of cosines, not a call per candidate.
 
 AMOTA: recall-thresholded CLEAR-style MOTA. For each target recall r the
 prediction set is cut at the score whose achieved recall is closest from
@@ -16,9 +18,9 @@ cut.
 """
 
 import csv
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -65,39 +67,42 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
                  points_per_crop: int = embed.DEFAULT_POINTS) -> SotResult:
     """Classification accuracy of arg-max-cosine association over all tasks.
 
-    Each detection is embedded once per run of consecutive tasks on the same
-    candidate sequence, anchors included. Frames without the target are
-    skipped; ties in cosine go to the lowest candidate index.
+    Consecutive tasks on the same candidate sequence form a run. A run
+    embeds the detections of every frame that one of its tasks scores into
+    one matrix, frame by frame, with the row norms, gt ids and each frame's
+    row span; anchors are embedded alongside, and a detection is embedded
+    once however often it is used. A task takes one vector of cosines to its
+    anchor over the matrix (`embed.cosines`) and the arg-max of each scored
+    frame's span. Frames without the target are skipped; ties in cosine go
+    to the lowest candidate index.
     """
-    total = 0
-    correct = 0
     per_task = []
-    seq = None
-    for task in tasks:
-        if task.seq is not seq:
-            seq = task.seq
-            embedding = embed.detection_embedder(net, seq, points_per_crop)
-        anchor_emb = embedding(task.anchor)
-        t_correct = 0
-        t_total = 0
-        for rec in task.seq.frames:
-            if rec.index <= task.anchor_frame:
-                continue
-            if not any(d.gt_id == task.target for d in rec.detections):
-                continue
-            best_idx = None
-            best_cos = -math.inf
-            for idx, det in enumerate(rec.detections):
-                c = embed.cosine(anchor_emb, embedding(det))
-                if c > best_cos:
-                    best_cos = c
-                    best_idx = idx
-            t_total += 1
-            if rec.detections[best_idx].gt_id == task.target:
-                t_correct += 1
-        total += t_total
-        correct += t_correct
-        per_task.append((task.target, t_correct, t_total))
+    for _, run in groupby(tasks, key=lambda task: id(task.seq)):
+        run = list(run)
+        seq = run[0].seq
+        present = [{d.gt_id for d in rec.detections} for rec in seq.frames]
+        scored = [[k for k, rec in enumerate(seq.frames)
+                   if rec.index > task.anchor_frame and task.target in present[k]]
+                  for task in run]
+        span: dict[int, tuple[int, int]] = {}  # frame position -> its rows
+        dets: list[Detection] = []
+        for k in sorted(set().union(*scored)):
+            span[k] = (len(dets), len(dets) + len(seq.frames[k].detections))
+            dets += seq.frames[k].detections
+        embedding = embed.detection_embedder(net, seq, points_per_crop)
+        emb = np.array([embedding(d) for d in dets])
+        emb_norms = embed.norms(emb)
+        gt_ids = [d.gt_id for d in dets]
+        for task, frames in zip(run, scored):
+            anchor = embedding(task.anchor)
+            hits = 0
+            if frames:
+                cos = embed.cosines(emb, anchor, emb_norms, embed.norms(anchor))
+                hits = sum(gt_ids[lo + int(np.argmax(cos[lo:hi]))] == task.target
+                           for lo, hi in map(span.get, frames))
+            per_task.append((task.target, hits, len(frames)))
+    correct = sum(c for _, c, _ in per_task)
+    total = sum(t for *_, t in per_task)
     accuracy = correct / total if total else 0.0
     return SotResult(accuracy=accuracy, correct=correct, total=total,
                      per_task=tuple(per_task))

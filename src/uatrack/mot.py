@@ -11,12 +11,16 @@ kernel, so motion mode reproduces the pseudo-label tracker's decisions
 exactly.
 
 One helper, `_PairFeatures`, builds the features of the admitted pairs for
-both the tracker (`track_sequence`, which scores each with
-`LogisticModel.score`) and the logistic fit (`harvest_features`, which
-labels each), so the model is fit on exactly the pairs it will score. It
-embeds each frame's detections with `embed.detection_embedder`, keeps each
-track's embedding refreshed to that of its matched detection, and calls
-`FeatureVector.build` once per admitted pair. `fit_logistic` fits the
+both the tracker (`track_sequence`, which scores them with
+`LogisticModel.scores`) and the logistic fit (`harvest_features`, which
+labels them), so the model is fit on exactly the pairs it will score. It
+embeds each frame's detections with `embed.detection_embedder` into one
+matrix, keeps each track's embedding refreshed to that of its matched
+detection, and builds each frame's admitted pairs as one (k, 6) array,
+`feature_rows`, in row-major pair order: the cosines are one
+`embed.cosines` call and the scores one matrix-vector product, so the
+tracker runs no Python per pair. `FeatureVector` and `LogisticModel.score`
+are the one-pair views of the same functions. `fit_logistic` fits the
 model to the L2-penalized optimum on standardized features by damped
 Newton's method (IRLS), which converges in about ten steps.
 """
@@ -44,17 +48,31 @@ FIT_DECREMENT_TOL = 1e-12  # Newton decrement at which fit_logistic stops
 FIT_MAX_STEPS = 50
 
 
-def _clamped_log(v: float) -> float:
-    return math.log(max(v, LOG_CLAMP))
+def feature_rows(m, a, d) -> np.ndarray:
+    """(k, 6) feature rows over FEATURE_NAMES of k (track, detection) pairs
+    with Mahalanobis distances m, cosines a and detection scores d.
+
+    The cosine a is mapped through (a+1)/2 before its log so the log stays
+    defined on [-1, 1]; m and d clamp at LOG_CLAMP. Raises ValueError naming
+    the first pair with m < 0, a outside [-1, 1] or d outside [0, 1].
+    """
+    m, a, d = (np.asarray(v, dtype=np.float64) for v in (m, a, d))
+    bad = (m < 0) | ~((-1.0 <= a) & (a <= 1.0)) | ~((0.0 <= d) & (d <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"bad feature values m={float(m[k])} a={float(a[k])} d={float(d[k])}")
+    return np.column_stack([
+        m, a, d,
+        np.log(np.maximum(m, LOG_CLAMP)),
+        np.log(np.maximum((a + 1.0) / 2.0, LOG_CLAMP)),
+        np.log(np.maximum(d, LOG_CLAMP)),
+    ])
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Association features for one (predicted track, detection) pair.
-
-    The cosine a is mapped through (a+1)/2 before its log so the log stays
-    defined on [-1, 1]; m and d clamp at 1e-8.
-    """
+    """Association features for one (predicted track, detection) pair: one
+    row of `feature_rows`."""
 
     m: float
     a: float
@@ -65,14 +83,7 @@ class FeatureVector:
 
     @classmethod
     def build(cls, m: float, a: float, d: float) -> "FeatureVector":
-        if m < 0 or not (-1.0 <= a <= 1.0) or not (0.0 <= d <= 1.0):
-            raise ValueError(f"bad feature values m={m} a={a} d={d}")
-        return cls(
-            m=m, a=a, d=d,
-            log_m=_clamped_log(m),
-            log_a=_clamped_log((a + 1.0) / 2.0),
-            log_d=_clamped_log(d),
-        )
+        return cls(*feature_rows([m], [a], [d])[0].tolist())
 
     def array(self) -> np.ndarray:
         return np.array([self.m, self.a, self.d, self.log_m, self.log_a, self.log_d])
@@ -95,9 +106,15 @@ class LogisticModel:
         c.setflags(write=False)
         object.__setattr__(self, "coef", c)
 
+    def scores(self, x) -> np.ndarray:
+        """The score A of each feature row of x, (k, 6): the logistic
+        function of coef . row + intercept, each row summed in one order."""
+        z = np.einsum("ij,j->i", x, self.coef) + self.intercept
+        with np.errstate(over="ignore"):  # exp overflow: A = 0, as in the limit
+            return 1.0 / (1.0 + np.exp(-z))
+
     def score(self, fv: FeatureVector) -> float:
-        z = float(self.coef @ fv.array()) + self.intercept
-        return 1.0 / (1.0 + math.exp(-z))
+        return float(self.scores(fv.array()[None])[0])
 
 
 def save_logistic(path, model: LogisticModel) -> None:
@@ -118,8 +135,9 @@ def load_logistic(path) -> LogisticModel:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def fit_logistic(examples) -> LogisticModel:
-    """Deterministic L2-penalized logistic regression.
+def fit_logistic(x, y) -> LogisticModel:
+    """Deterministic L2-penalized logistic regression of the labels y (k,)
+    on the feature rows x (k, 6).
 
     Maximises the mean log-likelihood minus (lambda/2)|w|^2, lambda =
     FIT_LAMBDA, on standardized features (a constant feature's column is
@@ -135,10 +153,10 @@ def fit_logistic(examples) -> LogisticModel:
     Warns once when the fitted score fails to fall with Mahalanobis distance
     somewhere in the fit data's range of m (see `_warn_if_distance_not_penalized`).
     """
-    if not examples:
+    y = np.asarray(y, dtype=np.float64)
+    if not len(y):
         raise ValueError("no training examples")
-    x = np.stack([fv.array() for fv, _ in examples])
-    y = np.array([float(lbl) for _, lbl in examples])
+    x = np.asarray(x, dtype=np.float64)
     if y.min() == y.max():
         raise ValueError("need both positive and negative examples")
     mu = x.mean(axis=0)
@@ -199,33 +217,50 @@ def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
             return
 
 
+def without_appearance(x) -> np.ndarray:
+    """A copy of feature rows x with a = 0 and log_a = log 0.5: the rows
+    that `feature_rows` gives the same pairs without an embedding."""
+    x = np.array(x, dtype=np.float64)
+    x[:, FEATURE_NAMES.index("a")] = 0.0
+    x[:, FEATURE_NAMES.index("log_a")] = np.log(0.5)
+    return x
+
+
 class _PairFeatures:
     """One sequence's association features, shared by `track_sequence` and
-    `harvest_features`: the embedding of each detection and each track
-    (refreshed to its matched detection's), and a FeatureVector per
-    admitted (track, detection) pair, whose m the tracker supplies. Without
-    a network the appearance cosine is 0 (log_a = log 0.5)."""
+    `harvest_features`: the embeddings of each frame's detections as one
+    matrix, each track's embedding (refreshed to its matched detection's),
+    and one `feature_rows` array of the frame's admitted (track, detection)
+    pairs, whose m the tracker supplies. Without a network the appearance
+    cosine is 0 (log_a = log 0.5)."""
 
     def __init__(self, seq: Sequence, net: embed.EmbedNet | None, points_per_crop: int):
         self.embedding = (embed.detection_embedder(net, seq, points_per_crop)
                           if net is not None else None)
         self.track_embs: dict[int, np.ndarray] = {}
         self.dets: tuple[Detection, ...] = ()
-        self.embs: list[np.ndarray] = []
+        self.det_scores = np.zeros(0)
+        self.embs = self.norms = np.zeros(0)
 
     def frame(self, rec) -> None:
         """Start a frame: embed its detections."""
         self.dets = rec.detections
-        if self.embedding is not None:
-            self.embs = [self.embedding(d) for d in rec.detections]
+        self.det_scores = np.array([d.score for d in rec.detections])
+        if self.embedding is not None and rec.detections:
+            self.embs = np.array([self.embedding(d) for d in rec.detections])
+            self.norms = embed.norms(self.embs)
 
     def features(self, ids, m, admitted):
-        """(i, j, FeatureVector) for every admitted (track, detection) pair
-        of the frame, in row-major order; ids[i] is row i's track id."""
-        for i, j in zip(*np.nonzero(admitted)):
-            a = (embed.cosine(self.track_embs[ids[i]], self.embs[j])
-                 if self.embedding is not None else 0.0)
-            yield i, j, FeatureVector.build(m=float(m[i, j]), a=a, d=self.dets[j].score)
+        """(ii, jj, x) for the frame's admitted (track, detection) pairs in
+        row-major order: x[k] is the feature row of the pair of row ii[k],
+        whose track id is ids[ii[k]], and detection jj[k]."""
+        ii, jj = np.nonzero(admitted)
+        a = np.zeros(len(ii))
+        if self.embedding is not None and len(ii):
+            tracks = np.array([self.track_embs[t] for t in ids])
+            a = embed.cosines(tracks[ii], self.embs[jj],
+                              embed.norms(tracks)[ii], self.norms[jj])
+        return ii, jj, feature_rows(m[ii, jj], a, self.det_scores[jj])
 
     def matched(self, track_id: int, det_idx: int) -> Detection:
         """Record a match or birth; returns the detection."""
@@ -258,9 +293,9 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
         pairs.frame(rec)
         if mode == "motion":
             return m
+        ii, jj, x = pairs.features(ids, m, admitted)
         cost = np.ones_like(m)
-        for i, j, fv in pairs.features(ids, m, admitted):
-            cost[i, j] = 1.0 - model.score(fv)
+        cost[ii, jj] = 1.0 - model.scores(x)
         return cost
 
     rows: list[TrackRow] = []
@@ -278,27 +313,30 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
 def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
                      net: embed.EmbedNet | None = None,
                      points_per_crop: int = embed.DEFAULT_POINTS):
-    """Collect (FeatureVector, label) pairs for fitting the logistic model.
+    """Collect (x, y) for fitting the logistic model: the feature rows
+    x (k, 6) of the admitted pairs and their labels y (k,), 0 or 1.
 
     Runs the motion-only tracker; at every frame each admitted (predicted
     track, detection) pair, m <= acfg.gate, is labeled 1 iff the track's
-    last matched detection and the candidate share a non-null gt_id.
-    Requires gt_ids on the sequence.
+    last matched detection and the candidate share a non-null gt_id. Rows
+    come frame by frame, each frame's in row-major pair order. Requires
+    gt_ids on the sequence.
     """
-    examples = []
+    xs, ys = [np.zeros((0, len(FEATURE_NAMES)))], []
     track_gt: dict[int, int | None] = {}
     pairs = _PairFeatures(seq, net, points_per_crop)
 
     def cost_fn(ids, rec, m, admitted):
         pairs.frame(rec)
-        for i, j, fv in pairs.features(ids, m, admitted):
-            tgt = track_gt.get(ids[i])
-            gt = rec.detections[j].gt_id
-            examples.append((fv, int(tgt is not None and gt is not None and tgt == gt)))
+        ii, jj, x = pairs.features(ids, m, admitted)
+        xs.append(x)
+        tgt = [track_gt.get(t) for t in ids]
+        ys.extend(int(tgt[i] is not None and tgt[i] == rec.detections[j].gt_id)
+                  for i, j in zip(ii, jj))
         return m
 
     def on_match(track_id, det_idx, _box):
         track_gt[track_id] = pairs.matched(track_id, det_idx).gt_id
 
     run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match, collect_confidence=False)
-    return examples
+    return np.concatenate(xs), np.array(ys, dtype=np.int64)

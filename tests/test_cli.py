@@ -59,6 +59,31 @@ class TestPipeline:
         stages = [json.loads(line)["stage"] for line in first.decode().splitlines()]
         assert stages == list(cli.STAGE_ORDER)
 
+    RECORD = {"manifest.jsonl": b'{"stage": "simulate"}\n{"stage": "train"}\n',
+              "timings.jsonl": b'{"stage": "simulate", "wall_time_s": 1.0}\n'}
+
+    def test_first_stage_failing_keeps_the_record(self, tmp_path):
+        """A rerun whose first stage fails leaves the manifest and timings of
+        the run the directory holds byte for byte."""
+        rc = parse_config(TINY, from_path=False)
+        for name, raw in self.RECORD.items():
+            (tmp_path / name).write_bytes(raw)
+        with pytest.raises(cli.PipelineError, match="missing input artifact"):
+            cli.run_pipeline(rc, ["train", "sot-eval"], tmp_path)
+        (tmp_path / "sim" / "train_00" / "clouds").mkdir(parents=True)
+        with pytest.raises(ValueError, match="clouds: is a directory"):
+            cli.run_pipeline(rc, ["simulate"], tmp_path)
+        assert {name: (tmp_path / name).read_bytes() for name in self.RECORD} == self.RECORD
+
+    def test_one_stage_leaves_its_one_line(self, tmp_path):
+        for name, raw in self.RECORD.items():
+            (tmp_path / name).write_bytes(raw)
+        lines = cli.run_pipeline(parse_config(TINY, from_path=False), ["simulate"], tmp_path)
+        manifest = (tmp_path / "manifest.jsonl").read_text().splitlines()
+        timings = (tmp_path / "timings.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in manifest] == lines
+        assert [json.loads(line)["stage"] for line in timings] == ["simulate"]
+
     def test_each_scene_is_four_files(self, tiny_run):
         """A scene's clouds are one pack file, not a directory, and the
         pseudo-tracks stage, which uses boxes only, does not read it."""

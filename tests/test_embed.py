@@ -53,6 +53,30 @@ def reference_canonicalize(cloud, box, n, seed):
     return CanonicalCloud(points=inside[idx])
 
 
+def previous_canonicalize(cloud, box, n, seed):
+    """canonicalize before its crop lost the float64 cast copy of the
+    points and the all-axes mask; its crops are the reference, byte for
+    byte."""
+    pts = cloud.points.astype(np.float64)
+    d = pts - box.center
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    local = d @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
+    inside = local[(np.abs(local) <= half).all(axis=1)]
+    count = inside.shape[0]
+    if count == 0:
+        return CanonicalCloud(points=np.zeros((1, 3)))
+    rng = np.random.default_rng(seed)
+    if count > n:
+        idx = rng.choice(count, size=n, replace=False)
+    elif count < n:
+        idx = rng.choice(count, size=n, replace=True)
+        idx = idx[np.sort(np.unique(idx, return_index=True)[1])]
+    else:
+        idx = np.arange(count)
+    return CanonicalCloud(points=inside[idx])
+
+
 def cloud_in_box(rng, survivors, outside=3):
     """survivors distinct points inside box(), then a few outside it, shuffled."""
     inner = rng.uniform(-0.7, 0.7, size=(survivors, 3))
@@ -122,6 +146,31 @@ class TestCanonicalize:
             want = reference_canonicalize(pc, b, n=n, seed=trial)
             assert want.points.shape == (n, 3)
             assert out.points.tobytes() == want.points.tobytes()
+
+    @pytest.mark.parametrize("crop", ["empty", "sparse", "full", "dense"])
+    def test_equals_previous_implementation(self, crop):
+        rng = np.random.default_rng(["empty", "sparse", "full", "dense"].index(crop))
+        for trial in range(40):
+            n = int(rng.integers(1, 40))
+            # box() is at the origin with yaw 0, so a point on its face stays
+            # exactly on it
+            b = box() if trial % 4 == 0 else box(
+                x=float(rng.uniform(-30, 30)), y=float(rng.uniform(-30, 30)),
+                z=float(rng.uniform(-1, 1)), yaw=float(rng.uniform(-math.pi, math.pi)),
+                l=float(rng.uniform(2, 6)), w=float(rng.uniform(1, 3)), h=float(rng.uniform(1, 2)))
+            count = {"empty": 0, "sparse": int(rng.integers(0, n)), "full": n,
+                     "dense": n + int(rng.integers(1, n + 2))}[crop]
+            # local points inside the box, some on its faces, and some outside
+            local = rng.uniform(-0.5, 0.5, size=(count, 3)) * [b.l, b.w, b.h]
+            axis = int(rng.integers(0, 3))
+            local[: count // 2, axis] = [b.l, b.w, b.h][axis] / 2 * rng.choice([-1, 1])
+            outer = rng.uniform(0.51, 3.0, size=(5, 3)) * [b.l, b.w, b.h]
+            c, s = math.cos(b.yaw), math.sin(b.yaw)
+            world = np.vstack([local, outer]) @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
+            pc = PointCloud(rng.permutation(world + b.center))
+            want = previous_canonicalize(pc, b, n, seed=trial)
+            got = canonicalize(pc, b, n, seed=trial)
+            assert got.points.tobytes() == want.points.tobytes()
 
     def test_subsample_without_replacement(self):
         rng = np.random.default_rng(0)
@@ -218,6 +267,38 @@ class TestCosine:
             c = float(rng.uniform(0.1, 100))
             assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
             assert cosine(c * a, b) == pytest.approx(cosine(a, b), abs=1e-12)
+
+
+class TestCosines:
+    def test_match_cosine(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(60, 8)) * rng.uniform(1e-3, 1e3, size=(60, 1))
+        y = rng.normal(size=(60, 8))
+        x[5] = 0.0
+        y[9] = 1e-14
+        x[11] = -2.5 * y[11]
+        got = embed.cosines(x, y, embed.norms(x), embed.norms(y))
+        want = np.array([cosine(a, b) for a, b in zip(x, y)])
+        assert np.abs(got - want).max() <= 1e-15
+        assert got[5] == got[9] == 0.0 and got[11] == -1.0
+        one = embed.cosines(x, y[0], embed.norms(x), embed.norms(y[0]))
+        assert np.abs(one - [cosine(a, y[0]) for a in x]).max() <= 1e-15
+        np.testing.assert_allclose(embed.norms(x), np.linalg.norm(x, axis=1), rtol=1e-15)
+
+    def test_clipped(self):
+        v = np.array([[0.1, 0.7, 0.3]])
+        got = embed.cosines(v * 3.0, v, embed.norms(v * 3.0), embed.norms(v))
+        assert -1.0 <= got[0] <= 1.0 and got[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_equal_rows_equal_cosines_wherever_they_sit(self):
+        # a BLAS matrix-vector product may sum rows in different orders by
+        # position; ties between equal embeddings must stay ties
+        rng = np.random.default_rng(4)
+        v, anchor = rng.normal(size=64), rng.normal(size=64)
+        x = np.tile(v, (37, 1))
+        got = embed.cosines(x, anchor, embed.norms(x), embed.norms(anchor))
+        assert len(set(got.tolist())) == 1
+        assert int(np.argmax(got)) == 0
 
 
 def fd_gradients(net, cloud, upstream, h=1e-5):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uatrack import embed, evaluation, sim
-from uatrack.core import Box7, TrackRow, center_distance
+from uatrack.core import (Box7, Detection, FrameRecord, PointCloud, Sequence, TrackRow,
+                          center_distance)
 from uatrack.evaluation import (
     MotScore,
     SotResult,
@@ -98,6 +99,44 @@ class TestSotEvaluate:
                     distinct.update((id(t.seq), d) for d in rec.detections)
         assert len(calls) == len(distinct)
         assert len({id(cloud) for cloud in calls}) == len(calls)  # calls keeps each alive
+
+
+class TestSotTies:
+    """Two candidates with empty crops have equal embeddings, so their
+    cosines to the anchor tie and the lower index is picked."""
+
+    @staticmethod
+    def _seq(target_first):
+        box = Box7(x=0.0, y=0.0, z=0.0, yaw=0.0, l=4.0, w=2.0, h=1.5)
+        pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(30, 3))
+        far = np.full((1, 3), 50.0)
+        gts = (0, 1) if target_first else (1, 0)
+        frames = (
+            FrameRecord(index=0, detections=(Detection(0, box, 0.9, "anchor", gt_id=0),)),
+            FrameRecord(index=1, detections=tuple(
+                Detection(1, box, 0.9, f"empty{k}", gt_id=g) for k, g in enumerate(gts))),
+        )
+        clouds = {"anchor": PointCloud(pts), "empty0": PointCloud(far),
+                  "empty1": PointCloud(far)}
+        return Sequence(frames=frames, clouds=clouds)
+
+    @pytest.mark.parametrize("biased", [True, False], ids=["embedded", "zero-norm"])
+    @pytest.mark.parametrize("target_first", [True, False])
+    def test_lower_index_wins(self, target_first, biased):
+        net = embed.EmbedNet.random((3, 8, 8), seed=2)
+        if biased:  # the origin row embeds to a nonzero vector
+            rng = np.random.default_rng(1)
+            net = embed.EmbedNet(weights=net.weights,
+                                 biases=tuple(rng.uniform(0.1, 1.0, b.shape) for b in net.biases))
+        seq = self._seq(target_first)
+        empty = [embed.forward(net, embed.detection_crop(seq, d, POINTS))
+                 for d in seq.frames[1].detections]
+        assert empty[0].tobytes() == empty[1].tobytes()
+        assert (np.linalg.norm(empty[0]) > 0) == biased
+        tasks = build_sot_tasks(seq)
+        got = sot_evaluate(net, tasks, POINTS)
+        assert got.per_task[0] == (0, int(target_first), 1)
+        assert got == oracle_sot(net, tasks, POINTS)
 
 
 

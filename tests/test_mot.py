@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from test_assoc import reference_tracker
 
 from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import AssocConfig
-from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
+from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackRow
 from uatrack.mot import FeatureVector, LogisticModel, fit_logistic
 
 
@@ -37,15 +38,7 @@ class TestDistanceWarning:
 
     @pytest.mark.parametrize("near_is_match, warned", [(True, False), (False, True)])
     def test_fit_warns_once_per_model(self, caplog, near_is_match, warned):
-        rng = np.random.default_rng(0)
-        examples = []
-        for _ in range(200):
-            near = float(rng.uniform(0.2, 2.0))
-            far = float(rng.uniform(4.0, 30.0))
-            d = float(rng.uniform(0.5, 1.0))
-            examples.append((FeatureVector.build(m=near, a=0.0, d=d), int(near_is_match)))
-            examples.append((FeatureVector.build(m=far, a=0.0, d=d), int(not near_is_match)))
-        fit_logistic(examples)
+        fit_logistic(*_separable(near_is_match))
         assert len(_warnings(caplog)) == int(warned)
 
 
@@ -64,14 +57,137 @@ POINTS = 16
 
 
 # ---------------------------------------------------------------------------
+# features and scores, against the per-pair reference
+
+
+def reference_features(m, a, d):
+    """FeatureVector.build as first written, the reference: one pair's
+    feature row, with math.log."""
+    if m < 0 or not (-1.0 <= a <= 1.0) or not (0.0 <= d <= 1.0):
+        raise ValueError(f"bad feature values m={m} a={a} d={d}")
+
+    def clamped_log(v):
+        return math.log(max(v, mot.LOG_CLAMP))
+
+    return np.array([m, a, d, clamped_log(m), clamped_log((a + 1.0) / 2.0), clamped_log(d)])
+
+
+def reference_score(model, row):
+    """LogisticModel.score as first written: one pair, with math.exp."""
+    z = float(model.coef @ row) + model.intercept
+    return 1.0 / (1.0 + math.exp(-z))
+
+
+def reference_track_sequence(seq, mode, net, model):
+    """track_sequence as first written, the reference: one embed.cosine,
+    one feature row and one score per admitted pair."""
+    embedding = (embed.detection_embedder(net, seq, POINTS)
+                 if mode == "motion+score+appearance" else None)
+    track_embs = {}
+    frame = {}
+    rows = []
+
+    def cost_fn(ids, rec, m, admitted):
+        frame["dets"] = rec.detections
+        if mode == "motion":
+            return m
+        cost = np.ones_like(m)
+        for i, j in zip(*np.nonzero(admitted)):
+            det = rec.detections[j]
+            a = embed.cosine(track_embs[ids[i]], embedding(det)) if embedding else 0.0
+            row = reference_features(float(m[i, j]), a, det.score)
+            cost[i, j] = 1.0 - reference_score(model, row)
+        return cost
+
+    def on_match(track_id, det_idx, box):
+        det = frame["dets"][det_idx]
+        if embedding is not None:
+            track_embs[track_id] = embedding(det)
+        rows.append(TrackRow(frame=det.frame, track_id=track_id, box=box, score=det.score))
+
+    assoc.run_tracker(seq, KCFG, ACFG, cost_fn=cost_fn, on_match=on_match,
+                      collect_confidence=False)
+    rows.sort(key=lambda r: (r.frame, r.track_id))
+    return rows
+
+
+def _pairs(rng, k):
+    """k random (m, a, d) with the range ends and the clamp among them."""
+    m = rng.uniform(0.0, 20.0, k)
+    a = rng.uniform(-1.0, 1.0, k)
+    d = rng.uniform(0.0, 1.0, k)
+    m[:3], a[:3], d[:3] = [0.0, 1e-9, 13.0], [-1.0, 1.0, -1.0 + 1e-9], [0.0, 1.0, 5e-9]
+    return m, a, d
+
+
+class TestFeatureRows:
+    def test_rows_match_per_pair_reference(self):
+        m, a, d = _pairs(np.random.default_rng(0), 2000)
+        x = mot.feature_rows(m, a, d)
+        want = np.array([reference_features(*v) for v in zip(m, a, d)])
+        assert x[:, :3].tobytes() == want[:, :3].tobytes()
+        # np.log and math.log may round differently, by at most an ulp
+        np.testing.assert_allclose(x[:, 3:], want[:, 3:], rtol=2.3e-16, atol=0.0)
+        fv = FeatureVector.build(m=float(m[5]), a=float(a[5]), d=float(d[5]))
+        assert fv.array().tobytes() == x[5].tobytes()
+
+    @pytest.mark.parametrize("m, a, d", [
+        (-1e-12, 0.0, 0.5), (1.0, 1.0 + 1e-12, 0.5), (1.0, -1.5, 0.5), (1.0, math.nan, 0.5),
+        (1.0, 0.0, -1e-12), (1.0, 0.0, 1.5), (1.0, 0.0, math.nan),
+    ])
+    def test_out_of_range_raises(self, m, a, d):
+        with pytest.raises(ValueError, match=f"bad feature values m={m} a={a} d={d}$"):
+            mot.feature_rows([2.0, m, -3.0], [0.0, a, 2.0], [0.5, d, 0.5])
+        with pytest.raises(ValueError, match="bad feature values"):
+            FeatureVector.build(m=m, a=a, d=d)
+        with pytest.raises(ValueError, match="bad feature values"):
+            reference_features(m, a, d)
+
+    def test_no_pairs(self):
+        assert mot.feature_rows([], [], []).shape == (0, 6)
+
+    def test_without_appearance(self):
+        m, a, d = _pairs(np.random.default_rng(1), 200)
+        x = mot.feature_rows(m, a, d)
+        kept = x.copy()
+        got = mot.without_appearance(x)
+        assert got.tobytes() == mot.feature_rows(m, np.zeros_like(a), d).tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+
+FIXED_MODEL = LogisticModel(coef=np.array([-0.4, 1.5, 2.0, -0.3, 0.6, 0.4]), intercept=0.5)
+
+
+class TestScores:
+
+    def test_scores_match_per_pair_reference(self):
+        x = mot.feature_rows(*_pairs(np.random.default_rng(2), 2000))
+        got = FIXED_MODEL.scores(x)
+        want = np.array([reference_score(FIXED_MODEL, row) for row in x])
+        assert np.abs(got - want).max() <= 1e-15
+        fv = FeatureVector(*x[7])
+        assert FIXED_MODEL.score(fv) == got[7]
+
+    def test_equal_rows_score_equal_wherever_they_sit(self):
+        x = np.tile(mot.feature_rows([2.5], [0.3], [0.8]), (37, 1))
+        assert len(set(FIXED_MODEL.scores(x).tolist())) == 1
+
+    def test_overflow_is_the_limit(self):
+        model = LogisticModel(coef=np.array([100.0, 0, 0, 0, 0, 0]), intercept=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.scores(np.array([[-1000.0, 0, 0, 0, 0, 0], [1000.0, 0, 0, 0, 0, 0]]))
+        assert got.tolist() == [0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
 # the logistic fit
 
 
-def reference_gradient_fit(examples):
+def reference_gradient_fit(x, y):
     """The fit as first written, the reference: 5,000 full-batch gradient
     ascent steps of size 0.1 on the same standardized, penalized objective."""
-    x = np.stack([fv.array() for fv, _ in examples])
-    y = np.array([float(lbl) for _, lbl in examples])
+    y = np.asarray(y, dtype=np.float64)
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
@@ -85,12 +201,11 @@ def reference_gradient_fit(examples):
     return LogisticModel(coef=w / sigma, intercept=b - float((w * mu / sigma).sum()))
 
 
-def penalized_fit_objective(examples, model):
+def penalized_fit_objective(x, y, model):
     """(objective, gradient) of a model in the fit's standardized
     coordinates: the mean log-likelihood minus 1e-4/2 |w|^2, and its
     gradient over (w, intercept)."""
-    x = np.stack([fv.array() for fv, _ in examples])
-    y = np.array([float(lbl) for _, lbl in examples])
+    y = np.asarray(y, dtype=np.float64)
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
     constant = sigma < 1e-12
@@ -106,29 +221,29 @@ def penalized_fit_objective(examples, model):
 
 
 def _separable(near_is_match):
-    """Near and far pairs that m alone separates; the examples of
-    test_fit_warns_once_per_model."""
+    """(x, y): near and far pairs that m alone separates."""
     rng = np.random.default_rng(0)
-    examples = []
+    m, d, y = [], [], []
     for _ in range(200):
         near = float(rng.uniform(0.2, 2.0))
         far = float(rng.uniform(4.0, 30.0))
-        d = float(rng.uniform(0.5, 1.0))
-        examples.append((FeatureVector.build(m=near, a=0.0, d=d), int(near_is_match)))
-        examples.append((FeatureVector.build(m=far, a=0.0, d=d), int(not near_is_match)))
-    return examples
+        score = float(rng.uniform(0.5, 1.0))
+        m += [near, far]
+        d += [score, score]
+        y += [int(near_is_match), int(not near_is_match)]
+    return mot.feature_rows(m, np.zeros(len(m)), d), np.array(y)
 
 
 class TestFitLogistic:
     @pytest.fixture(scope="class")
     def fit_sets(self):
-        """name -> examples: the harvest of a noisy scene with the cosine of
+        """name -> (x, y): the harvest of a noisy scene with the cosine of
         an embedding (appearance) and at 0 (motion+score), and the separable
         sets."""
-        harvest = mot.harvest_features(_scene(), KCFG, ACFG, net=NET, points_per_crop=POINTS)
+        x, y = mot.harvest_features(_scene(), KCFG, ACFG, net=NET, points_per_crop=POINTS)
         return {
-            "appearance": harvest,
-            "motion+score": [(FeatureVector.build(fv.m, 0.0, fv.d), lbl) for fv, lbl in harvest],
+            "appearance": (x, y),
+            "motion+score": (mot.without_appearance(x), y),
             "separable-near": _separable(True),
             "separable-far": _separable(False),
         }
@@ -136,15 +251,15 @@ class TestFitLogistic:
     @pytest.mark.parametrize("name", ["appearance", "motion+score",
                                       "separable-near", "separable-far"])
     def test_reaches_the_penalized_optimum(self, fit_sets, name):
-        examples = fit_sets[name]
-        model = fit_logistic(examples)
-        objective, grad = penalized_fit_objective(examples, model)
+        x, y = fit_sets[name]
+        model = fit_logistic(x, y)
+        objective, grad = penalized_fit_objective(x, y, model)
         assert np.abs(grad).max() <= 1e-8
-        ref_objective, _ = penalized_fit_objective(examples, reference_gradient_fit(examples))
+        ref_objective, _ = penalized_fit_objective(x, y, reference_gradient_fit(x, y))
         assert objective >= ref_objective
 
     def test_constant_features_get_zero_weight(self, fit_sets):
-        coef = dict(zip(mot.FEATURE_NAMES, fit_logistic(fit_sets["motion+score"]).coef))
+        coef = dict(zip(mot.FEATURE_NAMES, fit_logistic(*fit_sets["motion+score"]).coef))
         for name, c in coef.items():
             if name in ("a", "log_a"):
                 assert c == 0.0 and math.copysign(1.0, c) == 1.0
@@ -152,16 +267,23 @@ class TestFitLogistic:
                 assert c != 0.0
 
     def test_deterministic(self, fit_sets):
-        a = fit_logistic(fit_sets["appearance"])
-        b = fit_logistic(fit_sets["appearance"])
+        a = fit_logistic(*fit_sets["appearance"])
+        b = fit_logistic(*fit_sets["appearance"])
         assert a.coef.tobytes() == b.coef.tobytes()
         assert a.intercept.hex() == b.intercept.hex()
 
     def test_step_cap_raises(self, fit_sets, monkeypatch):
         monkeypatch.setattr(mot, "FIT_MAX_STEPS", 2)
         with pytest.raises(kalman.NumericalError, match="2 Newton steps") as exc:
-            fit_logistic(fit_sets["appearance"])
+            fit_logistic(*fit_sets["appearance"])
         assert "gradient norm" in str(exc.value) and "\n" not in str(exc.value)
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError, match="no training examples"):
+            fit_logistic(np.zeros((0, 6)), np.zeros(0))
+        x, y = _separable(True)
+        with pytest.raises(ValueError, match="both positive and negative"):
+            fit_logistic(x, np.ones_like(y))
 
 
 class TestMotionModeEquivalence:
@@ -214,20 +336,53 @@ class TestHarvestFeatures:
                     if m > ACFG.gate:
                         continue
                     a = embed.cosine(emb(last), emb(det)) if net is not None else 0.0
-                    fv = FeatureVector.build(m=m, a=a, d=det.score)
                     label = int(last.gt_id is not None and last.gt_id == det.gt_id)
-                    expected.append((fv, label))
+                    expected.append((reference_features(m, a, det.score), label))
         return expected, n_pairs
 
     @pytest.mark.parametrize("net", [NET, None], ids=["appearance", "no-net"])
     def test_examples_equal_oracle(self, net):
         seq = _scene()
-        got = mot.harvest_features(seq, KCFG, ACFG, net=net, points_per_crop=POINTS)
+        x, y = mot.harvest_features(seq, KCFG, ACFG, net=net, points_per_crop=POINTS)
         expected, n_pairs = self._oracle(seq, net)
+        want_x = np.array([row for row, _ in expected])
         assert n_pairs > len(expected) > 50  # the gate drops pairs
-        assert sum(lbl for _, lbl in got) > 10
-        assert got == expected
-        assert all(fv.m <= ACFG.gate for fv, _ in got)
+        assert y.dtype == np.int64 and y.tolist() == [lbl for _, lbl in expected]
+        assert y.sum() > 10
+        assert x.shape == want_x.shape
+        # m and d are copied; a is a row-wise dot and the logs are np.log's,
+        # so those may differ from embed.cosine and math.log in the last bit
+        assert x[:, [0, 2]].tobytes() == want_x[:, [0, 2]].tobytes()
+        assert np.abs(x - want_x).max() <= 1e-15
+        assert (x[:, 0] <= ACFG.gate).all()
+
+
+def _crowded(seed):
+    """A noisy 12-object scene, where the fused modes decide otherwise than
+    motion."""
+    scene = sim.SceneConfig(n_objects=12, n_frames=12, crossings=3)
+    seq, _ = sim.generate_sequence(scene, seed=seed)
+    noise = sim.NoiseModel(missed_rate=0.1, spurious_rate=0.15)
+    return sim.corrupt_detections(seq, noise, seed=(seed, 100))
+
+
+class TestTrackSequence:
+    @pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "fixed"])
+    @pytest.mark.parametrize("mode", mot.MODES)
+    @pytest.mark.parametrize("seed", [6, 8])
+    def test_rows_equal_per_pair_reference(self, seed, mode, fitted):
+        seq = _crowded(seed)
+        model = FIXED_MODEL
+        if fitted:
+            x, y = mot.harvest_features(seq, KCFG, ACFG, net=NET, points_per_crop=POINTS)
+            model = fit_logistic(x if mode == "motion+score+appearance"
+                                 else mot.without_appearance(x), y)
+        got = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model,
+                                 points_per_crop=POINTS)
+        assert got == reference_track_sequence(seq, mode, NET, model)
+        assert len(got) > 100
+        if mode != "motion":  # the scores decide some links
+            assert got != mot.track_sequence(seq, KCFG, ACFG, "motion")
 
 
 # ---------------------------------------------------------------------------
