@@ -11,8 +11,8 @@ A detection has one crop, `detection_crop`, the only caller of
 (the tracker, the logistic-fit harvest, SOT evaluation) embeds it through
 `detection_embedder`, which crops and embeds each detection of a sequence
 once. Those paths stack the embeddings they compare into matrices and take
-their cosines with `cosines`, a row-wise `cosine` (training keeps the
-scalar `cosine`). `[embed] points_per_crop` is the size of the crop's draw:
+their cosines with `cosines`; training's hard-negative mining does too.
+`[embed] points_per_crop` is the size of the crop's draw:
 a sparse crop is drawn with replacement and keeps each drawn point once, so
 a crop holds at most that many distinct points and the MLP never embeds a
 copy.
@@ -22,7 +22,8 @@ so no pass re-checks them. Inference calls `forward`; training calls
 `forward_argmax`, which also returns the arg-max point of each output
 coordinate. The max pool sends gradient only to those arg-max points, the
 crop's critical point set (Qi et al., PointNet, CVPR 2017), so `backward`
-reruns the MLP on those rows alone.
+reruns the hidden layers on those rows alone and computes no gradient with
+respect to the points.
 
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
@@ -195,9 +196,10 @@ def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
     x = points
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x = x @ w.T + b
+        x = x @ w.T
+        x += b
         if k < last:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -222,30 +224,36 @@ def backward(net: EmbedNet, cloud: CanonicalCloud, upstream, arg=None) -> list[n
 
     The max pool routes gradient to the arg-max point of each output
     coordinate (ties to the lowest point index), so only those critical
-    points carry gradient: the MLP is rerun on them alone. arg is the
-    arg-max from `forward_argmax` on the same net and cloud; when None it is
+    points carry gradient: the hidden layers are rerun on them alone, and
+    no gradient with respect to the points is computed. arg is the arg-max
+    from `forward_argmax` on the same net and cloud; when None it is
     computed here. Returns arrays aligned with net.params().
     """
     upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
     if arg is None:
         _, arg = forward_argmax(net, cloud)
-    rows, pos = np.unique(arg, return_inverse=True)
+    # the critical rows in ascending order, and each coordinate's place among them
+    hit = np.zeros(cloud.points.shape[0], dtype=bool)
+    hit[arg] = True
+    rows = np.flatnonzero(hit)
+    pos = np.cumsum(hit)[arg] - 1
     acts = [cloud.points[rows]]
-    pre = []
     last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if k < last else z)
+    for w, b in zip(net.weights[:last], net.biases[:last]):
+        x = acts[-1] @ w.T
+        x += b
+        acts.append(np.maximum(x, 0.0, out=x))
     g = np.zeros((rows.size, net.dim))
     g[pos, np.arange(net.dim)] = upstream
 
     grads: list[np.ndarray] = [None] * (2 * len(net.weights))
     for k in range(last, -1, -1):
-        gz = g if k == last else g * (pre[k] > 0)
-        grads[2 * k] = gz.T @ acts[k]
-        grads[2 * k + 1] = gz.sum(axis=0)
-        g = gz @ net.weights[k]
+        if k < last:
+            g *= acts[k + 1] > 0
+        grads[2 * k] = g.T @ acts[k]
+        grads[2 * k + 1] = g.sum(axis=0)
+        if k:
+            g = g @ net.weights[k]
     return grads
 
 
@@ -255,35 +263,21 @@ def norms(x) -> np.ndarray:
 
 
 def cosines(x, y, x_norms, y_norms) -> np.ndarray:
-    """`cosine` of each row of x with the matching row of y, the rows
-    broadcast as in numpy, given their `norms`.
+    """Cosine similarity of each row of x with the matching row of y, the
+    rows broadcast as in numpy, given their `norms`.
 
-    The rule is `cosine`'s: 0 where either norm is below NORM_EPS, else the
-    dot over the product of the norms, clipped to [-1, 1]. Each row's dot
-    and norm are summed in one order whatever the row's position, so equal
-    rows get equal cosines and an arg-max over them takes the first.
+    A cosine is 0 where either norm is below NORM_EPS, which keeps
+    empty-crop embeddings from blowing up training or evaluation; else it
+    is the dot over the product of the norms, clipped to [-1, 1]. Each
+    row's dot and norm are summed in one order whatever the row's position,
+    so equal rows get equal cosines and an arg-max over them takes the
+    first.
     """
     dots = np.einsum("...j,...j->...", x, y)
     ok = (x_norms >= NORM_EPS) & (y_norms >= NORM_EPS)
     out = np.zeros(np.shape(dots))
     np.divide(dots, x_norms * y_norms, out=out, where=ok)
     return np.clip(out, -1.0, 1.0, out=out)
-
-
-def cosine(e1, e2) -> float:
-    """Cosine similarity in [-1, 1]; degenerate (near-zero) norms map to 0.
-
-    The zero return on degenerate inputs keeps empty-crop embeddings from
-    blowing up training or evaluation.
-    """
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    n1 = float(np.linalg.norm(e1))
-    n2 = float(np.linalg.norm(e2))
-    if n1 < NORM_EPS or n2 < NORM_EPS:
-        return 0.0
-    c = float(np.dot(e1, e2) / (n1 * n2))
-    return min(1.0, max(-1.0, c))
 
 
 # ---------------------------------------------------------------------------

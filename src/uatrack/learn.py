@@ -7,6 +7,9 @@ association confidence, sum, and take one Adam step on exact gradients.
 
 Each crop in a step is embedded once (`embed.forward_argmax`); the
 step's network checks its parameters for finiteness once, when it is built.
+Each anchor frame's embeddings are stacked into one matrix, with their
+norms, once per step, and each triplet's negative is one
+`mine_hard_negative` call: a vector of cosines against the anchor's row.
 The gradient is linear in each crop's upstream vector for a fixed arg-max,
 so the upstream vectors of every triplet member that is the same crop are
 summed first, and `embed.backward` runs once per distinct crop, on its
@@ -19,7 +22,7 @@ triplets first reach them).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -91,21 +94,19 @@ def triplet_loss(cos_pos: float, cos_neg: float, margin: float) -> float:
     return max(cos_neg - cos_pos + margin, 0.0)
 
 
-def mine_hard_negative(anchor_emb, same_frame):
-    """Pick the candidate with highest cosine to the anchor.
+def mine_hard_negative(embs: np.ndarray, norms: np.ndarray, anchor: int) -> int | None:
+    """The row of embs, other than the anchor's, with the highest cosine
+    (`embed.cosines`) to row anchor; None when the anchor is the only row.
 
-    same_frame is a list of (det_index, embedding) pairs excluding the
-    anchor; returns the winning det_index or None when the list is empty.
-    Ties go to the lowest det_index.
+    embs stacks the embeddings of a frame's detections in det order and
+    norms holds their `embed.norms`, so the row is a det index. Ties go to
+    the lowest one.
     """
-    best_idx = None
-    best_cos = -math.inf
-    for det_idx, emb_vec in sorted(same_frame, key=lambda p: p[0]):
-        c = embed.cosine(anchor_emb, emb_vec)
-        if c > best_cos:
-            best_cos = c
-            best_idx = det_idx
-    return best_idx
+    if embs.shape[0] < 2:
+        return None
+    cos = embed.cosines(embs, embs[anchor], norms, norms[anchor])
+    cos[anchor] = -math.inf
+    return int(cos.argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,8 @@ class TripletSource:
 def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
     """tracks_per_seq: per sequence, (list of TrackletLabel, {id: link_conf}).
 
-    Raises TrainingDataExhausted when no pseudo-track has two members.
+    Raises TrainingDataExhausted when no pseudo-track has two members, or
+    none has two within max_gap frames of each other.
     """
     entries = []
     frame_map: dict = {}
@@ -159,6 +161,9 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
                 entries.append((si, lab, link, pairs))
     if not entries:
         raise TrainingDataExhausted("no pseudo-track has two or more members")
+    if not any(pairs for *_, pairs in entries):
+        raise TrainingDataExhausted(
+            f"no pseudo-track has two members within max_gap={max_gap} frames")
     return TripletSource(
         seqs=tuple(seqs),
         tracks=tuple(entries),
@@ -191,14 +196,6 @@ def sample_triplet(src: TripletSource, rng) -> Triplet | None:
         negative=None,
         weight=weight,
     )
-
-
-def negative_candidates(src: TripletSource, anchor: DetRef) -> list[int]:
-    """Detection indices in the anchor's frame usable as negatives: every
-    detection but the anchor. A pseudo-track has at most one member per
-    frame, so none of them belongs to the anchor's own track."""
-    rec = src.frame_map[(anchor.seq, anchor.frame)]
-    return [d for d in range(len(rec.detections)) if d != anchor.det]
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +326,11 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
     holds at most points_per_crop rows.
 
     One epoch is ceil(total pseudo-track members / batch size) steps. Each
-    triplet's negative is the hardest of its `negative_candidates`: the one
-    whose embedding under the current network has the highest cosine to the
-    anchor's (`mine_hard_negative`). The batch loss is the sum of weighted
+    triplet's negative is the hardest other detection of the anchor's
+    frame: the one whose embedding under the current network has the
+    highest cosine to the anchor's (`mine_hard_negative`). A pseudo-track
+    has at most one member per frame, so no candidate belongs to the
+    anchor's own track. The batch loss is the sum of weighted
     triplet losses; history records its mean per step alongside the mean
     triplet weight.
     """
@@ -369,18 +368,19 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
             current = embed.EmbedNet.from_params(params)
             fwd = memo_forward(current, canon)
 
-            def emb(ref: DetRef) -> np.ndarray:
-                return fwd(ref)[0]
-
-            # complete each triplet with a negative under the current net
+            # complete each triplet with a negative under the current net,
+            # from its anchor frame's embeddings stacked once per step
+            frames: dict = {}
             completed: list[Triplet] = []
             for t in triplets:
-                cands = negative_candidates(src, t.anchor)
-                e_a = emb(t.anchor)
-                pairs = [(d, emb(DetRef(t.anchor.seq, t.anchor.frame, d))) for d in cands]
-                n_det = mine_hard_negative(e_a, pairs)
-                completed.append(replace(
-                    t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
+                a = t.anchor
+                stacked = frames.get((a.seq, a.frame))
+                if stacked is None:
+                    n_dets = len(src.frame_map[(a.seq, a.frame)].detections)
+                    embs = np.stack([fwd(DetRef(a.seq, a.frame, d))[0] for d in range(n_dets)])
+                    stacked = frames[(a.seq, a.frame)] = (embs, embed.norms(embs))
+                n_det = mine_hard_negative(*stacked, a.det)
+                completed.append(Triplet(a, t.positive, DetRef(a.seq, a.frame, n_det), t.weight))
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
                 current, canon, completed, cfg.margin, cfg.use_uncertainty, fwd=fwd)

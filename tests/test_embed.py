@@ -15,7 +15,6 @@ from uatrack.embed import (
     backward,
     canon_seed,
     canonicalize,
-    cosine,
     detection_crop,
     detection_embedder,
     forward,
@@ -28,6 +27,20 @@ from uatrack.kalman import NumericalError
 
 def box(x=0.0, y=0.0, z=0.0, yaw=0.0, l=4.0, w=2.0, h=1.5):
     return Box7(x, y, z, yaw, l, w, h)
+
+
+def cosine(e1, e2) -> float:
+    """Scalar cosine similarity in [-1, 1], degenerate (near-zero) norms
+    mapping to 0: the reference that the row-wise `embed.cosines` and every
+    path built on it are held to."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    n1 = float(np.linalg.norm(e1))
+    n2 = float(np.linalg.norm(e2))
+    if n1 < embed.NORM_EPS or n2 < embed.NORM_EPS:
+        return 0.0
+    c = float(np.dot(e1, e2) / (n1 * n2))
+    return min(1.0, max(-1.0, c))
 
 
 def reference_canonicalize(cloud, box, n, seed):
@@ -396,17 +409,74 @@ def dense_backward(net, cloud, upstream):
     return grads
 
 
+def previous_mlp(net, points):
+    """The per-point MLP as it was before it worked in place: a new array
+    for each bias add and each rectifier. The new one must equal it bit
+    for bit."""
+    x = points
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        x = x @ w.T + b
+        if k < last:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def previous_backward(net, cloud, upstream, arg=None):
+    """backward as it was before it dropped discarded work: the critical
+    rows from np.unique, a rerun through the last layer, and the gradient
+    with respect to the points. The new one must equal it bit for bit."""
+    upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
+    if arg is None:
+        arg = previous_mlp(net, cloud.points).argmax(axis=0)
+    rows, pos = np.unique(arg, return_inverse=True)
+    acts = [cloud.points[rows]]
+    pre = []
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        pre.append(z)
+        acts.append(np.maximum(z, 0.0) if k < last else z)
+    g = np.zeros((rows.size, net.dim))
+    g[pos, np.arange(net.dim)] = upstream
+    grads = [None] * (2 * len(net.weights))
+    for k in range(last, -1, -1):
+        gz = g if k == last else g * (pre[k] > 0)
+        grads[2 * k] = gz.T @ acts[k]
+        grads[2 * k + 1] = gz.sum(axis=0)
+        g = gz @ net.weights[k]
+    return grads
+
+
+def assert_matches_previous(net, cloud, upstream):
+    """Embedding, arg-max and gradients equal the previous implementation's
+    byte for byte, with arg passed in and computed by backward."""
+    feats = previous_mlp(net, cloud.points)
+    emb, arg = forward_argmax(net, cloud)
+    assert emb.tobytes() == feats.max(axis=0).tobytes()
+    assert forward(net, cloud).tobytes() == feats.max(axis=0).tobytes()
+    assert arg.tobytes() == feats.argmax(axis=0).tobytes()
+    want = previous_backward(net, cloud, upstream)
+    for got in (backward(net, cloud, upstream), backward(net, cloud, upstream, arg=arg)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
 def random_widths(rng):
     """3 inputs, then 2 to 4 layers of random width."""
     return (3,) + tuple(int(w) for w in rng.integers(1, 12, size=rng.integers(2, 5)))
 
 
 class TestCriticalPointBackward:
-    """backward reruns the MLP on the arg-max rows only; the dense version
-    above is the oracle."""
+    """backward reruns the hidden layers on the arg-max rows only; the dense
+    version above is the oracle, and the previous implementation is matched
+    bit for bit."""
 
     @staticmethod
     def assert_matches_dense(net, cloud, upstream):
+        assert_matches_previous(net, cloud, upstream)
         want = dense_backward(net, cloud, upstream)
         _, arg = forward_argmax(net, cloud)
         for got in (backward(net, cloud, upstream), backward(net, cloud, upstream, arg=arg)):
@@ -499,6 +569,30 @@ def crop_cases(draw):
     )
     b = box(yaw=draw(st.sampled_from([0.0, 0.3])))
     return pc, b, n, draw(st.integers(0, 2**16)), net, rng.normal(size=net.dim)
+
+
+class TestPreviousImplementation:
+    """The in-place MLP and the backward that skips discarded work give the
+    bytes of the implementations they replace."""
+
+    @given(crop_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((PointCloud([[50.0, 50.0, 50.0]]), box(), 8, 0,
+              EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
+    def test_crops(self, case):
+        pc, b, n, seed, net, upstream = case
+        assert_matches_previous(net, canonicalize(pc, b, n, seed), upstream)
+        assert_matches_previous(net, reference_canonicalize(pc, b, n, seed), upstream)
+
+    def test_single_layer_and_all_dead_units(self):
+        rng = np.random.default_rng(16)
+        cloud = CanonicalCloud(points=rng.normal(size=(20, 3)))
+        assert_matches_previous(EmbedNet.random((3, 5), seed=1), cloud, rng.normal(size=5))
+        base = EmbedNet.random((3, 6, 6, 4), seed=2)
+        dead = EmbedNet(weights=base.weights,
+                        biases=(np.full(6, -1e3), base.biases[1], base.biases[2]))
+        assert_matches_previous(dead, cloud, rng.normal(size=4))
+        assert not any(g.any() for g in backward(dead, cloud, rng.normal(size=4))[:4])
 
 
 class TestReferenceEquivalence:

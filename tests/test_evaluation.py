@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_embed import cosine
 
 from uatrack import embed, evaluation, sim
 from uatrack.core import (Box7, Detection, FrameRecord, PointCloud, Sequence, TrackRow,
@@ -58,7 +59,7 @@ def oracle_sot(net, tasks, n) -> SotResult:
             for idx, det in enumerate(rec.detections):
                 crop = embed.canonicalize(task.seq.cloud_of(det), det.box, n,
                                           seed=embed.canon_seed(det.cloud_ref))
-                c = embed.cosine(anchor_emb, embed.forward(net, crop))
+                c = cosine(anchor_emb, embed.forward(net, crop))
                 if c > best_cos:
                     best_idx, best_cos = idx, c
             t_total += 1

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_embed import dense_backward, reference_canonicalize
+from test_embed import cosine, dense_backward, reference_canonicalize
 
 from uatrack import assoc, embed, kalman, learn, sim
 from uatrack.learn import (
@@ -16,7 +16,6 @@ from uatrack.learn import (
     batch_loss_and_grads,
     build_triplet_source,
     mine_hard_negative,
-    negative_candidates,
     sample_triplet,
     train,
     triplet_loss,
@@ -51,10 +50,10 @@ class TestWeightedLoss:
         net = embed.EmbedNet.random((3, 8, 4), seed=3)
         loss, grads, weight = batch_loss_and_grads(net, clouds.__getitem__, [self._triplet(w)],
                                                    self.MARGIN)
-        cp = embed.cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
-                          embed.forward(net, clouds[DetRef(0, 1, 0)]))
-        cn = embed.cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
-                          embed.forward(net, clouds[DetRef(0, 0, 1)]))
+        cp = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
+                    embed.forward(net, clouds[DetRef(0, 1, 0)]))
+        cn = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
+                    embed.forward(net, clouds[DetRef(0, 0, 1)]))
         return loss, grads, weight, triplet_loss(cp, cn, self.MARGIN)
 
     def test_product(self):
@@ -84,21 +83,44 @@ class TestWeightedLoss:
                     negative=DetRef(0, 0, 0), weight=1.0)
 
 
+def mine(rows, anchor):
+    """mine_hard_negative over a frame whose embeddings are rows."""
+    embs = np.array(rows, dtype=np.float64)
+    return mine_hard_negative(embs, embed.norms(embs), anchor)
+
+
 class TestMineHardNegative:
     def test_highest_cosine_wins(self):
-        anchor = np.array([1.0, 0.0])
-        cands = [(0, np.array([0.9, 0.1])), (1, np.array([0.0, 1.0]))]
-        assert mine_hard_negative(anchor, cands) == 0
+        assert mine([[0.9, 0.1], [0.0, 1.0], [1.0, 0.0]], 2) == 0
 
     def test_single_candidate(self):
-        assert mine_hard_negative(np.array([1.0, 0.0]), [(3, np.array([0.0, 1.0]))]) == 3
+        assert mine([[1.0, 0.0], [0.0, 1.0]], 0) == 1
 
     def test_tie_goes_to_lowest_index(self):
-        e = np.array([0.5, 0.5])
-        assert mine_hard_negative(np.array([1.0, 0.0]), [(2, e), (1, e)]) == 1
+        e = [0.5, 0.5]
+        assert mine([[0.0, -1.0], e, e, [1.0, 0.0]], 3) == 1
 
     def test_empty_returns_none(self):
-        assert mine_hard_negative(np.array([1.0]), []) is None
+        # a frame that holds only the anchor offers no candidate
+        assert mine([[1.0]], 0) is None
+
+    def test_anchor_row_excluded(self):
+        # the anchor's cosine with itself, 1, is the highest in the frame
+        assert mine([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8]], 1) == 2
+
+    def test_zero_norm_row_scores_zero(self):
+        # the zero row scores 0, above the other candidate's negative cosine
+        assert mine([[-1.0, 0.1], [1.0, 0.0], [0.0, 0.0]], 1) == 2
+        # and below a positive one; a zero-norm anchor scores 0 with all
+        assert mine([[0.0, 0.0], [1.0, 0.0], [0.3, 0.1]], 1) == 2
+        assert mine([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], 1) == 0
+
+
+def negative_candidates(src, anchor):
+    """Detection indices in the anchor's frame that mining may pick: every
+    detection but the anchor."""
+    rec = src.frame_map[(anchor.seq, anchor.frame)]
+    return [d for d in range(len(rec.detections)) if d != anchor.det]
 
 
 def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3,
@@ -161,8 +183,18 @@ class TestSampleTriplet:
         assert t is None
 
     def test_max_gap_respected(self):
-        src = _source_from_tracks({0: [(0, 0), (8, 0)]}, {0: [0.5]}, {}, max_gap=3)
-        assert sample_triplet(src, np.random.default_rng(0)) is None
+        src = _source_from_tracks({0: [(0, 0), (8, 0)], 1: [(0, 1), (2, 1)]},
+                                  {0: [0.5], 1: [0.5]}, {}, max_gap=3)
+        rng = np.random.default_rng(0)
+        drawn = [sample_triplet(src, rng) for _ in range(40)]
+        assert None in drawn  # track 0's one pair is out of range
+        assert {(t.anchor, t.positive) for t in drawn if t is not None} == {
+            (DetRef(0, 0, 1), DetRef(0, 2, 1))}
+
+    def test_no_pair_within_max_gap_raises(self):
+        with pytest.raises(TrainingDataExhausted, match="max_gap=3"):
+            _source_from_tracks({0: [(0, 0), (8, 0)], 1: [(1, 1), (5, 1)]},
+                                {0: [0.5], 1: [0.9]}, {}, max_gap=3)
 
 
 class TestAdam:
@@ -337,14 +369,27 @@ class TestTrain:
             train(seqs, [(singles, {l.track_id: [] for l in singles})], net,
                   TrainerConfig(batch_size=2, epochs=1), points_per_crop=8)
 
+    def test_exhausted_without_pairs_in_range(self):
+        """Two-member tracks whose frame gap exceeds max_gap give no pair:
+        training stops before sampling and names max_gap."""
+        seqs, tracks = _mini_training_setup(n_frames=8)
+        labels, conf = tracks[0]
+        far = [type(l)(track_id=l.track_id, members=(l.members[0], l.members[-1]))
+               for l in labels if l.members[-1][0] - l.members[0][0] > 2]
+        assert far
+        net = embed.EmbedNet.random((3, 4, 4), seed=0)
+        with pytest.raises(TrainingDataExhausted, match="max_gap=2"):
+            train(seqs, [(far, {l.track_id: [0.9] for l in far})], net,
+                  TrainerConfig(batch_size=2, epochs=1, max_gap=2), points_per_crop=8)
+
     def test_negative_is_the_hardest_candidate(self, monkeypatch):
         """Every negative train picks has the highest cosine to the anchor
-        among the candidates it was offered."""
+        among the other detections of its frame."""
         calls = []
 
-        def recording(anchor_emb, same_frame):
-            pick = mine_hard_negative(anchor_emb, same_frame)
-            calls.append((anchor_emb, list(same_frame), pick))
+        def recording(embs, norms, anchor):
+            pick = mine_hard_negative(embs, norms, anchor)
+            calls.append((embs, anchor, pick))
             return pick
 
         monkeypatch.setattr(learn, "mine_hard_negative", recording)
@@ -353,9 +398,9 @@ class TestTrain:
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1)
         train(seqs, tracks, net, cfg, seed=1, points_per_crop=16)
-        assert calls and max(len(same_frame) for _, same_frame, _ in calls) > 2
-        for anchor_emb, same_frame, pick in calls:
-            cos = {d: embed.cosine(anchor_emb, e) for d, e in same_frame}
+        assert calls and max(len(embs) for embs, _, _ in calls) > 3
+        for embs, anchor, pick in calls:
+            cos = {d: cosine(embs[anchor], e) for d, e in enumerate(embs) if d != anchor}
             assert all(c <= cos[pick] + 1e-12 for c in cos.values())
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from test_assoc import reference_tracker
+from test_embed import cosine
 
 from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import AssocConfig
@@ -79,7 +80,7 @@ def reference_score(model, row):
 
 
 def reference_track_sequence(seq, mode, net, model):
-    """track_sequence as first written, the reference: one embed.cosine,
+    """track_sequence as first written, the reference: one scalar cosine,
     one feature row and one score per admitted pair."""
     embedding = (embed.detection_embedder(net, seq, POINTS)
                  if mode == "motion+score+appearance" else None)
@@ -94,7 +95,7 @@ def reference_track_sequence(seq, mode, net, model):
         cost = np.ones_like(m)
         for i, j in zip(*np.nonzero(admitted)):
             det = rec.detections[j]
-            a = embed.cosine(track_embs[ids[i]], embedding(det)) if embedding else 0.0
+            a = cosine(track_embs[ids[i]], embedding(det)) if embedding else 0.0
             row = reference_features(float(m[i, j]), a, det.score)
             cost[i, j] = 1.0 - reference_score(model, row)
         return cost
@@ -335,7 +336,7 @@ class TestHarvestFeatures:
                     m = float(m_frame[i, j])
                     if m > ACFG.gate:
                         continue
-                    a = embed.cosine(emb(last), emb(det)) if net is not None else 0.0
+                    a = cosine(emb(last), emb(det)) if net is not None else 0.0
                     label = int(last.gt_id is not None and last.gt_id == det.gt_id)
                     expected.append((reference_features(m, a, det.score), label))
         return expected, n_pairs
@@ -351,7 +352,7 @@ class TestHarvestFeatures:
         assert y.sum() > 10
         assert x.shape == want_x.shape
         # m and d are copied; a is a row-wise dot and the logs are np.log's,
-        # so those may differ from embed.cosine and math.log in the last bit
+        # so those may differ from the scalar cosine and math.log in the last bit
         assert x[:, [0, 2]].tobytes() == want_x[:, [0, 2]].tobytes()
         assert np.abs(x - want_x).max() <= 1e-15
         assert (x[:, 0] <= ACFG.gate).all()
