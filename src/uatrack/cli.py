@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assoc, embed, evaluation, learn, mot, sim
+from . import assoc, embed, evaluation, kalman, learn, mot, sim
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .core import (
     Sequence,
@@ -679,7 +679,8 @@ def main(argv=None) -> int:
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, FileNotFoundError, ValueError) as exc:
+    except (PipelineError, FileNotFoundError, ValueError,
+            learn.TrainingDataExhausted, kalman.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,12 +15,18 @@ File formats:
     count, count x 3 float32)
   * track output: JSON lines
     {"frame": int, "track_id": int, "box": [...7...], "score": float}
+
+Detection and track lines are formatted directly, and each is the bytes
+`json.dumps` gives for its dict: keys in the order above, the default
+", " and ": " separators, floats as `float.__repr__`, ASCII escapes in the
+cloud ref, null for a missing gt_id.
 """
 
 import json
 import math
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -277,19 +283,25 @@ def read_jsonl(path, build) -> list:
     return out
 
 
+def _box_json(b: Box7) -> str:
+    # a Box7 holds exact floats (__post_init__), so %r is float.__repr__
+    return "[%r, %r, %r, %r, %r, %r, %r]" % (b.x, b.y, b.z, b.yaw, b.l, b.w, b.h)
+
+
+def _score_json(score) -> str:
+    """A score as json.dumps writes it; a float subclass such as np.float64
+    as the float, whose repr under numpy 2 would name the type."""
+    return float.__repr__(score) if isinstance(score, float) else json.dumps(score)
+
+
 def write_detections(path, seq: Sequence) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in seq.frames:
-            for det in rec.detections:
-                obj = {
-                    "frame": det.frame,
-                    "box": [float(v) for v in det.box.to_array()],
-                    "score": det.score,
-                    "cloud": det.cloud_ref,
-                    "gt_id": det.gt_id,
-                }
-                fh.write(json.dumps(obj) + "\n")
+    """One JSON line per detection, in frame order, written with one write."""
+    Path(path).write_text("".join(
+        f'{{"frame": {int.__repr__(det.frame)}, "box": {_box_json(det.box)}, '
+        f'"score": {_score_json(det.score)}, "cloud": {encode_basestring_ascii(det.cloud_ref)}, '
+        f'"gt_id": {"null" if det.gt_id is None else int.__repr__(det.gt_id)}}}\n'
+        for rec in seq.frames for det in rec.detections
+    ), encoding="utf-8")
 
 
 def read_detections(path, clouds: dict[str, PointCloud] | None = None,
@@ -412,16 +424,12 @@ def read_clouds(path) -> dict[str, PointCloud]:
 
 
 def write_track_rows(path, rows) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            obj = {
-                "frame": row.frame,
-                "track_id": row.track_id,
-                "box": [float(v) for v in row.box.to_array()],
-                "score": row.score,
-            }
-            fh.write(json.dumps(obj) + "\n")
+    """One JSON line per track row, in the given order, written with one write."""
+    Path(path).write_text("".join(
+        f'{{"frame": {int.__repr__(row.frame)}, "track_id": {int.__repr__(row.track_id)}, '
+        f'"box": {_box_json(row.box)}, "score": {_score_json(row.score)}}}\n'
+        for row in rows
+    ), encoding="utf-8")
 
 
 def read_track_rows(path) -> list[TrackRow]:

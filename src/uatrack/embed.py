@@ -99,15 +99,18 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
     count = inside.shape[0]
     if count == 0:
         return CanonicalCloud(points=np.zeros((1, 3)))
+    if count == n:
+        return CanonicalCloud(points=inside)
     rng = np.random.default_rng(seed)
     if count > n:
-        idx = rng.choice(count, size=n, replace=False)
-    elif count < n:
-        idx = rng.choice(count, size=n, replace=True)
-        idx = idx[np.sort(np.unique(idx, return_index=True)[1])]
-    else:
-        idx = np.arange(count)
-    return CanonicalCloud(points=inside[idx])
+        return CanonicalCloud(points=inside[rng.choice(count, size=n, replace=False)])
+    # the draws of rng.choice(count, size=n, replace=True); each drawn
+    # index is kept at its first draw
+    idx = rng.integers(0, count, size=n)
+    order = np.arange(n)
+    first = np.full(count, n)
+    np.minimum.at(first, idx, order)
+    return CanonicalCloud(points=inside[idx[first[idx] == order]])
 
 
 def detection_crop(seq: Sequence, det: Detection, n: int) -> CanonicalCloud:
@@ -277,7 +280,9 @@ def cosines(x, y, x_norms, y_norms) -> np.ndarray:
     ok = (x_norms >= NORM_EPS) & (y_norms >= NORM_EPS)
     out = np.zeros(np.shape(dots))
     np.divide(dots, x_norms * y_norms, out=out, where=ok)
-    return np.clip(out, -1.0, 1.0, out=out)
+    # np.clip's values in two cheaper ufunc calls
+    np.minimum(out, 1.0, out=out)
+    return np.maximum(out, -1.0, out=out)
 
 
 # ---------------------------------------------------------------------------

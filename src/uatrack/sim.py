@@ -10,10 +10,22 @@ The evaluation noise model perturbs boxes uniformly within +/-center_pct of
 the extents, +/-size_pct of scale, and +/-yaw_deg of orientation; the
 detector-corruption model additionally drops and injects detections with
 realistic score distributions.
+
+The generator's draws are the simulator's reproducibility contract: a
+seed gives the same scenes, bit for bit, only while this layout holds.
+  * `generate_sequence` draws the objects (`_sample_objects`), then takes
+    one `rng.random` per frame for every object's surface points: object i,
+    with n_i points that frame, takes the next 3*n_i uniforms in object
+    order. The first n_i pick faces through the area-weighted CDF
+    (`face_arrays`), the next 2*n_i are the (n_i, 2) offsets along each
+    face's two edges (`sample_surface`).
+  * `perturb_boxes` takes one `rng.random((D, 7))` for the D detections of
+    a sequence, in frame order. Row k holds detection k's 3 center, 3 size
+    and 1 yaw uniforms, each mapped to [lo, hi) as lo + (hi - lo) * u.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,41 +140,61 @@ def template_faces(template: int, deform, extents) -> list:
     ]
 
     def pt(xf, yf, zf):
-        return np.array([xf * hl, yf * hw, (2.0 * zf - 1.0) * hh])
+        return (xf * hl, yf * hw, (2.0 * zf - 1.0) * hh)
 
     faces = []
 
-    def rect(o, u, v):
-        area = float(np.linalg.norm(np.cross(u, v)))
+    def rect(o, p, q):
+        """The face at corner o spanned by u = p - o and v = q - o."""
+        u = (p[0] - o[0], p[1] - o[1], p[2] - o[2])
+        v = (q[0] - o[0], q[1] - o[1], q[2] - o[2])
+        # np.cross's products and differences in Python floats; the norm
+        # stays numpy's, since the areas set the face draws
+        cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+        area = float(np.linalg.norm(cross))
         if area > 1e-12:
-            faces.append((o, u, v, area))
+            faces.append((np.array(o), np.array(u), np.array(v), area))
 
     for k in range(len(profile)):
         x0, x1, z = xs[k], xs[k + 1], heights[k]
         # top
-        rect(pt(x0, -1, z), pt(x1, -1, z) - pt(x0, -1, z), pt(x0, 1, z) - pt(x0, -1, z))
+        rect(pt(x0, -1, z), pt(x1, -1, z), pt(x0, 1, z))
         # sides
         for yf in (-1, 1):
-            rect(pt(x0, yf, 0), pt(x1, yf, 0) - pt(x0, yf, 0), pt(x0, yf, z) - pt(x0, yf, 0))
+            rect(pt(x0, yf, 0), pt(x1, yf, 0), pt(x0, yf, z))
     # end caps
-    rect(pt(-1, -1, 0), pt(-1, 1, 0) - pt(-1, -1, 0), pt(-1, -1, heights[0]) - pt(-1, -1, 0))
-    rect(pt(1, -1, 0), pt(1, 1, 0) - pt(1, -1, 0), pt(1, -1, heights[-1]) - pt(1, -1, 0))
+    rect(pt(-1, -1, 0), pt(-1, 1, 0), pt(-1, -1, heights[0]))
+    rect(pt(1, -1, 0), pt(1, 1, 0), pt(1, -1, heights[-1]))
     # vertical steps between segments of different height
     for k in range(n_bounds):
         z0, z1 = sorted((heights[k], heights[k + 1]))
         if z1 - z0 > 1e-9:
             xb = xs[k + 1]
-            rect(pt(xb, -1, z0), pt(xb, 1, z0) - pt(xb, -1, z0), pt(xb, -1, z1) - pt(xb, -1, z0))
+            rect(pt(xb, -1, z0), pt(xb, 1, z0), pt(xb, -1, z1))
     return faces
 
 
-def sample_surface(faces, n: int, rng) -> np.ndarray:
-    """n points uniform over a face set, area-weighted, in the box frame."""
+def face_arrays(faces) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, origin, u, v) of a face set, built once per object: the
+    area-weighted CDF over its faces and their stacked (origin, u, v)."""
     areas = np.array([f[3] for f in faces])
-    probs = areas / areas.sum()
-    idx = rng.choice(len(faces), size=n, p=probs)
-    ab = rng.random((n, 2))
+    cdf = (areas / areas.sum()).cumsum()
+    cdf /= cdf[-1]
     origin, u, v = (np.stack([f[c] for f in faces]) for c in range(3))
+    return cdf, origin, u, v
+
+
+def sample_surface(surface, uniforms) -> np.ndarray:
+    """n points uniform over a face set, area-weighted, in the box frame,
+    from `face_arrays` and 3n uniforms in [0, 1): the first n pick faces,
+    the next 2n are the (n, 2) offsets along each face's u and v. These are
+    the draws and the arithmetic of `Generator.choice(p=areas / areas.sum())`
+    followed by `Generator.random((n, 2))`."""
+    cdf, origin, u, v = surface
+    n = len(uniforms) // 3
+    idx = cdf.searchsorted(uniforms[:n], side="right")
+    ab = uniforms[n:].reshape(n, 2)
     return origin[idx] + ab[:, :1] * u[idx] + ab[:, 1:] * v[idx]
 
 
@@ -279,19 +311,22 @@ def generate_sequence(scene: SceneConfig, seed) -> tuple[Sequence, list[Tracklet
     """
     rng = np.random.default_rng(seed)
     specs = _sample_objects(scene, rng)
-    faces_per_obj = [template_faces(s.template, s.deform, s.extents) for s in specs]
+    surfaces = [face_arrays(template_faces(s.template, s.deform, s.extents)) for s in specs]
 
     frames = []
     clouds: dict[str, PointCloud] = {}
     members: list[list[tuple[int, int]]] = [[] for _ in specs]
     for f in range(scene.n_frames):
         t = f * scene.frame_period
+        poses = [spec.pose_at(t) for spec in specs]
+        counts = [3 * _points_for_range(scene, math.hypot(x, y)) for x, y, _ in poses]
+        uniforms = rng.random(sum(counts))
+        at = 0
         dets = []
-        for i, spec in enumerate(specs):
-            x, y, yaw = spec.pose_at(t)
+        for i, (spec, (x, y, yaw)) in enumerate(zip(specs, poses)):
             l, w, h = spec.extents
-            n_pts = _points_for_range(scene, math.hypot(x, y))
-            local = sample_surface(faces_per_obj[i], n_pts, rng)
+            local = sample_surface(surfaces[i], uniforms[at:at + counts[i]])
+            at += counts[i]
             c, s = math.cos(yaw), math.sin(yaw)
             rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
             world = local @ rot_t + np.array([x, y, h / 2.0])
@@ -317,25 +352,27 @@ def perturb_boxes(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
     """Uniform box noise: centers by +/-pct of extents, sizes by +/-pct,
     yaw by +/-yaw_deg. Clouds, scores and gt_ids are untouched."""
     rng = np.random.default_rng(seed)
-    yaw_rad = math.radians(noise.yaw_deg)
+    hi = np.array([noise.center_pct] * 3 + [noise.size_pct] * 3 + [math.radians(noise.yaw_deg)])
+    lo = -hi
+    n_dets = sum(len(rec.detections) for rec in seq.frames)
+    rows = iter((lo + (hi - lo) * rng.random((n_dets, 7))).tolist())
     frames = []
     for rec in seq.frames:
         dets = []
         for det in rec.detections:
             b = det.box
-            dc = rng.uniform(-noise.center_pct, noise.center_pct, size=3)
-            ds = rng.uniform(-noise.size_pct, noise.size_pct, size=3)
-            dyaw = float(rng.uniform(-yaw_rad, yaw_rad))
+            dx, dy, dz, dl, dw, dh, dyaw = next(rows)
             box = Box7(
-                x=b.x + float(dc[0]) * b.l,
-                y=b.y + float(dc[1]) * b.w,
-                z=b.z + float(dc[2]) * b.h,
+                x=b.x + dx * b.l,
+                y=b.y + dy * b.w,
+                z=b.z + dz * b.h,
                 yaw=b.yaw + dyaw,
-                l=b.l * (1.0 + float(ds[0])),
-                w=b.w * (1.0 + float(ds[1])),
-                h=b.h * (1.0 + float(ds[2])),
+                l=b.l * (1.0 + dl),
+                w=b.w * (1.0 + dw),
+                h=b.h * (1.0 + dh),
             )
-            dets.append(replace(det, box=box))
+            dets.append(Detection(frame=det.frame, box=box, score=det.score,
+                                  cloud_ref=det.cloud_ref, gt_id=det.gt_id))
         frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
     return Sequence(frames=tuple(frames), clouds=seq.clouds, frame_period=seq.frame_period)
 
@@ -365,8 +402,8 @@ def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
         for det in rec.detections:
             if rng.random() < noise.missed_rate:
                 continue
-            score = float(rng.beta(8.0, 2.0))
-            dets.append(replace(det, score=score))
+            dets.append(Detection(frame=det.frame, box=det.box, score=float(rng.beta(8.0, 2.0)),
+                                  cloud_ref=det.cloud_ref, gt_id=det.gt_id))
         n_spur = int(rng.binomial(len(rec.detections), noise.spurious_rate)) \
             if rec.detections else 0
         for _ in range(n_spur):

@@ -291,6 +291,25 @@ def test_non_integer_seed_exits_2(tmp_path, capsys):
     assert line.startswith("config error: [global] seed: ")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # every detection missed: no pseudo-track has two members
+    ("frames = 8", "frames = 8\nmissed_rate = 1.0\nspurious_rate = 0.0",
+     "no pseudo-track has two or more members"),
+    # spurious detections only: tracks form, but their anchors have no negatives
+    ("frames = 8", "frames = 8\nmissed_rate = 1.0", "anchors have no negatives"),
+    # the divergence overflows on its way to the non-finite loss
+    pytest.param("learning_rate = 1e-3", "learning_rate = 1e300", "non-finite batch loss",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_run_that_cannot_train_exits_1(old, new, message, tmp_path, capsys):
+    """A valid config whose data cannot train (TrainingDataExhausted) or
+    whose training diverges (NumericalError) ends in one error line."""
+    (tmp_path / "run.cfg").write_text(TINY.replace(old, new))
+    code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "run.cfg"),
+                               "--out-dir", str(tmp_path / "run")])
+    TestMalformedInput.assert_one_line_error(code, err, message)
+
+
 MODES = ("motion", "motion+score", "motion+score+appearance")
 
 

@@ -211,6 +211,74 @@ def _toy_sequence():
     return Sequence(frames=tuple(frames), clouds=clouds, frame_period=0.5)
 
 
+def previous_write_detections(path, seq: Sequence) -> None:
+    """The json.dumps writer that write_detections replaced, as reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in seq.frames:
+            for det in rec.detections:
+                obj = {
+                    "frame": det.frame,
+                    "box": [float(v) for v in det.box.to_array()],
+                    "score": det.score,
+                    "cloud": det.cloud_ref,
+                    "gt_id": det.gt_id,
+                }
+                fh.write(json.dumps(obj) + "\n")
+
+
+def previous_write_track_rows(path, rows) -> None:
+    """The json.dumps writer that write_track_rows replaced, as reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            obj = {
+                "frame": row.frame,
+                "track_id": row.track_id,
+                "box": [float(v) for v in row.box.to_array()],
+                "score": row.score,
+            }
+            fh.write(json.dumps(obj) + "\n")
+
+
+def assert_writers_match_previous(tmp_path, seq: Sequence) -> None:
+    """write_detections and write_track_rows (the detections as rows) give
+    the previous writers' bytes."""
+    rows = [TrackRow(frame=d.frame, track_id=k, box=d.box, score=d.score)
+            for k, d in enumerate(d for rec in seq.frames for d in rec.detections)]
+    for write, previous, data in ((write_detections, previous_write_detections, seq),
+                                  (write_track_rows, previous_write_track_rows, rows)):
+        write(tmp_path / "got.jsonl", data)
+        previous(tmp_path / "want.jsonl", data)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+class TestWriterBytes:
+    """The direct line formatting gives json.dumps's bytes."""
+
+    def test_toy_sequence(self, tmp_path):
+        assert_writers_match_previous(tmp_path, _toy_sequence())
+
+    def test_odd_values(self, tmp_path):
+        refs = ['q"uote', "caf\u00e9 \u2603", "back\\slash\ttab", "plain"]
+        boxes = [make_box(x=-0.0, y=1e-300, z=1e22, yaw=-math.pi, l=0.1, w=1.0 / 3.0, h=7.0),
+                 make_box(x=123456789.125, y=-2.5e-7, yaw=3.0),
+                 make_box(), make_box(x=float(np.nextafter(0.0, 1.0)))]
+        scores = [np.float64(0.9), 1, 0.0, 1.0 - 2.0 ** -53]
+        gt_ids = [None, 0, 12345678901234567890, None]
+        dets = tuple(Detection(frame=7, box=b, score=s, cloud_ref=r, gt_id=g)
+                     for b, s, r, g in zip(boxes, scores, refs, gt_ids))
+        seq = Sequence(frames=(FrameRecord(index=7, detections=dets),),
+                       clouds={r: PointCloud(np.zeros((0, 3))) for r in refs})
+        assert_writers_match_previous(tmp_path, seq)
+        write_detections(tmp_path / "d.jsonl", seq)
+        back = read_detections(tmp_path / "d.jsonl", seq.clouds, n_frames=8)
+        assert [d.cloud_ref for d in back.frames[7].detections] == refs
+
+    def test_empty(self, tmp_path):
+        seq = Sequence(frames=(FrameRecord(index=0, detections=()),), clouds={})
+        assert_writers_match_previous(tmp_path, seq)
+        assert (tmp_path / "got.jsonl").read_bytes() == b""
+
+
 class TestSerialization:
     def test_sequence_round_trip_bit_exact(self, tmp_path):
         seq = _toy_sequence()

@@ -185,6 +185,17 @@ class TestCanonicalize:
             got = canonicalize(pc, b, n, seed=trial)
             assert got.points.tobytes() == want.points.tobytes()
 
+    def test_full_crop_creates_no_generator(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        pc = cloud_in_box(rng, 12)
+        want = previous_canonicalize(pc, box(), 12, seed=0)
+
+        def refuse(seed):
+            raise AssertionError("a crop of exactly n points draws nothing")
+
+        monkeypatch.setattr(embed.np.random, "default_rng", refuse)
+        assert canonicalize(pc, box(), 12, seed=0).points.tobytes() == want.points.tobytes()
+
     def test_subsample_without_replacement(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.4, 0.4, size=(50, 3))
@@ -282,7 +293,38 @@ class TestCosine:
             assert cosine(c * a, b) == pytest.approx(cosine(a, b), abs=1e-12)
 
 
+def previous_cosines(x, y, x_norms, y_norms):
+    """embed.cosines as it was with np.clip; its values are the reference,
+    byte for byte."""
+    dots = np.einsum("...j,...j->...", x, y)
+    ok = (x_norms >= embed.NORM_EPS) & (y_norms >= embed.NORM_EPS)
+    out = np.zeros(np.shape(dots))
+    np.divide(dots, x_norms * y_norms, out=out, where=ok)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
 class TestCosines:
+    def test_clip_equals_np_clip_bytes(self):
+        rng = np.random.default_rng(8)
+        # random rows, with norms scaled so that some quotients leave [-1, 1]
+        x, y = rng.normal(size=(300, 8)), rng.normal(size=(300, 8))
+        xn = embed.norms(x) * rng.uniform(0.3, 1.5, size=300)
+        yn = embed.norms(y)
+        got = embed.cosines(x, y, xn, yn)
+        assert got.tobytes() == previous_cosines(x, y, xn, yn).tobytes()
+        assert (np.abs(x @ y.T).diagonal() > xn * yn).any()
+        # one-wide rows with unit norms: the quotient is the value itself
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
+        values = np.array([0.0, np.nan, 1.0, -1.0, up, down, np.nextafter(1.0, 0.0),
+                           np.nextafter(-1.0, 0.0), 3.0, -3.0, np.inf, -np.inf, -1e-300])
+        ones = np.ones(len(values))
+        # the last row underflows to -0.0: -1e-300 / 1e300
+        big = np.where(values == -1e-300, 1e150, 1.0)
+        got = embed.cosines(values[:, None], ones[:, None], big, big)
+        assert got.tobytes() == previous_cosines(values[:, None], ones[:, None], big, big).tobytes()
+        assert np.signbit(got[-1]) and got[-1] == 0.0
+        assert np.isnan(got[1]) and got[4] == 1.0 and got[5] == -1.0
+
     def test_match_cosine(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 8)) * rng.uniform(1e-3, 1e3, size=(60, 1))

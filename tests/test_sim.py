@@ -1,20 +1,253 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_core import previous_write_detections
 
 from uatrack import embed, sim
+from uatrack.core import (
+    Box7,
+    Detection,
+    FrameRecord,
+    PointCloud,
+    Sequence,
+    TrackletLabel,
+    write_clouds,
+    write_detections,
+)
 from uatrack.sim import (
     N_TEMPLATES,
     NoiseModel,
     SceneConfig,
     corrupt_detections,
+    face_arrays,
     generate_sequence,
     perturb_boxes,
     sample_deform,
     sample_surface,
     template_faces,
 )
+
+
+# ---------------------------------------------------------------------------
+# the simulator before whole-array draws, kept as the reference whose bytes
+# the current one must reproduce
+
+
+def previous_template_faces(template, deform, extents):
+    l, w, h = extents
+    hl, hw, hh = sim._INSET * l / 2.0, sim._INSET * w / 2.0, sim._INSET * h / 2.0
+    profile = sim.TEMPLATE_PROFILES[template]
+    deform = list(deform)
+    n_bounds = len(profile) - 1
+    xs = [-1.0] + [
+        min(0.92, max(-0.92, profile[k][1] + deform[k])) for k in range(n_bounds)
+    ] + [1.0]
+    heights = [
+        min(1.0, max(0.2, profile[k][2] * (1.0 + deform[n_bounds + k])))
+        for k in range(len(profile))
+    ]
+
+    def pt(xf, yf, zf):
+        return np.array([xf * hl, yf * hw, (2.0 * zf - 1.0) * hh])
+
+    faces = []
+
+    def rect(o, u, v):
+        area = float(np.linalg.norm(np.cross(u, v)))
+        if area > 1e-12:
+            faces.append((o, u, v, area))
+
+    for k in range(len(profile)):
+        x0, x1, z = xs[k], xs[k + 1], heights[k]
+        rect(pt(x0, -1, z), pt(x1, -1, z) - pt(x0, -1, z), pt(x0, 1, z) - pt(x0, -1, z))
+        for yf in (-1, 1):
+            rect(pt(x0, yf, 0), pt(x1, yf, 0) - pt(x0, yf, 0), pt(x0, yf, z) - pt(x0, yf, 0))
+    rect(pt(-1, -1, 0), pt(-1, 1, 0) - pt(-1, -1, 0), pt(-1, -1, heights[0]) - pt(-1, -1, 0))
+    rect(pt(1, -1, 0), pt(1, 1, 0) - pt(1, -1, 0), pt(1, -1, heights[-1]) - pt(1, -1, 0))
+    for k in range(n_bounds):
+        z0, z1 = sorted((heights[k], heights[k + 1]))
+        if z1 - z0 > 1e-9:
+            xb = xs[k + 1]
+            rect(pt(xb, -1, z0), pt(xb, 1, z0) - pt(xb, -1, z0), pt(xb, -1, z1) - pt(xb, -1, z0))
+    return faces
+
+
+def previous_sample_surface(faces, n, rng):
+    areas = np.array([f[3] for f in faces])
+    probs = areas / areas.sum()
+    idx = rng.choice(len(faces), size=n, p=probs)
+    ab = rng.random((n, 2))
+    origin, u, v = (np.stack([f[c] for f in faces]) for c in range(3))
+    return origin[idx] + ab[:, :1] * u[idx] + ab[:, 1:] * v[idx]
+
+
+def previous_generate_sequence(scene, seed):
+    rng = np.random.default_rng(seed)
+    specs = sim._sample_objects(scene, rng)
+    faces_per_obj = [previous_template_faces(s.template, s.deform, s.extents) for s in specs]
+    frames = []
+    clouds = {}
+    members = [[] for _ in specs]
+    for f in range(scene.n_frames):
+        t = f * scene.frame_period
+        dets = []
+        for i, spec in enumerate(specs):
+            x, y, yaw = spec.pose_at(t)
+            l, w, h = spec.extents
+            n_pts = sim._points_for_range(scene, math.hypot(x, y))
+            local = previous_sample_surface(faces_per_obj[i], n_pts, rng)
+            c, s = math.cos(yaw), math.sin(yaw)
+            rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+            world = local @ rot_t + np.array([x, y, h / 2.0])
+            ref = f"f{f:03d}o{i:02d}"
+            clouds[ref] = PointCloud(world)
+            dets.append(Detection(frame=f, box=Box7(x=x, y=y, z=h / 2.0, yaw=yaw, l=l, w=w, h=h),
+                                  score=1.0, cloud_ref=ref, gt_id=i))
+            members[i].append((f, i))
+        frames.append(FrameRecord(index=f, detections=tuple(dets)))
+    seq = Sequence(frames=tuple(frames), clouds=clouds, frame_period=scene.frame_period)
+    return seq, [TrackletLabel(track_id=i, members=tuple(members[i])) for i in range(len(specs))]
+
+
+def previous_perturb_boxes(seq, noise, seed):
+    rng = np.random.default_rng(seed)
+    yaw_rad = math.radians(noise.yaw_deg)
+    frames = []
+    for rec in seq.frames:
+        dets = []
+        for det in rec.detections:
+            b = det.box
+            dc = rng.uniform(-noise.center_pct, noise.center_pct, size=3)
+            ds = rng.uniform(-noise.size_pct, noise.size_pct, size=3)
+            dyaw = float(rng.uniform(-yaw_rad, yaw_rad))
+            box = Box7(
+                x=b.x + float(dc[0]) * b.l,
+                y=b.y + float(dc[1]) * b.w,
+                z=b.z + float(dc[2]) * b.h,
+                yaw=b.yaw + dyaw,
+                l=b.l * (1.0 + float(ds[0])),
+                w=b.w * (1.0 + float(ds[1])),
+                h=b.h * (1.0 + float(ds[2])),
+            )
+            dets.append(replace(det, box=box))
+        frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
+    return Sequence(frames=tuple(frames), clouds=seq.clouds, frame_period=seq.frame_period)
+
+
+def previous_corrupt_detections(seq, noise, seed):
+    perturbed = previous_perturb_boxes(seq, noise, (seed, 0))
+    rng = np.random.default_rng((seed, 1))
+    centers = [(d.box.x, d.box.y) for rec in seq.frames for d in rec.detections]
+    span = max((max(abs(x), abs(y)) for x, y in centers), default=20.0) + 5.0
+    clouds = dict(seq.clouds)
+    frames = []
+    spur_serial = 0
+    for rec in perturbed.frames:
+        dets = []
+        for det in rec.detections:
+            if rng.random() < noise.missed_rate:
+                continue
+            dets.append(replace(det, score=float(rng.beta(8.0, 2.0))))
+        n_spur = int(rng.binomial(len(rec.detections), noise.spurious_rate)) \
+            if rec.detections else 0
+        for _ in range(n_spur):
+            l = float(rng.uniform(2.5, 5.5))
+            w = float(rng.uniform(1.4, 2.2))
+            h = float(rng.uniform(1.2, 2.0))
+            box = Box7(
+                x=float(rng.uniform(-span, span)),
+                y=float(rng.uniform(-span, span)),
+                z=h / 2.0 + float(rng.uniform(-0.2, 0.2)),
+                yaw=float(rng.uniform(-math.pi, math.pi)),
+                l=l, w=w, h=h,
+            )
+            n_pts = int(rng.integers(4, 16))
+            local = rng.uniform(-0.5, 0.5, size=(n_pts, 3)) * np.array([l, w, h]) * 0.9
+            c, s = math.cos(box.yaw), math.sin(box.yaw)
+            rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+            world = local @ rot_t + box.center
+            ref = f"f{rec.index:03d}spur{spur_serial:03d}"
+            spur_serial += 1
+            clouds[ref] = PointCloud(world)
+            dets.append(Detection(frame=rec.index, box=box, score=float(rng.beta(2.0, 8.0)),
+                                  cloud_ref=ref, gt_id=None))
+        frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
+    return Sequence(frames=tuple(frames), clouds=clouds, frame_period=seq.frame_period)
+
+
+def assert_same_bytes(got: Sequence, want: Sequence):
+    """Every box, score, ref, gt_id and cloud equal bit for bit, clouds in
+    the same insertion order."""
+    assert got.frame_period == want.frame_period
+    assert [r.index for r in got.frames] == [r.index for r in want.frames]
+    for rec, ref in zip(got.frames, want.frames):
+        assert len(rec.detections) == len(ref.detections)
+        for d, e in zip(rec.detections, ref.detections):
+            assert d.box.to_array().tobytes() == e.box.to_array().tobytes()
+            assert np.float64(d.score).tobytes() == np.float64(e.score).tobytes()
+            assert type(d.score) is type(e.score)
+            assert (d.frame, d.cloud_ref, d.gt_id) == (e.frame, e.cloud_ref, e.gt_id)
+    assert list(got.clouds) == list(want.clouds)
+    for k, cloud in got.clouds.items():
+        assert cloud.points.tobytes() == want.clouds[k].points.tobytes()
+
+
+SCENES = {
+    "default": SceneConfig(),
+    "crowded": SceneConfig(n_objects=12, crossings=3),
+    "short": SceneConfig(n_objects=1, n_frames=2, distinct_templates=True),
+}
+NOISES = {
+    "default": NoiseModel(),
+    "no-yaw": NoiseModel(yaw_deg=0.0),
+    "no-noise": NoiseModel(center_pct=0.0, size_pct=0.0, yaw_deg=0.0),
+    "drops": NoiseModel(spurious_rate=0.3, missed_rate=0.2),
+    "all-missed": NoiseModel(missed_rate=1.0),
+}
+
+
+class TestPreviousImplementation:
+    """generate_sequence, perturb_boxes, corrupt_detections and the
+    detection and cloud files give the previous simulator's bytes."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("scene", SCENES.values(), ids=SCENES.keys())
+    def test_scenes(self, scene, seed, tmp_path):
+        seq, labels = generate_sequence(scene, seed)
+        want, want_labels = previous_generate_sequence(scene, seed)
+        assert_same_bytes(seq, want)
+        assert labels == want_labels
+        pairs = [(seq, want)]
+        for noise in NOISES.values():
+            pairs += [(perturb_boxes(seq, noise, seed), previous_perturb_boxes(want, noise, seed)),
+                      (corrupt_detections(seq, noise, seed),
+                       previous_corrupt_detections(want, noise, seed))]
+        for got, ref in pairs:
+            assert_same_bytes(got, ref)
+            write_detections(tmp_path / "got.jsonl", got)
+            previous_write_detections(tmp_path / "want.jsonl", ref)
+            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+            write_clouds(tmp_path / "got.uapk", got.clouds)
+            write_clouds(tmp_path / "want.uapk", ref.clouds)
+            assert (tmp_path / "got.uapk").read_bytes() == (tmp_path / "want.uapk").read_bytes()
+
+    @pytest.mark.parametrize("template", range(N_TEMPLATES))
+    def test_template_faces(self, template):
+        rng = np.random.default_rng(template)
+        for trial in range(200):
+            # zero jitters give the undeformed template's equal heights too
+            deform = (sample_deform(template, rng) if trial else
+                      (0.0,) * (2 * len(sim.TEMPLATE_PROFILES[template]) - 1))
+            extents = tuple(float(v) for v in rng.uniform([3.5, 1.5, 1.2], [5.0, 2.1, 1.9]))
+            got = template_faces(template, deform, extents)
+            want = previous_template_faces(template, deform, extents)
+            assert len(got) == len(want)
+            for f, g in zip(got, want):
+                assert all(a.dtype == np.float64 and a.tobytes() == b.tobytes()
+                           for a, b in zip(f[:3], g[:3]))
+                assert np.float64(f[3]).tobytes() == np.float64(g[3]).tobytes()
 
 
 class TestGenerate:
@@ -89,7 +322,7 @@ class TestTemplates:
         faces = template_faces(template, deform, (4.3, 1.8, 1.6))
         for _, u, v, _ in faces:
             assert u @ v == 0.0
-        return sample_surface(faces, n, rng), faces
+        return sample_surface(face_arrays(faces), rng.random(3 * n)), faces
 
     @staticmethod
     def _mean_to_faces(points, faces):
@@ -169,15 +402,26 @@ class TestTemplates:
             pts[i] = o + a * u + b * v
         return pts
 
+    def test_uniform_on_a_cdf_edge_picks_the_next_face(self):
+        """Generator.choice's rule, searchsorted(side="right"), which
+        random uniforms almost never test."""
+        surface = face_arrays(template_faces(1, (0.0,) * 5, (4.3, 1.8, 1.6)))
+        cdf, origin = surface[:2]
+        picks = np.concatenate([[0.0], cdf[:-1]])
+        got = sample_surface(surface, np.concatenate([picks, np.zeros(2 * len(picks))]))
+        np.testing.assert_array_equal(got, origin)
+
     @pytest.mark.parametrize("n", [1, 50, 400])
     @pytest.mark.parametrize("template", range(N_TEMPLATES))
     def test_sample_surface_matches_loop_bytes(self, template, n):
         deform = sample_deform(template, np.random.default_rng(template))
         faces = template_faces(template, deform, (4.3, 1.8, 1.6))
-        got = sample_surface(faces, n, np.random.default_rng(n))
-        want = self._loop_sample_surface(faces, n, np.random.default_rng(n))
+        rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_surface(face_arrays(faces), rng.random(3 * n))
+        want = self._loop_sample_surface(faces, n, want_rng)
         assert got.shape == (n, 3)
         assert got.tobytes() == want.tobytes()
+        assert rng.random() == want_rng.random()  # as many draws taken
 
 
 class TestPerturb:
