@@ -133,14 +133,6 @@ def cumulative_confidence(per_step) -> float:
 # tracking loop
 
 
-@dataclass(frozen=True)
-class TrackerRun:
-    """The tracklets the shared loop built and their link confidences."""
-
-    labels: tuple[TrackletLabel, ...]
-    link_conf: dict[int, list[float]]
-
-
 def run_tracker(
     seq: Sequence,
     kcfg: kalman.NoiseConfig,
@@ -148,7 +140,7 @@ def run_tracker(
     cost_fn=None,
     on_match=None,
     collect_confidence: bool = True,
-) -> TrackerRun:
+) -> list[TrackletLabel] | None:
     """Drive predict -> greedy associate -> update across a sequence.
 
     The live tracks are one stacked state, in birth order: Kalman means
@@ -166,15 +158,19 @@ def run_tracker(
     on_match(track_id, det_index, box) observes every match, in greedy
     selection order, with the track's posterior box, and then every birth
     with its detection's box (used by the appearance tracker to maintain
-    per-track embeddings and by the MOT output path). Link confidences are
-    computed on m.
+    per-track embeddings and by the MOT output path).
+
+    With collect_confidence, returns every track ever born, in id order,
+    each link carrying the association confidence of its match on m;
+    without it, keeps no members and returns None.
     """
     mean = np.zeros((0, kalman.STATE_DIM))
     cov = np.zeros((0, kalman.STATE_DIM, kalman.STATE_DIM))
     ids = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)
-    members: list[list[tuple[int, int]]] = []  # indexed by track id
-    link_conf: list[list[float]] = []
+    # (members, link confidences), indexed by track id
+    tracks: list[tuple[list, list]] | None = [] if collect_confidence else None
+    born_total = 0
     prev_index = None
 
     for rec in seq.frames:
@@ -195,9 +191,10 @@ def run_tracker(
                 mean[rows], cov[rows], boxes[[p.det for p in res.pairs]], kcfg)
         for pair in res.pairs:
             tid = int(ids[pair.track])
-            if collect_confidence:
-                link_conf[tid].append(association_confidence(m, pair.track, pair.det, acfg.eps))
-            members[tid].append((rec.index, pair.det))
+            if tracks is not None:
+                members, link = tracks[tid]
+                members.append((rec.index, pair.det))
+                link.append(association_confidence(m, pair.track, pair.det, acfg.eps))
             if on_match is not None:
                 on_match(tid, pair.det, Box7.from_array(mean[pair.track, :kalman.OBS_DIM]))
 
@@ -206,10 +203,11 @@ def run_tracker(
         keep = misses < acfg.max_age
         born = list(res.unmatched_detections)
         born_mean, born_cov = kalman.init_tracks(boxes[born], kcfg)
-        born_ids = np.arange(len(members), len(members) + len(born))
+        born_ids = np.arange(born_total, born_total + len(born))
+        born_total += len(born)
         for tid, j in zip(born_ids.tolist(), born):
-            members.append([(rec.index, j)])
-            link_conf.append([])
+            if tracks is not None:
+                tracks.append(([(rec.index, j)], []))
             if on_match is not None:
                 on_match(tid, j, rec.detections[j].box)
         mean = np.concatenate([mean[keep], born_mean])
@@ -217,9 +215,10 @@ def run_tracker(
         ids = np.concatenate([ids[keep], born_ids])
         misses = np.concatenate([misses[keep], np.zeros(len(born), dtype=np.int64)])
 
-    labels = tuple(TrackletLabel(track_id=tid, members=tuple(mem))
-                   for tid, mem in enumerate(members))
-    return TrackerRun(labels=labels, link_conf=dict(enumerate(link_conf)))
+    if tracks is None:
+        return None
+    return [TrackletLabel(tid, tuple(members), tuple(link))
+            for tid, (members, link) in enumerate(tracks)]
 
 
 def mahalanobis_matrix(mean, cov, boxes, kcfg: kalman.NoiseConfig) -> np.ndarray:
@@ -239,47 +238,64 @@ def build_pseudo_tracks(
     seq: Sequence,
     kcfg: kalman.NoiseConfig,
     acfg: AssocConfig,
-) -> tuple[list[TrackletLabel], dict[int, list[float]]]:
+) -> list[TrackletLabel]:
     """Self-supervised pseudo-ground-truth tracklets with per-link confidences.
 
-    Runs the motion-only tracker over the sequence; every surviving link
-    between consecutive members of a track carries the association
-    confidence of the greedy decision that created it.
+    Runs the motion-only tracker over the sequence; every link between
+    consecutive members of a track carries the association confidence of
+    the greedy decision that created it.
     """
     if not seq.frames:
         raise ValueError("sequence has no frames")
-    run = run_tracker(seq, kcfg, acfg, collect_confidence=True)
-    return list(run.labels), run.link_conf
+    return run_tracker(seq, kcfg, acfg, collect_confidence=True)
+
+
+def gt_tracks(seq: Sequence) -> list[TrackletLabel]:
+    """The ground-truth tracks of a scene: one per gt_id, in gt_id order,
+    holding that gt_id's detections in frame order, every link at
+    confidence 1. Detections without a gt_id belong to no track."""
+    members: dict[int, list[tuple[int, int]]] = {}
+    for rec in seq.frames:
+        for j, det in enumerate(rec.detections):
+            if det.gt_id is not None:
+                members.setdefault(det.gt_id, []).append((rec.index, j))
+    return [TrackletLabel(gid, tuple(mem), (1.0,) * (len(mem) - 1))
+            for gid, mem in sorted(members.items())]
 
 
 # ---------------------------------------------------------------------------
-# pseudo-track file format: one JSON object per line,
+# pseudo-track file format: one JSON object per line, one line per track,
 # {"track_id": int, "members": [[frame, det_index], ...], "link_conf": [...]}
+# where link_conf holds one confidence per link between consecutive members
+# (TrackletLabel checks them). A track_id appears on one line only.
 
 
-def write_pseudo_tracks(path, labels, link_conf: dict[int, list[float]]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for lab in labels:
+def write_pseudo_tracks(path, tracks) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for lab in tracks:
             obj = {
                 "track_id": lab.track_id,
                 "members": [[f, i] for f, i in lab.members],
-                "link_conf": [float(v) for v in link_conf.get(lab.track_id, [])],
+                "link_conf": list(lab.link_conf),
             }
             fh.write(json.dumps(obj) + "\n")
 
 
-def read_pseudo_tracks(path, seq: Sequence) -> tuple[list[TrackletLabel], dict[int, list[float]]]:
+def read_pseudo_tracks(path, seq: Sequence) -> list[TrackletLabel]:
     """The pseudo-tracks of a file that labels the scene seq.
 
-    A member naming a frame seq lacks, or a detection that frame lacks,
-    raises ValueError("<path>:<line>: ..."), as does any other malformed
-    line.
+    A member naming a frame seq lacks, or a detection that frame lacks, a
+    track_id an earlier line holds, or any other malformed line raises
+    ValueError("<path>:<line>: ...").
     """
     counts = {rec.index: len(rec.detections) for rec in seq.frames}
+    seen: set[int] = set()
 
     def build(obj):
         tid = int(obj["track_id"])
+        if tid in seen:
+            raise ValueError(f"track {tid} is on an earlier line too")
+        seen.add(tid)
         members = tuple((int(f), int(i)) for f, i in obj["members"])
         for f, i in members:
             if f not in counts:
@@ -287,15 +303,6 @@ def read_pseudo_tracks(path, seq: Sequence) -> tuple[list[TrackletLabel], dict[i
             if not 0 <= i < counts[f]:
                 raise ValueError(f"track {tid}: member [{f}, {i}]: frame {f} has "
                                  f"{counts[f]} detections")
-        link = [float(v) for v in obj["link_conf"]]
-        if len(link) != max(len(members) - 1, 0):
-            raise ValueError(
-                f"track {tid}: {len(link)} link confidences for {len(members)} members"
-            )
-        for v in link:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"track {tid}: link confidence {v} is not in [0, 1]")
-        return TrackletLabel(track_id=tid, members=members), link
+        return TrackletLabel(tid, members, obj["link_conf"])
 
-    records = read_jsonl(path, build)
-    return [lab for lab, _ in records], {lab.track_id: link for lab, link in records}
+    return read_jsonl(path, build)

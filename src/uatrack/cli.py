@@ -131,18 +131,13 @@ def _scene_dir(out: Path, split: str, index: int) -> Path:
     return out / "sim" / f"{split}_{index:02d}"
 
 
-def _write_gt_tracks(path, labels) -> None:
-    conf = {lab.track_id: [1.0] * (len(lab.members) - 1) for lab in labels}
-    assoc.write_pseudo_tracks(path, labels, conf)
-
-
 def _stage_simulate(rc: RunConfig, out: Path):
     outputs = []
     noise = _noise_model(rc)
     for split, count in _split_counts(rc).items():
         scene = _scene_config(rc, split)
         for i in range(count):
-            seq, labels = sim.generate_sequence(scene, _scene_seed(rc, split, i))
+            seq = sim.generate_sequence(scene, _scene_seed(rc, split, i))
             corrupted = sim.corrupt_detections(seq, noise, _scene_seed(rc, split, i, 100))
             d = _scene_dir(out, split, i)
             d.mkdir(parents=True, exist_ok=True)
@@ -151,7 +146,7 @@ def _stage_simulate(rc: RunConfig, out: Path):
             write_clouds(d / "clouds", corrupted.clouds)
             write_detections(d / "detections.jsonl", seq)
             write_detections(d / "corrupted.jsonl", corrupted)
-            _write_gt_tracks(d / "gt_tracks.jsonl", labels)
+            assoc.write_pseudo_tracks(d / "gt_tracks.jsonl", assoc.gt_tracks(corrupted))
             outputs += [d / "detections.jsonl", d / "corrupted.jsonl",
                         d / "gt_tracks.jsonl", d / "clouds"]
     return [], outputs
@@ -165,8 +160,7 @@ def run_pseudo_tracks(rc: RunConfig, detections, target):
     """Pseudo-tracks with link confidences for one scene; the tracker uses
     only boxes."""
     seq = _read_boxes(rc, detections)
-    labels, conf = assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc)
-    assoc.write_pseudo_tracks(target, labels, conf)
+    assoc.write_pseudo_tracks(target, assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc))
     return [detections], [target]
 
 
@@ -300,8 +294,7 @@ def run_confidence_report(rc: RunConfig, scenes):
     inputs, correct, incorrect = [], [], []
     for det_path, track_path in scenes:
         seq = _read_boxes(rc, det_path)
-        labels, conf = assoc.read_pseudo_tracks(track_path, seq)
-        c, w = evaluation.confidence_links(seq, labels, conf)
+        c, w = evaluation.confidence_links(seq, assoc.read_pseudo_tracks(track_path, seq))
         correct += c
         incorrect += w
         inputs += [det_path, track_path]
@@ -316,13 +309,6 @@ def _scenes(rc: RunConfig, out: Path, split: str, detections: str):
     """(detections file, cloud file) of each scene of a split."""
     dirs = [_scene_dir(out, split, i) for i in range(_split_counts(rc)[split])]
     return [(d / detections, d / "clouds") for d in dirs]
-
-
-def _train_scenes(rc: RunConfig, out: Path):
-    """(detections file, cloud file) of each training scene: the clean
-    detections for [learn] mode = oracle, the corrupted ones otherwise."""
-    det = "detections.jsonl" if rc.learn.mode == "oracle" else "corrupted.jsonl"
-    return _scenes(rc, out, "train", det)
 
 
 def _pseudo_path(out: Path, index: int) -> Path:
@@ -344,7 +330,7 @@ def _mot_models(rc: RunConfig, out: Path) -> dict[str, Path]:
 def _stage_pseudo_tracks(rc: RunConfig, out: Path):
     (out / "pseudo").mkdir(parents=True, exist_ok=True)
     inputs, outputs = [], []
-    for i, (det_path, _) in enumerate(_train_scenes(rc, out)):
+    for i, (det_path, _) in enumerate(_scenes(rc, out, "train", "corrupted.jsonl")):
         scene_inputs, scene_outputs = run_pseudo_tracks(rc, det_path, _pseudo_path(out, i))
         inputs += scene_inputs
         outputs += scene_outputs
@@ -352,10 +338,13 @@ def _stage_pseudo_tracks(rc: RunConfig, out: Path):
 
 
 def _stage_train(rc: RunConfig, out: Path):
+    """Both modes train on the corrupted detections; oracle mode on their
+    gt tracks, selfsup mode on their pseudo-tracks."""
     oracle = rc.learn.mode == "oracle"
     scenes = [(det_path, clouds_path,
                _scene_dir(out, "train", i) / "gt_tracks.jsonl" if oracle else _pseudo_path(out, i))
-              for i, (det_path, clouds_path) in enumerate(_train_scenes(rc, out))]
+              for i, (det_path, clouds_path)
+              in enumerate(_scenes(rc, out, "train", "corrupted.jsonl"))]
     (out / "train").mkdir(parents=True, exist_ok=True)
     return run_train(rc, scenes, _checkpoint_path(out), out / "train" / "loss_history.csv")
 
@@ -406,7 +395,7 @@ def _stage_mot_eval(rc: RunConfig, out: Path):
 def _stage_confidence_report(rc: RunConfig, out: Path):
     inputs, report = run_confidence_report(rc, [
         (det_path, _pseudo_path(out, i))
-        for i, (det_path, _) in enumerate(_train_scenes(rc, out))])
+        for i, (det_path, _) in enumerate(_scenes(rc, out, "train", "corrupted.jsonl"))])
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_confidence_csv(eval_dir / "confidence.csv", report)

@@ -142,19 +142,24 @@ def _parse_value(section: str, key: str, raw: str, current):
 
 
 def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
-    """Parse a config file (or literal text) into a validated RunConfig."""
+    """Parse a config file (or literal text) into a validated RunConfig.
+    Every error is a ConfigError with a one-line message."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    if from_path:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    else:
-        parser.read_file(io.StringIO(text_or_path))
+    try:
+        if from_path:
+            with open(text_or_path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+        else:
+            parser.read_file(io.StringIO(text_or_path))
+        sections = {sect: dict(parser[sect]) for sect in parser.sections()}
+    except configparser.Error as exc:  # its messages span lines
+        raise ConfigError(" ".join(str(exc).split())) from exc
 
     kwargs = {}
-    for sect in parser.sections():
+    for sect, items in sections.items():
         if sect == "global":
-            for key, raw in parser["global"].items():
+            for key, raw in items.items():
                 if key != "seed":
                     raise ConfigError(f"[global] unknown key {key!r}")
                 kwargs["seed"] = _parse_value("global", key, raw, RunConfig.seed)
@@ -165,7 +170,7 @@ def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
         defaults = cls()
         names = {f.name for f in fields(cls)}
         updates = {}
-        for key, raw in parser[sect].items():
+        for key, raw in items.items():
             if key not in names:
                 raise ConfigError(f"[{sect}] unknown key {key!r}")
             updates[key] = _parse_value(sect, key, raw, getattr(defaults, key))

@@ -228,19 +228,31 @@ class Sequence:
 
 @dataclass(frozen=True)
 class TrackletLabel:
-    """A track identity with its (frame, detection index) members."""
+    """A track identity with its (frame, detection index) members and the
+    association confidence of each link between consecutive members: one
+    per link, each in [0, 1]."""
 
     track_id: int
     members: tuple[tuple[int, int], ...]
+    link_conf: tuple[float, ...]
 
     def __post_init__(self):
+        tid = self.track_id
         members = tuple((int(f), int(i)) for f, i in self.members)
+        link = tuple(float(v) for v in self.link_conf)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "link_conf", link)
         frames = [f for f, _ in members]
         if len(frames) != len(set(frames)):
-            raise ValueError(f"track {self.track_id} has duplicate frame members")
+            raise ValueError(f"track {tid} has duplicate frame members")
         if frames != sorted(frames):
-            raise ValueError(f"track {self.track_id} members must be frame-ordered")
+            raise ValueError(f"track {tid} members must be frame-ordered")
+        if len(link) != max(len(members) - 1, 0):
+            raise ValueError(f"track {tid}: {len(link)} link confidences for "
+                             f"{len(members)} members")
+        for v in link:
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"track {tid}: link confidence {v} is not in [0, 1]")
 
 
 @dataclass(frozen=True)

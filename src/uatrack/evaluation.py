@@ -274,8 +274,9 @@ class ConfidenceReport:
     n_links: int
 
 
-def confidence_links(seq: Sequence, labels, link_conf):
-    """Split pseudo-track link confidences into gt-correct / gt-incorrect.
+def confidence_links(seq: Sequence, tracks):
+    """Split the link confidences of pseudo-tracks into gt-correct /
+    gt-incorrect.
 
     A link is correct iff both endpoint detections carry the same non-null
     gt_id. Requires gt_ids on the sequence (the simulator's).
@@ -283,14 +284,10 @@ def confidence_links(seq: Sequence, labels, link_conf):
     rec_by_index = {rec.index: rec for rec in seq.frames}
     correct_vals: list[float] = []
     incorrect_vals: list[float] = []
-    for lab in labels:
-        conf = link_conf.get(lab.track_id, [])
-        for k in range(len(lab.members) - 1):
-            f0, d0 = lab.members[k]
-            f1, d1 = lab.members[k + 1]
+    for lab in tracks:
+        for (f0, d0), (f1, d1), ac in zip(lab.members, lab.members[1:], lab.link_conf):
             g0 = rec_by_index[f0].detections[d0].gt_id
             g1 = rec_by_index[f1].detections[d1].gt_id
-            ac = float(conf[k])
             if g0 is not None and g1 is not None and g0 == g1:
                 correct_vals.append(ac)
             else:

@@ -117,21 +117,21 @@ def mine_hard_negative(embs: np.ndarray, norms: np.ndarray, anchor: int) -> int 
 class TripletSource:
     """Indexed view over sequences + pseudo-tracks used for sampling.
 
-    tracks: per pseudo-track with >= 2 members, (seq index, TrackletLabel,
-        link confidences, member index pairs (i, j), i < j, whose frame gap
-        is within max_gap, in ascending (i, j) order)
+    tracks: per pseudo-track with >= 2 members, (seq index, the track with
+        its link confidences, member index pairs (i, j), i < j, whose frame
+        gap is within max_gap, in ascending (i, j) order)
     frame_map[(seq, frame)]: that frame's FrameRecord
     total_members: members of every pseudo-track, whatever its length
     """
 
     seqs: tuple[Sequence, ...]
-    tracks: tuple[tuple[int, TrackletLabel, tuple[float, ...], tuple[tuple[int, int], ...]], ...]
+    tracks: tuple[tuple[int, TrackletLabel, tuple[tuple[int, int], ...]], ...]
     frame_map: dict
     total_members: int
 
 
 def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
-    """tracks_per_seq: per sequence, (list of TrackletLabel, {id: link_conf}).
+    """tracks_per_seq: per sequence, its list of TrackletLabel.
 
     Raises TrainingDataExhausted when no pseudo-track has two members, or
     none has two within max_gap frames of each other.
@@ -139,18 +139,12 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
     entries = []
     frame_map: dict = {}
     total = 0
-    for si, seq in enumerate(seqs):
-        labels, conf = tracks_per_seq[si]
+    for si, (seq, tracks) in enumerate(zip(seqs, tracks_per_seq, strict=True)):
         for rec in seq.frames:
             frame_map[(si, rec.index)] = rec
-        for lab in labels:
-            link = tuple(conf.get(lab.track_id, ()))
-            if len(link) != max(len(lab.members) - 1, 0):
-                raise ValueError(
-                    f"track {lab.track_id}: link confidences do not match members"
-                )
-            total += len(lab.members)
+        for lab in tracks:
             members = lab.members
+            total += len(members)
             if len(members) >= 2:
                 pairs = tuple(
                     (i, j)
@@ -158,7 +152,7 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
                     for j in range(i + 1, len(members))
                     if 1 <= members[j][0] - members[i][0] <= max_gap
                 )
-                entries.append((si, lab, link, pairs))
+                entries.append((si, lab, pairs))
     if not entries:
         raise TrainingDataExhausted("no pseudo-track has two or more members")
     if not any(pairs for *_, pairs in entries):
@@ -181,7 +175,7 @@ def sample_triplet(src: TripletSource, rng) -> Triplet | None:
     such pair, or when the anchor frame offers no other detection to serve
     as a negative.
     """
-    si, lab, link, pairs = src.tracks[rng.integers(len(src.tracks))]
+    si, lab, pairs = src.tracks[rng.integers(len(src.tracks))]
     if not pairs:
         return None
     i, j = pairs[rng.integers(len(pairs))]
@@ -189,7 +183,7 @@ def sample_triplet(src: TripletSource, rng) -> Triplet | None:
     anchor_rec = src.frame_map.get((si, members[i][0]))
     if anchor_rec is None or len(anchor_rec.detections) < 2:
         return None
-    weight = cumulative_confidence(link[i:j])
+    weight = cumulative_confidence(lab.link_conf[i:j])
     return Triplet(
         anchor=DetRef(si, members[i][0], members[i][1]),
         positive=DetRef(si, members[j][0], members[j][1]),

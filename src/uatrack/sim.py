@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackletLabel, wrap_angle
+from .core import Box7, Detection, FrameRecord, PointCloud, Sequence, wrap_angle
 
 # height profiles: (x0_frac, x1_frac, height_frac) segments over x in [-1, 1]
 TEMPLATE_PROFILES = {
@@ -303,8 +303,9 @@ def _points_for_range(scene: SceneConfig, rng_dist: float) -> int:
     return max(scene.min_points, int(round(scene.base_points * scale)))
 
 
-def generate_sequence(scene: SceneConfig, seed) -> tuple[Sequence, list[TrackletLabel]]:
-    """Simulate a scene; returns the ground-truth Sequence and its tracklets.
+def generate_sequence(scene: SceneConfig, seed) -> Sequence:
+    """Simulate a scene; returns the ground-truth Sequence, whose tracks are
+    `assoc.gt_tracks` of it.
 
     Every detection has score 1.0 and a gt_id; clouds are float32 world-frame
     surface samples. Deterministic for a given seed.
@@ -315,7 +316,6 @@ def generate_sequence(scene: SceneConfig, seed) -> tuple[Sequence, list[Tracklet
 
     frames = []
     clouds: dict[str, PointCloud] = {}
-    members: list[list[tuple[int, int]]] = [[] for _ in specs]
     for f in range(scene.n_frames):
         t = f * scene.frame_period
         poses = [spec.pose_at(t) for spec in specs]
@@ -339,13 +339,8 @@ def generate_sequence(scene: SceneConfig, seed) -> tuple[Sequence, list[Tracklet
                 cloud_ref=ref,
                 gt_id=i,
             ))
-            members[i].append((f, i))
         frames.append(FrameRecord(index=f, detections=tuple(dets)))
-    seq = Sequence(frames=tuple(frames), clouds=clouds, frame_period=scene.frame_period)
-    labels = [
-        TrackletLabel(track_id=i, members=tuple(members[i])) for i in range(len(specs))
-    ]
-    return seq, labels
+    return Sequence(frames=tuple(frames), clouds=clouds, frame_period=scene.frame_period)
 
 
 def perturb_boxes(seq: Sequence, noise: NoiseModel, seed) -> Sequence:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -421,10 +421,10 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
             next_id += 1
         live = survivors
 
-    labels = tuple(TrackletLabel(track_id=tid, members=tuple(order[tid].members))
-                   for tid in sorted(order))
-    return assoc.TrackerRun(labels=labels,
-                            link_conf={tid: list(order[tid].link_conf) for tid in sorted(order)})
+    if not collect_confidence:
+        return None
+    return [TrackletLabel(tid, tuple(order[tid].members), tuple(order[tid].link_conf))
+            for tid in sorted(order)]
 
 
 def _sim_scene(n_objects, crossings, seed):
@@ -433,7 +433,7 @@ def _sim_scene(n_objects, crossings, seed):
     s = RunConfig().sim
     scene = sim.SceneConfig(n_objects=n_objects, n_frames=s.frames,
                             frame_period=s.frame_period, bounds=s.bounds, crossings=crossings)
-    seq, _ = sim.generate_sequence(scene, seed=seed)
+    seq = sim.generate_sequence(scene, seed=seed)
     noise = sim.NoiseModel(center_pct=s.center_pct, size_pct=s.size_pct, yaw_deg=s.yaw_deg,
                            spurious_rate=s.spurious_rate, missed_rate=s.missed_rate)
     return sim.corrupt_detections(seq, noise, seed=(seed, 100))
@@ -474,13 +474,12 @@ class TestRunTracker:
         seq = SCENES[scene]()
         got, got_calls = self._traced(assoc.run_tracker, seq)
         want, want_calls = self._traced(reference_tracker, seq)
-        assert got.labels == want.labels
-        assert got.link_conf == want.link_conf
+        assert got == want
         assert got_calls == want_calls
         # the scene exercises misses, deaths and competing tracks
-        assert len(got.labels) > 2 * len({d.gt_id for r in seq.frames for d in r.detections})
+        assert len(got) > 2 * len({d.gt_id for r in seq.frames for d in r.detections})
         assert sum(c[0] == "match" for c in got_calls) > 100
-        assert any(0.0 < ac < 0.5 for link in got.link_conf.values() for ac in link)
+        assert any(0.0 < ac < 0.5 for lab in got for ac in lab.link_conf)
 
     @pytest.mark.parametrize("mode", mot.MODES)
     @pytest.mark.parametrize("scene", sorted(SCENES))
@@ -507,7 +506,7 @@ class TestRunTracker:
 
     def _members(self, present):
         seq = self._static_seq(present, max(present))
-        return [list(lab.members) for lab in assoc.run_tracker(seq, KCFG, ACFG).labels]
+        return [list(lab.members) for lab in assoc.run_tracker(seq, KCFG, ACFG)]
 
     def test_newborn_track_survives_max_age_minus_one_misses(self):
         gap = ACFG.max_age - 1
@@ -522,36 +521,51 @@ class TestRunTracker:
         assert self._members({0, 1, a + 2}) == [[(0, 0), (1, 0)], [(a + 2, 0)]]
 
 
+class TestGtTracks:
+    def test_hand_scene(self):
+        """One track per gt_id in gt_id order, whatever order the ids first
+        appear in; detections without a gt_id belong to none."""
+        gt_ids = [[5, None, 2], [2, 5], [], [None, 5]]
+        seq = Sequence(frames=tuple(FrameRecord(index=f, detections=tuple(
+            Detection(frame=f, box=Box7(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), score=1.0,
+                      cloud_ref="c", gt_id=g) for g in ids)) for f, ids in enumerate(gt_ids)),
+            clouds={"c": PointCloud(np.zeros((1, 3)))})
+        assert assoc.gt_tracks(seq) == [
+            TrackletLabel(2, ((0, 2), (1, 0)), (1.0,)),
+            TrackletLabel(5, ((0, 0), (1, 1), (3, 1)), (1.0, 1.0)),
+        ]
+        assert assoc.gt_tracks(replace(seq, frames=())) == []
+
+
 class TestBuildPseudoTracks:
     def _single_object_seq(self, frames=10):
         scene = sim.SceneConfig(n_objects=1, n_frames=frames)
-        seq, _ = sim.generate_sequence(scene, seed=3)
-        return seq
+        return sim.generate_sequence(scene, seed=3)
 
     def test_single_object_noise_free(self):
         seq = self._single_object_seq(10)
-        labels, conf = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
-        assert len(labels) == 1
-        assert len(labels[0].members) == 10
-        assert all(abs(ac - 1.0) < 1e-6 for ac in conf[labels[0].track_id])
+        tracks = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
+        assert len(tracks) == 1
+        assert len(tracks[0].members) == 10
+        assert all(abs(ac - 1.0) < 1e-6 for ac in tracks[0].link_conf)
 
     def test_two_separated_objects_pure(self):
         # two parallel straight movers 10 m apart
         scene = sim.SceneConfig(n_objects=2, n_frames=15)
-        seq, _ = sim.generate_sequence(scene, seed=11)
-        labels, conf = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
-        assert len(labels) == 2
+        seq = sim.generate_sequence(scene, seed=11)
+        tracks = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
+        assert len(tracks) == 2
         rec_by = {r.index: r for r in seq.frames}
-        for lab in labels:
+        for lab in tracks:
             gts = {rec_by[f].detections[d].gt_id for f, d in lab.members}
             assert len(gts) == 1  # 100% purity
             assert len(lab.members) == 15
 
     def test_crossing_confidence_dips(self):
         scene = sim.SceneConfig(n_objects=2, n_frames=25, crossings=1)
-        seq, _ = sim.generate_sequence(scene, seed=2)
+        seq = sim.generate_sequence(scene, seed=2)
         noisy = sim.perturb_boxes(seq, sim.NoiseModel(), seed=7)
-        labels, conf = build_pseudo_tracks(noisy, kalman.NoiseConfig(), AssocConfig())
+        tracks = build_pseudo_tracks(noisy, kalman.NoiseConfig(), AssocConfig())
         # locate the crossing window from ground truth geometry
         rec_by = {r.index: r for r in seq.frames}
         dists = []
@@ -561,17 +575,15 @@ class TestBuildPseudoTracks:
         cross_frame = int(np.argmin(dists))
         window = set(range(cross_frame - 2, cross_frame + 3))
         inside, outside = [], []
-        for lab in labels:
+        for lab in tracks:
             for k in range(len(lab.members) - 1):
                 f_next = lab.members[k + 1][0]
-                (inside if f_next in window else outside).append(conf[lab.track_id][k])
+                (inside if f_next in window else outside).append(lab.link_conf[k])
         assert inside and outside
         assert np.mean(inside) < np.mean(outside)
 
     def test_file_round_trip(self, tmp_path):
         seq = self._single_object_seq(8)
-        labels, conf = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
-        write_pseudo_tracks(tmp_path / "p.jsonl", labels, conf)
-        labels2, conf2 = read_pseudo_tracks(tmp_path / "p.jsonl", seq)
-        assert labels2 == labels
-        assert conf2 == {k: list(v) for k, v in conf.items()}
+        tracks = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
+        write_pseudo_tracks(tmp_path / "p.jsonl", tracks)
+        assert read_pseudo_tracks(tmp_path / "p.jsonl", seq) == tracks

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uatrack import assoc, cli, embed, sim
+from uatrack import assoc, cli, embed
 from uatrack.config import parse_config
 from uatrack.core import PointCloud, write_clouds
 
@@ -97,29 +97,35 @@ class TestPipeline:
         pseudo = next(line for line in lines if line["stage"] == "pseudo-tracks")
         assert list(pseudo["inputs"]) == ["sim/train_00/corrupted.jsonl"]
 
-    def test_gt_tracks_are_pseudo_tracks_an_oracle_run_trains_on(self, tiny_run, tmp_path):
-        """simulate writes each scene's true tracklets in the pseudo-track
-        format and nothing more: they read back as the simulator's labels
-        with unit link confidences, and [learn] mode = oracle trains on them."""
+    def test_gt_tracks_are_pseudo_tracks_an_oracle_run_trains_on(self, tmp_path):
+        """simulate writes the true tracklets of each scene's corrupted
+        detections in the pseudo-track format and nothing more: they read
+        back as assoc.gt_tracks of that scene, and [learn] mode = oracle
+        trains on them and on the same detections that selfsup mode uses."""
         rc = parse_config(TINY, from_path=False)
-        scene = tiny_run / "sim" / "train_00"
+        # misses move the corrupted detections' indices off the clean ones
+        oracle = replace(rc, learn=replace(rc.learn, mode="oracle"),
+                         sim=replace(rc.sim, missed_rate=0.3))
+        lines = cli.run_pipeline(oracle, ["simulate", "train"], tmp_path / "run")
+        assert list(lines[1]["inputs"]) == ["sim/train_00/clouds", "sim/train_00/corrupted.jsonl",
+                                            "sim/train_00/gt_tracks.jsonl"]
+        net = embed.load_checkpoint(tmp_path / "run" / "train" / "checkpoint.uann")
+        assert net.dim == 8
+
+        scene = tmp_path / "run" / "sim" / "train_00"
         path = scene / "gt_tracks.jsonl"
         objs = [json.loads(line) for line in path.read_text().splitlines()]
         assert objs and all(set(obj) == {"track_id", "members", "link_conf"} for obj in objs)
-        _, want = sim.generate_sequence(cli._scene_config(rc, "train"),
-                                        cli._scene_seed(rc, "train", 0))
-        labels, conf = assoc.read_pseudo_tracks(
-            path, cli._read_scene(rc, scene / "detections.jsonl", scene / "clouds"))
-        assert labels == list(want)
-        assert conf == {lab.track_id: [1.0] * (len(lab.members) - 1) for lab in labels}
-        assoc.write_pseudo_tracks(tmp_path / "gt.jsonl", labels, conf)
+        seq = cli._read_boxes(oracle, scene / "corrupted.jsonl")
+        tracks = assoc.read_pseudo_tracks(path, seq)
+        assert tracks == assoc.gt_tracks(seq) != assoc.gt_tracks(
+            cli._read_boxes(oracle, scene / "detections.jsonl"))
+        rec = {r.index: r for r in seq.frames}
+        assert all(rec[f].detections[d].gt_id == lab.track_id
+                   for lab in tracks for f, d in lab.members)
+        assert all(lab.link_conf == (1.0,) * (len(lab.members) - 1) for lab in tracks)
+        assoc.write_pseudo_tracks(tmp_path / "gt.jsonl", tracks)
         assert (tmp_path / "gt.jsonl").read_bytes() == path.read_bytes()
-
-        oracle = replace(rc, learn=replace(rc.learn, mode="oracle"))
-        lines = cli.run_pipeline(oracle, ["simulate", "train"], tmp_path / "run")
-        assert "sim/train_00/gt_tracks.jsonl" in lines[1]["inputs"]
-        net = embed.load_checkpoint(tmp_path / "run" / "train" / "checkpoint.uann")
-        assert net.dim == 8
 
 
 def _main(capsys, argv):
@@ -247,6 +253,32 @@ class TestMalformedInput:
         assert not (tmp_path / "c.uann").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "confidence-report"])
+    def test_repeated_track_id(self, command, tiny_run, tiny_config, tmp_path, capsys):
+        """A second line with an earlier line's track_id is refused, not
+        read as the first track's confidences."""
+        scene = tiny_run / "sim" / "train_00"
+        lines = (tiny_run / "pseudo" / "train_00.jsonl").read_text().splitlines()
+        objs = [json.loads(line) for line in lines]
+        first = next(k for k, obj in enumerate(objs) if obj["link_conf"])
+        second = next(k for k, obj in enumerate(objs)
+                      if len(obj["link_conf"]) != len(objs[first]["link_conf"]))
+        first, second = sorted((first, second))
+        objs[second]["track_id"] = objs[first]["track_id"]
+        lines[second] = json.dumps(objs[second])
+        (tmp_path / "pt.jsonl").write_text("\n".join(lines) + "\n")
+        if command == "train":
+            argv = ["train", "--detections", scene / "corrupted.jsonl", "--clouds",
+                    scene / "clouds", "--out-checkpoint", tmp_path / "c.uann"]
+        else:
+            argv = ["confidence-report", "--gt-detections", scene / "corrupted.jsonl"]
+        code, err = _main(capsys, [*map(str, argv), "--pseudo-tracks", str(tmp_path / "pt.jsonl"),
+                                   "--config", str(tiny_config)])
+        self.assert_one_line_error(
+            code, err, f"pt.jsonl:{second + 1}: track {objs[first]['track_id']} is on an earlier")
+        assert not (tmp_path / "c.uann").exists()
+
+
 def _config_error(tmp_path, capsys, text):
     """The stderr line of a pipeline run refused for its config."""
     (tmp_path / "bad.cfg").write_text(text)
@@ -284,6 +316,19 @@ def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
 def test_mot_modes_empty_or_repeated_exit_2(modes, tmp_path, capsys):
     line = _config_error(tmp_path, capsys, TINY + f"\n[mot]\nmodes = {modes}\n")
     assert line.startswith("config error: [mot]: ")
+
+
+@pytest.mark.parametrize("text", [
+    TINY.replace("seed = 3", "seed = 3\nseed = 4"),
+    TINY + "\n[global]\nseed = 4\n",
+    "seed = 3\n" + TINY,
+    TINY.replace("seed = 3", "seed = 3\nnot a setting"),
+    TINY + "\n[assoc]\ngate = 5%\n",
+], ids=["repeated-key", "repeated-section", "no-section-header", "not-key-value",
+        "bare-percent"])
+def test_unparsable_config_exits_2(text, tmp_path, capsys):
+    """configparser's own errors end in one line, like the config's."""
+    assert _config_error(tmp_path, capsys, text).startswith("config error: ")
 
 
 def test_non_integer_seed_exits_2(tmp_path, capsys):

@@ -48,7 +48,7 @@ class TestDefaults:
             parse_config("[learn]\nmargin = 0\n", from_path=False)
 
     def test_mot_section_rejects_what_track_sequence_rejects(self):
-        seq, _ = sim.generate_sequence(SceneConfig(n_objects=1, n_frames=2), seed=0)
+        seq = sim.generate_sequence(SceneConfig(n_objects=1, n_frames=2), seed=0)
         with pytest.raises(ValueError, match="mode"):
             mot.track_sequence(seq, NoiseConfig(), AssocConfig(), "fused")
         with pytest.raises(ValueError, match="mode"):

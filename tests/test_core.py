@@ -186,8 +186,24 @@ class TestSequence:
             Sequence(frames=(FrameRecord(0, (d0,)),), clouds={})
 
     def test_tracklet_one_member_per_frame(self):
-        with pytest.raises(ValueError):
-            TrackletLabel(track_id=0, members=((0, 0), (0, 1)))
+        with pytest.raises(ValueError, match="duplicate frame members"):
+            TrackletLabel(track_id=0, members=((0, 0), (0, 1)), link_conf=(1.0,))
+
+    @pytest.mark.parametrize("link", [(), (0.5, 0.5, 0.5)])
+    def test_tracklet_one_confidence_per_link(self, link):
+        with pytest.raises(ValueError, match=f"track 4: {len(link)} link confidences for 3"):
+            TrackletLabel(track_id=4, members=((0, 0), (1, 0), (2, 0)), link_conf=link)
+
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0 + 1e-12, 1.5, math.nan])
+    def test_tracklet_link_confidence_in_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="track 4: link confidence .* is not in"):
+            TrackletLabel(track_id=4, members=((0, 0), (1, 0), (2, 0)), link_conf=(1.0, bad))
+
+    def test_tracklet_holds_float_confidences(self):
+        lab = TrackletLabel(track_id=1, members=[[0, 3], [2, 1]], link_conf=[np.float64(0.25)])
+        assert lab == TrackletLabel(1, ((0, 3), (2, 1)), (0.25,))
+        assert type(lab.link_conf[0]) is float
+        assert TrackletLabel(2, ((5, 0),), ()).link_conf == ()
 
 
 def _toy_sequence():

@@ -25,7 +25,7 @@ POINTS = 16
 def _sequences():
     """Two clean scenes with distinct templates, and their box-perturbed copies."""
     scene = sim.SceneConfig(n_objects=4, n_frames=10, crossings=1, distinct_templates=True)
-    clean = [sim.generate_sequence(scene, seed=s)[0] for s in (3, 4)]
+    clean = [sim.generate_sequence(scene, seed=s) for s in (3, 4)]
     noisy = [sim.perturb_boxes(seq, sim.NoiseModel(), seed=(s, 200))
              for s, seq in zip((3, 4), clean)]
     return clean, noisy

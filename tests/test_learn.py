@@ -126,7 +126,7 @@ def negative_candidates(src, anchor):
 def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3,
                         max_gap=TrainerConfig.max_gap):
     """Build a TripletSource from hand-specified tracks over a stub sequence."""
-    from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
+    from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackletLabel
 
     max_frame = max(f for members in track_members.values() for f, _ in members)
     cloud = PointCloud(np.zeros((1, 3)))
@@ -139,12 +139,9 @@ def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=
         )
         frames.append(FrameRecord(index=f, detections=dets))
     seq = Sequence(frames=tuple(frames), clouds={"c": cloud}, frame_period=0.5)
-    labels = [
-        __import__("uatrack.core", fromlist=["TrackletLabel"]).TrackletLabel(
-            track_id=tid, members=tuple(members))
-        for tid, members in track_members.items()
-    ]
-    return build_triplet_source([seq], [(labels, link_conf)], max_gap)
+    tracks = [TrackletLabel(tid, tuple(members), tuple(link_conf[tid]))
+              for tid, members in track_members.items()]
+    return build_triplet_source([seq], [tracks], max_gap)
 
 
 class TestSampleTriplet:
@@ -255,9 +252,8 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
 def _mini_training_setup(seed=0, n_frames=10, n_objects=3):
     scene = sim.SceneConfig(n_objects=n_objects, n_frames=n_frames,
                             base_points=120, min_points=20)
-    seq, _ = sim.generate_sequence(scene, seed=seed)
-    labels, conf = assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), assoc.AssocConfig())
-    return [seq], [(labels, conf)]
+    seq = sim.generate_sequence(scene, seed=seed)
+    return [seq], [assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), assoc.AssocConfig())]
 
 
 class TestTrain:
@@ -272,11 +268,10 @@ class TestTrain:
 
     def test_zero_weights_leave_params_unchanged(self):
         seqs, tracks = _mini_training_setup()
-        labels, conf = tracks[0]
-        conf = {tid: [0.0] * len(v) for tid, v in conf.items()}
+        zero = [replace(lab, link_conf=(0.0,) * len(lab.link_conf)) for lab in tracks[0]]
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
         cfg = TrainerConfig(learning_rate=1e-2, batch_size=4, epochs=1)
-        out, _ = train(seqs, [(labels, conf)], net, cfg, seed=0, points_per_crop=16)
+        out, _ = train(seqs, [zero], net, cfg, seed=0, points_per_crop=16)
         for a, b in zip(out.params(), net.params()):
             np.testing.assert_array_equal(a, b)
 
@@ -362,24 +357,22 @@ class TestTrain:
 
     def test_exhausted_without_pairs(self):
         seqs, tracks = _mini_training_setup(n_frames=2)
-        labels, conf = tracks[0]
-        singles = [type(l)(track_id=l.track_id, members=l.members[:1]) for l in labels]
+        singles = [replace(lab, members=lab.members[:1], link_conf=()) for lab in tracks[0]]
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
         with pytest.raises(TrainingDataExhausted):
-            train(seqs, [(singles, {l.track_id: [] for l in singles})], net,
+            train(seqs, [singles], net,
                   TrainerConfig(batch_size=2, epochs=1), points_per_crop=8)
 
     def test_exhausted_without_pairs_in_range(self):
         """Two-member tracks whose frame gap exceeds max_gap give no pair:
         training stops before sampling and names max_gap."""
         seqs, tracks = _mini_training_setup(n_frames=8)
-        labels, conf = tracks[0]
-        far = [type(l)(track_id=l.track_id, members=(l.members[0], l.members[-1]))
-               for l in labels if l.members[-1][0] - l.members[0][0] > 2]
+        far = [replace(lab, members=(lab.members[0], lab.members[-1]), link_conf=(0.9,))
+               for lab in tracks[0] if lab.members[-1][0] - lab.members[0][0] > 2]
         assert far
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
         with pytest.raises(TrainingDataExhausted, match="max_gap=2"):
-            train(seqs, [(far, {l.track_id: [0.9] for l in far})], net,
+            train(seqs, [far], net,
                   TrainerConfig(batch_size=2, epochs=1, max_gap=2), points_per_crop=8)
 
     def test_negative_is_the_hardest_candidate(self, monkeypatch):

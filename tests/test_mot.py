@@ -46,7 +46,7 @@ class TestDistanceWarning:
 def _scene(seed=5):
     """A short noisy scene with a crossing, misses and spurious detections."""
     scene = sim.SceneConfig(n_objects=4, n_frames=12, crossings=1)
-    seq, _ = sim.generate_sequence(scene, seed=seed)
+    seq = sim.generate_sequence(scene, seed=seed)
     noise = sim.NoiseModel(missed_rate=0.1, spurious_rate=0.15)
     return sim.corrupt_detections(seq, noise, seed=(seed, 100))
 
@@ -294,14 +294,14 @@ class TestMotionModeEquivalence:
     @pytest.mark.parametrize("seed", [5, 6])
     def test_rows_follow_pseudo_tracks(self, seed):
         seq = _scene(seed)
-        labels, _ = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
+        tracks = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
         rows = mot.track_sequence(seq, KCFG, ACFG, "motion")
         frames_of: dict[int, list[int]] = {}
         for r in rows:
             frames_of.setdefault(r.track_id, []).append(r.frame)
-        assert set(frames_of) == {lab.track_id for lab in labels}
-        assert any(len(lab.members) > 1 for lab in labels)
-        for lab in labels:
+        assert set(frames_of) == {lab.track_id for lab in tracks}
+        assert any(len(lab.members) > 1 for lab in tracks)
+        for lab in tracks:
             assert frames_of[lab.track_id] == [f for f, _ in lab.members]
 
 
@@ -318,9 +318,9 @@ class TestHarvestFeatures:
             frames.append((rec, list(ids), m.copy()))
             return m
 
-        run = reference_tracker(seq, KCFG, ACFG, cost_fn=cost_fn, collect_confidence=False)
+        tracks = reference_tracker(seq, KCFG, ACFG, cost_fn=cost_fn)
         det_at = {rec.index: rec.detections for rec in seq.frames}
-        members = {lab.track_id: lab.members for lab in run.labels}
+        members = {lab.track_id: lab.members for lab in tracks}
 
         def emb(det):
             return embed.forward(net, embed.detection_crop(seq, det, POINTS))
@@ -362,7 +362,7 @@ def _crowded(seed):
     """A noisy 12-object scene, where the fused modes decide otherwise than
     motion."""
     scene = sim.SceneConfig(n_objects=12, n_frames=12, crossings=3)
-    seq, _ = sim.generate_sequence(scene, seed=seed)
+    seq = sim.generate_sequence(scene, seed=seed)
     noise = sim.NoiseModel(missed_rate=0.1, spurious_rate=0.15)
     return sim.corrupt_detections(seq, noise, seed=(seed, 100))
 
@@ -384,6 +384,27 @@ class TestTrackSequence:
         assert len(got) > 100
         if mode != "motion":  # the scores decide some links
             assert got != mot.track_sequence(seq, KCFG, ACFG, "motion")
+
+
+def test_tracker_and_harvest_compute_no_confidence(monkeypatch):
+    """Only pseudo-tracks need link confidences: the MOT tracker and the
+    feature harvest make no association_confidence call."""
+    calls = []
+    confidence = assoc.association_confidence
+
+    def counted(*args):
+        calls.append(args)
+        return confidence(*args)
+
+    monkeypatch.setattr(assoc, "association_confidence", counted)
+    seq = _scene()
+    x, _ = mot.harvest_features(seq, KCFG, ACFG, net=NET, points_per_crop=POINTS)
+    for mode in mot.MODES:
+        mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=FIXED_MODEL,
+                           points_per_crop=POINTS)
+    assert len(x) > 50 and calls == []
+    tracks = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
+    assert len(calls) == sum(len(lab.link_conf) for lab in tracks) > 20
 
 
 # ---------------------------------------------------------------------------

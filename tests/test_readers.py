@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from uatrack.assoc import read_pseudo_tracks
+from uatrack.assoc import read_pseudo_tracks, write_pseudo_tracks
 from uatrack.core import (
     Box7,
     Detection,
     FrameRecord,
     PointCloud,
     Sequence,
+    TrackletLabel,
     TrackRow,
     read_clouds,
     read_detections,
@@ -48,6 +49,21 @@ def sequences(draw):
     stub = PointCloud(np.zeros((0, 3)))
     clouds = {d.cloud_ref: stub for rec in frames for d in rec.detections}
     return Sequence(frames=tuple(frames), clouds=clouds)
+
+
+@st.composite
+def scene_tracks(draw):
+    """A scene and tracks over its detections, with distinct track ids."""
+    seq = draw(sequences())
+    slots = [(rec.index, j) for rec in seq.frames for j in range(len(rec.detections))]
+    tracks = []
+    for tid in draw(st.lists(st.integers(0, 10**9), unique=True, max_size=4)):
+        members = sorted(draw(st.lists(st.sampled_from(slots), unique_by=lambda m: m[0],
+                                       max_size=4))) if slots else []
+        n_links = max(len(members) - 1, 0)
+        link = draw(st.lists(unit, min_size=n_links, max_size=n_links))
+        tracks.append(TrackletLabel(tid, tuple(members), tuple(link)))
+    return seq, tracks
 
 
 track_rows = st.lists(st.builds(TrackRow, st.integers(0, 10**6), st.integers(0, 10**9),
@@ -141,6 +157,36 @@ class TestPseudoTracks:
             Detection(frame=f, box=Box7(d, 0, 0, 0, 1, 1, 1), score=1.0, cloud_ref="c")
             for d in range(2))) for f in range(2)),
         clouds={"c": PointCloud(np.zeros((0, 3)))})
+
+    @READER
+    @given(case=scene_tracks())
+    def test_round_trip(self, tmp_path, case):
+        seq, tracks = case
+        write_pseudo_tracks(tmp_path / "p.jsonl", tracks)
+        assert read_pseudo_tracks(tmp_path / "p.jsonl", seq) == tracks
+
+    @READER
+    @given(data=st.data(), case=scene_tracks())
+    def test_damaged_bytes(self, tmp_path, data, case):
+        seq, tracks = case
+        write_pseudo_tracks(tmp_path / "p.jsonl", tracks)
+        raw = (tmp_path / "p.jsonl").read_bytes()
+        (tmp_path / "p.jsonl").write_bytes(data.draw(damaged(raw)))
+        assert_loads_or_names_file(lambda p: read_pseudo_tracks(p, seq), tmp_path / "p.jsonl")
+
+    def test_repeated_track_id_names_line(self, tmp_path):
+        (tmp_path / "p.jsonl").write_bytes(
+            b'{"track_id": 0, "members": [[0, 0], [1, 0]], "link_conf": [0.5]}\n'
+            b'{"track_id": 0, "members": [[0, 1]], "link_conf": []}\n')
+        with pytest.raises(ValueError, match=r"p\.jsonl:2: track 0 is on an earlier line"):
+            read_pseudo_tracks(tmp_path / "p.jsonl", self.SCENE)
+
+    @pytest.mark.parametrize("link", [b"[1.0, 1.0]", b"[]"])
+    def test_link_count_names_line(self, tmp_path, link):
+        (tmp_path / "p.jsonl").write_bytes(
+            b'{"track_id": 3, "members": [[0, 0], [1, 0]], "link_conf": ' + link + b'}\n')
+        with pytest.raises(ValueError, match=r"p\.jsonl:1: track 3: \d link confidences for 2"):
+            read_pseudo_tracks(tmp_path / "p.jsonl", self.SCENE)
 
     @pytest.mark.parametrize("conf", [b"-0.5", b"1.5", b"NaN"])
     def test_link_confidence_outside_unit_interval_names_line(self, tmp_path, conf):

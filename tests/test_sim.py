@@ -6,6 +6,7 @@ import pytest
 from test_core import previous_write_detections
 
 from uatrack import embed, sim
+from uatrack.assoc import gt_tracks
 from uatrack.core import (
     Box7,
     Detection,
@@ -108,7 +109,9 @@ def previous_generate_sequence(scene, seed):
             members[i].append((f, i))
         frames.append(FrameRecord(index=f, detections=tuple(dets)))
     seq = Sequence(frames=tuple(frames), clouds=clouds, frame_period=scene.frame_period)
-    return seq, [TrackletLabel(track_id=i, members=tuple(members[i])) for i in range(len(specs))]
+    return seq, [TrackletLabel(track_id=i, members=tuple(members[i]),
+                               link_conf=(1.0,) * (len(members[i]) - 1))
+                 for i in range(len(specs))]
 
 
 def previous_perturb_boxes(seq, noise, seed):
@@ -210,15 +213,16 @@ NOISES = {
 
 class TestPreviousImplementation:
     """generate_sequence, perturb_boxes, corrupt_detections and the
-    detection and cloud files give the previous simulator's bytes."""
+    detection and cloud files give the previous simulator's bytes, and
+    assoc.gt_tracks of a scene its tracklets."""
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("scene", SCENES.values(), ids=SCENES.keys())
     def test_scenes(self, scene, seed, tmp_path):
-        seq, labels = generate_sequence(scene, seed)
+        seq = generate_sequence(scene, seed)
         want, want_labels = previous_generate_sequence(scene, seed)
         assert_same_bytes(seq, want)
-        assert labels == want_labels
+        assert gt_tracks(seq) == want_labels
         pairs = [(seq, want)]
         for noise in NOISES.values():
             pairs += [(perturb_boxes(seq, noise, seed), previous_perturb_boxes(want, noise, seed)),
@@ -253,7 +257,8 @@ class TestPreviousImplementation:
 class TestGenerate:
     def test_static_object_constant_boxes(self):
         scene = SceneConfig(n_objects=1, n_frames=5, speed_range=(0.0, 0.0))
-        seq, labels = generate_sequence(scene, seed=0)
+        seq = generate_sequence(scene, seed=0)
+        labels = gt_tracks(seq)
         boxes = [seq.frames[f].detections[0].box for f in range(5)]
         # straight/stop profiles at zero speed stay put; turn keeps position
         # within a point (v=0)
@@ -264,21 +269,18 @@ class TestGenerate:
 
     def test_cardinality(self):
         scene = SceneConfig(n_objects=2, n_frames=10)
-        seq, _ = generate_sequence(scene, seed=1)
+        seq = generate_sequence(scene, seed=1)
         for rec in seq.frames:
             assert len(rec.detections) == 2
             assert {d.gt_id for d in rec.detections} == {0, 1}
 
     def test_deterministic(self):
         scene = SceneConfig(n_objects=3, n_frames=6, crossings=1)
-        a, la = generate_sequence(scene, seed=42)
-        b, lb = generate_sequence(scene, seed=42)
-        assert a == b
-        assert la == lb
+        assert generate_sequence(scene, seed=42) == generate_sequence(scene, seed=42)
 
     def test_points_inside_gt_boxes(self):
         scene = SceneConfig(n_objects=4, n_frames=6, crossings=1)
-        seq, _ = generate_sequence(scene, seed=7)
+        seq = generate_sequence(scene, seed=7)
         for rec in seq.frames:
             for det in rec.detections:
                 crop = embed.canonicalize(
@@ -427,7 +429,7 @@ class TestTemplates:
 class TestPerturb:
     def _seq(self):
         scene = SceneConfig(n_objects=2, n_frames=6)
-        return generate_sequence(scene, seed=3)[0]
+        return generate_sequence(scene, seed=3)
 
     def test_zero_noise_identity(self):
         seq = self._seq()
@@ -470,7 +472,7 @@ class TestPerturb:
 class TestCorrupt:
     def _seq(self, frames=10, objects=10):
         scene = SceneConfig(n_objects=objects, n_frames=frames)
-        return generate_sequence(scene, seed=9)[0]
+        return generate_sequence(scene, seed=9)
 
     def test_zero_rates_equals_perturb(self):
         seq = self._seq(6, 3)
