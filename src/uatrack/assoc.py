@@ -68,6 +68,10 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
     and column are both still free; stops when none is left. Ties break
     toward the smallest row index, then column index. Pairs are reported in
     selection order.
+
+    The admitted entries are sorted by cost once, with a stable sort over
+    row-major order, and scanned in that order. Costs are finite and >= 0,
+    so equal costs (+0.0 and -0.0 included) keep row-major order.
     """
     m = _check_matrix(m)
     if gate <= 0:
@@ -77,20 +81,22 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
         raise ValueError(f"cost matrix shape {cost.shape} differs from distance shape {m.shape}")
     rows, cols = m.shape
     pairs: list[AssocPair] = []
+    used_rows, used_cols = [False] * rows, [False] * cols
     if rows and cols:
-        work = np.where(m <= gate, cost, np.inf)
-        for _ in range(min(rows, cols)):
-            flat = int(np.argmin(work))  # first minimum in row-major order
+        admitted = np.flatnonzero(m <= gate)
+        left = min(rows, cols)
+        for flat in admitted[np.argsort(cost.ravel()[admitted], kind="stable")].tolist():
             i, j = divmod(flat, cols)
-            if work[i, j] == np.inf:
-                break
+            if used_rows[i] or used_cols[j]:
+                continue
             pairs.append(AssocPair(track=i, det=j))
-            work[i, :] = np.inf
-            work[:, j] = np.inf
-    used_cols = {p.det for p in pairs}
+            used_rows[i] = used_cols[j] = True
+            left -= 1
+            if not left:
+                break
     return AssociationResult(
         pairs=tuple(pairs),
-        unmatched_detections=tuple(j for j in range(cols) if j not in used_cols),
+        unmatched_detections=tuple(j for j in range(cols) if not used_cols[j]),
     )
 
 
@@ -144,10 +150,10 @@ def run_tracker(
     """Drive predict -> greedy associate -> update across a sequence.
 
     The live tracks are one stacked state, in birth order: Kalman means
-    (T, 11) and covariances (T, 11, 11), track ids and consecutive-miss
-    counts. Each frame makes one kalman.predict of every track, one
-    Mahalanobis matrix m of every (track, detection) pair and one
-    kalman.update of the matched tracks; a track unmatched for
+    (T, 11) and per-axis covariances (T, 15) (see `kalman`), track ids
+    and consecutive-miss counts. Each frame makes one kalman.predict of
+    every track, one Mahalanobis matrix m of every (track, detection) pair
+    and one kalman.update of the matched tracks; a track unmatched for
     acfg.max_age frames in a row is dropped, and each unmatched detection
     is appended as a newborn track.
 
@@ -164,8 +170,7 @@ def run_tracker(
     each link carrying the association confidence of its match on m;
     without it, keeps no members and returns None.
     """
-    mean = np.zeros((0, kalman.STATE_DIM))
-    cov = np.zeros((0, kalman.STATE_DIM, kalman.STATE_DIM))
+    mean, cov = kalman.init_tracks(np.zeros((0, kalman.OBS_DIM)), kcfg)
     ids = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)
     # (members, link confidences), indexed by track id
@@ -226,8 +231,8 @@ def mahalanobis_matrix(mean, cov, boxes, kcfg: kalman.NoiseConfig) -> np.ndarray
     the m that `AssocConfig.gate` bounds, for the stacked tracks (mean, cov)
     against the rows of boxes.
 
-    One `kalman.mahalanobis` call scores every pair, factoring each track's
-    S once; a frame without tracks or detections factors nothing.
+    One `kalman.mahalanobis` call scores every pair; a frame without tracks
+    or detections computes nothing.
     """
     if len(mean) and len(boxes):
         return kalman.mahalanobis(mean, cov, boxes, kcfg)

@@ -7,6 +7,7 @@ values are validated by the module configs they construct.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -112,8 +113,16 @@ class RunConfig:
 _SECTION_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}
 
 
+def _finite(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return v
+
+
 def _parse_value(section: str, key: str, raw: str, current):
-    """Parse raw text according to the type of the default value."""
+    """Parse raw text according to the type of the default value. A float,
+    or an entry of a float list, must be finite."""
     raw = raw.strip()
     try:
         if isinstance(current, bool):
@@ -125,11 +134,11 @@ def _parse_value(section: str, key: str, raw: str, current):
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
-            return float(raw)
+            return _finite(raw)
         if isinstance(current, str):
             return raw
         if isinstance(current, np.ndarray):
-            return np.array([float(v) for v in raw.split(",")])
+            return np.array([_finite(v) for v in raw.split(",")])
         if isinstance(current, tuple):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if isinstance(current[0], int):

@@ -82,7 +82,7 @@ def wrap_angles(theta) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box7:
     """Oriented 3D bounding box: center (x, y, z), yaw about +z, extents.
 
@@ -98,17 +98,28 @@ class Box7:
     w: float
     h: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "z", "yaw", "l", "w", "h"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"Box7.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.l <= 0 or self.w <= 0 or self.h <= 0:
-            raise ValueError(
-                f"box extents must be positive, got l={self.l} w={self.w} h={self.h}"
-            )
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+    def __init__(self, x, y, z, yaw, l, w, h):
+        x, y, z, yaw, l, w, h = (float(x), float(y), float(z), float(yaw), float(l), float(w),
+                                 float(h))
+        # v - v is 0.0 for a finite v and NaN otherwise: one test for all seven
+        if (x - x) + (y - y) + (z - z) + (yaw - yaw) + (l - l) + (w - w) + (h - h) != 0.0:
+            name, v = next((name, v) for name, v in zip(_BOX_FIELDS, (x, y, z, yaw, l, w, h))
+                           if not math.isfinite(v))
+            raise ValueError(f"Box7.{name} must be finite, got {v!r}")
+        if l <= 0 or w <= 0 or h <= 0:
+            raise ValueError(f"box extents must be positive, got l={l} w={w} h={h}")
+        if not -math.pi <= yaw < math.pi:
+            yaw = wrap_angle(yaw)
+        # frozen: the checked floats are set past __setattr__, and not through
+        # self.__dict__, which would give every box a dict of its own
+        set_ = object.__setattr__
+        set_(self, "x", x)
+        set_(self, "y", y)
+        set_(self, "z", z)
+        set_(self, "yaw", yaw)
+        set_(self, "l", l)
+        set_(self, "w", w)
+        set_(self, "h", h)
 
     @property
     def center(self) -> np.ndarray:
@@ -122,8 +133,16 @@ class Box7:
 
     @classmethod
     def from_array(cls, a) -> "Box7":
-        a = np.asarray(a, dtype=np.float64).reshape(7)
-        return cls(*(float(v) for v in a))
+        """The box of 7 values (x, y, z, yaw, l, w, h): a sequence, or an
+        array of 7 entries."""
+        if isinstance(a, np.ndarray):
+            a = a.reshape(-1).tolist()
+        if len(a) != 7:
+            raise ValueError(f"cannot reshape array of size {len(a)} into shape (7,)")
+        return cls(*a)
+
+
+_BOX_FIELDS = ("x", "y", "z", "yaw", "l", "w", "h")
 
 
 def center_distance(b1: Box7, b2: Box7) -> float:

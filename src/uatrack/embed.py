@@ -6,12 +6,25 @@ embedding invariant to point order. Gradients are exact reverse-mode and
 hand-written (`backward`), which keeps training dependency-free and
 bit-reproducible.
 
-A detection has one crop, `detection_crop`, the only caller of
-`canonicalize` in the package; training crops it, and every inference path
-(the tracker, the logistic-fit harvest, SOT evaluation) embeds it through
-`detection_embedder`, which crops and embeds each detection of a sequence
-once. Those paths stack the embeddings they compare into matrices and take
-their cosines with `cosines`; training's hard-negative mining does too.
+Crops are made a frame at a time. `canonicalize` cuts any list of one
+scene's detections in one pass over their concatenated clouds and returns
+them as one stack, a `CanonicalCloud` with a start row per crop; a
+detection's crop is the same bytes whether it is cut alone or with its
+frame. Every inference path (the tracker and the logistic-fit harvest in
+`mot`, SOT evaluation) crops and embeds each frame's detections with one
+`canonicalize` and one `forward` call; training cuts an anchor frame's
+detections in one pass and its positives alone. `forward` runs the MLP
+over whole crops, at most MAX_PASS_ROWS = 255 rows per pass, and
+max-pools each crop with `np.maximum.reduceat`. The cap is a constant
+set by memory, not speed: passes over a whole dense frame ran no faster
+than capped ones, and one layer's activations for 255 rows of the
+default 64 features, 127.5 KiB, stay below the 128 KiB from which
+glibc's malloc gives an allocation a memory map of its own. Passes of
+512 rows (256 KiB) raised the peak resident memory of the `train` and
+`eval` benchmarks by about 0.3 MB; uncapped ones raised `crowded`'s by
+0.65-0.85 MB. The inference paths stack the embeddings they compare into
+matrices and take their cosines with `cosines`; training's hard-negative
+mining does too.
 `[embed] points_per_crop` is the size of the crop's draw:
 a sparse crop is drawn with replacement and keeps each drawn point once, so
 a crop holds at most that many distinct points and the MLP never embeds a
@@ -19,11 +32,11 @@ copy.
 
 An `EmbedNet` checks its parameters for finiteness once, when it is built,
 so no pass re-checks them. Inference calls `forward`; training calls
-`forward_argmax`, which also returns the arg-max point of each output
-coordinate. The max pool sends gradient only to those arg-max points, the
-crop's critical point set (Qi et al., PointNet, CVPR 2017), so `backward`
-reruns the hidden layers on those rows alone and computes no gradient with
-respect to the points.
+`forward_argmax` on one crop at a time, which also returns the arg-max
+point of each output coordinate. The max pool sends gradient only to
+those arg-max points, the crop's critical point set (Qi et al., PointNet,
+CVPR 2017), so `backward` reruns the hidden layers on those rows alone
+and computes no gradient with respect to the points.
 
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
@@ -38,10 +51,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Box7, Detection, PointCloud, Sequence
+from .core import Sequence
 from .kalman import NumericalError
 
 NORM_EPS = 1e-12
+# rows of the MLP's largest pass in `forward`, set by memory (see the
+# module docstring)
+MAX_PASS_ROWS = 255
 DEFAULT_WIDTHS = (3, 64, 64, 64)
 DEFAULT_POINTS = 128
 
@@ -56,27 +72,59 @@ def canon_seed(cloud_ref: str) -> tuple[int, int]:
     return (int.from_bytes(digest[:8], "little"), 0)
 
 
+_ONE_CROP = np.zeros(1, dtype=np.intp)  # the starts of every one-crop cloud
+_ONE_CROP.setflags(write=False)
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether neither a nor an array it views can be written: such points
+    are kept without a copy."""
+    base = a.base
+    return not a.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
 @dataclass(frozen=True)
 class CanonicalCloud:
-    """Crop of a cloud expressed in its box's local frame, one row per
-    distinct drawn point."""
+    """The crops of one or more detections, each in its box's local frame
+    with one row per distinct drawn point, stacked: crop k is rows
+    starts[k] up to starts[k + 1] (the last one up to the end) of points.
+    Every crop has at least one row. Built from points alone, it is one
+    crop."""
 
-    points: np.ndarray  # (k, 3) float64, k at most the draw size n
+    points: np.ndarray  # (N, 3) float64
+    starts: np.ndarray | None = None  # (K,) first row of each crop; None: one crop
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
+        if not _frozen(pts):
+            pts = pts.copy()
+        starts = (_ONE_CROP if self.starts is None
+                  else np.array(self.starts, dtype=np.intp).reshape(-1))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"canonical points must be (n, 3), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("canonical cloud contains non-finite coordinates")
-        pts = pts.copy()
+        bounds = np.append(starts, len(pts))
+        if bounds[0] != 0 or (np.diff(bounds) < 1).any():
+            raise ValueError(f"crop starts {starts.tolist()} do not split {len(pts)} rows into "
+                             "non-empty crops")
         pts.setflags(write=False)
+        starts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "starts", starts)
+
+    def crops(self) -> list["CanonicalCloud"]:
+        """Each crop of the stack on its own, a view of the stack's rows."""
+        bounds = np.append(self.starts, len(self.points)).tolist()
+        return [CanonicalCloud(points=self.points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
-    """Crop a world-frame cloud to a box and draw n of its points; keep
-    each drawn point once, so the crop has at most n rows.
+def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
+    """The crops of detections dets of seq, stacked in their order: each
+    detection's cloud cut to its box, with n of its points drawn by a seed
+    taken from its cloud ref (`canon_seed`), each drawn point kept once, so
+    a crop has at most n rows.
 
     Points are translated by -center and rotated by -yaw about z, then kept
     if they fall inside the axis-aligned extents. More than n survivors are
@@ -85,55 +133,80 @@ def canonicalize(cloud: PointCloud, box: Box7, n: int, seed) -> CanonicalCloud:
     the order of its first draw: a repeated row changes neither the max
     pool nor its first arg-max, so the copies are never embedded. A crop
     with zero survivors is one row, the origin.
+
+    All clouds are cut in one pass over their concatenated points: the
+    translation, the rotation and the in-box test are written out per
+    coordinate, each over every point at once. Each point's numbers depend
+    on its own detection alone, so a detection's crop is the same bytes
+    whatever else is cropped with it. Only the draws run per detection,
+    each with its own generator.
     """
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    # row-vector form of R(-yaw) @ (p - center); the float64 center makes
-    # the difference float64 without a cast copy of the float32 points
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    local = (cloud.points - box.center) @ rot
-    dist = np.abs(local)
-    inside = local[(dist[:, 0] <= box.l / 2.0) & (dist[:, 1] <= box.w / 2.0)
-                   & (dist[:, 2] <= box.h / 2.0)]
-    count = inside.shape[0]
-    if count == 0:
-        return CanonicalCloud(points=np.zeros((1, 3)))
-    if count == n:
-        return CanonicalCloud(points=inside)
-    rng = np.random.default_rng(seed)
-    if count > n:
-        return CanonicalCloud(points=inside[rng.choice(count, size=n, replace=False)])
-    # the draws of rng.choice(count, size=n, replace=True); each drawn
-    # index is kept at its first draw
-    idx = rng.integers(0, count, size=n)
-    order = np.arange(n)
-    first = np.full(count, n)
-    np.minimum.at(first, idx, order)
-    return CanonicalCloud(points=inside[idx[first[idx] == order]])
+    clouds = [seq.cloud_of(det).points for det in dets]
+    if not clouds:
+        return CanonicalCloud(points=np.zeros((0, 3)), starts=())
+    counts = [len(c) for c in clouds]
+    pts = np.concatenate(clouds)
+    # per detection: center, cos and sin of yaw, half extents
+    pose = np.array([(b.x, b.y, b.z, math.cos(b.yaw), math.sin(b.yaw), b.l / 2.0, b.w / 2.0,
+                      b.h / 2.0) for b in (det.box for det in dets)])
+    # one coordinate at a time, in one work buffer, so that a frame adds
+    # few temporaries to the heap; gather(k) writes column k of each
+    # point's detection into `per`
+    own = np.repeat(np.arange(len(pose)), counts)
+    dx, dy, dz, lx, ly, per, tmp = np.empty((7, len(own)))
+    inside, ok = np.empty((2, len(own)), dtype=bool)
 
+    def gather(col):
+        return np.take(pose[:, col], own, out=per)
 
-def detection_crop(seq: Sequence, det: Detection, n: int) -> CanonicalCloud:
-    """The canonical crop of a detection: its cloud cut to its box, with n
-    points drawn by a seed taken from its cloud ref and each drawn point
-    kept once (`canonicalize`)."""
-    return canonicalize(seq.cloud_of(det), det.box, n, seed=canon_seed(det.cloud_ref))
-
-
-def detection_embedder(net: "EmbedNet", seq: Sequence, n: int):
-    """det -> forward(net, detection_crop(seq, det, n)), memoised per
-    detection, so a detection of seq is cropped and embedded once. The
-    embeddings returned are shared, hence read-only."""
-    cache: dict[Detection, np.ndarray] = {}
-
-    def embedding(det: Detection) -> np.ndarray:
-        got = cache.get(det)
-        if got is None:
-            got = cache[det] = forward(net, detection_crop(seq, det, n))
-            got.setflags(write=False)
-        return got
-
-    return embedding
+    # the float64 centers make the differences float64 without a cast copy
+    # of the float32 points
+    np.subtract(pts[:, 0], gather(0), out=dx)
+    np.subtract(pts[:, 1], gather(1), out=dy)
+    np.subtract(pts[:, 2], gather(2), out=dz)
+    gather(3)  # cos
+    np.multiply(dx, per, out=lx)
+    np.multiply(dy, per, out=ly)
+    gather(4)  # sin
+    lx += np.multiply(dy, per, out=tmp)
+    ly -= np.multiply(dx, per, out=tmp)
+    np.less_equal(np.abs(lx, out=tmp), gather(5), out=inside)
+    inside &= np.less_equal(np.abs(ly, out=tmp), gather(6), out=ok)
+    inside &= np.less_equal(np.abs(dz, out=tmp), gather(7), out=ok)
+    kept = np.flatnonzero(inside)
+    # survivors of each detection: kept[first[k]:first[k + 1]]
+    first = np.searchsorted(kept, np.cumsum([0] + counts)).tolist()
+    origin = len(kept)  # the row appended below for empty crops
+    rows, starts, top = [], [], 0
+    for k, det in enumerate(dets):
+        lo, count = first[k], first[k + 1] - first[k]
+        if count == 0:
+            idx = np.array([origin])
+        elif count == n:
+            idx = np.arange(lo, lo + n)
+        else:
+            rng = np.random.default_rng(canon_seed(det.cloud_ref))
+            if count > n:
+                idx = lo + rng.choice(count, size=n, replace=False)
+            else:
+                # the draws of rng.choice(count, size=n, replace=True); each
+                # drawn index is kept at its first draw
+                draw = rng.integers(0, count, size=n)
+                order = np.arange(n)
+                at = np.full(count, n)
+                np.minimum.at(at, draw, order)
+                idx = lo + draw[at[draw] == order]
+        rows.append(idx)
+        starts.append(top)
+        top += len(idx)
+    local = np.zeros((len(kept) + 1, 3))  # the last row is the origin
+    local[:-1, 0], local[:-1, 1], local[:-1, 2] = lx[kept], ly[kept], dz[kept]
+    local += 0.0  # -0.0 to +0.0, as the sums of a matrix product give it
+    points = local[np.concatenate(rows)]
+    points.setflags(write=False)
+    return CanonicalCloud(points=points, starts=starts)
 
 
 @dataclass(frozen=True)
@@ -207,15 +280,32 @@ def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
 
 
 def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
-    """Embed a canonical cloud: shared per-point MLP, then max over points."""
-    return _mlp(net, cloud.points).max(axis=0)
+    """Embed each crop of a stack: shared per-point MLP, then max over the
+    crop's points. Returns (K, dim), one row per crop.
+
+    The MLP runs on runs of whole consecutive crops of at most
+    MAX_PASS_ROWS rows together (a longer crop alone), and each crop's max
+    is one `np.maximum.reduceat`. A row's features can differ from a
+    pass over its crop alone in the last bits only, through the matrix
+    product's blocking.
+    """
+    pts, starts = cloud.points, cloud.starts
+    out = np.empty((len(starts), net.dim))
+    ends = np.append(starts[1:], len(pts))
+    lo = 0
+    while lo < len(starts):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + MAX_PASS_ROWS, side="right")))
+        first = starts[lo]
+        out[lo:hi] = np.maximum.reduceat(_mlp(net, pts[first:ends[hi - 1]]),
+                                         starts[lo:hi] - first, axis=0)
+        lo = hi
+    return out
 
 
 def forward_argmax(net: EmbedNet, cloud: CanonicalCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Training forward pass: (embedding, arg), where arg[j] is the point
-    that attains output coordinate j, the first one on a tie.
-
-    The embedding equals `forward`'s bit for bit.
+    """Training forward pass over a cloud of one crop: (embedding, arg),
+    where arg[j] is the point that attains output coordinate j, the first
+    one on a tie.
     """
     x = _mlp(net, cloud.points)
     arg = x.argmax(axis=0)
@@ -223,7 +313,8 @@ def forward_argmax(net: EmbedNet, cloud: CanonicalCloud) -> tuple[np.ndarray, np
 
 
 def backward(net: EmbedNet, cloud: CanonicalCloud, upstream, arg=None) -> list[np.ndarray]:
-    """Exact gradients of upstream . embedding w.r.t. every weight and bias.
+    """Exact gradients of upstream . embedding w.r.t. every weight and bias,
+    for a cloud of one crop.
 
     The max pool routes gradient to the arg-max point of each output
     coordinate (ties to the lowest point index), so only those critical

@@ -68,13 +68,13 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
     """Classification accuracy of arg-max-cosine association over all tasks.
 
     Consecutive tasks on the same candidate sequence form a run. A run
-    embeds the detections of every frame that one of its tasks scores into
-    one matrix, frame by frame, with the row norms, gt ids and each frame's
-    row span; anchors are embedded alongside, and a detection is embedded
-    once however often it is used. A task takes one vector of cosines to its
-    anchor over the matrix (`embed.cosines`) and the arg-max of each scored
-    frame's span. Frames without the target are skipped; ties in cosine go
-    to the lowest candidate index.
+    crops and embeds the detections of every frame that one of its tasks
+    scores, one `embed.canonicalize` and one `embed.forward` call per
+    frame, into one matrix with the row norms, gt ids and each frame's row
+    span, and the run's anchors in one more pair of calls. A task takes one
+    vector of cosines to its anchor over the matrix (`embed.cosines`) and
+    the arg-max of each scored frame's span. Frames without the target are
+    skipped; ties in cosine go to the lowest candidate index.
     """
     per_task = []
     for _, run in groupby(tasks, key=lambda task: id(task.seq)):
@@ -85,16 +85,17 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
                    if rec.index > task.anchor_frame and task.target in present[k]]
                   for task in run]
         span: dict[int, tuple[int, int]] = {}  # frame position -> its rows
-        dets: list[Detection] = []
+        embs, gt_ids = [], []
         for k in sorted(set().union(*scored)):
-            span[k] = (len(dets), len(dets) + len(seq.frames[k].detections))
-            dets += seq.frames[k].detections
-        embedding = embed.detection_embedder(net, seq, points_per_crop)
-        emb = np.array([embedding(d) for d in dets])
+            dets = seq.frames[k].detections
+            span[k] = (len(gt_ids), len(gt_ids) + len(dets))
+            embs.append(embed.forward(net, embed.canonicalize(seq, dets, points_per_crop)))
+            gt_ids += [d.gt_id for d in dets]
+        anchors = embed.forward(net, embed.canonicalize(
+            seq, [task.anchor for task in run], points_per_crop))
+        emb = np.concatenate(embs) if embs else np.zeros((0, net.dim))
         emb_norms = embed.norms(emb)
-        gt_ids = [d.gt_id for d in dets]
-        for task, frames in zip(run, scored):
-            anchor = embedding(task.anchor)
+        for task, frames, anchor in zip(run, scored, anchors):
             hits = 0
             if frames:
                 cos = embed.cosines(emb, anchor, emb_norms, embed.norms(anchor))

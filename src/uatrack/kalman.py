@@ -1,26 +1,35 @@
-"""Constant-velocity Kalman filter over a stack of 11-dim object states.
+"""Constant-velocity Kalman filter over a stack of 11-dim object states,
+one axis at a time.
 
 State layout: (x, y, z, a, l, w, h, v_x, v_y, v_z, v_a) with `a` the box
 yaw. Observations are the first seven components (a detected box). The
 motion model moves position and yaw at their velocity components; extents
 carry no velocity and only drift through process noise.
 
-Every function takes the states of T tracks as one stack, means (T, 11) and
-covariances (T, 11, 11), and returns new arrays, so one call filters all
-live tracks of a frame and nothing is shared between calls. numpy runs the
-stacked matmul, cholesky and solve slice by slice with the same BLAS/LAPACK
-call as the 2-D form, so a track's numbers are bit for bit those of
-filtering it alone, whatever else is in its stack. That holds only while
-each mean is moved by a matrix-vector product per slice (`f @ mean`, never
-`means @ f.T`) and each residual is its own right-hand side of `solve`.
+The process, observation and initial covariances are diagonal, the
+transition couples each of x, y, z and a with its own velocity only, and an
+observation reads each of the seven box components alone. So a covariance
+that starts diagonal stays block-diagonal: four 2x2 blocks (a component
+and its velocity) and three 1x1 blocks (the extents). A track's covariance
+is therefore held as 15 numbers, a row of a (T, 15) stack: the 11
+variances in state order, then the covariances of x, y, z and a with their
+velocities. The innovation covariance S is diagonal, S_i = P_ii + R_i, and
+predict, update and the Mahalanobis distance are the dense filter's
+arithmetic written out per axis (`mahalanobis`: m^2 = sum_i r_i^2 / S_i).
+No matrix is factored, solved or multiplied.
 
-mahalanobis scores every track against every box: the innovation covariance
-S is a track's alone, so it is factored once per (frame, track) rather than
-once per (track, detection) pair. It is also the one place that factors a
-covariance: every state is born in init_tracks from detected boxes and a
-validated NoiseConfig, and predict and update symmetrise the covariance and
-wrap the yaw, so a state is not re-validated; a covariance that has lost
-definiteness raises NumericalError at its next mahalanobis.
+Every function takes the states of T tracks as one stack, means (T, 11)
+and covariances (T, 15), and returns new arrays, so one call filters all
+live tracks of a frame and nothing is shared between calls. Each step is
+elementwise arithmetic and sums over a track's own components, so a
+track's numbers are bit for bit those of filtering it alone, whatever else
+is in its stack, and do not depend on the BLAS build.
+
+Every state is born in init_tracks from detected boxes and a validated
+NoiseConfig, and predict and update keep the variances positive and wrap
+the yaw, so a state is not re-validated. An innovation variance that is
+not finite and > 0 (only a hand-made state can have one) raises
+NumericalError naming the track's row.
 """
 
 from dataclasses import dataclass, field
@@ -31,12 +40,13 @@ from .core import wrap_angles
 
 STATE_DIM = 11
 OBS_DIM = 7
+COV_DIM = 15  # 11 variances, then the 4 component-velocity covariances
 ANGLE = 3  # index of yaw in both state and observation
-
-# Measurement matrix: observation = first 7 state components.
-H = np.zeros((OBS_DIM, STATE_DIM))
-H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
-H.setflags(write=False)
+# x, y, z and yaw, the components that move, are state[:4]; their
+# velocities are state[7:]; their covariances with them are cov[:, 11:]
+MOVING = slice(0, 4)
+VELOCITY = slice(OBS_DIM, STATE_DIM)
+CROSS = slice(STATE_DIM, COV_DIM)
 
 
 class NumericalError(ArithmeticError):
@@ -87,101 +97,93 @@ class NoiseConfig:
 
 def init_tracks(boxes, cfg: NoiseConfig):
     """Birth one track per (x, y, z, yaw, l, w, h) row of boxes: velocities
-    zero, cov = diag(p0). Returns (means, covs)."""
+    zero, covariance diag(p0). Returns (means (T, 11), covs (T, 15))."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, OBS_DIM)
     mean = np.zeros((len(boxes), STATE_DIM))
     mean[:, :OBS_DIM] = boxes
-    cov = np.repeat(np.diag(cfg.p0_diag)[None], len(boxes), axis=0)
+    cov = np.zeros((len(boxes), COV_DIM))
+    cov[:, :STATE_DIM] = cfg.p0_diag
     return mean, cov
-
-
-def transition_matrix(dt: float) -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    f[0, 7] = dt
-    f[1, 8] = dt
-    f[2, 9] = dt
-    f[ANGLE, 10] = dt
-    return f
 
 
 def predict(mean, cov, dt: float, cfg: NoiseConfig):
     """Propagate every track by dt seconds under the constant-velocity model.
-    Returns (means, covs)."""
+    Returns (means, covs).
+
+    Per moving component p with velocity v: p += dt v, P_pp += dt (P_pv +
+    P_pv') + q_p with P_pv' = P_pv + dt P_vv, and every variance gains its
+    process noise."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    f = transition_matrix(dt)
-    mean = (f @ mean[:, :, None])[:, :, 0]
+    mean = mean.copy()
+    mean[:, MOVING] += dt * mean[:, VELOCITY]
     mean[:, ANGLE] = wrap_angles(mean[:, ANGLE])
-    cov = f @ cov @ f.T + np.diag(cfg.q_diag)
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return mean, cov
+    out = cov.copy()
+    out[:, :STATE_DIM] += cfg.q_diag
+    cross = cov[:, CROSS] + dt * cov[:, VELOCITY]
+    out[:, MOVING] += dt * (cov[:, CROSS] + cross)
+    out[:, CROSS] = cross
+    return mean, out
 
 
-def _innovation_cov(cov, cfg: NoiseConfig) -> np.ndarray:
-    """Innovation covariances S = H P H' + R, symmetrised: (T, 7, 7)."""
-    S = cov[:, :OBS_DIM, :OBS_DIM] + np.diag(cfg.r_diag)
-    return 0.5 * (S + S.transpose(0, 2, 1))
+def _innovation_var(cov, cfg: NoiseConfig) -> np.ndarray:
+    """Each track's innovation variances S_i = P_ii + R_i, (T, 7).
 
-
-def _singular(S, op) -> NumericalError:
-    """The error for a stack S that op (a factor or a solve) refused as a
-    whole: it names the first row op refuses on its own, and its condition
-    number."""
-    for i, s in enumerate(S):
-        try:
-            op(s)
-        except np.linalg.LinAlgError:
-            break
-    return NumericalError(
-        f"innovation covariance of track row {i} is singular (cond={np.linalg.cond(s):.3e})"
-    )
+    Raises NumericalError naming the first row with one that is not finite
+    and > 0."""
+    s = cov[:, :OBS_DIM] + cfg.r_diag
+    ok = (s > 0) & (s < np.inf)
+    if not ok.all():
+        row = int(np.argmin(ok.all(axis=1)))
+        raise NumericalError(f"innovation variance of track row {row} is not finite and > 0: "
+                             f"{s[row].tolist()}")
+    return s
 
 
 def innovation(mean, cov, obs, cfg: NoiseConfig):
     """Each track's residual against its row of obs (yaw wrapped), (T, 7),
-    and its innovation covariance S, (T, 7, 7)."""
+    and its innovation variances S, (T, 7): S is diagonal."""
     r = np.asarray(obs, dtype=np.float64) - mean[:, :OBS_DIM]
     r[:, ANGLE] = wrap_angles(r[:, ANGLE])
-    return r, _innovation_cov(cov, cfg)
+    return r, _innovation_var(cov, cfg)
 
 
 def mahalanobis(mean, cov, boxes, cfg: NoiseConfig) -> np.ndarray:
-    """Square-root Mahalanobis distances sqrt(r' S^-1 r) of every track to
-    every (x, y, z, yaw, l, w, h) row of boxes: a (T, D) array.
-
-    Each track's S is factored once and every residual r (yaw wrapped) is
-    solved against that factor. A distance is bit-identical to factoring S
-    and solving for that one (track, box) pair alone. That needs each
-    residual to be its own right-hand side of `solve` and r' r a dot
-    product per pair: one solve with all residuals as columns, or an einsum
-    sum, changes the last bits.
+    """Square-root Mahalanobis distances of every track to every (x, y, z,
+    yaw, l, w, h) row of boxes: a (T, D) array of sqrt(sum_i r_i^2 / S_i),
+    with r the residual (yaw wrapped) and S the track's innovation
+    variances, summed in component order.
 
     Raises:
         ValueError: if a yaw residual is not finite.
-        NumericalError: if an S is not positive definite.
+        NumericalError: if an innovation variance is not finite and > 0.
     """
     r = np.asarray(boxes, dtype=np.float64)[None, :, :] - mean[:, None, :OBS_DIM]
     r[:, :, ANGLE] = wrap_angles(r[:, :, ANGLE])
-    S = _innovation_cov(cov, cfg)
-    try:
-        c = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(S, np.linalg.cholesky) from exc
-    y = np.linalg.solve(c[:, None], r[..., None])
-    return np.sqrt((y.transpose(0, 1, 3, 2) @ y).reshape(r.shape[:2]))
+    s = _innovation_var(cov, cfg)
+    r *= r
+    r /= s[:, None, :]
+    return np.sqrt(r.sum(axis=2))
 
 
 def update(mean, cov, obs, cfg: NoiseConfig):
-    """Standard Kalman correction of each track by its row of obs.
-    Returns (means, covs)."""
-    r, S = innovation(mean, cov, obs, cfg)
-    try:
-        # K = cov H' S^-1, using S symmetry: solve(S, H cov)' = cov H' S^-1
-        k = np.linalg.solve(S, H @ cov).transpose(0, 2, 1)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(S, lambda s: np.linalg.solve(s, np.eye(OBS_DIM))) from exc
-    mean = mean + (k @ r[:, :, None])[:, :, 0]
+    """Kalman correction of each track by its row of obs.
+    Returns (means, covs).
+
+    Per observed component i, with gain k_i = P_ii / S_i on itself and
+    g_i = P_iv / S_i on its velocity v (moving components only):
+    x_i += k_i r_i, v += g_i r_i, P_vv -= g_i P_iv, P_iv -= k_i P_iv and
+    P_ii -= k_i P_ii.
+    """
+    r, s = innovation(mean, cov, obs, cfg)
+    k = cov[:, :OBS_DIM] / s
+    g = cov[:, CROSS] / s[:, MOVING]
+    mean = mean.copy()
+    mean[:, :OBS_DIM] += k * r
+    mean[:, VELOCITY] += g * r[:, MOVING]
     mean[:, ANGLE] = wrap_angles(mean[:, ANGLE])
-    cov = (np.eye(STATE_DIM) - k @ H) @ cov
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    return mean, cov
+    out = cov.copy()
+    out[:, VELOCITY] -= g * cov[:, CROSS]
+    out[:, CROSS] -= k[:, MOVING] * cov[:, CROSS]
+    out[:, :OBS_DIM] -= k * cov[:, :OBS_DIM]
+    return mean, out

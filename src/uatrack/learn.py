@@ -317,7 +317,10 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
 
     seed drives the sampling generator; each crop draws points_per_crop
     points and keeps each drawn point once (`embed.canonicalize`), so it
-    holds at most points_per_crop rows.
+    holds at most points_per_crop rows. The first time mining needs an
+    anchor's frame, its detections not yet cropped are cropped in one
+    `embed.canonicalize` call; a positive from a frame not yet cropped is
+    cropped alone. Either way a detection's crop is the same bytes.
 
     One epoch is ceil(total pseudo-track members / batch size) steps. Each
     triplet's negative is the hardest other detection of the anchor's
@@ -339,9 +342,21 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
         got = canon_cache.get(ref)
         if got is None:
             det = src.frame_map[(ref.seq, ref.frame)].detections[ref.det]
-            got = canon_cache[ref] = embed.detection_crop(
-                src.seqs[ref.seq], det, points_per_crop)
+            got = canon_cache[ref] = embed.canonicalize(src.seqs[ref.seq], [det],
+                                                        points_per_crop)
         return got
+
+    def frame_refs(seq_idx: int, frame: int) -> list[DetRef]:
+        """The refs of a frame's detections; those not cropped yet are
+        cropped together, in one pass."""
+        dets = src.frame_map[(seq_idx, frame)].detections
+        refs = [DetRef(seq_idx, frame, d) for d in range(len(dets))]
+        todo = [ref for ref in refs if ref not in canon_cache]
+        if todo:
+            stack = embed.canonicalize(src.seqs[seq_idx], [dets[r.det] for r in todo],
+                                       points_per_crop)
+            canon_cache.update(zip(todo, stack.crops()))
+        return refs
 
     steps_per_epoch = max(1, math.ceil(src.total_members / cfg.batch_size))
     global_step = 0
@@ -370,8 +385,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
                 a = t.anchor
                 stacked = frames.get((a.seq, a.frame))
                 if stacked is None:
-                    n_dets = len(src.frame_map[(a.seq, a.frame)].detections)
-                    embs = np.stack([fwd(DetRef(a.seq, a.frame, d))[0] for d in range(n_dets)])
+                    embs = np.stack([fwd(ref)[0] for ref in frame_refs(a.seq, a.frame)])
                     stacked = frames[(a.seq, a.frame)] = (embs, embed.norms(embs))
                 n_det = mine_hard_negative(*stacked, a.det)
                 completed.append(Triplet(a, t.positive, DetRef(a.seq, a.frame, n_det), t.weight))

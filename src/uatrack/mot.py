@@ -14,10 +14,11 @@ One helper, `_PairFeatures`, builds the features of the admitted pairs for
 both the tracker (`track_sequence`, which scores them with
 `LogisticModel.scores`) and the logistic fit (`harvest_features`, which
 labels them), so the model is fit on exactly the pairs it will score. It
-embeds each frame's detections with `embed.detection_embedder` into one
-matrix, keeps each track's embedding refreshed to that of its matched
-detection, and builds each frame's admitted pairs as one (k, 6) array,
-`feature_rows`, in row-major pair order: the cosines are one
+crops and embeds each frame's detections into one matrix with one
+`embed.canonicalize` and one `embed.forward` call, keeps each track's
+embedding refreshed to that of its matched detection, and builds each
+frame's admitted pairs as one (k, 6) array, `feature_rows`, in row-major
+pair order: the cosines are one
 `embed.cosines` call and the scores one matrix-vector product, so the
 tracker runs no Python per pair. `FeatureVector` and `LogisticModel.score`
 are the one-pair views of the same functions. `fit_logistic` fits the
@@ -235,8 +236,7 @@ class _PairFeatures:
     cosine is 0 (log_a = log 0.5)."""
 
     def __init__(self, seq: Sequence, net: embed.EmbedNet | None, points_per_crop: int):
-        self.embedding = (embed.detection_embedder(net, seq, points_per_crop)
-                          if net is not None else None)
+        self.seq, self.net, self.points_per_crop = seq, net, points_per_crop
         self.track_embs: dict[int, np.ndarray] = {}
         self.dets: tuple[Detection, ...] = ()
         self.det_scores = np.zeros(0)
@@ -246,8 +246,9 @@ class _PairFeatures:
         """Start a frame: embed its detections."""
         self.dets = rec.detections
         self.det_scores = np.array([d.score for d in rec.detections])
-        if self.embedding is not None and rec.detections:
-            self.embs = np.array([self.embedding(d) for d in rec.detections])
+        if self.net is not None and rec.detections:
+            self.embs = embed.forward(self.net, embed.canonicalize(
+                self.seq, rec.detections, self.points_per_crop))
             self.norms = embed.norms(self.embs)
 
     def features(self, ids, m, admitted):
@@ -256,7 +257,7 @@ class _PairFeatures:
         whose track id is ids[ii[k]], and detection jj[k]."""
         ii, jj = np.nonzero(admitted)
         a = np.zeros(len(ii))
-        if self.embedding is not None and len(ii):
+        if self.net is not None and len(ii):
             tracks = np.array([self.track_embs[t] for t in ids])
             a = embed.cosines(tracks[ii], self.embs[jj],
                               embed.norms(tracks)[ii], self.norms[jj])
@@ -264,7 +265,7 @@ class _PairFeatures:
 
     def matched(self, track_id: int, det_idx: int) -> Detection:
         """Record a match or birth; returns the detection."""
-        if self.embedding is not None:
+        if self.net is not None:
             self.track_embs[track_id] = self.embs[det_idx]
         return self.dets[det_idx]
 

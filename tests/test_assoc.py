@@ -4,15 +4,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from test_kalman import (
-    TrackState,
-    ref_init_track,
-    ref_innovation,
-    ref_mahalanobis,
-    ref_mark_missed,
-    ref_predict,
-    ref_update,
-)
 
 from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import (
@@ -25,7 +16,15 @@ from uatrack.assoc import (
     write_pseudo_tracks,
 )
 from uatrack.config import RunConfig
-from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackletLabel
+from uatrack.core import (
+    Box7,
+    Detection,
+    FrameRecord,
+    PointCloud,
+    Sequence,
+    TrackletLabel,
+    wrap_angle,
+)
 
 
 def brute_force_greedy(m, gate, rows=None, cols=None, cost=None):
@@ -115,6 +114,60 @@ class TestGreedy:
     def test_cost_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             greedy_associate([[1.0, 2.0]], gate=5.0, cost=[[1.0]])
+
+
+def previous_greedy_associate(m, gate, cost=None):
+    """greedy_associate as it was before it sorted the admitted costs once:
+    a whole-matrix argmin per selected pair. Its pairs, in their order, are
+    the reference."""
+    m = assoc._check_matrix(m)
+    cost = m if cost is None else assoc._check_matrix(cost)
+    rows, cols = m.shape
+    pairs = []
+    if rows and cols:
+        work = np.where(m <= gate, cost, np.inf)
+        for _ in range(min(rows, cols)):
+            flat = int(np.argmin(work))  # first minimum in row-major order
+            i, j = divmod(flat, cols)
+            if work[i, j] == np.inf:
+                break
+            pairs.append((i, j))
+            work[i, :] = np.inf
+            work[:, j] = np.inf
+    used = {j for _, j in pairs}
+    return pairs, [j for j in range(cols) if j not in used]
+
+
+@st.composite
+def greedy_cases(draw):
+    """(m, gate, cost): entries drawn often from a few values, +0.0 and
+    -0.0 among them, so that ties are common; some rows lie wholly past
+    the gate."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0]), st.floats(0.0, 20.0))
+
+    def matrix():
+        vals = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(vals, dtype=np.float64).reshape(rows, cols)
+
+    m, gate = matrix(), draw(st.sampled_from([1.0, 2.0, 5.0, 13.0]))
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=3)) if rows else ():
+        m[i] = gate + 1.0
+    return m, gate, draw(st.one_of(st.none(), st.builds(lambda: matrix())))
+
+
+class TestGreedyPrevious:
+    @given(greedy_cases())
+    @settings(max_examples=400, deadline=None)
+    @example((np.array([[0.0, -0.0], [-0.0, 0.0]]), 1.0, None))
+    @example((np.array([[1.0, 1.0], [1.0, 1.0]]), 2.0, np.array([[-0.0, 0.0], [0.0, -0.0]])))
+    @example((np.array([[3.0, 3.0], [1.0, 1.0]]), 2.0, None))
+    def test_equals_previous_loop(self, case):
+        m, gate, cost = case
+        got = greedy_associate(m, gate, cost)
+        pairs, unmatched = previous_greedy_associate(m, gate, cost)
+        assert [(p.track, p.det) for p in got.pairs] == pairs
+        assert list(got.unmatched_detections) == unmatched
 
 
 class TestAssociationConfidence:
@@ -253,20 +306,25 @@ class TestCumulativeConfidence:
 
 
 def pair_oracle(states, detections, kcfg):
-    """The per-pair form: factor S and solve once for every (track, detection)."""
+    """The per-pair form, in Python floats: sqrt(sum_i r_i^2 / S_i) for
+    every (track, detection), summed in component order."""
     m = np.zeros((len(states), len(detections)))
-    for i, s in enumerate(states):
+    for i, (mean, cov) in enumerate(states):
+        s = (cov[0, :7] + kcfg.r_diag).tolist()
         for j, det in enumerate(detections):
-            r, S = ref_innovation(s, det.box, kcfg)
-            y = np.linalg.solve(np.linalg.cholesky(S), r)
-            m[i, j] = math.sqrt(float(y @ y))
+            r = (det.box.to_array() - mean[0, :7]).tolist()
+            r[3] = wrap_angle(r[3])
+            acc = 0.0
+            for rc, sc in zip(r, s):
+                acc += rc * rc / sc
+            m[i, j] = math.sqrt(acc)
     return m
 
 
 def stack(states):
-    """The stacked (means, covs) of one-track reference states."""
-    return (np.array([s.mean for s in states]).reshape(-1, 11),
-            np.array([s.cov for s in states]).reshape(-1, 11, 11))
+    """The stacked (means, covs) of one-track states."""
+    return (np.array([m[0] for m, _ in states]).reshape(-1, 11),
+            np.array([c[0] for _, c in states]).reshape(-1, 15))
 
 
 def box_rows(detections):
@@ -286,27 +344,30 @@ def _det(yaw, xyz=(1.0, 2.0, 0.5)):
 
 
 def _predicted_state(seed, yaw, kcfg):
-    """A predicted state whose covariance is a random SPD matrix."""
+    """A predicted one-track state, (mean (1, 11), cov (1, 15)), whose
+    variances and component-velocity covariances are random."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(11, 11)) * rng.uniform(0.05, 2.0)
-    cov = a @ a.T + rng.uniform(1e-3, 1.0) * np.eye(11)
-    mean = rng.normal(size=11) * 3.0
-    mean[3] = yaw
-    mean[4:7] = np.abs(mean[4:7]) + 1.0
-    mean[10] = 0.0  # no yaw rate, so the predicted yaw is still yaw
-    s = TrackState(mean=mean, cov=0.5 * (cov + cov.T), track_id=0)
-    return ref_predict(s, float(rng.uniform(0.05, 1.0)), kcfg)
+    cov = np.zeros((1, 15))
+    cov[0, :11] = rng.uniform(0.05, 4.0, size=11)
+    # |P_pv| < sqrt(P_pp P_vv) keeps each 2x2 block positive definite
+    cov[0, 11:] = rng.uniform(-0.9, 0.9, size=4) * np.sqrt(cov[0, :4] * cov[0, 7:11])
+    mean = rng.normal(size=(1, 11)) * 3.0
+    mean[0, 3] = yaw
+    mean[0, 4:7] = np.abs(mean[0, 4:7]) + 1.0
+    mean[0, 10] = 0.0  # no yaw rate, so the predicted yaw is still yaw
+    return kalman.predict(mean, cov, float(rng.uniform(0.05, 1.0)), kcfg)
 
 
 def _with_singular_row(n, bad_row):
     """n stacked tracks and a NoiseConfig under which row bad_row alone has
-    a singular S."""
+    zero innovation variances."""
     mean = np.zeros((n, 11))
     mean[:, 4:7] = (4, 2, 1.5)
-    cov = np.repeat(np.eye(11)[None], n, axis=0)
+    cov = np.ones((n, 15))
+    cov[:, 11:] = 0.0
     cov[bad_row] = 0.0
     bad = kalman.NoiseConfig()
-    # bypass frozen validation to force a singular S
+    # bypass frozen validation to force a zero innovation variance
     object.__setattr__(bad, "r_diag", np.zeros(7))
     return mean, cov, bad
 
@@ -331,7 +392,7 @@ class TestMahalanobisMatrix:
 
     def test_singular_s_raises_numerical_error(self):
         mean, cov, bad = _with_singular_row(3, 2)
-        with pytest.raises(kalman.NumericalError, match=r"row 2 .*cond="):
+        with pytest.raises(kalman.NumericalError, match=r"track row 2 is not finite and > 0"):
             assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0)]), bad)
 
     def test_nan_state_yaw_raises_value_error(self):
@@ -341,37 +402,36 @@ class TestMahalanobisMatrix:
             assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0), _det(1.0)]),
                                      kalman.NoiseConfig())
 
-    def test_one_cholesky_per_track(self, monkeypatch):
+    def test_no_matrix_factored(self, monkeypatch):
         kcfg = kalman.NoiseConfig()
         mean, cov = stack([_predicted_state(seed, 0.3 * seed, kcfg) for seed in range(4)])
         dets = box_rows([_det(0.5 * k - 1.0, (k, -k, 0.0)) for k in range(6)])
-        factored = []
-        cholesky = np.linalg.cholesky
 
-        def counted(a):
-            factored.append(int(np.prod(np.shape(a)[:-2])))  # matrices in the stack
-            return cholesky(a)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was factored or solved")
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
         assert assoc.mahalanobis_matrix(mean, cov, dets, kcfg).shape == (4, 6)
-        assert factored == [4]
-        # a frame without detections, or without tracks, factors nothing
+        # a frame without detections, or without tracks, scores nothing
         assert assoc.mahalanobis_matrix(mean, cov, dets[:0], kcfg).shape == (4, 0)
         assert assoc.mahalanobis_matrix(mean[:0], cov[:0], dets, kcfg).shape == (0, 6)
-        assert factored == [4]
 
 
 @dataclass
 class _Live:
-    state: TrackState
+    track_id: int
+    mean: np.ndarray  # (1, 11)
+    cov: np.ndarray  # (1, 15)
+    misses: int
     members: list
     link_conf: list
 
 
 def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_confidence=True):
-    """The per-track loop that the stacked run_tracker replaced, on the
-    one-track reference filter: one TrackState per live track, predicted,
-    scored, updated and marked missed one at a time. Its hooks get what
+    """The per-track loop that the stacked run_tracker replaced: each live
+    track filtered on its own, as a stack of one, predicted, scored,
+    updated and marked missed one at a time. Its hooks get what
     run_tracker's get."""
     live: list[_Live] = []
     order: dict[int, _Live] = {}
@@ -382,15 +442,15 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
         if prev_index is not None and live:
             dt = (rec.index - prev_index) * seq.frame_period
             for tr in live:
-                tr.state = ref_predict(tr.state, dt, kcfg)
+                tr.mean, tr.cov = kalman.predict(tr.mean, tr.cov, dt, kcfg)
         prev_index = rec.index
 
-        states = [tr.state for tr in live]
-        m = np.zeros((len(states), len(rec.detections)))
+        dets = box_rows(rec.detections)
+        m = np.zeros((len(live), len(rec.detections)))
         if rec.detections:
-            for i, s in enumerate(states):
-                m[i] = ref_mahalanobis(s, [det.box for det in rec.detections], kcfg)
-        ids = np.array([s.track_id for s in states], dtype=np.int64)
+            for i, tr in enumerate(live):
+                m[i] = kalman.mahalanobis(tr.mean, tr.cov, dets, kcfg)[0]
+        ids = np.array([tr.track_id for tr in live], dtype=np.int64)
         cost = None if cost_fn is None else cost_fn(ids, rec, m, m <= acfg.gate)
         res = assoc.greedy_associate(m, acfg.gate, cost)
 
@@ -398,26 +458,28 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
             tr = live[pair.track]
             if collect_confidence:
                 tr.link_conf.append(assoc.association_confidence(m, pair.track, pair.det, acfg.eps))
-            tr.state = ref_update(tr.state, rec.detections[pair.det].box, kcfg)
+            tr.mean, tr.cov = kalman.update(tr.mean, tr.cov, dets[pair.det][None], kcfg)
+            tr.misses = 0
             tr.members.append((rec.index, pair.det))
             if on_match is not None:
-                on_match(tr.state.track_id, pair.det, tr.state.box())
+                on_match(tr.track_id, pair.det, Box7(*tr.mean[0, :7].tolist()))
 
         survivors = []
         matched = {p.track for p in res.pairs}
         for idx, tr in enumerate(live):
             if idx not in matched:
-                tr.state = ref_mark_missed(tr.state)
-                if tr.state.misses >= acfg.max_age:
+                tr.misses += 1
+                if tr.misses >= acfg.max_age:
                     continue
             survivors.append(tr)
         for j in res.unmatched_detections:
-            tr = _Live(state=ref_init_track(rec.detections[j], kcfg, next_id),
+            mean, cov = kalman.init_tracks(dets[j], kcfg)
+            tr = _Live(track_id=next_id, mean=mean, cov=cov, misses=0,
                        members=[(rec.index, j)], link_conf=[])
             order[next_id] = tr
             survivors.append(tr)
             if on_match is not None:
-                on_match(next_id, j, tr.state.box())
+                on_match(next_id, j, rec.detections[j].box)
             next_id += 1
         live = survivors
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -309,6 +310,32 @@ def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     text = (TINY.replace(header, header + setting) if header in TINY
             else TINY + "\n" + header + setting)
     assert key in _config_error(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("assoc", "gate", "nan"),
+    ("assoc", "eps", "inf"),
+    ("eval", "match_dist", "nan"),
+    ("learn", "margin", "nan"),
+    ("learn", "learning_rate", "inf"),
+    ("sim", "missed_rate", "nan"),
+    ("sim", "frame_period", "nan"),
+    ("kalman", "r_diag", "0.1,0.1,0.1,-inf,0.1,0.1,0.1"),
+])
+def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
+    """A float that is not finite is refused when the config is parsed: a
+    gate of NaN admits no pair, so the run would go on to fail at train
+    with a misleading error."""
+    header = f"[{section}]\n"
+    setting = f"{key} = {value}\n"
+    if f"\n{key} = " in TINY:  # TINY's own learning_rate
+        text = re.sub(rf"\n{key} = .*\n", f"\n{setting}", TINY)
+    elif header in TINY:
+        text = TINY.replace(header, header + setting)
+    else:
+        text = TINY + "\n" + header + setting
+    line = _config_error(tmp_path, capsys, text)
+    assert line.startswith(f"config error: [{section}] {key}: not a finite number: ")
 
 
 @pytest.mark.parametrize("modes", ["", "motion, motion",

@@ -144,6 +144,48 @@ class TestBox7:
         b = make_box(1.25, -0.5, 0.75, 0.3)
         assert Box7.from_array(b.to_array()) == b
 
+    @pytest.mark.parametrize("k, name", list(enumerate(["x", "y", "z", "yaw", "l", "w", "h"])))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, k, name, bad):
+        vals = [0.5, -1.0, 2.0, 0.25, 4.0, 2.0, 1.5]
+        vals[k] = bad
+        # a later non-finite field does not hide this one
+        if k < 6:
+            vals[k + 1] = math.nan
+        for make in (lambda: Box7(*vals), lambda: Box7.from_array(vals),
+                     lambda: Box7.from_array(np.array(vals))):
+            with pytest.raises(ValueError, match=rf"^Box7\.{name} must be finite, got {bad!r}$"):
+                make()
+
+    @pytest.mark.parametrize("l, w, h", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, -0.0)])
+    def test_extent_message(self, l, w, h):
+        with pytest.raises(ValueError, match=rf"^box extents must be positive, got "
+                                             rf"l={l} w={w} h={h}$"):
+            Box7.from_array([0, 0, 0, 0, l, w, h])
+
+    @pytest.mark.parametrize("vals", [[1.0] * 6, [1.0] * 8, np.ones(6), np.ones((2, 4))])
+    def test_wrong_length_message(self, vals):
+        with pytest.raises(ValueError, match=rf"^cannot reshape array of size {np.size(vals)} "
+                                             r"into shape \(7,\)$"):
+            Box7.from_array(vals)
+
+    def test_fields_are_floats(self):
+        b = Box7.from_array(np.array([1, 2, 3, 0, 4, 5, 6], dtype=np.int64))
+        assert all(type(getattr(b, f)) is float for f in ("x", "y", "z", "yaw", "l", "w", "h"))
+        assert Box7(np.float32(0.5), 0, 0, 0, 1, 1, 1).x == 0.5
+
+    @given(st.floats(-1e6, 1e6))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(math.nextafter(-math.pi, 0.0))
+    @example(-1e-300)
+    @example(7 * math.pi)
+    def test_yaw_wrap_bits(self, yaw):
+        """The yaw is wrap_angle's, bit for bit, from either constructor."""
+        want = wrap_angle(yaw).hex()
+        assert Box7(0, 0, 0, yaw, 1, 1, 1).yaw.hex() == want
+        assert Box7.from_array(np.array([0, 0, 0, yaw, 1, 1, 1])).yaw.hex() == want
+
 
 class TestDetection:
     def test_score_range(self):

@@ -1,6 +1,5 @@
 import ast
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from uatrack import embed
 from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 from uatrack.embed import (
+    MAX_PASS_ROWS,
     CanonicalCloud,
     EmbedNet,
     backward,
     canon_seed,
     canonicalize,
-    detection_crop,
-    detection_embedder,
     forward,
     forward_argmax,
     load_checkpoint,
@@ -27,6 +25,31 @@ from uatrack.kalman import NumericalError
 
 def box(x=0.0, y=0.0, z=0.0, yaw=0.0, l=4.0, w=2.0, h=1.5):
     return Box7(x, y, z, yaw, l, w, h)
+
+
+def scene(*clouds_and_boxes):
+    """A one-frame scene of detections (cloud, box), the k-th with cloud
+    ref "c<k>", and its detections."""
+    dets = tuple(Detection(frame=0, box=b, score=1.0, cloud_ref=f"c{k}")
+                 for k, (_, b) in enumerate(clouds_and_boxes))
+    seq = Sequence(frames=(FrameRecord(index=0, detections=dets),),
+                   clouds={f"c{k}": pc for k, (pc, _) in enumerate(clouds_and_boxes)})
+    return seq, dets
+
+
+def crop(pc, b, n, seed=0):
+    """The crop of one detection (cloud pc, box b) whose cloud ref
+    "c<seed>" gives its draw the seed canon_seed("c<seed>")."""
+    dets = (Detection(frame=0, box=b, score=1.0, cloud_ref=f"c{seed}"),)
+    seq = Sequence(frames=(FrameRecord(index=0, detections=dets),), clouds={f"c{seed}": pc})
+    out = canonicalize(seq, dets, n)
+    assert out.starts.tolist() == [0]
+    return out
+
+
+def seed_of(seed):
+    """The draw seed of crop(..., seed)."""
+    return canon_seed(f"c{seed}")
 
 
 def cosine(e1, e2) -> float:
@@ -90,6 +113,27 @@ def previous_canonicalize(cloud, box, n, seed):
     return CanonicalCloud(points=inside[idx])
 
 
+# the largest difference measured between a frame's stacked forward and its
+# crops' own was 5.0e-16 of the largest entry, over 300 random frames
+STACK_TOL = 1e-15
+
+# the largest difference measured between the per-coordinate rotation and
+# the previous matrix product: 1 ulp of the row's largest coordinate (of 1
+# when all are smaller), over 6,000 random crops
+ROTATION_ULPS = 1
+
+
+def assert_same_crop(got, want, exact):
+    """The same rows in the same order: byte for byte when exact, else
+    within ROTATION_ULPS."""
+    assert got.points.shape == want.points.shape
+    if exact:
+        assert got.points.tobytes() == want.points.tobytes()
+    scale = np.maximum(np.abs(want.points).max(axis=1), 1.0)
+    assert (np.abs(got.points - want.points).max(axis=1)
+            <= ROTATION_ULPS * np.spacing(scale)).all()
+
+
 def cloud_in_box(rng, survivors, outside=3):
     """survivors distinct points inside box(), then a few outside it, shuffled."""
     inner = rng.uniform(-0.7, 0.7, size=(survivors, 3))
@@ -100,13 +144,13 @@ def cloud_in_box(rng, survivors, outside=3):
 class TestCanonicalize:
     def test_identity_pose(self):
         pc = PointCloud([[0.1, 0.2, 0.3]])
-        out = canonicalize(pc, box(), n=1, seed=0)
+        out = crop(pc, box(), 1, 0)
         np.testing.assert_allclose(out.points, [[0.1, 0.2, 0.3]], atol=1e-6)
 
     def test_inverse_rigid_transform(self):
         # box at (5, 0, 0) with yaw pi/2; world point (5, 1, 0) -> (1, 0, 0)
         pc = PointCloud([[5.0, 1.0, 0.0]])
-        out = canonicalize(pc, box(x=5.0, yaw=math.pi / 2), n=1, seed=0)
+        out = crop(pc, box(x=5.0, yaw=math.pi / 2), 1, 0)
         np.testing.assert_allclose(out.points, [[1.0, 0.0, 0.0]], atol=1e-6)
 
     def test_sparse_crop_keeps_each_drawn_survivor_once(self):
@@ -115,13 +159,13 @@ class TestCanonicalize:
         originals = pc.points[[0, 1, 3]].astype(np.float64)
         for n in (4, 8, 64):
             for seed in range(10):
-                out = canonicalize(pc, box(), n=n, seed=seed)
+                out = crop(pc, box(), n, seed)
                 assert 1 <= out.points.shape[0] <= min(n, 3)
                 assert len({tuple(p) for p in out.points}) == out.points.shape[0]
                 for p in out.points:
                     assert (originals == p).all(axis=1).any()
         # 64 draws from 3 survivors reach all of them
-        assert canonicalize(pc, box(), n=64, seed=0).points.shape == (3, 3)
+        assert crop(pc, box(), 64, 0).points.shape == (3, 3)
 
     def test_sparse_crop_rows_in_first_draw_order(self):
         # box() at the origin with yaw 0 leaves coordinates exact, so the
@@ -133,18 +177,18 @@ class TestCanonicalize:
             pc = cloud_in_box(rng, count)
             pts = pc.points.astype(np.float64)
             inside = pts[(np.abs(pts) <= [2.0, 1.0, 0.75]).all(axis=1)]
-            draw = np.random.default_rng(trial).choice(count, size=n, replace=True)
+            draw = np.random.default_rng(seed_of(trial)).choice(count, size=n, replace=True)
             order = []
             for i in draw:
                 if i not in order:
                     order.append(i)
-            out = canonicalize(pc, box(), n=n, seed=trial)
+            out = crop(pc, box(), n, trial)
             assert out.points.tobytes() == inside[order].tobytes()
 
     def test_empty_crop_is_one_origin_row(self):
         pc = PointCloud([[50.0, 50.0, 50.0]])
         for n in (1, 8, 128):
-            out = canonicalize(pc, box(), n=n, seed=0)
+            out = crop(pc, box(), n, 0)
             assert out.points.tobytes() == np.zeros((1, 3)).tobytes()
 
     def test_full_and_dense_crops_equal_reference(self):
@@ -155,51 +199,56 @@ class TestCanonicalize:
             count = n + int(rng.integers(0, n + 1))
             pc = cloud_in_box(rng, count)
             b = box(x=0.1, yaw=float(rng.uniform(-0.2, 0.2)), l=5.0, w=3.0, h=2.0)
-            out = canonicalize(pc, b, n=n, seed=trial)
-            want = reference_canonicalize(pc, b, n=n, seed=trial)
+            out = crop(pc, b, n, trial)
+            want = reference_canonicalize(pc, b, n=n, seed=seed_of(trial))
             assert want.points.shape == (n, 3)
-            assert out.points.tobytes() == want.points.tobytes()
+            assert_same_crop(out, want, exact=False)
 
-    @pytest.mark.parametrize("crop", ["empty", "sparse", "full", "dense"])
-    def test_equals_previous_implementation(self, crop):
-        rng = np.random.default_rng(["empty", "sparse", "full", "dense"].index(crop))
+    @pytest.mark.parametrize("kind", ["empty", "sparse", "full", "dense"])
+    def test_equals_previous_implementation(self, kind):
+        """Byte for byte where the rotation is exact (yaw 0); elsewhere the
+        same points in the same order, within ROTATION_ULPS."""
+        rng = np.random.default_rng(["empty", "sparse", "full", "dense"].index(kind))
         for trial in range(40):
             n = int(rng.integers(1, 40))
+            exact = trial % 2 == 0
             # box() is at the origin with yaw 0, so a point on its face stays
             # exactly on it
-            b = box() if trial % 4 == 0 else box(
+            b = box() if exact else box(
                 x=float(rng.uniform(-30, 30)), y=float(rng.uniform(-30, 30)),
                 z=float(rng.uniform(-1, 1)), yaw=float(rng.uniform(-math.pi, math.pi)),
                 l=float(rng.uniform(2, 6)), w=float(rng.uniform(1, 3)), h=float(rng.uniform(1, 2)))
             count = {"empty": 0, "sparse": int(rng.integers(0, n)), "full": n,
-                     "dense": n + int(rng.integers(1, n + 2))}[crop]
-            # local points inside the box, some on its faces, and some outside
+                     "dense": n + int(rng.integers(1, n + 2))}[kind]
+            # local points inside the box, some outside; with yaw 0, some on
+            # its faces (a rotated one keeps them 1e-6 of a face away, where
+            # an ulp cannot move them across)
             local = rng.uniform(-0.5, 0.5, size=(count, 3)) * [b.l, b.w, b.h]
             axis = int(rng.integers(0, 3))
-            local[: count // 2, axis] = [b.l, b.w, b.h][axis] / 2 * rng.choice([-1, 1])
+            face = [b.l, b.w, b.h][axis] / 2 - (0.0 if exact else 1e-6)
+            local[: count // 2, axis] = face * rng.choice([-1, 1])
             outer = rng.uniform(0.51, 3.0, size=(5, 3)) * [b.l, b.w, b.h]
             c, s = math.cos(b.yaw), math.sin(b.yaw)
             world = np.vstack([local, outer]) @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
             pc = PointCloud(rng.permutation(world + b.center))
-            want = previous_canonicalize(pc, b, n, seed=trial)
-            got = canonicalize(pc, b, n, seed=trial)
-            assert got.points.tobytes() == want.points.tobytes()
+            want = previous_canonicalize(pc, b, n, seed=seed_of(trial))
+            assert_same_crop(crop(pc, b, n, trial), want, exact)
 
     def test_full_crop_creates_no_generator(self, monkeypatch):
         rng = np.random.default_rng(2)
         pc = cloud_in_box(rng, 12)
-        want = previous_canonicalize(pc, box(), 12, seed=0)
+        want = previous_canonicalize(pc, box(), 12, seed=seed_of(0))
 
         def refuse(seed):
             raise AssertionError("a crop of exactly n points draws nothing")
 
         monkeypatch.setattr(embed.np.random, "default_rng", refuse)
-        assert canonicalize(pc, box(), 12, seed=0).points.tobytes() == want.points.tobytes()
+        assert crop(pc, box(), 12, 0).points.tobytes() == want.points.tobytes()
 
     def test_subsample_without_replacement(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.4, 0.4, size=(50, 3))
-        out = canonicalize(PointCloud(pts), box(), n=20, seed=1)
+        out = crop(PointCloud(pts), box(), 20, 1)
         assert out.points.shape == (20, 3)
         assert len({tuple(p) for p in np.round(out.points, 6)}) == 20
 
@@ -209,7 +258,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(4)
         pts = rng.uniform(-1.5, 1.5, size=(60, 3)).astype(np.float32)
         b0 = box(l=3.0, w=2.0, h=2.0)
-        out0 = canonicalize(PointCloud(pts), b0, n=32, seed=9)
+        out0 = crop(PointCloud(pts), b0, 32, 9)
 
         th = 0.7
         t = np.array([3.0, -2.0, 0.5])
@@ -217,12 +266,12 @@ class TestCanonicalize:
         rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
         moved = pts.astype(np.float64) @ rot_t + t
         b1 = box(x=t[0], y=t[1], z=t[2], yaw=th, l=3.0, w=2.0, h=2.0)
-        out1 = canonicalize(PointCloud(moved), b1, n=32, seed=9)
+        out1 = crop(PointCloud(moved), b1, 32, 9)
         np.testing.assert_allclose(out1.points, out0.points, atol=1e-5)
 
     def test_n_validated(self):
         with pytest.raises(ValueError):
-            canonicalize(PointCloud(np.zeros((1, 3))), box(), n=0, seed=0)
+            crop(PointCloud(np.zeros((1, 3))), box(), 0)
 
     def test_canon_seed_stable(self):
         assert canon_seed("abc") == canon_seed("abc")
@@ -236,7 +285,7 @@ class TestForward:
             biases=(np.zeros(4), np.zeros(2)),
         )
         cloud = CanonicalCloud(points=np.random.default_rng(0).normal(size=(10, 3)))
-        np.testing.assert_array_equal(forward(net, cloud), np.zeros(2))
+        np.testing.assert_array_equal(forward(net, cloud), np.zeros((1, 2)))
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(1)
@@ -256,7 +305,7 @@ class TestForward:
             biases=(np.zeros(2),),
         )
         cloud = CanonicalCloud(points=np.array([[1.0, 5.0, 0.0], [2.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(forward(net, cloud), [2.0, 5.0])
+        np.testing.assert_allclose(forward(net, cloud), [[2.0, 5.0]])
 
     def test_non_finite_params_rejected(self):
         """A network is refused when it is built, so no pass meets one."""
@@ -369,7 +418,7 @@ def fd_gradients(net, cloud, upstream, h=1e-5):
                 bq = bumped[slot].reshape(-1)
                 bq[k] += sign * h
                 net2 = EmbedNet.from_params(bumped)
-                val = float(np.dot(upstream, forward(net2, cloud)))
+                val = float(np.dot(upstream, forward(net2, cloud)[0]))
                 if sign > 0:
                     plus = val
                 else:
@@ -556,8 +605,9 @@ class TestCriticalPointBackward:
                 weights=tuple(EmbedNet.random((3, 7, 5, 4), seed=trial).weights),
                 biases=(rng.normal(size=7), rng.normal(size=5), rng.normal(size=4)),
             )
-            cloud = canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16, seed=0)
-            ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16, seed=0)
+            cloud = crop(PointCloud([[50.0, 50.0, 50.0]]), box(), 16, 0)
+            ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16,
+                                         seed=seed_of(0))
             assert cloud.points.tobytes() == np.zeros((1, 3)).tobytes()
             emb, arg = forward_argmax(net, cloud)
             ref_emb, ref_arg = forward_argmax(net, ref)
@@ -623,8 +673,8 @@ class TestPreviousImplementation:
               EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
     def test_crops(self, case):
         pc, b, n, seed, net, upstream = case
-        assert_matches_previous(net, canonicalize(pc, b, n, seed), upstream)
-        assert_matches_previous(net, reference_canonicalize(pc, b, n, seed), upstream)
+        assert_matches_previous(net, crop(pc, b, n, seed), upstream)
+        assert_matches_previous(net, reference_canonicalize(pc, b, n, seed_of(seed)), upstream)
 
     def test_single_layer_and_all_dead_units(self):
         rng = np.random.default_rng(16)
@@ -647,14 +697,15 @@ class TestReferenceEquivalence:
               EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
     def test_matches_reference_crop(self, case):
         pc, b, n, seed, net, upstream = case
-        cloud = canonicalize(pc, b, n, seed)
-        ref = reference_canonicalize(pc, b, n, seed)
+        cloud = crop(pc, b, n, seed)
+        ref = reference_canonicalize(pc, b, n, seed_of(seed))
         assert 1 <= cloud.points.shape[0] <= n
         np.testing.assert_allclose(forward(net, cloud), forward(net, ref), rtol=0.0, atol=1e-12)
         emb, arg = forward_argmax(net, cloud)
         ref_emb, ref_arg = forward_argmax(net, ref)
         np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
-        assert cloud.points[arg].tobytes() == ref.points[ref_arg].tobytes()
+        assert_same_crop(CanonicalCloud(points=cloud.points[arg]),
+                         CanonicalCloud(points=ref.points[ref_arg]), exact=b.yaw == 0.0)
         got = backward(net, cloud, upstream, arg=arg)
         want = backward(net, ref, upstream, arg=ref_arg)
         for a, w in zip(got, want):
@@ -684,10 +735,13 @@ class TestCheckpoint:
                 load_checkpoint(tmp_path / "t.uann")
 
 
-class TestDetectionPath:
+class TestFramePass:
     SRC = Path(__file__).resolve().parent.parent / "src" / "uatrack"
 
-    def test_canonicalize_is_called_only_by_detection_crop(self):
+    def test_canonicalize_callers(self):
+        """Every path crops through canonicalize: the tracker and harvest a
+        frame at a time, SOT a frame at a time and its anchors, training its
+        anchor frames and its positives."""
         callers = []
 
         def visit(node, path, fn):
@@ -702,23 +756,102 @@ class TestDetectionPath:
 
         for path in sorted(self.SRC.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
-        assert callers == [("embed.py", "detection_crop")]
+        assert callers == [("evaluation.py", "sot_evaluate"), ("evaluation.py", "sot_evaluate"),
+                           ("learn.py", "canon"), ("learn.py", "frame_refs"),
+                           ("mot.py", "frame")]
 
-    def test_detection_crop_and_embedder(self, monkeypatch):
-        det = Detection(frame=0, box=box(x=1.0), score=0.9, cloud_ref="c0")
-        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(40, 3)) + [1.0, 0.0, 0.0]
-        seq = Sequence(frames=(FrameRecord(index=0, detections=(det,)),),
-                       clouds={"c0": PointCloud(pts)})
-        crop = detection_crop(seq, det, 16)
-        want = canonicalize(PointCloud(pts), det.box, 16, seed=canon_seed("c0"))
-        assert np.array_equal(crop.points, want.points)
+    @staticmethod
+    def _frame(rng, n, yaw_zero):
+        """A frame of 1 to 12 detections whose crops are empty, sparse,
+        full or dense, each cloud with up to 6 points outside its box."""
+        pairs = []
+        for k in range(int(rng.integers(1, 13))):
+            b = box(x=float(rng.uniform(-30, 30)), y=float(rng.uniform(-30, 30)),
+                    yaw=0.0 if yaw_zero else float(rng.uniform(-math.pi, math.pi)),
+                    l=float(rng.uniform(2, 6)), w=float(rng.uniform(1, 3)))
+            count = [0, int(rng.integers(1, n + 1)), n, n + int(rng.integers(1, 2 * n))][k % 4]
+            local = rng.uniform(-0.49, 0.49, size=(count, 3)) * [b.l, b.w, b.h]
+            # outside along one axis only, so that each axis's test matters
+            outer = rng.uniform(-0.49, 0.49, size=(int(rng.integers(0, 7)), 3))
+            axis = rng.integers(0, 3, size=len(outer))
+            outer[np.arange(len(outer)), axis] = rng.uniform(0.51, 2.0, size=len(outer)) * \
+                rng.choice([-1.0, 1.0], size=len(outer))
+            outer *= [b.l, b.w, b.h]
+            c, s = math.cos(b.yaw), math.sin(b.yaw)
+            world = np.vstack([local, outer]) @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
+            pairs.append((PointCloud(rng.permutation(world + b.center)), b))
+        return pairs
 
-        net = EmbedNet.random((3, 8, 8), seed=0)
-        calls = []
-        monkeypatch.setattr(embed, "forward", lambda n, c: calls.append(c) or forward(n, c))
-        embedding = detection_embedder(net, seq, 16)
-        first = embedding(det)
-        assert embedding(replace(det)) is first
-        assert not first.flags.writeable
-        assert len(calls) == 1
-        assert np.array_equal(first, forward(net, want))
+    @pytest.mark.parametrize("yaw_zero", [True, False], ids=["exact", "rotated"])
+    def test_frame_crop_equals_crops_alone_and_previous(self, yaw_zero):
+        rng = np.random.default_rng(int(yaw_zero))
+        for trial in range(30):
+            n = int(rng.integers(1, 40))
+            pairs = self._frame(rng, n, yaw_zero)
+            seq, dets = scene(*pairs)
+            stack = canonicalize(seq, dets, n)
+            crops = stack.crops()
+            assert len(crops) == len(stack.starts) == len(dets)
+            for k, (det, (pc, b)) in enumerate(zip(dets, pairs)):
+                alone = canonicalize(seq, [det], n)
+                assert crops[k].points.tobytes() == alone.points.tobytes()
+                want = previous_canonicalize(pc, b, n, canon_seed(det.cloud_ref))
+                assert_same_crop(crops[k], want, yaw_zero)
+            assert np.array_equal(np.concatenate([c.points for c in crops]), stack.points)
+
+    def test_no_detections(self):
+        seq, _ = scene((PointCloud(np.zeros((1, 3))), box()))
+        stack = canonicalize(seq, [], 8)
+        assert stack.points.shape == (0, 3) and stack.starts.shape == (0,)
+        assert forward(EmbedNet.random((3, 4, 2), seed=0), stack).shape == (0, 2)
+
+    def test_stack_starts_checked(self):
+        pts = np.zeros((4, 3))
+        for starts in ([1], [0, 0, 2], [0, 2, 1], [0, 4], []):
+            with pytest.raises(ValueError, match="non-empty crops"):
+                CanonicalCloud(points=pts, starts=starts)
+        with pytest.raises(ValueError, match="non-empty crops"):
+            CanonicalCloud(points=np.zeros((0, 3)))
+        assert CanonicalCloud(points=pts, starts=[0, 1, 3]).starts.tolist() == [0, 1, 3]
+
+    def test_points_copied_unless_read_only(self):
+        """A cloud keeps its own copy of points a caller can still write, and
+        shares read-only ones (a frame's crops are views of its stack)."""
+        pts = np.ones((4, 3))
+        cloud = CanonicalCloud(points=pts, starts=[0, 2])
+        pts[0] = 5.0
+        assert (cloud.points == 1.0).all() and not cloud.points.flags.writeable
+        view = np.ones((4, 3))[:2]
+        view.flags.writeable = False  # its base can still be written
+        assert CanonicalCloud(points=view).points.base is None
+        crops = cloud.crops()
+        assert all(c.points.base is cloud.points for c in crops)
+        assert [c.points.shape for c in crops] == [(2, 3), (2, 3)]
+
+    def test_stacked_forward_equals_per_crop(self, monkeypatch):
+        """Whole crops, at most MAX_PASS_ROWS rows a pass (a longer crop
+        alone), give each crop's embedding within STACK_TOL."""
+        rng = np.random.default_rng(7)
+        passes = []
+        mlp = embed._mlp
+        monkeypatch.setattr(embed, "_mlp", lambda net, pts: passes.append(len(pts)) or
+                            mlp(net, pts))
+        for trial in range(20):
+            n = int(rng.integers(50, 700))
+            seq, dets = scene(*self._frame(rng, n, False))
+            stack = canonicalize(seq, dets, n)
+            net = EmbedNet(weights=EmbedNet.random((3, 64, 64, 64), seed=trial).weights,
+                           biases=tuple(rng.normal(0.0, 0.5, size=64) for _ in range(3)))
+            passes.clear()
+            got = forward(net, stack)
+            sizes = np.diff(np.append(stack.starts, len(stack.points)))
+            # passes cover whole consecutive crops, longer ones alone
+            bounds = np.cumsum(sizes).tolist()
+            assert sum(passes) == len(stack.points)
+            assert all(p <= MAX_PASS_ROWS or p in sizes for p in passes)
+            assert all(b in bounds for b in np.cumsum(passes).tolist())
+            want = np.array([forward(net, c)[0] for c in stack.crops()])
+            assert got.shape == want.shape == (len(dets), 64)
+            assert np.abs(got - want).max() <= STACK_TOL * np.abs(want).max()
+            # a crop of the stack alone is one pass
+            assert [len(p) for p in [c.points for c in stack.crops()]] == sizes.tolist()

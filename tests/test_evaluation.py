@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -46,9 +47,7 @@ def oracle_sot(net, tasks, n) -> SotResult:
     per_task = []
     for task in tasks:
         anchor = task.anchor
-        anchor_emb = embed.forward(net, embed.canonicalize(
-            task.seq.clouds[anchor.cloud_ref], anchor.box, n,
-            seed=embed.canon_seed(anchor.cloud_ref)))
+        anchor_emb = embed.forward(net, embed.canonicalize(task.seq, [anchor], n))[0]
         t_correct = t_total = 0
         for rec in task.seq.frames:
             if rec.index <= task.anchor_frame:
@@ -57,9 +56,8 @@ def oracle_sot(net, tasks, n) -> SotResult:
                 continue
             best_idx, best_cos = None, -math.inf
             for idx, det in enumerate(rec.detections):
-                crop = embed.canonicalize(task.seq.cloud_of(det), det.box, n,
-                                          seed=embed.canon_seed(det.cloud_ref))
-                c = cosine(anchor_emb, embed.forward(net, crop))
+                crop = embed.canonicalize(task.seq, [det], n)
+                c = cosine(anchor_emb, embed.forward(net, crop)[0])
                 if c > best_cos:
                     best_idx, best_cos = idx, c
             t_total += 1
@@ -80,26 +78,28 @@ class TestSotEvaluate:
         assert len(got.per_task) == 8 and got.total > 50
         assert 0 < got.correct < got.total
 
-    def test_embeds_each_detection_once(self, noisy, monkeypatch):
+    def test_one_pass_per_frame(self, noisy, monkeypatch):
+        """One crop-and-embed pass per scored frame of a run, holding each
+        of its detections once, then one for the run's anchors."""
         tasks = _tasks(noisy)
         calls = []
         forward = embed.forward
 
         def counting(net, cloud):
-            calls.append(cloud)
+            calls.append(len(cloud.starts))
             return forward(net, cloud)
 
         monkeypatch.setattr(embed, "forward", counting)
         sot_evaluate(NET, tasks, POINTS)
-        distinct = set()
-        for t in tasks:
-            distinct.add((id(t.seq), t.anchor))
-            for rec in t.seq.frames:
-                if rec.index > t.anchor_frame and any(d.gt_id == t.target
-                                                      for d in rec.detections):
-                    distinct.update((id(t.seq), d) for d in rec.detections)
-        assert len(calls) == len(distinct)
-        assert len({id(cloud) for cloud in calls}) == len(calls)  # calls keeps each alive
+        expected = []
+        for _, run in groupby(tasks, key=lambda t: id(t.seq)):
+            run = list(run)
+            seq = run[0].seq
+            scored = {k for t in run for k, rec in enumerate(seq.frames)
+                      if rec.index > t.anchor_frame
+                      and any(d.gt_id == t.target for d in rec.detections)}
+            expected += [len(seq.frames[k].detections) for k in sorted(scored)] + [len(run)]
+        assert calls == expected
 
 
 class TestSotTies:
@@ -130,7 +130,7 @@ class TestSotTies:
             net = embed.EmbedNet(weights=net.weights,
                                  biases=tuple(rng.uniform(0.1, 1.0, b.shape) for b in net.biases))
         seq = self._seq(target_first)
-        empty = [embed.forward(net, embed.detection_crop(seq, d, POINTS))
+        empty = [embed.forward(net, embed.canonicalize(seq, [d], POINTS))[0]
                  for d in seq.frames[1].detections]
         assert empty[0].tobytes() == empty[1].tobytes()
         assert (np.linalg.norm(empty[0]) > 0) == biased

@@ -50,10 +50,10 @@ class TestWeightedLoss:
         net = embed.EmbedNet.random((3, 8, 4), seed=3)
         loss, grads, weight = batch_loss_and_grads(net, clouds.__getitem__, [self._triplet(w)],
                                                    self.MARGIN)
-        cp = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
-                    embed.forward(net, clouds[DetRef(0, 1, 0)]))
-        cn = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)]),
-                    embed.forward(net, clouds[DetRef(0, 0, 1)]))
+        cp = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)])[0],
+                    embed.forward(net, clouds[DetRef(0, 1, 0)])[0])
+        cn = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)])[0],
+                    embed.forward(net, clouds[DetRef(0, 0, 1)])[0])
         return loss, grads, weight, triplet_loss(cp, cn, self.MARGIN)
 
     def test_product(self):
@@ -234,7 +234,8 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
     grads = [np.zeros_like(p) for p in net.params()]
     loss_sum = weight_sum = 0.0
     for t in triplets:
-        e_a, e_p, e_n = (embed.forward(net, crops(r)) for r in (t.anchor, t.positive, t.negative))
+        e_a, e_p, e_n = (embed.forward(net, crops(r))[0]
+                         for r in (t.anchor, t.positive, t.negative))
         w = t.weight if use_uncertainty else 1.0
         cp, dp_a, dp_p = learn._cosine_and_grads(e_a, e_p)
         cn, dn_a, dn_n = learn._cosine_and_grads(e_a, e_n)
@@ -311,15 +312,21 @@ class TestTrain:
         rows = []
         canonicalize = embed.canonicalize
 
-        def recording(cloud, box, n, seed):
-            got = canonicalize(cloud, box, n, seed)
-            rows.append(got.points.shape[0])
+        def recording(seq, dets, n):
+            got = canonicalize(seq, dets, n)
+            rows.extend(len(c.points) for c in got.crops())
             return got
+
+        def reference_stack(seq, dets, n):
+            crops = [reference_canonicalize(seq.cloud_of(d), d.box, n,
+                                            embed.canon_seed(d.cloud_ref)) for d in dets]
+            return embed.CanonicalCloud(points=np.concatenate([c.points for c in crops]),
+                                        starts=[n * k for k in range(len(crops))])
 
         monkeypatch.setattr(embed, "canonicalize", recording)
         out, history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=64)
         assert max(rows) == 64 and min(rows) < 64  # both the dense and the sparse path
-        monkeypatch.setattr(embed, "canonicalize", reference_canonicalize)
+        monkeypatch.setattr(embed, "canonicalize", reference_stack)
         ref_out, ref_history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=64)
         assert len(history) == len(ref_history) > 10
         for r, q in zip(history, ref_history):
@@ -399,8 +406,8 @@ class TestTrain:
 
 def _crops(src, n):
     """DetRef -> the detection's crop of n points, as train makes it."""
-    return lambda ref: embed.detection_crop(
-        src.seqs[ref.seq], src.frame_map[(ref.seq, ref.frame)].detections[ref.det], n)
+    return lambda ref: embed.canonicalize(
+        src.seqs[ref.seq], [src.frame_map[(ref.seq, ref.frame)].detections[ref.det]], n)
 
 
 class TestBatchGradients:

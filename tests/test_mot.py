@@ -82,7 +82,7 @@ def reference_score(model, row):
 def reference_track_sequence(seq, mode, net, model):
     """track_sequence as first written, the reference: one scalar cosine,
     one feature row and one score per admitted pair."""
-    embedding = (embed.detection_embedder(net, seq, POINTS)
+    embedding = ((lambda det: embed.forward(net, embed.canonicalize(seq, [det], POINTS))[0])
                  if mode == "motion+score+appearance" else None)
     track_embs = {}
     frame = {}
@@ -323,7 +323,7 @@ class TestHarvestFeatures:
         members = {lab.track_id: lab.members for lab in tracks}
 
         def emb(det):
-            return embed.forward(net, embed.detection_crop(seq, det, POINTS))
+            return embed.forward(net, embed.canonicalize(seq, [det], POINTS))[0]
 
         expected = []
         n_pairs = 0
@@ -489,10 +489,9 @@ class TestBounce:
         motion = _gt_tracks(seq, mot.track_sequence(seq, KCFG, ACFG, "motion"))
         assert any(len(set(ids)) > 1 for ids in motion.values())
 
-        def embedder(net, seq, n):  # one-hot by ground-truth identity
-            return lambda det: np.eye(2)[det.gt_id]
-
-        monkeypatch.setattr(embed, "detection_embedder", embedder)
+        # embeddings one-hot by ground-truth identity
+        monkeypatch.setattr(embed, "canonicalize", lambda seq, dets, n: dets)
+        monkeypatch.setattr(embed, "forward", lambda net, dets: np.eye(2)[[d.gt_id for d in dets]])
         # A = 0.38 for the same car and 0.011 for the other: a true
         # continuation scores below one half, yet it is admitted and wins
         model = _cosine_model(4.0, -4.5)

@@ -283,8 +283,7 @@ class TestGenerate:
         seq = generate_sequence(scene, seed=7)
         for rec in seq.frames:
             for det in rec.detections:
-                crop = embed.canonicalize(
-                    seq.cloud_of(det), det.box, n=seq.cloud_of(det).count, seed=0)
+                crop = embed.canonicalize(seq, [det], n=seq.cloud_of(det).count)
                 # canonicalize keeps only in-box points; all must survive
                 assert crop.points.any()  # not the empty crop's origin points
                 half = np.array([det.box.l / 2, det.box.w / 2, det.box.h / 2])
