@@ -133,10 +133,13 @@ class Box7:
 
     @classmethod
     def from_array(cls, a) -> "Box7":
-        """The box of 7 values (x, y, z, yaw, l, w, h): a sequence, or an
-        array of 7 entries."""
+        """The box of 7 values (x, y, z, yaw, l, w, h): a list or tuple of
+        7 numbers, or an array of 7 entries. Anything else, a string or a
+        number say, is one value, too few."""
         if isinstance(a, np.ndarray):
             a = a.reshape(-1).tolist()
+        elif not isinstance(a, (list, tuple)):
+            a = (a,)
         if len(a) != 7:
             raise ValueError(f"cannot reshape array of size {len(a)} into shape (7,)")
         return cls(*a)

@@ -136,6 +136,34 @@ def load_logistic(path) -> LogisticModel:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _solve_pd(a, b) -> np.ndarray:
+    """x with a @ x = b for a small symmetric positive definite a, by a
+    Cholesky factor a = L L' built a column at a time and two triangular
+    substitutions. Raises kalman.NumericalError when a pivot is not finite
+    and > 0.
+
+    It calls no LAPACK routine, and no other step of a pipeline run calls
+    one: the first LAPACK call of a process pages about 0.25 MB of LAPACK
+    code in, and fit-logistic runs after training, so such a call would
+    add that much to a run's peak resident memory."""
+    n = len(b)
+    low = np.zeros((n, n))
+    for j in range(n):
+        d = a[j, j] - low[j, :j] @ low[j, :j]
+        if not 0.0 < d < math.inf:
+            raise kalman.NumericalError(
+                f"Newton system is not positive definite (pivot {j}: {d!r})")
+        low[j, j] = math.sqrt(d)
+        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    y = np.empty(n)
+    for i in range(n):
+        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
+    x = np.empty(n)
+    for i in reversed(range(n)):
+        x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
+    return x
+
+
 def fit_logistic(x, y) -> LogisticModel:
     """Deterministic L2-penalized logistic regression of the labels y (k,)
     on the feature rows x (k, 6).
@@ -144,12 +172,12 @@ def fit_logistic(x, y) -> LogisticModel:
     FIT_LAMBDA, on standardized features (a constant feature's column is
     zeroed, so its weight is exactly 0); the intercept is not penalized.
     Damped Newton (IRLS) from zero: each step solves the penalized Hessian
-    system and halves the step until the objective does not fall. Once the
-    Newton decrement g'H^-1 g / 2 is below FIT_DECREMENT_TOL the step is
-    taken in full and the fit stops; failing that within FIT_MAX_STEPS
-    steps raises kalman.NumericalError. The standardization is folded back
-    so the model applies to raw features. Raises ValueError on empty or
-    single-class input.
+    system (`_solve_pd`) and halves the step until the objective does not
+    fall. Once the Newton decrement g'H^-1 g / 2 is below FIT_DECREMENT_TOL
+    the step is taken in full and the fit stops; failing that within
+    FIT_MAX_STEPS steps raises kalman.NumericalError. The standardization
+    is folded back so the model applies to raw features. Raises ValueError
+    on empty or single-class input.
 
     Warns once when the fitted score fails to fall with Mahalanobis distance
     somewhere in the fit data's range of m (see `_warn_if_distance_not_penalized`).
@@ -180,7 +208,7 @@ def fit_logistic(x, y) -> LogisticModel:
         p = np.exp(-np.logaddexp(0.0, -(za @ theta)))
         grad = za.T @ (y - p) / n - penalty * theta
         hess = (za.T * (p * (1.0 - p))) @ za / n + np.diag(penalty)
-        step = np.linalg.solve(hess, grad)
+        step = _solve_pd(hess, grad)
         if grad @ step / 2 < FIT_DECREMENT_TOL:
             # this close the full step is safe, and the halving would weigh
             # gains near the float noise of the objective

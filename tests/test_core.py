@@ -163,9 +163,12 @@ class TestBox7:
                                              rf"l={l} w={w} h={h}$"):
             Box7.from_array([0, 0, 0, 0, l, w, h])
 
-    @pytest.mark.parametrize("vals", [[1.0] * 6, [1.0] * 8, np.ones(6), np.ones((2, 4))])
+    @pytest.mark.parametrize("vals", [[1.0] * 6, [1.0] * 8, np.ones(6), np.ones((2, 4)),
+                                      "1234567", 1234567, None, {"x": 1.0}])
     def test_wrong_length_message(self, vals):
-        with pytest.raises(ValueError, match=rf"^cannot reshape array of size {np.size(vals)} "
+        # a string, number or mapping is one value, as numpy's reshape saw it
+        size = np.size(vals) if isinstance(vals, (list, np.ndarray)) else 1
+        with pytest.raises(ValueError, match=rf"^cannot reshape array of size {size} "
                                              r"into shape \(7,\)$"):
             Box7.from_array(vals)
 
@@ -384,7 +387,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("frame", "first"), ("frame", None), ("box", [1.0, 2.0]), ("box", 3.0),
-        ("score", "high"), ("score", 2.0), ("gt_id", [1]),
+        ("score", "high"), ("score", 2.0), ("gt_id", [1]), ("box", "1234567"), ("box", {"x": 0}),
     ])
     def test_detection_bad_value_names_line(self, tmp_path, field, value):
         obj = {"frame": 0, "box": [0, 0, 0, 0, 1, 1, 1], "score": 0.5, "cloud": "c",
