@@ -32,6 +32,8 @@ class EmbedSection:
     def __post_init__(self):
         if len(self.widths) < 2 or self.widths[0] != 3:
             raise ValueError(f"widths must start at 3 with an output layer, got {self.widths}")
+        if min(self.widths) < 1:
+            raise ValueError(f"every width must be >= 1, got {self.widths}")
         if self.points_per_crop < 1:
             raise ValueError("points_per_crop must be >= 1")
 
@@ -56,6 +58,16 @@ class SimSection:
     def __post_init__(self):
         if min(self.train_scenes, self.fit_scenes, self.test_scenes) < 1:
             raise ValueError("every split needs at least one scene")
+        if min(self.objects, self.test_objects) < 1:
+            raise ValueError(f"objects and test_objects must be >= 1, got {self.objects} and "
+                             f"{self.test_objects}")
+        if self.frames < 2:
+            raise ValueError(f"frames must be >= 2, got {self.frames}")
+        if self.crossings < 0:
+            raise ValueError(f"crossings must be >= 0, got {self.crossings}")
+        if self.bounds <= SceneConfig.margin:
+            raise ValueError(f"bounds must be above the placement margin {SceneConfig.margin}, "
+                             f"got {self.bounds}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ association-confidence validity.
 SOT: the target's first-frame detection is the fixed anchor; in every later
 frame containing the target, the candidate with the highest embedding cosine
 is selected and scored against the ground-truth identity. The candidates a
-pass scores are embedded once per candidate sequence into one matrix, and
-each task scores them with one vector of cosines, not a call per candidate.
+pass scores are cropped a run of frames at a time and embedded once per
+candidate sequence into one matrix, and each task scores them with one
+vector of cosines, not a call per candidate.
 
 AMOTA: recall-thresholded CLEAR-style MOTA. For each target recall r the
 prediction set is cut at the score whose achieved recall is closest from
@@ -20,6 +21,7 @@ cut.
 import csv
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -68,10 +70,11 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
     """Classification accuracy of arg-max-cosine association over all tasks.
 
     Consecutive tasks on the same candidate sequence form a run. A run
-    crops and embeds the detections of every frame that one of its tasks
-    scores, one `embed.canonicalize` and one `embed.forward` call per
-    frame, into one matrix with the row norms, gt ids and each frame's row
-    span, and the run's anchors in one more pair of calls. A task takes one
+    crops the detections of every frame that one of its tasks scores a
+    run of those frames at a time (`embed.canonicalize_frames`), embeds
+    each frame's with one `embed.forward` call into one matrix with the
+    row norms, gt ids and each frame's row span, and crops and embeds the
+    run's anchors in one more pair of calls. A task takes one
     vector of cosines to its anchor over the matrix (`embed.cosines`) and
     the arg-max of each scored frame's span. Frames without the target are
     skipped; ties in cosine go to the lowest candidate index.
@@ -85,12 +88,15 @@ def sot_evaluate(net: embed.EmbedNet, tasks,
                    if rec.index > task.anchor_frame and task.target in present[k]]
                   for task in run]
         span: dict[int, tuple[int, int]] = {}  # frame position -> its rows
-        embs, gt_ids = [], []
-        for k in sorted(set().union(*scored)):
+        gt_ids = []
+        needed = sorted(set().union(*scored))
+        for k in needed:
             dets = seq.frames[k].detections
             span[k] = (len(gt_ids), len(gt_ids) + len(dets))
-            embs.append(embed.forward(net, embed.canonicalize(seq, dets, points_per_crop)))
             gt_ids += [d.gt_id for d in dets]
+        # map lets go of each frame's crops before the next pass is cut
+        embs = list(map(partial(embed.forward, net), embed.canonicalize_frames(
+            seq, (seq.frames[k].detections for k in needed), points_per_crop)))
         anchors = embed.forward(net, embed.canonicalize(
             seq, [task.anchor for task in run], points_per_crop))
         emb = np.concatenate(embs) if embs else np.zeros((0, net.dim))

@@ -14,16 +14,17 @@ One helper, `_PairFeatures`, builds the features of the admitted pairs for
 both the tracker (`track_sequence`, which scores them with
 `LogisticModel.scores`) and the logistic fit (`harvest_features`, which
 labels them), so the model is fit on exactly the pairs it will score. It
-crops and embeds each frame's detections into one matrix with one
-`embed.canonicalize` and one `embed.forward` call, keeps each track's
+crops the sequence's frames a run at a time (`embed.canonicalize_frames`,
+one `embed.canonicalize` pass per run), embeds each frame's detections
+into one matrix with one `embed.forward` call, keeps each track's
 embedding refreshed to that of its matched detection, and builds each
 frame's admitted pairs as one (k, 6) array, `feature_rows`, in row-major
-pair order: the cosines are one
-`embed.cosines` call and the scores one matrix-vector product, so the
-tracker runs no Python per pair. `FeatureVector` and `LogisticModel.score`
-are the one-pair views of the same functions. `fit_logistic` fits the
-model to the L2-penalized optimum on standardized features by damped
-Newton's method (IRLS), which converges in about ten steps.
+pair order: the cosines are one `embed.cosines` call and the scores one
+matrix-vector product, so the tracker runs no Python per pair.
+`FeatureVector` and `LogisticModel.score` are the one-pair views of the
+same functions. `fit_logistic` fits the model to the L2-penalized optimum
+on standardized features by damped Newton's method (IRLS), which
+converges in about ten steps.
 """
 
 import json
@@ -261,23 +262,31 @@ class _PairFeatures:
     matrix, each track's embedding (refreshed to its matched detection's),
     and one `feature_rows` array of the frame's admitted (track, detection)
     pairs, whose m the tracker supplies. Without a network the appearance
-    cosine is 0 (log_a = log 0.5)."""
+    cosine is 0 (log_a = log 0.5).
+
+    With a network, the frames are cropped by `embed.canonicalize_frames`
+    as the tracker reaches them, so `frame` must see every frame of the
+    sequence once, in order, as `assoc.run_tracker` calls its cost_fn; at
+    most one pass of crops is held at a time."""
 
     def __init__(self, seq: Sequence, net: embed.EmbedNet | None, points_per_crop: int):
-        self.seq, self.net, self.points_per_crop = seq, net, points_per_crop
+        self.net = net
+        self.crops = None if net is None else embed.canonicalize_frames(
+            seq, (rec.detections for rec in seq.frames), points_per_crop)
         self.track_embs: dict[int, np.ndarray] = {}
         self.dets: tuple[Detection, ...] = ()
         self.det_scores = np.zeros(0)
         self.embs = self.norms = np.zeros(0)
 
     def frame(self, rec) -> None:
-        """Start a frame: embed its detections."""
+        """Start a frame, the next of the sequence's: embed its detections."""
         self.dets = rec.detections
         self.det_scores = np.array([d.score for d in rec.detections])
-        if self.net is not None and rec.detections:
-            self.embs = embed.forward(self.net, embed.canonicalize(
-                self.seq, rec.detections, self.points_per_crop))
-            self.norms = embed.norms(self.embs)
+        if self.net is not None:
+            crops = next(self.crops)
+            if rec.detections:
+                self.embs = embed.forward(self.net, crops)
+                self.norms = embed.norms(self.embs)
 
     def features(self, ids, m, admitted):
         """(ii, jj, x) for the frame's admitted (track, detection) pairs in

@@ -272,7 +272,7 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
                 specs.extend(cand)
                 break
         else:
-            raise RuntimeError("could not place crossing pair inside bounds")
+            raise ValueError(f"could not place a crossing pair inside bounds {scene.bounds}")
 
     while len(specs) < scene.n_objects:
         for _try in range(200):
@@ -294,7 +294,7 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
                 specs.append(spec)
                 break
         else:
-            raise RuntimeError("could not place object inside bounds")
+            raise ValueError(f"could not place an object inside bounds {scene.bounds}")
     return specs
 
 

@@ -280,6 +280,18 @@ class TestMalformedInput:
         assert not (tmp_path / "c.uann").exists()
 
 
+def _with_setting(section, key, value):
+    """TINY with key = value in [section], in place of TINY's own value of
+    a key that it sets (its keys are set in one section each)."""
+    header = f"[{section}]\n"
+    setting = f"{key} = {value}\n"
+    if f"\n{key} = " in TINY:
+        return re.sub(rf"\n{key} = .*\n", f"\n{setting}", TINY)
+    if header in TINY:
+        return TINY.replace(header, header + setting)
+    return TINY + "\n" + header + setting
+
+
 def _config_error(tmp_path, capsys, text):
     """The stderr line of a pipeline run refused for its config."""
     (tmp_path / "bad.cfg").write_text(text)
@@ -326,16 +338,32 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
     """A float that is not finite is refused when the config is parsed: a
     gate of NaN admits no pair, so the run would go on to fail at train
     with a misleading error."""
-    header = f"[{section}]\n"
-    setting = f"{key} = {value}\n"
-    if f"\n{key} = " in TINY:  # TINY's own learning_rate
-        text = re.sub(rf"\n{key} = .*\n", f"\n{setting}", TINY)
-    elif header in TINY:
-        text = TINY.replace(header, header + setting)
-    else:
-        text = TINY + "\n" + header + setting
-    line = _config_error(tmp_path, capsys, text)
+    line = _config_error(tmp_path, capsys, _with_setting(section, key, value))
     assert line.startswith(f"config error: [{section}] {key}: not a finite number: ")
+
+
+@pytest.mark.parametrize("section, key, value, code, prefix", [
+    ("sim", "bounds", "0", 2, "config error: [sim]: bounds must be above"),
+    ("sim", "bounds", "4", 2, "config error: [sim]: bounds must be above"),
+    ("sim", "crossings", "-1", 2, "config error: [sim]: crossings must be >= 0"),
+    ("sim", "objects", "0", 2, "config error: [sim]: objects and test_objects must be >= 1"),
+    ("sim", "test_objects", "0", 2, "config error: [sim]: objects and test_objects must be >= 1"),
+    ("sim", "frames", "1", 2, "config error: [sim]: frames must be >= 2"),
+    ("embed", "widths", "3, 0, 4", 2, "config error: [embed]: every width must be >= 1"),
+    # above the margin, yet too small for an object to stay inside
+    ("sim", "bounds", "4.5", 1, "error: could not place a crossing pair inside bounds 4.5"),
+])
+def test_value_a_later_stage_rejects(section, key, value, code, prefix, tmp_path, capsys):
+    """A value that a stage would fail on is refused when the config is
+    parsed, with one line and exit 2, before any stage runs; a scene that
+    cannot be placed ends the simulate stage with one error line."""
+    (tmp_path / "bad.cfg").write_text(_with_setting(section, key, value))
+    got, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "bad.cfg"),
+                              "--out-dir", str(tmp_path / "run")])
+    lines = err.splitlines()
+    assert got == code and len(lines) == 1 and lines[0].startswith(prefix), err
+    if code == 2:
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("modes", ["", "motion, motion",

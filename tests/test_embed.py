@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from uatrack import embed
 from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 from uatrack.embed import (
+    MAX_PASS_POINTS,
     MAX_PASS_ROWS,
     CanonicalCloud,
     EmbedNet,
@@ -298,10 +299,11 @@ class TestCanonicalize:
         pc = cloud_in_box(rng, 12)
         want = previous_canonicalize(pc, box(), 12, seed=seed_of(0))
 
-        def refuse(seed):
+        def refuse(*args):
             raise AssertionError("a crop of exactly n points draws nothing")
 
-        monkeypatch.setattr(embed.np.random, "default_rng", refuse)
+        monkeypatch.setattr(embed, "_pcg64_seeds", refuse)
+        monkeypatch.setattr(embed.np.random, "Generator", refuse)
         assert crop(pc, box(), 12, 0).points.tobytes() == want.points.tobytes()
 
     def test_subsample_without_replacement(self):
@@ -798,33 +800,40 @@ class TestFramePass:
     SRC = Path(__file__).resolve().parent.parent / "src" / "uatrack"
 
     def test_canonicalize_callers(self):
-        """Every path crops through canonicalize: the tracker and harvest a
-        frame at a time, SOT a frame at a time and its anchors, training its
+        """Every path crops through canonicalize: the tracker and harvest
+        (`mot._PairFeatures`) and SOT a run of frames at a time through
+        canonicalize_frames, SOT its anchors in one more call, training its
         anchor frames and its positives."""
-        callers = []
+        callers = {"canonicalize": [], "canonicalize_frames": []}
 
         def visit(node, path, fn):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = node.name
             if isinstance(node, ast.Call):
                 f = node.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")) == "canonicalize":
-                    callers.append((path.name, fn))
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                if name in callers:
+                    callers[name].append((path.name, fn))
             for child in ast.iter_child_nodes(node):
                 visit(child, path, fn)
 
         for path in sorted(self.SRC.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
-        assert callers == [("evaluation.py", "sot_evaluate"), ("evaluation.py", "sot_evaluate"),
-                           ("learn.py", "canon"), ("learn.py", "frame_refs"),
-                           ("mot.py", "frame")]
+        assert callers == {
+            "canonicalize": [("embed.py", "canonicalize_frames"),
+                             ("embed.py", "canonicalize_frames"),
+                             ("evaluation.py", "sot_evaluate"),
+                             ("learn.py", "canon"), ("learn.py", "frame_refs")],
+            "canonicalize_frames": [("evaluation.py", "sot_evaluate"), ("mot.py", "__init__")],
+        }
 
     @staticmethod
-    def _frame(rng, n, yaw_zero):
-        """A frame of 1 to 12 detections whose crops are empty, sparse,
-        full or dense, each cloud with up to 6 points outside its box."""
+    def _frame(rng, n, yaw_zero, dets=(1, 12)):
+        """A frame of dets[0] to dets[1] detections whose crops are empty,
+        sparse, full or dense, each cloud with up to 6 points outside its
+        box."""
         pairs = []
-        for k in range(int(rng.integers(1, 13))):
+        for k in range(int(rng.integers(dets[0], dets[1] + 1))):
             b = box(x=float(rng.uniform(-30, 30)), y=float(rng.uniform(-30, 30)),
                     yaw=0.0 if yaw_zero else float(rng.uniform(-math.pi, math.pi)),
                     l=float(rng.uniform(2, 6)), w=float(rng.uniform(1, 3)))
@@ -922,3 +931,142 @@ class TestFramePass:
             assert np.abs(got - want).max() <= STACK_TOL * np.abs(want).max()
             # a crop of the stack alone is one pass
             assert [len(p) for p in [c.points for c in stack.crops()]] == sizes.tolist()
+
+    @staticmethod
+    def _scene(frames):
+        """A scene of frames of detections (cloud, box), the k-th of frame
+        f with cloud ref "f<f>c<k>"."""
+        recs, clouds = [], {}
+        for f, pairs in enumerate(frames):
+            dets = []
+            for k, (pc, b) in enumerate(pairs):
+                clouds[f"f{f}c{k}"] = pc
+                dets.append(Detection(frame=f, box=b, score=1.0, cloud_ref=f"f{f}c{k}"))
+            recs.append(FrameRecord(index=f, detections=tuple(dets)))
+        return Sequence(frames=tuple(recs), clouds=clouds)
+
+    @pytest.mark.parametrize("yaw_zero", [True, False], ids=["exact", "rotated"])
+    def test_frame_passes_equal_frames_alone(self, yaw_zero, monkeypatch):
+        """Runs of frames cut in one pass give each frame the bytes of its
+        own canonicalize call, frames without detections and a frame above
+        the point budget included. A pass covers whole consecutive frames
+        and holds at most MAX_PASS_POINTS cloud points unless it is one
+        frame: that is the memory contract of canonicalize_frames."""
+        rng = np.random.default_rng(2 + int(yaw_zero))
+        passes = []
+        crop = embed.canonicalize
+        monkeypatch.setattr(embed, "canonicalize",
+                            lambda seq, dets, n: passes.append(list(dets)) or crop(seq, dets, n))
+        multi = big = 0
+        for trial in range(6):
+            n = int(rng.integers(1, 60))
+            frames = [self._frame(rng, n, yaw_zero, dets=(0, 12)) for _ in range(12)]
+            frames[3] = []
+            # a frame of dense crops of 400 draws is above the budget
+            frames[int(rng.integers(0, 12))] = self._frame(rng, 400, yaw_zero, dets=(12, 12))
+            seq = self._scene(frames)
+            recs = seq.frames
+            passes.clear()
+            got = list(embed.canonicalize_frames(seq, (r.detections for r in recs), n))
+            cut = passes[:]
+            assert len(got) == len(recs)
+            for stack, rec in zip(got, recs):
+                alone = crop(seq, rec.detections, n)
+                assert stack.points.tobytes() == alone.points.tobytes()
+                assert stack.starts.tolist() == alone.starts.tolist()
+                assert not stack.points.flags.writeable and not stack.starts.flags.writeable
+            # the passes are runs of whole consecutive frames, in order
+            assert [d for dets in cut for d in dets] == [d for r in recs for d in r.detections]
+            for dets in cut:
+                frames_in = sorted({d.frame for d in dets})
+                if frames_in:
+                    assert dets == [d for f in range(frames_in[0], frames_in[-1] + 1)
+                                    for d in recs[f].detections]
+                size = sum(seq.cloud_of(d).count for d in dets)
+                assert size <= MAX_PASS_POINTS or len(frames_in) == 1
+                multi += len(frames_in) > 1
+                big += size > MAX_PASS_POINTS
+        assert multi and big  # both kinds of pass are exercised
+
+    def test_first_draws_equals_per_crop_loop(self):
+        """The pass's one dedupe keeps what a per-crop np.minimum.at loop
+        keeps, crop by crop."""
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            cands, top = [], 0
+            for _ in range(int(rng.integers(1, 15))):
+                n = int(rng.integers(1, 30))
+                count = int(rng.integers(1, 2 * n))
+                kind = int(rng.integers(0, 3))
+                if kind == 0:  # a draw with replacement
+                    cands.append(top + rng.integers(0, count, size=n))
+                elif kind == 1:  # a draw without replacement
+                    cands.append(top + rng.permutation(count + n)[:n])
+                    count += n
+                else:  # one row
+                    cands.append(np.array([top]))
+                    count = 1
+                top += count
+            offsets = np.cumsum([0] + [len(c) for c in cands[:-1]])
+            rows, sizes = embed._first_draws(np.concatenate(cands), offsets.tolist(), top)
+            want = [previous_first_draws(c) for c in cands]
+            assert rows.tolist() == np.concatenate(want).tolist()
+            assert sizes.tolist() == [len(w) for w in want]
+
+
+def previous_first_draws(draw):
+    """Each drawn value once, at its first draw: the per-crop loop that
+    canonicalize ran before its crops shared one pass-level dedupe."""
+    order = np.arange(len(draw))
+    at = np.full(draw.max() + 1, len(draw))
+    np.minimum.at(at, draw, order)
+    return draw[at[draw] == order]
+
+
+class TestSeedWords:
+    """The bulk seeding reproduces SeedSequence, so every crop draws the
+    stream of np.random.default_rng(canon_seed(ref))."""
+
+    EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+    def test_refs_give_default_rng(self):
+        refs = [f"sim/test_{i % 7:02d}/f{i % 30}/d{i}" for i in range(1200)] + ["", "é", "c0"]
+        words = embed._pcg64_seeds(refs)
+        assert words.shape == (len(refs), 4) and words.dtype == np.uint64
+        for ref, w in zip(refs, words):
+            got = np.random.Generator(np.random.PCG64(embed._SeedWords(w)))
+            want = np.random.default_rng(canon_seed(ref))
+            assert got.bit_generator.state == want.bit_generator.state
+        # and the streams agree past the state
+        got = np.random.Generator(np.random.PCG64(embed._SeedWords(words[0])))
+        want = np.random.default_rng(canon_seed(refs[0]))
+        assert got.choice(500, size=64, replace=False).tolist() == \
+            want.choice(500, size=64, replace=False).tolist()
+
+    def test_edge_hashes(self):
+        words = embed._seed_words(np.array(self.EDGES, dtype=np.uint64))
+        for h, w in zip(self.EDGES, words):
+            want = np.random.SeedSequence((h, 0)).generate_state(4, np.uint64)
+            assert w.tolist() == want.tolist(), h
+            assert np.random.Generator(np.random.PCG64(embed._SeedWords(w))).bit_generator.state \
+                == np.random.default_rng((h, 0)).bit_generator.state
+
+    def test_lanes_are_independent(self):
+        """Each hash's words are the same in a batch as alone: no lane of
+        the vectorised hash carries into its neighbour."""
+        rng = np.random.default_rng(11)
+        h = np.concatenate([rng.integers(0, 2**64, size=300, dtype=np.uint64, endpoint=False),
+                            np.array(self.EDGES, dtype=np.uint64)])
+        rng.shuffle(h)
+        batch = embed._seed_words(h)
+        for v, w in zip(h, batch):
+            assert w.tolist() == embed._seed_words(np.array([v]))[0].tolist()
+            assert w.tolist() == np.random.SeedSequence((int(v), 0)).generate_state(
+                4, np.uint64).tolist()
+
+    def test_no_words_and_other_requests(self):
+        assert embed._pcg64_seeds([]).shape == (0, 4)
+        seed = embed._SeedWords(embed._pcg64_seeds(["c0"])[0])
+        with pytest.raises(ValueError, match="4 uint64"):
+            seed.generate_state(8, np.uint32)
+
