@@ -22,21 +22,21 @@ from . import kalman
 from .core import Box7, Sequence, TrackletLabel, read_jsonl
 
 
+# a track unmatched for MAX_AGE frames in a row is dropped
+MAX_AGE = 3
+# AC's denominator term, so that a match at m = 0 divides by no zero
+AC_EPS = 1e-4
+
+
 @dataclass(frozen=True)
 class AssocConfig:
-    """Gating and confidence parameters for greedy association."""
+    """The gate of greedy association."""
 
     gate: float = 13.0
-    max_age: int = 3
-    eps: float = 1e-4
 
     def __post_init__(self):
         if self.gate <= 0:
             raise ValueError(f"gate must be > 0, got {self.gate}")
-        if self.max_age < 1:
-            raise ValueError(f"max_age must be >= 1, got {self.max_age}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
     )
 
 
-def association_confidence(m, i: int, j: int, eps: float = 1e-4) -> float:
+def association_confidence(m, i: int, j: int, eps: float = AC_EPS) -> float:
     """Confidence that pair (i, j) is the right association in matrix m.
 
     Compares m[i, j] against its best row and column competitors:
@@ -110,8 +110,8 @@ def association_confidence(m, i: int, j: int, eps: float = 1e-4) -> float:
     A missing competitor set (single row or column) contributes +inf and
     drops out of the min; with neither competitor the association is
     unambiguous and AC = 1. m is a 2-D float array that greedy_associate
-    has checked and eps comes from a validated AssocConfig; neither is
-    checked again here, only the indices.
+    has checked and eps is > 0; neither is checked again here, only the
+    indices.
     """
     rows, cols = m.shape
     if not (0 <= i < rows and 0 <= j < cols):
@@ -154,7 +154,7 @@ def run_tracker(
     and consecutive-miss counts. Each frame makes one kalman.predict of
     every track, one Mahalanobis matrix m of every (track, detection) pair
     and one kalman.update of the matched tracks; a track unmatched for
-    acfg.max_age frames in a row is dropped, and each unmatched detection
+    MAX_AGE frames in a row is dropped, and each unmatched detection
     is appended as a newborn track.
 
     A pair is admitted iff m <= acfg.gate. cost_fn(ids, frame_record, m,
@@ -199,13 +199,13 @@ def run_tracker(
             if tracks is not None:
                 members, link = tracks[tid]
                 members.append((rec.index, pair.det))
-                link.append(association_confidence(m, pair.track, pair.det, acfg.eps))
+                link.append(association_confidence(m, pair.track, pair.det))
             if on_match is not None:
                 on_match(tid, pair.det, Box7.from_array(mean[pair.track, :kalman.OBS_DIM]))
 
         misses += 1
         misses[rows] = 0
-        keep = misses < acfg.max_age
+        keep = misses < MAX_AGE
         born = list(res.unmatched_detections)
         born_mean, born_cov = kalman.init_tracks(boxes[born], kcfg)
         born_ids = np.arange(born_total, born_total + len(born))

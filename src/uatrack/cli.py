@@ -160,7 +160,8 @@ def run_pseudo_tracks(rc: RunConfig, detections, target):
     """Pseudo-tracks with link confidences for one scene; the tracker uses
     only boxes."""
     seq = _read_boxes(rc, detections)
-    assoc.write_pseudo_tracks(target, assoc.build_pseudo_tracks(seq, rc.kalman, rc.assoc))
+    tracks = assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), rc.assoc)
+    assoc.write_pseudo_tracks(target, tracks)
     return [detections], [target]
 
 
@@ -188,8 +189,9 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
     net = embed.load_checkpoint(checkpoint) if APPEARANCE in models else None
-    harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path), rc.kalman,
-                                     rc.assoc, net=net, points_per_crop=rc.embed.points_per_crop)
+    harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path),
+                                     kalman.NoiseConfig(), rc.assoc, net=net,
+                                     points_per_crop=rc.embed.points_per_crop)
                 for det_path, clouds_path in scenes]
     x = np.concatenate([x for x, _ in harvests])
     y = np.concatenate([y for _, y in harvests])
@@ -214,7 +216,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     for det_path, clouds_path, targets in scenes:
         seq = _read_scene(rc, det_path, clouds_path)
         for mode, target in targets.items():
-            rows = mot.track_sequence(seq, rc.kalman, rc.assoc, mode, net=net,
+            rows = mot.track_sequence(seq, kalman.NoiseConfig(), rc.assoc, mode, net=net,
                                       model=models.get(mode),
                                       points_per_crop=rc.embed.points_per_crop)
             write_track_rows(target, rows)
@@ -282,7 +284,7 @@ def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
     gt_rows = _pooled_rows([_gt_rows_from_detections(_read_boxes(rc, p))
                             for p in gt_detections], stride)
     scores = [evaluation.amota(_pooled_rows([read_track_rows(p) for p in paths], stride),
-                               gt_rows, match_dist=rc.eval.match_dist, L=rc.eval.recall_levels)
+                               gt_rows, L=rc.eval.recall_levels)
               for paths in pred_tracks]
     return [*gt_detections, *(p for paths in pred_tracks for p in paths)], scores
 
@@ -665,10 +667,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, FileNotFoundError, ValueError,
+    except (PipelineError, OSError, ValueError,
             learn.TrainingDataExhausted, kalman.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,11 +10,8 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .assoc import AssocConfig
 from .embed import DEFAULT_POINTS, DEFAULT_WIDTHS
-from .kalman import NoiseConfig
 from .learn import TrainerConfig
 from .mot import MODES as MOT_MODES
 from .sim import NoiseModel, SceneConfig
@@ -98,13 +95,12 @@ class MotSection:
 
 @dataclass(frozen=True)
 class EvalSection:
-    match_dist: float = 2.0
     recall_levels: int = 40
     sot_noise: str = "both"  # off | on | both
 
     def __post_init__(self):
-        if self.match_dist <= 0 or self.recall_levels < 1:
-            raise ValueError("match_dist > 0 and recall_levels >= 1 required")
+        if self.recall_levels < 1:
+            raise ValueError(f"recall_levels must be >= 1, got {self.recall_levels}")
         if self.sot_noise not in ("off", "on", "both"):
             raise ValueError(f"sot_noise must be off/on/both, got {self.sot_noise!r}")
 
@@ -112,7 +108,6 @@ class EvalSection:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    kalman: NoiseConfig = field(default_factory=NoiseConfig)
     assoc: AssocConfig = field(default_factory=AssocConfig)
     embed: EmbedSection = field(default_factory=EmbedSection)
     learn: LearnSection = field(default_factory=LearnSection)
@@ -125,16 +120,9 @@ class RunConfig:
 _SECTION_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}
 
 
-def _finite(raw: str) -> float:
-    v = float(raw)
-    if not math.isfinite(v):
-        raise ValueError(f"not a finite number: {raw.strip()!r}")
-    return v
-
-
 def _parse_value(section: str, key: str, raw: str, current):
-    """Parse raw text according to the type of the default value. A float,
-    or an entry of a float list, must be finite."""
+    """Parse raw text according to the type of the default value. A float
+    must be finite."""
     raw = raw.strip()
     try:
         if isinstance(current, bool):
@@ -146,11 +134,12 @@ def _parse_value(section: str, key: str, raw: str, current):
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
-            return _finite(raw)
+            v = float(raw)
+            if not math.isfinite(v):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return v
         if isinstance(current, str):
             return raw
-        if isinstance(current, np.ndarray):
-            return np.array([_finite(v) for v in raw.split(",")])
         if isinstance(current, tuple):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if isinstance(current[0], int):
@@ -164,7 +153,8 @@ def _parse_value(section: str, key: str, raw: str, current):
 
 def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
     """Parse a config file (or literal text) into a validated RunConfig.
-    Every error is a ConfigError with a one-line message."""
+    Every error is a ConfigError with a one-line message; one that reading
+    the file raises names the file."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:
@@ -176,6 +166,10 @@ def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
         sections = {sect: dict(parser[sect]) for sect in parser.sections()}
     except configparser.Error as exc:  # its messages span lines
         raise ConfigError(" ".join(str(exc).split())) from exc
+    except OSError as exc:
+        raise ConfigError(f"{text_or_path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{text_or_path}: not UTF-8 text ({exc.reason})") from exc
 
     kwargs = {}
     for sect, items in sections.items():
@@ -205,8 +199,6 @@ def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, np.ndarray):
-        return ",".join(repr(float(x)) for x in v)
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
     if isinstance(v, float):

@@ -14,8 +14,8 @@ others. `canonicalize_frames` cuts runs of whole consecutive frames in one
 `canonicalize` pass each and gives each frame a read-only view of its
 pass's stack. Every inference path (the tracker and the logistic-fit
 harvest in `mot`, SOT evaluation) crops through it and embeds each frame
-with one `forward` call; training cuts an anchor frame's detections in one
-pass and its positives alone.
+with one `forward` call; training cuts each frame it needs whole, in one
+`canonicalize` pass (`learn.train`).
 
 A run holds at most MAX_PASS_POINTS = 4,096 cloud points, a frame of more
 alone. The budget is set by memory, not speed. A pass's work arrays take
@@ -146,9 +146,9 @@ class CanonicalCloud:
 
 
 # The starts of every crop view, shared: training caches one view per
-# detection (758 in a `train` benchmark train stage), and a (1,) array of
-# its own costs each about 120 bytes. A view of a read-only array cannot
-# be made writable.
+# detection of every frame it cuts (941 in a `train` benchmark train stage
+# at seed 0), and a (1,) array of its own costs each about 120 bytes. A
+# view of a read-only array cannot be made writable.
 _VIEW_STARTS = np.zeros(1, dtype=np.intp)
 _VIEW_STARTS.setflags(write=False)
 _VIEW_STARTS = _VIEW_STARTS[:]

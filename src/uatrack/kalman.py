@@ -71,7 +71,8 @@ def _default_p0() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NoiseConfig:
-    """Diagonal process / observation / initial covariance variances."""
+    """Diagonal process / observation / initial covariance variances. The
+    pipeline's stages filter with the defaults."""
 
     q_diag: np.ndarray = field(default_factory=_default_q)
     r_diag: np.ndarray = field(default_factory=_default_r)
@@ -84,15 +85,6 @@ class NoiseConfig:
                 raise ValueError(f"{name} entries must be finite and > 0")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, NoiseConfig):
-            return NotImplemented
-        return (
-            np.array_equal(self.q_diag, other.q_diag)
-            and np.array_equal(self.r_diag, other.r_diag)
-            and np.array_equal(self.p0_diag, other.p0_diag)
-        )
 
 
 def init_tracks(boxes, cfg: NoiseConfig):

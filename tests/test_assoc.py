@@ -457,7 +457,8 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
         for pair in res.pairs:
             tr = live[pair.track]
             if collect_confidence:
-                tr.link_conf.append(assoc.association_confidence(m, pair.track, pair.det, acfg.eps))
+                tr.link_conf.append(
+                    assoc.association_confidence(m, pair.track, pair.det, assoc.AC_EPS))
             tr.mean, tr.cov = kalman.update(tr.mean, tr.cov, dets[pair.det][None], kcfg)
             tr.misses = 0
             tr.members.append((rec.index, pair.det))
@@ -469,7 +470,7 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
         for idx, tr in enumerate(live):
             if idx not in matched:
                 tr.misses += 1
-                if tr.misses >= acfg.max_age:
+                if tr.misses >= assoc.MAX_AGE:
                     continue
             survivors.append(tr)
         for j in res.unmatched_detections:
@@ -571,11 +572,11 @@ class TestRunTracker:
         return [list(lab.members) for lab in assoc.run_tracker(seq, KCFG, ACFG)]
 
     def test_newborn_track_survives_max_age_minus_one_misses(self):
-        gap = ACFG.max_age - 1
+        gap = assoc.MAX_AGE - 1
         assert self._members({0, gap + 1}) == [[(0, 0), (gap + 1, 0)]]
 
     def test_matched_track_dies_after_max_age_misses(self):
-        a = ACFG.max_age
+        a = assoc.MAX_AGE
         # a match resets the count: max_age - 1 misses twice over keep one track
         assert self._members({0, 1, a + 1, 2 * a + 1}) == [
             [(0, 0), (1, 0), (a + 1, 0), (2 * a + 1, 0)]]

@@ -311,28 +311,39 @@ def _config_error(tmp_path, capsys, text):
     ("sim", "dropout_rate", "0.0"),
     ("learn", "seed", "5"),
     ("learn", "points_per_crop", "32"),
+    ("kalman", "q_diag", "0.01"),
+    ("kalman", "r_diag", "0.1,0.1,0.1,-inf,0.1,0.1,0.1"),
+    ("kalman", "p0_diag", "1.0"),
+    ("assoc", "max_age", "3"),
+    ("assoc", "eps", "inf"),
+    ("learn", "beta1", "0.9"),
+    ("learn", "beta2", "0.999"),
+    ("learn", "adam_eps", "1e-8"),
+    ("eval", "match_dist", "nan"),
 ])
 def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     """Keys whose options are gone (the fused modes' score gate, the squared
-    Mahalanobis variant, random negatives, cloud dropout), and keys set in
+    Mahalanobis variant, random negatives, cloud dropout), keys set in
     another section (the trainer's seed is [global] seed, its crop size
-    [embed] points_per_crop), are refused, not ignored."""
+    [embed] points_per_crop), and keys that became constants (the Kalman
+    noise, the tracker's max age and AC epsilon, Adam's betas and epsilon,
+    AMOTA's match distance) are refused, whatever their value, not
+    ignored. [kalman] has no key left, so the section itself is refused."""
     header = f"[{section}]\n"
     setting = f"{key} = {value}\n"
     text = (TINY.replace(header, header + setting) if header in TINY
             else TINY + "\n" + header + setting)
-    assert key in _config_error(tmp_path, capsys, text)
+    want = ("unknown section [kalman]" if section == "kalman"
+            else f"[{section}] unknown key {key!r}")
+    assert _config_error(tmp_path, capsys, text) == f"config error: {want}"
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("assoc", "gate", "nan"),
-    ("assoc", "eps", "inf"),
-    ("eval", "match_dist", "nan"),
     ("learn", "margin", "nan"),
     ("learn", "learning_rate", "inf"),
     ("sim", "missed_rate", "nan"),
     ("sim", "frame_period", "nan"),
-    ("kalman", "r_diag", "0.1,0.1,0.1,-inf,0.1,0.1,0.1"),
 ])
 def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
     """A float that is not finite is refused when the config is parsed: a
@@ -408,6 +419,42 @@ def test_run_that_cannot_train_exits_1(old, new, message, tmp_path, capsys):
     code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "run.cfg"),
                                "--out-dir", str(tmp_path / "run")])
     TestMalformedInput.assert_one_line_error(code, err, message)
+
+
+@pytest.mark.parametrize("case", ["config-a-directory", "config-not-utf8", "out-dir-a-file",
+                                  "detections-a-directory", "out-under-a-file",
+                                  "checkpoint-a-directory"])
+def test_path_that_cannot_be_used_exits_in_one_line(case, tiny_run, tmp_path, capsys):
+    """A path that names a directory where a file is wanted, a file where a
+    directory is wanted, or a config that is not UTF-8 ends in one stderr
+    line naming the path: exit 2 for the config, 1 for any other path."""
+    test = tiny_run / "sim" / "test_00"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    code, bad, argv = {
+        "config-a-directory": (2, tmp_path, ["pipeline", "--config", tmp_path,
+                                             "--out-dir", tmp_path / "run"]),
+        "config-not-utf8": (2, tmp_path / "latin1.cfg",
+                            ["pipeline", "--config", tmp_path / "latin1.cfg",
+                             "--out-dir", tmp_path / "run"]),
+        "out-dir-a-file": (1, a_file, ["simulate", "--out-dir", a_file]),
+        "detections-a-directory": (1, tmp_path, ["pseudo-tracks", "--detections", tmp_path,
+                                                 "--out", tmp_path / "pt.jsonl"]),
+        "out-under-a-file": (1, a_file / "x.jsonl",
+                             ["pseudo-tracks", "--detections", test / "corrupted.jsonl",
+                              "--out", a_file / "x.jsonl"]),
+        "checkpoint-a-directory": (1, tmp_path,
+                                   ["sot-eval", "--detections", test / "detections.jsonl",
+                                    "--clouds", test / "clouds", "--checkpoint", tmp_path,
+                                    "--out-dir", tmp_path / "sot"]),
+    }[case]
+    (tmp_path / "latin1.cfg").write_bytes("[global]\n# café\nseed = 3\n".encode("latin-1"))
+    got, err = _main(capsys, [str(arg) for arg in argv])
+    lines = err.splitlines()
+    assert got == code and len(lines) == 1, err
+    assert lines[0].startswith("config error: " if code == 2 else "error: ")
+    assert str(bad) in lines[0]
+    assert not (tmp_path / "run").exists()
 
 
 MODES = ("motion", "motion+score", "motion+score+appearance")

@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from uatrack import embed, mot, sim
@@ -66,19 +65,15 @@ class TestRoundTrip:
     def test_every_section_changed(self):
         rc = RunConfig(
             seed=7,
-            kalman=NoiseConfig(q_diag=np.arange(1.0, 12.0) / 7.0,
-                               r_diag=np.arange(1.0, 8.0) / 3.0,
-                               p0_diag=np.full(11, 2.5)),
-            assoc=AssocConfig(gate=9.5, max_age=5, eps=1e-3),
+            assoc=AssocConfig(gate=9.5),
             embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
             learn=LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
-                               max_gap=4, beta1=0.8, beta2=0.99, adam_eps=1e-6,
-                               use_uncertainty=False, mode="oracle"),
+                               max_gap=4, use_uncertainty=False, mode="oracle"),
             sim=replace(SimSection(), train_scenes=2, frame_period=0.1, yaw_deg=2.5),
             mot=MotSection(modes=("motion", "motion+score")),
-            eval=EvalSection(match_dist=1.5, recall_levels=10, sot_noise="on"),
+            eval=EvalSection(recall_levels=10, sot_noise="on"),
         )
-        for name in ("kalman", "assoc", "embed", "learn", "sim", "mot", "eval"):
+        for name in ("assoc", "embed", "learn", "sim", "mot", "eval"):
             assert getattr(rc, name) != getattr(RunConfig(), name), name
         assert self._round_trip(rc) == rc
 
@@ -93,12 +88,10 @@ class TestRoundTrip:
                 keys.append((section, line.split(" = ")[0]))
         assert keys == [
             ("global", "seed"),
-            ("kalman", "q_diag"), ("kalman", "r_diag"), ("kalman", "p0_diag"),
-            ("assoc", "gate"), ("assoc", "max_age"), ("assoc", "eps"),
+            ("assoc", "gate"),
             ("embed", "widths"), ("embed", "points_per_crop"),
             ("learn", "margin"), ("learn", "learning_rate"), ("learn", "batch_size"),
-            ("learn", "epochs"), ("learn", "max_gap"), ("learn", "beta1"),
-            ("learn", "beta2"), ("learn", "adam_eps"), ("learn", "use_uncertainty"),
+            ("learn", "epochs"), ("learn", "max_gap"), ("learn", "use_uncertainty"),
             ("learn", "mode"),
             ("sim", "train_scenes"), ("sim", "fit_scenes"), ("sim", "test_scenes"),
             ("sim", "objects"), ("sim", "test_objects"), ("sim", "frames"),
@@ -106,5 +99,5 @@ class TestRoundTrip:
             ("sim", "center_pct"), ("sim", "size_pct"), ("sim", "yaw_deg"),
             ("sim", "missed_rate"), ("sim", "spurious_rate"),
             ("mot", "modes"),
-            ("eval", "match_dist"), ("eval", "recall_levels"), ("eval", "sot_noise"),
+            ("eval", "recall_levels"), ("eval", "sot_noise"),
         ]

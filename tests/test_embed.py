@@ -802,8 +802,8 @@ class TestFramePass:
     def test_canonicalize_callers(self):
         """Every path crops through canonicalize: the tracker and harvest
         (`mot._PairFeatures`) and SOT a run of frames at a time through
-        canonicalize_frames, SOT its anchors in one more call, training its
-        anchor frames and its positives."""
+        canonicalize_frames, SOT its anchors in one more call, training
+        each frame it touches in one call (`learn.train`'s crop)."""
         callers = {"canonicalize": [], "canonicalize_frames": []}
 
         def visit(node, path, fn):
@@ -823,7 +823,7 @@ class TestFramePass:
             "canonicalize": [("embed.py", "canonicalize_frames"),
                              ("embed.py", "canonicalize_frames"),
                              ("evaluation.py", "sot_evaluate"),
-                             ("learn.py", "canon"), ("learn.py", "frame_refs")],
+                             ("learn.py", "crop")],
             "canonicalize_frames": [("evaluation.py", "sot_evaluate"), ("mot.py", "__init__")],
         }
 

@@ -335,6 +335,34 @@ class TestTrain:
         for a, b in zip(out.params(), ref_out.params()):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
+    def test_each_frame_is_cut_whole_once(self, monkeypatch):
+        """Training crops a frame at a time: each `embed.canonicalize` call
+        gets one frame's whole detection tuple, and no frame is cut twice,
+        over two scenes whose frames share their indices."""
+        seqs, tracks = [], []
+        for seed in (5, 6):
+            s, t = _mini_training_setup(seed=seed, n_frames=12, n_objects=4)
+            seqs += s
+            tracks += t
+        cuts = []
+        canonicalize = embed.canonicalize
+
+        def recording(seq, dets, n):
+            cuts.append((next(i for i, s in enumerate(seqs) if s is seq), tuple(dets)))
+            return canonicalize(seq, dets, n)
+
+        monkeypatch.setattr(embed, "canonicalize", recording)
+        net = embed.EmbedNet.random((3, 8, 4), seed=2)
+        train(seqs, tracks, net, TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2),
+              seed=1, points_per_crop=16)
+        frames = [(si, dets[0].frame) for si, dets in cuts]
+        assert len(frames) == len(set(frames)) > 12
+        assert {si for si, _ in frames} == {0, 1}
+        frame_dets = {(si, rec.index): rec.detections
+                      for si, seq in enumerate(seqs) for rec in seq.frames}
+        for si, dets in cuts:
+            assert dets == frame_dets[(si, dets[0].frame)]
+
     def test_non_finite_params_raise(self, monkeypatch):
         """A step whose update makes a parameter NaN stops training: the
         network built from those parameters refuses them."""
@@ -405,7 +433,8 @@ class TestTrain:
 
 
 def _crops(src, n):
-    """DetRef -> the detection's crop of n points, as train makes it."""
+    """DetRef -> the detection's crop of n points, cut alone: the same
+    bytes as the crop that train cuts with its frame."""
     return lambda ref: embed.canonicalize(
         src.seqs[ref.seq], [src.frame_map[(ref.seq, ref.frame)].detections[ref.det]], n)
 
