@@ -76,6 +76,17 @@ class PipelineError(RuntimeError):
     pass
 
 
+def _make_dir(path) -> Path:
+    """path, made as a directory with its parents unless it is one; a path
+    that names a file is refused in one line."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise PipelineError(f"{path}: not a directory") from None
+    return path
+
+
 def _load_config(path, seed: int | None = None) -> RunConfig:
     rc = RunConfig() if path is None else parse_config(path)
     return rc if seed is None else replace(rc, seed=seed)
@@ -140,7 +151,7 @@ def _stage_simulate(rc: RunConfig, out: Path):
             seq = sim.generate_sequence(scene, _scene_seed(rc, split, i))
             corrupted = sim.corrupt_detections(seq, noise, _scene_seed(rc, split, i, 100))
             d = _scene_dir(out, split, i)
-            d.mkdir(parents=True, exist_ok=True)
+            _make_dir(d)
             # clouds first: a run made before cloud packs has a directory
             # there, and write_clouds refuses it before any file is touched
             write_clouds(d / "clouds", corrupted.clouds)
@@ -231,8 +242,7 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
     sot_<clean|noisy>.csv and sot_summary.json to out_dir."""
     net = embed.load_checkpoint(checkpoint)
     seqs = [_read_scene(rc, det_path, clouds_path) for det_path, clouds_path in scenes]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(out_dir)
     outputs, summary = [], {}
     noise = _noise_model(rc)
     for noisy in {"off": [False], "on": [True], "both": [False, True]}[rc.eval.sot_noise]:
@@ -330,7 +340,7 @@ def _mot_models(rc: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def _stage_pseudo_tracks(rc: RunConfig, out: Path):
-    (out / "pseudo").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "pseudo")
     inputs, outputs = [], []
     for i, (det_path, _) in enumerate(_scenes(rc, out, "train", "corrupted.jsonl")):
         scene_inputs, scene_outputs = run_pseudo_tracks(rc, det_path, _pseudo_path(out, i))
@@ -347,18 +357,18 @@ def _stage_train(rc: RunConfig, out: Path):
                _scene_dir(out, "train", i) / "gt_tracks.jsonl" if oracle else _pseudo_path(out, i))
               for i, (det_path, clouds_path)
               in enumerate(_scenes(rc, out, "train", "corrupted.jsonl"))]
-    (out / "train").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "train")
     return run_train(rc, scenes, _checkpoint_path(out), out / "train" / "loss_history.csv")
 
 
 def _stage_fit_logistic(rc: RunConfig, out: Path):
-    (out / "mot").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "mot")
     return run_fit_logistic(rc, _scenes(rc, out, "fit", "corrupted.jsonl"),
                             _checkpoint_path(out), _mot_models(rc, out))
 
 
 def _stage_mot_run(rc: RunConfig, out: Path):
-    (out / "mot").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "mot")
     scenes = [(det_path, clouds_path, {m: _tracks_path(out, i, m) for m in rc.mot.modes})
               for i, (det_path, clouds_path)
               in enumerate(_scenes(rc, out, "test", "corrupted.jsonl"))]
@@ -372,7 +382,7 @@ def _stage_sot_eval(rc: RunConfig, out: Path):
 
 def _stage_mot_eval(rc: RunConfig, out: Path):
     eval_dir = out / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(eval_dir)
     n = rc.sim.test_scenes
     inputs, scores = run_mot_eval(
         rc, [det_path for det_path, _ in _scenes(rc, out, "test", "detections.jsonl")],
@@ -399,7 +409,7 @@ def _stage_confidence_report(rc: RunConfig, out: Path):
         (det_path, _pseudo_path(out, i))
         for i, (det_path, _) in enumerate(_scenes(rc, out, "train", "corrupted.jsonl"))])
     eval_dir = out / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(eval_dir)
     evaluation.write_confidence_csv(eval_dir / "confidence.csv", report)
     (eval_dir / "confidence_summary.json").write_text(json.dumps({
         "mean_correct": report.mean_correct,
@@ -441,8 +451,7 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
     first stage's lines replace manifest.jsonl and timings.jsonl, so a run
     whose first stage fails leaves the record of the run before as it was.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir)
     unknown = [s for s in stages if s not in _STAGES]
     if unknown:
         raise PipelineError(f"unknown stages: {unknown}")
@@ -497,8 +506,7 @@ def _paired(args, *flags):
 
 def _cmd_simulate(args) -> int:
     rc = _load_config(args.config, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(args.out_dir)
     _stage_simulate(rc, out)
     print(f"simulated {sum(_split_counts(rc).values())} scenes under {out / 'sim'}")
     return 0

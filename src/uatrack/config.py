@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class EmbedSection:
     widths: tuple[int, ...] = DEFAULT_WIDTHS
-    points_per_crop: int = DEFAULT_POINTS  # draw size; a crop keeps each drawn point once
+    points_per_crop: int = DEFAULT_POINTS  # most rows a crop holds
 
     def __post_init__(self):
         if len(self.widths) < 2 or self.widths[0] != 3:
@@ -114,6 +114,11 @@ class RunConfig:
     sim: SimSection = field(default_factory=SimSection)
     mot: MotSection = field(default_factory=MotSection)
     eval: EvalSection = field(default_factory=EvalSection)
+
+    def __post_init__(self):
+        # a ConfigError itself: --seed sets the seed after parse_config
+        if self.seed < 0:
+            raise ConfigError(f"[global] seed must be >= 0, got {self.seed}")
 
 
 # every field but seed is a section, written in field order

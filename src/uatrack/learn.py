@@ -7,10 +7,10 @@ association confidence, sum, and take one Adam step on exact gradients.
 
 Crops are cut a frame at a time: the first time a detection is needed,
 its frame's whole detection tuple is cut in one `embed.canonicalize` pass,
-and that stack's crops serve the frame's anchors, positives and mining
-candidates for the rest of the run. Each crop in a step is embedded once
-(`embed.forward_argmax`); the step's network checks its parameters for
-finiteness once, when it is built.
+and that stack, held with its row bounds, serves the frame's anchors,
+positives and mining candidates for the rest of the run. Each crop in a
+step is embedded once (`embed.forward_argmax` on its rows); the step's
+network checks its parameters for finiteness once, when it is built.
 Each anchor frame's embeddings are stacked into one matrix, with their
 norms, once per step, and each triplet's negative is one
 `mine_hard_negative` call: a vector of cosines against the anchor's row.
@@ -20,9 +20,9 @@ summed first, and `embed.backward` runs once per distinct crop, on its
 critical points only.
 
 The trainer is deterministic given (config, seed): sampling uses one
-explicit generator, canonical crops are seeded from cloud refs, and
-gradient reduction order is fixed (crops in the order the batch's
-triplets first reach them).
+explicit generator, a crop is a fixed function of its cloud and box
+(`embed.canonicalize`), and gradient reduction order is fixed (crops in
+the order the batch's triplets first reach them).
 """
 
 import math
@@ -260,7 +260,7 @@ class StepRecord:
 def memo_forward(net: embed.EmbedNet, crops):
     """Memoized `embed.forward_argmax`: DetRef -> (embedding, arg-max rows).
 
-    crops maps a DetRef to its CanonicalCloud.
+    crops maps a DetRef to the rows of its crop.
     """
     cache: dict = {}
 
@@ -278,7 +278,7 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     """Summed weighted triplet loss and exact parameter gradients for a
     batch of completed triplets (negatives already chosen).
 
-    crops maps a DetRef to its CanonicalCloud. Hinge-inactive or zero-weight
+    crops maps a DetRef to the rows of its crop. Hinge-inactive or zero-weight
     triplets contribute nothing to the gradient; the mining arg-max is
     treated as frozen. Each crop's upstream vectors are summed, in the order
     the triplets first reach the crop, and backpropagated once. A
@@ -323,11 +323,11 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
           seed: int = 0, points_per_crop: int = embed.DEFAULT_POINTS):
     """Run the full triplet-training loop; returns (trained net, history).
 
-    seed drives the sampling generator; each crop draws points_per_crop
-    points and keeps each drawn point once (`embed.canonicalize`), so it
-    holds at most points_per_crop rows. A frame is cut whole, in one
-    `embed.canonicalize` call, the first time any of its detections is
-    needed, and never again. The cut stays lazy: a benchmark run needs
+    seed drives the sampling generator; a crop holds at most
+    points_per_crop rows (`embed.canonicalize`). A frame is cut whole, in
+    one `embed.canonicalize` call, the first time any of its detections is
+    needed, and never again; its stack's rows and row bounds are held, and
+    a crop is a slice of them. The cut stays lazy: a benchmark run needs
     93-98% of its training detections anyway, but cutting every frame up
     front was no faster and raised the `train` benchmark's peak resident
     memory in 9 of 10 runs (median +0.14 MB).
@@ -348,13 +348,15 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
     frame_crops: dict = {}
     history: list[StepRecord] = []
 
-    def crop(ref: DetRef) -> embed.CanonicalCloud:
+    def crop(ref: DetRef) -> np.ndarray:
         got = frame_crops.get((ref.seq, ref.frame))
         if got is None:
             dets = src.frame_map[(ref.seq, ref.frame)].detections
-            got = frame_crops[(ref.seq, ref.frame)] = embed.canonicalize(
-                src.seqs[ref.seq], dets, points_per_crop).crops()
-        return got[ref.det]
+            stack = embed.canonicalize(src.seqs[ref.seq], dets, points_per_crop)
+            got = frame_crops[(ref.seq, ref.frame)] = (
+                stack.points, np.append(stack.starts, len(stack.points)).tolist())
+        points, bounds = got
+        return points[bounds[ref.det]:bounds[ref.det + 1]]
 
     steps_per_epoch = max(1, math.ceil(src.total_members / cfg.batch_size))
     global_step = 0

@@ -60,6 +60,15 @@ class TestPipeline:
         stages = [json.loads(line)["stage"] for line in first.decode().splitlines()]
         assert stages == list(cli.STAGE_ORDER)
 
+    def test_pass_budget_changes_no_output(self, tiny_run, tmp_path, monkeypatch):
+        """Cutting every frame in a pass of its own gives every artifact of
+        the run that cuts runs of frames together: a crop depends on its
+        own cloud and box alone."""
+        monkeypatch.setattr(embed, "MAX_PASS_POINTS", 1)
+        cli.run_pipeline(parse_config(TINY, from_path=False), cli.STAGE_ORDER, tmp_path)
+        assert (tmp_path / "manifest.jsonl").read_bytes() == \
+            (tiny_run / "manifest.jsonl").read_bytes()
+
     RECORD = {"manifest.jsonl": b'{"stage": "simulate"}\n{"stage": "train"}\n',
               "timings.jsonl": b'{"stage": "simulate", "wall_time_s": 1.0}\n'}
 
@@ -402,6 +411,19 @@ def test_non_integer_seed_exits_2(tmp_path, capsys):
     assert line.startswith("config error: [global] seed: ")
 
 
+def test_negative_config_seed_exits_2(tmp_path, capsys):
+    line = _config_error(tmp_path, capsys, TINY.replace("seed = 3", "seed = -1"))
+    assert line == "config error: [global] seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_negative_seed_flag_exits_2(command, tmp_path, capsys):
+    """--seed -1 is refused before any stage runs or any directory is made."""
+    code, err = _main(capsys, [command, "--seed", "-1", "--out-dir", str(tmp_path / "run")])
+    assert code == 2 and err.splitlines() == ["config error: [global] seed must be >= 0, got -1"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("old, new, message", [
     # every detection missed: no pseudo-track has two members
     ("frames = 8", "frames = 8\nmissed_rate = 1.0\nspurious_rate = 0.0",
@@ -422,8 +444,8 @@ def test_run_that_cannot_train_exits_1(old, new, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["config-a-directory", "config-not-utf8", "out-dir-a-file",
-                                  "detections-a-directory", "out-under-a-file",
-                                  "checkpoint-a-directory"])
+                                  "pipeline-out-dir-a-file", "detections-a-directory",
+                                  "out-under-a-file", "checkpoint-a-directory"])
 def test_path_that_cannot_be_used_exits_in_one_line(case, tiny_run, tmp_path, capsys):
     """A path that names a directory where a file is wanted, a file where a
     directory is wanted, or a config that is not UTF-8 ends in one stderr
@@ -438,6 +460,7 @@ def test_path_that_cannot_be_used_exits_in_one_line(case, tiny_run, tmp_path, ca
                             ["pipeline", "--config", tmp_path / "latin1.cfg",
                              "--out-dir", tmp_path / "run"]),
         "out-dir-a-file": (1, a_file, ["simulate", "--out-dir", a_file]),
+        "pipeline-out-dir-a-file": (1, a_file, ["pipeline", "--out-dir", a_file]),
         "detections-a-directory": (1, tmp_path, ["pseudo-tracks", "--detections", tmp_path,
                                                  "--out", tmp_path / "pt.jsonl"]),
         "out-under-a-file": (1, a_file / "x.jsonl",
@@ -454,6 +477,8 @@ def test_path_that_cannot_be_used_exits_in_one_line(case, tiny_run, tmp_path, ca
     assert got == code and len(lines) == 1, err
     assert lines[0].startswith("config error: " if code == 2 else "error: ")
     assert str(bad) in lines[0]
+    if case.endswith("out-dir-a-file"):
+        assert lines[0] == f"error: {a_file}: not a directory"
     assert not (tmp_path / "run").exists()
 
 

@@ -14,7 +14,6 @@ from uatrack.embed import (
     CanonicalCloud,
     EmbedNet,
     backward,
-    canon_seed,
     canonicalize,
     forward,
     forward_argmax,
@@ -38,19 +37,19 @@ def scene(*clouds_and_boxes):
     return seq, dets
 
 
-def crop(pc, b, n, seed=0):
-    """The crop of one detection (cloud pc, box b) whose cloud ref
-    "c<seed>" gives its draw the seed canon_seed("c<seed>")."""
-    dets = (Detection(frame=0, box=b, score=1.0, cloud_ref=f"c{seed}"),)
-    seq = Sequence(frames=(FrameRecord(index=0, detections=dets),), clouds={f"c{seed}": pc})
+def crop(pc, b, n):
+    """The crop of one detection (cloud pc, box b)."""
+    dets = (Detection(frame=0, box=b, score=1.0, cloud_ref="c0"),)
+    seq = Sequence(frames=(FrameRecord(index=0, detections=dets),), clouds={"c0": pc})
     out = canonicalize(seq, dets, n)
     assert out.starts.tolist() == [0]
     return out
 
 
-def seed_of(seed):
-    """The draw seed of crop(..., seed)."""
-    return canon_seed(f"c{seed}")
+def crops_of(stack):
+    """Each crop of a stack as a cloud of its own."""
+    bounds = np.append(stack.starts, len(stack.points)).tolist()
+    return [CanonicalCloud(points=stack.points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def cosine(e1, e2) -> float:
@@ -67,51 +66,41 @@ def cosine(e1, e2) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def reference_canonicalize(cloud, box, n, seed):
-    """The n-row crop: a sparse crop is padded to n rows with the draw's
-    repeats, and an empty crop is n origin rows. canonicalize keeps each
-    drawn point of it once; this is the reference it is held to."""
+def matrix_product_survivors(cloud, box):
+    """The points of cloud in box, in cloud order, in its frame: rotated
+    by a matrix product, one crop at a time."""
     pts = cloud.points.astype(np.float64)
     d = pts - box.center
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     local = d @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
-    inside = local[(np.abs(local) <= half).all(axis=1)]
+    return local[(np.abs(local) <= half).all(axis=1)]
+
+
+def reference_canonicalize(cloud, box, n):
+    """The n-row crop: row j is survivor (j * count) // n, so a sparse crop
+    repeats its survivors in order up to n rows, and an empty crop is n
+    origin rows. canonicalize keeps each of its rows once; this is the
+    reference it is held to."""
+    inside = matrix_product_survivors(cloud, box)
     count = inside.shape[0]
     if count == 0:
         return CanonicalCloud(points=np.zeros((n, 3)))
-    rng = np.random.default_rng(seed)
-    if count > n:
-        idx = rng.choice(count, size=n, replace=False)
-    elif count < n:
-        idx = rng.choice(count, size=n, replace=True)
-    else:
-        idx = np.arange(count)
-    return CanonicalCloud(points=inside[idx])
+    return CanonicalCloud(points=inside[np.arange(n) * count // n])
 
 
-def previous_canonicalize(cloud, box, n, seed):
-    """canonicalize before its crop lost the float64 cast copy of the
-    points and the all-axes mask; its crops are the reference, byte for
-    byte."""
-    pts = cloud.points.astype(np.float64)
-    d = pts - box.center
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    local = d @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
-    inside = local[(np.abs(local) <= half).all(axis=1)]
+def previous_canonicalize(cloud, box, n):
+    """The crop rule cut one crop at a time, with the matrix-product
+    rotation and the all-axes mask: every survivor when there are at most
+    n, else survivor (j * count) // n for j < n, and one origin row when
+    there are none. Its crops are the reference, byte for byte."""
+    inside = matrix_product_survivors(cloud, box)
     count = inside.shape[0]
     if count == 0:
         return CanonicalCloud(points=np.zeros((1, 3)))
-    rng = np.random.default_rng(seed)
-    if count > n:
-        idx = rng.choice(count, size=n, replace=False)
-    elif count < n:
-        idx = rng.choice(count, size=n, replace=True)
-        idx = idx[np.sort(np.unique(idx, return_index=True)[1])]
-    else:
-        idx = np.arange(count)
-    return CanonicalCloud(points=inside[idx])
+    if count <= n:
+        return CanonicalCloud(points=inside)
+    return CanonicalCloud(points=inside[np.arange(n) * count // n])
 
 
 # the largest difference measured between a frame's stacked forward and its
@@ -176,63 +165,59 @@ def cloud_in_box(rng, survivors, outside=3):
 class TestCanonicalize:
     def test_identity_pose(self):
         pc = PointCloud([[0.1, 0.2, 0.3]])
-        out = crop(pc, box(), 1, 0)
+        out = crop(pc, box(), 1)
         np.testing.assert_allclose(out.points, [[0.1, 0.2, 0.3]], atol=1e-6)
 
     def test_inverse_rigid_transform(self):
         # box at (5, 0, 0) with yaw pi/2; world point (5, 1, 0) -> (1, 0, 0)
         pc = PointCloud([[5.0, 1.0, 0.0]])
-        out = crop(pc, box(x=5.0, yaw=math.pi / 2), 1, 0)
+        out = crop(pc, box(x=5.0, yaw=math.pi / 2), 1)
         np.testing.assert_allclose(out.points, [[1.0, 0.0, 0.0]], atol=1e-6)
 
     def test_sparse_crop_keeps_each_drawn_survivor_once(self):
         pc = PointCloud([[0.1, 0.1, 0.1], [-0.2, 0.3, -0.1], [99.0, 99.0, 99.0],
                          [0.3, -0.4, 0.2]])
         originals = pc.points[[0, 1, 3]].astype(np.float64)
-        for n in (4, 8, 64):
-            for seed in range(10):
-                out = crop(pc, box(), n, seed)
-                assert 1 <= out.points.shape[0] <= min(n, 3)
-                assert len({tuple(p) for p in out.points}) == out.points.shape[0]
-                for p in out.points:
-                    assert (originals == p).all(axis=1).any()
-        # 64 draws from 3 survivors reach all of them
-        assert crop(pc, box(), 64, 0).points.shape == (3, 3)
+        for n in (3, 4, 8, 64):
+            # every survivor, once each, in cloud order
+            assert crop(pc, box(), n).points.tobytes() == originals.tobytes()
 
-    def test_sparse_crop_rows_in_first_draw_order(self):
+    def test_sparse_crop_rows_in_cloud_order(self):
         # box() at the origin with yaw 0 leaves coordinates exact, so the
         # survivors are the inside points in cloud order
         rng = np.random.default_rng(3)
         for trial in range(30):
             n = int(rng.integers(2, 40))
-            count = int(rng.integers(1, n))
+            count = int(rng.integers(1, n + 1))
             pc = cloud_in_box(rng, count)
             pts = pc.points.astype(np.float64)
             inside = pts[(np.abs(pts) <= [2.0, 1.0, 0.75]).all(axis=1)]
-            draw = np.random.default_rng(seed_of(trial)).choice(count, size=n, replace=True)
-            order = []
-            for i in draw:
-                if i not in order:
-                    order.append(i)
-            out = crop(pc, box(), n, trial)
-            assert out.points.tobytes() == inside[order].tobytes()
+            assert len(inside) == count
+            assert crop(pc, box(), n).points.tobytes() == inside.tobytes()
+
+    def test_dense_crop_keeps_evenly_spaced_survivors(self):
+        # 10 survivors and n = 4: survivors 0, 2, 5 and 7 (j * 10 // 4)
+        pts = np.array([[0.1 * k - 0.5, 0.0, 0.0] for k in range(10)] + [[9.0, 9.0, 9.0]])
+        out = crop(PointCloud(pts[[0, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9]]), box(), 4)
+        assert out.points.tobytes() == pts[[0, 2, 5, 7]].astype(np.float32).astype(
+            np.float64).tobytes()
 
     def test_empty_crop_is_one_origin_row(self):
         pc = PointCloud([[50.0, 50.0, 50.0]])
         for n in (1, 8, 128):
-            out = crop(pc, box(), n, 0)
+            out = crop(pc, box(), n)
             assert out.points.tobytes() == np.zeros((1, 3)).tobytes()
 
     def test_full_and_dense_crops_equal_reference(self):
-        # count >= n: the draw is kept whole, byte for byte as before
+        # count >= n: the n rows of the reference, each once
         rng = np.random.default_rng(5)
         for trial in range(30):
             n = int(rng.integers(1, 40))
             count = n + int(rng.integers(0, n + 1))
             pc = cloud_in_box(rng, count)
             b = box(x=0.1, yaw=float(rng.uniform(-0.2, 0.2)), l=5.0, w=3.0, h=2.0)
-            out = crop(pc, b, n, trial)
-            want = reference_canonicalize(pc, b, n=n, seed=seed_of(trial))
+            out = crop(pc, b, n)
+            want = reference_canonicalize(pc, b, n=n)
             assert want.points.shape == (n, 3)
             assert_same_crop(out, want, exact=False)
 
@@ -278,9 +263,9 @@ class TestCanonicalize:
             was, near = previous_inside(pc, b)
             now = inside_alone(pc, b)
             assert (was == now)[~near].all()
-            got = crop(pc, b, n, trial)
+            got = crop(pc, b, n)
             if (was == now).all():
-                want = previous_canonicalize(pc, b, n, seed=seed_of(trial))
+                want = previous_canonicalize(pc, b, n)
             else:
                 assert not exact
                 flipped += int((was != now).sum())
@@ -288,28 +273,16 @@ class TestCanonicalize:
                 # keeps those on its faces, at the same coordinates
                 want = previous_canonicalize(PointCloud(pc.points[now]),
                                              box(b.x, b.y, b.z, b.yaw, b.l + 1e-9, b.w + 1e-9,
-                                                 b.h + 1e-9), n, seed=seed_of(trial))
+                                                 b.h + 1e-9), n)
             assert_same_crop(got, want, exact)
         # some face points do cross (3, 6 and 7 of them for sparse, full and
         # dense crops), so the case above is exercised
         assert flipped > 0 or kind == "empty"
 
-    def test_full_crop_creates_no_generator(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        pc = cloud_in_box(rng, 12)
-        want = previous_canonicalize(pc, box(), 12, seed=seed_of(0))
-
-        def refuse(*args):
-            raise AssertionError("a crop of exactly n points draws nothing")
-
-        monkeypatch.setattr(embed, "_pcg64_seeds", refuse)
-        monkeypatch.setattr(embed.np.random, "Generator", refuse)
-        assert crop(pc, box(), 12, 0).points.tobytes() == want.points.tobytes()
-
     def test_subsample_without_replacement(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.4, 0.4, size=(50, 3))
-        out = crop(PointCloud(pts), box(), 20, 1)
+        out = crop(PointCloud(pts), box(), 20)
         assert out.points.shape == (20, 3)
         assert len({tuple(p) for p in np.round(out.points, 6)}) == 20
 
@@ -319,7 +292,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(4)
         pts = rng.uniform(-1.5, 1.5, size=(60, 3)).astype(np.float32)
         b0 = box(l=3.0, w=2.0, h=2.0)
-        out0 = crop(PointCloud(pts), b0, 32, 9)
+        out0 = crop(PointCloud(pts), b0, 32)
 
         th = 0.7
         t = np.array([3.0, -2.0, 0.5])
@@ -327,16 +300,12 @@ class TestCanonicalize:
         rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
         moved = pts.astype(np.float64) @ rot_t + t
         b1 = box(x=t[0], y=t[1], z=t[2], yaw=th, l=3.0, w=2.0, h=2.0)
-        out1 = crop(PointCloud(moved), b1, 32, 9)
+        out1 = crop(PointCloud(moved), b1, 32)
         np.testing.assert_allclose(out1.points, out0.points, atol=1e-5)
 
     def test_n_validated(self):
         with pytest.raises(ValueError):
             crop(PointCloud(np.zeros((1, 3))), box(), 0)
-
-    def test_canon_seed_stable(self):
-        assert canon_seed("abc") == canon_seed("abc")
-        assert canon_seed("abc") != canon_seed("abd")
 
 
 class TestForward:
@@ -493,7 +462,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         net = EmbedNet.random((3, 6, 4), seed=0)
         cloud = CanonicalCloud(points=np.random.default_rng(1).normal(size=(12, 3)))
-        grads = backward(net, cloud, np.zeros(4))
+        grads = backward(net, cloud.points, np.zeros(4))
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -503,7 +472,7 @@ class TestBackward:
             net = EmbedNet.random((3, 5, 4), seed=100 + trial)
             cloud = CanonicalCloud(points=rng.normal(size=(8, 3)))
             upstream = rng.normal(size=4)
-            analytic = backward(net, cloud, upstream)
+            analytic = backward(net, cloud.points, upstream)
             numeric = fd_gradients(net, cloud, upstream)
             for a, n in zip(analytic, numeric):
                 denom = np.maximum(np.abs(n), 1e-6)
@@ -528,22 +497,22 @@ class TestBackward:
         margin = min(feats[:, d].max() - feats[loser, d] for d in range(4))
         assert margin > 0
 
-        base = backward(net, cloud, upstream)
+        base = backward(net, cloud.points, upstream)
         bumped = pts.copy()
         bumped[loser] += margin * 1e-3  # well below the selection margin
-        out = backward(net, CanonicalCloud(points=bumped), upstream)
+        out = backward(net, bumped, upstream)
         for a, b2 in zip(base, out):
             np.testing.assert_array_equal(a, b2)
 
 
-def dense_backward(net, cloud, upstream):
+def dense_backward(net, points, upstream):
     """Reference backward over every point: full forward, scatter the
     upstream onto the first arg-max of each coordinate, backpropagate."""
     upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
-    acts = [cloud.points]
+    acts = [points]
     pre = []
     last = len(net.weights) - 1
-    x = cloud.points
+    x = points
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = x @ w.T + b
         pre.append(z)
@@ -574,15 +543,15 @@ def previous_mlp(net, points):
     return x
 
 
-def previous_backward(net, cloud, upstream, arg=None):
+def previous_backward(net, points, upstream, arg=None):
     """backward as it was before it dropped discarded work: the critical
     rows from np.unique, a rerun through the last layer, and the gradient
     with respect to the points. The new one must equal it bit for bit."""
     upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
     if arg is None:
-        arg = previous_mlp(net, cloud.points).argmax(axis=0)
+        arg = previous_mlp(net, points).argmax(axis=0)
     rows, pos = np.unique(arg, return_inverse=True)
-    acts = [cloud.points[rows]]
+    acts = [points[rows]]
     pre = []
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -604,12 +573,13 @@ def assert_matches_previous(net, cloud, upstream):
     """Embedding, arg-max and gradients equal the previous implementation's
     byte for byte, with arg passed in and computed by backward."""
     feats = previous_mlp(net, cloud.points)
-    emb, arg = forward_argmax(net, cloud)
+    emb, arg = forward_argmax(net, cloud.points)
     assert emb.tobytes() == feats.max(axis=0).tobytes()
     assert forward(net, cloud).tobytes() == feats.max(axis=0).tobytes()
     assert arg.tobytes() == feats.argmax(axis=0).tobytes()
-    want = previous_backward(net, cloud, upstream)
-    for got in (backward(net, cloud, upstream), backward(net, cloud, upstream, arg=arg)):
+    want = previous_backward(net, cloud.points, upstream)
+    pts = cloud.points
+    for got in (backward(net, pts, upstream), backward(net, pts, upstream, arg=arg)):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype
@@ -629,9 +599,10 @@ class TestCriticalPointBackward:
     @staticmethod
     def assert_matches_dense(net, cloud, upstream):
         assert_matches_previous(net, cloud, upstream)
-        want = dense_backward(net, cloud, upstream)
-        _, arg = forward_argmax(net, cloud)
-        for got in (backward(net, cloud, upstream), backward(net, cloud, upstream, arg=arg)):
+        want = dense_backward(net, cloud.points, upstream)
+        _, arg = forward_argmax(net, cloud.points)
+        pts = cloud.points
+        for got in (backward(net, pts, upstream), backward(net, pts, upstream, arg=arg)):
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == b.shape
@@ -652,7 +623,7 @@ class TestCriticalPointBackward:
             base = rng.normal(size=(5, 3))
             pts = base[rng.integers(0, 5, size=32)]
             cloud = CanonicalCloud(points=pts)
-            _, arg = forward_argmax(net, cloud)
+            _, arg = forward_argmax(net, cloud.points)
             first = {tuple(p): i for i, p in reversed(list(enumerate(pts)))}
             assert all(a == first[tuple(pts[a])] for a in arg)
             self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
@@ -666,18 +637,18 @@ class TestCriticalPointBackward:
                 weights=tuple(EmbedNet.random((3, 7, 5, 4), seed=trial).weights),
                 biases=(rng.normal(size=7), rng.normal(size=5), rng.normal(size=4)),
             )
-            cloud = crop(PointCloud([[50.0, 50.0, 50.0]]), box(), 16, 0)
-            ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16,
-                                         seed=seed_of(0))
+            cloud = crop(PointCloud([[50.0, 50.0, 50.0]]), box(), 16)
+            ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16)
             assert cloud.points.tobytes() == np.zeros((1, 3)).tobytes()
-            emb, arg = forward_argmax(net, cloud)
-            ref_emb, ref_arg = forward_argmax(net, ref)
+            emb, arg = forward_argmax(net, cloud.points)
+            ref_emb, ref_arg = forward_argmax(net, ref.points)
             np.testing.assert_array_equal(arg, np.zeros(4, dtype=arg.dtype))
             np.testing.assert_array_equal(ref_arg, np.zeros(4, dtype=arg.dtype))
             np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
             upstream = rng.normal(size=4)
             self.assert_matches_dense(net, cloud, upstream)
-            for a, b in zip(backward(net, cloud, upstream), backward(net, ref, upstream)):
+            for a, b in zip(backward(net, cloud.points, upstream),
+                            backward(net, ref.points, upstream)):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_dead_relu_units(self):
@@ -688,7 +659,7 @@ class TestCriticalPointBackward:
         biases[1][::2] = -1e3
         net = EmbedNet(weights=base.weights, biases=tuple(biases))
         cloud = CanonicalCloud(points=rng.normal(size=(30, 3)))
-        grads = backward(net, cloud, rng.normal(size=5))
+        grads = backward(net, cloud.points, rng.normal(size=5))
         assert not grads[0][:4].any() and not grads[1][:4].any()
         self.assert_matches_dense(net, cloud, rng.normal(size=5))
 
@@ -697,14 +668,14 @@ class TestCriticalPointBackward:
         for trial in range(20):
             net = EmbedNet.random(random_widths(rng), seed=300 + trial)
             cloud = CanonicalCloud(points=rng.normal(size=(24, 3)))
-            emb, arg = forward_argmax(net, cloud)
+            emb, arg = forward_argmax(net, cloud.points)
             assert emb.tobytes() == forward(net, cloud).tobytes()
             assert arg.shape == (net.dim,)
 
 
 @st.composite
 def crop_cases(draw):
-    """(cloud, box, n, seed, net, upstream): 0 to 2n survivors of a cloud,
+    """(cloud, box, n, net, upstream): 0 to 2n survivors of a cloud,
     on a coarse grid half the time so that points repeat and arg-max ties
     are common, and a random 2- to 4-layer net whose biases may silence
     whole layers."""
@@ -721,7 +692,7 @@ def crop_cases(draw):
         biases=tuple(rng.normal(0.0, bias_scale, size=w) for w in widths[1:]),
     )
     b = box(yaw=draw(st.sampled_from([0.0, 0.3])))
-    return pc, b, n, draw(st.integers(0, 2**16)), net, rng.normal(size=net.dim)
+    return pc, b, n, net, rng.normal(size=net.dim)
 
 
 class TestPreviousImplementation:
@@ -730,12 +701,12 @@ class TestPreviousImplementation:
 
     @given(crop_cases())
     @settings(max_examples=200, deadline=None)
-    @example((PointCloud([[50.0, 50.0, 50.0]]), box(), 8, 0,
+    @example((PointCloud([[50.0, 50.0, 50.0]]), box(), 8,
               EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
     def test_crops(self, case):
-        pc, b, n, seed, net, upstream = case
-        assert_matches_previous(net, crop(pc, b, n, seed), upstream)
-        assert_matches_previous(net, reference_canonicalize(pc, b, n, seed_of(seed)), upstream)
+        pc, b, n, net, upstream = case
+        assert_matches_previous(net, crop(pc, b, n), upstream)
+        assert_matches_previous(net, reference_canonicalize(pc, b, n), upstream)
 
     def test_single_layer_and_all_dead_units(self):
         rng = np.random.default_rng(16)
@@ -745,30 +716,30 @@ class TestPreviousImplementation:
         dead = EmbedNet(weights=base.weights,
                         biases=(np.full(6, -1e3), base.biases[1], base.biases[2]))
         assert_matches_previous(dead, cloud, rng.normal(size=4))
-        assert not any(g.any() for g in backward(dead, cloud, rng.normal(size=4))[:4])
+        assert not any(g.any() for g in backward(dead, cloud.points, rng.normal(size=4))[:4])
 
 
 class TestReferenceEquivalence:
-    """Embedding each drawn point once gives the embedding, the critical
-    points and the gradients of the n-row reference crop."""
+    """Embedding each row of the reference once gives the embedding, the
+    critical points and the gradients of the n-row reference crop."""
 
     @given(crop_cases())
     @settings(max_examples=200, deadline=None)
-    @example((PointCloud([[50.0, 50.0, 50.0]]), box(), 8, 0,
+    @example((PointCloud([[50.0, 50.0, 50.0]]), box(), 8,
               EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
     def test_matches_reference_crop(self, case):
-        pc, b, n, seed, net, upstream = case
-        cloud = crop(pc, b, n, seed)
-        ref = reference_canonicalize(pc, b, n, seed_of(seed))
+        pc, b, n, net, upstream = case
+        cloud = crop(pc, b, n)
+        ref = reference_canonicalize(pc, b, n)
         assert 1 <= cloud.points.shape[0] <= n
         np.testing.assert_allclose(forward(net, cloud), forward(net, ref), rtol=0.0, atol=1e-12)
-        emb, arg = forward_argmax(net, cloud)
-        ref_emb, ref_arg = forward_argmax(net, ref)
+        emb, arg = forward_argmax(net, cloud.points)
+        ref_emb, ref_arg = forward_argmax(net, ref.points)
         np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
         assert_same_crop(CanonicalCloud(points=cloud.points[arg]),
                          CanonicalCloud(points=ref.points[ref_arg]), exact=b.yaw == 0.0)
-        got = backward(net, cloud, upstream, arg=arg)
-        want = backward(net, ref, upstream, arg=ref_arg)
+        got = backward(net, cloud.points, upstream, arg=arg)
+        want = backward(net, ref.points, upstream, arg=ref_arg)
         for a, w in zip(got, want):
             np.testing.assert_allclose(a, w, rtol=0.0, atol=1e-12)
 
@@ -858,12 +829,12 @@ class TestFramePass:
             pairs = self._frame(rng, n, yaw_zero)
             seq, dets = scene(*pairs)
             stack = canonicalize(seq, dets, n)
-            crops = stack.crops()
+            crops = crops_of(stack)
             assert len(crops) == len(stack.starts) == len(dets)
             for k, (det, (pc, b)) in enumerate(zip(dets, pairs)):
                 alone = canonicalize(seq, [det], n)
                 assert crops[k].points.tobytes() == alone.points.tobytes()
-                want = previous_canonicalize(pc, b, n, canon_seed(det.cloud_ref))
+                want = previous_canonicalize(pc, b, n)
                 assert_same_crop(crops[k], want, yaw_zero)
             assert np.array_equal(np.concatenate([c.points for c in crops]), stack.points)
 
@@ -884,7 +855,7 @@ class TestFramePass:
 
     def test_points_always_copied(self):
         """A cloud keeps its own read-only copy of the points it is given,
-        read-only or not; a stack's crops are views of the stack's copy."""
+        read-only or not."""
         pts = np.ones((4, 3))
         cloud = CanonicalCloud(points=pts, starts=[0, 2])
         pts[0] = 5.0
@@ -896,13 +867,6 @@ class TestFramePass:
         frozen.flags.writeable = True
         frozen[0] = 5.0
         assert (kept.points == 1.0).all()
-        crops = cloud.crops()
-        assert all(c.points.base is cloud.points and not c.points.flags.writeable
-                   and c.starts.tolist() == [0] for c in crops)
-        assert [c.points.shape for c in crops] == [(2, 3), (2, 3)]
-        for a in (crops[0].points, crops[0].starts):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                a.flags.writeable = True
 
     def test_stacked_forward_equals_per_crop(self, monkeypatch):
         """Whole crops, at most MAX_PASS_ROWS rows a pass (a longer crop
@@ -926,11 +890,9 @@ class TestFramePass:
             assert sum(passes) == len(stack.points)
             assert all(p <= MAX_PASS_ROWS or p in sizes for p in passes)
             assert all(b in bounds for b in np.cumsum(passes).tolist())
-            want = np.array([forward(net, c)[0] for c in stack.crops()])
+            want = np.array([forward(net, c)[0] for c in crops_of(stack)])
             assert got.shape == want.shape == (len(dets), 64)
             assert np.abs(got - want).max() <= STACK_TOL * np.abs(want).max()
-            # a crop of the stack alone is one pass
-            assert [len(p) for p in [c.points for c in stack.crops()]] == sizes.tolist()
 
     @staticmethod
     def _scene(frames):
@@ -962,7 +924,7 @@ class TestFramePass:
             n = int(rng.integers(1, 60))
             frames = [self._frame(rng, n, yaw_zero, dets=(0, 12)) for _ in range(12)]
             frames[3] = []
-            # a frame of dense crops of 400 draws is above the budget
+            # a frame of 12 detections of up to about 1,200 points each is above the budget
             frames[int(rng.integers(0, 12))] = self._frame(rng, 400, yaw_zero, dets=(12, 12))
             seq = self._scene(frames)
             recs = seq.frames
@@ -987,86 +949,3 @@ class TestFramePass:
                 multi += len(frames_in) > 1
                 big += size > MAX_PASS_POINTS
         assert multi and big  # both kinds of pass are exercised
-
-    def test_first_draws_equals_per_crop_loop(self):
-        """The pass's one dedupe keeps what a per-crop np.minimum.at loop
-        keeps, crop by crop."""
-        rng = np.random.default_rng(9)
-        for trial in range(200):
-            cands, top = [], 0
-            for _ in range(int(rng.integers(1, 15))):
-                n = int(rng.integers(1, 30))
-                count = int(rng.integers(1, 2 * n))
-                kind = int(rng.integers(0, 3))
-                if kind == 0:  # a draw with replacement
-                    cands.append(top + rng.integers(0, count, size=n))
-                elif kind == 1:  # a draw without replacement
-                    cands.append(top + rng.permutation(count + n)[:n])
-                    count += n
-                else:  # one row
-                    cands.append(np.array([top]))
-                    count = 1
-                top += count
-            offsets = np.cumsum([0] + [len(c) for c in cands[:-1]])
-            rows, sizes = embed._first_draws(np.concatenate(cands), offsets.tolist(), top)
-            want = [previous_first_draws(c) for c in cands]
-            assert rows.tolist() == np.concatenate(want).tolist()
-            assert sizes.tolist() == [len(w) for w in want]
-
-
-def previous_first_draws(draw):
-    """Each drawn value once, at its first draw: the per-crop loop that
-    canonicalize ran before its crops shared one pass-level dedupe."""
-    order = np.arange(len(draw))
-    at = np.full(draw.max() + 1, len(draw))
-    np.minimum.at(at, draw, order)
-    return draw[at[draw] == order]
-
-
-class TestSeedWords:
-    """The bulk seeding reproduces SeedSequence, so every crop draws the
-    stream of np.random.default_rng(canon_seed(ref))."""
-
-    EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
-
-    def test_refs_give_default_rng(self):
-        refs = [f"sim/test_{i % 7:02d}/f{i % 30}/d{i}" for i in range(1200)] + ["", "é", "c0"]
-        words = embed._pcg64_seeds(refs)
-        assert words.shape == (len(refs), 4) and words.dtype == np.uint64
-        for ref, w in zip(refs, words):
-            got = np.random.Generator(np.random.PCG64(embed._SeedWords(w)))
-            want = np.random.default_rng(canon_seed(ref))
-            assert got.bit_generator.state == want.bit_generator.state
-        # and the streams agree past the state
-        got = np.random.Generator(np.random.PCG64(embed._SeedWords(words[0])))
-        want = np.random.default_rng(canon_seed(refs[0]))
-        assert got.choice(500, size=64, replace=False).tolist() == \
-            want.choice(500, size=64, replace=False).tolist()
-
-    def test_edge_hashes(self):
-        words = embed._seed_words(np.array(self.EDGES, dtype=np.uint64))
-        for h, w in zip(self.EDGES, words):
-            want = np.random.SeedSequence((h, 0)).generate_state(4, np.uint64)
-            assert w.tolist() == want.tolist(), h
-            assert np.random.Generator(np.random.PCG64(embed._SeedWords(w))).bit_generator.state \
-                == np.random.default_rng((h, 0)).bit_generator.state
-
-    def test_lanes_are_independent(self):
-        """Each hash's words are the same in a batch as alone: no lane of
-        the vectorised hash carries into its neighbour."""
-        rng = np.random.default_rng(11)
-        h = np.concatenate([rng.integers(0, 2**64, size=300, dtype=np.uint64, endpoint=False),
-                            np.array(self.EDGES, dtype=np.uint64)])
-        rng.shuffle(h)
-        batch = embed._seed_words(h)
-        for v, w in zip(h, batch):
-            assert w.tolist() == embed._seed_words(np.array([v]))[0].tolist()
-            assert w.tolist() == np.random.SeedSequence((int(v), 0)).generate_state(
-                4, np.uint64).tolist()
-
-    def test_no_words_and_other_requests(self):
-        assert embed._pcg64_seeds([]).shape == (0, 4)
-        seed = embed._SeedWords(embed._pcg64_seeds(["c0"])[0])
-        with pytest.raises(ValueError, match="4 uint64"):
-            seed.generate_state(8, np.uint32)
-

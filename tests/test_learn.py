@@ -48,8 +48,8 @@ class TestWeightedLoss:
         clouds = {ref: embed.CanonicalCloud(points=rng.normal(size=(12, 3)))
                   for ref in (DetRef(0, 0, 0), DetRef(0, 1, 0), DetRef(0, 0, 1))}
         net = embed.EmbedNet.random((3, 8, 4), seed=3)
-        loss, grads, weight = batch_loss_and_grads(net, clouds.__getitem__, [self._triplet(w)],
-                                                   self.MARGIN)
+        loss, grads, weight = batch_loss_and_grads(net, lambda ref: clouds[ref].points,
+                                                   [self._triplet(w)], self.MARGIN)
         cp = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)])[0],
                     embed.forward(net, clouds[DetRef(0, 1, 0)])[0])
         cn = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)])[0],
@@ -234,7 +234,7 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
     grads = [np.zeros_like(p) for p in net.params()]
     loss_sum = weight_sum = 0.0
     for t in triplets:
-        e_a, e_p, e_n = (embed.forward(net, crops(r))[0]
+        e_a, e_p, e_n = (embed.forward(net, embed.CanonicalCloud(points=crops(r)))[0]
                          for r in (t.anchor, t.positive, t.negative))
         w = t.weight if use_uncertainty else 1.0
         cp, dp_a, dp_p = learn._cosine_and_grads(e_a, e_p)
@@ -304,8 +304,9 @@ class TestTrain:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
 
     def test_history_matches_reference_crops(self, monkeypatch):
-        """Training on crops that keep each drawn point once follows training
-        on the n-row reference crops, whose copies the max pool ignores."""
+        """Training on crops that keep each row of the reference once follows
+        training on the n-row reference crops, whose copies the max pool
+        ignores."""
         seqs, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
         net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
@@ -314,12 +315,11 @@ class TestTrain:
 
         def recording(seq, dets, n):
             got = canonicalize(seq, dets, n)
-            rows.extend(len(c.points) for c in got.crops())
+            rows.extend(np.diff(np.append(got.starts, len(got.points))).tolist())
             return got
 
         def reference_stack(seq, dets, n):
-            crops = [reference_canonicalize(seq.cloud_of(d), d.box, n,
-                                            embed.canon_seed(d.cloud_ref)) for d in dets]
+            crops = [reference_canonicalize(seq.cloud_of(d), d.box, n) for d in dets]
             return embed.CanonicalCloud(points=np.concatenate([c.points for c in crops]),
                                         starts=[n * k for k in range(len(crops))])
 
@@ -433,10 +433,10 @@ class TestTrain:
 
 
 def _crops(src, n):
-    """DetRef -> the detection's crop of n points, cut alone: the same
-    bytes as the crop that train cuts with its frame."""
+    """DetRef -> the rows of the detection's crop of n points, cut alone:
+    the same bytes as the crop that train cuts with its frame."""
     return lambda ref: embed.canonicalize(
-        src.seqs[ref.seq], [src.frame_map[(ref.seq, ref.frame)].detections[ref.det]], n)
+        src.seqs[ref.seq], [src.frame_map[(ref.seq, ref.frame)].detections[ref.det]], n).points
 
 
 class TestBatchGradients:
