@@ -26,14 +26,16 @@ box noise of scene i with _scene_seed(rc, "test", i, 200).
 
 The pipeline executes stages in dependency order, writes every artifact
 under --out-dir, and appends one manifest line per stage (stage name,
-execution order, input/output hashes). Wall-clock timings go to a separate
-timings.jsonl so the manifest itself is deterministic.
+execution order, input/output hashes). Wall-clock timings and the
+resident high-water mark after each stage go to a separate timings.jsonl
+so the manifest itself is deterministic.
 """
 
 import argparse
 import hashlib
 import json
 import logging
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -176,16 +178,29 @@ def run_pseudo_tracks(rc: RunConfig, detections, target):
     return [detections], [target]
 
 
+def frame_crops(seq: Sequence, points_per_crop: int) -> dict:
+    """{frame index: its stack of crops} of each frame of seq that has
+    detections, cut through `embed.canonicalize_frames`."""
+    recs = [rec for rec in seq.frames if rec.detections]
+    return dict(zip((rec.index for rec in recs),
+                    embed.canonicalize_frames(seq, (rec.detections for rec in recs),
+                                              points_per_crop),
+                    strict=True))
+
+
 def run_train(rc: RunConfig, scenes, checkpoint, history):
-    """Train the embedding on (detections, clouds, tracks) scenes."""
-    inputs, seqs, tracks = [], [], []
+    """Train the embedding on (detections, clouds, tracks) scenes. Each
+    scene is cut into crops as it is read, and only its crops and tracks
+    are held: training holds one scene's clouds at a time."""
+    inputs, frames, tracks = [], [], []
     for det_path, clouds_path, track_path in scenes:
-        seqs.append(_read_scene(rc, det_path, clouds_path))
-        tracks.append(assoc.read_pseudo_tracks(track_path, seqs[-1]))
+        seq = _read_scene(rc, det_path, clouds_path)
+        tracks.append(assoc.read_pseudo_tracks(track_path, seq))
+        frames.append(frame_crops(seq, rc.embed.points_per_crop))
+        del seq  # its clouds and detections go before the next scene is read
         inputs += [det_path, clouds_path, track_path]
     net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed)
-    net, rows = learn.train(seqs, tracks, net, rc.learn, seed=rc.seed,
-                            points_per_crop=rc.embed.points_per_crop)
+    net, rows = learn.train(frames, tracks, net, rc.learn, seed=rc.seed)
     embed.save_checkpoint(checkpoint, net)
     learn.write_loss_history(history, rows)
     return inputs, [checkpoint, history]
@@ -447,9 +462,11 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
 
     Each stage appends a manifest line {stage, order, inputs, outputs} with
     sha256 hashes of every artifact; reruns with identical config and seed
-    produce bit-identical manifests. Timings are logged separately. The
-    first stage's lines replace manifest.jsonl and timings.jsonl, so a run
-    whose first stage fails leaves the record of the run before as it was.
+    produce bit-identical manifests. Timings are logged separately, one
+    line per stage with its wall time and the process's resident
+    high-water mark after it (`peak_rss_mb`). The first stage's lines
+    replace manifest.jsonl and timings.jsonl, so a run whose first stage
+    fails leaves the record of the run before as it was.
     """
     out = _make_dir(out_dir)
     unknown = [s for s in stages if s not in _STAGES]
@@ -484,7 +501,10 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
         with manifest_path.open(mode, encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
         with timing_path.open(mode, encoding="utf-8") as fh:
-            fh.write(json.dumps({"stage": stage, "wall_time_s": elapsed}) + "\n")
+            # Linux gives ru_maxrss in KB
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            fh.write(json.dumps({"stage": stage, "wall_time_s": elapsed,
+                                 "peak_rss_mb": peak_mb}) + "\n")
         log.info("stage %s done in %.2fs", stage, elapsed)
         lines.append(line)
     return lines

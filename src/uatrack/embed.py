@@ -12,10 +12,11 @@ returns them as one stack, a `CanonicalCloud` with a start row per crop;
 a detection's crop is the same bytes whether it is cut alone or with
 others. `canonicalize_frames` cuts runs of whole consecutive frames in one
 `canonicalize` pass each and gives each frame a read-only view of its
-pass's stack. Every inference path (the tracker and the logistic-fit
-harvest in `mot`, SOT evaluation) crops through it and embeds each frame
-with one `forward` call; training cuts each frame it needs whole, in one
-`canonicalize` pass, and holds its stack (`learn.train`).
+pass's stack. It is the one crop path: every inference path (the tracker
+and the logistic-fit harvest in `mot`, SOT evaluation) crops through it
+and embeds each frame with one `forward` call, and training cuts every
+frame of a scene through it as the scene is read (`cli.frame_crops`),
+holding the stacks and dropping the scene's clouds (`learn.train`).
 
 A crop is a fixed function of its cloud, its box and n =
 `[embed] points_per_crop`, with no random draw: of its count in-box
@@ -34,9 +35,10 @@ about 210 KB (tracemalloc), below the 290-315 KB that the per-frame crop
 it replaced took on a `crowded` frame (12.5 detections, about 1,900 cloud
 points); an `eval` frame holds about 490 points, so a pass covers about
 eight. Passes over whole scenes were faster still, but raised the
-benchmarks' peak resident memory by 2.3-8 MB: after training a run's
-resident memory sits only 0.1-0.2 MB below its training high-water mark,
-so what a later stage allocates shows in the peak.
+benchmarks' peak resident memory by 2.3-8 MB: what a stage after
+training allocates shows in the peak. Since training holds crops and no
+clouds, sot-eval and mot-eval set the high-water mark of an `eval`
+pipeline run (`peak_rss_mb` in timings.jsonl).
 
 `forward` runs the MLP over whole crops, at most MAX_PASS_ROWS = 255
 rows per pass, and max-pools each crop with `np.maximum.reduceat`. The

@@ -248,15 +248,17 @@ def amota(pred_rows, gt_rows, match_dist: float = 2.0, L: int = 40) -> MotScore:
         mota = max(0.0, 1.0 - (fp + fn + ids) / gt_count)
         per_cut.append((cut, recall, mota, fp, fn, ids))
 
+    # each target takes the achieved recall closest from above, the
+    # strictest cut breaking ties: the first of the cuts by (recall, -cut)
+    # whose recall reaches it
+    by_recall = sorted(per_cut, key=lambda pc: (pc[1], -pc[0]))
+    recalls = [pc[1] for pc in by_recall]
     thresholds = []
     for k in range(1, L + 1):
         r_target = k / L
-        reachable = [pc for pc in per_cut if pc[1] >= r_target]
-        if reachable:
-            # achieved recall closest from above; strictest cut breaks ties
-            chosen = min(reachable, key=lambda pc: (pc[1], -pc[0]))
-        else:
-            chosen = per_cut[-1]  # minimal cut: keep everything
+        at = bisect_left(recalls, r_target)
+        # unreachable: the minimal cut, which keeps everything
+        chosen = by_recall[at] if at < len(by_recall) else per_cut[-1]
         cut, recall, mota, fp, fn, ids = chosen
         thresholds.append(ThresholdStats(
             recall_target=r_target, score_cut=cut, recall=recall, mota=mota,

@@ -5,19 +5,21 @@ pseudo-tracks, mine the hardest same-frame negative for each anchor under
 the current network, weight each triplet's hinge loss by its cumulative
 association confidence, sum, and take one Adam step on exact gradients.
 
-Crops are cut a frame at a time: the first time a detection is needed,
-its frame's whole detection tuple is cut in one `embed.canonicalize` pass,
-and that stack, held with its row bounds, serves the frame's anchors,
-positives and mining candidates for the rest of the run. Each crop in a
-step is embedded once (`embed.forward_argmax` on its rows); the step's
-network checks its parameters for finiteness once, when it is built.
-Each anchor frame's embeddings are stacked into one matrix, with their
-norms, once per step, and each triplet's negative is one
-`mine_hard_negative` call: a vector of cosines against the anchor's row.
-The gradient is linear in each crop's upstream vector for a fixed arg-max,
-so the upstream vectors of every triplet member that is the same crop are
-summed first, and `embed.backward` runs once per distinct crop, on its
-critical points only.
+Training reads crops, not clouds. Its caller (`cli.run_train`) cuts each
+scene's frames through `embed.canonicalize_frames`, the crop path of
+inference, as the scene is read, and keeps each frame's stack of crops:
+a scene's clouds and detections are needed only until its crops are cut,
+and are dropped before the next scene is read. A frame's detection count
+is its stack's crop count. Each crop in a step is embedded once
+(`embed.forward_argmax` on its rows); the step's network checks its
+parameters for finiteness once, when it is built. Each anchor frame's
+embeddings are stacked into one matrix, with their norms, once per step,
+and each triplet's negative is one `mine_hard_negative` call: a vector
+of cosines against the anchor's row. The gradient is linear in each
+crop's upstream vector for a fixed arg-max, so the upstream vectors of
+every triplet member that is the same crop are summed first, and
+`embed.backward` runs once per distinct crop, on its critical points
+only.
 
 The trainer is deterministic given (config, seed): sampling uses one
 explicit generator, a crop is a fixed function of its cloud and box
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import embed
 from .assoc import cumulative_confidence
-from .core import Sequence, TrackletLabel
+from .core import TrackletLabel
 from .kalman import NumericalError
 
 
@@ -60,7 +62,7 @@ class TrainerConfig:
 
 
 class DetRef(NamedTuple):
-    """A detection addressed by (sequence index, frame index, det index)."""
+    """A detection addressed by (scene index, frame index, det index)."""
 
     seq: int
     frame: int
@@ -116,33 +118,46 @@ def mine_hard_negative(embs: np.ndarray, norms: np.ndarray, anchor: int) -> int 
 
 @dataclass(frozen=True)
 class TripletSource:
-    """Indexed view over sequences + pseudo-tracks used for sampling.
+    """Indexed view over scenes' crops + pseudo-tracks used for sampling.
 
-    tracks: per pseudo-track with >= 2 members, (seq index, the track with
-        its link confidences, member index pairs (i, j), i < j, whose frame
-        gap is within max_gap, in ascending (i, j) order)
-    frame_map[(seq, frame)]: that frame's FrameRecord
+    tracks: per pseudo-track with >= 2 members, (scene index, the track
+        with its link confidences, member index pairs (i, j), i < j, whose
+        frame gap is within max_gap, in ascending (i, j) order)
+    frames[(scene, frame)]: (rows, bounds) of the frame's crops, crop d
+        being rows[bounds[d]:bounds[d + 1]]
     total_members: members of every pseudo-track, whatever its length
     """
 
-    seqs: tuple[Sequence, ...]
     tracks: tuple[tuple[int, TrackletLabel, tuple[tuple[int, int], ...]], ...]
-    frame_map: dict
+    frames: dict
     total_members: int
 
+    def crop(self, ref: DetRef) -> np.ndarray:
+        """The rows of a detection's crop."""
+        rows, bounds = self.frames[(ref.seq, ref.frame)]
+        return rows[bounds[ref.det]:bounds[ref.det + 1]]
 
-def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
-    """tracks_per_seq: per sequence, its list of TrackletLabel.
+    def det_count(self, scene: int, frame: int) -> int:
+        """The detections of a frame; 0 for a frame the scene lacks."""
+        got = self.frames.get((scene, frame))
+        return 0 if got is None else len(got[1]) - 1
+
+
+def build_triplet_source(frames_per_scene, tracks_per_scene, max_gap: int) -> TripletSource:
+    """frames_per_scene: per scene, {frame index: `embed.CanonicalCloud`,
+    the stack of that frame's crops in det order} over the frames that have
+    detections; tracks_per_scene: per scene, its list of TrackletLabel.
 
     Raises TrainingDataExhausted when no pseudo-track has two members, or
     none has two within max_gap frames of each other.
     """
     entries = []
-    frame_map: dict = {}
+    frames: dict = {}
     total = 0
-    for si, (seq, tracks) in enumerate(zip(seqs, tracks_per_seq, strict=True)):
-        for rec in seq.frames:
-            frame_map[(si, rec.index)] = rec
+    for si, (crops, tracks) in enumerate(zip(frames_per_scene, tracks_per_scene, strict=True)):
+        for index, stack in crops.items():
+            frames[(si, index)] = (stack.points,
+                                   np.append(stack.starts, len(stack.points)).tolist())
         for lab in tracks:
             members = lab.members
             total += len(members)
@@ -159,12 +174,7 @@ def build_triplet_source(seqs, tracks_per_seq, max_gap: int) -> TripletSource:
     if not any(pairs for *_, pairs in entries):
         raise TrainingDataExhausted(
             f"no pseudo-track has two members within max_gap={max_gap} frames")
-    return TripletSource(
-        seqs=tuple(seqs),
-        tracks=tuple(entries),
-        frame_map=frame_map,
-        total_members=total,
-    )
+    return TripletSource(tracks=tuple(entries), frames=frames, total_members=total)
 
 
 def sample_triplet(src: TripletSource, rng) -> Triplet | None:
@@ -181,8 +191,7 @@ def sample_triplet(src: TripletSource, rng) -> Triplet | None:
         return None
     i, j = pairs[rng.integers(len(pairs))]
     members = lab.members
-    anchor_rec = src.frame_map.get((si, members[i][0]))
-    if anchor_rec is None or len(anchor_rec.detections) < 2:
+    if src.det_count(si, members[i][0]) < 2:
         return None
     weight = cumulative_confidence(lab.link_conf[i:j])
     return Triplet(
@@ -319,18 +328,21 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     return loss_sum, grads, weight_sum
 
 
-def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
-          seed: int = 0, points_per_crop: int = embed.DEFAULT_POINTS):
+def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerConfig, *,
+          seed: int = 0):
     """Run the full triplet-training loop; returns (trained net, history).
 
-    seed drives the sampling generator; a crop holds at most
-    points_per_crop rows (`embed.canonicalize`). A frame is cut whole, in
-    one `embed.canonicalize` call, the first time any of its detections is
-    needed, and never again; its stack's rows and row bounds are held, and
-    a crop is a slice of them. The cut stays lazy: a benchmark run needs
-    93-98% of its training detections anyway, but cutting every frame up
-    front was no faster and raised the `train` benchmark's peak resident
-    memory in 9 of 10 runs (median +0.14 MB).
+    frames_per_scene and tracks_per_scene are as `build_triplet_source`
+    takes them: each scene's per-frame crop stacks, cut before training,
+    and its pseudo-tracks. seed drives the sampling generator. Training
+    reads no cloud: a scene's clouds are dropped once its frames are cut,
+    so a run holds the crops and never every scene's clouds and detections
+    beside them. Holding those set every benchmark run's peak resident
+    memory; dropping them lowers the train stage's high-water mark by
+    about 2.2 MB (44.5 to 42.3 MB, `train` workload config). Every frame
+    with detections is cut, not only those that training reaches: on the
+    workload configs that is 98-100% of the crops, and at most 2% more
+    crop rows.
 
     One epoch is ceil(total pseudo-track members / batch size) steps. Each
     triplet's negative is the hardest other detection of the anchor's
@@ -341,22 +353,11 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
     triplet losses; history records its mean per step alongside the mean
     triplet weight.
     """
-    src = build_triplet_source(seqs, tracks_per_seq, cfg.max_gap)
+    src = build_triplet_source(frames_per_scene, tracks_per_scene, cfg.max_gap)
     rng = np.random.default_rng(seed)
     params = net.params()
     adam = AdamState.init(params)
-    frame_crops: dict = {}
     history: list[StepRecord] = []
-
-    def crop(ref: DetRef) -> np.ndarray:
-        got = frame_crops.get((ref.seq, ref.frame))
-        if got is None:
-            dets = src.frame_map[(ref.seq, ref.frame)].detections
-            stack = embed.canonicalize(src.seqs[ref.seq], dets, points_per_crop)
-            got = frame_crops[(ref.seq, ref.frame)] = (
-                stack.points, np.append(stack.starts, len(stack.points)).tolist())
-        points, bounds = got
-        return points[bounds[ref.det]:bounds[ref.det + 1]]
 
     steps_per_epoch = max(1, math.ceil(src.total_members / cfg.batch_size))
     global_step = 0
@@ -375,7 +376,7 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
                     triplets.append(t)
 
             current = embed.EmbedNet.from_params(params)
-            fwd = memo_forward(current, crop)
+            fwd = memo_forward(current, src.crop)
 
             # complete each triplet with a negative under the current net,
             # from its anchor frame's embeddings stacked once per step
@@ -385,14 +386,14 @@ def train(seqs, tracks_per_seq, net: embed.EmbedNet, cfg: TrainerConfig, *,
                 a = t.anchor
                 stacked = frames.get((a.seq, a.frame))
                 if stacked is None:
-                    dets = range(len(src.frame_map[(a.seq, a.frame)].detections))
+                    dets = range(src.det_count(a.seq, a.frame))
                     embs = np.stack([fwd(a._replace(det=d))[0] for d in dets])
                     stacked = frames[(a.seq, a.frame)] = (embs, embed.norms(embs))
                 n_det = mine_hard_negative(*stacked, a.det)
                 completed.append(Triplet(a, t.positive, DetRef(a.seq, a.frame, n_det), t.weight))
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
-                current, crop, completed, cfg.margin, cfg.use_uncertainty, fwd=fwd)
+                current, src.crop, completed, cfg.margin, cfg.use_uncertainty, fwd=fwd)
             if not math.isfinite(loss_sum):
                 raise NumericalError(
                     f"non-finite batch loss at step {global_step} "

@@ -1,6 +1,9 @@
 import ast
+import gc
 import json
 import re
+import resource
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,6 +96,41 @@ class TestPipeline:
         timings = (tmp_path / "timings.jsonl").read_text().splitlines()
         assert [json.loads(line) for line in manifest] == lines
         assert [json.loads(line)["stage"] for line in timings] == ["simulate"]
+
+    def test_timings_carry_the_resident_high_water_mark(self, tiny_run):
+        """Each timings line carries the process's resident high-water mark
+        after its stage, in MB: positive, and never falling from one stage
+        to the next of a run."""
+        lines = [json.loads(line) for line in (tiny_run / "timings.jsonl").open()]
+        assert [line["stage"] for line in lines] == list(cli.STAGE_ORDER)
+        peaks = [line["peak_rss_mb"] for line in lines]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+        assert peaks[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    def test_training_holds_one_scene_of_clouds_at_a_time(self, tmp_path, monkeypatch):
+        """Training cuts each scene into crops as it is read and keeps only
+        the crops and the tracks: when the next scene's clouds are read,
+        and when the stage is done, every cloud of the scenes before is
+        gone."""
+        rc = parse_config(TINY.replace("train_scenes = 1", "train_scenes = 3"), from_path=False)
+        cli.run_pipeline(rc, ["simulate", "pseudo-tracks"], tmp_path)
+        read_clouds = cli.read_clouds
+        scenes = []  # per read, weak references to its clouds' points
+
+        def alive():
+            gc.collect()
+            return sum(ref() is not None for refs in scenes for ref in refs)
+
+        def recording(path):
+            assert alive() == 0
+            clouds = read_clouds(path)
+            scenes.append([weakref.ref(pc.points) for pc in clouds.values()])
+            return clouds
+
+        monkeypatch.setattr(cli, "read_clouds", recording)
+        cli.run_pipeline(rc, ["train"], tmp_path)
+        assert len(scenes) == 3 and all(scenes)
+        assert alive() == 0
 
     def test_each_scene_is_four_files(self, tiny_run):
         """A scene's clouds are one pack file, not a directory, and the

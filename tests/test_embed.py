@@ -720,8 +720,14 @@ class TestPreviousImplementation:
 
 
 class TestReferenceEquivalence:
-    """Embedding each row of the reference once gives the embedding, the
-    critical points and the gradients of the n-row reference crop."""
+    """Embedding each row of the reference once gives the embedding and the
+    gradients of the n-row reference crop, and the critical points of a
+    reference with the crop's own rows.
+
+    The critical points are compared on a matrix product of the crop's own
+    row count: MLP rows computed in passes of different row counts can
+    differ in their last bits, so an exact tie between points can break
+    one way in the crop and another in its n-row reference."""
 
     @given(crop_cases())
     @settings(max_examples=200, deadline=None)
@@ -736,8 +742,10 @@ class TestReferenceEquivalence:
         emb, arg = forward_argmax(net, cloud.points)
         ref_emb, ref_arg = forward_argmax(net, ref.points)
         np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
+        own = previous_canonicalize(pc, b, n)
+        _, own_arg = forward_argmax(net, own.points)
         assert_same_crop(CanonicalCloud(points=cloud.points[arg]),
-                         CanonicalCloud(points=ref.points[ref_arg]), exact=b.yaw == 0.0)
+                         CanonicalCloud(points=own.points[own_arg]), exact=b.yaw == 0.0)
         got = backward(net, cloud.points, upstream, arg=arg)
         want = backward(net, ref.points, upstream, arg=ref_arg)
         for a, w in zip(got, want):
@@ -772,9 +780,9 @@ class TestFramePass:
 
     def test_canonicalize_callers(self):
         """Every path crops through canonicalize: the tracker and harvest
-        (`mot._PairFeatures`) and SOT a run of frames at a time through
-        canonicalize_frames, SOT its anchors in one more call, training
-        each frame it touches in one call (`learn.train`'s crop)."""
+        (`mot._PairFeatures`), SOT and training (`cli.frame_crops`, as
+        each training scene is read) a run of frames at a time through
+        canonicalize_frames, SOT its anchors in one more call."""
         callers = {"canonicalize": [], "canonicalize_frames": []}
 
         def visit(node, path, fn):
@@ -793,9 +801,9 @@ class TestFramePass:
         assert callers == {
             "canonicalize": [("embed.py", "canonicalize_frames"),
                              ("embed.py", "canonicalize_frames"),
-                             ("evaluation.py", "sot_evaluate"),
-                             ("learn.py", "crop")],
-            "canonicalize_frames": [("evaluation.py", "sot_evaluate"), ("mot.py", "__init__")],
+                             ("evaluation.py", "sot_evaluate")],
+            "canonicalize_frames": [("cli.py", "frame_crops"), ("evaluation.py", "sot_evaluate"),
+                                    ("mot.py", "__init__")],
         }
 
     @staticmethod

@@ -344,6 +344,23 @@ class TestAmotaEqualsOracle:
         assert amota(preds, gt, L=10) == oracle_amota(preds, gt, 2.0, 10)
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_recalls_take_the_strictest_cut(self, seed):
+        """Spurious rows far from every gt row, each at a score of its own,
+        leave the recall of their cut where it was, so runs of cuts tie on
+        recall; each target takes the strictest of a tied run, as the
+        oracle's scan over every cut does."""
+        rng = np.random.default_rng(seed)
+        preds, gt = _random_scene(seed, n_frames=6)
+        preds += [_row(int(rng.integers(6)), 200 + int(rng.integers(3)), 500.0 + k, 0.0,
+                       float(rng.random())) for k in range(15)]
+        cuts = sorted({r.score for r in preds})
+        recalls = [_clear_counts([r for r in preds if r.score >= c], gt, 2.0)[0] for c in cuts]
+        assert len(set(recalls)) < len(recalls)
+        for L in (7, 40):
+            assert amota(preds, gt, L=L) == oracle_amota(preds, gt, 2.0, L)
+
+
 def test_amota_rematches_only_the_frames_a_cut_touches(monkeypatch):
     """Cost guard: computing at most g_f * p_f distances each time a row joins
     frame f bounds the calls by sum_f g_f * p_f * (p_f + 1) / 2; rerunning the

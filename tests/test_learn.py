@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from test_embed import cosine, dense_backward, reference_canonicalize
 
-from uatrack import assoc, embed, kalman, learn, sim
+from uatrack import assoc, cli, embed, kalman, learn, sim
 from uatrack.learn import (
     AdamState,
     DetRef,
@@ -119,29 +119,22 @@ class TestMineHardNegative:
 def negative_candidates(src, anchor):
     """Detection indices in the anchor's frame that mining may pick: every
     detection but the anchor."""
-    rec = src.frame_map[(anchor.seq, anchor.frame)]
-    return [d for d in range(len(rec.detections)) if d != anchor.det]
+    return [d for d in range(src.det_count(anchor.seq, anchor.frame)) if d != anchor.det]
 
 
 def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3,
                         max_gap=TrainerConfig.max_gap):
-    """Build a TripletSource from hand-specified tracks over a stub sequence."""
-    from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackletLabel
+    """Build a TripletSource from hand-specified tracks over one scene of
+    stub frames, each detection's crop one origin row."""
+    from uatrack.core import TrackletLabel
 
     max_frame = max(f for members in track_members.values() for f, _ in members)
-    cloud = PointCloud(np.zeros((1, 3)))
-    frames = []
-    for f in range(max_frame + 1):
-        dets = tuple(
-            Detection(frame=f, box=Box7(0, 0, 0, 0, 1, 1, 1), score=1.0,
-                      cloud_ref="c")
-            for _ in range(frame_sizes.get(f, n_dets_per_frame))
-        )
-        frames.append(FrameRecord(index=f, detections=dets))
-    seq = Sequence(frames=tuple(frames), clouds={"c": cloud}, frame_period=0.5)
+    sizes = {f: frame_sizes.get(f, n_dets_per_frame) for f in range(max_frame + 1)}
+    frames = {f: embed.CanonicalCloud(points=np.zeros((k, 3)), starts=range(k))
+              for f, k in sizes.items() if k}
     tracks = [TrackletLabel(tid, tuple(members), tuple(link_conf[tid]))
               for tid, members in track_members.items()]
-    return build_triplet_source([seq], [tracks], max_gap)
+    return build_triplet_source([frames], [tracks], max_gap)
 
 
 class TestSampleTriplet:
@@ -250,39 +243,47 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
     return loss_sum, grads, weight_sum
 
 
-def _mini_training_setup(seed=0, n_frames=10, n_objects=3):
+def _mini_scene(seed=0, n_frames=10, n_objects=3):
+    """A small simulated scene and its pseudo-tracks."""
     scene = sim.SceneConfig(n_objects=n_objects, n_frames=n_frames,
                             base_points=120, min_points=20)
     seq = sim.generate_sequence(scene, seed=seed)
-    return [seq], [assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), assoc.AssocConfig())]
+    return seq, assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), assoc.AssocConfig())
+
+
+def _mini_training_setup(seed=0, n_frames=10, n_objects=3, n=16):
+    """train's inputs for one small scene: its frames cut into crops of at
+    most n points as `cli.run_train` cuts them, and its pseudo-tracks."""
+    seq, tracks = _mini_scene(seed, n_frames, n_objects)
+    return [cli.frame_crops(seq, n)], [tracks]
 
 
 class TestTrain:
     def test_zero_lr_bit_identical(self):
-        seqs, tracks = _mini_training_setup()
+        frames, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
         cfg = TrainerConfig(learning_rate=0.0, batch_size=4, epochs=1)
-        out, history = train(seqs, tracks, net, cfg, seed=0, points_per_crop=16)
+        out, history = train(frames, tracks, net, cfg, seed=0)
         for a, b in zip(out.params(), net.params()):
             np.testing.assert_array_equal(a, b)
         assert history
 
     def test_zero_weights_leave_params_unchanged(self):
-        seqs, tracks = _mini_training_setup()
+        frames, tracks = _mini_training_setup()
         zero = [replace(lab, link_conf=(0.0,) * len(lab.link_conf)) for lab in tracks[0]]
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
         cfg = TrainerConfig(learning_rate=1e-2, batch_size=4, epochs=1)
-        out, _ = train(seqs, [zero], net, cfg, seed=0, points_per_crop=16)
+        out, _ = train(frames, [zero], net, cfg, seed=0)
         for a, b in zip(out.params(), net.params()):
             np.testing.assert_array_equal(a, b)
 
     def test_deterministic_given_seed(self, tmp_path):
-        seqs, tracks = _mini_training_setup()
+        frames, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 8, 4), seed=1)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=2)
         files = []
         for run in range(2):
-            out, history = train(seqs, tracks, net, cfg, seed=7, points_per_crop=16)
+            out, history = train(frames, tracks, net, cfg, seed=7)
             embed.save_checkpoint(tmp_path / f"{run}.uann", out)
             learn.write_loss_history(tmp_path / f"{run}.csv", history)
             files.append(((tmp_path / f"{run}.uann").read_bytes(),
@@ -290,12 +291,12 @@ class TestTrain:
         assert files[0] == files[1]
 
     def test_history_matches_dense_per_member_path(self, monkeypatch):
-        seqs, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
+        frames, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4, n=32)
         net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
-        out, history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=32)
+        out, history = train(frames, tracks, net, cfg, seed=2)
         monkeypatch.setattr(learn, "batch_loss_and_grads", dense_batch_loss_and_grads)
-        ref_out, ref_history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=32)
+        ref_out, ref_history = train(frames, tracks, net, cfg, seed=2)
         assert len(history) == len(ref_history) > 10
         for r, q in zip(history, ref_history):
             assert r.mean_weight == q.mean_weight
@@ -307,7 +308,7 @@ class TestTrain:
         """Training on crops that keep each row of the reference once follows
         training on the n-row reference crops, whose copies the max pool
         ignores."""
-        seqs, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
+        seq, tracks = _mini_scene(seed=5, n_frames=12, n_objects=4)
         net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
         rows = []
@@ -324,10 +325,10 @@ class TestTrain:
                                         starts=[n * k for k in range(len(crops))])
 
         monkeypatch.setattr(embed, "canonicalize", recording)
-        out, history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=64)
+        out, history = train([cli.frame_crops(seq, 64)], [tracks], net, cfg, seed=2)
         assert max(rows) == 64 and min(rows) < 64  # both the dense and the sparse path
         monkeypatch.setattr(embed, "canonicalize", reference_stack)
-        ref_out, ref_history = train(seqs, tracks, net, cfg, seed=2, points_per_crop=64)
+        ref_out, ref_history = train([cli.frame_crops(seq, 64)], [tracks], net, cfg, seed=2)
         assert len(history) == len(ref_history) > 10
         for r, q in zip(history, ref_history):
             assert r.mean_weight == q.mean_weight
@@ -336,37 +337,38 @@ class TestTrain:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_each_frame_is_cut_whole_once(self, monkeypatch):
-        """Training crops a frame at a time: each `embed.canonicalize` call
-        gets one frame's whole detection tuple, and no frame is cut twice,
-        over two scenes whose frames share their indices."""
-        seqs, tracks = [], []
+        """A scene is cut as it is read (`cli.frame_crops`): each frame
+        with detections once, whole, its stack the bytes that
+        `embed.canonicalize` gives its detection tuple, over two scenes
+        whose frames share their indices; training itself cuts nothing."""
+        seqs, frames, tracks = [], [], []
         for seed in (5, 6):
-            s, t = _mini_training_setup(seed=seed, n_frames=12, n_objects=4)
-            seqs += s
-            tracks += t
-        cuts = []
-        canonicalize = embed.canonicalize
+            seq, t = _mini_scene(seed=seed, n_frames=12, n_objects=4)
+            seqs.append(seq)
+            frames.append(cli.frame_crops(seq, 16))
+            tracks.append(t)
+        for seq, crops in zip(seqs, frames):
+            recs = [rec for rec in seq.frames if rec.detections]
+            assert list(crops) == [rec.index for rec in recs] and len(recs) > 6
+            for rec in recs:
+                want = embed.canonicalize(seq, rec.detections, 16)
+                assert crops[rec.index].points.tobytes() == want.points.tobytes()
+                assert crops[rec.index].starts.tolist() == want.starts.tolist()
 
-        def recording(seq, dets, n):
-            cuts.append((next(i for i, s in enumerate(seqs) if s is seq), tuple(dets)))
-            return canonicalize(seq, dets, n)
+        def no_cut(*args):
+            raise AssertionError("training cut a crop")
 
-        monkeypatch.setattr(embed, "canonicalize", recording)
+        monkeypatch.setattr(embed, "canonicalize", no_cut)
+        monkeypatch.setattr(embed, "canonicalize_frames", no_cut)
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
-        train(seqs, tracks, net, TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2),
-              seed=1, points_per_crop=16)
-        frames = [(si, dets[0].frame) for si, dets in cuts]
-        assert len(frames) == len(set(frames)) > 12
-        assert {si for si, _ in frames} == {0, 1}
-        frame_dets = {(si, rec.index): rec.detections
-                      for si, seq in enumerate(seqs) for rec in seq.frames}
-        for si, dets in cuts:
-            assert dets == frame_dets[(si, dets[0].frame)]
+        _, history = train(frames, tracks, net,
+                           TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2), seed=1)
+        assert history
 
     def test_non_finite_params_raise(self, monkeypatch):
         """A step whose update makes a parameter NaN stops training: the
         network built from those parameters refuses them."""
-        seqs, tracks = _mini_training_setup()
+        frames, tracks = _mini_training_setup()
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1)
         adam_step = learn.adam_step
@@ -378,37 +380,35 @@ class TestTrain:
 
         monkeypatch.setattr(learn, "adam_step", poisoned)
         with pytest.raises(kalman.NumericalError, match="network parameters"):
-            train(seqs, tracks, net, cfg, seed=1, points_per_crop=16)
+            train(frames, tracks, net, cfg, seed=1)
 
     def test_loss_decreases_on_shape_dataset(self):
-        seqs, tracks = _mini_training_setup(seed=5, n_frames=16, n_objects=4)
+        frames, tracks = _mini_training_setup(seed=5, n_frames=16, n_objects=4, n=48)
         net = embed.EmbedNet.random((3, 32, 32, 32), seed=0)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=16, epochs=30)
-        _, history = train(seqs, tracks, net, cfg, seed=0, points_per_crop=48)
+        _, history = train(frames, tracks, net, cfg, seed=0)
         k = max(1, len(history) // 6)
         first = np.mean([r.mean_loss for r in history[:k]])
         last = np.mean([r.mean_loss for r in history[-k:]])
         assert last < 0.5 * first
 
     def test_exhausted_without_pairs(self):
-        seqs, tracks = _mini_training_setup(n_frames=2)
+        frames, tracks = _mini_training_setup(n_frames=2, n=8)
         singles = [replace(lab, members=lab.members[:1], link_conf=()) for lab in tracks[0]]
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
         with pytest.raises(TrainingDataExhausted):
-            train(seqs, [singles], net,
-                  TrainerConfig(batch_size=2, epochs=1), points_per_crop=8)
+            train(frames, [singles], net, TrainerConfig(batch_size=2, epochs=1))
 
     def test_exhausted_without_pairs_in_range(self):
         """Two-member tracks whose frame gap exceeds max_gap give no pair:
         training stops before sampling and names max_gap."""
-        seqs, tracks = _mini_training_setup(n_frames=8)
+        frames, tracks = _mini_training_setup(n_frames=8, n=8)
         far = [replace(lab, members=(lab.members[0], lab.members[-1]), link_conf=(0.9,))
                for lab in tracks[0] if lab.members[-1][0] - lab.members[0][0] > 2]
         assert far
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
         with pytest.raises(TrainingDataExhausted, match="max_gap=2"):
-            train(seqs, [far], net,
-                  TrainerConfig(batch_size=2, epochs=1, max_gap=2), points_per_crop=8)
+            train(frames, [far], net, TrainerConfig(batch_size=2, epochs=1, max_gap=2))
 
     def test_negative_is_the_hardest_candidate(self, monkeypatch):
         """Every negative train picks has the highest cosine to the anchor
@@ -422,28 +422,21 @@ class TestTrain:
 
         monkeypatch.setattr(learn, "mine_hard_negative", recording)
         # six objects, so that anchors have up to five candidates to rank
-        seqs, tracks = _mini_training_setup(n_objects=6)
+        frames, tracks = _mini_training_setup(n_objects=6)
         net = embed.EmbedNet.random((3, 8, 4), seed=2)
         cfg = TrainerConfig(learning_rate=1e-3, batch_size=4, epochs=1)
-        train(seqs, tracks, net, cfg, seed=1, points_per_crop=16)
+        train(frames, tracks, net, cfg, seed=1)
         assert calls and max(len(embs) for embs, _, _ in calls) > 3
         for embs, anchor, pick in calls:
             cos = {d: cosine(embs[anchor], e) for d, e in enumerate(embs) if d != anchor}
             assert all(c <= cos[pick] + 1e-12 for c in cos.values())
 
 
-def _crops(src, n):
-    """DetRef -> the rows of the detection's crop of n points, cut alone:
-    the same bytes as the crop that train cuts with its frame."""
-    return lambda ref: embed.canonicalize(
-        src.seqs[ref.seq], [src.frame_map[(ref.seq, ref.frame)].detections[ref.det]], n).points
-
-
 class TestBatchGradients:
     @staticmethod
     def _batch(seed=0, size=48):
-        seqs, tracks = _mini_training_setup(seed=seed, n_frames=8, n_objects=4)
-        src = build_triplet_source(seqs, tracks, max_gap=3)
+        frames, tracks = _mini_training_setup(seed=seed, n_frames=8, n_objects=4, n=24)
+        src = build_triplet_source(frames, tracks, max_gap=3)
         rng = np.random.default_rng(seed)
         batch = []
         while len(batch) < size:
@@ -452,7 +445,7 @@ class TestBatchGradients:
             if cands:
                 n_det = cands[int(rng.integers(len(cands)))]
                 batch.append(replace(t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
-        return _crops(src, 24), batch
+        return src.crop, batch
 
     def test_aggregation_equals_per_member_sum(self):
         crops, batch = self._batch()
@@ -475,9 +468,9 @@ class TestBatchGradients:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        seqs, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3)
-        src = build_triplet_source(seqs, tracks, TrainerConfig.max_gap)
-        crops = _crops(src, 12)
+        frames, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3, n=12)
+        src = build_triplet_source(frames, tracks, TrainerConfig.max_gap)
+        crops = src.crop
 
         checked = 0
         for trial in range(40):
