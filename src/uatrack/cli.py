@@ -22,7 +22,8 @@ Settings come only from --config; --seed, where a subcommand has it,
 overrides [global] seed. The pooled stages (train, fit-logistic, sot-eval,
 mot-eval, confidence-report) take their scenes as lists in the pipeline's
 order, and a scene's index is its position in the list: sot-eval seeds the
-box noise of scene i with _scene_seed(rc, "test", i, 200).
+box noise of scene i with _scene_seed(rc, "test", i, 200). Every stage
+that reads clouds holds one scene's at a time.
 
 The pipeline executes stages in dependency order, writes every artifact
 under --out-dir, and appends one manifest line per stage (stage name,
@@ -247,6 +248,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
                                       points_per_crop=rc.embed.points_per_crop)
             write_track_rows(target, rows)
             outputs.append(target)
+        del seq  # its clouds go before the next scene is read
         inputs += [det_path, clouds_path]
     return inputs, outputs
 
@@ -254,20 +256,24 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
 def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
     """SOT accuracy over the (detections, clouds) scenes, on clean and/or
     box-perturbed candidates as [eval] sot_noise says; writes
-    sot_<clean|noisy>.csv and sot_summary.json to out_dir."""
+    sot_<clean|noisy>.csv and sot_summary.json to out_dir. Each scene is
+    scored in every mode as it is read, and only its triples are kept: the
+    stage holds one scene's clouds at a time."""
     net = embed.load_checkpoint(checkpoint)
-    seqs = [_read_scene(rc, det_path, clouds_path) for det_path, clouds_path in scenes]
     out_dir = _make_dir(out_dir)
-    outputs, summary = [], {}
     noise = _noise_model(rc)
-    for noisy in {"off": [False], "on": [True], "both": [False, True]}[rc.eval.sot_noise]:
-        tasks = []
-        for i, seq in enumerate(seqs):
+    modes = {"off": ["clean"], "on": ["noisy"], "both": ["clean", "noisy"]}[rc.eval.sot_noise]
+    per_task = {name: [] for name in modes}
+    for i, (det_path, clouds_path) in enumerate(scenes):
+        seq = _read_scene(rc, det_path, clouds_path)
+        for name, triples in per_task.items():
             cand = (sim.perturb_boxes(seq, noise, _scene_seed(rc, "test", i, 200))
-                    if noisy else None)
-            tasks += evaluation.build_sot_tasks(seq, candidate_seq=cand)
-        result = evaluation.sot_evaluate(net, tasks, rc.embed.points_per_crop)
-        name = "noisy" if noisy else "clean"
+                    if name == "noisy" else None)
+            triples += evaluation.sot_evaluate(net, seq, cand, rc.embed.points_per_crop).per_task
+        del seq, cand  # the copy shares seq's clouds; both go before the next read
+    outputs, summary = [], {}
+    for name, triples in per_task.items():
+        result = evaluation.SotResult(tuple(triples))
         evaluation.write_sot_csv(out_dir / f"sot_{name}.csv", result)
         outputs.append(out_dir / f"sot_{name}.csv")
         summary[name] = {"accuracy": result.accuracy, "frames": result.total}

@@ -37,8 +37,8 @@ points); an `eval` frame holds about 490 points, so a pass covers about
 eight. Passes over whole scenes were faster still, but raised the
 benchmarks' peak resident memory by 2.3-8 MB: what a stage after
 training allocates shows in the peak. Since training holds crops and no
-clouds, sot-eval and mot-eval set the high-water mark of an `eval`
-pipeline run (`peak_rss_mb` in timings.jsonl).
+clouds, and every stage one scene's clouds at a time, mot-eval sets the
+high-water mark of a pipeline run (`peak_rss_mb` in timings.jsonl).
 
 `forward` runs the MLP over whole crops, at most MAX_PASS_ROWS = 255
 rows per pass, and max-pools each crop with `np.maximum.reduceat`. The

@@ -1,17 +1,19 @@
 """Evaluation harnesses: single-object association accuracy, AMOTA, and
 association-confidence validity.
 
-SOT: the target's first-frame detection is the fixed anchor; in every later
-frame containing the target, the candidate with the highest embedding cosine
-is selected and scored against the ground-truth identity. The candidates a
-pass scores are cropped a run of frames at a time and embedded once per
-candidate sequence into one matrix, and each task scores them with one
-vector of cosines, not a call per candidate.
+SOT scores one scene per call. Each gt identity's first detection is its
+fixed anchor; in every later frame containing the target, the candidate
+with the highest embedding cosine is selected and scored against the
+ground-truth identity. The candidates are cropped a run of frames at a
+time and embedded into one matrix, the anchors take one more crop and
+embed, and each anchor scores the candidates with one vector of cosines,
+not a call per candidate. A caller pooling scenes adds up their
+(target, correct, total) triples.
 
 AMOTA: recall-thresholded CLEAR-style MOTA. For each target recall r the
 prediction set is cut at the score whose achieved recall is closest from
 above to r (minimal cut when unreachable); matching is per-frame greedy by
-center distance under match_dist; MOTA_r clamps at 0 and AMOTA averages over
+center distance within MATCH_DIST; MOTA_r clamps at 0 and AMOTA averages over
 the recall grid. The CLEAR counts of every distinct score cut come from one
 sweep, strictest cut first, that matches again only the frames a cut adds
 rows to, so each (gt, pred) distance is computed once rather than once per
@@ -22,7 +24,6 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -31,88 +32,68 @@ from .core import Detection, Sequence, center_distance
 
 
 @dataclass(frozen=True)
-class SotTask:
-    """Track one gt identity through a sequence given its first detection."""
+class SotResult:
+    """SOT counts, one (target, correct, total) triple per anchor."""
 
-    seq: Sequence
-    target: int
-    anchor: Detection
-    anchor_frame: int
+    per_task: tuple[tuple[int, int, int], ...]
+
+    @property
+    def correct(self) -> int:
+        return sum(c for _, c, _ in self.per_task)
+
+    @property
+    def total(self) -> int:
+        return sum(t for *_, t in self.per_task)
+
+    @property
+    def accuracy(self) -> float:
+        return self.correct / self.total if self.total else 0.0
 
 
-def build_sot_tasks(seq: Sequence, candidate_seq: Sequence | None = None) -> list[SotTask]:
-    """One task per gt identity; candidates come from candidate_seq when
-    given (e.g. a box-perturbed copy) while anchors stay clean."""
-    tasks = []
-    seen: set[int] = set()
-    cand = candidate_seq if candidate_seq is not None else seq
+def sot_evaluate(net: embed.EmbedNet, seq: Sequence, candidates: Sequence | None = None,
+                 points_per_crop: int = embed.DEFAULT_POINTS) -> SotResult:
+    """Arg-max-cosine association accuracy of one scene.
+
+    Each gt identity's first detection in seq is its anchor, in frame
+    order; the candidates come from `candidates` (e.g. a box-perturbed
+    copy) when given, else from seq. The scored frames are cropped a run at
+    a time (`embed.canonicalize_frames`) and each is embedded with one
+    `embed.forward` call into one matrix, with the gt ids and each frame's
+    row span. An anchor takes one vector of cosines over the matrix
+    (`embed.cosines`) and the arg-max of each later frame that holds its
+    target; ties in cosine go to the lowest candidate index.
+    """
+    anchors: dict[int, tuple[int, Detection]] = {}  # gt id -> (frame index, detection)
     for rec in seq.frames:
         for det in rec.detections:
-            if det.gt_id is None or det.gt_id in seen:
-                continue
-            seen.add(det.gt_id)
-            tasks.append(SotTask(
-                seq=cand, target=det.gt_id, anchor=det, anchor_frame=rec.index,
-            ))
-    return tasks
-
-
-@dataclass(frozen=True)
-class SotResult:
-    accuracy: float
-    correct: int
-    total: int
-    per_task: tuple[tuple[int, int, int], ...]  # (target, correct, total)
-
-
-def sot_evaluate(net: embed.EmbedNet, tasks,
-                 points_per_crop: int = embed.DEFAULT_POINTS) -> SotResult:
-    """Classification accuracy of arg-max-cosine association over all tasks.
-
-    Consecutive tasks on the same candidate sequence form a run. A run
-    crops the detections of every frame that one of its tasks scores a
-    run of those frames at a time (`embed.canonicalize_frames`), embeds
-    each frame's with one `embed.forward` call into one matrix with the
-    row norms, gt ids and each frame's row span, and crops and embeds the
-    run's anchors in one more pair of calls. A task takes one
-    vector of cosines to its anchor over the matrix (`embed.cosines`) and
-    the arg-max of each scored frame's span. Frames without the target are
-    skipped; ties in cosine go to the lowest candidate index.
-    """
+            if det.gt_id is not None:
+                anchors.setdefault(det.gt_id, (rec.index, det))
+    cand = seq if candidates is None else candidates
+    present = [{d.gt_id for d in rec.detections} for rec in cand.frames]
+    scored = [[k for k, rec in enumerate(cand.frames)
+               if rec.index > frame and target in present[k]]
+              for target, (frame, _) in anchors.items()]
+    span: dict[int, tuple[int, int]] = {}  # frame position -> its rows
+    gt_ids = []
+    needed = sorted(set().union(*scored))
+    for k in needed:
+        dets = cand.frames[k].detections
+        span[k] = (len(gt_ids), len(gt_ids) + len(dets))
+        gt_ids += [d.gt_id for d in dets]
+    # map lets go of each frame's crops before the next pass is cut
+    embs = list(map(partial(embed.forward, net), embed.canonicalize_frames(
+        cand, (cand.frames[k].detections for k in needed), points_per_crop)))
+    anchor_embs = embed.forward(net, embed.canonicalize(
+        seq, [det for _, det in anchors.values()], points_per_crop))
+    emb = np.concatenate(embs) if embs else np.zeros((0, net.dim))
+    emb_norms = embed.norms(emb)
     per_task = []
-    for _, run in groupby(tasks, key=lambda task: id(task.seq)):
-        run = list(run)
-        seq = run[0].seq
-        present = [{d.gt_id for d in rec.detections} for rec in seq.frames]
-        scored = [[k for k, rec in enumerate(seq.frames)
-                   if rec.index > task.anchor_frame and task.target in present[k]]
-                  for task in run]
-        span: dict[int, tuple[int, int]] = {}  # frame position -> its rows
-        gt_ids = []
-        needed = sorted(set().union(*scored))
-        for k in needed:
-            dets = seq.frames[k].detections
-            span[k] = (len(gt_ids), len(gt_ids) + len(dets))
-            gt_ids += [d.gt_id for d in dets]
-        # map lets go of each frame's crops before the next pass is cut
-        embs = list(map(partial(embed.forward, net), embed.canonicalize_frames(
-            seq, (seq.frames[k].detections for k in needed), points_per_crop)))
-        anchors = embed.forward(net, embed.canonicalize(
-            seq, [task.anchor for task in run], points_per_crop))
-        emb = np.concatenate(embs) if embs else np.zeros((0, net.dim))
-        emb_norms = embed.norms(emb)
-        for task, frames, anchor in zip(run, scored, anchors):
-            hits = 0
-            if frames:
-                cos = embed.cosines(emb, anchor, emb_norms, embed.norms(anchor))
-                hits = sum(gt_ids[lo + int(np.argmax(cos[lo:hi]))] == task.target
-                           for lo, hi in map(span.get, frames))
-            per_task.append((task.target, hits, len(frames)))
-    correct = sum(c for _, c, _ in per_task)
-    total = sum(t for *_, t in per_task)
-    accuracy = correct / total if total else 0.0
-    return SotResult(accuracy=accuracy, correct=correct, total=total,
-                     per_task=tuple(per_task))
+    for target, frames, anchor in zip(anchors, scored, anchor_embs):
+        cos = embed.cosines(emb, anchor, emb_norms, embed.norms(anchor))
+        hits = sum(gt_ids[lo + int(np.argmax(cos[lo:hi]))] == target
+                   for lo, hi in map(span.get, frames))
+        per_task.append((target, hits, len(frames)))
+    return SotResult(tuple(per_task))
 
 
 def write_sot_csv(path, result: SotResult) -> None:
@@ -170,7 +151,10 @@ def _switches(pred_ids) -> int:
     return sum(a != b for a, b in zip(pred_ids, pred_ids[1:]))
 
 
-def amota(pred_rows, gt_rows, match_dist: float = 2.0, L: int = 40) -> MotScore:
+MATCH_DIST = 2.0  # the farthest center distance of a match
+
+
+def amota(pred_rows, gt_rows, L: int = 40) -> MotScore:
     """Average MOTA over L recall thresholds {1/L, ..., 1}.
 
     One sweep over the score cuts, strictest first. The rows of a cut join
@@ -185,8 +169,6 @@ def amota(pred_rows, gt_rows, match_dist: float = 2.0, L: int = 40) -> MotScore:
     p_f pred rows in frame f, where the full matching computes about (number
     of cuts) times that.
     """
-    if match_dist <= 0:
-        raise ValueError(f"match_dist must be > 0, got {match_dist}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     gt_rows = list(gt_rows)
@@ -196,7 +178,7 @@ def amota(pred_rows, gt_rows, match_dist: float = 2.0, L: int = 40) -> MotScore:
     gt_count = len(gt_rows)
     gt_by_frame = _group_by_frame(gt_rows)
     pred_ids: dict[int, list[int]] = {}  # frame -> kept pred track ids, in arrival order
-    cand: dict[int, list] = {}  # frame -> (d, gi, pi) within match_dist
+    cand: dict[int, list] = {}  # frame -> (d, gi, pi) within MATCH_DIST
     matched: dict[int, dict[int, list[int]]] = {}  # frame -> gt track -> its pred tracks
     track_frames: dict[int, list[int]] = {}  # gt track -> frames that match it, sorted
     tp = ids = kept = 0
@@ -229,7 +211,7 @@ def amota(pred_rows, gt_rows, match_dist: float = 2.0, L: int = 40) -> MotScore:
             pids.append(r.track_id)
             for gi, g in enumerate(gt_by_frame[r.frame]):
                 d = center_distance(g.box, r.box)
-                if d <= match_dist:
+                if d <= MATCH_DIST:
                     cand.setdefault(r.frame, []).append((d, gi, len(pids) - 1))
             touched.add(r.frame)
         for frame in touched:

@@ -55,6 +55,16 @@ def tiny_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def three_scene_run(tmp_path_factory):
+    """A tiny config with three scenes in every split, run through the
+    stages that mot-run and sot-eval read from."""
+    rc = parse_config(re.sub(r"(\w+_scenes) = 1", r"\1 = 3", TINY), from_path=False)
+    out = tmp_path_factory.mktemp("three")
+    cli.run_pipeline(rc, ["simulate", "pseudo-tracks", "train", "fit-logistic"], out)
+    return rc, out
+
+
 class TestPipeline:
     def test_manifest_byte_identical_across_runs(self, tiny_run, tmp_path):
         cli.run_pipeline(parse_config(TINY, from_path=False), cli.STAGE_ORDER, tmp_path)
@@ -107,13 +117,13 @@ class TestPipeline:
         assert peaks[0] > 0 and peaks == sorted(peaks)
         assert peaks[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    def test_training_holds_one_scene_of_clouds_at_a_time(self, tmp_path, monkeypatch):
-        """Training cuts each scene into crops as it is read and keeps only
-        the crops and the tracks: when the next scene's clouds are read,
-        and when the stage is done, every cloud of the scenes before is
-        gone."""
-        rc = parse_config(TINY.replace("train_scenes = 1", "train_scenes = 3"), from_path=False)
-        cli.run_pipeline(rc, ["simulate", "pseudo-tracks"], tmp_path)
+    @pytest.mark.parametrize("stage", ["train", "fit-logistic", "mot-run", "sot-eval"])
+    def test_stage_holds_one_scene_of_clouds_at_a_time(self, three_scene_run, stage,
+                                                       monkeypatch):
+        """Every stage that reads clouds lets go of a scene's before it
+        reads the next: when the next scene's clouds are read, and when the
+        stage is done, every cloud of the scenes before is gone."""
+        rc, out = three_scene_run
         read_clouds = cli.read_clouds
         scenes = []  # per read, weak references to its clouds' points
 
@@ -128,7 +138,7 @@ class TestPipeline:
             return clouds
 
         monkeypatch.setattr(cli, "read_clouds", recording)
-        cli.run_pipeline(rc, ["train"], tmp_path)
+        cli.run_pipeline(rc, [stage], out)
         assert len(scenes) == 3 and all(scenes)
         assert alive() == 0
 

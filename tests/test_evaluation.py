@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import groupby
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from uatrack.evaluation import (
     SotResult,
     ThresholdStats,
     amota,
-    build_sot_tasks,
     sot_evaluate,
 )
 
@@ -23,65 +22,62 @@ NET = embed.EmbedNet.random((3, 8, 8), seed=2)
 POINTS = 16
 
 
-def _sequences():
-    """Two clean scenes with distinct templates, and their box-perturbed copies."""
+def _scenes(noisy: bool):
+    """Two clean scenes with distinct templates, each with its candidates:
+    a box-perturbed copy when noisy, else None."""
     scene = sim.SceneConfig(n_objects=4, n_frames=10, crossings=1, distinct_templates=True)
     clean = [sim.generate_sequence(scene, seed=s) for s in (3, 4)]
-    noisy = [sim.perturb_boxes(seq, sim.NoiseModel(), seed=(s, 200))
-             for s, seq in zip((3, 4), clean)]
-    return clean, noisy
+    return [(seq, sim.perturb_boxes(seq, sim.NoiseModel(), seed=(s, 200)) if noisy else None)
+            for s, seq in zip((3, 4), clean)]
 
 
-def _tasks(noisy: bool):
-    clean, perturbed = _sequences()
-    tasks = []
-    for seq, cand in zip(clean, perturbed):
-        tasks += build_sot_tasks(seq, candidate_seq=cand if noisy else None)
-    return tasks
-
-
-def oracle_sot(net, tasks, n) -> SotResult:
-    """Per-task arg-max-cosine association that crops and embeds the anchor
-    and every candidate afresh with `canonicalize` and `forward`."""
-    total = correct = 0
+def oracle_sot(net, seq, candidates, n) -> SotResult:
+    """Per-anchor arg-max-cosine association that crops and embeds the
+    anchor and every candidate afresh with `canonicalize` and `forward`."""
+    cand = seq if candidates is None else candidates
+    anchors = {}
+    for rec in seq.frames:
+        for det in rec.detections:
+            if det.gt_id is not None and det.gt_id not in anchors:
+                anchors[det.gt_id] = (rec.index, det)
     per_task = []
-    for task in tasks:
-        anchor = task.anchor
-        anchor_emb = embed.forward(net, embed.canonicalize(task.seq, [anchor], n))[0]
+    for target, (anchor_frame, anchor) in anchors.items():
+        anchor_emb = embed.forward(net, embed.canonicalize(cand, [anchor], n))[0]
         t_correct = t_total = 0
-        for rec in task.seq.frames:
-            if rec.index <= task.anchor_frame:
+        for rec in cand.frames:
+            if rec.index <= anchor_frame:
                 continue
-            if not any(d.gt_id == task.target for d in rec.detections):
+            if not any(d.gt_id == target for d in rec.detections):
                 continue
             best_idx, best_cos = None, -math.inf
             for idx, det in enumerate(rec.detections):
-                crop = embed.canonicalize(task.seq, [det], n)
+                crop = embed.canonicalize(cand, [det], n)
                 c = cosine(anchor_emb, embed.forward(net, crop)[0])
                 if c > best_cos:
                     best_idx, best_cos = idx, c
             t_total += 1
-            t_correct += rec.detections[best_idx].gt_id == task.target
-        total += t_total
-        correct += t_correct
-        per_task.append((task.target, t_correct, t_total))
-    return SotResult(accuracy=correct / total if total else 0.0, correct=correct,
-                     total=total, per_task=tuple(per_task))
+            t_correct += rec.detections[best_idx].gt_id == target
+        per_task.append((target, t_correct, t_total))
+    return SotResult(tuple(per_task))
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "perturbed"])
 class TestSotEvaluate:
     def test_equals_oracle(self, noisy):
-        tasks = _tasks(noisy)
-        got = sot_evaluate(NET, tasks, POINTS)
-        assert got == oracle_sot(NET, tasks, POINTS)
-        assert len(got.per_task) == 8 and got.total > 50
-        assert 0 < got.correct < got.total
+        per_task = []
+        for seq, cand in _scenes(noisy):
+            got = sot_evaluate(NET, seq, cand, POINTS)
+            assert got == oracle_sot(NET, seq, cand, POINTS)
+            per_task += got.per_task
+        pooled = SotResult(tuple(per_task))
+        assert len(pooled.per_task) == 8 and pooled.total > 50
+        assert 0 < pooled.correct < pooled.total
+        assert pooled.correct == sum(c for _, c, _ in per_task)
+        assert pooled.accuracy == pooled.correct / pooled.total
 
     def test_one_pass_per_frame(self, noisy, monkeypatch):
-        """One crop-and-embed pass per scored frame of a run, holding each
-        of its detections once, then one for the run's anchors."""
-        tasks = _tasks(noisy)
+        """One crop-and-embed pass per scored frame of a scene, holding
+        each of its detections once, then one for the scene's anchors."""
         calls = []
         forward = embed.forward
 
@@ -90,16 +86,18 @@ class TestSotEvaluate:
             return forward(net, cloud)
 
         monkeypatch.setattr(embed, "forward", counting)
-        sot_evaluate(NET, tasks, POINTS)
-        expected = []
-        for _, run in groupby(tasks, key=lambda t: id(t.seq)):
-            run = list(run)
-            seq = run[0].seq
-            scored = {k for t in run for k, rec in enumerate(seq.frames)
-                      if rec.index > t.anchor_frame
-                      and any(d.gt_id == t.target for d in rec.detections)}
-            expected += [len(seq.frames[k].detections) for k in sorted(scored)] + [len(run)]
-        assert calls == expected
+        for seq, cand in _scenes(noisy):
+            calls.clear()
+            sot_evaluate(NET, seq, cand, POINTS)
+            frames = (seq if cand is None else cand).frames
+            first = {}  # gt id -> its anchor's frame
+            for rec in seq.frames:
+                for d in rec.detections:
+                    if d.gt_id is not None:
+                        first.setdefault(d.gt_id, rec.index)
+            scored = {k for t, f in first.items() for k, rec in enumerate(frames)
+                      if rec.index > f and any(d.gt_id == t for d in rec.detections)}
+            assert calls == [len(frames[k].detections) for k in sorted(scored)] + [len(first)]
 
 
 class TestSotTies:
@@ -134,11 +132,18 @@ class TestSotTies:
                  for d in seq.frames[1].detections]
         assert empty[0].tobytes() == empty[1].tobytes()
         assert (np.linalg.norm(empty[0]) > 0) == biased
-        tasks = build_sot_tasks(seq)
-        got = sot_evaluate(net, tasks, POINTS)
+        got = sot_evaluate(net, seq, points_per_crop=POINTS)
         assert got.per_task[0] == (0, int(target_first), 1)
-        assert got == oracle_sot(net, tasks, POINTS)
+        assert got == oracle_sot(net, seq, None, POINTS)
 
+
+def test_sot_scene_without_targets_scores_nothing():
+    seq, _ = _scenes(False)[0]
+    seq = replace(seq, frames=tuple(
+        replace(rec, detections=tuple(replace(d, gt_id=None) for d in rec.detections))
+        for rec in seq.frames))
+    got = sot_evaluate(NET, seq, points_per_crop=POINTS)
+    assert got == SotResult(()) and (got.correct, got.total, got.accuracy) == (0, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +295,9 @@ class TestAmota:
         assert got.amota == 0.0
         assert _counts(got) == [(0.0, 0.0, 0.0, 0, 2, 0)] * 3
 
-    @pytest.mark.parametrize("kwargs", [{"match_dist": 0.0}, {"L": 0}])
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            amota([], [_row(0, 1)], **kwargs)
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            amota([], [_row(0, 1)], L=0)
 
     def test_rejects_empty_ground_truth(self):
         with pytest.raises(ValueError, match="ground truth is empty"):
@@ -324,7 +328,7 @@ def _random_scene(seed, n_frames, n_tracks=4):
 
 
 # rows on a coarse grid, so that distances tie and some fall exactly on
-# match_dist; scores from a short list, so that cuts hold several rows
+# MATCH_DIST; scores from a short list, so that cuts hold several rows
 grid_rows = st.builds(_row, st.integers(0, 5), st.integers(0, 3), st.integers(0, 3),
                       st.integers(0, 2), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 1.0]))
 
@@ -335,7 +339,7 @@ class TestAmotaEqualsOracle:
                                                                  max_size=20),
            L=st.integers(1, 12))
     def test_grid_rows(self, preds, gt, L):
-        assert amota(preds, gt, match_dist=2.0, L=L) == oracle_amota(preds, gt, 2.0, L)
+        assert amota(preds, gt, L=L) == oracle_amota(preds, gt, 2.0, L)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
