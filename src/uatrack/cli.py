@@ -115,27 +115,6 @@ def _scene_seed(rc: RunConfig, split: str, index: int, salt: int = 0):
     return (rc.seed, SPLITS.index(split), index, salt)
 
 
-def _scene_config(rc: RunConfig, split: str) -> sim.SceneConfig:
-    """The splits differ only in the test split's object count and in its
-    giving each object its own template."""
-    s = rc.sim
-    n = s.test_objects if split == "test" else s.objects
-    return sim.SceneConfig(
-        n_objects=n, n_frames=s.frames, frame_period=s.frame_period, bounds=s.bounds,
-        crossings=min(s.crossings, n // 2), distinct_templates=split == "test",
-    )
-
-
-def _noise_model(rc: RunConfig) -> sim.NoiseModel:
-    """The detector noise of corrupt_detections; perturb_boxes reads only
-    its box noise."""
-    s = rc.sim
-    return sim.NoiseModel(
-        center_pct=s.center_pct, size_pct=s.size_pct, yaw_deg=s.yaw_deg,
-        spurious_rate=s.spurious_rate, missed_rate=s.missed_rate,
-    )
-
-
 def _split_counts(rc: RunConfig) -> dict[str, int]:
     return {"train": rc.sim.train_scenes, "fit": rc.sim.fit_scenes,
             "test": rc.sim.test_scenes}
@@ -147,9 +126,9 @@ def _scene_dir(out: Path, split: str, index: int) -> Path:
 
 def _stage_simulate(rc: RunConfig, out: Path):
     outputs = []
-    noise = _noise_model(rc)
+    noise = rc.sim.noise()
     for split, count in _split_counts(rc).items():
-        scene = _scene_config(rc, split)
+        scene = rc.sim.scene(split)
         for i in range(count):
             seq = sim.generate_sequence(scene, _scene_seed(rc, split, i))
             corrupted = sim.corrupt_detections(seq, noise, _scene_seed(rc, split, i, 100))
@@ -261,7 +240,7 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
     stage holds one scene's clouds at a time."""
     net = embed.load_checkpoint(checkpoint)
     out_dir = _make_dir(out_dir)
-    noise = _noise_model(rc)
+    noise = rc.sim.noise()
     modes = {"off": ["clean"], "on": ["noisy"], "both": ["clean", "noisy"]}[rc.eval.sot_noise]
     per_task = {name: [] for name in modes}
     for i, (det_path, clouds_path) in enumerate(scenes):

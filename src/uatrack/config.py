@@ -2,7 +2,8 @@
 
 A blank config reproduces every module's documented defaults. Unknown
 sections or keys are rejected with the offending section/key named, and
-values are validated by the module configs they construct.
+values are validated by the module configs they construct, when parsed:
+[sim] builds the simulator's SceneConfig for each split and its NoiseModel.
 """
 
 import configparser
@@ -55,16 +56,26 @@ class SimSection:
     def __post_init__(self):
         if min(self.train_scenes, self.fit_scenes, self.test_scenes) < 1:
             raise ValueError("every split needs at least one scene")
-        if min(self.objects, self.test_objects) < 1:
-            raise ValueError(f"objects and test_objects must be >= 1, got {self.objects} and "
-                             f"{self.test_objects}")
-        if self.frames < 2:
-            raise ValueError(f"frames must be >= 2, got {self.frames}")
-        if self.crossings < 0:
-            raise ValueError(f"crossings must be >= 0, got {self.crossings}")
-        if self.bounds <= SceneConfig.margin:
-            raise ValueError(f"bounds must be above the placement margin {SceneConfig.margin}, "
-                             f"got {self.bounds}")
+        self.scene("train")
+        self.scene("test")
+        self.noise()
+
+    def scene(self, split: str) -> SceneConfig:
+        """The splits differ only in the test split's object count and in its
+        giving each object its own template."""
+        n = self.test_objects if split == "test" else self.objects
+        return SceneConfig(
+            n_objects=n, n_frames=self.frames, frame_period=self.frame_period, bounds=self.bounds,
+            crossings=min(self.crossings, n // 2), distinct_templates=split == "test",
+        )
+
+    def noise(self) -> NoiseModel:
+        """The detector noise of corrupt_detections; perturb_boxes reads only
+        its box noise."""
+        return NoiseModel(
+            center_pct=self.center_pct, size_pct=self.size_pct, yaw_deg=self.yaw_deg,
+            spurious_rate=self.spurious_rate, missed_rate=self.missed_rate,
+        )
 
 
 @dataclass(frozen=True)

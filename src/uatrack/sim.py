@@ -41,6 +41,11 @@ TEMPLATE_PROFILES = {
 N_TEMPLATES = len(TEMPLATE_PROFILES)
 
 _INSET = 0.995  # keep surface points strictly inside the box under float noise
+MARGIN = 4.0  # every pose stays this far inside +/-bounds, in metres
+LENGTH_RANGE = (3.9, 4.7)  # an object's length is drawn uniformly from this, in metres
+WIDTH_RANGE = (1.72, 1.92)  # its width, likewise
+HEIGHT_RANGE = (1.45, 1.75)  # its height, likewise
+REF_RANGE = 18.0  # range in metres within which an object gets base_points a frame
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,14 @@ class NoiseModel:
     missed_rate: float = 0.0
 
     def __post_init__(self):
-        if self.center_pct < 0 or self.size_pct < 0 or self.yaw_deg < 0:
-            raise ValueError("noise magnitudes must be >= 0")
-        for name in ("spurious_rate", "missed_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        # perturb_boxes scales each extent by 1 + u, u in [-size_pct, size_pct)
+        for name, ok, want in (("center_pct", 0 <= self.center_pct, ">= 0"),
+                               ("size_pct", 0 <= self.size_pct < 1, "in [0, 1)"),
+                               ("yaw_deg", 0 <= self.yaw_deg, ">= 0"),
+                               ("spurious_rate", 0 <= self.spurious_rate <= 1, "in [0, 1]"),
+                               ("missed_rate", 0 <= self.missed_rate <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -105,22 +112,23 @@ class SceneConfig:
     n_frames: int = 30
     frame_period: float = 0.5
     bounds: float = 45.0
-    margin: float = 4.0
     speed_range: tuple[float, float] = (1.0, 6.5)
     crossings: int = 0
     distinct_templates: bool = False
-    length_range: tuple[float, float] = (3.9, 4.7)
-    width_range: tuple[float, float] = (1.72, 1.92)
-    height_range: tuple[float, float] = (1.45, 1.75)
     base_points: int = 220
     min_points: int = 24
-    ref_range: float = 18.0
 
     def __post_init__(self):
-        if self.n_objects < 1 or self.n_frames < 2:
-            raise ValueError("need at least 1 object and 2 frames")
-        if 2 * self.crossings > self.n_objects:
-            raise ValueError("more crossing objects than objects")
+        if self.n_objects < 1:
+            raise ValueError(f"a scene needs at least 1 object, got {self.n_objects}")
+        if self.n_frames < 2:
+            raise ValueError(f"a scene needs at least 2 frames, got {self.n_frames}")
+        if self.frame_period <= 0:
+            raise ValueError(f"frame_period must be > 0, got {self.frame_period}")
+        if not 0 <= 2 * self.crossings <= self.n_objects:
+            raise ValueError(f"crossings must be >= 0 and <= n_objects // 2, got {self.crossings}")
+        if self.bounds <= MARGIN:
+            raise ValueError(f"bounds must be above the margin {MARGIN}, got {self.bounds}")
 
 
 def template_faces(template: int, deform, extents) -> list:
@@ -218,7 +226,7 @@ def sample_deform(template: int, rng) -> tuple[float, ...]:
 
 
 def _in_bounds(spec: ObjectSpec, scene: SceneConfig) -> bool:
-    limit = scene.bounds - scene.margin
+    limit = scene.bounds - MARGIN
     for f in range(scene.n_frames):
         x, y, _ = spec.pose_at(f * scene.frame_period)
         if abs(x) > limit or abs(y) > limit:
@@ -241,9 +249,9 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
             template=templates[i],
             deform=sample_deform(templates[i], rng),
             extents=(
-                float(rng.uniform(*scene.length_range)),
-                float(rng.uniform(*scene.width_range)),
-                float(rng.uniform(*scene.height_range)),
+                float(rng.uniform(*LENGTH_RANGE)),
+                float(rng.uniform(*WIDTH_RANGE)),
+                float(rng.uniform(*HEIGHT_RANGE)),
             ),
         )
 
@@ -299,8 +307,14 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
 
 
 def _points_for_range(scene: SceneConfig, rng_dist: float) -> int:
-    scale = min(1.0, (scene.ref_range / max(rng_dist, 1e-6)) ** 2)
+    scale = min(1.0, (REF_RANGE / max(rng_dist, 1e-6)) ** 2)
     return max(scene.min_points, int(round(scene.base_points * scale)))
+
+
+def _to_world(local: np.ndarray, yaw: float, center) -> np.ndarray:
+    """Box-frame points rotated by yaw about +z, then moved to center."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return local @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) + center
 
 
 def generate_sequence(scene: SceneConfig, seed) -> Sequence:
@@ -327,11 +341,8 @@ def generate_sequence(scene: SceneConfig, seed) -> Sequence:
             l, w, h = spec.extents
             local = sample_surface(surfaces[i], uniforms[at:at + counts[i]])
             at += counts[i]
-            c, s = math.cos(yaw), math.sin(yaw)
-            rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-            world = local @ rot_t + np.array([x, y, h / 2.0])
             ref = f"f{f:03d}o{i:02d}"
-            clouds[ref] = PointCloud(world)
+            clouds[ref] = PointCloud(_to_world(local, yaw, (x, y, h / 2.0)))
             dets.append(Detection(
                 frame=f,
                 box=Box7(x=x, y=y, z=h / 2.0, yaw=yaw, l=l, w=w, h=h),
@@ -414,12 +425,9 @@ def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
             )
             n_pts = int(rng.integers(4, 16))
             local = rng.uniform(-0.5, 0.5, size=(n_pts, 3)) * np.array([l, w, h]) * 0.9
-            c, s = math.cos(box.yaw), math.sin(box.yaw)
-            rot_t = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-            world = local @ rot_t + box.center
             ref = f"f{rec.index:03d}spur{spur_serial:03d}"
             spur_serial += 1
-            clouds[ref] = PointCloud(world)
+            clouds[ref] = PointCloud(_to_world(local, box.yaw, box.center))
             dets.append(Detection(
                 frame=rec.index, box=box, score=float(rng.beta(2.0, 8.0)),
                 cloud_ref=ref, gt_id=None,

@@ -493,13 +493,9 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
 def _sim_scene(n_objects, crossings, seed):
     """A scene of the pipeline's default shape and detector noise, with the
     object and crossing counts given."""
-    s = RunConfig().sim
-    scene = sim.SceneConfig(n_objects=n_objects, n_frames=s.frames,
-                            frame_period=s.frame_period, bounds=s.bounds, crossings=crossings)
-    seq = sim.generate_sequence(scene, seed=seed)
-    noise = sim.NoiseModel(center_pct=s.center_pct, size_pct=s.size_pct, yaw_deg=s.yaw_deg,
-                           spurious_rate=s.spurious_rate, missed_rate=s.missed_rate)
-    return sim.corrupt_detections(seq, noise, seed=(seed, 100))
+    s = replace(RunConfig().sim, objects=n_objects, crossings=crossings)
+    seq = sim.generate_sequence(s.scene("train"), seed=seed)
+    return sim.corrupt_detections(seq, s.noise(), seed=(seed, 100))
 
 
 SCENES = {

@@ -414,9 +414,17 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
     ("sim", "bounds", "0", 2, "config error: [sim]: bounds must be above"),
     ("sim", "bounds", "4", 2, "config error: [sim]: bounds must be above"),
     ("sim", "crossings", "-1", 2, "config error: [sim]: crossings must be >= 0"),
-    ("sim", "objects", "0", 2, "config error: [sim]: objects and test_objects must be >= 1"),
-    ("sim", "test_objects", "0", 2, "config error: [sim]: objects and test_objects must be >= 1"),
-    ("sim", "frames", "1", 2, "config error: [sim]: frames must be >= 2"),
+    ("sim", "objects", "0", 2, "config error: [sim]: a scene needs at least 1 object, got 0"),
+    ("sim", "test_objects", "0", 2,
+     "config error: [sim]: a scene needs at least 1 object, got 0"),
+    ("sim", "frames", "1", 2, "config error: [sim]: a scene needs at least 2 frames, got 1"),
+    ("sim", "frame_period", "0", 2, "config error: [sim]: frame_period must be > 0, got 0.0"),
+    ("sim", "missed_rate", "2", 2, "config error: [sim]: missed_rate must be in [0, 1], got 2.0"),
+    ("sim", "spurious_rate", "-0.1", 2,
+     "config error: [sim]: spurious_rate must be in [0, 1], got -0.1"),
+    ("sim", "center_pct", "-1", 2, "config error: [sim]: center_pct must be >= 0, got -1.0"),
+    ("sim", "yaw_deg", "-5", 2, "config error: [sim]: yaw_deg must be >= 0, got -5.0"),
+    ("sim", "size_pct", "1.2", 2, "config error: [sim]: size_pct must be in [0, 1), got 1.2"),
     ("embed", "widths", "3, 0, 4", 2, "config error: [embed]: every width must be >= 1"),
     # above the margin, yet too small for an object to stay inside
     ("sim", "bounds", "4.5", 1, "error: could not place a crossing pair inside bounds 4.5"),
@@ -432,6 +440,16 @@ def test_value_a_later_stage_rejects(section, key, value, code, prefix, tmp_path
     assert got == code and len(lines) == 1 and lines[0].startswith(prefix), err
     if code == 2:
         assert not (tmp_path / "run").exists()
+
+
+def test_cli_builds_no_simulator_config():
+    """[sim] alone maps its keys to the simulator: the stages take
+    rc.sim.scene(split) and rc.sim.noise(), which the parse has checked."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    built = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("SceneConfig", "NoiseModel")]
+    assert built == []
 
 
 @pytest.mark.parametrize("modes", ["", "motion, motion",

@@ -309,6 +309,12 @@ class TestGenerate:
             SceneConfig(n_objects=0)
         with pytest.raises(ValueError):
             SceneConfig(n_objects=2, crossings=2)
+        with pytest.raises(ValueError, match="crossings must be >= 0"):
+            SceneConfig(crossings=-1)
+        with pytest.raises(ValueError, match="frame_period must be > 0"):
+            SceneConfig(frame_period=0.0)
+        with pytest.raises(ValueError, match="bounds must be above"):
+            SceneConfig(bounds=sim.MARGIN)
 
 
 class TestTemplates:
@@ -519,3 +525,10 @@ class TestCorrupt:
             NoiseModel(missed_rate=1.5)
         with pytest.raises(ValueError):
             NoiseModel(center_pct=-0.1)
+
+    def test_size_pct_below_one(self):
+        """perturb_boxes scales each extent by 1 + u, u in [-size_pct,
+        size_pct), so an extent stays positive only while size_pct < 1."""
+        with pytest.raises(ValueError, match="size_pct"):
+            NoiseModel(size_pct=1.0)
+        NoiseModel(size_pct=0.99)
