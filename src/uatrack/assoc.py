@@ -124,17 +124,6 @@ def association_confidence(m, i: int, j: int, eps: float = AC_EPS) -> float:
     return float(1.0 - math.exp(-competitor / (m[i, j] + eps)))
 
 
-def cumulative_confidence(per_step) -> float:
-    """Product of per-link association confidences; empty chain -> 1."""
-    out = 1.0
-    for v in per_step:
-        v = float(v)
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"association confidence {v} outside [0, 1]")
-        out *= v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tracking loop
 

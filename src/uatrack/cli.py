@@ -293,7 +293,8 @@ def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
     stride = rc.sim.frames + 100
     gt_rows = _pooled_rows([_gt_rows_from_detections(_read_boxes(rc, p))
                             for p in gt_detections], stride)
-    scores = [evaluation.amota(_pooled_rows([read_track_rows(p) for p in paths], stride),
+    scores = [evaluation.amota(_pooled_rows([read_track_rows(p, n_frames=rc.sim.frames)
+                                            for p in paths], stride),
                                gt_rows, L=rc.eval.recall_levels)
               for paths in pred_tracks]
     return [*gt_detections, *(p for paths in pred_tracks for p in paths)], scores

@@ -56,8 +56,11 @@ class SimSection:
     def __post_init__(self):
         if min(self.train_scenes, self.fit_scenes, self.test_scenes) < 1:
             raise ValueError("every split needs at least one scene")
-        self.scene("train")
-        self.scene("test")
+        for split in ("train", "test"):  # the fit split's scenes are the train split's
+            try:
+                self.scene(split)
+            except ValueError as exc:
+                raise ValueError(f"{split} scenes: {exc}") from exc
         self.noise()
 
     def scene(self, split: str) -> SceneConfig:

@@ -467,10 +467,15 @@ def write_track_rows(path, rows) -> None:
     ), encoding="utf-8")
 
 
-def read_track_rows(path) -> list[TrackRow]:
-    return read_jsonl(path, lambda obj: TrackRow(
-        frame=int(obj["frame"]),
-        track_id=int(obj["track_id"]),
-        box=Box7.from_array(obj["box"]),
-        score=float(obj["score"]),
-    ))
+def read_track_rows(path, *, n_frames: int) -> list[TrackRow]:
+    """The rows of a tracks file of a sequence of n_frames frames. A row at a
+    frame outside [0, n_frames) raises ValueError("<path>:<line>: ...")."""
+    def build(obj):
+        frame = int(obj["frame"])
+        if not 0 <= frame < n_frames:
+            raise ValueError(f"track row at frame {frame}, outside the {n_frames} frames "
+                             "of the sequence")
+        return TrackRow(frame=frame, track_id=int(obj["track_id"]),
+                        box=Box7.from_array(obj["box"]), score=float(obj["score"]))
+
+    return read_jsonl(path, build)

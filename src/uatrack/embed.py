@@ -8,15 +8,18 @@ bit-reproducible.
 
 Crops are made a run of frames at a time. `canonicalize` cuts any list of
 one scene's detections in one pass over their concatenated clouds and
-returns them as one stack, a `CanonicalCloud` with a start row per crop;
-a detection's crop is the same bytes whether it is cut alone or with
+returns them as one stack, a `CanonicalCloud`: the crops' rows, one after
+another, and their K + 1 row bounds, crop k being rows bounds[k] up to
+bounds[k + 1]. That is the one stack format, and `canonicalize` alone
+builds stacks; the max pool of `forward` reduces over the same bounds. A
+detection's crop is the same bytes whether it is cut alone or with
 others. `canonicalize_frames` cuts runs of whole consecutive frames in one
 `canonicalize` pass each and gives each frame a read-only view of its
 pass's stack. It is the one crop path: every inference path (the tracker
 and the logistic-fit harvest in `mot`, SOT evaluation) crops through it
 and embeds each frame with one `forward` call, and training cuts every
 frame of a scene through it as the scene is read (`cli.frame_crops`),
-holding the stacks and dropping the scene's clouds (`learn.train`).
+holding the stacks as cut and dropping the scene's clouds (`learn.train`).
 
 A crop is a fixed function of its cloud, its box and n =
 `[embed] points_per_crop`, with no random draw: of its count in-box
@@ -69,6 +72,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,40 +92,14 @@ DEFAULT_POINTS = 128
 NET_MAGIC = b"UANN"
 
 
-@dataclass(frozen=True)
-class CanonicalCloud:
+class CanonicalCloud(NamedTuple):
     """The crops of one or more detections, each in its box's local frame,
-    stacked: crop k is rows starts[k] up to starts[k + 1] (the last one up
-    to the end) of points. Every crop has at least one row. Built from
-    points alone, it is one crop."""
+    stacked: crop k is points[bounds[k]:bounds[k + 1]], at least one row.
+    `canonicalize` alone builds stacks, both arrays read-only, and
+    `_frame_views` slices them, so a stack is never checked again."""
 
     points: np.ndarray  # (N, 3) float64
-    starts: np.ndarray | None = None  # (K,) first row of each crop; None: one crop
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        starts = np.array(0 if self.starts is None else self.starts, dtype=np.intp).reshape(-1)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"canonical points must be (n, 3), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("canonical cloud contains non-finite coordinates")
-        bounds = np.append(starts, len(pts))
-        if bounds[0] != 0 or (np.diff(bounds) < 1).any():
-            raise ValueError(f"crop starts {starts.tolist()} do not split {len(pts)} rows into "
-                             "non-empty crops")
-        pts.setflags(write=False)
-        starts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "starts", starts)
-
-    @classmethod
-    def _stack(cls, points: np.ndarray, starts: np.ndarray) -> "CanonicalCloud":
-        # read-only rows and starts known to be good, which are neither
-        # checked nor copied: a stack `canonicalize` built, or rows of one
-        out = object.__new__(cls)
-        object.__setattr__(out, "points", points)
-        object.__setattr__(out, "starts", starts)
-        return out
+    bounds: np.ndarray  # (K + 1,) row offsets: 0, then the end of each crop
 
 
 def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
@@ -154,7 +132,7 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
         raise ValueError(f"point count must be >= 1, got {n}")
     clouds = [seq.cloud_of(det).points for det in dets]
     if not clouds:
-        return CanonicalCloud(points=np.zeros((0, 3)), starts=())
+        return CanonicalCloud(_frozen(np.zeros((0, 3))), _frozen(np.zeros(1, dtype=np.intp)))
     counts = [len(c) for c in clouds]
     # per detection: center, cos and sin of yaw, half extents
     pose = np.array([(b.x, b.y, b.z, math.cos(b.yaw), math.sin(b.yaw), b.l / 2.0, b.w / 2.0,
@@ -165,13 +143,13 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
     survivors = np.diff(first)
     taken = np.minimum(survivors, n)
     sizes = np.maximum(taken, 1)
-    starts = np.cumsum(sizes) - sizes
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
     # row j of crop k is its survivor (j * count) // min(count, n), which
     # is survivor j when count <= n; an empty crop's row stays the origin
     crop = np.repeat(np.arange(len(sizes)), sizes)
     full = survivors[crop] > 0
     crop = crop[full]
-    j = np.flatnonzero(full) - starts[crop]
+    j = np.flatnonzero(full) - bounds[crop]
     rows = kept[first[crop] + j * survivors[crop] // taken[crop]]
     del kept
     points = np.zeros((len(full), 3))
@@ -179,9 +157,12 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
         # finite: the clouds and boxes are checked, and a survivor lies in its box
         points[full, col] = x[rows]
     points += 0.0  # -0.0 to +0.0, as the sums of a matrix product give it
-    points.setflags(write=False)
-    starts.setflags(write=False)
-    return CanonicalCloud._stack(points, starts)
+    return CanonicalCloud(_frozen(points), _frozen(bounds))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _in_box(clouds, pose, counts) -> tuple[np.ndarray, tuple]:
@@ -252,13 +233,11 @@ def canonicalize_frames(seq: Sequence, frames, n: int):
 
 def _frame_views(stack: CanonicalCloud, frames):
     """Each frame's crops of a stack of consecutive frames' crops."""
-    bounds = np.append(stack.starts, len(stack.points)).tolist()
     k = 0
     for dets in frames:
-        lo, hi = bounds[k], bounds[k + len(dets)]
-        starts = stack.starts[k:k + len(dets)] - lo
-        starts.setflags(write=False)
-        yield CanonicalCloud._stack(stack.points[lo:hi], starts)
+        bounds = stack.bounds[k:k + len(dets) + 1]
+        lo = bounds[0]
+        yield CanonicalCloud(stack.points[lo:bounds[-1]], _frozen(bounds - lo))
         k += len(dets)
 
 
@@ -342,15 +321,15 @@ def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
     pass over its crop alone in the last bits only, through the matrix
     product's blocking.
     """
-    pts, starts = cloud.points, cloud.starts
-    out = np.empty((len(starts), net.dim))
-    ends = np.append(starts[1:], len(pts))
+    pts, bounds = cloud.points, cloud.bounds
+    ends = bounds[1:]
+    out = np.empty((len(ends), net.dim))
     lo = 0
-    while lo < len(starts):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + MAX_PASS_ROWS, side="right")))
-        first = starts[lo]
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, bounds[lo] + MAX_PASS_ROWS, side="right")))
+        first = bounds[lo]
         out[lo:hi] = np.maximum.reduceat(_mlp(net, pts[first:ends[hi - 1]]),
-                                         starts[lo:hi] - first, axis=0)
+                                         bounds[lo:hi] - first, axis=0)
         lo = hi
     return out
 
@@ -365,7 +344,7 @@ def forward_argmax(net: EmbedNet, points: np.ndarray) -> tuple[np.ndarray, np.nd
     return x[arg, np.arange(x.shape[1])], arg
 
 
-def backward(net: EmbedNet, points: np.ndarray, upstream, arg=None) -> list[np.ndarray]:
+def backward(net: EmbedNet, points: np.ndarray, upstream, arg) -> list[np.ndarray]:
     """Exact gradients of upstream . embedding w.r.t. every weight and bias,
     for points, the rows of one crop.
 
@@ -373,12 +352,10 @@ def backward(net: EmbedNet, points: np.ndarray, upstream, arg=None) -> list[np.n
     coordinate (ties to the lowest point index), so only those critical
     points carry gradient: the hidden layers are rerun on them alone, and
     no gradient with respect to the points is computed. arg is the arg-max
-    from `forward_argmax` on the same net and points; when None it is
-    computed here. Returns arrays aligned with net.params().
+    from `forward_argmax` on the same net and points. Returns arrays
+    aligned with net.params().
     """
     upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
-    if arg is None:
-        _, arg = forward_argmax(net, points)
     # the critical rows in ascending order, and each coordinate's place among them
     hit = np.zeros(points.shape[0], dtype=bool)
     hit[arg] = True

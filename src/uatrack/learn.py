@@ -4,13 +4,19 @@ One training step: sample a batch of (anchor, positive) pairs from the
 pseudo-tracks, mine the hardest same-frame negative for each anchor under
 the current network, weight each triplet's hinge loss by its cumulative
 association confidence, sum, and take one Adam step on exact gradients.
+A `Triplet` is built once, when its negative is mined; its weight is a
+product of link confidences that `core.TrackletLabel` checked, and mining
+picks a negative of the anchor's frame other than the anchor, so neither
+is checked again.
 
 Training reads crops, not clouds. Its caller (`cli.run_train`) cuts each
 scene's frames through `embed.canonicalize_frames`, the crop path of
 inference, as the scene is read, and keeps each frame's stack of crops:
 a scene's clouds and detections are needed only until its crops are cut,
-and are dropped before the next scene is read. A frame's detection count
-is its stack's crop count. Each crop in a step is embedded once
+and are dropped before the next scene is read. `TripletSource` holds
+those stacks as they were cut, neither copied nor converted: a crop is a
+slice of its stack's rows by the stack's bounds, and a frame's detection
+count is its stack's crop count. Each crop in a step is embedded once
 (`embed.forward_argmax` on its rows); the step's network checks its
 parameters for finiteness once, when it is built. Each anchor frame's
 embeddings are stacked into one matrix, with their norms, once per step,
@@ -34,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import embed
-from .assoc import cumulative_confidence
 from .core import TrackletLabel
 from .kalman import NumericalError
 
@@ -69,27 +74,15 @@ class DetRef(NamedTuple):
     det: int
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Anchor/positive from one pseudo-track plus a same-frame negative.
-
-    negative is None until mining completes; weight is the cumulative
-    association confidence of the anchor->positive chain.
-    """
+class Triplet(NamedTuple):
+    """Anchor/positive from one pseudo-track, the hardest same-frame
+    negative mined for the anchor, and the cumulative association
+    confidence of the anchor->positive chain as weight."""
 
     anchor: DetRef
     positive: DetRef
-    negative: DetRef | None
+    negative: DetRef
     weight: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError(f"triplet weight {self.weight} outside [0, 1]")
-        if self.negative is not None:
-            if self.negative.frame != self.anchor.frame or self.negative.seq != self.anchor.seq:
-                raise ValueError("negative must come from the anchor's frame")
-            if self.negative.det == self.anchor.det:
-                raise ValueError("negative must differ from the anchor")
 
 
 def triplet_loss(cos_pos: float, cos_neg: float, margin: float) -> float:
@@ -123,8 +116,9 @@ class TripletSource:
     tracks: per pseudo-track with >= 2 members, (scene index, the track
         with its link confidences, member index pairs (i, j), i < j, whose
         frame gap is within max_gap, in ascending (i, j) order)
-    frames[(scene, frame)]: (rows, bounds) of the frame's crops, crop d
-        being rows[bounds[d]:bounds[d + 1]]
+    frames[(scene, frame)]: the `embed.CanonicalCloud` that
+        `cli.frame_crops` cut for the frame, held as it is; its crop d is
+        detection d's
     total_members: members of every pseudo-track, whatever its length
     """
 
@@ -134,13 +128,13 @@ class TripletSource:
 
     def crop(self, ref: DetRef) -> np.ndarray:
         """The rows of a detection's crop."""
-        rows, bounds = self.frames[(ref.seq, ref.frame)]
-        return rows[bounds[ref.det]:bounds[ref.det + 1]]
+        points, bounds = self.frames[(ref.seq, ref.frame)]
+        return points[bounds[ref.det]:bounds[ref.det + 1]]
 
     def det_count(self, scene: int, frame: int) -> int:
         """The detections of a frame; 0 for a frame the scene lacks."""
         got = self.frames.get((scene, frame))
-        return 0 if got is None else len(got[1]) - 1
+        return 0 if got is None else len(got.bounds) - 1
 
 
 def build_triplet_source(frames_per_scene, tracks_per_scene, max_gap: int) -> TripletSource:
@@ -156,8 +150,7 @@ def build_triplet_source(frames_per_scene, tracks_per_scene, max_gap: int) -> Tr
     total = 0
     for si, (crops, tracks) in enumerate(zip(frames_per_scene, tracks_per_scene, strict=True)):
         for index, stack in crops.items():
-            frames[(si, index)] = (stack.points,
-                                   np.append(stack.starts, len(stack.points)).tolist())
+            frames[(si, index)] = stack
         for lab in tracks:
             members = lab.members
             total += len(members)
@@ -177,14 +170,14 @@ def build_triplet_source(frames_per_scene, tracks_per_scene, max_gap: int) -> Tr
     return TripletSource(tracks=tuple(entries), frames=frames, total_members=total)
 
 
-def sample_triplet(src: TripletSource, rng) -> Triplet | None:
-    """Draw one anchor/positive pair; None means skip and resample.
+def sample_triplet(src: TripletSource, rng) -> tuple[DetRef, DetRef, float] | None:
+    """Draw one (anchor, positive, weight); None means skip and resample.
 
     Uniform over tracks with >= 2 members, then uniform over that track's
-    member pairs within the source's max_gap. The pair's weight is the
-    product of the link confidences it spans. Skips when the track has no
-    such pair, or when the anchor frame offers no other detection to serve
-    as a negative.
+    member pairs within the source's max_gap. The weight is the product of
+    the link confidences the pair spans, each in [0, 1] (`TrackletLabel`
+    checks them). Skips when the track has no such pair, or when the
+    anchor frame offers no other detection to serve as a negative.
     """
     si, lab, pairs = src.tracks[rng.integers(len(src.tracks))]
     if not pairs:
@@ -193,13 +186,7 @@ def sample_triplet(src: TripletSource, rng) -> Triplet | None:
     members = lab.members
     if src.det_count(si, members[i][0]) < 2:
         return None
-    weight = cumulative_confidence(lab.link_conf[i:j])
-    return Triplet(
-        anchor=DetRef(si, members[i][0], members[i][1]),
-        positive=DetRef(si, members[j][0], members[j][1]),
-        negative=None,
-        weight=weight,
-    )
+    return (DetRef(si, *members[i]), DetRef(si, *members[j]), math.prod(lab.link_conf[i:j]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +272,7 @@ def memo_forward(net: embed.EmbedNet, crops):
 def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
                          use_uncertainty: bool = True, fwd=None):
     """Summed weighted triplet loss and exact parameter gradients for a
-    batch of completed triplets (negatives already chosen).
+    batch of triplets.
 
     crops maps a DetRef to the rows of its crop. Hinge-inactive or zero-weight
     triplets contribute nothing to the gradient; the mining arg-max is
@@ -301,8 +288,6 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     weight_sum = 0.0
     upstream: dict = {}
     for t in triplets:
-        if t.negative is None:
-            raise ValueError("triplet has no mined negative")
         e_a = fwd(t.anchor)[0]
         e_p = fwd(t.positive)[0]
         e_n = fwd(t.negative)[0]
@@ -363,37 +348,36 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
     global_step = 0
     for _epoch in range(cfg.epochs):
         for _step in range(steps_per_epoch):
-            triplets: list[Triplet] = []
+            drawn = []
             attempts = 0
-            while len(triplets) < cfg.batch_size:
+            while len(drawn) < cfg.batch_size:
                 attempts += 1
                 if attempts > 200 * cfg.batch_size:
                     raise TrainingDataExhausted(
                         "could not assemble a batch; anchors have no negatives"
                     )
-                t = sample_triplet(src, rng)
-                if t is not None:
-                    triplets.append(t)
+                got = sample_triplet(src, rng)
+                if got is not None:
+                    drawn.append(got)
 
             current = embed.EmbedNet.from_params(params)
             fwd = memo_forward(current, src.crop)
 
-            # complete each triplet with a negative under the current net,
-            # from its anchor frame's embeddings stacked once per step
+            # mine each anchor's negative under the current net, from its
+            # frame's embeddings stacked once per step
             frames: dict = {}
-            completed: list[Triplet] = []
-            for t in triplets:
-                a = t.anchor
+            triplets: list[Triplet] = []
+            for a, pos, weight in drawn:
                 stacked = frames.get((a.seq, a.frame))
                 if stacked is None:
                     dets = range(src.det_count(a.seq, a.frame))
                     embs = np.stack([fwd(a._replace(det=d))[0] for d in dets])
                     stacked = frames[(a.seq, a.frame)] = (embs, embed.norms(embs))
-                n_det = mine_hard_negative(*stacked, a.det)
-                completed.append(Triplet(a, t.positive, DetRef(a.seq, a.frame, n_det), t.weight))
+                negative = a._replace(det=mine_hard_negative(*stacked, a.det))
+                triplets.append(Triplet(a, pos, negative, weight))
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
-                current, src.crop, completed, cfg.margin, cfg.use_uncertainty, fwd=fwd)
+                current, src.crop, triplets, cfg.margin, cfg.use_uncertainty, fwd=fwd)
             if not math.isfinite(loss_sum):
                 raise NumericalError(
                     f"non-finite batch loss at step {global_step} "

@@ -10,7 +10,6 @@ from uatrack.assoc import (
     AssocConfig,
     association_confidence,
     build_pseudo_tracks,
-    cumulative_confidence,
     greedy_associate,
     read_pseudo_tracks,
     write_pseudo_tracks,
@@ -276,33 +275,6 @@ class TestAssociationConfidenceReference:
         want = reference_association_confidence(m, i, j, eps)
         assert type(got) is float
         assert got.hex() == want.hex()
-
-
-class TestCumulativeConfidence:
-    def test_product(self):
-        assert cumulative_confidence([0.9, 0.8]) == pytest.approx(0.72, abs=1e-12)
-
-    def test_ones(self):
-        assert cumulative_confidence([1.0, 1.0, 1.0]) == 1.0
-
-    def test_single(self):
-        assert cumulative_confidence([0.5]) == 0.5
-
-    def test_empty_chain_certain(self):
-        assert cumulative_confidence([]) == 1.0
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            cumulative_confidence([0.5, 1.2])
-        with pytest.raises(ValueError):
-            cumulative_confidence([-0.1])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
-    @settings(max_examples=50)
-    def test_prefix_monotone(self, vals):
-        full = cumulative_confidence(vals)
-        for k in range(len(vals) + 1):
-            assert cumulative_confidence(vals[:k]) >= full - 1e-12
 
 
 def pair_oracle(states, detections, kcfg):

@@ -233,6 +233,20 @@ class TestMalformedInput:
         self.assert_one_line_error(code, err, "clouds: is a directory, not a cloud pack")
         assert [p.name for p in (tmp_path / "clouds").iterdir()] == ["f0o0.uapc"]
 
+    def test_mot_eval_track_row_past_the_scene(self, tiny_run, tiny_config, tmp_path, capsys):
+        """A track row at a frame past its scene is refused, not pooled into
+        the next scene's frames and scored against its ground truth."""
+        lines = (tiny_run / "mot" / "test_00.tracks.motion.jsonl").read_text().splitlines()
+        obj = json.loads(lines[0])
+        obj["frame"] += 8  # the tiny config's scenes have 8 frames
+        (tmp_path / "t.jsonl").write_text("\n".join(lines + [json.dumps(obj)]) + "\n")
+        code = cli.main(["mot-eval", "--pred-tracks", str(tmp_path / "t.jsonl"),
+                         "--gt-detections", str(tiny_run / "sim" / "test_00" / "detections.jsonl"),
+                         "--config", str(tiny_config)])
+        out, err = capsys.readouterr()
+        self.assert_one_line_error(code, err, f"t.jsonl:{len(lines) + 1}: track row at frame")
+        assert "AMOTA" not in out
+
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_out_dir_of_a_run_before_cloud_packs(self, command, tiny_config, tmp_path, capsys):
         """simulate into an --out-dir whose scenes hold clouds/ directories
@@ -411,14 +425,17 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key, value, code, prefix", [
-    ("sim", "bounds", "0", 2, "config error: [sim]: bounds must be above"),
-    ("sim", "bounds", "4", 2, "config error: [sim]: bounds must be above"),
-    ("sim", "crossings", "-1", 2, "config error: [sim]: crossings must be >= 0"),
-    ("sim", "objects", "0", 2, "config error: [sim]: a scene needs at least 1 object, got 0"),
+    ("sim", "bounds", "0", 2, "config error: [sim]: train scenes: bounds must be above"),
+    ("sim", "bounds", "4", 2, "config error: [sim]: train scenes: bounds must be above"),
+    ("sim", "crossings", "-1", 2, "config error: [sim]: train scenes: crossings must be >= 0"),
+    ("sim", "objects", "0", 2,
+     "config error: [sim]: train scenes: a scene needs at least 1 object, got 0"),
     ("sim", "test_objects", "0", 2,
-     "config error: [sim]: a scene needs at least 1 object, got 0"),
-    ("sim", "frames", "1", 2, "config error: [sim]: a scene needs at least 2 frames, got 1"),
-    ("sim", "frame_period", "0", 2, "config error: [sim]: frame_period must be > 0, got 0.0"),
+     "config error: [sim]: test scenes: a scene needs at least 1 object, got 0"),
+    ("sim", "frames", "1", 2,
+     "config error: [sim]: train scenes: a scene needs at least 2 frames, got 1"),
+    ("sim", "frame_period", "0", 2,
+     "config error: [sim]: train scenes: frame_period must be > 0, got 0.0"),
     ("sim", "missed_rate", "2", 2, "config error: [sim]: missed_rate must be in [0, 1], got 2.0"),
     ("sim", "spurious_rate", "-0.1", 2,
      "config error: [sim]: spurious_rate must be in [0, 1], got -0.1"),

@@ -59,7 +59,7 @@ dets = tuple(Detection(frame=0, box=box, score=1.0, cloud_ref=ref) for ref in cl
 seq = Sequence(frames=(FrameRecord(index=0, detections=dets),),
                clouds={ref: PointCloud(np.array(pts)) for ref, pts in clouds.items()})
 stack = embed.canonicalize(seq, dets, n)
-print(np.diff(np.append(stack.starts, len(stack.points))).tolist(), "numpy.random" in sys.modules)
+print(np.diff(stack.bounds).tolist(), "numpy.random" in sys.modules)
 """
 
 

@@ -42,14 +42,30 @@ def crop(pc, b, n):
     dets = (Detection(frame=0, box=b, score=1.0, cloud_ref="c0"),)
     seq = Sequence(frames=(FrameRecord(index=0, detections=dets),), clouds={"c0": pc})
     out = canonicalize(seq, dets, n)
-    assert out.starts.tolist() == [0]
+    assert_well_formed(out)
+    assert out.bounds.tolist() == [0, len(out.points)]
     return out
 
 
+def assert_well_formed(stack):
+    """What `canonicalize` builds every stack to be: bounds from row 0 to
+    the last row, each crop at least one row, and both arrays read-only."""
+    bounds = stack.bounds
+    assert bounds[0] == 0 and bounds[-1] == len(stack.points)
+    assert (np.diff(bounds) > 0).all()
+    assert not stack.points.flags.writeable and not bounds.flags.writeable
+
+
+def one_crop(points):
+    """A stack of one crop, points, built by hand."""
+    points = np.asarray(points, dtype=np.float64)
+    return CanonicalCloud(points, np.array([0, len(points)]))
+
+
 def crops_of(stack):
-    """Each crop of a stack as a cloud of its own."""
-    bounds = np.append(stack.starts, len(stack.points)).tolist()
-    return [CanonicalCloud(points=stack.points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    """Each crop of a stack as a stack of its own."""
+    bounds = stack.bounds.tolist()
+    return [one_crop(stack.points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def cosine(e1, e2) -> float:
@@ -85,8 +101,8 @@ def reference_canonicalize(cloud, box, n):
     inside = matrix_product_survivors(cloud, box)
     count = inside.shape[0]
     if count == 0:
-        return CanonicalCloud(points=np.zeros((n, 3)))
-    return CanonicalCloud(points=inside[np.arange(n) * count // n])
+        return one_crop(np.zeros((n, 3)))
+    return one_crop(inside[np.arange(n) * count // n])
 
 
 def previous_canonicalize(cloud, box, n):
@@ -97,10 +113,10 @@ def previous_canonicalize(cloud, box, n):
     inside = matrix_product_survivors(cloud, box)
     count = inside.shape[0]
     if count == 0:
-        return CanonicalCloud(points=np.zeros((1, 3)))
+        return one_crop(np.zeros((1, 3)))
     if count <= n:
-        return CanonicalCloud(points=inside)
-    return CanonicalCloud(points=inside[np.arange(n) * count // n])
+        return one_crop(inside)
+    return one_crop(inside[np.arange(n) * count // n])
 
 
 # the largest difference measured between a frame's stacked forward and its
@@ -314,18 +330,18 @@ class TestForward:
             weights=(np.zeros((4, 3)), np.zeros((2, 4))),
             biases=(np.zeros(4), np.zeros(2)),
         )
-        cloud = CanonicalCloud(points=np.random.default_rng(0).normal(size=(10, 3)))
+        cloud = one_crop(np.random.default_rng(0).normal(size=(10, 3)))
         np.testing.assert_array_equal(forward(net, cloud), np.zeros((1, 2)))
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(1)
         net = EmbedNet.random((3, 8, 8, 5), seed=2)
         pts = rng.normal(size=(40, 3))
-        cloud = CanonicalCloud(points=pts)
+        cloud = one_crop(pts)
         base = forward(net, cloud)
         for _ in range(5):
             perm = rng.permutation(40)
-            shuffled = CanonicalCloud(points=pts[perm])
+            shuffled = one_crop(pts[perm])
             np.testing.assert_array_equal(forward(net, shuffled), base)
 
     def test_single_layer_hand_example(self):
@@ -334,7 +350,7 @@ class TestForward:
             weights=(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),),
             biases=(np.zeros(2),),
         )
-        cloud = CanonicalCloud(points=np.array([[1.0, 5.0, 0.0], [2.0, 1.0, 0.0]]))
+        cloud = one_crop(np.array([[1.0, 5.0, 0.0], [2.0, 1.0, 0.0]]))
         np.testing.assert_allclose(forward(net, cloud), [[2.0, 5.0]])
 
     def test_non_finite_params_rejected(self):
@@ -461,8 +477,8 @@ def fd_gradients(net, cloud, upstream, h=1e-5):
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         net = EmbedNet.random((3, 6, 4), seed=0)
-        cloud = CanonicalCloud(points=np.random.default_rng(1).normal(size=(12, 3)))
-        grads = backward(net, cloud.points, np.zeros(4))
+        cloud = one_crop(np.random.default_rng(1).normal(size=(12, 3)))
+        grads = backward(net, cloud.points, np.zeros(4), forward_argmax(net, cloud.points)[1])
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -470,9 +486,9 @@ class TestBackward:
         rng = np.random.default_rng(42)
         for trial in range(20):
             net = EmbedNet.random((3, 5, 4), seed=100 + trial)
-            cloud = CanonicalCloud(points=rng.normal(size=(8, 3)))
+            cloud = one_crop(rng.normal(size=(8, 3)))
             upstream = rng.normal(size=4)
-            analytic = backward(net, cloud.points, upstream)
+            analytic = backward(net, cloud.points, upstream, forward_argmax(net, cloud.points)[1])
             numeric = fd_gradients(net, cloud, upstream)
             for a, n in zip(analytic, numeric):
                 denom = np.maximum(np.abs(n), 1e-6)
@@ -483,7 +499,7 @@ class TestBackward:
         rng = np.random.default_rng(7)
         net = EmbedNet.random((3, 6, 4), seed=3)
         pts = rng.normal(size=(10, 3))
-        cloud = CanonicalCloud(points=pts)
+        cloud = one_crop(pts)
         upstream = rng.normal(size=4)
 
         # identify a point never selected by the max pool and its margin
@@ -497,10 +513,10 @@ class TestBackward:
         margin = min(feats[:, d].max() - feats[loser, d] for d in range(4))
         assert margin > 0
 
-        base = backward(net, cloud.points, upstream)
+        base = backward(net, cloud.points, upstream, forward_argmax(net, cloud.points)[1])
         bumped = pts.copy()
         bumped[loser] += margin * 1e-3  # well below the selection margin
-        out = backward(net, bumped, upstream)
+        out = backward(net, bumped, upstream, forward_argmax(net, bumped)[1])
         for a, b2 in zip(base, out):
             np.testing.assert_array_equal(a, b2)
 
@@ -571,19 +587,18 @@ def previous_backward(net, points, upstream, arg=None):
 
 def assert_matches_previous(net, cloud, upstream):
     """Embedding, arg-max and gradients equal the previous implementation's
-    byte for byte, with arg passed in and computed by backward."""
+    byte for byte."""
     feats = previous_mlp(net, cloud.points)
     emb, arg = forward_argmax(net, cloud.points)
     assert emb.tobytes() == feats.max(axis=0).tobytes()
     assert forward(net, cloud).tobytes() == feats.max(axis=0).tobytes()
     assert arg.tobytes() == feats.argmax(axis=0).tobytes()
     want = previous_backward(net, cloud.points, upstream)
-    pts = cloud.points
-    for got in (backward(net, pts, upstream), backward(net, pts, upstream, arg=arg)):
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+    got = backward(net, cloud.points, upstream, arg)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def random_widths(rng):
@@ -600,19 +615,17 @@ class TestCriticalPointBackward:
     def assert_matches_dense(net, cloud, upstream):
         assert_matches_previous(net, cloud, upstream)
         want = dense_backward(net, cloud.points, upstream)
-        _, arg = forward_argmax(net, cloud.points)
-        pts = cloud.points
-        for got in (backward(net, pts, upstream), backward(net, pts, upstream, arg=arg)):
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+        got = backward(net, cloud.points, upstream, forward_argmax(net, cloud.points)[1])
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_random_nets(self):
         rng = np.random.default_rng(11)
         for trial in range(40):
             net = EmbedNet.random(random_widths(rng), seed=trial)
-            cloud = CanonicalCloud(points=rng.normal(size=(int(rng.integers(1, 40)), 3)))
+            cloud = one_crop(rng.normal(size=(int(rng.integers(1, 40)), 3)))
             self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
 
     def test_duplicated_points_tie_to_first(self):
@@ -622,7 +635,7 @@ class TestCriticalPointBackward:
             net = EmbedNet.random(random_widths(rng), seed=200 + trial)
             base = rng.normal(size=(5, 3))
             pts = base[rng.integers(0, 5, size=32)]
-            cloud = CanonicalCloud(points=pts)
+            cloud = one_crop(pts)
             _, arg = forward_argmax(net, cloud.points)
             first = {tuple(p): i for i, p in reversed(list(enumerate(pts)))}
             assert all(a == first[tuple(pts[a])] for a in arg)
@@ -647,8 +660,8 @@ class TestCriticalPointBackward:
             np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
             upstream = rng.normal(size=4)
             self.assert_matches_dense(net, cloud, upstream)
-            for a, b in zip(backward(net, cloud.points, upstream),
-                            backward(net, ref.points, upstream)):
+            for a, b in zip(backward(net, cloud.points, upstream, arg),
+                            backward(net, ref.points, upstream, ref_arg)):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_dead_relu_units(self):
@@ -658,8 +671,9 @@ class TestCriticalPointBackward:
         biases[0][:4] = -1e3  # these hidden units never fire
         biases[1][::2] = -1e3
         net = EmbedNet(weights=base.weights, biases=tuple(biases))
-        cloud = CanonicalCloud(points=rng.normal(size=(30, 3)))
-        grads = backward(net, cloud.points, rng.normal(size=5))
+        cloud = one_crop(rng.normal(size=(30, 3)))
+        grads = backward(net, cloud.points, rng.normal(size=5),
+                         forward_argmax(net, cloud.points)[1])
         assert not grads[0][:4].any() and not grads[1][:4].any()
         self.assert_matches_dense(net, cloud, rng.normal(size=5))
 
@@ -667,7 +681,7 @@ class TestCriticalPointBackward:
         rng = np.random.default_rng(15)
         for trial in range(20):
             net = EmbedNet.random(random_widths(rng), seed=300 + trial)
-            cloud = CanonicalCloud(points=rng.normal(size=(24, 3)))
+            cloud = one_crop(rng.normal(size=(24, 3)))
             emb, arg = forward_argmax(net, cloud.points)
             assert emb.tobytes() == forward(net, cloud).tobytes()
             assert arg.shape == (net.dim,)
@@ -710,13 +724,14 @@ class TestPreviousImplementation:
 
     def test_single_layer_and_all_dead_units(self):
         rng = np.random.default_rng(16)
-        cloud = CanonicalCloud(points=rng.normal(size=(20, 3)))
+        cloud = one_crop(rng.normal(size=(20, 3)))
         assert_matches_previous(EmbedNet.random((3, 5), seed=1), cloud, rng.normal(size=5))
         base = EmbedNet.random((3, 6, 6, 4), seed=2)
         dead = EmbedNet(weights=base.weights,
                         biases=(np.full(6, -1e3), base.biases[1], base.biases[2]))
         assert_matches_previous(dead, cloud, rng.normal(size=4))
-        assert not any(g.any() for g in backward(dead, cloud.points, rng.normal(size=4))[:4])
+        arg = forward_argmax(dead, cloud.points)[1]
+        assert not any(g.any() for g in backward(dead, cloud.points, rng.normal(size=4), arg)[:4])
 
 
 class TestReferenceEquivalence:
@@ -744,8 +759,8 @@ class TestReferenceEquivalence:
         np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
         own = previous_canonicalize(pc, b, n)
         _, own_arg = forward_argmax(net, own.points)
-        assert_same_crop(CanonicalCloud(points=cloud.points[arg]),
-                         CanonicalCloud(points=own.points[own_arg]), exact=b.yaw == 0.0)
+        assert_same_crop(one_crop(cloud.points[arg]),
+                         one_crop(own.points[own_arg]), exact=b.yaw == 0.0)
         got = backward(net, cloud.points, upstream, arg=arg)
         want = backward(net, ref.points, upstream, arg=ref_arg)
         for a, w in zip(got, want):
@@ -838,7 +853,8 @@ class TestFramePass:
             seq, dets = scene(*pairs)
             stack = canonicalize(seq, dets, n)
             crops = crops_of(stack)
-            assert len(crops) == len(stack.starts) == len(dets)
+            assert_well_formed(stack)
+            assert len(crops) == len(stack.bounds) - 1 == len(dets)
             for k, (det, (pc, b)) in enumerate(zip(dets, pairs)):
                 alone = canonicalize(seq, [det], n)
                 assert crops[k].points.tobytes() == alone.points.tobytes()
@@ -849,32 +865,9 @@ class TestFramePass:
     def test_no_detections(self):
         seq, _ = scene((PointCloud(np.zeros((1, 3))), box()))
         stack = canonicalize(seq, [], 8)
-        assert stack.points.shape == (0, 3) and stack.starts.shape == (0,)
+        assert_well_formed(stack)
+        assert stack.points.shape == (0, 3) and stack.bounds.tolist() == [0]
         assert forward(EmbedNet.random((3, 4, 2), seed=0), stack).shape == (0, 2)
-
-    def test_stack_starts_checked(self):
-        pts = np.zeros((4, 3))
-        for starts in ([1], [0, 0, 2], [0, 2, 1], [0, 4], []):
-            with pytest.raises(ValueError, match="non-empty crops"):
-                CanonicalCloud(points=pts, starts=starts)
-        with pytest.raises(ValueError, match="non-empty crops"):
-            CanonicalCloud(points=np.zeros((0, 3)))
-        assert CanonicalCloud(points=pts, starts=[0, 1, 3]).starts.tolist() == [0, 1, 3]
-
-    def test_points_always_copied(self):
-        """A cloud keeps its own read-only copy of the points it is given,
-        read-only or not."""
-        pts = np.ones((4, 3))
-        cloud = CanonicalCloud(points=pts, starts=[0, 2])
-        pts[0] = 5.0
-        assert (cloud.points == 1.0).all() and not cloud.points.flags.writeable
-        frozen = np.ones((4, 3))
-        frozen.flags.writeable = False
-        kept = CanonicalCloud(points=frozen)
-        assert kept.points.base is None and not np.shares_memory(kept.points, frozen)
-        frozen.flags.writeable = True
-        frozen[0] = 5.0
-        assert (kept.points == 1.0).all()
 
     def test_stacked_forward_equals_per_crop(self, monkeypatch):
         """Whole crops, at most MAX_PASS_ROWS rows a pass (a longer crop
@@ -892,7 +885,7 @@ class TestFramePass:
                            biases=tuple(rng.normal(0.0, 0.5, size=64) for _ in range(3)))
             passes.clear()
             got = forward(net, stack)
-            sizes = np.diff(np.append(stack.starts, len(stack.points)))
+            sizes = np.diff(stack.bounds)
             # passes cover whole consecutive crops, longer ones alone
             bounds = np.cumsum(sizes).tolist()
             assert sum(passes) == len(stack.points)
@@ -943,8 +936,9 @@ class TestFramePass:
             for stack, rec in zip(got, recs):
                 alone = crop(seq, rec.detections, n)
                 assert stack.points.tobytes() == alone.points.tobytes()
-                assert stack.starts.tolist() == alone.starts.tolist()
-                assert not stack.points.flags.writeable and not stack.starts.flags.writeable
+                assert stack.bounds.tolist() == alone.bounds.tolist()
+                assert_well_formed(stack)
+                assert_well_formed(alone)
             # the passes are runs of whole consecutive frames, in order
             assert [d for dets in cut for d in dets] == [d for r in recs for d in r.detections]
             for dets in cut:

@@ -82,7 +82,7 @@ class TestSotEvaluate:
         forward = embed.forward
 
         def counting(net, cloud):
-            calls.append(len(cloud.starts))
+            calls.append(len(cloud.bounds) - 1)
             return forward(net, cloud)
 
         monkeypatch.setattr(embed, "forward", counting)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_embed import cosine, dense_backward, reference_canonicalize
+from test_embed import cosine, dense_backward, one_crop, reference_canonicalize
 
 from uatrack import assoc, cli, embed, kalman, learn, sim
 from uatrack.learn import (
@@ -45,7 +45,7 @@ class TestWeightedLoss:
 
     def _run(self, w):
         rng = np.random.default_rng(4)
-        clouds = {ref: embed.CanonicalCloud(points=rng.normal(size=(12, 3)))
+        clouds = {ref: one_crop(rng.normal(size=(12, 3)))
                   for ref in (DetRef(0, 0, 0), DetRef(0, 1, 0), DetRef(0, 0, 1))}
         net = embed.EmbedNet.random((3, 8, 4), seed=3)
         loss, grads, weight = batch_loss_and_grads(net, lambda ref: clouds[ref].points,
@@ -69,18 +69,6 @@ class TestWeightedLoss:
     def test_unit_weight_identity(self):
         loss, _, _, raw = self._run(1.0)
         assert loss == pytest.approx(raw, abs=1e-12)
-
-    def test_weight_validated(self):
-        with pytest.raises(ValueError):
-            self._triplet(1.5)
-
-    def test_negative_frame_enforced(self):
-        with pytest.raises(ValueError):
-            Triplet(anchor=DetRef(0, 0, 0), positive=DetRef(0, 1, 0),
-                    negative=DetRef(0, 1, 1), weight=1.0)
-        with pytest.raises(ValueError):
-            Triplet(anchor=DetRef(0, 0, 0), positive=DetRef(0, 1, 0),
-                    negative=DetRef(0, 0, 0), weight=1.0)
 
 
 def mine(rows, anchor):
@@ -130,29 +118,43 @@ def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=
 
     max_frame = max(f for members in track_members.values() for f, _ in members)
     sizes = {f: frame_sizes.get(f, n_dets_per_frame) for f in range(max_frame + 1)}
-    frames = {f: embed.CanonicalCloud(points=np.zeros((k, 3)), starts=range(k))
+    frames = {f: embed.CanonicalCloud(np.zeros((k, 3)), np.arange(k + 1))
               for f, k in sizes.items() if k}
     tracks = [TrackletLabel(tid, tuple(members), tuple(link_conf[tid]))
               for tid, members in track_members.items()]
     return build_triplet_source([frames], [tracks], max_gap)
 
 
+def test_source_keeps_the_stacks_as_cut():
+    """build_triplet_source holds each stack that `cli.frame_crops` cut, the
+    object itself, and a crop is its rows between the stack's bounds."""
+    frames, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
+    src = build_triplet_source(frames, tracks, TrainerConfig.max_gap)
+    assert len(src.frames) == len(frames[0]) > 6
+    for index, stack in frames[0].items():
+        assert src.frames[(0, index)] is stack
+        assert src.det_count(0, index) == len(stack.bounds) - 1
+        for d in range(len(stack.bounds) - 1):
+            want = stack.points[stack.bounds[d]:stack.bounds[d + 1]]
+            assert np.array_equal(src.crop(DetRef(0, index, d)), want)
+
+
 class TestSampleTriplet:
     def test_forced_pair_and_weight(self):
         src = _source_from_tracks({0: [(0, 0), (1, 0)]}, {0: [0.7]}, {})
         rng = np.random.default_rng(0)
-        t = sample_triplet(src, rng)
-        assert t.anchor == DetRef(0, 0, 0)
-        assert t.positive == DetRef(0, 1, 0)
-        assert t.weight == pytest.approx(0.7)
+        anchor, positive, weight = sample_triplet(src, rng)
+        assert anchor == DetRef(0, 0, 0)
+        assert positive == DetRef(0, 1, 0)
+        assert weight == pytest.approx(0.7)
 
     def test_chain_weight_product(self):
         src = _source_from_tracks({0: [(0, 0), (1, 0), (2, 0)]}, {0: [0.9, 0.8]}, {})
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(200):
-            t = sample_triplet(src, rng)
-            seen.add((t.anchor.frame, t.positive.frame, round(t.weight, 6)))
+            anchor, positive, weight = sample_triplet(src, rng)
+            seen.add((anchor.frame, positive.frame, round(weight, 6)))
         assert (0, 2, round(0.72, 6)) in seen  # matches the product rule
         assert (0, 1, 0.9) in seen
         assert (1, 2, 0.8) in seen
@@ -161,7 +163,7 @@ class TestSampleTriplet:
         src = _source_from_tracks({0: [(0, 0), (1, 0)]}, {0: [1.0]}, {})
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert sample_triplet(src, rng).weight == 1.0
+            assert sample_triplet(src, rng)[2] == 1.0
 
     def test_exhausted_raises(self):
         with pytest.raises(TrainingDataExhausted):
@@ -178,7 +180,7 @@ class TestSampleTriplet:
         rng = np.random.default_rng(0)
         drawn = [sample_triplet(src, rng) for _ in range(40)]
         assert None in drawn  # track 0's one pair is out of range
-        assert {(t.anchor, t.positive) for t in drawn if t is not None} == {
+        assert {(t[0], t[1]) for t in drawn if t is not None} == {
             (DetRef(0, 0, 1), DetRef(0, 2, 1))}
 
     def test_no_pair_within_max_gap_raises(self):
@@ -227,7 +229,7 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
     grads = [np.zeros_like(p) for p in net.params()]
     loss_sum = weight_sum = 0.0
     for t in triplets:
-        e_a, e_p, e_n = (embed.forward(net, embed.CanonicalCloud(points=crops(r)))[0]
+        e_a, e_p, e_n = (embed.forward(net, one_crop(crops(r)))[0]
                          for r in (t.anchor, t.positive, t.negative))
         w = t.weight if use_uncertainty else 1.0
         cp, dp_a, dp_p = learn._cosine_and_grads(e_a, e_p)
@@ -316,13 +318,13 @@ class TestTrain:
 
         def recording(seq, dets, n):
             got = canonicalize(seq, dets, n)
-            rows.extend(np.diff(np.append(got.starts, len(got.points))).tolist())
+            rows.extend(np.diff(got.bounds).tolist())
             return got
 
         def reference_stack(seq, dets, n):
             crops = [reference_canonicalize(seq.cloud_of(d), d.box, n) for d in dets]
-            return embed.CanonicalCloud(points=np.concatenate([c.points for c in crops]),
-                                        starts=[n * k for k in range(len(crops))])
+            return embed.CanonicalCloud(np.concatenate([c.points for c in crops]),
+                                        n * np.arange(len(crops) + 1))
 
         monkeypatch.setattr(embed, "canonicalize", recording)
         out, history = train([cli.frame_crops(seq, 64)], [tracks], net, cfg, seed=2)
@@ -353,7 +355,7 @@ class TestTrain:
             for rec in recs:
                 want = embed.canonicalize(seq, rec.detections, 16)
                 assert crops[rec.index].points.tobytes() == want.points.tobytes()
-                assert crops[rec.index].starts.tolist() == want.starts.tolist()
+                assert crops[rec.index].bounds.tolist() == want.bounds.tolist()
 
         def no_cut(*args):
             raise AssertionError("training cut a crop")
@@ -440,11 +442,12 @@ class TestBatchGradients:
         rng = np.random.default_rng(seed)
         batch = []
         while len(batch) < size:
-            t = sample_triplet(src, rng)
-            cands = [] if t is None else negative_candidates(src, t.anchor)
+            drawn = sample_triplet(src, rng)
+            cands = [] if drawn is None else negative_candidates(src, drawn[0])
             if cands:
-                n_det = cands[int(rng.integers(len(cands)))]
-                batch.append(replace(t, negative=DetRef(t.anchor.seq, t.anchor.frame, n_det)))
+                a, p, w = drawn
+                batch.append(Triplet(a, p, a._replace(det=cands[int(rng.integers(len(cands)))]),
+                                     w))
         return src.crop, batch
 
     def test_aggregation_equals_per_member_sum(self):
@@ -477,13 +480,14 @@ class TestBatchGradients:
             if checked >= 5:
                 break
             net = embed.EmbedNet.random((3, 6, 4), seed=50 + trial)
-            t = sample_triplet(src, rng)
-            if t is None:
+            drawn = sample_triplet(src, rng)
+            if drawn is None:
                 continue
-            cands = negative_candidates(src, t.anchor)
+            a, p, w = drawn
+            cands = negative_candidates(src, a)
             if not cands:
                 continue
-            t = replace(t, negative=DetRef(t.anchor.seq, t.anchor.frame, cands[0]))
+            t = Triplet(a, p, a._replace(det=cands[0]), w)
             loss, grads, _ = batch_loss_and_grads(net, crops, [t], 0.2)
             if loss < 1e-3:  # keep a margin from the hinge kink
                 continue

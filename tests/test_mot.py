@@ -524,9 +524,9 @@ class TestBounce:
         # embeddings one-hot by ground-truth identity: each crop is one row
         # that holds its detection's gt_id, however the frames are cropped
         monkeypatch.setattr(embed, "canonicalize", lambda seq, dets, n: embed.CanonicalCloud(
-            points=[(d.gt_id, 0.0, 0.0) for d in dets], starts=range(len(dets))))
+            np.array([(d.gt_id, 0.0, 0.0) for d in dets]), np.arange(len(dets) + 1)))
         monkeypatch.setattr(embed, "forward", lambda net, crops: np.eye(2)[
-            crops.points[crops.starts, 0].astype(int)])
+            crops.points[crops.bounds[:-1], 0].astype(int)])
         # A = 0.38 for the same car and 0.011 for the other: a true
         # continuation scores below one half, yet it is admitted and wins
         model = _cosine_model(4.0, -4.5)

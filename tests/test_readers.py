@@ -66,8 +66,9 @@ def scene_tracks(draw):
     return seq, tracks
 
 
-track_rows = st.lists(st.builds(TrackRow, st.integers(0, 10**6), st.integers(0, 10**9),
-                                boxes, unit), max_size=8)
+TRACK_FRAMES = 10**6 + 1
+track_rows = st.lists(st.builds(TrackRow, st.integers(0, TRACK_FRAMES - 1),
+                                st.integers(0, 10**9), boxes, unit), max_size=8)
 
 
 @st.composite
@@ -132,7 +133,7 @@ class TestTrackRows:
     @given(rows=track_rows)
     def test_round_trip(self, tmp_path, rows):
         write_track_rows(tmp_path / "t.jsonl", rows)
-        assert read_track_rows(tmp_path / "t.jsonl") == rows
+        assert read_track_rows(tmp_path / "t.jsonl", n_frames=TRACK_FRAMES) == rows
 
     @READER
     @given(data=st.data(), rows=track_rows)
@@ -140,14 +141,25 @@ class TestTrackRows:
         write_track_rows(tmp_path / "t.jsonl", rows)
         raw = (tmp_path / "t.jsonl").read_bytes()
         (tmp_path / "t.jsonl").write_bytes(data.draw(damaged(raw)))
-        assert_loads_or_names_file(read_track_rows, tmp_path / "t.jsonl")
+        assert_loads_or_names_file(lambda p: read_track_rows(p, n_frames=TRACK_FRAMES),
+                                   tmp_path / "t.jsonl")
 
     @pytest.mark.parametrize("score", [b"NaN", b"Infinity", b"1e999"])
     def test_non_finite_score_names_line(self, tmp_path, score):
         (tmp_path / "t.jsonl").write_bytes(
             b'{"frame": 0, "track_id": 1, "box": [0,0,0,0,1,1,1], "score": ' + score + b'}\n')
         with pytest.raises(ValueError, match=r"t\.jsonl:1: track score must be finite"):
-            read_track_rows(tmp_path / "t.jsonl")
+            read_track_rows(tmp_path / "t.jsonl", n_frames=1)
+
+    @pytest.mark.parametrize("frame", [-1, 8])
+    def test_frame_outside_the_sequence_names_line(self, tmp_path, frame):
+        """A row is refused at a frame outside the n_frames of its sequence."""
+        (tmp_path / "t.jsonl").write_text(
+            '{"frame": 7, "track_id": 1, "box": [0,0,0,0,1,1,1], "score": 0.5}\n'
+            f'{{"frame": {frame}, "track_id": 1, "box": [0,0,0,0,1,1,1], "score": 0.5}}\n')
+        with pytest.raises(ValueError, match=rf"t\.jsonl:2: track row at frame {frame}, "
+                                             "outside the 8 frames"):
+            read_track_rows(tmp_path / "t.jsonl", n_frames=8)
 
 
 class TestPseudoTracks:
