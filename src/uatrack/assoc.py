@@ -35,8 +35,13 @@ class AssocConfig:
     gate: float = 13.0
 
     def __post_init__(self):
-        if self.gate <= 0:
-            raise ValueError(f"gate must be > 0, got {self.gate}")
+        _check_gate(self.gate)
+
+
+def _check_gate(gate) -> None:
+    # a NaN gate would admit no pair and an infinite one every pair
+    if not (math.isfinite(gate) and gate > 0):
+        raise ValueError(f"gate must be finite and > 0, got {gate}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,7 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
     so equal costs (+0.0 and -0.0 included) keep row-major order.
     """
     m = _check_matrix(m)
-    if gate <= 0:
-        raise ValueError(f"gate must be > 0, got {gate}")
+    _check_gate(gate)
     cost = m if cost is None else _check_matrix(cost)
     if cost.shape != m.shape:
         raise ValueError(f"cost matrix shape {cost.shape} differs from distance shape {m.shape}")

@@ -63,6 +63,25 @@ only to those arg-max points, the crop's critical point set (Qi et al.,
 PointNet, CVPR 2017), so `backward` reruns the hidden layers on those
 rows alone and computes no gradient with respect to the points.
 
+`backward` takes every crop of a training step that has an upstream
+vector and returns the summed gradients. It packs the crops' critical
+rows, crops in the order given, into passes of whole consecutive crops of
+at most MAX_BACKWARD_ROWS = 96 rows (a crop of more alone); each pass
+reruns the hidden layers once and adds its g.T @ acts into the
+gradients. A default-config step backpropagates about 150 crops of 22
+critical rows each, so a pass covers about four. Backpropagating each
+crop alone spent most of its time in tiny matrix products and per-call
+overhead: the passes cut the train stage by 9% at a 64-row cap, 14% at
+96 and 18% at 128 (`train` workload config, seeds 20-25). The cap is set
+by memory, not speed. A pass holds about three float64 arrays of 64
+features, 1.5 KB a row, so a step's traced allocations peak about 50 KB
+higher for each 32 rows of cap (tracemalloc, `train` workload config,
+seed 3: 373 KB a step when each crop went alone, 443 KB at 96 rows, 492
+KB at 128). A prototype with 128 rows raised the train stage's resident
+high-water mark by 0.05-0.2 MB and one with 255 by about 1.1 MB; at 96
+it moved within run-to-run noise (timings.jsonl, 6 runs each of the
+`train` and `crowded` workload configs).
+
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
 biases (out), all little-endian.
@@ -83,6 +102,9 @@ NORM_EPS = 1e-12
 # rows of the MLP's largest pass in `forward`, set by memory (see the
 # module docstring)
 MAX_PASS_ROWS = 255
+# critical rows of the largest pass in `backward`, set by memory (see the
+# module docstring)
+MAX_BACKWARD_ROWS = 96
 # cloud points of the largest run of frames that `canonicalize_frames`
 # crops in one pass, set by memory (see the module docstring)
 MAX_PASS_POINTS = 4096
@@ -344,41 +366,78 @@ def forward_argmax(net: EmbedNet, points: np.ndarray) -> tuple[np.ndarray, np.nd
     return x[arg, np.arange(x.shape[1])], arg
 
 
-def backward(net: EmbedNet, points: np.ndarray, upstream, arg) -> list[np.ndarray]:
-    """Exact gradients of upstream . embedding w.r.t. every weight and bias,
-    for points, the rows of one crop.
+def backward(net: EmbedNet, crops, upstream, arg) -> list[np.ndarray]:
+    """Exact gradients of the sum over crops k of upstream[k] . embedding
+    of crop k, w.r.t. every weight and bias: the summed gradients of a
+    training step's crops. Returns arrays aligned with net.params().
+
+    crops holds the rows of each crop, upstream[k] is crop k's upstream
+    vector and arg[k] the arg-max that `forward_argmax` gave on crop k with
+    the same net. One crop may be passed as its rows, with its upstream
+    and arg vectors.
 
     The max pool routes gradient to the arg-max point of each output
     coordinate (ties to the lowest point index), so only those critical
     points carry gradient: the hidden layers are rerun on them alone, and
-    no gradient with respect to the points is computed. arg is the arg-max
-    from `forward_argmax` on the same net and points. Returns arrays
-    aligned with net.params().
+    no gradient with respect to the points is computed. The crops' critical
+    rows, each crop's in ascending order, go in passes of whole
+    consecutive crops of at most MAX_BACKWARD_ROWS rows together (a crop of
+    more alone); a pass reruns the hidden layers once and adds its
+    g.T @ acts into the gradients, so a crop's part can differ from a
+    backward over it alone in the last bits only. A single crop is one
+    pass, the bytes of a backward over its rows alone.
     """
-    upstream = np.asarray(upstream, dtype=np.float64).reshape(net.dim)
-    # the critical rows in ascending order, and each coordinate's place among them
-    hit = np.zeros(points.shape[0], dtype=bool)
-    hit[arg] = True
-    rows = np.flatnonzero(hit)
-    pos = np.cumsum(hit)[arg] - 1
-    acts = [points[rows]]
+    if isinstance(crops, np.ndarray):  # one crop's rows
+        crops, upstream, arg = (crops,), (upstream,), (arg,)
+    if not len(crops):
+        return [np.zeros_like(p) for p in net.params()]
+    # the critical rows among every crop's rows, one crop after another;
+    # crop k's are places bounds[k] up to bounds[k + 1] among them
+    starts = np.cumsum([0] + [len(c) for c in crops])
+    hit = np.zeros(starts[-1], dtype=bool)
+    for first, a in zip(starts, arg):
+        hit[first + a] = True
+    bounds = np.concatenate(([0], np.cumsum(np.add.reduceat(hit, starts[:-1], dtype=np.intp))))
+    ends = bounds[1:]
+    grads = [None] * (2 * len(net.weights))
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, bounds[lo] + MAX_BACKWARD_ROWS, side="right")))
+        seg = hit[starts[lo]:starts[hi]]
+        # each coordinate's place among the pass's critical rows
+        pos = np.cumsum(seg)[np.asarray(arg[lo:hi]) + (starts[lo:hi, None] - starts[lo])] - 1
+        rows = np.concatenate(crops[lo:hi])[np.flatnonzero(seg)]
+        _backprop(net, rows, pos, np.asarray(upstream[lo:hi], dtype=np.float64), grads)
+        lo = hi
+    return grads
+
+
+def _backprop(net: EmbedNet, rows, pos, upstream, grads) -> None:
+    """One pass of `backward`: add into grads, or set where a slot is still
+    None, the gradients w.r.t. every weight and bias of the sum over k and j
+    of upstream[k, j] times output coordinate j of the MLP at row pos[k, j]
+    of rows. The hidden layers are rerun on rows, and each activation is
+    dropped after its last use."""
+    acts = [rows]
     last = len(net.weights) - 1
     for w, b in zip(net.weights[:last], net.biases[:last]):
         x = acts[-1] @ w.T
         x += b
         acts.append(np.maximum(x, 0.0, out=x))
-    g = np.zeros((rows.size, net.dim))
+    g = np.zeros((len(rows), net.dim))
     g[pos, np.arange(net.dim)] = upstream
-
-    grads: list[np.ndarray] = [None] * (2 * len(net.weights))
     for k in range(last, -1, -1):
-        if k < last:
-            g *= acts[k + 1] > 0
-        grads[2 * k] = g.T @ acts[k]
-        grads[2 * k + 1] = g.sum(axis=0)
+        x = acts.pop()  # layer k's input
+        for slot, part in ((2 * k, g.T @ x), (2 * k + 1, g.sum(axis=0))):
+            if grads[slot] is None:
+                grads[slot] = part
+            else:
+                grads[slot] += part
         if k:
+            live = x > 0
+            del x
             g = g @ net.weights[k]
-    return grads
+            g *= live
 
 
 def norms(x) -> np.ndarray:

@@ -23,14 +23,16 @@ embeddings are stacked into one matrix, with their norms, once per step,
 and each triplet's negative is one `mine_hard_negative` call: a vector
 of cosines against the anchor's row. The gradient is linear in each
 crop's upstream vector for a fixed arg-max, so the upstream vectors of
-every triplet member that is the same crop are summed first, and
-`embed.backward` runs once per distinct crop, on its critical points
-only.
+every triplet member that is the same crop are summed first, and one
+`embed.backward` call a step backpropagates every crop that has one, on
+its critical points only, in passes over whole crops of at most
+`embed.MAX_BACKWARD_ROWS` critical rows.
 
 The trainer is deterministic given (config, seed): sampling uses one
 explicit generator, a crop is a fixed function of its cloud and box
 (`embed.canonicalize`), and gradient reduction order is fixed (crops in
-the order the batch's triplets first reach them).
+the order the batch's triplets first reach them, packed into passes in
+that order).
 """
 
 import math
@@ -58,10 +60,10 @@ class TrainerConfig:
     use_uncertainty: bool = True
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0 or self.max_gap < 1:
             raise ValueError("batch_size >= 1, epochs >= 0, max_gap >= 1 required")
 
@@ -276,10 +278,10 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
 
     crops maps a DetRef to the rows of its crop. Hinge-inactive or zero-weight
     triplets contribute nothing to the gradient; the mining arg-max is
-    treated as frozen. Each crop's upstream vectors are summed, in the order
-    the triplets first reach the crop, and backpropagated once. A
-    `memo_forward` of the same net may be passed as fwd. Returns (loss_sum,
-    grads, weight_sum).
+    treated as frozen. Each crop's upstream vectors are summed, and one
+    `embed.backward` call backpropagates every crop that has one, in the
+    order the triplets first reach the crops. A `memo_forward` of the same
+    net may be passed as fwd. Returns (loss_sum, grads, weight_sum).
     """
     if fwd is None:
         fwd = memo_forward(net, crops)
@@ -306,10 +308,9 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
                 prev = upstream.get(ref)
                 upstream[ref] = up if prev is None else prev + up
 
-    grads = [np.zeros_like(p) for p in net.params()]
-    for ref, up in upstream.items():
-        for slot, g in enumerate(embed.backward(net, crops(ref), up, arg=fwd(ref)[1])):
-            grads[slot] += g
+    refs = list(upstream)
+    grads = embed.backward(net, [crops(ref) for ref in refs], list(upstream.values()),
+                           [fwd(ref)[1] for ref in refs])
     return loss_sum, grads, weight_sum
 
 
@@ -375,6 +376,9 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
                     stacked = frames[(a.seq, a.frame)] = (embs, embed.norms(embs))
                 negative = a._replace(det=mine_hard_negative(*stacked, a.det))
                 triplets.append(Triplet(a, pos, negative, weight))
+            # the stacks serve mining alone: dropped, they leave room for
+            # the backward's passes, which set a step's peak memory
+            del frames
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
                 current, src.crop, triplets, cfg.margin, cfg.use_uncertainty, fwd=fwd)

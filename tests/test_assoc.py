@@ -82,6 +82,15 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_associate([[1.0]], gate=0.0)
 
+    @pytest.mark.parametrize("gate", [math.nan, math.inf])
+    def test_non_finite_gate_rejected(self, gate):
+        """A NaN gate admits no pair, so every detection would start a new
+        track in every frame; an infinite one admits every pair."""
+        with pytest.raises(ValueError, match=f"gate must be finite and > 0, got {gate}"):
+            greedy_associate([[1.0]], gate)
+        with pytest.raises(ValueError, match=f"gate must be finite and > 0, got {gate}"):
+            AssocConfig(gate=gate)
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(12345)
         for _ in range(300):

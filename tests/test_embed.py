@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from uatrack import embed
 from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 from uatrack.embed import (
+    MAX_BACKWARD_ROWS,
     MAX_PASS_POINTS,
     MAX_PASS_ROWS,
     CanonicalCloud,
@@ -685,6 +686,90 @@ class TestCriticalPointBackward:
             emb, arg = forward_argmax(net, cloud.points)
             assert emb.tobytes() == forward(net, cloud).tobytes()
             assert arg.shape == (net.dim,)
+
+
+class TestStackedBackward:
+    """backward over several crops, as a training step calls it: the sum of
+    each crop's dense backward, in passes of whole consecutive crops of at
+    most MAX_BACKWARD_ROWS critical rows."""
+
+    @staticmethod
+    def _crops(rng, net, count, sphere=False):
+        """count crops of 1 to 200 rows, a third of them on a coarse grid so
+        that arg-max ties are common, with their upstreams and arg-maxes.
+        With sphere, the rows lie on the unit sphere instead, so that a wide
+        net takes most of them as critical points."""
+        crops = []
+        for _ in range(count):
+            pts = rng.normal(size=(int(rng.integers(1, 200)), 3))
+            if sphere:
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            elif rng.random() < 1 / 3:
+                pts = np.round(pts * 2.0) / 2.0
+            crops.append(pts)
+        return crops, [rng.normal(size=net.dim) for _ in crops], \
+            [forward_argmax(net, c)[1] for c in crops]
+
+    def test_sum_of_dense_backward_per_crop(self):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            widths = random_widths(rng) if trial % 2 else (3, 64, 64, 64)
+            net = EmbedNet.random(widths, seed=400 + trial)
+            crops, ups, args = self._crops(rng, net, int(rng.integers(2, 40)))
+            got = backward(net, crops, ups, args)
+            want = [sum(parts) for parts in
+                    zip(*(dense_backward(net, c, u) for c, u in zip(crops, ups)))]
+            assert len(got) == len(want) == len(net.params())
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_one_crop_in_a_list_is_the_one_crop_call(self):
+        rng = np.random.default_rng(22)
+        net = EmbedNet.random((3, 64, 64, 64), seed=5)
+        crops, ups, args = self._crops(rng, net, 1)
+        for a, b in zip(backward(net, crops, ups, args), backward(net, crops[0], ups[0], args[0])):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_crops_zero_gradients(self):
+        net = EmbedNet.random((3, 6, 4), seed=0)
+        got = backward(net, [], [], [])
+        assert [g.shape for g in got] == [p.shape for p in net.params()]
+        assert not any(g.any() for g in got)
+
+    def test_passes_hold_whole_crops_within_the_cap(self, monkeypatch):
+        """The passes cover each crop's critical rows, in ascending order,
+        crops in the order given; a pass holds whole consecutive crops, at
+        most MAX_BACKWARD_ROWS rows unless it is one crop, and ends only
+        where the next crop would take it past the cap: that is the memory
+        contract of backward."""
+        rng = np.random.default_rng(23)
+        passes = []
+        backprop = embed._backprop
+        monkeypatch.setattr(embed, "_backprop", lambda net, rows, pos, up, grads: passes.append(
+            (rows.copy(), len(pos))) or backprop(net, rows, pos, up, grads))
+        multi = big = 0
+        for trial in range(12):
+            net = EmbedNet.random(((3, 16, 8), (3, 64, 64), (3, 64, 256))[trial % 3],
+                                  seed=500 + trial)
+            crops, ups, args = self._crops(rng, net, 30, sphere=trial % 3 == 2)
+            passes.clear()
+            backward(net, crops, ups, args)
+            critical = [c[np.unique(a)] for c, a in zip(crops, args)]
+            sizes = [len(c) for c in critical]
+            assert np.concatenate([r for r, _ in passes]).tobytes() == \
+                np.concatenate(critical).tobytes()
+            k = 0
+            for rows, count in passes:
+                assert count >= 1 and len(rows) == sum(sizes[k:k + count])
+                assert len(rows) <= MAX_BACKWARD_ROWS or count == 1
+                if k + count < len(sizes):
+                    assert len(rows) + sizes[k + count] > MAX_BACKWARD_ROWS
+                k += count
+                multi += count > 1
+                big += len(rows) > MAX_BACKWARD_ROWS
+            assert k == len(crops)
+        assert multi and big  # both kinds of pass are exercised
 
 
 @st.composite

@@ -189,6 +189,19 @@ class TestSampleTriplet:
                                 {0: [0.5], 1: [0.9]}, {}, max_gap=3)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("margin", math.nan, "margin must be finite and > 0, got nan"),
+    ("margin", math.inf, "margin must be finite and > 0, got inf"),
+    ("learning_rate", math.inf, "learning rate must be finite and >= 0, got inf"),
+    ("learning_rate", math.nan, "learning rate must be finite and >= 0, got nan"),
+])
+def test_non_finite_trainer_value_rejected(key, value, message):
+    """Refused when the config is built, not at step 0 as a non-finite
+    batch loss or a parameter the network refuses."""
+    with pytest.raises(ValueError, match=message):
+        TrainerConfig(**{key: value})
+
+
 class TestAdam:
     def _params(self):
         return [np.array([1.0, -2.0]), np.array([[0.5]])]
@@ -367,6 +380,25 @@ class TestTrain:
                            TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2), seed=1)
         assert history
 
+    def test_one_backward_a_step(self, monkeypatch):
+        """Each step backpropagates its crops in one `embed.backward` call,
+        each crop once."""
+        calls = []
+        backward = embed.backward
+
+        def recording(net, crops, upstream, arg):
+            # each crop is a view of its frame's stack; its first row's address names it
+            calls.append([c.__array_interface__["data"][0] for c in crops])
+            return backward(net, crops, upstream, arg)
+
+        monkeypatch.setattr(embed, "backward", recording)
+        frames, tracks = _mini_training_setup()
+        net = embed.EmbedNet.random((3, 8, 4), seed=2)
+        _, history = train(frames, tracks, net,
+                           TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2), seed=1)
+        assert len(calls) == len(history) and max(map(len, calls)) > 1
+        assert all(len(set(crops)) == len(crops) for crops in calls)
+
     def test_non_finite_params_raise(self, monkeypatch):
         """A step whose update makes a parameter NaN stops training: the
         network built from those parameters refuses them."""
@@ -450,14 +482,25 @@ class TestBatchGradients:
                                      w))
         return src.crop, batch
 
-    def test_aggregation_equals_per_member_sum(self):
+    def test_aggregation_equals_per_member_sum(self, monkeypatch):
+        """The batch's crops go through one `embed.backward` call of several
+        passes, and its gradients are the sum of every active member's."""
+        calls, passes = [], []
+        backward, backprop = embed.backward, embed._backprop
+        monkeypatch.setattr(embed, "backward", lambda net, crops, up, arg: calls.append(
+            len(crops)) or backward(net, crops, up, arg))
+        monkeypatch.setattr(embed, "_backprop", lambda net, rows, pos, up, grads: passes.append(
+            len(rows)) or backprop(net, rows, pos, up, grads))
         crops, batch = self._batch()
         members = [r for t in batch for r in (t.anchor, t.positive, t.negative)]
         assert len(set(members)) < len(members)  # crops repeat, so sums are taken
         for trial in range(5):
             net = embed.EmbedNet.random((3, 16, 16, 8), seed=60 + trial)
             for use_uncertainty in (True, False):
+                calls.clear()
+                passes.clear()
                 got = batch_loss_and_grads(net, crops, batch, 0.5, use_uncertainty)
+                assert len(calls) == 1 and calls[0] > 1 and len(passes) > 1
                 want = dense_batch_loss_and_grads(net, crops, batch, 0.5, use_uncertainty)
                 assert got[0] == want[0] > 0.0 and got[2] == want[2]
                 for a, b in zip(got[1], want[1]):
