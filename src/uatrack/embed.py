@@ -11,15 +11,17 @@ one scene's detections in one pass over their concatenated clouds and
 returns them as one stack, a `CanonicalCloud`: the crops' rows, one after
 another, and their K + 1 row bounds, crop k being rows bounds[k] up to
 bounds[k + 1]. That is the one stack format, and `canonicalize` alone
-builds stacks; the max pool of `forward` reduces over the same bounds. A
-detection's crop is the same bytes whether it is cut alone or with
-others. `canonicalize_frames` cuts runs of whole consecutive frames in one
+cuts stacks (`one_crop` takes a crop of a stack as a stack of its own);
+the max pool of `forward` reduces over the same bounds. A detection's
+crop is the same bytes whether it is cut alone or with others.
+`canonicalize_frames` cuts runs of whole consecutive frames in one
 `canonicalize` pass each and gives each frame a read-only view of its
 pass's stack. It is the one crop path: every inference path (the tracker
 and the logistic-fit harvest in `mot`, SOT evaluation) crops through it
 and embeds each frame with one `forward` call, and training cuts every
 frame of a scene through it as the scene is read (`cli.frame_crops`),
-holding the stacks as cut and dropping the scene's clouds (`learn.train`).
+holding the stacks as cut and dropping the scene's clouds (`learn.train`)
+and embedding each anchor frame of a step with one `forward_argmax` call.
 
 A crop is a fixed function of its cloud, its box and n =
 `[embed] points_per_crop`, with no random draw: of its count in-box
@@ -43,8 +45,13 @@ training allocates shows in the peak. Since training holds crops and no
 clouds, and every stage one scene's clouds at a time, mot-eval sets the
 high-water mark of a pipeline run (`peak_rss_mb` in timings.jsonl).
 
-`forward` runs the MLP over whole crops, at most MAX_PASS_ROWS = 255
-rows per pass, and max-pools each crop with `np.maximum.reduceat`. The
+`forward` and `forward_argmax` share one pass loop: the MLP runs over
+whole crops, at most MAX_PASS_ROWS = 255 rows per pass (a longer crop
+alone). `forward` max-pools each pass's crops with one
+`np.maximum.reduceat`; `forward_argmax` takes each crop's first arg-max
+rows and reads its embedding at them, the same bytes. Inference wants no
+arg-max, and taking them made its passes 4-7% slower on the frames of
+the `eval` and `crowded` configs, so `forward` keeps the reduceat. The
 cap is a constant set by memory, not speed: passes over a whole dense
 frame ran no faster than capped ones, and one layer's activations for
 255 rows of the default 64 features, 127.5 KiB, stay below the 128 KiB
@@ -56,12 +63,18 @@ they compare into matrices and take their cosines with `cosines`;
 training's hard-negative mining does too.
 
 An `EmbedNet` checks its parameters for finiteness once, when it is built,
-so no pass re-checks them. Inference calls `forward`; training calls
-`forward_argmax` on the rows of one crop at a time, which also returns
-the arg-max point of each output coordinate. The max pool sends gradient
-only to those arg-max points, the crop's critical point set (Qi et al.,
-PointNet, CVPR 2017), so `backward` reruns the hidden layers on those
-rows alone and computes no gradient with respect to the points.
+so no pass re-checks them. Inference calls `forward`. A training step
+calls `forward_argmax` once on the stack of each of its anchor frames, as
+it was cut, and on a one-crop stack for each positive outside them; it
+also returns each crop's arg-max point of each output coordinate. The max
+pool sends gradient only to those arg-max points, the crop's critical
+point set (Qi et al., PointNet, CVPR 2017), so `backward` reruns the
+hidden layers on those rows alone and computes no gradient with respect
+to the points. Embedding a frame's crops in its passes instead of one
+crop at a time, with the loss computed for a step's triplets at once, cut
+the `train` benchmark's wall time from 0.827 to 0.716 s (medians of 10
+alternating runs a side, 2 cores, one BLAS thread). Each call's result
+arrays stay small, about 3 KB on a `train` frame.
 
 `backward` takes every crop of a training step that has an upstream
 vector and returns the summed gradients. It packs the crops' critical
@@ -87,6 +100,7 @@ uint32 in, uint32 out, row-major float64 weights (out x in), float64
 biases (out), all little-endian.
 """
 
+import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -117,8 +131,9 @@ NET_MAGIC = b"UANN"
 class CanonicalCloud(NamedTuple):
     """The crops of one or more detections, each in its box's local frame,
     stacked: crop k is points[bounds[k]:bounds[k + 1]], at least one row.
-    `canonicalize` alone builds stacks, both arrays read-only, and
-    `_frame_views` slices them, so a stack is never checked again."""
+    `canonicalize` alone cuts stacks, both arrays read-only; `_frame_views`
+    slices them into frames and `one_crop` takes one crop's rows as a stack
+    of its own, so a stack is never checked again."""
 
     points: np.ndarray  # (N, 3) float64
     bounds: np.ndarray  # (K + 1,) row offsets: 0, then the end of each crop
@@ -180,6 +195,12 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
         points[full, col] = x[rows]
     points += 0.0  # -0.0 to +0.0, as the sums of a matrix product give it
     return CanonicalCloud(_frozen(points), _frozen(bounds))
+
+
+def one_crop(points: np.ndarray) -> CanonicalCloud:
+    """points, the read-only rows of one crop, as a stack of that crop
+    alone."""
+    return CanonicalCloud(points, _frozen(np.array([0, len(points)])))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -337,33 +358,52 @@ def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
     """Embed each crop of a stack: shared per-point MLP, then max over the
     crop's points. Returns (K, dim), one row per crop.
 
-    The MLP runs on runs of whole consecutive crops of at most
-    MAX_PASS_ROWS rows together (a longer crop alone), and each crop's max
-    is one `np.maximum.reduceat`. A row's features can differ from a
-    pass over its crop alone in the last bits only, through the matrix
-    product's blocking.
+    Runs the passes of `forward_argmax` and gives its embeddings, the same
+    bytes; each pass's maxima are one `np.maximum.reduceat` over its crops,
+    as no arg-max is wanted.
     """
-    pts, bounds = cloud.points, cloud.bounds
-    ends = bounds[1:]
-    out = np.empty((len(ends), net.dim))
+    return _passes(net, cloud, None)
+
+
+def forward_argmax(net: EmbedNet, cloud: CanonicalCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(embeddings, arg) of each crop of a stack: embeddings[k] is crop k's
+    max over its points of the shared per-point MLP, (K, dim), and arg[k, j]
+    the row of crop k, counted from the crop's first, that attains
+    coordinate j of it, the first such row on a tie, (K, dim).
+
+    The MLP runs on runs of whole consecutive crops of at most
+    MAX_PASS_ROWS rows together, a longer crop alone, each run as long as
+    the next crop allows. Each crop's arg-max is taken over its rows of the
+    pass, and its embedding is the values at those rows. A row's features
+    can differ from a pass over its crop alone in the last bits only,
+    through the matrix product's blocking; a stack of one crop is one pass
+    over its rows, and gives the bytes of a pass over them.
+    """
+    arg = np.empty((len(cloud.bounds) - 1, net.dim), dtype=np.intp)
+    return _passes(net, cloud, arg), arg
+
+
+def _passes(net: EmbedNet, cloud: CanonicalCloud, arg) -> np.ndarray:
+    """The one pass loop of `forward` and `forward_argmax`: each crop's
+    embedding, and with an arg array, its arg-max rows written into arg."""
+    pts, bounds = cloud.points, cloud.bounds.tolist()
+    count = len(bounds) - 1
+    out = np.empty((count, net.dim))
+    cols = np.arange(net.dim)
     lo = 0
-    while lo < len(ends):
-        hi = max(lo + 1, int(np.searchsorted(ends, bounds[lo] + MAX_PASS_ROWS, side="right")))
+    while lo < count:
         first = bounds[lo]
-        out[lo:hi] = np.maximum.reduceat(_mlp(net, pts[first:ends[hi - 1]]),
-                                         bounds[lo:hi] - first, axis=0)
+        hi = max(lo + 1, bisect.bisect_right(bounds, first + MAX_PASS_ROWS) - 1)
+        x = _mlp(net, pts[first:bounds[hi]])
+        if arg is None:
+            out[lo:hi] = np.maximum.reduceat(x, cloud.bounds[lo:hi] - first, axis=0)
+        else:
+            for k in range(lo, hi):
+                rows = x[bounds[k] - first:bounds[k + 1] - first]
+                arg[k] = top = rows.argmax(axis=0)
+                out[k] = rows[top, cols]
         lo = hi
     return out
-
-
-def forward_argmax(net: EmbedNet, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Training forward pass over points, the rows of one crop: (embedding,
-    arg), where arg[j] is the row that attains output coordinate j, the
-    first one on a tie.
-    """
-    x = _mlp(net, points)
-    arg = x.argmax(axis=0)
-    return x[arg, np.arange(x.shape[1])], arg
 
 
 def backward(net: EmbedNet, crops, upstream, arg) -> list[np.ndarray]:

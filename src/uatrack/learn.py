@@ -16,23 +16,26 @@ a scene's clouds and detections are needed only until its crops are cut,
 and are dropped before the next scene is read. `TripletSource` holds
 those stacks as they were cut, neither copied nor converted: a crop is a
 slice of its stack's rows by the stack's bounds, and a frame's detection
-count is its stack's crop count. Each crop in a step is embedded once
-(`embed.forward_argmax` on its rows); the step's network checks its
-parameters for finiteness once, when it is built. Each anchor frame's
-embeddings are stacked into one matrix, with their norms, once per step,
-and each triplet's negative is one `mine_hard_negative` call: a vector
-of cosines against the anchor's row. The gradient is linear in each
-crop's upstream vector for a fixed arg-max, so the upstream vectors of
-every triplet member that is the same crop are summed first, and one
-`embed.backward` call a step backpropagates every crop that has one, on
-its critical points only, in passes over whole crops of at most
-`embed.MAX_BACKWARD_ROWS` critical rows.
+count is its stack's crop count. A step embeds each crop it uses once
+(`step_forward`): each anchor frame whole, in one `embed.forward_argmax`
+call on its stack as cut, which gives the frame's embedding matrix and
+every crop's arg-max rows, and a positive outside the anchor frames alone,
+as a one-crop stack. The step's network checks its parameters for
+finiteness once, when it is built. Each triplet's negative is one
+`mine_hard_negative` call on its anchor frame's matrix: a vector of
+cosines against the anchor's row. The loss and its upstream vectors are
+computed for the whole batch at once, one row per triplet. The gradient
+is linear in each crop's upstream vector for a fixed arg-max, so the
+upstream vectors of every triplet member that is the same crop are summed
+first, and one `embed.backward` call a step backpropagates every crop that
+has one, on its critical points only, in passes over whole crops of at
+most `embed.MAX_BACKWARD_ROWS` critical rows.
 
 The trainer is deterministic given (config, seed): sampling uses one
 explicit generator, a crop is a fixed function of its cloud and box
-(`embed.canonicalize`), and gradient reduction order is fixed (crops in
-the order the batch's triplets first reach them, packed into passes in
-that order).
+(`embed.canonicalize`), and every reduction order is fixed: the batch's
+sums run one triplet after another, and the gradients' over crops in the
+order the triplets first reach them, packed into passes in that order.
 """
 
 import math
@@ -87,9 +90,10 @@ class Triplet(NamedTuple):
     weight: float
 
 
-def triplet_loss(cos_pos: float, cos_neg: float, margin: float) -> float:
-    """Hinge on cosine similarities: max(cos_neg - cos_pos + margin, 0)."""
-    return max(cos_neg - cos_pos + margin, 0.0)
+def triplet_loss(cos_pos, cos_neg, margin: float):
+    """Hinge on cosine similarities: max(cos_neg - cos_pos + margin, 0), of
+    numbers or elementwise over arrays."""
+    return np.maximum(cos_neg - cos_pos + margin, 0.0)
 
 
 def mine_hard_negative(embs: np.ndarray, norms: np.ndarray, anchor: int) -> int | None:
@@ -236,16 +240,20 @@ def adam_step(params, grads, state: AdamState, cfg: TrainerConfig):
 # training
 
 
-def _cosine_and_grads(a, b):
-    """cos(a, b) with its gradients w.r.t. a and b; zero grads when degenerate."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < embed.NORM_EPS or nb < embed.NORM_EPS:
-        return 0.0, np.zeros_like(a), np.zeros_like(b)
-    c = float(np.dot(a, b) / (na * nb))
+def _cosines_and_grads(a, b):
+    """Each row pair's cosine cos(a[i], b[i]), (T,), with its gradients
+    w.r.t. a[i] and b[i], (T, dim) each; a row pair where either norm
+    (`embed.norms`) is below NORM_EPS gets 0 and zero gradients. Each row
+    is computed in one order whatever the rows beside it."""
+    na, nb = embed.norms(a), embed.norms(b)
+    ok = (na >= embed.NORM_EPS) & (nb >= embed.NORM_EPS)
+    na = np.where(ok, na, 1.0)[:, None]
+    nb = np.where(ok, nb, 1.0)[:, None]
+    c = np.einsum("...j,...j->...", a, b)[:, None] / (na * nb)
     da = b / (na * nb) - c * a / (na * na)
     db = a / (na * nb) - c * b / (nb * nb)
-    return c, da, db
+    ok = ok[:, None]
+    return np.where(ok, c, 0.0)[:, 0], np.where(ok, da, 0.0), np.where(ok, db, 0.0)
 
 
 @dataclass
@@ -255,20 +263,33 @@ class StepRecord:
     mean_weight: float
 
 
-def memo_forward(net: embed.EmbedNet, crops):
-    """Memoized `embed.forward_argmax`: DetRef -> (embedding, arg-max rows).
+def _loss_and_upstream(triplets, fwd, margin: float, use_uncertainty: bool, dim: int):
+    """(loss_sum, weight_sum, refs, upstream) of a batch of triplets, as
+    `batch_loss_and_grads` defines them: refs lists each crop that an
+    active triplet reaches, in the order the triplets first reach them, and
+    upstream[i] sums the upstream vectors of crop refs[i]. Its work arrays
+    go when it returns, before any backward pass."""
+    # one row per triplet: its anchor's, positive's and negative's embedding
+    e_a, e_p, e_n = (np.array([fwd(t[k])[0] for t in triplets]).reshape(-1, dim)
+                     for k in range(3))
+    w = np.array([t.weight if use_uncertainty else 1.0 for t in triplets])
+    cp, dp_a, dp_p = _cosines_and_grads(e_a, e_p)
+    cn, dn_a, dn_n = _cosines_and_grads(e_a, e_n)
+    raw = triplet_loss(cp, cn, margin)
+    # summed one triplet after another, as a loop over them would
+    loss_sum = float(np.cumsum(np.append(0.0, raw * w))[-1])
+    weight_sum = float(np.cumsum(np.append(0.0, w))[-1])
 
-    crops maps a DetRef to the rows of its crop.
-    """
-    cache: dict = {}
-
-    def fwd(ref):
-        got = cache.get(ref)
-        if got is None:
-            got = cache[ref] = embed.forward_argmax(net, crops(ref))
-        return got
-
-    return fwd
+    # the upstream vectors of each active triplet's anchor, positive and
+    # negative, summed per crop
+    active = np.flatnonzero((raw > 0.0) & (w > 0.0))
+    wa = w[active, None]
+    ups = np.stack((wa * (dn_a - dp_a)[active], -wa * dp_p[active], wa * dn_n[active]), axis=1)
+    slot: dict = {}
+    at = [slot.setdefault(ref, len(slot)) for i in active.tolist() for ref in triplets[i][:3]]
+    upstream = np.zeros((len(slot), dim))
+    np.add.at(upstream, np.array(at, dtype=np.intp), ups.reshape(-1, dim))
+    return loss_sum, weight_sum, list(slot), upstream
 
 
 def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
@@ -276,42 +297,57 @@ def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
     """Summed weighted triplet loss and exact parameter gradients for a
     batch of triplets.
 
-    crops maps a DetRef to the rows of its crop. Hinge-inactive or zero-weight
-    triplets contribute nothing to the gradient; the mining arg-max is
-    treated as frozen. Each crop's upstream vectors are summed, and one
-    `embed.backward` call backpropagates every crop that has one, in the
-    order the triplets first reach the crops. A `memo_forward` of the same
-    net may be passed as fwd. Returns (loss_sum, grads, weight_sum).
+    crops maps a DetRef to the rows of its crop, and fwd maps it to the
+    crop's (embedding, arg-max rows) under net, as `embed.forward_argmax`
+    gives them; without fwd each crop is embedded alone, as a one-crop
+    stack. Hinge-inactive or zero-weight triplets contribute nothing to the
+    gradient; the mining arg-max is treated as frozen. Each crop's upstream
+    vectors are summed, and one `embed.backward` call backpropagates every
+    crop that has one, in the order the triplets first reach the crops.
+    Returns (loss_sum, grads, weight_sum).
     """
     if fwd is None:
-        fwd = memo_forward(net, crops)
+        def fwd(ref):
+            embs, arg = embed.forward_argmax(net, embed.one_crop(crops(ref)))
+            return embs[0], arg[0]
 
-    loss_sum = 0.0
-    weight_sum = 0.0
-    upstream: dict = {}
-    for t in triplets:
-        e_a = fwd(t.anchor)[0]
-        e_p = fwd(t.positive)[0]
-        e_n = fwd(t.negative)[0]
-        w = t.weight if use_uncertainty else 1.0
-        cp, dp_a, dp_p = _cosine_and_grads(e_a, e_p)
-        cn, dn_a, dn_n = _cosine_and_grads(e_a, e_n)
-        raw = triplet_loss(cp, cn, margin)
-        loss_sum += raw * w
-        weight_sum += w
-        if raw > 0.0 and w > 0.0:
-            for ref, up in (
-                (t.anchor, w * (dn_a - dp_a)),
-                (t.positive, -w * dp_p),
-                (t.negative, w * dn_n),
-            ):
-                prev = upstream.get(ref)
-                upstream[ref] = up if prev is None else prev + up
-
-    refs = list(upstream)
-    grads = embed.backward(net, [crops(ref) for ref in refs], list(upstream.values()),
+    loss_sum, weight_sum, refs, upstream = _loss_and_upstream(
+        triplets, fwd, margin, use_uncertainty, net.dim)
+    grads = embed.backward(net, [crops(ref) for ref in refs], upstream,
                            [fwd(ref)[1] for ref in refs])
     return loss_sum, grads, weight_sum
+
+
+def step_forward(net: embed.EmbedNet, src: TripletSource, drawn):
+    """The forward pass of a training step over its drawn (anchor,
+    positive, weight) pairs: (frames, fwd).
+
+    Each anchor frame is embedded whole, its stack as cut, in one
+    `embed.forward_argmax` call: frames[(scene, frame)] is its (embeddings,
+    `embed.norms`, arg-max rows), one row per detection. A positive outside
+    the anchor frames is embedded alone, as a one-crop stack, once. fwd
+    maps a detection of an anchor frame, or such a positive, to its
+    (embedding, arg-max rows).
+    """
+    frames: dict = {}
+    for a, _, _ in drawn:
+        key = (a.seq, a.frame)
+        if key not in frames:
+            embs, arg = embed.forward_argmax(net, src.frames[key])
+            frames[key] = embs, embed.norms(embs), arg
+    alone: dict = {}
+    for _, pos, _ in drawn:
+        if (pos.seq, pos.frame) not in frames and pos not in alone:
+            alone[pos] = embed.forward_argmax(net, embed.one_crop(src.crop(pos)))
+
+    def fwd(ref):
+        got = frames.get((ref.seq, ref.frame))
+        if got is None:
+            embs, arg = alone[ref]
+            return embs[0], arg[0]
+        return got[0][ref.det], got[2][ref.det]
+
+    return frames, fwd
 
 
 def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerConfig, *,
@@ -362,26 +398,17 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
                     drawn.append(got)
 
             current = embed.EmbedNet.from_params(params)
-            fwd = memo_forward(current, src.crop)
-
+            frames, fwd = step_forward(current, src, drawn)
             # mine each anchor's negative under the current net, from its
-            # frame's embeddings stacked once per step
-            frames: dict = {}
-            triplets: list[Triplet] = []
-            for a, pos, weight in drawn:
-                stacked = frames.get((a.seq, a.frame))
-                if stacked is None:
-                    dets = range(src.det_count(a.seq, a.frame))
-                    embs = np.stack([fwd(a._replace(det=d))[0] for d in dets])
-                    stacked = frames[(a.seq, a.frame)] = (embs, embed.norms(embs))
-                negative = a._replace(det=mine_hard_negative(*stacked, a.det))
-                triplets.append(Triplet(a, pos, negative, weight))
-            # the stacks serve mining alone: dropped, they leave room for
-            # the backward's passes, which set a step's peak memory
-            del frames
+            # frame's embeddings
+            triplets = [Triplet(a, pos, a._replace(det=mine_hard_negative(
+                            *frames[(a.seq, a.frame)][:2], a.det)), weight)
+                        for a, pos, weight in drawn]
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
                 current, src.crop, triplets, cfg.margin, cfg.use_uncertainty, fwd=fwd)
+            # the step's embeddings go before the next step's are made
+            del frames, fwd
             if not math.isfinite(loss_sum):
                 raise NumericalError(
                     f"non-finite batch loss at step {global_step} "

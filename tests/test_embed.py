@@ -63,6 +63,12 @@ def one_crop(points):
     return CanonicalCloud(points, np.array([0, len(points)]))
 
 
+def argmax_rows(net, points):
+    """The arg-max rows of one crop, points, as `forward_argmax` gives them
+    for a stack of that crop alone."""
+    return forward_argmax(net, one_crop(points))[1][0]
+
+
 def crops_of(stack):
     """Each crop of a stack as a stack of its own."""
     bounds = stack.bounds.tolist()
@@ -479,7 +485,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         net = EmbedNet.random((3, 6, 4), seed=0)
         cloud = one_crop(np.random.default_rng(1).normal(size=(12, 3)))
-        grads = backward(net, cloud.points, np.zeros(4), forward_argmax(net, cloud.points)[1])
+        grads = backward(net, cloud.points, np.zeros(4), argmax_rows(net, cloud.points))
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -489,7 +495,7 @@ class TestBackward:
             net = EmbedNet.random((3, 5, 4), seed=100 + trial)
             cloud = one_crop(rng.normal(size=(8, 3)))
             upstream = rng.normal(size=4)
-            analytic = backward(net, cloud.points, upstream, forward_argmax(net, cloud.points)[1])
+            analytic = backward(net, cloud.points, upstream, argmax_rows(net, cloud.points))
             numeric = fd_gradients(net, cloud, upstream)
             for a, n in zip(analytic, numeric):
                 denom = np.maximum(np.abs(n), 1e-6)
@@ -514,10 +520,10 @@ class TestBackward:
         margin = min(feats[:, d].max() - feats[loser, d] for d in range(4))
         assert margin > 0
 
-        base = backward(net, cloud.points, upstream, forward_argmax(net, cloud.points)[1])
+        base = backward(net, cloud.points, upstream, argmax_rows(net, cloud.points))
         bumped = pts.copy()
         bumped[loser] += margin * 1e-3  # well below the selection margin
-        out = backward(net, bumped, upstream, forward_argmax(net, bumped)[1])
+        out = backward(net, bumped, upstream, argmax_rows(net, bumped))
         for a, b2 in zip(base, out):
             np.testing.assert_array_equal(a, b2)
 
@@ -590,7 +596,7 @@ def assert_matches_previous(net, cloud, upstream):
     """Embedding, arg-max and gradients equal the previous implementation's
     byte for byte."""
     feats = previous_mlp(net, cloud.points)
-    emb, arg = forward_argmax(net, cloud.points)
+    (emb,), (arg,) = forward_argmax(net, cloud)
     assert emb.tobytes() == feats.max(axis=0).tobytes()
     assert forward(net, cloud).tobytes() == feats.max(axis=0).tobytes()
     assert arg.tobytes() == feats.argmax(axis=0).tobytes()
@@ -616,7 +622,7 @@ class TestCriticalPointBackward:
     def assert_matches_dense(net, cloud, upstream):
         assert_matches_previous(net, cloud, upstream)
         want = dense_backward(net, cloud.points, upstream)
-        got = backward(net, cloud.points, upstream, forward_argmax(net, cloud.points)[1])
+        got = backward(net, cloud.points, upstream, argmax_rows(net, cloud.points))
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape
@@ -637,7 +643,7 @@ class TestCriticalPointBackward:
             base = rng.normal(size=(5, 3))
             pts = base[rng.integers(0, 5, size=32)]
             cloud = one_crop(pts)
-            _, arg = forward_argmax(net, cloud.points)
+            arg = argmax_rows(net, cloud.points)
             first = {tuple(p): i for i, p in reversed(list(enumerate(pts)))}
             assert all(a == first[tuple(pts[a])] for a in arg)
             self.assert_matches_dense(net, cloud, rng.normal(size=net.dim))
@@ -654,8 +660,8 @@ class TestCriticalPointBackward:
             cloud = crop(PointCloud([[50.0, 50.0, 50.0]]), box(), 16)
             ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16)
             assert cloud.points.tobytes() == np.zeros((1, 3)).tobytes()
-            emb, arg = forward_argmax(net, cloud.points)
-            ref_emb, ref_arg = forward_argmax(net, ref.points)
+            (emb,), (arg,) = forward_argmax(net, cloud)
+            (ref_emb,), (ref_arg,) = forward_argmax(net, ref)
             np.testing.assert_array_equal(arg, np.zeros(4, dtype=arg.dtype))
             np.testing.assert_array_equal(ref_arg, np.zeros(4, dtype=arg.dtype))
             np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
@@ -674,7 +680,7 @@ class TestCriticalPointBackward:
         net = EmbedNet(weights=base.weights, biases=tuple(biases))
         cloud = one_crop(rng.normal(size=(30, 3)))
         grads = backward(net, cloud.points, rng.normal(size=5),
-                         forward_argmax(net, cloud.points)[1])
+                         argmax_rows(net, cloud.points))
         assert not grads[0][:4].any() and not grads[1][:4].any()
         self.assert_matches_dense(net, cloud, rng.normal(size=5))
 
@@ -683,7 +689,7 @@ class TestCriticalPointBackward:
         for trial in range(20):
             net = EmbedNet.random(random_widths(rng), seed=300 + trial)
             cloud = one_crop(rng.normal(size=(24, 3)))
-            emb, arg = forward_argmax(net, cloud.points)
+            (emb,), (arg,) = forward_argmax(net, cloud)
             assert emb.tobytes() == forward(net, cloud).tobytes()
             assert arg.shape == (net.dim,)
 
@@ -708,7 +714,7 @@ class TestStackedBackward:
                 pts = np.round(pts * 2.0) / 2.0
             crops.append(pts)
         return crops, [rng.normal(size=net.dim) for _ in crops], \
-            [forward_argmax(net, c)[1] for c in crops]
+            [argmax_rows(net, c) for c in crops]
 
     def test_sum_of_dense_backward_per_crop(self):
         rng = np.random.default_rng(21)
@@ -772,6 +778,103 @@ class TestStackedBackward:
         assert multi and big  # both kinds of pass are exercised
 
 
+class TestStackedForwardArgmax:
+    """forward_argmax over a stack of crops, as a training step calls it on
+    a frame: the embeddings of `forward`, each crop's first arg-max rows,
+    and passes of whole consecutive crops of at most MAX_PASS_ROWS rows."""
+
+    @staticmethod
+    def _stack(rng, count):
+        """A stack of count crops of 1 to 200 rows and now and then of 256
+        to 400, half of them on a coarse grid so that arg-max ties are
+        common."""
+        crops = []
+        for _ in range(count):
+            rows = int(rng.integers(256, 400) if rng.random() < 0.1 else rng.integers(1, 200))
+            pts = rng.normal(size=(rows, 3))
+            if rng.random() < 0.5:
+                pts = np.round(pts * 2.0) / 2.0
+            crops.append(pts)
+        return CanonicalCloud(np.concatenate(crops), np.cumsum([0] + [len(c) for c in crops]))
+
+    @staticmethod
+    def _net(rng, trial):
+        widths = random_widths(rng) if trial % 2 else (3, 64, 64, 64)
+        return EmbedNet(weights=EmbedNet.random(widths, seed=700 + trial).weights,
+                        biases=tuple(rng.normal(0.0, 0.5, size=w) for w in widths[1:]))
+
+    def test_embeddings_are_forwards(self):
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            net = self._net(rng, trial)
+            stack = self._stack(rng, int(rng.integers(1, 30)))
+            emb, arg = forward_argmax(net, stack)
+            assert emb.shape == arg.shape == (len(stack.bounds) - 1, net.dim)
+            assert emb.tobytes() == forward(net, stack).tobytes()
+
+    def test_first_arg_max_of_each_crop(self, monkeypatch):
+        """Each crop's arg-max row attains its embedding among the rows its
+        pass computed, and no earlier row of the crop does."""
+        rng = np.random.default_rng(32)
+        feats = []
+        mlp = embed._mlp
+        monkeypatch.setattr(embed, "_mlp", lambda net, pts: feats.append(mlp(net, pts)) or
+                            feats[-1].copy())
+        ties = 0
+        for trial in range(12):
+            net = self._net(rng, trial)
+            stack = self._stack(rng, 30)
+            feats.clear()
+            emb, arg = forward_argmax(net, stack)
+            rows = np.concatenate(feats)
+            assert len(rows) == len(stack.points)
+            cols = np.arange(net.dim)
+            for k, (lo, hi) in enumerate(zip(stack.bounds, stack.bounds[1:])):
+                crop = rows[lo:hi]
+                assert (0 <= arg[k]).all() and (arg[k] < hi - lo).all()
+                assert crop[arg[k], cols].tobytes() == emb[k].tobytes()
+                assert crop.max(axis=0).tobytes() == emb[k].tobytes()
+                earlier = np.arange(hi - lo)[:, None] < arg[k]
+                assert not (earlier & (crop == emb[k])).any()
+                ties += int(((crop == emb[k]).sum(axis=0) > 1).sum())
+        assert ties  # the tie rule is exercised
+
+    def test_passes_hold_whole_crops_within_the_cap(self, monkeypatch):
+        """A pass holds whole consecutive crops, at most MAX_PASS_ROWS rows
+        unless it is one crop, and ends only where the next crop would take
+        it past the cap: that is the memory contract of forward_argmax."""
+        rng = np.random.default_rng(33)
+        passes = []
+        mlp = embed._mlp
+        monkeypatch.setattr(embed, "_mlp", lambda net, pts: passes.append(len(pts)) or
+                            mlp(net, pts))
+        multi = big = 0
+        for trial in range(12):
+            net = self._net(rng, trial)
+            stack = self._stack(rng, 30)
+            sizes = np.diff(stack.bounds).tolist()
+            passes.clear()
+            forward_argmax(net, stack)
+            k = 0
+            for rows in passes:
+                count = next(c for c in range(1, len(sizes) - k + 1)
+                             if sum(sizes[k:k + c]) >= rows)
+                assert rows == sum(sizes[k:k + count])
+                assert rows <= MAX_PASS_ROWS or count == 1
+                if k + count < len(sizes):
+                    assert rows + sizes[k + count] > MAX_PASS_ROWS
+                k += count
+                multi += count > 1
+                big += rows > MAX_PASS_ROWS
+            assert k == len(sizes)
+        assert multi and big  # both kinds of pass are exercised
+
+    def test_no_crops(self):
+        net = EmbedNet.random((3, 4, 2), seed=0)
+        emb, arg = forward_argmax(net, CanonicalCloud(np.zeros((0, 3)), np.zeros(1, dtype=int)))
+        assert emb.shape == arg.shape == (0, 2)
+
+
 @st.composite
 def crop_cases(draw):
     """(cloud, box, n, net, upstream): 0 to 2n survivors of a cloud,
@@ -815,7 +918,7 @@ class TestPreviousImplementation:
         dead = EmbedNet(weights=base.weights,
                         biases=(np.full(6, -1e3), base.biases[1], base.biases[2]))
         assert_matches_previous(dead, cloud, rng.normal(size=4))
-        arg = forward_argmax(dead, cloud.points)[1]
+        arg = argmax_rows(dead, cloud.points)
         assert not any(g.any() for g in backward(dead, cloud.points, rng.normal(size=4), arg)[:4])
 
 
@@ -839,11 +942,11 @@ class TestReferenceEquivalence:
         ref = reference_canonicalize(pc, b, n)
         assert 1 <= cloud.points.shape[0] <= n
         np.testing.assert_allclose(forward(net, cloud), forward(net, ref), rtol=0.0, atol=1e-12)
-        emb, arg = forward_argmax(net, cloud.points)
-        ref_emb, ref_arg = forward_argmax(net, ref.points)
+        (emb,), (arg,) = forward_argmax(net, cloud)
+        (ref_emb,), (ref_arg,) = forward_argmax(net, ref)
         np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
         own = previous_canonicalize(pc, b, n)
-        _, own_arg = forward_argmax(net, own.points)
+        own_arg = argmax_rows(net, own.points)
         assert_same_crop(one_crop(cloud.points[arg]),
                          one_crop(own.points[own_arg]), exact=b.yaw == 0.0)
         got = backward(net, cloud.points, upstream, arg=arg)

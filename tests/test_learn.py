@@ -245,8 +245,8 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
         e_a, e_p, e_n = (embed.forward(net, one_crop(crops(r)))[0]
                          for r in (t.anchor, t.positive, t.negative))
         w = t.weight if use_uncertainty else 1.0
-        cp, dp_a, dp_p = learn._cosine_and_grads(e_a, e_p)
-        cn, dn_a, dn_n = learn._cosine_and_grads(e_a, e_n)
+        cp, dp_a, dp_p = (x[0] for x in learn._cosines_and_grads(e_a[None], e_p[None]))
+        cn, dn_a, dn_n = (x[0] for x in learn._cosines_and_grads(e_a[None], e_n[None]))
         raw = triplet_loss(cp, cn, margin)
         loss_sum += raw * w
         weight_sum += w
@@ -398,6 +398,54 @@ class TestTrain:
                            TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2), seed=1)
         assert len(calls) == len(history) and max(map(len, calls)) > 1
         assert all(len(set(crops)) == len(crops) for crops in calls)
+
+    def test_one_stacked_forward_per_anchor_frame(self, monkeypatch):
+        """Each step embeds each of its anchor frames with one
+        `embed.forward_argmax` call on that frame's stack itself, a positive
+        outside those frames alone, and no crop twice."""
+        events = []
+        forward_argmax, backward, sample = embed.forward_argmax, embed.backward, \
+            learn.sample_triplet
+        monkeypatch.setattr(embed, "forward_argmax", lambda net, stack: events.append(
+            ("forward", stack)) or forward_argmax(net, stack))
+        monkeypatch.setattr(embed, "backward", lambda *args: events.append(
+            ("backward", None)) or backward(*args))
+        monkeypatch.setattr(learn, "sample_triplet", lambda src, rng: events.append(
+            ("sample", sample(src, rng))) or events[-1][1])
+        frames, tracks = _mini_training_setup()
+        net = embed.EmbedNet.random((3, 8, 4), seed=2)
+        _, history = train(frames, tracks, net,
+                           TrainerConfig(learning_rate=1e-3, batch_size=8, epochs=2), seed=1)
+
+        def address(stack, k):
+            # each crop is a view of its frame's stack; its first row's address names it
+            return stack.points[stack.bounds[k]:].__array_interface__["data"][0]
+
+        steps = lone = 0
+        drawn, calls = [], []
+        for kind, got in events:
+            if kind == "sample" and got is not None:
+                drawn.append(got)
+            elif kind == "forward":
+                calls.append(got)
+            elif kind == "backward":
+                anchors = {(a.seq, a.frame) for a, _, _ in drawn}
+                whole = [key for key in anchors for stack in calls
+                         if stack is frames[key[0]][key[1]]]
+                assert sorted(whole) == sorted(anchors)
+                alone = [stack for stack in calls
+                         if not any(stack is frames[s][f] for s, f in anchors)]
+                assert all(len(stack.bounds) == 2 for stack in alone)
+                outside = {p for _, p, _ in drawn if (p.seq, p.frame) not in anchors}
+                assert sorted(address(stack, 0) for stack in alone) == \
+                    sorted(address(frames[p.seq][p.frame], p.det) for p in outside)
+                crops = [address(stack, k) for stack in calls
+                         for k in range(len(stack.bounds) - 1)]
+                assert len(set(crops)) == len(crops)
+                steps += 1
+                lone += len(alone)
+                drawn, calls = [], []
+        assert steps == len(history) and lone  # positives outside the anchor frames occur
 
     def test_non_finite_params_raise(self, monkeypatch):
         """A step whose update makes a parameter NaN stops training: the
