@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kalman
-from .core import Box7, Sequence, TrackletLabel, read_jsonl
+from .core import FRAME_PERIOD, Box7, Sequence, TrackletLabel, read_jsonl
 
 
 # a track unmatched for MAX_AGE frames in a row is dropped
@@ -173,7 +173,7 @@ def run_tracker(
 
     for rec in seq.frames:
         if prev_index is not None and len(ids):
-            dt = (rec.index - prev_index) * seq.frame_period
+            dt = (rec.index - prev_index) * FRAME_PERIOD
             mean, cov = kalman.predict(mean, cov, dt, kcfg)
         prev_index = rec.index
 

@@ -96,15 +96,13 @@ def _load_config(path, seed: int | None = None) -> RunConfig:
 
 
 def _read_scene(rc: RunConfig, det_path, clouds_path) -> Sequence:
-    return read_detections(det_path, read_clouds(clouds_path),
-                           frame_period=rc.sim.frame_period, n_frames=rc.sim.frames)
+    return read_detections(det_path, read_clouds(clouds_path), n_frames=rc.sim.frames)
 
 
 def _read_boxes(rc: RunConfig, det_path) -> Sequence:
     """A scene's detections without their clouds, for stages that use only
     boxes and gt_ids."""
-    return read_detections(det_path, clouds=None, frame_period=rc.sim.frame_period,
-                           n_frames=rc.sim.frames)
+    return read_detections(det_path, clouds=None, n_frames=rc.sim.frames)
 
 
 # ---------------------------------------------------------------------------

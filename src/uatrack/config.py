@@ -44,9 +44,7 @@ class SimSection:
     objects: int = SceneConfig.n_objects
     test_objects: int = 4
     frames: int = SceneConfig.n_frames
-    frame_period: float = SceneConfig.frame_period
     crossings: int = 1
-    bounds: float = SceneConfig.bounds
     center_pct: float = NoiseModel.center_pct
     size_pct: float = NoiseModel.size_pct
     yaw_deg: float = NoiseModel.yaw_deg
@@ -68,8 +66,8 @@ class SimSection:
         giving each object its own template."""
         n = self.test_objects if split == "test" else self.objects
         return SceneConfig(
-            n_objects=n, n_frames=self.frames, frame_period=self.frame_period, bounds=self.bounds,
-            crossings=min(self.crossings, n // 2), distinct_templates=split == "test",
+            n_objects=n, n_frames=self.frames, crossings=min(self.crossings, n // 2),
+            distinct_templates=split == "test",
         )
 
     def noise(self) -> NoiseModel:
@@ -171,10 +169,15 @@ def _parse_value(section: str, key: str, raw: str, current):
 
 
 def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
-    """Parse a config file (or literal text) into a validated RunConfig.
-    Every error is a ConfigError with a one-line message; one that reading
-    the file raises names the file."""
-    parser = configparser.ConfigParser()
+    """Parse a config file (or literal text, which the benchmark's runner
+    passes) into a validated RunConfig. Every error is a ConfigError with a
+    one-line message; one that reading the file raises names the file.
+
+    [DEFAULT] is a section like any other, and so unknown: configparser
+    would otherwise copy its keys into every section.
+    """
+    # no header names the default section "", so configparser has none
+    parser = configparser.ConfigParser(default_section="")
     parser.optionxform = str
     try:
         if from_path:

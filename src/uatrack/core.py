@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+FRAME_PERIOD = 0.5  # seconds between a sequence's frames, as the simulator steps them
 
 CLOUD_MAGIC = b"UAPC"
 PACK_MAGIC = b"UAPK"
@@ -226,16 +227,14 @@ class FrameRecord:
 
 @dataclass(frozen=True)
 class Sequence:
-    """An ordered run of frames plus the cloud store they reference."""
+    """An ordered run of frames, FRAME_PERIOD apart, plus the cloud store
+    they reference."""
 
     frames: tuple[FrameRecord, ...]
     clouds: dict[str, PointCloud]
-    frame_period: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
-        if self.frame_period <= 0:
-            raise ValueError(f"frame period must be > 0, got {self.frame_period}")
         prev = None
         for rec in self.frames:
             if prev is not None and rec.index <= prev:
@@ -339,10 +338,10 @@ def write_detections(path, seq: Sequence) -> None:
     ), encoding="utf-8")
 
 
-def read_detections(path, clouds: dict[str, PointCloud] | None = None,
-                    frame_period: float = 0.5, *, n_frames: int) -> Sequence:
-    """Rebuild a Sequence of n_frames frames from a detections file and a
-    cloud store.
+def read_detections(path, clouds: dict[str, PointCloud] | None = None, *,
+                    n_frames: int) -> Sequence:
+    """Rebuild a Sequence of n_frames frames, FRAME_PERIOD apart, from a
+    detections file and a cloud store.
 
     Frame records are materialized for every index in [0, n_frames) so that
     frames whose detections were all dropped still advance the tracker clock.
@@ -369,7 +368,7 @@ def read_detections(path, clouds: dict[str, PointCloud] | None = None,
         stub = PointCloud(np.zeros((0, 3)))
         clouds = {d.cloud_ref: stub for dets in by_frame.values() for d in dets}
     try:
-        return Sequence(frames=frames, clouds=clouds, frame_period=frame_period)
+        return Sequence(frames=frames, clouds=clouds)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

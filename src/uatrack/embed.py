@@ -411,10 +411,9 @@ def backward(net: EmbedNet, crops, upstream, arg) -> list[np.ndarray]:
     of crop k, w.r.t. every weight and bias: the summed gradients of a
     training step's crops. Returns arrays aligned with net.params().
 
-    crops holds the rows of each crop, upstream[k] is crop k's upstream
-    vector and arg[k] the arg-max that `forward_argmax` gave on crop k with
-    the same net. One crop may be passed as its rows, with its upstream
-    and arg vectors.
+    crops is a sequence of each crop's rows, upstream[k] is crop k's
+    upstream vector and arg[k] the arg-max that `forward_argmax` gave on
+    crop k with the same net.
 
     The max pool routes gradient to the arg-max point of each output
     coordinate (ties to the lowest point index), so only those critical
@@ -424,11 +423,9 @@ def backward(net: EmbedNet, crops, upstream, arg) -> list[np.ndarray]:
     consecutive crops of at most MAX_BACKWARD_ROWS rows together (a crop of
     more alone); a pass reruns the hidden layers once and adds its
     g.T @ acts into the gradients, so a crop's part can differ from a
-    backward over it alone in the last bits only. A single crop is one
-    pass, the bytes of a backward over its rows alone.
+    backward over it alone in the last bits only. A list of one crop is
+    one pass over its critical rows.
     """
-    if isinstance(crops, np.ndarray):  # one crop's rows
-        crops, upstream, arg = (crops,), (upstream,), (arg,)
     if not len(crops):
         return [np.zeros_like(p) for p in net.params()]
     # the critical rows among every crop's rows, one crop after another;

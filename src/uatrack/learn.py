@@ -2,8 +2,9 @@
 
 One training step: sample a batch of (anchor, positive) pairs from the
 pseudo-tracks, mine the hardest same-frame negative for each anchor under
-the current network, weight each triplet's hinge loss by its cumulative
-association confidence, sum, and take one Adam step on exact gradients.
+the current network, weight each triplet's hinge loss (margin
+TRIPLET_MARGIN) by its cumulative association confidence, sum, and take
+one Adam step on exact gradients.
 A `Triplet` is built once, when its negative is mined; its weight is a
 product of link confidences that `core.TrackletLabel` checked, and mining
 picks a negative of the anchor's frame other than the anchor, so neither
@@ -49,13 +50,15 @@ from .core import TrackletLabel
 from .kalman import NumericalError
 
 
+TRIPLET_MARGIN = 0.2  # the hinge's margin on cosine similarities
+
+
 class TrainingDataExhausted(RuntimeError):
     """No pseudo-track provides a usable anchor/positive pair."""
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    margin: float = 0.2
     learning_rate: float = 2e-5
     batch_size: int = 64
     epochs: int = 100
@@ -63,8 +66,6 @@ class TrainerConfig:
     use_uncertainty: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.margin) and self.margin > 0):
-            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0 or self.max_gap < 1:
@@ -90,10 +91,10 @@ class Triplet(NamedTuple):
     weight: float
 
 
-def triplet_loss(cos_pos, cos_neg, margin: float):
-    """Hinge on cosine similarities: max(cos_neg - cos_pos + margin, 0), of
-    numbers or elementwise over arrays."""
-    return np.maximum(cos_neg - cos_pos + margin, 0.0)
+def triplet_loss(cos_pos, cos_neg):
+    """Hinge on cosine similarities: max(cos_neg - cos_pos + TRIPLET_MARGIN,
+    0), of numbers or elementwise over arrays."""
+    return np.maximum(cos_neg - cos_pos + TRIPLET_MARGIN, 0.0)
 
 
 def mine_hard_negative(embs: np.ndarray, norms: np.ndarray, anchor: int) -> int | None:
@@ -263,7 +264,7 @@ class StepRecord:
     mean_weight: float
 
 
-def _loss_and_upstream(triplets, fwd, margin: float, use_uncertainty: bool, dim: int):
+def _loss_and_upstream(triplets, fwd, use_uncertainty: bool, dim: int):
     """(loss_sum, weight_sum, refs, upstream) of a batch of triplets, as
     `batch_loss_and_grads` defines them: refs lists each crop that an
     active triplet reaches, in the order the triplets first reach them, and
@@ -275,7 +276,7 @@ def _loss_and_upstream(triplets, fwd, margin: float, use_uncertainty: bool, dim:
     w = np.array([t.weight if use_uncertainty else 1.0 for t in triplets])
     cp, dp_a, dp_p = _cosines_and_grads(e_a, e_p)
     cn, dn_a, dn_n = _cosines_and_grads(e_a, e_n)
-    raw = triplet_loss(cp, cn, margin)
+    raw = triplet_loss(cp, cn)
     # summed one triplet after another, as a loop over them would
     loss_sum = float(np.cumsum(np.append(0.0, raw * w))[-1])
     weight_sum = float(np.cumsum(np.append(0.0, w))[-1])
@@ -292,27 +293,22 @@ def _loss_and_upstream(triplets, fwd, margin: float, use_uncertainty: bool, dim:
     return loss_sum, weight_sum, list(slot), upstream
 
 
-def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, margin: float,
-                         use_uncertainty: bool = True, fwd=None):
+def batch_loss_and_grads(net: embed.EmbedNet, crops, triplets, fwd,
+                         use_uncertainty: bool = True):
     """Summed weighted triplet loss and exact parameter gradients for a
     batch of triplets.
 
     crops maps a DetRef to the rows of its crop, and fwd maps it to the
     crop's (embedding, arg-max rows) under net, as `embed.forward_argmax`
-    gives them; without fwd each crop is embedded alone, as a one-crop
-    stack. Hinge-inactive or zero-weight triplets contribute nothing to the
-    gradient; the mining arg-max is treated as frozen. Each crop's upstream
-    vectors are summed, and one `embed.backward` call backpropagates every
-    crop that has one, in the order the triplets first reach the crops.
-    Returns (loss_sum, grads, weight_sum).
+    gives them (`step_forward`'s fwd). Hinge-inactive or zero-weight
+    triplets contribute nothing to the gradient; the mining arg-max is
+    treated as frozen. Each crop's upstream vectors are summed, and one
+    `embed.backward` call backpropagates every crop that has one, in the
+    order the triplets first reach the crops. Returns (loss_sum, grads,
+    weight_sum).
     """
-    if fwd is None:
-        def fwd(ref):
-            embs, arg = embed.forward_argmax(net, embed.one_crop(crops(ref)))
-            return embs[0], arg[0]
-
     loss_sum, weight_sum, refs, upstream = _loss_and_upstream(
-        triplets, fwd, margin, use_uncertainty, net.dim)
+        triplets, fwd, use_uncertainty, net.dim)
     grads = embed.backward(net, [crops(ref) for ref in refs], upstream,
                            [fwd(ref)[1] for ref in refs])
     return loss_sum, grads, weight_sum
@@ -406,7 +402,7 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
                         for a, pos, weight in drawn]
 
             loss_sum, grads, weight_sum = batch_loss_and_grads(
-                current, src.crop, triplets, cfg.margin, cfg.use_uncertainty, fwd=fwd)
+                current, src.crop, triplets, fwd, cfg.use_uncertainty)
             # the step's embeddings go before the next step's are made
             del frames, fwd
             if not math.isfinite(loss_sum):

@@ -21,10 +21,12 @@ embedding refreshed to that of its matched detection, and builds each
 frame's admitted pairs as one (k, 6) array, `feature_rows`, in row-major
 pair order: the cosines are one `embed.cosines` call and the scores one
 matrix-vector product, so the tracker runs no Python per pair.
-`FeatureVector` and `LogisticModel.score` are the one-pair views of the
-same functions. `fit_logistic` fits the model to the L2-penalized optimum
-on standardized features by damped Newton's method (IRLS), which
-converges in about ten steps.
+`FeatureVector` and `LogisticModel.score`, one pair's features and score,
+are called by no code of the package: they stay only because the
+benchmark's tracer names them (`perfbench/tracing.py` `TRACED`), and go
+when it counts `feature_rows` instead. `fit_logistic` fits the model to
+the L2-penalized optimum on standardized features by damped Newton's
+method (IRLS), which converges in about ten steps.
 """
 
 import json

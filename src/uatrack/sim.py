@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box7, Detection, FrameRecord, PointCloud, Sequence, wrap_angle
+from .core import FRAME_PERIOD, Box7, Detection, FrameRecord, PointCloud, Sequence, wrap_angle
 
 # height profiles: (x0_frac, x1_frac, height_frac) segments over x in [-1, 1]
 TEMPLATE_PROFILES = {
@@ -41,7 +41,8 @@ TEMPLATE_PROFILES = {
 N_TEMPLATES = len(TEMPLATE_PROFILES)
 
 _INSET = 0.995  # keep surface points strictly inside the box under float noise
-MARGIN = 4.0  # every pose stays this far inside +/-bounds, in metres
+BOUNDS = 45.0  # every pose stays inside +/-BOUNDS on x and y, in metres
+MARGIN = 4.0  # every pose stays this far inside +/-BOUNDS, in metres
 LENGTH_RANGE = (3.9, 4.7)  # an object's length is drawn uniformly from this, in metres
 WIDTH_RANGE = (1.72, 1.92)  # its width, likewise
 HEIGHT_RANGE = (1.45, 1.75)  # its height, likewise
@@ -110,8 +111,6 @@ class ObjectSpec:
 class SceneConfig:
     n_objects: int = 5
     n_frames: int = 30
-    frame_period: float = 0.5
-    bounds: float = 45.0
     speed_range: tuple[float, float] = (1.0, 6.5)
     crossings: int = 0
     distinct_templates: bool = False
@@ -123,12 +122,8 @@ class SceneConfig:
             raise ValueError(f"a scene needs at least 1 object, got {self.n_objects}")
         if self.n_frames < 2:
             raise ValueError(f"a scene needs at least 2 frames, got {self.n_frames}")
-        if self.frame_period <= 0:
-            raise ValueError(f"frame_period must be > 0, got {self.frame_period}")
         if not 0 <= 2 * self.crossings <= self.n_objects:
             raise ValueError(f"crossings must be >= 0 and <= n_objects // 2, got {self.crossings}")
-        if self.bounds <= MARGIN:
-            raise ValueError(f"bounds must be above the margin {MARGIN}, got {self.bounds}")
 
 
 def template_faces(template: int, deform, extents) -> list:
@@ -226,9 +221,9 @@ def sample_deform(template: int, rng) -> tuple[float, ...]:
 
 
 def _in_bounds(spec: ObjectSpec, scene: SceneConfig) -> bool:
-    limit = scene.bounds - MARGIN
+    limit = BOUNDS - MARGIN
     for f in range(scene.n_frames):
-        x, y, _ = spec.pose_at(f * scene.frame_period)
+        x, y, _ = spec.pose_at(f * FRAME_PERIOD)
         if abs(x) > limit or abs(y) > limit:
             return False
     return True
@@ -236,7 +231,7 @@ def _in_bounds(spec: ObjectSpec, scene: SceneConfig) -> bool:
 
 def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
     specs: list[ObjectSpec] = []
-    duration = (scene.n_frames - 1) * scene.frame_period
+    duration = (scene.n_frames - 1) * FRAME_PERIOD
     if scene.distinct_templates:
         templates = [int(t) for t in rng.permutation(N_TEMPLATES)]
         while len(templates) < scene.n_objects:
@@ -258,7 +253,7 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
     # crossing pairs: two straight movers timed to coincide mid-sequence
     for _pair in range(scene.crossings):
         for _try in range(200):
-            px, py = rng.uniform(-0.35, 0.35, size=2) * scene.bounds
+            px, py = rng.uniform(-0.35, 0.35, size=2) * BOUNDS
             t_cross = duration * rng.uniform(0.4, 0.6)
             base = rng.uniform(0.0, 2.0 * math.pi)
             dth = rng.uniform(0.28, 0.6) * (1 if rng.random() < 0.5 else -1)
@@ -280,15 +275,15 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
                 specs.extend(cand)
                 break
         else:
-            raise ValueError(f"could not place a crossing pair inside bounds {scene.bounds}")
+            raise ValueError(f"could not place a crossing pair inside bounds {BOUNDS}")
 
     while len(specs) < scene.n_objects:
         for _try in range(200):
             profile = ["straight", "turn", "stop"][int(rng.integers(3))]
             spec = ObjectSpec(
                 start=(
-                    float(rng.uniform(-0.6, 0.6) * scene.bounds),
-                    float(rng.uniform(-0.6, 0.6) * scene.bounds),
+                    float(rng.uniform(-0.6, 0.6) * BOUNDS),
+                    float(rng.uniform(-0.6, 0.6) * BOUNDS),
                 ),
                 heading=float(rng.uniform(-math.pi, math.pi)),
                 speed=float(rng.uniform(*scene.speed_range)),
@@ -302,7 +297,7 @@ def _sample_objects(scene: SceneConfig, rng) -> list[ObjectSpec]:
                 specs.append(spec)
                 break
         else:
-            raise ValueError(f"could not place an object inside bounds {scene.bounds}")
+            raise ValueError(f"could not place an object inside bounds {BOUNDS}")
     return specs
 
 
@@ -331,7 +326,7 @@ def generate_sequence(scene: SceneConfig, seed) -> Sequence:
     frames = []
     clouds: dict[str, PointCloud] = {}
     for f in range(scene.n_frames):
-        t = f * scene.frame_period
+        t = f * FRAME_PERIOD
         poses = [spec.pose_at(t) for spec in specs]
         counts = [3 * _points_for_range(scene, math.hypot(x, y)) for x, y, _ in poses]
         uniforms = rng.random(sum(counts))
@@ -351,7 +346,7 @@ def generate_sequence(scene: SceneConfig, seed) -> Sequence:
                 gt_id=i,
             ))
         frames.append(FrameRecord(index=f, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=clouds, frame_period=scene.frame_period)
+    return Sequence(frames=tuple(frames), clouds=clouds)
 
 
 def perturb_boxes(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
@@ -380,7 +375,7 @@ def perturb_boxes(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
             dets.append(Detection(frame=det.frame, box=box, score=det.score,
                                   cloud_ref=det.cloud_ref, gt_id=det.gt_id))
         frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=seq.clouds, frame_period=seq.frame_period)
+    return Sequence(frames=tuple(frames), clouds=seq.clouds)
 
 
 def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
@@ -433,4 +428,4 @@ def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
                 cloud_ref=ref, gt_id=None,
             ))
         frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=clouds, frame_period=seq.frame_period)
+    return Sequence(frames=tuple(frames), clouds=clouds)

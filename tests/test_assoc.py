@@ -16,6 +16,7 @@ from uatrack.assoc import (
 )
 from uatrack.config import RunConfig
 from uatrack.core import (
+    FRAME_PERIOD,
     Box7,
     Detection,
     FrameRecord,
@@ -421,7 +422,7 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
 
     for rec in seq.frames:
         if prev_index is not None and live:
-            dt = (rec.index - prev_index) * seq.frame_period
+            dt = (rec.index - prev_index) * FRAME_PERIOD
             for tr in live:
                 tr.mean, tr.cov = kalman.predict(tr.mean, tr.cov, dt, kcfg)
         prev_index = rec.index

@@ -14,6 +14,10 @@ from uatrack import assoc, cli, embed
 from uatrack.config import parse_config
 from uatrack.core import PointCloud, write_clouds
 
+# each stage's input and output hashes of tiny_run: its manifest lines
+# without their config hash
+PINNED = Path(__file__).with_name("tiny_run_artifacts.json")
+
 TINY = """\
 [global]
 seed = 3
@@ -72,6 +76,24 @@ class TestPipeline:
         assert (tmp_path / "manifest.jsonl").read_bytes() == first
         stages = [json.loads(line)["stage"] for line in first.decode().splitlines()]
         assert stages == list(cli.STAGE_ORDER)
+
+    def test_artifacts_are_the_pinned_bytes(self, tiny_run):
+        """Every artifact of the tiny run has the hash that PINNED holds.
+        The config hash is left out: it moves whenever a key is added or
+        removed. A mismatch names the first stage whose artifacts moved.
+        From train onward, a BLAS that sums in another order moves the
+        checkpoint's last bits, and with them every later artifact. A change
+        that moves an output rewrites PINNED from the new tiny run."""
+        want = json.loads(PINNED.read_text(encoding="utf-8"))
+        got = [{key: line[key] for key in ("stage", "inputs", "outputs")}
+               for line in map(json.loads, (tiny_run / "manifest.jsonl").open())]
+        for g, w in zip(got, want):
+            if g != w:
+                moved = sorted(name for part in ("inputs", "outputs")
+                               for name in g[part].keys() | w[part].keys()
+                               if g[part].get(name) != w[part].get(name))
+                pytest.fail(f"artifacts moved from stage {g['stage']!r} onward: {moved}")
+        assert [g["stage"] for g in got] == [w["stage"] for w in want]
 
     def test_pass_budget_changes_no_output(self, tiny_run, tmp_path, monkeypatch):
         """Cutting every frame in a pass of its own gives every artifact of
@@ -391,6 +413,9 @@ def _config_error(tmp_path, capsys, text):
     ("learn", "beta2", "0.999"),
     ("learn", "adam_eps", "1e-8"),
     ("eval", "match_dist", "nan"),
+    ("learn", "margin", "nan"),
+    ("sim", "frame_period", "nan"),
+    ("sim", "bounds", "0"),
 ])
 def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     """Keys whose options are gone (the fused modes' score gate, the squared
@@ -398,8 +423,9 @@ def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     another section (the trainer's seed is [global] seed, its crop size
     [embed] points_per_crop), and keys that became constants (the Kalman
     noise, the tracker's max age and AC epsilon, Adam's betas and epsilon,
-    AMOTA's match distance) are refused, whatever their value, not
-    ignored. [kalman] has no key left, so the section itself is refused."""
+    AMOTA's match distance, the triplet margin, the frame period and the
+    scene bounds) are refused, whatever their value, not ignored. [kalman]
+    has no key left, so the section itself is refused."""
     header = f"[{section}]\n"
     setting = f"{key} = {value}\n"
     text = (TINY.replace(header, header + setting) if header in TINY
@@ -411,10 +437,8 @@ def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, value", [
     ("assoc", "gate", "nan"),
-    ("learn", "margin", "nan"),
     ("learn", "learning_rate", "inf"),
     ("sim", "missed_rate", "nan"),
-    ("sim", "frame_period", "nan"),
 ])
 def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
     """A float that is not finite is refused when the config is parsed: a
@@ -425,8 +449,6 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key, value, code, prefix", [
-    ("sim", "bounds", "0", 2, "config error: [sim]: train scenes: bounds must be above"),
-    ("sim", "bounds", "4", 2, "config error: [sim]: train scenes: bounds must be above"),
     ("sim", "crossings", "-1", 2, "config error: [sim]: train scenes: crossings must be >= 0"),
     ("sim", "objects", "0", 2,
      "config error: [sim]: train scenes: a scene needs at least 1 object, got 0"),
@@ -434,8 +456,6 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
      "config error: [sim]: test scenes: a scene needs at least 1 object, got 0"),
     ("sim", "frames", "1", 2,
      "config error: [sim]: train scenes: a scene needs at least 2 frames, got 1"),
-    ("sim", "frame_period", "0", 2,
-     "config error: [sim]: train scenes: frame_period must be > 0, got 0.0"),
     ("sim", "missed_rate", "2", 2, "config error: [sim]: missed_rate must be in [0, 1], got 2.0"),
     ("sim", "spurious_rate", "-0.1", 2,
      "config error: [sim]: spurious_rate must be in [0, 1], got -0.1"),
@@ -443,8 +463,8 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
     ("sim", "yaw_deg", "-5", 2, "config error: [sim]: yaw_deg must be >= 0, got -5.0"),
     ("sim", "size_pct", "1.2", 2, "config error: [sim]: size_pct must be in [0, 1), got 1.2"),
     ("embed", "widths", "3, 0, 4", 2, "config error: [embed]: every width must be >= 1"),
-    # above the margin, yet too small for an object to stay inside
-    ("sim", "bounds", "4.5", 1, "error: could not place a crossing pair inside bounds 4.5"),
+    # too long a scene for a crossing pair to stay inside the bounds
+    ("sim", "frames", "60", 1, "error: could not place a crossing pair inside bounds 45.0"),
 ])
 def test_value_a_later_stage_rejects(section, key, value, code, prefix, tmp_path, capsys):
     """A value that a stage would fail on is refused when the config is
@@ -487,6 +507,17 @@ def test_mot_modes_empty_or_repeated_exit_2(modes, tmp_path, capsys):
 def test_unparsable_config_exits_2(text, tmp_path, capsys):
     """configparser's own errors end in one line, like the config's."""
     assert _config_error(tmp_path, capsys, text).startswith("config error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nepochs = 3\n",
+    "[learn]\nepochs = 3\n[DEFAULT]\ngate = 5\n",
+], ids=["alone", "after-a-section"])
+def test_default_section_exits_2(text, tmp_path, capsys):
+    """configparser would fold [DEFAULT]'s keys into every other section:
+    alone it would set nothing, and after [learn] its key would be blamed
+    on [learn]. It is an unknown section like any other."""
+    assert _config_error(tmp_path, capsys, text) == "config error: unknown section [DEFAULT]"
 
 
 def test_non_integer_seed_exits_2(tmp_path, capsys):

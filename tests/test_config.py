@@ -28,8 +28,7 @@ class TestDefaults:
 
     def test_sim_section_matches_scene_and_noise_models(self):
         sect, scene, noise = SimSection(), SceneConfig(), NoiseModel()
-        assert (sect.objects, sect.frames, sect.frame_period, sect.bounds) == (
-            scene.n_objects, scene.n_frames, scene.frame_period, scene.bounds)
+        assert (sect.objects, sect.frames) == (scene.n_objects, scene.n_frames)
         for name in ("center_pct", "size_pct", "yaw_deg"):
             assert getattr(sect, name) == getattr(noise, name), name
 
@@ -43,8 +42,8 @@ class TestDefaults:
     def test_learn_trainer_values_are_checked_when_parsed(self):
         """[learn] is the trainer's config, so a bad value stops the parse
         rather than the train stage."""
-        with pytest.raises(ConfigError, match=r"\[learn\].*margin"):
-            parse_config("[learn]\nmargin = 0\n", from_path=False)
+        with pytest.raises(ConfigError, match=r"\[learn\].*batch_size >= 1"):
+            parse_config("[learn]\nbatch_size = 0\n", from_path=False)
 
     def test_mot_section_rejects_what_track_sequence_rejects(self):
         seq = sim.generate_sequence(SceneConfig(n_objects=1, n_frames=2), seed=0)
@@ -67,9 +66,9 @@ class TestRoundTrip:
             seed=7,
             assoc=AssocConfig(gate=9.5),
             embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
-            learn=LearnSection(margin=0.3, learning_rate=1e-3, batch_size=8, epochs=2,
-                               max_gap=4, use_uncertainty=False, mode="oracle"),
-            sim=replace(SimSection(), train_scenes=2, frame_period=0.1, yaw_deg=2.5),
+            learn=LearnSection(learning_rate=1e-3, batch_size=8, epochs=2, max_gap=4,
+                               use_uncertainty=False, mode="oracle"),
+            sim=replace(SimSection(), train_scenes=2, yaw_deg=2.5),
             mot=MotSection(modes=("motion", "motion+score")),
             eval=EvalSection(recall_levels=10, sot_noise="on"),
         )
@@ -90,13 +89,11 @@ class TestRoundTrip:
             ("global", "seed"),
             ("assoc", "gate"),
             ("embed", "widths"), ("embed", "points_per_crop"),
-            ("learn", "margin"), ("learn", "learning_rate"), ("learn", "batch_size"),
-            ("learn", "epochs"), ("learn", "max_gap"), ("learn", "use_uncertainty"),
-            ("learn", "mode"),
+            ("learn", "learning_rate"), ("learn", "batch_size"), ("learn", "epochs"),
+            ("learn", "max_gap"), ("learn", "use_uncertainty"), ("learn", "mode"),
             ("sim", "train_scenes"), ("sim", "fit_scenes"), ("sim", "test_scenes"),
             ("sim", "objects"), ("sim", "test_objects"), ("sim", "frames"),
-            ("sim", "frame_period"), ("sim", "crossings"), ("sim", "bounds"),
-            ("sim", "center_pct"), ("sim", "size_pct"), ("sim", "yaw_deg"),
+            ("sim", "crossings"), ("sim", "center_pct"), ("sim", "size_pct"), ("sim", "yaw_deg"),
             ("sim", "missed_rate"), ("sim", "spurious_rate"),
             ("mot", "modes"),
             ("eval", "recall_levels"), ("eval", "sot_noise"),

@@ -269,7 +269,7 @@ def _toy_sequence():
                 gt_id=i if i == 0 else None,
             ))
         frames.append(FrameRecord(index=f, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=clouds, frame_period=0.5)
+    return Sequence(frames=tuple(frames), clouds=clouds)
 
 
 def previous_write_detections(path, seq: Sequence) -> None:
@@ -360,7 +360,7 @@ class TestSerialization:
     def test_interior_empty_frame_round_trips(self, tmp_path):
         seq = _toy_sequence()
         frames = (seq.frames[0], FrameRecord(index=1, detections=()), seq.frames[2])
-        seq2 = Sequence(frames=frames, clouds=seq.clouds, frame_period=0.5)
+        seq2 = Sequence(frames=frames, clouds=seq.clouds)
         write_detections(tmp_path / "d.jsonl", seq2)
         back = read_detections(tmp_path / "d.jsonl", seq.clouds, n_frames=3)
         assert len(back.frames) == 3

@@ -485,7 +485,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         net = EmbedNet.random((3, 6, 4), seed=0)
         cloud = one_crop(np.random.default_rng(1).normal(size=(12, 3)))
-        grads = backward(net, cloud.points, np.zeros(4), argmax_rows(net, cloud.points))
+        grads = backward(net, [cloud.points], [np.zeros(4)], [argmax_rows(net, cloud.points)])
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -495,7 +495,7 @@ class TestBackward:
             net = EmbedNet.random((3, 5, 4), seed=100 + trial)
             cloud = one_crop(rng.normal(size=(8, 3)))
             upstream = rng.normal(size=4)
-            analytic = backward(net, cloud.points, upstream, argmax_rows(net, cloud.points))
+            analytic = backward(net, [cloud.points], [upstream], [argmax_rows(net, cloud.points)])
             numeric = fd_gradients(net, cloud, upstream)
             for a, n in zip(analytic, numeric):
                 denom = np.maximum(np.abs(n), 1e-6)
@@ -520,10 +520,10 @@ class TestBackward:
         margin = min(feats[:, d].max() - feats[loser, d] for d in range(4))
         assert margin > 0
 
-        base = backward(net, cloud.points, upstream, argmax_rows(net, cloud.points))
+        base = backward(net, [cloud.points], [upstream], [argmax_rows(net, cloud.points)])
         bumped = pts.copy()
         bumped[loser] += margin * 1e-3  # well below the selection margin
-        out = backward(net, bumped, upstream, argmax_rows(net, bumped))
+        out = backward(net, [bumped], [upstream], [argmax_rows(net, bumped)])
         for a, b2 in zip(base, out):
             np.testing.assert_array_equal(a, b2)
 
@@ -601,7 +601,7 @@ def assert_matches_previous(net, cloud, upstream):
     assert forward(net, cloud).tobytes() == feats.max(axis=0).tobytes()
     assert arg.tobytes() == feats.argmax(axis=0).tobytes()
     want = previous_backward(net, cloud.points, upstream)
-    got = backward(net, cloud.points, upstream, arg)
+    got = backward(net, [cloud.points], [upstream], [arg])
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
@@ -622,7 +622,7 @@ class TestCriticalPointBackward:
     def assert_matches_dense(net, cloud, upstream):
         assert_matches_previous(net, cloud, upstream)
         want = dense_backward(net, cloud.points, upstream)
-        got = backward(net, cloud.points, upstream, argmax_rows(net, cloud.points))
+        got = backward(net, [cloud.points], [upstream], [argmax_rows(net, cloud.points)])
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape
@@ -667,8 +667,8 @@ class TestCriticalPointBackward:
             np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
             upstream = rng.normal(size=4)
             self.assert_matches_dense(net, cloud, upstream)
-            for a, b in zip(backward(net, cloud.points, upstream, arg),
-                            backward(net, ref.points, upstream, ref_arg)):
+            for a, b in zip(backward(net, [cloud.points], [upstream], [arg]),
+                            backward(net, [ref.points], [upstream], [ref_arg])):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_dead_relu_units(self):
@@ -679,8 +679,8 @@ class TestCriticalPointBackward:
         biases[1][::2] = -1e3
         net = EmbedNet(weights=base.weights, biases=tuple(biases))
         cloud = one_crop(rng.normal(size=(30, 3)))
-        grads = backward(net, cloud.points, rng.normal(size=5),
-                         argmax_rows(net, cloud.points))
+        grads = backward(net, [cloud.points], [rng.normal(size=5)],
+                         [argmax_rows(net, cloud.points)])
         assert not grads[0][:4].any() and not grads[1][:4].any()
         self.assert_matches_dense(net, cloud, rng.normal(size=5))
 
@@ -731,10 +731,13 @@ class TestStackedBackward:
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_one_crop_in_a_list_is_the_one_crop_call(self):
+        """A list of one crop gives the bytes of the previous one-crop
+        backward."""
         rng = np.random.default_rng(22)
         net = EmbedNet.random((3, 64, 64, 64), seed=5)
         crops, ups, args = self._crops(rng, net, 1)
-        for a, b in zip(backward(net, crops, ups, args), backward(net, crops[0], ups[0], args[0])):
+        want = previous_backward(net, crops[0], ups[0], args[0])
+        for a, b in zip(backward(net, crops, ups, args), want, strict=True):
             assert a.tobytes() == b.tobytes()
 
     def test_no_crops_zero_gradients(self):
@@ -919,7 +922,8 @@ class TestPreviousImplementation:
                         biases=(np.full(6, -1e3), base.biases[1], base.biases[2]))
         assert_matches_previous(dead, cloud, rng.normal(size=4))
         arg = argmax_rows(dead, cloud.points)
-        assert not any(g.any() for g in backward(dead, cloud.points, rng.normal(size=4), arg)[:4])
+        grads = backward(dead, [cloud.points], [rng.normal(size=4)], [arg])
+        assert not any(g.any() for g in grads[:4])
 
 
 class TestReferenceEquivalence:
@@ -949,8 +953,8 @@ class TestReferenceEquivalence:
         own_arg = argmax_rows(net, own.points)
         assert_same_crop(one_crop(cloud.points[arg]),
                          one_crop(own.points[own_arg]), exact=b.yaw == 0.0)
-        got = backward(net, cloud.points, upstream, arg=arg)
-        want = backward(net, ref.points, upstream, arg=ref_arg)
+        got = backward(net, [cloud.points], [upstream], [arg])
+        want = backward(net, [ref.points], [upstream], [ref_arg])
         for a, w in zip(got, want):
             np.testing.assert_allclose(a, w, rtol=0.0, atol=1e-12)
 

@@ -24,37 +24,46 @@ from uatrack.learn import (
 
 class TestTripletLoss:
     def test_margin_satisfied(self):
-        assert triplet_loss(0.9, 0.5, 0.2) == 0.0
+        assert learn.TRIPLET_MARGIN == 0.2
+        assert triplet_loss(0.9, 0.5) == 0.0
 
     def test_hand_value(self):
-        assert triplet_loss(0.6, 0.5, 0.2) == pytest.approx(0.1, abs=1e-12)
+        assert triplet_loss(0.6, 0.5) == pytest.approx(0.1, abs=1e-12)
 
     def test_equal_similarities_give_margin(self):
-        assert triplet_loss(0.5, 0.5, 0.2) == pytest.approx(0.2, abs=1e-12)
+        assert triplet_loss(0.5, 0.5) == pytest.approx(0.2, abs=1e-12)
+
+
+def alone_forward(net, crops):
+    """A fwd for `batch_loss_and_grads` that embeds each crop alone, as a
+    one-crop stack."""
+    def fwd(ref):
+        embs, arg = embed.forward_argmax(net, embed.one_crop(crops(ref)))
+        return embs[0], arg[0]
+    return fwd
 
 
 class TestWeightedLoss:
     """A triplet's weight scales its hinge loss in `batch_loss_and_grads`,
-    run here on one-triplet batches whose hinge is active."""
+    run here on one-triplet batches whose hinge is active: the negative is
+    the anchor's own crop, so cos_neg is 1, no less than cos_pos, and the
+    hinge is at least the margin."""
 
-    MARGIN = 2.0  # above any cosine gap, so the hinge is active
-
-    def _triplet(self, w):
-        return Triplet(anchor=DetRef(0, 0, 0), positive=DetRef(0, 1, 0),
-                       negative=DetRef(0, 0, 1), weight=w)
+    ANCHOR, POSITIVE = DetRef(0, 0, 0), DetRef(0, 1, 0)
 
     def _run(self, w):
         rng = np.random.default_rng(4)
-        clouds = {ref: one_crop(rng.normal(size=(12, 3)))
-                  for ref in (DetRef(0, 0, 0), DetRef(0, 1, 0), DetRef(0, 0, 1))}
+        clouds = {ref: one_crop(rng.normal(size=(12, 3))) for ref in (self.ANCHOR, self.POSITIVE)}
         net = embed.EmbedNet.random((3, 8, 4), seed=3)
-        loss, grads, weight = batch_loss_and_grads(net, lambda ref: clouds[ref].points,
-                                                   [self._triplet(w)], self.MARGIN)
-        cp = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)])[0],
-                    embed.forward(net, clouds[DetRef(0, 1, 0)])[0])
-        cn = cosine(embed.forward(net, clouds[DetRef(0, 0, 0)])[0],
-                    embed.forward(net, clouds[DetRef(0, 0, 1)])[0])
-        return loss, grads, weight, triplet_loss(cp, cn, self.MARGIN)
+
+        def crops(ref):
+            return clouds[ref].points
+
+        loss, grads, weight = batch_loss_and_grads(
+            net, crops, [Triplet(self.ANCHOR, self.POSITIVE, self.ANCHOR, w)],
+            alone_forward(net, crops))
+        e_a, e_p = (embed.forward(net, clouds[ref])[0] for ref in (self.ANCHOR, self.POSITIVE))
+        return loss, grads, weight, triplet_loss(cosine(e_a, e_p), cosine(e_a, e_a))
 
     def test_product(self):
         loss, _, weight, raw = self._run(0.5)
@@ -190,8 +199,6 @@ class TestSampleTriplet:
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("margin", math.nan, "margin must be finite and > 0, got nan"),
-    ("margin", math.inf, "margin must be finite and > 0, got inf"),
     ("learning_rate", math.inf, "learning rate must be finite and >= 0, got inf"),
     ("learning_rate", math.nan, "learning rate must be finite and >= 0, got nan"),
 ])
@@ -235,7 +242,7 @@ class TestAdam:
         assert (step2 <= step1 + 1e-9).all()
 
 
-def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=True, fwd=None):
+def dense_batch_loss_and_grads(net, crops, triplets, fwd=None, use_uncertainty=True):
     """Reference for batch_loss_and_grads: every active triplet member is
     embedded by forward and backpropagated on its own, through the dense
     backward over all points. fwd is accepted and ignored."""
@@ -247,7 +254,7 @@ def dense_batch_loss_and_grads(net, crops, triplets, margin, use_uncertainty=Tru
         w = t.weight if use_uncertainty else 1.0
         cp, dp_a, dp_p = (x[0] for x in learn._cosines_and_grads(e_a[None], e_p[None]))
         cn, dn_a, dn_n = (x[0] for x in learn._cosines_and_grads(e_a[None], e_n[None]))
-        raw = triplet_loss(cp, cn, margin)
+        raw = triplet_loss(cp, cn)
         loss_sum += raw * w
         weight_sum += w
         if raw > 0.0 and w > 0.0:
@@ -547,9 +554,11 @@ class TestBatchGradients:
             for use_uncertainty in (True, False):
                 calls.clear()
                 passes.clear()
-                got = batch_loss_and_grads(net, crops, batch, 0.5, use_uncertainty)
+                got = batch_loss_and_grads(net, crops, batch, alone_forward(net, crops),
+                                           use_uncertainty)
                 assert len(calls) == 1 and calls[0] > 1 and len(passes) > 1
-                want = dense_batch_loss_and_grads(net, crops, batch, 0.5, use_uncertainty)
+                want = dense_batch_loss_and_grads(net, crops, batch,
+                                                  use_uncertainty=use_uncertainty)
                 assert got[0] == want[0] > 0.0 and got[2] == want[2]
                 for a, b in zip(got[1], want[1]):
                     np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
@@ -579,7 +588,7 @@ class TestBatchGradients:
             if not cands:
                 continue
             t = Triplet(a, p, a._replace(det=cands[0]), w)
-            loss, grads, _ = batch_loss_and_grads(net, crops, [t], 0.2)
+            loss, grads, _ = batch_loss_and_grads(net, crops, [t], alone_forward(net, crops))
             if loss < 1e-3:  # keep a margin from the hinge kink
                 continue
             checked += 1
@@ -593,8 +602,9 @@ class TestBatchGradients:
                     for sign in (+1, -1):
                         bumped = [q.copy() for q in params]
                         bumped[slot].reshape(-1)[k] += sign * h
+                        bumped_net = embed.EmbedNet.from_params(bumped)
                         l2, _, _ = batch_loss_and_grads(
-                            embed.EmbedNet.from_params(bumped), crops, [t], 0.2)
+                            bumped_net, crops, [t], alone_forward(bumped_net, crops))
                         vals.append(l2)
                     num = (vals[0] - vals[1]) / (2 * h)
                     ana = grads[slot].reshape(-1)[k]

@@ -9,7 +9,15 @@ from test_embed import cosine
 
 from uatrack import assoc, embed, kalman, mot, sim
 from uatrack.assoc import AssocConfig
-from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence, TrackRow
+from uatrack.core import (
+    FRAME_PERIOD,
+    Box7,
+    Detection,
+    FrameRecord,
+    PointCloud,
+    Sequence,
+    TrackRow,
+)
 from uatrack.mot import FeatureVector, LogisticModel, fit_logistic
 
 
@@ -483,8 +491,8 @@ class TestAdmission:
         boxes = [rec.detections[0].box.to_array()[None] for rec in seq.frames]
         mean, cov = kalman.init_tracks(boxes[0], KCFG)
         for box in boxes[1:-1]:
-            mean, cov = kalman.update(*kalman.predict(mean, cov, seq.frame_period, KCFG), box, KCFG)
-        mean, cov = kalman.predict(mean, cov, seq.frame_period, KCFG)
+            mean, cov = kalman.update(*kalman.predict(mean, cov, FRAME_PERIOD, KCFG), box, KCFG)
+        mean, cov = kalman.predict(mean, cov, FRAME_PERIOD, KCFG)
         return float(kalman.mahalanobis(mean, cov, boxes[-1], KCFG)[0, 0])
 
     @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])

@@ -8,6 +8,7 @@ from test_core import previous_write_detections
 from uatrack import embed, sim
 from uatrack.assoc import gt_tracks
 from uatrack.core import (
+    FRAME_PERIOD,
     Box7,
     Detection,
     FrameRecord,
@@ -92,7 +93,7 @@ def previous_generate_sequence(scene, seed):
     clouds = {}
     members = [[] for _ in specs]
     for f in range(scene.n_frames):
-        t = f * scene.frame_period
+        t = f * FRAME_PERIOD
         dets = []
         for i, spec in enumerate(specs):
             x, y, yaw = spec.pose_at(t)
@@ -108,7 +109,7 @@ def previous_generate_sequence(scene, seed):
                                   score=1.0, cloud_ref=ref, gt_id=i))
             members[i].append((f, i))
         frames.append(FrameRecord(index=f, detections=tuple(dets)))
-    seq = Sequence(frames=tuple(frames), clouds=clouds, frame_period=scene.frame_period)
+    seq = Sequence(frames=tuple(frames), clouds=clouds)
     return seq, [TrackletLabel(track_id=i, members=tuple(members[i]),
                                link_conf=(1.0,) * (len(members[i]) - 1))
                  for i in range(len(specs))]
@@ -136,7 +137,7 @@ def previous_perturb_boxes(seq, noise, seed):
             )
             dets.append(replace(det, box=box))
         frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=seq.clouds, frame_period=seq.frame_period)
+    return Sequence(frames=tuple(frames), clouds=seq.clouds)
 
 
 def previous_corrupt_detections(seq, noise, seed):
@@ -177,13 +178,12 @@ def previous_corrupt_detections(seq, noise, seed):
             dets.append(Detection(frame=rec.index, box=box, score=float(rng.beta(2.0, 8.0)),
                                   cloud_ref=ref, gt_id=None))
         frames.append(FrameRecord(index=rec.index, detections=tuple(dets)))
-    return Sequence(frames=tuple(frames), clouds=clouds, frame_period=seq.frame_period)
+    return Sequence(frames=tuple(frames), clouds=clouds)
 
 
 def assert_same_bytes(got: Sequence, want: Sequence):
     """Every box, score, ref, gt_id and cloud equal bit for bit, clouds in
     the same insertion order."""
-    assert got.frame_period == want.frame_period
     assert [r.index for r in got.frames] == [r.index for r in want.frames]
     for rec, ref in zip(got.frames, want.frames):
         assert len(rec.detections) == len(ref.detections)
@@ -311,10 +311,16 @@ class TestGenerate:
             SceneConfig(n_objects=2, crossings=2)
         with pytest.raises(ValueError, match="crossings must be >= 0"):
             SceneConfig(crossings=-1)
-        with pytest.raises(ValueError, match="frame_period must be > 0"):
-            SceneConfig(frame_period=0.0)
-        with pytest.raises(ValueError, match="bounds must be above"):
-            SceneConfig(bounds=sim.MARGIN)
+
+    @pytest.mark.parametrize("frames", [60, 100, 200])
+    def test_long_scene_cannot_place_a_crossing_pair(self, frames):
+        """A crossing pair meets mid-sequence at 3 to 5.5 m/s: over 60
+        frames or more each path runs at least 35 m either side of the
+        meeting point, and none of the 200 draws stays within BOUNDS -
+        MARGIN."""
+        with pytest.raises(ValueError,
+                           match=f"could not place a crossing pair inside bounds {sim.BOUNDS}"):
+            sim.generate_sequence(SceneConfig(n_objects=2, n_frames=frames, crossings=1), seed=0)
 
 
 class TestTemplates:
