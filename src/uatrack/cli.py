@@ -23,7 +23,10 @@ overrides [global] seed. The pooled stages (train, fit-logistic, sot-eval,
 mot-eval, confidence-report) take their scenes as lists in the pipeline's
 order, and a scene's index is its position in the list: sot-eval seeds the
 box noise of scene i with _scene_seed(rc, "test", i, 200). Every stage
-that reads clouds holds one scene's at a time.
+that reads clouds holds one scene's at a time. Every stage that embeds
+runs its passes with a net of dtype `embed.PASS_DTYPE`, float32: train's
+random initial net, and the checkpoint that fit-logistic, mot-run and
+sot-eval load, are cast to it; the checkpoint itself stays float64.
 
 The pipeline executes stages in dependency order, writes every artifact
 under --out-dir, and appends one manifest line per stage (stage name,
@@ -177,7 +180,7 @@ def run_train(rc: RunConfig, scenes, checkpoint, history):
         frames.append(frame_crops(seq, rc.embed.points_per_crop))
         del seq  # its clouds and detections go before the next scene is read
         inputs += [det_path, clouds_path, track_path]
-    net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed)
+    net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed).astype(embed.PASS_DTYPE)
     net, rows = learn.train(frames, tracks, net, rc.learn, seed=rc.seed)
     embed.save_checkpoint(checkpoint, net)
     learn.write_loss_history(history, rows)
@@ -192,7 +195,8 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
     is fitted; the other mode fits the same pairs with the cosine at 0."""
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
-    net = embed.load_checkpoint(checkpoint) if APPEARANCE in models else None
+    net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
+           if APPEARANCE in models else None)
     harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path),
                                      kalman.NoiseConfig(), rc.assoc, net=net,
                                      points_per_crop=rc.embed.points_per_crop)
@@ -212,7 +216,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     of its modes. `logistic` maps each fused mode to its fitted model; the
     appearance mode also needs the checkpoint."""
     modes = {mode for *_, targets in scenes for mode in targets}
-    net = (embed.load_checkpoint(checkpoint)
+    net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
            if checkpoint is not None and APPEARANCE in modes else None)
     models = {mode: mot.load_logistic(path) for mode, path in logistic.items()}
     inputs = list(logistic.values()) + ([checkpoint] if net is not None else [])
@@ -236,7 +240,7 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
     sot_<clean|noisy>.csv and sot_summary.json to out_dir. Each scene is
     scored in every mode as it is read, and only its triples are kept: the
     stage holds one scene's clouds at a time."""
-    net = embed.load_checkpoint(checkpoint)
+    net = embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
     out_dir = _make_dir(out_dir)
     noise = rc.sim.noise()
     modes = {"off": ["clean"], "on": ["noisy"], "both": ["clean", "noisy"]}[rc.eval.sot_noise]

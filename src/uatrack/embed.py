@@ -2,9 +2,24 @@
 
 The network is a shared per-point MLP (rectifier hidden layers, identity
 output) followed by a coordinate-wise max over points; the max makes the
-embedding invariant to point order. Gradients are exact reverse-mode and
+embedding invariant to point order. Gradients are reverse-mode and
 hand-written (`backward`), which keeps training dependency-free and
 bit-reproducible.
+
+A net computes its passes in the dtype of its parameters, float32 or
+float64 (`EmbedNet.astype`). Crop rows are cast at the pass, and
+`forward` and `forward_argmax` return float64 embeddings either way, so
+cosines, mining, the loss and the logistic features keep their float64
+arithmetic. A float64 net's passes are the float64 arithmetic they always
+were, and its gradients are exact. The pipeline runs float32 nets
+(`PASS_DTYPE`, which `cli` alone applies), in the mixed precision of
+Micikevicius et al. (ICLR 2018): the passes compute in float32, while the
+master parameters, the Adam state and the checkpoint stay float64
+(`learn.train`). A float32 net's gradients are then exact only for its
+float32 arithmetic; they differ from the float64 net's of the same
+parameters by rounding, within a bound set by float32's epsilon and the
+layer widths (tests hold them to it). Crops are stored as float32 (see
+`canonicalize`).
 
 Crops are made a run of frames at a time. `canonicalize` cuts any list of
 one scene's detections in one pass over their concatenated clouds and
@@ -54,8 +69,9 @@ arg-max, and taking them made its passes 4-7% slower on the frames of
 the `eval` and `crowded` configs, so `forward` keeps the reduceat. The
 cap is a constant set by memory, not speed: passes over a whole dense
 frame ran no faster than capped ones, and one layer's activations for
-255 rows of the default 64 features, 127.5 KiB, stay below the 128 KiB
-from which glibc's malloc gives an allocation a memory map of its own.
+255 rows of the default 64 features, 127.5 KiB in float64 (half that in
+float32), stay below the 128 KiB from which glibc's malloc gives an
+allocation a memory map of its own.
 Passes of 512 rows (256 KiB) raised the peak resident memory of the
 `train` and `eval` benchmarks by about 0.3 MB; uncapped ones raised
 `crowded`'s by 0.65-0.85 MB. The inference paths stack the embeddings
@@ -86,14 +102,15 @@ critical rows each, so a pass covers about four. Backpropagating each
 crop alone spent most of its time in tiny matrix products and per-call
 overhead: the passes cut the train stage by 9% at a 64-row cap, 14% at
 96 and 18% at 128 (`train` workload config, seeds 20-25). The cap is set
-by memory, not speed. A pass holds about three float64 arrays of 64
-features, 1.5 KB a row, so a step's traced allocations peak about 50 KB
-higher for each 32 rows of cap (tracemalloc, `train` workload config,
-seed 3: 373 KB a step when each crop went alone, 443 KB at 96 rows, 492
-KB at 128). A prototype with 128 rows raised the train stage's resident
-high-water mark by 0.05-0.2 MB and one with 255 by about 1.1 MB; at 96
-it moved within run-to-run noise (timings.jsonl, 6 runs each of the
-`train` and `crowded` workload configs).
+by memory, not speed. A pass holds about three arrays of 64 features,
+1.5 KB a row in float64 (half that in float32), so a step's traced
+allocations peaked about 50 KB higher for each 32 rows of cap in float64
+(tracemalloc, `train` workload config, seed 3: 373 KB a step when each
+crop went alone, 443 KB at 96 rows, 492 KB at 128). A float64 prototype
+with 128 rows raised the train stage's resident high-water mark by
+0.05-0.2 MB and one with 255 by about 1.1 MB; at 96 it moved within
+run-to-run noise (timings.jsonl, 6 runs each of the `train` and
+`crowded` workload configs).
 
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
@@ -123,6 +140,9 @@ MAX_BACKWARD_ROWS = 96
 # crops in one pass, set by memory (see the module docstring)
 MAX_PASS_POINTS = 4096
 DEFAULT_WIDTHS = (3, 64, 64, 64)
+# the dtype of the pipeline's passes: `cli` casts every net it embeds or
+# trains with to it (see the module docstring)
+PASS_DTYPE = np.float32
 DEFAULT_POINTS = 128
 
 NET_MAGIC = b"UANN"
@@ -135,7 +155,7 @@ class CanonicalCloud(NamedTuple):
     slices them into frames and `one_crop` takes one crop's rows as a stack
     of its own, so a stack is never checked again."""
 
-    points: np.ndarray  # (N, 3) float64
+    points: np.ndarray  # (N, 3) float32
     bounds: np.ndarray  # (K + 1,) row offsets: 0, then the end of each crop
 
 
@@ -155,7 +175,10 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
     coordinate, each over every point at once, and the kept rows are
     chosen before any local coordinate is copied. Each point's numbers
     depend on its own detection alone, so a detection's crop is the same
-    bytes whatever else is cropped with it.
+    bytes whatever else is cropped with it. The local coordinates are
+    computed in float64 and stored as float32, each rounded to nearest:
+    every pass rounds its rows to the float32 of the pipeline's nets
+    (`PASS_DTYPE`) anyway, and the rows take half the memory.
 
     The per-coordinate rotation differs from a rotation by matrix product
     by up to 1 ulp, so a point within 1 ulp of a rotated face can fall on
@@ -169,7 +192,8 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
         raise ValueError(f"point count must be >= 1, got {n}")
     clouds = [seq.cloud_of(det).points for det in dets]
     if not clouds:
-        return CanonicalCloud(_frozen(np.zeros((0, 3))), _frozen(np.zeros(1, dtype=np.intp)))
+        return CanonicalCloud(_frozen(np.zeros((0, 3), dtype=np.float32)),
+                              _frozen(np.zeros(1, dtype=np.intp)))
     counts = [len(c) for c in clouds]
     # per detection: center, cos and sin of yaw, half extents
     pose = np.array([(b.x, b.y, b.z, math.cos(b.yaw), math.sin(b.yaw), b.l / 2.0, b.w / 2.0,
@@ -189,7 +213,7 @@ def canonicalize(seq: Sequence, dets, n: int) -> CanonicalCloud:
     j = np.flatnonzero(full) - bounds[crop]
     rows = kept[first[crop] + j * survivors[crop] // taken[crop]]
     del kept
-    points = np.zeros((len(full), 3))
+    points = np.zeros((len(full), 3), dtype=np.float32)
     for col, x in enumerate(local):
         # finite: the clouds and boxes are checked, and a survivor lies in its box
         points[full, col] = x[rows]
@@ -288,6 +312,8 @@ def _frame_views(stack: CanonicalCloud, frames):
 class EmbedNet:
     """Per-point MLP + max pool. weights[k] has shape (out_k, in_k).
 
+    The parameters are float32 when every one is given as float32, and
+    float64 otherwise; the MLP's passes compute in that dtype (`dtype`).
     Raises NumericalError when built with a NaN or infinite parameter.
     """
 
@@ -295,8 +321,10 @@ class EmbedNet:
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+        given = [np.asarray(a) for a in (*self.weights, *self.biases)]
+        dtype = np.float32 if all(a.dtype == np.float32 for a in given) else np.float64
+        ws = tuple(np.asarray(w, dtype=dtype) for w in self.weights)
+        bs = tuple(np.asarray(b, dtype=dtype) for b in self.biases)
         if len(ws) != len(bs) or not ws:
             raise ValueError("weights and biases must pair up, one per layer")
         prev = ws[0].shape[1]
@@ -316,6 +344,26 @@ class EmbedNet:
     @property
     def dim(self) -> int:
         return self.weights[-1].shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
+
+    def astype(self, dtype) -> "EmbedNet":
+        """This net with its parameters cast to dtype, float32 or float64,
+        each rounded to nearest; this net itself when it has that dtype.
+
+        Raises NumericalError when a parameter leaves dtype's range.
+        """
+        if self.dtype == dtype:
+            return self
+        with np.errstate(over="raise"):
+            try:
+                params = [p.astype(dtype) for p in self.params()]
+            except FloatingPointError:
+                raise NumericalError(
+                    f"network parameters leave the {np.dtype(dtype)} range") from None
+        return EmbedNet.from_params(params)
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -343,8 +391,9 @@ class EmbedNet:
 
 
 def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
-    """Per-point features of the shared MLP, one row per point."""
-    x = points
+    """Per-point features of the shared MLP, one row per point, computed in
+    the net's dtype."""
+    x = points.astype(net.dtype, copy=False)
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         x = x @ w.T
@@ -385,7 +434,8 @@ def forward_argmax(net: EmbedNet, cloud: CanonicalCloud) -> tuple[np.ndarray, np
 
 def _passes(net: EmbedNet, cloud: CanonicalCloud, arg) -> np.ndarray:
     """The one pass loop of `forward` and `forward_argmax`: each crop's
-    embedding, and with an arg array, its arg-max rows written into arg."""
+    embedding, float64 whatever the net's dtype, and with an arg array, its
+    arg-max rows written into arg."""
     pts, bounds = cloud.points, cloud.bounds.tolist()
     count = len(bounds) - 1
     out = np.empty((count, net.dim))
@@ -407,9 +457,10 @@ def _passes(net: EmbedNet, cloud: CanonicalCloud, arg) -> np.ndarray:
 
 
 def backward(net: EmbedNet, crops, upstream, arg) -> list[np.ndarray]:
-    """Exact gradients of the sum over crops k of upstream[k] . embedding
-    of crop k, w.r.t. every weight and bias: the summed gradients of a
-    training step's crops. Returns arrays aligned with net.params().
+    """Gradients of the sum over crops k of upstream[k] . embedding of crop
+    k, w.r.t. every weight and bias: the summed gradients of a training
+    step's crops. Returns arrays aligned with net.params(), in the net's
+    dtype; they are exact reverse-mode in that dtype's arithmetic.
 
     crops is a sequence of each crop's rows, upstream[k] is crop k's
     upstream vector and arg[k] the arg-max that `forward_argmax` gave on
@@ -453,15 +504,16 @@ def _backprop(net: EmbedNet, rows, pos, upstream, grads) -> None:
     """One pass of `backward`: add into grads, or set where a slot is still
     None, the gradients w.r.t. every weight and bias of the sum over k and j
     of upstream[k, j] times output coordinate j of the MLP at row pos[k, j]
-    of rows. The hidden layers are rerun on rows, and each activation is
-    dropped after its last use."""
-    acts = [rows]
+    of rows. Rows, upstream vectors and gradients are in the net's dtype.
+    The hidden layers are rerun on rows, and each activation is dropped
+    after its last use."""
+    acts = [rows.astype(net.dtype, copy=False)]
     last = len(net.weights) - 1
     for w, b in zip(net.weights[:last], net.biases[:last]):
         x = acts[-1] @ w.T
         x += b
         acts.append(np.maximum(x, 0.0, out=x))
-    g = np.zeros((len(rows), net.dim))
+    g = np.zeros((len(rows), net.dim), dtype=net.dtype)
     g[pos, np.arange(net.dim)] = upstream
     for k in range(last, -1, -1):
         x = acts.pop()  # layer k's input

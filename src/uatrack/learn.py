@@ -4,7 +4,7 @@ One training step: sample a batch of (anchor, positive) pairs from the
 pseudo-tracks, mine the hardest same-frame negative for each anchor under
 the current network, weight each triplet's hinge loss (margin
 TRIPLET_MARGIN) by its cumulative association confidence, sum, and take
-one Adam step on exact gradients.
+one Adam step on the network's reverse-mode gradients.
 A `Triplet` is built once, when its negative is mined; its weight is a
 product of link confidences that `core.TrackletLabel` checked, and mining
 picks a negative of the anchor's frame other than the anchor, so neither
@@ -37,6 +37,19 @@ explicit generator, a crop is a fixed function of its cloud and box
 (`embed.canonicalize`), and every reduction order is fixed: the batch's
 sums run one triplet after another, and the gradients' over crops in the
 order the triplets first reach them, packed into passes in that order.
+
+Precision: `train` holds the parameters and the Adam state in float64
+whatever net it is given, and returns a float64 net, so the checkpoint
+format does not depend on it. Each step's network is built in the given
+net's dtype, and its passes compute in it (`embed`). Given a float64 net,
+a step's gradients are exact. Given a float32 net, as the pipeline gives
+it (`embed.PASS_DTYPE`), the forwards and the backward run in float32:
+the step's parameters are the float64 ones rounded to float32, its
+gradients are exact for that float32 arithmetic only, and Adam adds them
+to the float64 parameters (mixed precision, Micikevicius et al., ICLR
+2018). The embeddings, the mining, the loss and its upstream vectors stay
+float64. A step whose float64 parameters leave float32's range is refused
+with a `NumericalError` that names it, before any pass.
 """
 
 import math
@@ -223,10 +236,12 @@ class AdamState:
 def adam_step(params, grads, state: AdamState, cfg: TrainerConfig):
     """Bias-corrected Adam update at cfg's learning rate, with Adam's
     default ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; returns (new params, new
-    state)."""
+    state). Gradients of a float32 net are taken to float64 first, so
+    float64 params and state stay float64."""
     t = state.step + 1
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        g = g.astype(np.float64, copy=False)
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         mhat = m / (1.0 - ADAM_BETA1 ** t)
@@ -348,7 +363,8 @@ def step_forward(net: embed.EmbedNet, src: TripletSource, drawn):
 
 def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerConfig, *,
           seed: int = 0):
-    """Run the full triplet-training loop; returns (trained net, history).
+    """Run the full triplet-training loop; returns (trained net, history),
+    the net float64 whatever net's dtype, each step's passes in net's.
 
     frames_per_scene and tracks_per_scene are as `build_triplet_source`
     takes them: each scene's per-frame crop stacks, cut before training,
@@ -373,7 +389,7 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
     """
     src = build_triplet_source(frames_per_scene, tracks_per_scene, cfg.max_gap)
     rng = np.random.default_rng(seed)
-    params = net.params()
+    params = net.astype(np.float64).params()
     adam = AdamState.init(params)
     history: list[StepRecord] = []
 
@@ -393,7 +409,10 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
                 if got is not None:
                     drawn.append(got)
 
-            current = embed.EmbedNet.from_params(params)
+            try:
+                current = embed.EmbedNet.from_params(params).astype(net.dtype)
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at step {global_step} (epoch {_epoch})") from None
             frames, fwd = step_forward(current, src, drawn)
             # mine each anchor's negative under the current net, from its
             # frame's embeddings

@@ -164,6 +164,22 @@ class TestPipeline:
         assert len(scenes) == 3 and all(scenes)
         assert alive() == 0
 
+    @pytest.mark.parametrize("stage, embeds", [
+        ("train", "forward_argmax"), ("fit-logistic", "forward"), ("mot-run", "forward"),
+        ("sot-eval", "forward")])
+    def test_stage_embeds_with_a_float32_net(self, three_scene_run, stage, embeds,
+                                             monkeypatch):
+        """Every stage that embeds runs its passes with a float32 net
+        (`embed.PASS_DTYPE`): train's initial net and the float64
+        checkpoint that the inference stages load are cast to it."""
+        rc, out = three_scene_run
+        dtypes = []
+        embedding = getattr(embed, embeds)
+        monkeypatch.setattr(embed, embeds, lambda net, cloud: dtypes.append(net.dtype) or
+                            embedding(net, cloud))
+        cli.run_pipeline(rc, [stage], out)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
     def test_each_scene_is_four_files(self, tiny_run):
         """A scene's clouds are one pack file, not a directory, and the
         pseudo-tracks stage, which uses boxes only, does not read it."""
@@ -544,8 +560,9 @@ def test_negative_seed_flag_exits_2(command, tmp_path, capsys):
      "no pseudo-track has two or more members"),
     # spurious detections only: tracks form, but their anchors have no negatives
     ("frames = 8", "frames = 8\nmissed_rate = 1.0", "anchors have no negatives"),
-    # the divergence overflows on its way to the non-finite loss
-    pytest.param("learning_rate = 1e-3", "learning_rate = 1e300", "non-finite batch loss",
+    # the divergence leaves float32's range, refused before a loss is computed
+    pytest.param("learning_rate = 1e-3", "learning_rate = 1e300",
+                 "network parameters leave the float32 range at step 1",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ])
 def test_run_that_cannot_train_exits_1(old, new, message, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from uatrack import embed
 from uatrack.core import Box7, Detection, FrameRecord, PointCloud, Sequence
 from uatrack.embed import (
+    DEFAULT_WIDTHS,
     MAX_BACKWARD_ROWS,
     MAX_PASS_POINTS,
     MAX_PASS_ROWS,
@@ -48,6 +49,41 @@ def crop(pc, b, n):
     return out
 
 
+def crop_and_local(pc, b, n):
+    """(stored, local): the rows of the crop of one detection (cloud pc,
+    box b) as canonicalize stores them, float32, and as `embed._in_box`
+    computed them in float64 before they were stored, -0.0 as +0.0. The
+    stored rows are the float64 rows rounded to float32, byte for byte."""
+    calls = []
+    in_box = embed._in_box
+
+    def recording(*args):
+        calls.append(in_box(*args))
+        return calls[-1]
+
+    # patched by hand: the hypothesis tests that call this take no
+    # function-scoped monkeypatch fixture
+    embed._in_box = recording
+    try:
+        stored = crop(pc, b, n).points
+    finally:
+        embed._in_box = in_box
+    ((kept, local),) = calls
+    count = len(kept)
+    taken = min(count, n)
+    local = (np.column_stack(local)[kept[np.arange(taken) * count // taken]] if count
+             else np.zeros((1, 3))) + 0.0
+    assert stored.dtype == np.float32
+    assert stored.tobytes() == (local.astype(np.float32) + np.float32(0.0)).tobytes()
+    return stored, local
+
+
+def rounded(stack):
+    """A float64 stack with its rows rounded to float32, as canonicalize
+    stores them."""
+    return CanonicalCloud(stack.points.astype(np.float32), stack.bounds)
+
+
 def assert_well_formed(stack):
     """What `canonicalize` builds every stack to be: bounds from row 0 to
     the last row, each crop at least one row, and both arrays read-only."""
@@ -72,7 +108,7 @@ def argmax_rows(net, points):
 def crops_of(stack):
     """Each crop of a stack as a stack of its own."""
     bounds = stack.bounds.tolist()
-    return [one_crop(stack.points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [embed.one_crop(stack.points[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def cosine(e1, e2) -> float:
@@ -137,14 +173,18 @@ ROTATION_ULPS = 1
 
 
 def assert_same_crop(got, want, exact):
-    """The same rows in the same order: byte for byte when exact, else
-    within ROTATION_ULPS."""
-    assert got.points.shape == want.points.shape
+    """got, a crop's (stored, local) rows as `crop_and_local` gives them,
+    holds the rows of want, a float64 crop, in the same order: byte for
+    byte when exact, the stored rows then being want's rounded to float32;
+    else the float64 rows within ROTATION_ULPS of want's."""
+    stored, local = got
+    want = want.points
+    assert stored.shape == local.shape == want.shape
     if exact:
-        assert got.points.tobytes() == want.points.tobytes()
-    scale = np.maximum(np.abs(want.points).max(axis=1), 1.0)
-    assert (np.abs(got.points - want.points).max(axis=1)
-            <= ROTATION_ULPS * np.spacing(scale)).all()
+        assert local.tobytes() == want.tobytes()
+        assert stored.tobytes() == want.astype(np.float32).tobytes()
+    scale = np.maximum(np.abs(want).max(axis=1), 1.0)
+    assert (np.abs(local - want).max(axis=1) <= ROTATION_ULPS * np.spacing(scale)).all()
 
 
 def previous_local(cloud, box):
@@ -203,7 +243,7 @@ class TestCanonicalize:
         originals = pc.points[[0, 1, 3]].astype(np.float64)
         for n in (3, 4, 8, 64):
             # every survivor, once each, in cloud order
-            assert crop(pc, box(), n).points.tobytes() == originals.tobytes()
+            assert crop(pc, box(), n).points.tobytes() == originals.astype(np.float32).tobytes()
 
     def test_sparse_crop_rows_in_cloud_order(self):
         # box() at the origin with yaw 0 leaves coordinates exact, so the
@@ -216,20 +256,21 @@ class TestCanonicalize:
             pts = pc.points.astype(np.float64)
             inside = pts[(np.abs(pts) <= [2.0, 1.0, 0.75]).all(axis=1)]
             assert len(inside) == count
-            assert crop(pc, box(), n).points.tobytes() == inside.tobytes()
+            assert crop(pc, box(), n).points.tobytes() == inside.astype(np.float32).tobytes()
 
     def test_dense_crop_keeps_evenly_spaced_survivors(self):
         # 10 survivors and n = 4: survivors 0, 2, 5 and 7 (j * 10 // 4)
         pts = np.array([[0.1 * k - 0.5, 0.0, 0.0] for k in range(10)] + [[9.0, 9.0, 9.0]])
         out = crop(PointCloud(pts[[0, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9]]), box(), 4)
-        assert out.points.tobytes() == pts[[0, 2, 5, 7]].astype(np.float32).astype(
-            np.float64).tobytes()
+        # the cloud's float32 points, in float64, rounded back to float32
+        want = pts[[0, 2, 5, 7]].astype(np.float32).astype(np.float64)
+        assert out.points.tobytes() == want.astype(np.float32).tobytes()
 
     def test_empty_crop_is_one_origin_row(self):
         pc = PointCloud([[50.0, 50.0, 50.0]])
         for n in (1, 8, 128):
             out = crop(pc, box(), n)
-            assert out.points.tobytes() == np.zeros((1, 3)).tobytes()
+            assert out.points.tobytes() == np.zeros((1, 3)).astype(np.float32).tobytes()
 
     def test_full_and_dense_crops_equal_reference(self):
         # count >= n: the n rows of the reference, each once
@@ -239,7 +280,7 @@ class TestCanonicalize:
             count = n + int(rng.integers(0, n + 1))
             pc = cloud_in_box(rng, count)
             b = box(x=0.1, yaw=float(rng.uniform(-0.2, 0.2)), l=5.0, w=3.0, h=2.0)
-            out = crop(pc, b, n)
+            out = crop_and_local(pc, b, n)
             want = reference_canonicalize(pc, b, n=n)
             assert want.points.shape == (n, 3)
             assert_same_crop(out, want, exact=False)
@@ -286,7 +327,7 @@ class TestCanonicalize:
             was, near = previous_inside(pc, b)
             now = inside_alone(pc, b)
             assert (was == now)[~near].all()
-            got = crop(pc, b, n)
+            got = crop_and_local(pc, b, n)
             if (was == now).all():
                 want = previous_canonicalize(pc, b, n)
             else:
@@ -659,7 +700,7 @@ class TestCriticalPointBackward:
             )
             cloud = crop(PointCloud([[50.0, 50.0, 50.0]]), box(), 16)
             ref = reference_canonicalize(PointCloud([[50.0, 50.0, 50.0]]), box(), n=16)
-            assert cloud.points.tobytes() == np.zeros((1, 3)).tobytes()
+            assert cloud.points.tobytes() == np.zeros((1, 3)).astype(np.float32).tobytes()
             (emb,), (arg,) = forward_argmax(net, cloud)
             (ref_emb,), (ref_arg,) = forward_argmax(net, ref)
             np.testing.assert_array_equal(arg, np.zeros(4, dtype=arg.dtype))
@@ -934,7 +975,10 @@ class TestReferenceEquivalence:
     The critical points are compared on a matrix product of the crop's own
     row count: MLP rows computed in passes of different row counts can
     differ in their last bits, so an exact tie between points can break
-    one way in the crop and another in its n-row reference."""
+    one way in the crop and another in its n-row reference. Both references
+    are rounded to float32 as canonicalize stores a crop, and the critical
+    points' float64 coordinates (`crop_and_local`) are held to
+    `assert_same_crop`."""
 
     @given(crop_cases())
     @settings(max_examples=200, deadline=None)
@@ -942,21 +986,147 @@ class TestReferenceEquivalence:
               EmbedNet.random((3, 4, 2), seed=0), np.ones(2)))
     def test_matches_reference_crop(self, case):
         pc, b, n, net, upstream = case
-        cloud = crop(pc, b, n)
-        ref = reference_canonicalize(pc, b, n)
+        stored, local = crop_and_local(pc, b, n)
+        cloud = embed.one_crop(stored)
+        ref = rounded(reference_canonicalize(pc, b, n))
         assert 1 <= cloud.points.shape[0] <= n
         np.testing.assert_allclose(forward(net, cloud), forward(net, ref), rtol=0.0, atol=1e-12)
         (emb,), (arg,) = forward_argmax(net, cloud)
         (ref_emb,), (ref_arg,) = forward_argmax(net, ref)
         np.testing.assert_allclose(emb, ref_emb, rtol=0.0, atol=1e-12)
         own = previous_canonicalize(pc, b, n)
-        own_arg = argmax_rows(net, own.points)
-        assert_same_crop(one_crop(cloud.points[arg]),
-                         one_crop(own.points[own_arg]), exact=b.yaw == 0.0)
+        own_arg = argmax_rows(net, rounded(own).points)
+        assert_same_crop((stored[arg], local[arg]), one_crop(own.points[own_arg]),
+                         exact=b.yaw == 0.0)
         got = backward(net, [cloud.points], [upstream], [arg])
         want = backward(net, [ref.points], [upstream], [ref_arg])
         for a, w in zip(got, want):
             np.testing.assert_allclose(a, w, rtol=0.0, atol=1e-12)
+
+
+# the unit roundoffs of float32 and float64
+U32, U64 = 2.0 ** -24, 2.0 ** -53
+
+
+def magnitude_net(net):
+    """The float64 net of net's absolute parameters: on absolute rows it
+    gives, for each output, the sum of the magnitudes of the terms the
+    output sums, through every layer (rectifiers pass them unchanged)."""
+    return EmbedNet.from_params([np.abs(p).astype(np.float64) for p in net.params()])
+
+
+def forward_bound(net, u):
+    """The relative bound on the error of the MLP's outputs in arithmetic of
+    unit roundoff u, against `magnitude_net`'s outputs: the product over
+    layers of 1 / (1 - (in + 1) u), minus 1. A layer's output sums in
+    products and a bias, with error at most gamma_(in+1) = (in + 1) u /
+    (1 - (in + 1) u) of the sum of their magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., eq. 3.5); the error of its
+    input grows by the same factor, and rectifiers and the max pool add
+    none."""
+    return float(np.prod([1.0 / (1.0 - (w.shape[1] + 1) * u) for w in net.weights])) - 1.0
+
+
+def backward_bound(net, rows, u):
+    """The relative bound on the error of `backward`'s gradients in
+    arithmetic of unit roundoff u, over crops of rows rows in all, against
+    `backward` of `magnitude_net` on absolute rows and upstream vectors,
+    where the rectifiers and arg-maxes decide as in exact arithmetic: the
+    upstream's rounding (1 + u), a factor 1 / (1 - out u) for each layer
+    the gradient goes down, the forward's bound for the activations, and
+    1 / (1 - rows u) for the sum over rows."""
+    down = (1.0 + u) * float(np.prod([1.0 / (1.0 - w.shape[0] * u) for w in net.weights]))
+    return down * (1.0 + forward_bound(net, u)) / (1.0 - rows * u) - 1.0
+
+
+class TestFloat32Net:
+    """A net of float32 parameters runs its passes in float32 and returns
+    float64 embeddings; the pipeline's nets are float32 (`PASS_DTYPE`)."""
+
+    @staticmethod
+    def _net(rng, widths, seed):
+        return EmbedNet(weights=EmbedNet.random(widths, seed=seed).weights,
+                        biases=tuple(rng.normal(0.0, 0.5, size=w) for w in widths[1:]))
+
+    def test_keeps_float32_and_astype_round_trips(self):
+        net = EmbedNet.random((3, 16, 8), seed=0)
+        assert net.dtype == np.float64 and net.astype(np.float64) is net
+        narrow = net.astype(np.float32)
+        assert narrow.dtype == np.float32 and narrow.astype(np.float32) is narrow
+        for p, q in zip(narrow.params(), net.params()):
+            assert p.dtype == np.float32 and not p.flags.writeable
+            assert p.tobytes() == q.astype(np.float32).tobytes()
+        wide = narrow.astype(np.float64)
+        for p, q in zip(wide.params(), narrow.params()):
+            assert p.dtype == np.float64 and np.array_equal(p, q)
+        for p, q in zip(wide.astype(np.float32).params(), narrow.params()):
+            assert p.tobytes() == q.tobytes()
+        # float32 arrays stay float32; one float64 array makes the net float64
+        assert EmbedNet.from_params(narrow.params()).dtype == np.float32
+        assert EmbedNet.from_params(narrow.params()[:-1] + net.params()[-1:]).dtype == np.float64
+
+    @pytest.mark.filterwarnings("error")
+    def test_astype_refuses_a_parameter_out_of_range(self):
+        base = EmbedNet.random((3, 4, 2), seed=0)
+        top = float(np.finfo(np.float32).max)
+        big = EmbedNet(weights=base.weights, biases=(base.biases[0], np.array([-1e39, 0.0])))
+        with pytest.raises(NumericalError, match=r"^network parameters leave the float32 range$"):
+            big.astype(np.float32)
+        edge = EmbedNet(weights=base.weights, biases=(base.biases[0], np.array([-top, 0.0])))
+        assert edge.astype(np.float32).biases[1][0] == -top
+
+    def test_forward_equals_forward_argmax(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            n = int(rng.integers(8, 300))
+            stack = canonicalize(*scene(*TestFramePass._frame(rng, n, trial % 2 == 0)), n)
+            net = self._net(rng, DEFAULT_WIDTHS, trial).astype(np.float32)
+            got = forward(net, stack)
+            embs, _ = forward_argmax(net, stack)
+            assert got.dtype == embs.dtype == np.float64
+            assert got.tobytes() == embs.tobytes()
+
+    def test_agrees_with_the_float64_net_within_the_bound(self):
+        """Forward and backward of a float32 net are within `forward_bound`
+        and `backward_bound` of the float64 net of the same parameters. The
+        backward bound needs the rectifiers at each critical row to decide
+        alike in both: a trial where a hidden pre-activation there lies
+        within its bound of 0 checks the forward only."""
+        rng = np.random.default_rng(22)
+        backward_checked = 0
+        for trial in range(40):
+            n = int(rng.integers(8, 200))
+            stack = canonicalize(*scene(*TestFramePass._frame(rng, n, False)), n)
+            widths = DEFAULT_WIDTHS if trial < 10 else random_widths(rng)
+            net = self._net(rng, widths, trial).astype(np.float32)
+            wide, mag = net.astype(np.float64), magnitude_net(net)
+            embs, arg = forward_argmax(wide, stack)
+            tol = forward_bound(net, U32) + forward_bound(net, U64)
+            size = forward(mag, CanonicalCloud(np.abs(stack.points), stack.bounds))
+            assert (np.abs(forward(net, stack) - embs) <= tol * size).all()
+
+            crops = [c.points for c in crops_of(stack)]
+            critical = np.concatenate([c[np.unique(a)] for c, a in zip(crops, arg)])
+            clear = True
+            for k in range(1, len(widths) - 1):
+                part = EmbedNet.from_params(wide.params()[:2 * k])
+                z = embed._mlp(part, critical)
+                size = embed._mlp(magnitude_net(part), np.abs(critical))
+                clear &= bool((np.abs(z) > (forward_bound(part, U32) + forward_bound(
+                    part, U64)) * size).all())
+            if not clear:
+                continue
+            backward_checked += 1
+            upstream = rng.normal(size=(len(crops), net.dim))
+            got = backward(net, crops, upstream, arg)
+            want = backward(wide, crops, upstream, arg)
+            size = backward(mag, [np.abs(c) for c in crops], np.abs(upstream), arg)
+            tol = backward_bound(net, len(stack.points), U32) + backward_bound(
+                net, len(stack.points), U64)
+            for g, w, m in zip(got, want, size):
+                assert g.dtype == np.float32 and w.dtype == np.float64
+                assert (np.abs(g - w) <= tol * m).all()
+        assert backward_checked >= 20
 
 
 class TestCheckpoint:
@@ -1048,10 +1218,10 @@ class TestFramePass:
             assert_well_formed(stack)
             assert len(crops) == len(stack.bounds) - 1 == len(dets)
             for k, (det, (pc, b)) in enumerate(zip(dets, pairs)):
-                alone = canonicalize(seq, [det], n)
-                assert crops[k].points.tobytes() == alone.points.tobytes()
+                alone = crop_and_local(pc, b, n)
+                assert crops[k].points.tobytes() == alone[0].tobytes()
                 want = previous_canonicalize(pc, b, n)
-                assert_same_crop(crops[k], want, yaw_zero)
+                assert_same_crop(alone, want, yaw_zero)
             assert np.array_equal(np.concatenate([c.points for c in crops]), stack.points)
 
     def test_no_detections(self):

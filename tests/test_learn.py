@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_embed import cosine, dense_backward, one_crop, reference_canonicalize
+from test_embed import cosine, dense_backward, one_crop, reference_canonicalize, rounded
 
 from uatrack import assoc, cli, embed, kalman, learn, sim
 from uatrack.learn import (
@@ -343,8 +343,9 @@ class TestTrain:
 
         def reference_stack(seq, dets, n):
             crops = [reference_canonicalize(seq.cloud_of(d), d.box, n) for d in dets]
-            return embed.CanonicalCloud(np.concatenate([c.points for c in crops]),
-                                        n * np.arange(len(crops) + 1))
+            return embed.CanonicalCloud(
+                np.concatenate([rounded(c).points for c in crops]),
+                n * np.arange(len(crops) + 1))
 
         monkeypatch.setattr(embed, "canonicalize", recording)
         out, history = train([cli.frame_crops(seq, 64)], [tracks], net, cfg, seed=2)
@@ -469,6 +470,50 @@ class TestTrain:
 
         monkeypatch.setattr(learn, "adam_step", poisoned)
         with pytest.raises(kalman.NumericalError, match="network parameters"):
+            train(frames, tracks, net, cfg, seed=1)
+
+    def test_float32_net_trains_float64_params(self, monkeypatch):
+        """Given a float32 net, every step embeds and backpropagates with a
+        float32 net, while the parameters, the Adam state and the net
+        returned are float64; the first step starts from the given
+        parameters."""
+        frames, tracks = _mini_training_setup()
+        net = embed.EmbedNet.random((3, 8, 8, 4), seed=1).astype(np.float32)
+        nets, steps = [], []
+        forward_argmax, adam_step = embed.forward_argmax, learn.adam_step
+        monkeypatch.setattr(embed, "forward_argmax", lambda step_net, cloud: nets.append(
+            step_net.dtype) or forward_argmax(step_net, cloud))
+
+        def recording(params, grads, state, cfg):
+            steps.append((params, grads))
+            out = adam_step(params, grads, state, cfg)
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(learn, "adam_step", recording)
+        out, history = train(frames, tracks, net, TrainerConfig(learning_rate=1e-3, batch_size=4,
+                                                                epochs=1), seed=0)
+        assert len(steps) == 2 * len(history) > 2 and set(nets) == {np.dtype(np.float32)}
+        for p, q in zip(steps[0][0], net.params()):
+            assert p.dtype == np.float64 and np.array_equal(p, q)
+        for params, grads in steps[0::2]:
+            assert all(g.dtype == np.float32 for g in grads)
+        for params, state in steps[1::2]:
+            assert all(a.dtype == np.float64 for a in (*params, *state.m, *state.v))
+        assert out.dtype == np.float64
+        for p, q in zip(out.params(), steps[-1][0]):
+            assert p.tobytes() == q.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_float32_range_left_stops_at_the_step(self):
+        """A step whose float64 parameters leave float32's range is refused
+        by name, with no numpy overflow warning: lr 1e300 takes them there
+        in one step."""
+        frames, tracks = _mini_training_setup()
+        net = embed.EmbedNet.random((3, 8, 4), seed=2).astype(np.float32)
+        cfg = TrainerConfig(learning_rate=1e300, batch_size=4, epochs=1)
+        with pytest.raises(kalman.NumericalError, match=r"^network parameters leave the "
+                           r"float32 range at step 1 \(epoch 0\)$"):
             train(frames, tracks, net, cfg, seed=1)
 
     def test_loss_decreases_on_shape_dataset(self):
