@@ -62,17 +62,6 @@ from .core import (
 
 log = logging.getLogger("uatrack")
 
-STAGE_ORDER = (
-    "simulate",
-    "pseudo-tracks",
-    "train",
-    "fit-logistic",
-    "mot-run",
-    "sot-eval",
-    "mot-eval",
-    "confidence-report",
-)
-
 SPLITS = ("train", "fit", "test")
 
 APPEARANCE = "motion+score+appearance"  # the one mode that needs the checkpoint
@@ -277,15 +266,14 @@ def _gt_rows_from_detections(seq: Sequence) -> list[TrackRow]:
 
 
 def _pooled_rows(per_scene_rows, frame_stride: int):
-    pooled = []
-    for i, rows in enumerate(per_scene_rows):
-        for r in rows:
-            pooled.append(TrackRow(
-                frame=r.frame + i * frame_stride,
-                track_id=r.track_id + i * 1_000_000,
-                box=r.box, score=r.score,
-            ))
-    return pooled
+    """One sequence of every scene's rows: scene i's frames start at
+    i * frame_stride, and each (scene, track id) pair becomes its rank among
+    the pairs, so pairs stay distinct and keep their order for any ids."""
+    pairs = sorted({(i, r.track_id) for i, rows in enumerate(per_scene_rows) for r in rows})
+    rank = {pair: k for k, pair in enumerate(pairs)}
+    return [TrackRow(frame=r.frame + i * frame_stride, track_id=rank[i, r.track_id],
+                     box=r.box, score=r.score)
+            for i, rows in enumerate(per_scene_rows) for r in rows]
 
 
 def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
@@ -436,6 +424,7 @@ _STAGES = {
     "mot-eval": _stage_mot_eval,
     "confidence-report": _stage_confidence_report,
 }
+STAGE_ORDER = tuple(_STAGES)  # dependency order
 
 
 def _hash_path(path: Path) -> str:

@@ -15,7 +15,7 @@ from .assoc import AssocConfig
 from .embed import DEFAULT_POINTS, DEFAULT_WIDTHS
 from .learn import TrainerConfig
 from .mot import MODES as MOT_MODES
-from .sim import NoiseModel, SceneConfig
+from .sim import SPURIOUS_RATE, NoiseModel, SceneConfig
 
 
 class ConfigError(ValueError):
@@ -46,10 +46,7 @@ class SimSection:
     frames: int = SceneConfig.n_frames
     crossings: int = 1
     center_pct: float = NoiseModel.center_pct
-    size_pct: float = NoiseModel.size_pct
-    yaw_deg: float = NoiseModel.yaw_deg
     missed_rate: float = 0.05
-    spurious_rate: float = 0.10
 
     def __post_init__(self):
         if min(self.train_scenes, self.fit_scenes, self.test_scenes) < 1:
@@ -72,11 +69,10 @@ class SimSection:
 
     def noise(self) -> NoiseModel:
         """The detector noise of corrupt_detections; perturb_boxes reads only
-        its box noise."""
-        return NoiseModel(
-            center_pct=self.center_pct, size_pct=self.size_pct, yaw_deg=self.yaw_deg,
-            spurious_rate=self.spurious_rate, missed_rate=self.missed_rate,
-        )
+        its box noise. Size and yaw noise are NoiseModel's defaults, and the
+        spurious rate is sim.SPURIOUS_RATE."""
+        return NoiseModel(center_pct=self.center_pct, spurious_rate=SPURIOUS_RATE,
+                          missed_rate=self.missed_rate)
 
 
 @dataclass(frozen=True)

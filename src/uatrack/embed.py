@@ -596,6 +596,10 @@ def load_checkpoint(path) -> EmbedNet:
     if not all(np.isfinite(a).all() for a in weights + biases):
         raise ValueError(f"{path}: non-finite parameters")
     try:
-        return EmbedNet(weights=tuple(weights), biases=tuple(biases))
+        net = EmbedNet(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    n_in = net.weights[0].shape[1]
+    if n_in != 3:
+        raise ValueError(f"{path}: first layer takes {n_in} inputs; a crop row has 3")
+    return net

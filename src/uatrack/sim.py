@@ -43,6 +43,7 @@ N_TEMPLATES = len(TEMPLATE_PROFILES)
 _INSET = 0.995  # keep surface points strictly inside the box under float noise
 BOUNDS = 45.0  # every pose stays inside +/-BOUNDS on x and y, in metres
 MARGIN = 4.0  # every pose stays this far inside +/-BOUNDS, in metres
+SPURIOUS_RATE = 0.10  # SimSection.noise()'s mean spurious detections a frame per object
 LENGTH_RANGE = (3.9, 4.7)  # an object's length is drawn uniformly from this, in metres
 WIDTH_RANGE = (1.72, 1.92)  # its width, likewise
 HEIGHT_RANGE = (1.45, 1.75)  # its height, likewise

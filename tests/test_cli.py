@@ -11,8 +11,18 @@ import numpy as np
 import pytest
 
 from uatrack import assoc, cli, embed
-from uatrack.config import parse_config
-from uatrack.core import PointCloud, write_clouds
+from uatrack.config import RunConfig, SimSection, parse_config
+from uatrack.core import (
+    Box7,
+    Detection,
+    FrameRecord,
+    PointCloud,
+    Sequence,
+    TrackRow,
+    write_clouds,
+    write_detections,
+    write_track_rows,
+)
 
 # each stage's input and output hashes of tiny_run: its manifest lines
 # without their config hash
@@ -311,6 +321,19 @@ class TestMalformedInput:
                                    "--out-dir", str(tmp_path / "sot")])
         self.assert_one_line_error(code, err, "n.uann")
 
+    def test_checkpoint_of_another_input_width(self, tiny_run, tmp_path, capsys):
+        """A net whose first layer does not take a crop row's 3 coordinates
+        is refused when it is loaded, naming the file, not in a matrix
+        product."""
+        embed.save_checkpoint(tmp_path / "n.uann", embed.EmbedNet.random((5, 8, 8), seed=0))
+        scene = tiny_run / "sim" / "test_00"
+        code, err = _main(capsys, ["sot-eval", "--detections", str(scene / "detections.jsonl"),
+                                   "--clouds", str(scene / "clouds"),
+                                   "--checkpoint", str(tmp_path / "n.uann"),
+                                   "--out-dir", str(tmp_path / "sot")])
+        self.assert_one_line_error(code, err,
+                                   "n.uann: first layer takes 5 inputs; a crop row has 3")
+
     def test_logistic_model_missing_key(self, tiny_run, tmp_path, capsys):
         (tmp_path / "bad.json").write_text('{"intercept": 0.5}\n')
         scene = tiny_run / "sim" / "test_00"
@@ -432,6 +455,9 @@ def _config_error(tmp_path, capsys, text):
     ("learn", "margin", "nan"),
     ("sim", "frame_period", "nan"),
     ("sim", "bounds", "0"),
+    ("sim", "size_pct", "0.1"),
+    ("sim", "yaw_deg", "5.0"),
+    ("sim", "spurious_rate", "0.1"),
 ])
 def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     """Keys whose options are gone (the fused modes' score gate, the squared
@@ -439,9 +465,10 @@ def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     another section (the trainer's seed is [global] seed, its crop size
     [embed] points_per_crop), and keys that became constants (the Kalman
     noise, the tracker's max age and AC epsilon, Adam's betas and epsilon,
-    AMOTA's match distance, the triplet margin, the frame period and the
-    scene bounds) are refused, whatever their value, not ignored. [kalman]
-    has no key left, so the section itself is refused."""
+    AMOTA's match distance, the triplet margin, the frame period, the
+    scene bounds, and the detector's size, yaw and spurious noise) are
+    refused, whatever their value, not ignored. [kalman] has no key left,
+    so the section itself is refused."""
     header = f"[{section}]\n"
     setting = f"{key} = {value}\n"
     text = (TINY.replace(header, header + setting) if header in TINY
@@ -473,11 +500,7 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
     ("sim", "frames", "1", 2,
      "config error: [sim]: train scenes: a scene needs at least 2 frames, got 1"),
     ("sim", "missed_rate", "2", 2, "config error: [sim]: missed_rate must be in [0, 1], got 2.0"),
-    ("sim", "spurious_rate", "-0.1", 2,
-     "config error: [sim]: spurious_rate must be in [0, 1], got -0.1"),
     ("sim", "center_pct", "-1", 2, "config error: [sim]: center_pct must be >= 0, got -1.0"),
-    ("sim", "yaw_deg", "-5", 2, "config error: [sim]: yaw_deg must be >= 0, got -5.0"),
-    ("sim", "size_pct", "1.2", 2, "config error: [sim]: size_pct must be in [0, 1), got 1.2"),
     ("embed", "widths", "3, 0, 4", 2, "config error: [embed]: every width must be >= 1"),
     # too long a scene for a crossing pair to stay inside the bounds
     ("sim", "frames", "60", 1, "error: could not place a crossing pair inside bounds 45.0"),
@@ -555,8 +578,8 @@ def test_negative_seed_flag_exits_2(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    # every detection missed: no pseudo-track has two members
-    ("frames = 8", "frames = 8\nmissed_rate = 1.0\nspurious_rate = 0.0",
+    # a gate that admits no pair: no pseudo-track has two members
+    ("[learn]\n", "[assoc]\ngate = 1e-9\n\n[learn]\n",
      "no pseudo-track has two or more members"),
     # spurious detections only: tracks form, but their anchors have no negatives
     ("frames = 8", "frames = 8\nmissed_rate = 1.0", "anchors have no negatives"),
@@ -611,6 +634,40 @@ def test_path_that_cannot_be_used_exits_in_one_line(case, tiny_run, tmp_path, ca
     if case.endswith("out-dir-a-file"):
         assert lines[0] == f"error: {a_file}: not a directory"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("gt_ids", [(7, 0), (1_000_000, 0), (0, -1_000_000)],
+                         ids=["small", "scene-0-at-1e6", "scene-1-at-minus-1e6"])
+def test_mot_eval_keeps_each_scenes_ids_apart(gt_ids, tmp_path):
+    """mot-eval pools its scenes into one sequence. Each scene holds one
+    object over 3 frames, and pred track 5 follows it exactly, so AMOTA is 1
+    with no ID switch whatever ids the scenes' objects have."""
+    rc = RunConfig(sim=replace(SimSection(), frames=3))
+    box = Box7(x=10.0, y=0.0, z=0.8, yaw=0.0, l=4.0, w=1.8, h=1.6)
+    gt_paths, pred_paths = [], []
+    for i, gt_id in enumerate(gt_ids):
+        gt_paths.append(tmp_path / f"d{i}.jsonl")
+        pred_paths.append(tmp_path / f"t{i}.jsonl")
+        write_detections(gt_paths[-1], Sequence(frames=[
+            FrameRecord(index=f, detections=[Detection(frame=f, box=box, score=1.0,
+                                                       cloud_ref="c", gt_id=gt_id)])
+            for f in range(3)], clouds={"c": PointCloud(np.zeros((1, 3)))}))
+        write_track_rows(pred_paths[-1], [TrackRow(frame=f, track_id=5, box=box, score=0.9)
+                                          for f in range(3)])
+    _, (score,) = cli.run_mot_eval(rc, gt_paths, [pred_paths])
+    assert score.amota == 1.0
+    assert [t.ids for t in score.thresholds] == [0] * rc.eval.recall_levels
+
+
+def test_pooled_ids_stay_distinct_in_scene_order():
+    """Each (scene, id) pair gets its own pooled id, ranked as the pairs
+    sort, for any int id."""
+    box = Box7(x=0.0, y=0.0, z=0.0, yaw=0.0, l=1.0, w=1.0, h=1.0)
+    ids = [[1_000_000, 3, 1_000_000], [0, -1_000_000]]
+    pooled = cli._pooled_rows([[TrackRow(frame=0, track_id=t, box=box, score=0.5) for t in scene]
+                               for scene in ids], frame_stride=10)
+    assert [r.track_id for r in pooled] == [1, 0, 1, 3, 2]
+    assert [r.frame for r in pooled] == [0, 0, 0, 10, 10]
 
 
 MODES = ("motion", "motion+score", "motion+score+appearance")

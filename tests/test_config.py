@@ -27,10 +27,14 @@ class TestDefaults:
         assert sect.points_per_crop == embed.DEFAULT_POINTS
 
     def test_sim_section_matches_scene_and_noise_models(self):
-        sect, scene, noise = SimSection(), SceneConfig(), NoiseModel()
+        """[sim] sets two of the detector's five noise values; the rest are
+        NoiseModel's box-noise defaults and sim.SPURIOUS_RATE."""
+        sect, scene = SimSection(), SceneConfig()
         assert (sect.objects, sect.frames) == (scene.n_objects, scene.n_frames)
-        for name in ("center_pct", "size_pct", "yaw_deg"):
-            assert getattr(sect, name) == getattr(noise, name), name
+        assert sect.center_pct == NoiseModel().center_pct
+        assert sect.noise() == NoiseModel(center_pct=0.10, size_pct=0.10, yaw_deg=5.0,
+                                          spurious_rate=0.10, missed_rate=0.05)
+        assert sim.SPURIOUS_RATE == 0.10
 
     def test_mot_section_matches_mot_config(self):
         assert MotSection().modes == MODES
@@ -68,7 +72,7 @@ class TestRoundTrip:
             embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
             learn=LearnSection(learning_rate=1e-3, batch_size=8, epochs=2, max_gap=4,
                                use_uncertainty=False, mode="oracle"),
-            sim=replace(SimSection(), train_scenes=2, yaw_deg=2.5),
+            sim=replace(SimSection(), train_scenes=2, center_pct=0.25),
             mot=MotSection(modes=("motion", "motion+score")),
             eval=EvalSection(recall_levels=10, sot_noise="on"),
         )
@@ -93,8 +97,7 @@ class TestRoundTrip:
             ("learn", "max_gap"), ("learn", "use_uncertainty"), ("learn", "mode"),
             ("sim", "train_scenes"), ("sim", "fit_scenes"), ("sim", "test_scenes"),
             ("sim", "objects"), ("sim", "test_objects"), ("sim", "frames"),
-            ("sim", "crossings"), ("sim", "center_pct"), ("sim", "size_pct"), ("sim", "yaw_deg"),
-            ("sim", "missed_rate"), ("sim", "spurious_rate"),
+            ("sim", "crossings"), ("sim", "center_pct"), ("sim", "missed_rate"),
             ("mot", "modes"),
             ("eval", "recall_levels"), ("eval", "sot_noise"),
         ]

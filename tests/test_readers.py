@@ -276,6 +276,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"n\.uann: non-finite"):
             load_checkpoint(tmp_path / "n.uann")
 
+    def test_first_layer_not_taking_crop_rows_names_file(self, tmp_path):
+        save_checkpoint(tmp_path / "n.uann", EmbedNet.random((5, 8, 8), seed=0))
+        with pytest.raises(ValueError, match=r"n\.uann: first layer takes 5 inputs; "
+                                             r"a crop row has 3$"):
+            load_checkpoint(tmp_path / "n.uann")
+
 
 class TestLogisticModel:
     models = st.builds(lambda coef, intercept: LogisticModel(coef=np.array(coef),

@@ -531,6 +531,11 @@ class TestCorrupt:
             NoiseModel(missed_rate=1.5)
         with pytest.raises(ValueError):
             NoiseModel(center_pct=-0.1)
+        with pytest.raises(ValueError, match=r"yaw_deg must be >= 0, got -5"):
+            NoiseModel(yaw_deg=-5.0)
+        for rate in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"spurious_rate must be in \[0, 1\]"):
+                NoiseModel(spurious_rate=rate)
 
     def test_size_pct_below_one(self):
         """perturb_boxes scales each extent by 1 + u, u in [-size_pct,
