@@ -4,113 +4,66 @@ The network is a shared per-point MLP (rectifier hidden layers, identity
 output) followed by a coordinate-wise max over points; the max makes the
 embedding invariant to point order. Gradients are reverse-mode and
 hand-written (`backward`), which keeps training dependency-free and
-bit-reproducible.
+bit-reproducible. The measurements behind the pass layout and the caps
+are in CHANGES.md.
 
-A net computes its passes in the dtype of its parameters, float32 or
-float64 (`EmbedNet.astype`). Crop rows are cast at the pass, and
-`forward` and `forward_argmax` return float64 embeddings either way, so
-cosines, mining, the loss and the logistic features keep their float64
-arithmetic. A float64 net's passes are the float64 arithmetic they always
-were, and its gradients are exact. The pipeline runs float32 nets
-(`PASS_DTYPE`, which `cli` alone applies), in the mixed precision of
-Micikevicius et al. (ICLR 2018): the passes compute in float32, while the
-master parameters, the Adam state and the checkpoint stay float64
-(`learn.train`). A float32 net's gradients are then exact only for its
-float32 arithmetic; they differ from the float64 net's of the same
+Precision. A net computes its passes in the dtype of its parameters,
+float32 or float64 (`EmbedNet.astype`). Crop rows are cast at the pass,
+and `forward` and `forward_argmax` return float64 embeddings either way,
+so cosines, mining, the loss and the logistic features keep their float64
+arithmetic. A float64 net's gradients are exact. The pipeline runs
+float32 nets (`PASS_DTYPE`, which `cli` alone applies), in the mixed
+precision of Micikevicius et al. (ICLR 2018): the passes compute in
+float32, while the master parameters, the Adam state and the checkpoint
+stay float64 (`learn.train`). A float32 net's gradients are exact only for
+its float32 arithmetic; they differ from the float64 net's of the same
 parameters by rounding, within a bound set by float32's epsilon and the
-layer widths (tests hold them to it). Crops are stored as float32 (see
-`canonicalize`).
+layer widths (tests hold them to it).
 
-Crops are made a run of frames at a time. `canonicalize` cuts any list of
-one scene's detections in one pass over their concatenated clouds and
-returns them as one stack, a `CanonicalCloud`: the crops' rows, one after
-another, and their K + 1 row bounds, crop k being rows bounds[k] up to
-bounds[k + 1]. That is the one stack format, and `canonicalize` alone
-cuts stacks (`one_crop` takes a crop of a stack as a stack of its own);
-the max pool of `forward` reduces over the same bounds. A detection's
-crop is the same bytes whether it is cut alone or with others.
-`canonicalize_frames` cuts runs of whole consecutive frames in one
-`canonicalize` pass each and gives each frame a read-only view of its
-pass's stack. It is the one crop path: every inference path (the tracker
-and the logistic-fit harvest in `mot`, SOT evaluation) crops through it
-and embeds each frame with one `forward` call, and training cuts every
-frame of a scene through it as the scene is read (`cli.frame_crops`),
-holding the stacks as cut and dropping the scene's clouds (`learn.train`)
-and embedding each anchor frame of a step with one `forward_argmax` call.
+Crops. `canonicalize` cuts any list of one scene's detections in one pass
+over their concatenated clouds and returns them as one stack, a
+`CanonicalCloud`: the crops' rows, one after another, and their K + 1 row
+bounds, crop k being rows bounds[k] up to bounds[k + 1]. That is the one
+stack format, `canonicalize` alone cuts stacks (`one_crop` takes a crop
+of a stack as a stack of its own), and a detection's crop is the same
+bytes whether it is cut alone or with others. A crop is a fixed function
+of its cloud, its box and n = `[embed] points_per_crop`, with no random
+draw: of its count in-box survivors, in cloud order, it keeps all of them
+when count <= n and survivor (j * count) // n for j < n when count > n; a
+crop with none is one origin row. So a crop holds at most n distinct
+points, and a detection gets the same crop in every stage and epoch.
+Crops are stored as float32. `canonicalize_frames` is the one crop path:
+the tracker and the logistic-fit harvest in `mot`, SOT evaluation and
+training (`cli.frame_crops`) all cut whole frames through it, at most
+MAX_PASS_POINTS cloud points a pass.
 
-A crop is a fixed function of its cloud, its box and n =
-`[embed] points_per_crop`, with no random draw: of its count in-box
-survivors, in cloud order, it keeps all of them when count <= n and
-survivor (j * count) // n for j < n when count > n, evenly spaced through
-the cloud; a crop with none is one origin row. So a crop holds at most n
-distinct points, the MLP never embeds a copy, and a detection gets the
-same crop in every stage and epoch.
+Parameters. An `EmbedNet` holds each layer once, as one read-only
+(out, in + 1) array [W | b] (`layers`); `weights` and `biases` are views
+of it, and `params()` lists them in the order of the checkpoint. A net
+checks its parameters for finiteness once, when it is built, so no pass
+re-checks them.
 
-A pass of `canonicalize_frames` holds at most MAX_PASS_POINTS = 4,096
-cloud points, a frame of more alone. The budget is set by memory, not
-speed. A pass's work arrays take about 54 bytes a cloud point: four
-float64 buffers, the index of each point's detection, the float32 points
-and two masks, each dropped after its last use. So a full pass peaks at
-about 210 KB (tracemalloc), below the 290-315 KB that the per-frame crop
-it replaced took on a `crowded` frame (12.5 detections, about 1,900 cloud
-points); an `eval` frame holds about 490 points, so a pass covers about
-eight. Passes over whole scenes were faster still, but raised the
-benchmarks' peak resident memory by 2.3-8 MB: what a stage after
-training allocates shows in the peak. Since training holds crops and no
-clouds, and every stage one scene's clouds at a time, mot-eval sets the
-high-water mark of a pipeline run (`peak_rss_mb` in timings.jsonl).
+Forward passes. `forward` and `forward_argmax` share one pass loop over
+runs of whole consecutive crops of at most MAX_PASS_ROWS rows (a longer
+crop alone). A pass is feature-major: a layer's input is (in + 1, rows),
+its last row ones, so one product with [W | b] adds the bias; each hidden
+layer writes a new (out + 1, rows) buffer and rectifies it in place, and
+a pass holds two such buffers at a time. `forward` max-pools each pass
+with one `np.maximum.reduceat`; `forward_argmax` also takes each crop's
+first arg-max row of each coordinate and reads the embedding there, the
+same bytes. Inference calls `forward`, which needs no arg-max; a training
+step calls `forward_argmax` once on the stack of each of its anchor
+frames and on a one-crop stack for each positive outside them.
 
-`forward` and `forward_argmax` share one pass loop: the MLP runs over
-whole crops, at most MAX_PASS_ROWS = 255 rows per pass (a longer crop
-alone). `forward` max-pools each pass's crops with one
-`np.maximum.reduceat`; `forward_argmax` takes each crop's first arg-max
-rows and reads its embedding at them, the same bytes. Inference wants no
-arg-max, and taking them made its passes 4-7% slower on the frames of
-the `eval` and `crowded` configs, so `forward` keeps the reduceat. The
-cap is a constant set by memory, not speed: passes over a whole dense
-frame ran no faster than capped ones, and one layer's activations for
-255 rows of the default 64 features, 127.5 KiB in float64 (half that in
-float32), stay below the 128 KiB from which glibc's malloc gives an
-allocation a memory map of its own.
-Passes of 512 rows (256 KiB) raised the peak resident memory of the
-`train` and `eval` benchmarks by about 0.3 MB; uncapped ones raised
-`crowded`'s by 0.65-0.85 MB. The inference paths stack the embeddings
-they compare into matrices and take their cosines with `cosines`;
-training's hard-negative mining does too.
-
-An `EmbedNet` checks its parameters for finiteness once, when it is built,
-so no pass re-checks them. Inference calls `forward`. A training step
-calls `forward_argmax` once on the stack of each of its anchor frames, as
-it was cut, and on a one-crop stack for each positive outside them; it
-also returns each crop's arg-max point of each output coordinate. The max
-pool sends gradient only to those arg-max points, the crop's critical
-point set (Qi et al., PointNet, CVPR 2017), so `backward` reruns the
-hidden layers on those rows alone and computes no gradient with respect
-to the points. Embedding a frame's crops in its passes instead of one
-crop at a time, with the loss computed for a step's triplets at once, cut
-the `train` benchmark's wall time from 0.827 to 0.716 s (medians of 10
-alternating runs a side, 2 cores, one BLAS thread). Each call's result
-arrays stay small, about 3 KB on a `train` frame.
-
-`backward` takes every crop of a training step that has an upstream
-vector and returns the summed gradients. It packs the crops' critical
-rows, crops in the order given, into passes of whole consecutive crops of
-at most MAX_BACKWARD_ROWS = 96 rows (a crop of more alone); each pass
-reruns the hidden layers once and adds its g.T @ acts into the
-gradients. A default-config step backpropagates about 150 crops of 22
-critical rows each, so a pass covers about four. Backpropagating each
-crop alone spent most of its time in tiny matrix products and per-call
-overhead: the passes cut the train stage by 9% at a 64-row cap, 14% at
-96 and 18% at 128 (`train` workload config, seeds 20-25). The cap is set
-by memory, not speed. A pass holds about three arrays of 64 features,
-1.5 KB a row in float64 (half that in float32), so a step's traced
-allocations peaked about 50 KB higher for each 32 rows of cap in float64
-(tracemalloc, `train` workload config, seed 3: 373 KB a step when each
-crop went alone, 443 KB at 96 rows, 492 KB at 128). A float64 prototype
-with 128 rows raised the train stage's resident high-water mark by
-0.05-0.2 MB and one with 255 by about 1.1 MB; at 96 it moved within
-run-to-run noise (timings.jsonl, 6 runs each of the `train` and
-`crowded` workload configs).
+Backward passes. The max pool sends gradient only to each coordinate's
+arg-max row, the crop's critical point set (Qi et al., PointNet, CVPR
+2017). So `backward` takes the crops of a training step with their
+upstream vectors and `forward_argmax` rows, reruns the hidden layers on
+the critical rows alone, row-major, in passes of whole consecutive crops
+of at most MAX_BACKWARD_ROWS critical rows (a crop of more alone), and
+computes no gradient with respect to the points. A pass adds each layer's
+weight gradient (the upstream transposed times the layer's input) and
+bias gradient (the upstream's column sums) into the step's sums.
 
 Checkpoint format: magic "UANN", uint32 layer count, then per layer
 uint32 in, uint32 out, row-major float64 weights (out x in), float64
@@ -120,7 +73,7 @@ biases (out), all little-endian.
 import bisect
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -130,14 +83,17 @@ from .core import Sequence
 from .kalman import NumericalError
 
 NORM_EPS = 1e-12
-# rows of the MLP's largest pass in `forward`, set by memory (see the
-# module docstring)
-MAX_PASS_ROWS = 255
-# critical rows of the largest pass in `backward`, set by memory (see the
-# module docstring)
+# rows of a forward pass, set by memory for float32 passes: its two
+# (65, 251) buffers take no more than the row-major passes' two (255, 64)
+# did, and a float64 one, 130,520 B, stays below glibc's 128 KiB mmap
+# threshold
+MAX_PASS_ROWS = 251
+# critical rows of a `backward` pass, set by memory: 128 rows raised the
+# train stage's resident high-water mark, 96 did not
 MAX_BACKWARD_ROWS = 96
-# cloud points of the largest run of frames that `canonicalize_frames`
-# crops in one pass, set by memory (see the module docstring)
+# cloud points of a `canonicalize_frames` pass, set by memory: about 54 B
+# a point, so a pass peaks near 210 KB; whole-scene passes raised the
+# benchmarks' peak resident memory by 2.3-8 MB
 MAX_PASS_POINTS = 4096
 DEFAULT_WIDTHS = (3, 64, 64, 64)
 # the dtype of the pipeline's passes: `cli` casts every net it embeds or
@@ -312,19 +268,21 @@ def _frame_views(stack: CanonicalCloud, frames):
 class EmbedNet:
     """Per-point MLP + max pool. weights[k] has shape (out_k, in_k).
 
-    The parameters are float32 when every one is given as float32, and
-    float64 otherwise; the MLP's passes compute in that dtype (`dtype`).
+    Each layer is held once, as the read-only (out_k, in_k + 1) array
+    layers[k] = [weights[k] | biases[k]]; weights[k] and biases[k] are views
+    of it. The parameters are float32 when every one is given as float32,
+    and float64 otherwise; the MLP's passes compute in that dtype (`dtype`).
     Raises NumericalError when built with a NaN or infinite parameter.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+    layers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        given = [np.asarray(a) for a in (*self.weights, *self.biases)]
-        dtype = np.float32 if all(a.dtype == np.float32 for a in given) else np.float64
-        ws = tuple(np.asarray(w, dtype=dtype) for w in self.weights)
-        bs = tuple(np.asarray(b, dtype=dtype) for b in self.biases)
+        ws = tuple(np.asarray(w) for w in self.weights)
+        bs = tuple(np.asarray(b) for b in self.biases)
+        dtype = np.float32 if all(a.dtype == np.float32 for a in ws + bs) else np.float64
         if len(ws) != len(bs) or not ws:
             raise ValueError("weights and biases must pair up, one per layer")
         prev = ws[0].shape[1]
@@ -334,20 +292,22 @@ class EmbedNet:
             if w.shape[1] != prev:
                 raise ValueError(f"layer input {w.shape[1]} != previous output {prev}")
             prev = w.shape[0]
-        if not all(np.isfinite(a).all() for a in ws + bs):
+        layers = tuple(np.concatenate((w, b[:, None]), axis=1, dtype=dtype) for w, b in zip(ws, bs))
+        if not all(np.isfinite(a).all() for a in layers):
             raise NumericalError("network parameters contain non-finite values")
-        for a in ws + bs:
+        for a in layers:
             a.setflags(write=False)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "biases", bs)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "weights", tuple(a[:, :-1] for a in layers))
+        object.__setattr__(self, "biases", tuple(a[:, -1] for a in layers))
 
     @property
     def dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.layers[-1].shape[0]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.layers[0].dtype
 
     def astype(self, dtype) -> "EmbedNet":
         """This net with its parameters cast to dtype, float32 or float64,
@@ -357,13 +317,7 @@ class EmbedNet:
         """
         if self.dtype == dtype:
             return self
-        with np.errstate(over="raise"):
-            try:
-                params = [p.astype(dtype) for p in self.params()]
-            except FloatingPointError:
-                raise NumericalError(
-                    f"network parameters leave the {np.dtype(dtype)} range") from None
-        return EmbedNet.from_params(params)
+        return EmbedNet.from_params(cast_params(self.params(), dtype))
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -390,17 +344,40 @@ class EmbedNet:
         return cls(weights=tuple(weights), biases=tuple(biases))
 
 
+def cast_params(params, dtype) -> list[np.ndarray]:
+    """params cast to dtype, each rounded to nearest; an array that has
+    dtype already is given back as it is.
+
+    Raises NumericalError when a parameter leaves dtype's range.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return [np.asarray(p).astype(dtype, copy=False) for p in params]
+        except FloatingPointError:
+            raise NumericalError(
+                f"network parameters leave the {np.dtype(dtype)} range") from None
+
+
 def _mlp(net: EmbedNet, points: np.ndarray) -> np.ndarray:
-    """Per-point features of the shared MLP, one row per point, computed in
-    the net's dtype."""
-    x = points.astype(net.dtype, copy=False)
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x = x @ w.T
-        x += b
-        if k < last:
-            np.maximum(x, 0.0, out=x)
-    return x
+    """Per-point features of the shared MLP, computed in the net's dtype,
+    feature-major: (dim, rows), column r being points[r]'s.
+
+    A layer's input is (in + 1, rows), its last row ones, so one product
+    with the layer's [W | b] adds the bias. Each hidden layer writes its
+    product into the first out rows of a new (out + 1, rows) buffer whose
+    last row is ones and rectifies the buffer in place; its input is
+    dropped then, so a pass holds two buffers at a time. The input is made
+    here, so no caller holds it through the pass.
+    """
+    x = np.empty((points.shape[1] + 1, len(points)), dtype=net.dtype)
+    x[:-1] = points.T
+    x[-1] = 1.0
+    for layer in net.layers[:-1]:
+        h = np.empty((layer.shape[0] + 1, x.shape[1]), dtype=net.dtype)
+        h[-1] = 1.0
+        np.matmul(layer, x, out=h[:-1])
+        x = np.maximum(h, 0.0, out=h)
+    return net.layers[-1] @ x
 
 
 def forward(net: EmbedNet, cloud: CanonicalCloud) -> np.ndarray:
@@ -446,12 +423,12 @@ def _passes(net: EmbedNet, cloud: CanonicalCloud, arg) -> np.ndarray:
         hi = max(lo + 1, bisect.bisect_right(bounds, first + MAX_PASS_ROWS) - 1)
         x = _mlp(net, pts[first:bounds[hi]])
         if arg is None:
-            out[lo:hi] = np.maximum.reduceat(x, cloud.bounds[lo:hi] - first, axis=0)
+            out[lo:hi] = np.maximum.reduceat(x, cloud.bounds[lo:hi] - first, axis=1).T
         else:
             for k in range(lo, hi):
-                rows = x[bounds[k] - first:bounds[k + 1] - first]
-                arg[k] = top = rows.argmax(axis=0)
-                out[k] = rows[top, cols]
+                feats = x[:, bounds[k] - first:bounds[k + 1] - first]
+                arg[k] = top = feats.argmax(axis=1)
+                out[k] = feats[cols, top]
         lo = hi
     return out
 
@@ -472,19 +449,21 @@ def backward(net: EmbedNet, crops, upstream, arg) -> list[np.ndarray]:
     no gradient with respect to the points is computed. The crops' critical
     rows, each crop's in ascending order, go in passes of whole
     consecutive crops of at most MAX_BACKWARD_ROWS rows together (a crop of
-    more alone); a pass reruns the hidden layers once and adds its
-    g.T @ acts into the gradients, so a crop's part can differ from a
-    backward over it alone in the last bits only. A list of one crop is
-    one pass over its critical rows.
+    more alone); a pass reruns the hidden layers once and adds each
+    layer's weight and bias gradients into the sums, so a crop's part can
+    differ from a backward over it alone in the last bits only. A list of
+    one crop is one pass over its critical rows.
     """
     if not len(crops):
         return [np.zeros_like(p) for p in net.params()]
     # the critical rows among every crop's rows, one crop after another;
     # crop k's are places bounds[k] up to bounds[k + 1] among them
     starts = np.cumsum([0] + [len(c) for c in crops])
+    marks = np.concatenate(arg)
+    marks.reshape(len(crops), -1)[:] += starts[:-1, None]
     hit = np.zeros(starts[-1], dtype=bool)
-    for first, a in zip(starts, arg):
-        hit[first + a] = True
+    hit[marks] = True
+    del marks  # gone before the passes, which set backward's peak
     bounds = np.concatenate(([0], np.cumsum(np.add.reduceat(hit, starts[:-1], dtype=np.intp))))
     ends = bounds[1:]
     grads = [None] * (2 * len(net.weights))
@@ -511,7 +490,7 @@ def _backprop(net: EmbedNet, rows, pos, upstream, grads) -> None:
     last = len(net.weights) - 1
     for w, b in zip(net.weights[:last], net.biases[:last]):
         x = acts[-1] @ w.T
-        x += b
+        x += np.ascontiguousarray(b)  # adds faster than the strided view
         acts.append(np.maximum(x, 0.0, out=x))
     g = np.zeros((len(rows), net.dim), dtype=net.dtype)
     g[pos, np.arange(net.dim)] = upstream
@@ -587,8 +566,8 @@ def load_checkpoint(path) -> EmbedNet:
             off += in_dim * out_dim * 8
             b = np.frombuffer(raw, dtype="<f8", count=out_dim, offset=off)
             off += out_dim * 8
-            weights.append(w.reshape(out_dim, in_dim).copy())
-            biases.append(b.copy())
+            weights.append(w.reshape(out_dim, in_dim))
+            biases.append(b)
     except (struct.error, ValueError) as exc:
         raise ValueError(f"{path}: truncated at byte {off} of {len(raw)}: {exc}") from exc
     if off != len(raw):

@@ -410,7 +410,7 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
                     drawn.append(got)
 
             try:
-                current = embed.EmbedNet.from_params(params).astype(net.dtype)
+                current = embed.EmbedNet.from_params(embed.cast_params(params, net.dtype))
             except NumericalError as exc:
                 raise NumericalError(f"{exc} at step {global_step} (epoch {_epoch})") from None
             frames, fwd = step_forward(current, src, drawn)

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -595,16 +596,19 @@ def dense_backward(net, points, upstream):
 
 
 def previous_mlp(net, points):
-    """The per-point MLP as it was before it worked in place: a new array
-    for each bias add and each rectifier. The new one must equal it bit
-    for bit."""
-    x = points
+    """The per-point MLP with a new array for each step, one row per point.
+    Each layer is one product of [w | b], stacked from the net's weights and
+    biases, with its input features stacked over a ones row, feature-major
+    as `embed._mlp` computes it; the rectifier makes a new array. The
+    in-place one must equal it bit for bit. Every operand is C-ordered, as
+    there: a product with an F-ordered operand can round otherwise."""
+    x = np.ascontiguousarray(np.asarray(points, dtype=net.dtype).T)
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        x = x @ w.T + b
+        x = np.hstack((w, b[:, None])) @ np.vstack((x, np.ones(x.shape[1], dtype=net.dtype)))
         if k < last:
             x = np.maximum(x, 0.0)
-    return x
+    return x.T
 
 
 def previous_backward(net, points, upstream, arg=None):
@@ -870,7 +874,7 @@ class TestStackedForwardArgmax:
             stack = self._stack(rng, 30)
             feats.clear()
             emb, arg = forward_argmax(net, stack)
-            rows = np.concatenate(feats)
+            rows = np.concatenate(feats, axis=1).T
             assert len(rows) == len(stack.points)
             cols = np.arange(net.dim)
             for k, (lo, hi) in enumerate(zip(stack.bounds, stack.bounds[1:])):
@@ -1065,6 +1069,17 @@ class TestFloat32Net:
         assert EmbedNet.from_params(narrow.params()).dtype == np.float32
         assert EmbedNet.from_params(narrow.params()[:-1] + net.params()[-1:]).dtype == np.float64
 
+    def test_each_layer_is_held_once(self):
+        """A layer's weights and biases are views of its one [w | b] array,
+        in a built net and in one cast by astype."""
+        net = EmbedNet.random((3, 16, 8), seed=0)
+        for built in (net, net.astype(np.float32)):
+            for layer, w, b in zip(built.layers, built.weights, built.biases, strict=True):
+                assert layer.dtype == built.dtype and not layer.flags.writeable
+                assert layer.shape == (w.shape[0], w.shape[1] + 1)
+                assert np.shares_memory(w, layer) and np.shares_memory(b, layer)
+                assert layer.tobytes() == np.hstack((w, b[:, None])).tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_astype_refuses_a_parameter_out_of_range(self):
         base = EmbedNet.random((3, 4, 2), seed=0)
@@ -1127,6 +1142,54 @@ class TestFloat32Net:
                 assert g.dtype == np.float32 and w.dtype == np.float64
                 assert (np.abs(g - w) <= tol * m).all()
         assert backward_checked >= 20
+
+
+class TestPassMemory:
+    """The traced allocations of one full pass in the pipeline's dtype stay
+    within those of the row-major passes that the feature-major ones
+    replaced. tracemalloc counts the same bytes for the same shapes."""
+
+    # peaks of the row-major passes (255-row forward_argmax, 96-row
+    # backward), measured with these tests on the same shapes. backward's
+    # Python objects move its reading by up to about 500 B from call to
+    # call (101,699-102,177 B): its highest is pinned, with room for a few
+    # more objects but not for an array of the pass
+    FORWARD_ARGMAX_PEAK = 135_544
+    BACKWARD_PEAK = 102_177
+    OBJECT_SLACK = 256
+
+    @staticmethod
+    def _peak(call) -> int:
+        call()  # whatever is made once is made before the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _net():
+        return EmbedNet.random(DEFAULT_WIDTHS, seed=0).astype(embed.PASS_DTYPE)
+
+    def test_forward_argmax_pass(self):
+        points = np.random.default_rng(41).normal(size=(MAX_PASS_ROWS, 3)).astype(np.float32)
+        points.setflags(write=False)
+        stack = CanonicalCloud(points, np.array([0, 100, 200, MAX_PASS_ROWS]))
+        net = self._net()
+        assert self._peak(lambda: forward_argmax(net, stack)) <= self.FORWARD_ARGMAX_PEAK
+
+    def test_backward_pass(self):
+        rng = np.random.default_rng(42)
+        net = self._net()
+        half = MAX_BACKWARD_ROWS // 2
+        crops = [rng.normal(size=(half, 3)).astype(np.float32) for _ in range(2)]
+        # each crop's rows are all critical: one pass of MAX_BACKWARD_ROWS rows
+        arg = [np.arange(net.dim) % half for _ in crops]
+        upstream = rng.normal(size=(2, net.dim))
+        peak = self._peak(lambda: backward(net, crops, upstream, arg))
+        assert peak <= self.BACKWARD_PEAK + self.OBJECT_SLACK
 
 
 class TestCheckpoint:
