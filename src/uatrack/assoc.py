@@ -1,14 +1,8 @@
-"""Greedy data association, association confidence, and pseudo-track building.
+"""Greedy data association, association confidence (AC) and pseudo-tracks.
 
-The association kernel is shared: `run_tracker` drives predict -> greedy
-association -> update over a sequence for both the pseudo-label path
-(`build_pseudo_tracks`) and the multi-object tracker (mot.track_sequence).
-It holds the live tracks as one stacked Kalman state, so each step of a
-frame is one call for all of them. It has one admission rule: each frame it
-computes the Mahalanobis matrix m of the predicted tracks against the
-detections once, and a (track, detection) pair may be linked only if
-m <= AssocConfig.gate. A caller's cost hook only ranks the admitted pairs;
-without one they are ranked by m.
+`run_tracker` is the one association kernel, of the pseudo-tracks
+(`build_pseudo_tracks`) and of the multi-object tracker
+(`mot.track_sequence`).
 """
 
 import json
@@ -66,18 +60,10 @@ def _check_matrix(m) -> np.ndarray:
 
 
 def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
-    """Greedily pair the admitted entries of m, cheapest first.
-
-    An entry is admitted iff m[i, j] <= gate. Repeatedly selects the
-    admitted entry of smallest cost (m itself when cost is None) whose row
-    and column are both still free; stops when none is left. Ties break
-    toward the smallest row index, then column index. Pairs are reported in
-    selection order.
-
-    The admitted entries are sorted by cost once, with a stable sort over
-    row-major order, and scanned in that order. Costs are finite and >= 0,
-    so equal costs (+0.0 and -0.0 included) keep row-major order.
-    """
+    """Pair the entries with m[i, j] <= gate greedily, cheapest cost first
+    (cost defaults to m), each row and column once; pairs in selection
+    order. Equal costs, +0.0 and -0.0 included, go in row-major order: the
+    admitted entries are sorted once, by a stable sort."""
     m = _check_matrix(m)
     _check_gate(gate)
     cost = m if cost is None else _check_matrix(cost)
@@ -105,17 +91,12 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
 
 
 def association_confidence(m, i: int, j: int, eps: float = AC_EPS) -> float:
-    """Confidence that pair (i, j) is the right association in matrix m.
-
-    Compares m[i, j] against its best row and column competitors:
+    """The AC of pair (i, j) of m, against its best row and column rivals:
 
         AC = 1 - exp(-min(min_{k!=j} m[i,k], min_{k!=i} m[k,j]) / (m[i,j]+eps))
 
-    A missing competitor set (single row or column) contributes +inf and
-    drops out of the min; with neither competitor the association is
-    unambiguous and AC = 1. m is a 2-D float array that greedy_associate
-    has checked and eps is > 0; neither is checked again here, only the
-    indices.
+    and 1 with no rival. m is as greedy_associate checked it and eps > 0,
+    so only the indices are checked here.
     """
     rows, cols = m.shape
     if not (0 <= i < rows and 0 <= j < cols):
@@ -140,28 +121,19 @@ def run_tracker(
     on_match=None,
     collect_confidence: bool = True,
 ) -> list[TrackletLabel] | None:
-    """Drive predict -> greedy associate -> update across a sequence.
+    """Predict, associate greedily and update over a sequence.
 
-    The live tracks are one stacked state, in birth order: Kalman means
-    (T, 11) and per-axis covariances (T, 15) (see `kalman`), track ids
-    and consecutive-miss counts. Each frame makes one kalman.predict of
-    every track, one Mahalanobis matrix m of every (track, detection) pair
-    and one kalman.update of the matched tracks; a track unmatched for
-    MAX_AGE frames in a row is dropped, and each unmatched detection
-    is appended as a newborn track.
-
-    A pair is admitted iff m <= acfg.gate. cost_fn(ids, frame_record, m,
-    admitted) gets the ids of the live tracks in the row order of m, and may
-    return a matrix that ranks the pairs in the boolean mask `admitted` (its
-    other entries are ignored); without it the pairs rank by m.
-    on_match(track_id, det_index, box) observes every match, in greedy
-    selection order, with the track's posterior box, and then every birth
-    with its detection's box (used by the appearance tracker to maintain
-    per-track embeddings and by the MOT output path).
+    The live tracks are one stacked Kalman state in birth order, so a frame
+    makes one predict, one Mahalanobis matrix m and one update. A pair is
+    admitted iff m <= acfg.gate, the one admission rule: cost_fn(ids,
+    frame_record, m, admitted), given the live ids in m's row order, may
+    return a matrix that only ranks the admitted pairs; else m ranks them.
+    Each unmatched detection is born a track. on_match(track_id, det_index,
+    box) sees every match in selection order, with its posterior box, then
+    every birth with its detection's box.
 
     With collect_confidence, returns every track ever born, in id order,
-    each link carrying the association confidence of its match on m;
-    without it, keeps no members and returns None.
+    each link carrying its match's AC on m; else None.
     """
     mean, cov = kalman.init_tracks(np.zeros((0, kalman.OBS_DIM)), kcfg)
     ids = np.zeros(0, dtype=np.int64)
@@ -220,13 +192,8 @@ def run_tracker(
 
 
 def mahalanobis_matrix(mean, cov, boxes, kcfg: kalman.NoiseConfig) -> np.ndarray:
-    """Track x detection square-root Mahalanobis distances sqrt(r' S^-1 r),
-    the m that `AssocConfig.gate` bounds, for the stacked tracks (mean, cov)
-    against the rows of boxes.
-
-    One `kalman.mahalanobis` call scores every pair; a frame without tracks
-    or detections computes nothing.
-    """
+    """Track x detection distances m (`kalman.mahalanobis`) of the stacked
+    tracks against the rows of boxes, zeros when either side is empty."""
     if len(mean) and len(boxes):
         return kalman.mahalanobis(mean, cov, boxes, kcfg)
     return np.zeros((len(mean), len(boxes)))
@@ -237,21 +204,15 @@ def build_pseudo_tracks(
     kcfg: kalman.NoiseConfig,
     acfg: AssocConfig,
 ) -> list[TrackletLabel]:
-    """Self-supervised pseudo-ground-truth tracklets with per-link confidences.
-
-    Runs the motion-only tracker over the sequence; every link between
-    consecutive members of a track carries the association confidence of
-    the greedy decision that created it.
-    """
+    """The motion tracker's tracks of seq, each link carrying its AC."""
     if not seq.frames:
         raise ValueError("sequence has no frames")
     return run_tracker(seq, kcfg, acfg, collect_confidence=True)
 
 
 def gt_tracks(seq: Sequence) -> list[TrackletLabel]:
-    """The ground-truth tracks of a scene: one per gt_id, in gt_id order,
-    holding that gt_id's detections in frame order, every link at
-    confidence 1. Detections without a gt_id belong to no track."""
+    """One track per gt_id of seq, in gt_id order, every link at confidence
+    1; a detection without a gt_id is in none."""
     members: dict[int, list[tuple[int, int]]] = {}
     for rec in seq.frames:
         for j, det in enumerate(rec.detections):
@@ -280,12 +241,9 @@ def write_pseudo_tracks(path, tracks) -> None:
 
 
 def read_pseudo_tracks(path, seq: Sequence) -> list[TrackletLabel]:
-    """The pseudo-tracks of a file that labels the scene seq.
-
-    A member naming a frame seq lacks, or a detection that frame lacks, a
-    track_id an earlier line holds, or any other malformed line raises
-    ValueError("<path>:<line>: ...").
-    """
+    """The pseudo-tracks of a file that labels the scene seq; a member seq
+    lacks, a repeated track_id or any other malformed line raises
+    ValueError("<path>:<line>: ...")."""
     counts = {rec.index: len(rec.detections) for rec in seq.frames}
     seen: set[int] = set()
 

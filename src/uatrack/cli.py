@@ -1,38 +1,15 @@
-"""Unified command line: simulate, pseudo-tracks, train, fit-logistic,
-mot-run, sot-eval, mot-eval, confidence-report, and the staged pipeline.
+"""Command line: a subcommand per pipeline stage, and `pipeline`.
 
-Each stage is one function of explicit paths. It reads the scenes it is
-given, writes its artifacts and returns the (inputs, outputs) that the
-manifest records; the two evaluation stages that print return their
-results in place of outputs. Each subcommand only maps its flags to those
-paths:
-
-    simulate            _stage_simulate
-    pseudo-tracks       run_pseudo_tracks
-    train               run_train
-    fit-logistic        run_fit_logistic
-    mot-run             run_mot
-    sot-eval            run_sot_eval
-    mot-eval            run_mot_eval
-    confidence-report   run_confidence_report
-    pipeline            run_pipeline, whose _stage_* functions map the
-                        --out-dir layout to the same functions
+Each stage is a function of explicit paths (`run_*`; `_stage_simulate`)
+that writes its artifacts and returns the (inputs, outputs) the manifest
+records, or its results in place of outputs for the two evaluation stages
+that print. A subcommand maps its flags to those paths, and `run_pipeline`
+maps the --out-dir layout to them (`_stage_*`).
 
 Settings come only from --config; --seed, where a subcommand has it,
-overrides [global] seed. The pooled stages (train, fit-logistic, sot-eval,
-mot-eval, confidence-report) take their scenes as lists in the pipeline's
-order, and a scene's index is its position in the list: sot-eval seeds the
-box noise of scene i with _scene_seed(rc, "test", i, 200). Every stage
-that reads clouds holds one scene's at a time. Every stage that embeds
-runs its passes with a net of dtype `embed.PASS_DTYPE`, float32: train's
-random initial net, and the checkpoint that fit-logistic, mot-run and
-sot-eval load, are cast to it; the checkpoint itself stays float64.
-
-The pipeline executes stages in dependency order, writes every artifact
-under --out-dir, and appends one manifest line per stage (stage name,
-execution order, input/output hashes). Wall-clock timings and the
-resident high-water mark after each stage go to a separate timings.jsonl
-so the manifest itself is deterministic.
+overrides [global] seed. The pooled stages take their scenes as lists in
+the pipeline's order, a scene's index being its place in the list. Every
+stage that reads clouds holds one scene's at a time.
 """
 
 import argparse
@@ -72,8 +49,6 @@ class PipelineError(RuntimeError):
 
 
 def _make_dir(path) -> Path:
-    """path, made as a directory with its parents unless it is one; a path
-    that names a file is refused in one line."""
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -87,13 +62,25 @@ def _load_config(path, seed: int | None = None) -> RunConfig:
     return rc if seed is None else replace(rc, seed=seed)
 
 
+def _write_json(path: Path, obj) -> Path:
+    """Write obj to path as one line of JSON with sorted keys; returns path."""
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def _confidence_text(report: evaluation.ConfidenceReport) -> str:
+    """The one line that both confidence-report paths print; a side with no
+    link reads "absent"."""
+    mc, mi = ("absent" if v is None else f"{v:.4f}"
+              for v in (report.mean_correct, report.mean_incorrect))
+    return f"mean AC correct: {mc}; incorrect: {mi}; links: {report.n_links}"
+
+
 def _read_scene(rc: RunConfig, det_path, clouds_path) -> Sequence:
     return read_detections(det_path, read_clouds(clouds_path), n_frames=rc.sim.frames)
 
 
 def _read_boxes(rc: RunConfig, det_path) -> Sequence:
-    """A scene's detections without their clouds, for stages that use only
-    boxes and gt_ids."""
     return read_detections(det_path, clouds=None, n_frames=rc.sim.frames)
 
 
@@ -140,8 +127,7 @@ def _stage_simulate(rc: RunConfig, out: Path):
 
 
 def run_pseudo_tracks(rc: RunConfig, detections, target):
-    """Pseudo-tracks with link confidences for one scene; the tracker uses
-    only boxes."""
+    """Pseudo-tracks of one scene, from its boxes alone."""
     seq = _read_boxes(rc, detections)
     tracks = assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), rc.assoc)
     assoc.write_pseudo_tracks(target, tracks)
@@ -149,8 +135,7 @@ def run_pseudo_tracks(rc: RunConfig, detections, target):
 
 
 def frame_crops(seq: Sequence, points_per_crop: int) -> dict:
-    """{frame index: its stack of crops} of each frame of seq that has
-    detections, cut through `embed.canonicalize_frames`."""
+    """{frame index: its stack of crops} of seq's frames with detections."""
     recs = [rec for rec in seq.frames if rec.detections]
     return dict(zip((rec.index for rec in recs),
                     embed.canonicalize_frames(seq, (rec.detections for rec in recs),
@@ -159,15 +144,14 @@ def frame_crops(seq: Sequence, points_per_crop: int) -> dict:
 
 
 def run_train(rc: RunConfig, scenes, checkpoint, history):
-    """Train the embedding on (detections, clouds, tracks) scenes. Each
-    scene is cut into crops as it is read, and only its crops and tracks
-    are held: training holds one scene's clouds at a time."""
+    """Train on (detections, clouds, tracks) scenes. A scene's clouds are
+    dropped once its crops are cut, so training holds one scene's at a time."""
     inputs, frames, tracks = [], [], []
     for det_path, clouds_path, track_path in scenes:
         seq = _read_scene(rc, det_path, clouds_path)
         tracks.append(assoc.read_pseudo_tracks(track_path, seq))
         frames.append(frame_crops(seq, rc.embed.points_per_crop))
-        del seq  # its clouds and detections go before the next scene is read
+        del seq
         inputs += [det_path, clouds_path, track_path]
     net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed).astype(embed.PASS_DTYPE)
     net, rows = learn.train(frames, tracks, net, rc.learn, seed=rc.seed)
@@ -177,11 +161,10 @@ def run_train(rc: RunConfig, scenes, checkpoint, history):
 
 
 def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
-    """Fit the association-score model of each fused mode in `models`
-    ({mode: target}) on the pairs of all (detections, clouds) scenes. The
-    motion tracker makes the same decisions in every mode, so the scenes are
-    harvested once, embedding with the checkpoint when the appearance mode
-    is fitted; the other mode fits the same pairs with the cosine at 0."""
+    """Fit each fused mode's model ({mode: target}) on the pairs of the
+    (detections, clouds) scenes. The motion tracker decides alike in every
+    mode, so the scenes are harvested once, and motion+score fits the same
+    pairs with the cosine at 0."""
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
     net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
@@ -201,9 +184,8 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
 
 
 def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
-    """Track each (detections, clouds, {mode: tracks target}) scene in each
-    of its modes. `logistic` maps each fused mode to its fitted model; the
-    appearance mode also needs the checkpoint."""
+    """Track each (detections, clouds, {mode: target}) scene in its modes;
+    logistic maps each fused mode to its model file."""
     modes = {mode for *_, targets in scenes for mode in targets}
     net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
            if checkpoint is not None and APPEARANCE in modes else None)
@@ -218,17 +200,15 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
                                       points_per_crop=rc.embed.points_per_crop)
             write_track_rows(target, rows)
             outputs.append(target)
-        del seq  # its clouds go before the next scene is read
+        del seq
         inputs += [det_path, clouds_path]
     return inputs, outputs
 
 
 def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
-    """SOT accuracy over the (detections, clouds) scenes, on clean and/or
-    box-perturbed candidates as [eval] sot_noise says; writes
-    sot_<clean|noisy>.csv and sot_summary.json to out_dir. Each scene is
-    scored in every mode as it is read, and only its triples are kept: the
-    stage holds one scene's clouds at a time."""
+    """SOT accuracy of the (detections, clouds) scenes on the candidates
+    [eval] sot_noise names; writes sot_<clean|noisy>.csv and
+    sot_summary.json to out_dir. Only each scene's triples are kept."""
     net = embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
     out_dir = _make_dir(out_dir)
     noise = rc.sim.noise()
@@ -249,9 +229,7 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
         summary[name] = {"accuracy": result.accuracy, "frames": result.total}
         log.info("sot-eval %s: accuracy %.4f over %d frames",
                  name, result.accuracy, result.total)
-    (out_dir / "sot_summary.json").write_text(
-        json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
-    outputs.append(out_dir / "sot_summary.json")
+    outputs.append(_write_json(out_dir / "sot_summary.json", summary))
     return [checkpoint] + [p for scene in scenes for p in scene], outputs
 
 
@@ -266,9 +244,9 @@ def _gt_rows_from_detections(seq: Sequence) -> list[TrackRow]:
 
 
 def _pooled_rows(per_scene_rows, frame_stride: int):
-    """One sequence of every scene's rows: scene i's frames start at
-    i * frame_stride, and each (scene, track id) pair becomes its rank among
-    the pairs, so pairs stay distinct and keep their order for any ids."""
+    """One sequence of every scene's rows, scene i's frames from
+    i * frame_stride. Each (scene, track id) becomes its rank among them,
+    so they stay distinct and ordered whatever the ids."""
     pairs = sorted({(i, r.track_id) for i, rows in enumerate(per_scene_rows) for r in rows})
     rank = {pair: k for k, pair in enumerate(pairs)}
     return [TrackRow(frame=r.frame + i * frame_stride, track_id=rank[i, r.track_id],
@@ -277,9 +255,8 @@ def _pooled_rows(per_scene_rows, frame_stride: int):
 
 
 def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
-    """AMOTA of each run in `pred_tracks` (a list of track files, one per
-    scene) against the gt_ids of the scenes' detection files, with every
-    scene pooled into one sequence. Returns (inputs, one MotScore per run)."""
+    """(inputs, one MotScore per run) of each run's track files, one per
+    scene, against the gt_ids of the detection files, scenes pooled."""
     stride = rc.sim.frames + 100
     gt_rows = _pooled_rows([_gt_rows_from_detections(_read_boxes(rc, p))
                             for p in gt_detections], stride)
@@ -291,9 +268,7 @@ def run_mot_eval(rc: RunConfig, gt_detections, pred_tracks):
 
 
 def run_confidence_report(rc: RunConfig, scenes):
-    """AC of the pseudo-track links of each (detections, tracks) scene,
-    split by whether a link joins two detections of one gt_id. Returns
-    (inputs, ConfidenceReport)."""
+    """(inputs, ConfidenceReport) of the (detections, tracks) scenes."""
     inputs, correct, incorrect = [], [], []
     for det_path, track_path in scenes:
         seq = _read_boxes(rc, det_path)
@@ -341,8 +316,6 @@ def _stage_pseudo_tracks(rc: RunConfig, out: Path):
 
 
 def _stage_train(rc: RunConfig, out: Path):
-    """Both modes train on the corrupted detections; oracle mode on their
-    gt tracks, selfsup mode on their pseudo-tracks."""
     oracle = rc.learn.mode == "oracle"
     scenes = [(det_path, clouds_path,
                _scene_dir(out, "train", i) / "gt_tracks.jsonl" if oracle else _pseudo_path(out, i))
@@ -380,8 +353,7 @@ def _stage_mot_eval(rc: RunConfig, out: Path):
         [[_tracks_path(out, i, mode) for i in range(n)] for mode in rc.mot.modes])
     outputs = []
     for mode, score in zip(rc.mot.modes, scores):
-        target = eval_dir / f"amota_{mode}.json"
-        target.write_text(json.dumps({
+        outputs.append(_write_json(eval_dir / f"amota_{mode}.json", {
             "mode": mode,
             "amota": score.amota,
             "thresholds": [
@@ -389,8 +361,7 @@ def _stage_mot_eval(rc: RunConfig, out: Path):
                  "fn": t.fn, "ids": t.ids}
                 for t in score.thresholds
             ],
-        }, sort_keys=True) + "\n", encoding="utf-8")
-        outputs.append(target)
+        }))
         log.info("mot-eval %s: AMOTA %.4f", mode, score.amota)
     return inputs, outputs
 
@@ -402,16 +373,13 @@ def _stage_confidence_report(rc: RunConfig, out: Path):
     eval_dir = out / "eval"
     _make_dir(eval_dir)
     evaluation.write_confidence_csv(eval_dir / "confidence.csv", report)
-    (eval_dir / "confidence_summary.json").write_text(json.dumps({
+    summary = _write_json(eval_dir / "confidence_summary.json", {
         "mean_correct": report.mean_correct,
         "mean_incorrect": report.mean_incorrect,
         "n_links": report.n_links,
-    }, sort_keys=True) + "\n", encoding="utf-8")
-    log.info("confidence-report: correct %.4f vs incorrect %s over %d links",
-             report.mean_correct if report.mean_correct is not None else float("nan"),
-             f"{report.mean_incorrect:.4f}" if report.mean_incorrect is not None else "absent",
-             report.n_links)
-    return inputs, [eval_dir / "confidence.csv", eval_dir / "confidence_summary.json"]
+    })
+    log.info("confidence-report: %s", _confidence_text(report))
+    return inputs, [eval_dir / "confidence.csv", summary]
 
 
 _STAGES = {
@@ -435,15 +403,13 @@ def _hash_path(path: Path) -> str:
 
 
 def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
-    """Execute the requested stages in dependency order.
+    """Run the stages in dependency order under out_dir.
 
-    Each stage appends a manifest line {stage, order, inputs, outputs} with
-    sha256 hashes of every artifact; reruns with identical config and seed
-    produce bit-identical manifests. Timings are logged separately, one
-    line per stage with its wall time and the process's resident
-    high-water mark after it (`peak_rss_mb`). The first stage's lines
-    replace manifest.jsonl and timings.jsonl, so a run whose first stage
-    fails leaves the record of the run before as it was.
+    Each appends a manifest line {stage, order, config, inputs, outputs},
+    with the sha256 of every artifact, so equal config and seed give equal
+    manifests; its wall time and the resident high-water mark after it go
+    to timings.jsonl. The first stage's lines replace both files, so a run
+    whose first stage fails leaves the run before's record as it was.
     """
     out = _make_dir(out_dir)
     unknown = [s for s in stages if s not in _STAGES]
@@ -492,8 +458,7 @@ def run_pipeline(rc: RunConfig, stages, out_dir) -> list[dict]:
 
 
 def _paired(args, *flags):
-    """The per-scene values of these list flags, zipped; each flag must
-    give one value per scene."""
+    """The per-scene values of these list flags, zipped; they must pair up."""
     lists = [getattr(args, flag.replace("-", "_")) for flag in flags]
     if len({len(values) for values in lists}) > 1:
         names = [f"--{flag}" for flag in flags]
@@ -566,9 +531,7 @@ def _cmd_confidence_report(args) -> int:
         _load_config(args.config), _paired(args, "gt-detections", "pseudo-tracks"))
     if args.out_csv:
         evaluation.write_confidence_csv(args.out_csv, report)
-    mc = "n/a" if report.mean_correct is None else f"{report.mean_correct:.4f}"
-    mi = "absent" if report.mean_incorrect is None else f"{report.mean_incorrect:.4f}"
-    print(f"mean AC correct: {mc}; incorrect: {mi}; links: {report.n_links}")
+    print(_confidence_text(report))
     return 0
 
 

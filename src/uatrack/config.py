@@ -1,9 +1,5 @@
-"""Key-value run configuration with [section] headers.
-
-A blank config reproduces every module's documented defaults. Unknown
-sections or keys are rejected with the offending section/key named, and
-values are validated by the module configs they construct, when parsed:
-[sim] builds the simulator's SceneConfig for each split and its NoiseModel.
+"""Run configuration: `RunConfig`'s fields as [section] key = value text,
+each section checked by the module configs it builds when it is parsed.
 """
 
 import configparser
@@ -68,9 +64,8 @@ class SimSection:
         )
 
     def noise(self) -> NoiseModel:
-        """The detector noise of corrupt_detections; perturb_boxes reads only
-        its box noise. Size and yaw noise are NoiseModel's defaults, and the
-        spurious rate is sim.SPURIOUS_RATE."""
+        """The detector noise of corrupt_detections; perturb_boxes reads its
+        box noise."""
         return NoiseModel(center_pct=self.center_pct, spurious_rate=SPURIOUS_RATE,
                           missed_rate=self.missed_rate)
 
@@ -134,8 +129,7 @@ _SECTION_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "seed"}
 
 
 def _parse_value(section: str, key: str, raw: str, current):
-    """Parse raw text according to the type of the default value. A float
-    must be finite."""
+    """raw as the type of the key's default value; a float must be finite."""
     raw = raw.strip()
     try:
         if isinstance(current, bool):
@@ -165,12 +159,10 @@ def _parse_value(section: str, key: str, raw: str, current):
 
 
 def parse_config(text_or_path, from_path: bool = True) -> RunConfig:
-    """Parse a config file (or literal text, which the benchmark's runner
-    passes) into a validated RunConfig. Every error is a ConfigError with a
-    one-line message; one that reading the file raises names the file.
-
-    [DEFAULT] is a section like any other, and so unknown: configparser
-    would otherwise copy its keys into every section.
+    """The RunConfig of a config file, or of text (the benchmark's runner
+    passes text). Every error is a one-line ConfigError, naming the file if
+    reading it fails. [DEFAULT] is an unknown section like any other;
+    configparser would otherwise copy its keys into every section.
     """
     # no header names the default section "", so configparser has none
     parser = configparser.ConfigParser(default_section="")

@@ -1,8 +1,5 @@
-"""Core domain types, geometry helpers, and on-disk formats.
-
-Everything downstream (filtering, association, embedding, simulation,
-evaluation) is built on the types in this module. All types are immutable
-after construction and safe to share across workers.
+"""Domain types, geometry helpers and on-disk formats. Every type is
+immutable once built.
 
 File formats:
   * detections: JSON lines, one detection per line
@@ -16,10 +13,10 @@ File formats:
   * track output: JSON lines
     {"frame": int, "track_id": int, "box": [...7...], "score": float}
 
-Detection and track lines are formatted directly, and each is the bytes
+Detection and track lines are formatted directly, each the bytes
 `json.dumps` gives for its dict: keys in the order above, the default
-", " and ": " separators, floats as `float.__repr__`, ASCII escapes in the
-cloud ref, null for a missing gt_id.
+separators, floats as `float.__repr__`, ASCII escapes in the cloud ref,
+null for a missing gt_id.
 """
 
 import json
@@ -43,14 +40,8 @@ _OLD_STORE = ("is a directory, not a cloud pack: the per-cloud store of an older
 
 
 def wrap_angle(theta: float) -> float:
-    """Wrap an angle to the half-open interval [-pi, pi).
-
-    Angles already in range are returned unchanged (bit-exact), which keeps
-    wrapping idempotent and serialization round-trips lossless.
-
-    Raises:
-        ValueError: if theta is NaN or infinite.
-    """
+    """theta wrapped to [-pi, pi); one in range comes back bit for bit, so
+    wrapping is idempotent. NaN or infinity raises ValueError."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta!r}")
@@ -64,13 +55,8 @@ def wrap_angle(theta: float) -> float:
 
 
 def wrap_angles(theta) -> np.ndarray:
-    """wrap_angle over an array: a new float64 array whose every entry is
-    bit for bit what wrap_angle gives for it (numpy's float remainder takes
-    the sign of the divisor, as Python's does).
-
-    Raises:
-        ValueError: if an entry is NaN or infinite.
-    """
+    """wrap_angle of each entry, bit for bit, as a new float64 array
+    (numpy's float remainder takes the divisor's sign, as Python's does)."""
     theta = np.array(theta, dtype=np.float64)
     bad = ~np.isfinite(theta)
     if bad.any():
@@ -85,11 +71,8 @@ def wrap_angles(theta) -> np.ndarray:
 
 @dataclass(frozen=True, init=False)
 class Box7:
-    """Oriented 3D bounding box: center (x, y, z), yaw about +z, extents.
-
-    l/w/h are the full extents along the box's local x/y/z axes. yaw is
-    normalized to [-pi, pi) at construction.
-    """
+    """Oriented 3D box: center (x, y, z), yaw about +z wrapped to
+    [-pi, pi), and the full extents l, w, h along its local axes."""
 
     x: float
     y: float
@@ -135,9 +118,8 @@ class Box7:
 
     @classmethod
     def from_array(cls, a) -> "Box7":
-        """The box of 7 values (x, y, z, yaw, l, w, h): a list or tuple of
-        7 numbers, or an array of 7 entries. Anything else, a string or a
-        number say, is one value, too few."""
+        """The box of a list, tuple or array of 7 values; anything else,
+        a string say, is one value, too few."""
         if isinstance(a, np.ndarray):
             a = a.reshape(-1).tolist()
         elif not isinstance(a, (list, tuple)):
@@ -157,11 +139,8 @@ def center_distance(b1: Box7, b2: Box7) -> float:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output: a box, its confidence, and its point-cloud ref.
-
-    gt_id is only populated by the simulator / evaluation paths; pipeline
-    code must not rely on it being present.
-    """
+    """One detector output. gt_id is the simulator's ground truth, which
+    the self-supervised path must not rely on."""
 
     frame: int
     box: Box7
@@ -250,9 +229,8 @@ class Sequence:
 
 @dataclass(frozen=True)
 class TrackletLabel:
-    """A track identity with its (frame, detection index) members and the
-    association confidence of each link between consecutive members: one
-    per link, each in [0, 1]."""
+    """A track's (frame, detection index) members and the association
+    confidence of each link between consecutive ones, each in [0, 1]."""
 
     track_id: int
     members: tuple[tuple[int, int], ...]
@@ -297,11 +275,8 @@ class TrackRow:
 
 
 def read_jsonl(path, build) -> list:
-    """build(obj) for the JSON object on each non-empty line of a file.
-
-    A line that is not UTF-8 or valid JSON, lacks a key, or holds a value of
-    the wrong type or range raises ValueError("<path>:<line>: ...").
-    """
+    """build(obj) of each non-empty line's JSON object; a malformed line
+    raises ValueError("<path>:<line>: ...")."""
     out = []
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -340,14 +315,12 @@ def write_detections(path, seq: Sequence) -> None:
 
 def read_detections(path, clouds: dict[str, PointCloud] | None = None, *,
                     n_frames: int) -> Sequence:
-    """Rebuild a Sequence of n_frames frames, FRAME_PERIOD apart, from a
-    detections file and a cloud store.
+    """The Sequence of n_frames frames of a detections file and a cloud
+    store; with clouds=None every ref is an empty stub (box-only stages).
 
-    Frame records are materialized for every index in [0, n_frames) so that
-    frames whose detections were all dropped still advance the tracker clock.
-    With clouds=None the refs resolve to empty stub clouds (box-only
-    workflows such as metric evaluation). A detection at frame n_frames or
-    later, or a cloud ref the store lacks, raises ValueError("<path>: ...").
+    Every frame gets a record, so frames whose detections were all dropped
+    still advance the tracker's clock. A detection past n_frames or a ref
+    the store lacks raises ValueError("<path>: ...").
     """
     by_frame: dict[int, list[Detection]] = {}
     for det in read_jsonl(path, lambda obj: Detection(
@@ -381,12 +354,9 @@ def write_point_cloud(fh, cloud: PointCloud) -> None:
 
 
 def write_clouds(path, clouds: dict[str, PointCloud]) -> None:
-    """Write a scene's clouds as one cloud pack, in sorted-ref order, so the
-    bytes do not depend on the dict's insertion order.
-
-    A ref longer than 65,535 UTF-8 bytes, or a path that is a directory (the
-    one-file-per-cloud store of a run made before packs), raises
-    ValueError("<path>: ...") before anything is written.
+    """Write a scene's clouds as one cloud pack, whose sorted refs make its
+    bytes independent of the dict's order. A ref over 65,535 UTF-8 bytes or
+    a directory at path raises ValueError("<path>: ...") before any write.
     """
     path = Path(path)
     refs = sorted(clouds)
@@ -407,12 +377,8 @@ def write_clouds(path, clouds: dict[str, PointCloud]) -> None:
 
 
 def read_clouds(path) -> dict[str, PointCloud]:
-    """{ref: PointCloud} of a cloud pack, read with one read.
-
-    Bad magic, a truncation, trailing bytes, a ref that is not UTF-8 or
-    appears twice, a non-finite point, or a path that is a directory raise
-    ValueError("<path>: ...").
-    """
+    """{ref: PointCloud} of a cloud pack, read with one read; a malformed
+    pack or a directory raises ValueError("<path>: ...")."""
     path = Path(path)
     try:
         raw = path.read_bytes()

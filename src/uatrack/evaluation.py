@@ -1,23 +1,6 @@
-"""Evaluation harnesses: single-object association accuracy, AMOTA, and
-association-confidence validity.
-
-SOT scores one scene per call. Each gt identity's first detection is its
-fixed anchor; in every later frame containing the target, the candidate
-with the highest embedding cosine is selected and scored against the
-ground-truth identity. The candidates are cropped a run of frames at a
-time and embedded into one matrix, the anchors take one more crop and
-embed, and each anchor scores the candidates with one vector of cosines,
-not a call per candidate. A caller pooling scenes adds up their
-(target, correct, total) triples.
-
-AMOTA: recall-thresholded CLEAR-style MOTA. For each target recall r the
-prediction set is cut at the score whose achieved recall is closest from
-above to r (minimal cut when unreachable); matching is per-frame greedy by
-center distance within MATCH_DIST; MOTA_r clamps at 0 and AMOTA averages over
-the recall grid. The CLEAR counts of every distinct score cut come from one
-sweep, strictest cut first, that matches again only the frames a cut adds
-rows to, so each (gt, pred) distance is computed once rather than once per
-cut.
+"""Evaluation: single-object association accuracy (`sot_evaluate`), AMOTA
+(`amota`), and whether association confidence separates correct links from
+incorrect ones (`confidence_links`).
 """
 
 import csv
@@ -52,16 +35,14 @@ class SotResult:
 
 def sot_evaluate(net: embed.EmbedNet, seq: Sequence, candidates: Sequence | None = None,
                  points_per_crop: int = embed.DEFAULT_POINTS) -> SotResult:
-    """Arg-max-cosine association accuracy of one scene.
+    """Arg-max-cosine association accuracy of one scene; a caller pooling
+    scenes adds up the (target, correct, total) triples.
 
-    Each gt identity's first detection in seq is its anchor, in frame
-    order; the candidates come from `candidates` (e.g. a box-perturbed
-    copy) when given, else from seq. The scored frames are cropped a run at
-    a time (`embed.canonicalize_frames`) and each is embedded with one
-    `embed.forward` call into one matrix, with the gt ids and each frame's
-    row span. An anchor takes one vector of cosines over the matrix
-    (`embed.cosines`) and the arg-max of each later frame that holds its
-    target; ties in cosine go to the lowest candidate index.
+    Each gt identity's first detection in seq is its anchor. In each later
+    frame of candidates (seq when None) that holds the target, the
+    candidate of highest cosine, ties to the lowest index, is scored. The
+    scored frames are embedded as one matrix, a pass of crops at a time,
+    so an anchor takes one vector of cosines.
     """
     anchors: dict[int, tuple[int, Detection]] = {}  # gt id -> (frame index, detection)
     for rec in seq.frames:
@@ -155,19 +136,16 @@ MATCH_DIST = 2.0  # the farthest center distance of a match
 
 
 def amota(pred_rows, gt_rows, L: int = 40) -> MotScore:
-    """Average MOTA over L recall thresholds {1/L, ..., 1}.
+    """Average MOTA over L recall targets {1/L, ..., 1}.
 
-    One sweep over the score cuts, strictest first. The rows of a cut join
-    their frames' pred lists in (-score, frame, track_id) order, and only
-    those frames are matched again: each joining row adds its distances to
-    its frame's candidate list. tp and fp move by the frames' deltas, and
-    fn = gt_count - tp. A gt track's ID switches are counted along its
-    matched pred tracks in frame order, unmatched frames skipped; when a
-    frame's matches for the track change, only its links to the track's
-    previous and next matched frames are recounted. The result equals a full
-    CLEAR matching at every cut, at sum_f g_f * p_f distances for g_f gt and
-    p_f pred rows in frame f, where the full matching computes about (number
-    of cuts) times that.
+    Target r takes the score cut whose recall is closest to r from above,
+    the loosest cut when none reaches it. Matching is per-frame greedy by
+    center distance within MATCH_DIST, and MOTA clamps at 0. One sweep over
+    the cuts, strictest first, matches again only the frames a cut adds
+    rows to, and recounts a gt track's ID switches (along its matched pred
+    tracks in frame order) only around them. It equals a full CLEAR
+    matching at every cut, at sum_f g_f * p_f distances for g_f gt and p_f
+    pred rows in frame f, about 1 / (number of cuts) of the full cost.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -266,12 +244,8 @@ class ConfidenceReport:
 
 
 def confidence_links(seq: Sequence, tracks):
-    """Split the link confidences of pseudo-tracks into gt-correct /
-    gt-incorrect.
-
-    A link is correct iff both endpoint detections carry the same non-null
-    gt_id. Requires gt_ids on the sequence (the simulator's).
-    """
+    """(correct, incorrect) link confidences of the tracks on seq: a link is
+    correct iff both its detections carry the same non-null gt_id."""
     rec_by_index = {rec.index: rec for rec in seq.frames}
     correct_vals: list[float] = []
     incorrect_vals: list[float] = []

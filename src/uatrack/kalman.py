@@ -1,35 +1,24 @@
 """Constant-velocity Kalman filter over a stack of 11-dim object states,
 one axis at a time.
 
-State layout: (x, y, z, a, l, w, h, v_x, v_y, v_z, v_a) with `a` the box
-yaw. Observations are the first seven components (a detected box). The
-motion model moves position and yaw at their velocity components; extents
-carry no velocity and only drift through process noise.
+State: (x, y, z, a, l, w, h, v_x, v_y, v_z, v_a), a the yaw; an
+observation is a detected box, the first seven. Extents have no velocity.
 
-The process, observation and initial covariances are diagonal, the
-transition couples each of x, y, z and a with its own velocity only, and an
-observation reads each of the seven box components alone. So a covariance
-that starts diagonal stays block-diagonal: four 2x2 blocks (a component
-and its velocity) and three 1x1 blocks (the extents). A track's covariance
-is therefore held as 15 numbers, a row of a (T, 15) stack: the 11
-variances in state order, then the covariances of x, y, z and a with their
-velocities. The innovation covariance S is diagonal, S_i = P_ii + R_i, and
-predict, update and the Mahalanobis distance are the dense filter's
-arithmetic written out per axis (`mahalanobis`: m^2 = sum_i r_i^2 / S_i).
-No matrix is factored, solved or multiplied.
+The noise covariances are diagonal, and the transition couples each of x,
+y, z and a with its own velocity only, so a covariance that starts
+diagonal stays block-diagonal. A track's covariance is therefore 15
+numbers, a row of a (T, 15) stack: the 11 variances in state order, then
+the covariances of x, y, z and a with their velocities. The innovation
+covariance is diagonal, and predict, update and the distance are the
+dense filter's arithmetic written out per axis: no matrix is factored,
+solved or multiplied.
 
-Every function takes the states of T tracks as one stack, means (T, 11)
-and covariances (T, 15), and returns new arrays, so one call filters all
-live tracks of a frame and nothing is shared between calls. Each step is
-elementwise arithmetic and sums over a track's own components, so a
-track's numbers are bit for bit those of filtering it alone, whatever else
-is in its stack, and do not depend on the BLAS build.
-
-Every state is born in init_tracks from detected boxes and a validated
+Every function takes T tracks as one stack, means (T, 11) and covariances
+(T, 15), and returns new arrays. A track's numbers are bit for bit those
+of filtering it alone, whatever else is in its stack, and do not depend on
+the BLAS build. States are born in init_tracks from a validated
 NoiseConfig, and predict and update keep the variances positive and wrap
-the yaw, so a state is not re-validated. An innovation variance that is
-not finite and > 0 (only a hand-made state can have one) raises
-NumericalError naming the track's row.
+the yaw, so no state is validated again.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +39,7 @@ CROSS = slice(STATE_DIM, COV_DIM)
 
 
 class NumericalError(ArithmeticError):
-    """Raised when a required matrix operation is numerically unusable."""
+    """A computation met a value it cannot use, such as a non-finite one."""
 
 
 def _default_q() -> np.ndarray:
@@ -99,12 +88,9 @@ def init_tracks(boxes, cfg: NoiseConfig):
 
 
 def predict(mean, cov, dt: float, cfg: NoiseConfig):
-    """Propagate every track by dt seconds under the constant-velocity model.
-    Returns (means, covs).
-
-    Per moving component p with velocity v: p += dt v, P_pp += dt (P_pv +
-    P_pv') + q_p with P_pv' = P_pv + dt P_vv, and every variance gains its
-    process noise."""
+    """(means, covs) of every track dt seconds on: per moving component p
+    with velocity v, p += dt v, P_pv' = P_pv + dt P_vv, P_pp += dt (P_pv +
+    P_pv'), and every variance gains its process noise."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     mean = mean.copy()
@@ -119,10 +105,9 @@ def predict(mean, cov, dt: float, cfg: NoiseConfig):
 
 
 def _innovation_var(cov, cfg: NoiseConfig) -> np.ndarray:
-    """Each track's innovation variances S_i = P_ii + R_i, (T, 7).
-
-    Raises NumericalError naming the first row with one that is not finite
-    and > 0."""
+    """Each track's innovation variances S_i = P_ii + R_i, (T, 7); one not
+    finite and > 0, which only a hand-made state has, raises NumericalError
+    naming its row."""
     s = cov[:, :OBS_DIM] + cfg.r_diag
     ok = (s > 0) & (s < np.inf)
     if not ok.all():
@@ -133,23 +118,17 @@ def _innovation_var(cov, cfg: NoiseConfig) -> np.ndarray:
 
 
 def innovation(mean, cov, obs, cfg: NoiseConfig):
-    """Each track's residual against its row of obs (yaw wrapped), (T, 7),
-    and its innovation variances S, (T, 7): S is diagonal."""
+    """Each track's residual against its row of obs, yaw wrapped, and its
+    innovation variances, (T, 7) each."""
     r = np.asarray(obs, dtype=np.float64) - mean[:, :OBS_DIM]
     r[:, ANGLE] = wrap_angles(r[:, ANGLE])
     return r, _innovation_var(cov, cfg)
 
 
 def mahalanobis(mean, cov, boxes, cfg: NoiseConfig) -> np.ndarray:
-    """Square-root Mahalanobis distances of every track to every (x, y, z,
-    yaw, l, w, h) row of boxes: a (T, D) array of sqrt(sum_i r_i^2 / S_i),
-    with r the residual (yaw wrapped) and S the track's innovation
-    variances, summed in component order.
-
-    Raises:
-        ValueError: if a yaw residual is not finite.
-        NumericalError: if an innovation variance is not finite and > 0.
-    """
+    """(T, D) distances sqrt(sum_i r_i^2 / S_i), summed in component order,
+    of every track to every box row, r the residual with its yaw wrapped. A
+    non-finite yaw residual raises ValueError."""
     r = np.asarray(boxes, dtype=np.float64)[None, :, :] - mean[:, None, :OBS_DIM]
     r[:, :, ANGLE] = wrap_angles(r[:, :, ANGLE])
     s = _innovation_var(cov, cfg)
@@ -159,14 +138,10 @@ def mahalanobis(mean, cov, boxes, cfg: NoiseConfig) -> np.ndarray:
 
 
 def update(mean, cov, obs, cfg: NoiseConfig):
-    """Kalman correction of each track by its row of obs.
-    Returns (means, covs).
-
-    Per observed component i, with gain k_i = P_ii / S_i on itself and
-    g_i = P_iv / S_i on its velocity v (moving components only):
-    x_i += k_i r_i, v += g_i r_i, P_vv -= g_i P_iv, P_iv -= k_i P_iv and
-    P_ii -= k_i P_ii.
-    """
+    """(means, covs) of each track corrected by its row of obs: per
+    component i, gains k_i = P_ii / S_i and, if it moves, g_i = P_iv / S_i
+    on its velocity v: x_i += k_i r_i, v += g_i r_i, P_vv -= g_i P_iv,
+    P_iv -= k_i P_iv and P_ii -= k_i P_ii."""
     r, s = innovation(mean, cov, obs, cfg)
     k = cov[:, :OBS_DIM] / s
     g = cov[:, CROSS] / s[:, MOVING]

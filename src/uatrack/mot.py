@@ -1,32 +1,14 @@
 """Multi-object tracking with fused motion / score / appearance association.
 
-Every mode admits a (track, detection) pair by one rule, the Mahalanobis
-gate that assoc.run_tracker applies: m <= AssocConfig.gate. The modes differ
-only in how they rank the admitted pairs for greedy association, as in the
-ablation rows: "motion" ranks by m, and "motion+score" and
-"motion+score+appearance" rank by 1 - A, where A is a logistic model's
-score of six features (Mahalanobis distance m, embedding cosine a,
-detection score d, and their clamped logs). All modes share the association
-kernel, so motion mode reproduces the pseudo-label tracker's decisions
-exactly.
+Every mode admits pairs by `assoc.run_tracker`'s gate and differs only in
+how it ranks them, as in the paper's ablation rows: "motion" by the
+Mahalanobis distance m, so it makes the pseudo-label tracker's decisions,
+and the fused modes by 1 - A, A a logistic model's score of the pair's
+`feature_rows`.
 
-One helper, `_PairFeatures`, builds the features of the admitted pairs for
-both the tracker (`track_sequence`, which scores them with
-`LogisticModel.scores`) and the logistic fit (`harvest_features`, which
-labels them), so the model is fit on exactly the pairs it will score. It
-crops the sequence's frames a run at a time (`embed.canonicalize_frames`,
-one `embed.canonicalize` pass per run), embeds each frame's detections
-into one matrix with one `embed.forward` call, keeps each track's
-embedding refreshed to that of its matched detection, and builds each
-frame's admitted pairs as one (k, 6) array, `feature_rows`, in row-major
-pair order: the cosines are one `embed.cosines` call and the scores one
-matrix-vector product, so the tracker runs no Python per pair.
-`FeatureVector` and `LogisticModel.score`, one pair's features and score,
-are called by no code of the package: they stay only because the
-benchmark's tracer names them (`perfbench/tracing.py` `TRACED`), and go
-when it counts `feature_rows` instead. `fit_logistic` fits the model to
-the L2-penalized optimum on standardized features by damped Newton's
-method (IRLS), which converges in about ten steps.
+`FeatureVector` and `LogisticModel.score` are called by no code of the
+package: they stay only because the benchmark's tracer names them
+(`perfbench/tracing.py` `TRACED`), and go when it counts `feature_rows`.
 """
 
 import json
@@ -53,13 +35,9 @@ FIT_MAX_STEPS = 50
 
 
 def feature_rows(m, a, d) -> np.ndarray:
-    """(k, 6) feature rows over FEATURE_NAMES of k (track, detection) pairs
-    with Mahalanobis distances m, cosines a and detection scores d.
-
-    The cosine a is mapped through (a+1)/2 before its log so the log stays
-    defined on [-1, 1]; m and d clamp at LOG_CLAMP. Raises ValueError naming
-    the first pair with m < 0, a outside [-1, 1] or d outside [0, 1].
-    """
+    """(k, 6) rows over FEATURE_NAMES of pairs with distances m, cosines a
+    and detection scores d. The log of a is taken of (a + 1) / 2, defined
+    on [-1, 1]. A value out of range raises ValueError naming its pair."""
     m, a, d = (np.asarray(v, dtype=np.float64) for v in (m, a, d))
     bad = (m < 0) | ~((-1.0 <= a) & (a <= 1.0)) | ~((0.0 <= d) & (d <= 1.0))
     if bad.any():
@@ -75,8 +53,7 @@ def feature_rows(m, a, d) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Association features for one (predicted track, detection) pair: one
-    row of `feature_rows`."""
+    """One row of `feature_rows`."""
 
     m: float
     a: float
@@ -111,8 +88,7 @@ class LogisticModel:
         object.__setattr__(self, "coef", c)
 
     def scores(self, x) -> np.ndarray:
-        """The score A of each feature row of x, (k, 6): the logistic
-        function of coef . row + intercept, each row summed in one order."""
+        """The score A of each row of x, (k, 6), each summed in one order."""
         z = np.einsum("ij,j->i", x, self.coef) + self.intercept
         with np.errstate(over="ignore"):  # exp overflow: A = 0, as in the limit
             return 1.0 / (1.0 + np.exp(-z))
@@ -127,8 +103,7 @@ def save_logistic(path, model: LogisticModel) -> None:
 
 
 def load_logistic(path) -> LogisticModel:
-    """Read a model written by save_logistic. A file that is not UTF-8 JSON,
-    lacks a key, or holds a value of the wrong type, shape or range raises
+    """The model save_logistic wrote; a malformed file raises
     ValueError("<path>: ...")."""
     try:
         obj = json.loads(Path(path).read_bytes().decode("utf-8"))
@@ -140,10 +115,8 @@ def load_logistic(path) -> LogisticModel:
 
 
 def _solve_pd(a, b) -> np.ndarray:
-    """x with a @ x = b for a small symmetric positive definite a, by a
-    Cholesky factor a = L L' built a column at a time and two triangular
-    substitutions. Raises kalman.NumericalError when a pivot is not finite
-    and > 0.
+    """x with a @ x = b for a small symmetric positive definite a, by
+    Cholesky; a pivot not finite and > 0 raises kalman.NumericalError.
 
     It calls no LAPACK routine, and no other step of a pipeline run calls
     one: the first LAPACK call of a process pages about 0.25 MB of LAPACK
@@ -168,22 +141,13 @@ def _solve_pd(a, b) -> np.ndarray:
 
 
 def fit_logistic(x, y) -> LogisticModel:
-    """Deterministic L2-penalized logistic regression of the labels y (k,)
-    on the feature rows x (k, 6).
+    """L2-penalized logistic regression of labels y (k,) on rows x (k, 6).
 
-    Maximises the mean log-likelihood minus (lambda/2)|w|^2, lambda =
-    FIT_LAMBDA, on standardized features (a constant feature's column is
-    zeroed, so its weight is exactly 0); the intercept is not penalized.
-    Damped Newton (IRLS) from zero: each step solves the penalized Hessian
-    system (`_solve_pd`) and halves the step until the objective does not
-    fall. Once the Newton decrement g'H^-1 g / 2 is below FIT_DECREMENT_TOL
-    the step is taken in full and the fit stops; failing that within
-    FIT_MAX_STEPS steps raises kalman.NumericalError. The standardization
-    is folded back so the model applies to raw features. Raises ValueError
-    on empty or single-class input.
-
-    Warns once when the fitted score fails to fall with Mahalanobis distance
-    somewhere in the fit data's range of m (see `_warn_if_distance_not_penalized`).
+    Maximises the mean log-likelihood minus FIT_LAMBDA / 2 |w|^2 on
+    standardized features (a constant one gets weight 0; the intercept is
+    not penalized) by damped Newton (IRLS) from zero, and folds the
+    standardization back. Empty or one-class y raises ValueError, no
+    convergence in FIT_MAX_STEPS kalman.NumericalError.
     """
     y = np.asarray(y, dtype=np.float64)
     if not len(y):
@@ -234,8 +198,8 @@ def fit_logistic(x, y) -> LogisticModel:
 
 
 def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
-    """Warn if d(logit)/dm = c_m + c_log_m / m is >= 0 anywhere on the range
-    of m. It is monotone in m, so the two ends of the range decide."""
+    """Warn once if d(logit)/dm = c_m + c_log_m / m is >= 0 on the range of
+    m. It is monotone in m, so the two ends of the range decide."""
     c_m = model.coef[FEATURE_NAMES.index("m")]
     c_log_m = model.coef[FEATURE_NAMES.index("log_m")]
     for end in np.maximum([np.min(m), np.max(m)], LOG_CLAMP):
@@ -250,8 +214,7 @@ def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
 
 
 def without_appearance(x) -> np.ndarray:
-    """A copy of feature rows x with a = 0 and log_a = log 0.5: the rows
-    that `feature_rows` gives the same pairs without an embedding."""
+    """A copy of rows x as `feature_rows` gives them with the cosine at 0."""
     x = np.array(x, dtype=np.float64)
     x[:, FEATURE_NAMES.index("a")] = 0.0
     x[:, FEATURE_NAMES.index("log_a")] = np.log(0.5)
@@ -259,17 +222,15 @@ def without_appearance(x) -> np.ndarray:
 
 
 class _PairFeatures:
-    """One sequence's association features, shared by `track_sequence` and
-    `harvest_features`: the embeddings of each frame's detections as one
-    matrix, each track's embedding (refreshed to its matched detection's),
-    and one `feature_rows` array of the frame's admitted (track, detection)
-    pairs, whose m the tracker supplies. Without a network the appearance
-    cosine is 0 (log_a = log 0.5).
+    """The admitted pairs' features of one sequence, built alike for
+    `track_sequence`, which scores them, and `harvest_features`, which
+    labels them, so the model is fit on the pairs it will score.
 
-    With a network, the frames are cropped by `embed.canonicalize_frames`
-    as the tracker reaches them, so `frame` must see every frame of the
-    sequence once, in order, as `assoc.run_tracker` calls its cost_fn; at
-    most one pass of crops is held at a time."""
+    A frame's detections are embedded as one matrix, a track keeps its
+    latest matched detection's embedding, and a frame's pairs are one
+    `feature_rows` array, with no Python per pair; without a net the cosine
+    is 0. Frames are cropped as the tracker reaches them, so `frame` must
+    see each frame once, in order, as `assoc.run_tracker` calls cost_fn."""
 
     def __init__(self, seq: Sequence, net: embed.EmbedNet | None, points_per_crop: int):
         self.net = net
@@ -281,7 +242,7 @@ class _PairFeatures:
         self.embs = self.norms = np.zeros(0)
 
     def frame(self, rec) -> None:
-        """Start a frame, the next of the sequence's: embed its detections."""
+        """Start the sequence's next frame: embed its detections."""
         self.dets = rec.detections
         self.det_scores = np.array([d.score for d in rec.detections])
         if self.net is not None:
@@ -291,9 +252,8 @@ class _PairFeatures:
                 self.norms = embed.norms(self.embs)
 
     def features(self, ids, m, admitted):
-        """(ii, jj, x) for the frame's admitted (track, detection) pairs in
-        row-major order: x[k] is the feature row of the pair of row ii[k],
-        whose track id is ids[ii[k]], and detection jj[k]."""
+        """(ii, jj, x) of the admitted pairs in row-major order: x[k] is the
+        row of track ids[ii[k]] and detection jj[k]."""
         ii, jj = np.nonzero(admitted)
         a = np.zeros(len(ii))
         if self.net is not None and len(ii):
@@ -313,13 +273,7 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
                    net: embed.EmbedNet | None = None,
                    model: LogisticModel | None = None,
                    points_per_crop: int = embed.DEFAULT_POINTS) -> list[TrackRow]:
-    """Track a sequence in one of MODES and emit one row per (frame,
-    matched track).
-
-    Pairs are admitted by the Mahalanobis gate in every mode; motion mode
-    ranks them by m, the fused modes by 1 - A_ij. Appearance mode refreshes
-    each track's embedding to its matched detection's embedding.
-    """
+    """Track seq in one of MODES: one row per (frame, matched track)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     use_appearance = mode == "motion+score+appearance"
@@ -353,15 +307,9 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
 def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
                      net: embed.EmbedNet | None = None,
                      points_per_crop: int = embed.DEFAULT_POINTS):
-    """Collect (x, y) for fitting the logistic model: the feature rows
-    x (k, 6) of the admitted pairs and their labels y (k,), 0 or 1.
-
-    Runs the motion-only tracker; at every frame each admitted (predicted
-    track, detection) pair, m <= acfg.gate, is labeled 1 iff the track's
-    last matched detection and the candidate share a non-null gt_id. Rows
-    come frame by frame, each frame's in row-major pair order. Requires
-    gt_ids on the sequence.
-    """
+    """(x, y) for `fit_logistic`: the rows of the pairs the motion tracker
+    admits, frame by frame, each labeled 1 iff the track's last matched
+    detection and the candidate share a non-null gt_id."""
     xs, ys = [np.zeros((0, len(FEATURE_NAMES)))], []
     track_gt: dict[int, int | None] = {}
     pairs = _PairFeatures(seq, net, points_per_crop)

@@ -1,26 +1,18 @@
-"""Synthetic urban-scene generator with ground truth, plus detector noise.
+"""Synthetic urban scenes with ground truth, and detector noise.
 
-Objects are car-like surfaces built from one of four height-profile
-templates (van / sedan / pickup / hatch), each deformed per instance, moving
-on straight, turning, or stopping trajectories around a sensor at the
-origin. Point density on each object decays with range to mimic LIDAR
-sparsity. Every emitted detection carries its ground-truth identity.
+Objects are car-like surfaces from one of four height-profile templates
+(van / sedan / pickup / hatch), each deformed per instance, moving on
+straight, turning or stopping paths around a sensor at the origin. Point
+density falls with range, as a LIDAR's does.
 
-The evaluation noise model perturbs boxes uniformly within +/-center_pct of
-the extents, +/-size_pct of scale, and +/-yaw_deg of orientation; the
-detector-corruption model additionally drops and injects detections with
-realistic score distributions.
-
-The generator's draws are the simulator's reproducibility contract: a
-seed gives the same scenes, bit for bit, only while this layout holds.
-  * `generate_sequence` draws the objects (`_sample_objects`), then takes
-    one `rng.random` per frame for every object's surface points: object i,
-    with n_i points that frame, takes the next 3*n_i uniforms in object
-    order. The first n_i pick faces through the area-weighted CDF
-    (`face_arrays`), the next 2*n_i are the (n_i, 2) offsets along each
-    face's two edges (`sample_surface`).
-  * `perturb_boxes` takes one `rng.random((D, 7))` for the D detections of
-    a sequence, in frame order. Row k holds detection k's 3 center, 3 size
+A seed gives the same scenes, bit for bit, only while the draws keep this
+layout:
+  * `generate_sequence` draws the objects (`_sample_objects`), then one
+    `rng.random` a frame for every object's surface points: object i, with
+    n_i points that frame, takes the next 3*n_i uniforms in object order
+    (`sample_surface`).
+  * `perturb_boxes` takes one `rng.random((D, 7))` for a sequence's D
+    detections in frame order: row k holds detection k's 3 center, 3 size
     and 1 yaw uniforms, each mapped to [lo, hi) as lo + (hi - lo) * u.
 """
 
@@ -314,12 +306,9 @@ def _to_world(local: np.ndarray, yaw: float, center) -> np.ndarray:
 
 
 def generate_sequence(scene: SceneConfig, seed) -> Sequence:
-    """Simulate a scene; returns the ground-truth Sequence, whose tracks are
-    `assoc.gt_tracks` of it.
-
-    Every detection has score 1.0 and a gt_id; clouds are float32 world-frame
-    surface samples. Deterministic for a given seed.
-    """
+    """A scene's ground-truth Sequence (its tracks are `assoc.gt_tracks` of
+    it): every detection has score 1.0 and a gt_id, and its cloud is
+    float32 surface samples in the world frame."""
     rng = np.random.default_rng(seed)
     specs = _sample_objects(scene, rng)
     surfaces = [face_arrays(template_faces(s.template, s.deform, s.extents)) for s in specs]
@@ -351,8 +340,8 @@ def generate_sequence(scene: SceneConfig, seed) -> Sequence:
 
 
 def perturb_boxes(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
-    """Uniform box noise: centers by +/-pct of extents, sizes by +/-pct,
-    yaw by +/-yaw_deg. Clouds, scores and gt_ids are untouched."""
+    """Uniform box noise: centers by +/-center_pct of the extents, sizes by
+    +/-size_pct, yaw by +/-yaw_deg. Clouds, scores and gt_ids are kept."""
     rng = np.random.default_rng(seed)
     hi = np.array([noise.center_pct] * 3 + [noise.size_pct] * 3 + [math.radians(noise.yaw_deg)])
     lo = -hi
@@ -380,15 +369,10 @@ def perturb_boxes(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
 
 
 def corrupt_detections(seq: Sequence, noise: NoiseModel, seed) -> Sequence:
-    """Model pre-trained-detector output: perturbed boxes, missed detections,
-    spurious detections with sparse clouds, and realistic scores.
-
-    Real detections draw scores from Beta(8, 2), spurious from Beta(2, 8).
-    Spurious counts per frame are Binomial(slots, spurious_rate) over the
-    frame's detection count before misses. Real detections keep their
-    clouds; each spurious one gets a new sparse cloud under its own
-    reference, and the input's cloud entries are never modified.
-    """
+    """A detector's output: perturbed boxes, missed detections, and
+    Binomial(input frame's detections, spurious_rate) spurious ones, each
+    with a new sparse cloud under its own ref; scores are drawn from
+    Beta(8, 2) for real detections and Beta(2, 8) for spurious ones."""
     perturbed = perturb_boxes(seq, noise, (seed, 0))
     rng = np.random.default_rng((seed, 1))
     centers = [

@@ -761,6 +761,38 @@ class TestSubcommandParity:
         assert code == 0, err
         assert pairs[0][0].read_bytes() != pairs[0][1].read_bytes()
 
+    def test_confidence_report_without_a_correct_link(self, tiny_run, tmp_path, capsys,
+                                                      caplog):
+        """With no correct link the correct side's mean is missing, and the
+        stage's log line and the subcommand print the same words for it."""
+        scene = tiny_run / "sim" / "train_00"
+        dets = [json.loads(line) for line in (scene / "corrupted.jsonl").read_text().splitlines()]
+        first = [d for d in dets if d["frame"] == 0]
+        second = [d for d in dets if d["frame"] == 1]
+        j, k = next((j, k) for j, a in enumerate(first) for k, b in enumerate(second)
+                    if a["gt_id"] != b["gt_id"])
+        out = tmp_path / "run"
+        (out / "sim" / "train_00").mkdir(parents=True)
+        (out / "pseudo").mkdir()
+        (out / "sim" / "train_00" / "corrupted.jsonl").write_bytes(
+            (scene / "corrupted.jsonl").read_bytes())
+        pseudo = out / "pseudo" / "train_00.jsonl"
+        pseudo.write_text(json.dumps({"track_id": 0, "members": [[0, j], [1, k]],
+                                      "link_conf": [0.5]}) + "\n")
+        rc = parse_config(TINY, from_path=False)
+        with caplog.at_level("INFO", logger="uatrack"):
+            cli.run_pipeline(rc, ["confidence-report"], out)
+        logged = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("confidence-report: ")]
+        code = cli.main(["confidence-report", "--pseudo-tracks", str(pseudo),
+                         "--gt-detections", str(out / "sim" / "train_00" / "corrupted.jsonl")])
+        assert code == 0
+        printed = capsys.readouterr().out.strip()
+        assert printed == "mean AC correct: absent; incorrect: 0.5000; links: 1"
+        assert logged == [f"confidence-report: {printed}"]
+        summary = json.loads((out / "eval" / "confidence_summary.json").read_text())
+        assert summary == {"mean_correct": None, "mean_incorrect": 0.5, "n_links": 1}
+
 
 STAGE_CALLS = {("assoc", "build_pseudo_tracks"), ("learn", "train"), ("mot", "harvest_features"),
                ("mot", "fit_logistic"), ("mot", "track_sequence"), ("evaluation", "sot_evaluate"),

@@ -70,7 +70,7 @@ class TestRoundTrip:
             seed=7,
             assoc=AssocConfig(gate=9.5),
             embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
-            learn=LearnSection(learning_rate=1e-3, batch_size=8, epochs=2, max_gap=4,
+            learn=LearnSection(learning_rate=1e-3, batch_size=8, epochs=2,
                                use_uncertainty=False, mode="oracle"),
             sim=replace(SimSection(), train_scenes=2, center_pct=0.25),
             mot=MotSection(modes=("motion", "motion+score")),
@@ -94,7 +94,7 @@ class TestRoundTrip:
             ("assoc", "gate"),
             ("embed", "widths"), ("embed", "points_per_crop"),
             ("learn", "learning_rate"), ("learn", "batch_size"), ("learn", "epochs"),
-            ("learn", "max_gap"), ("learn", "use_uncertainty"), ("learn", "mode"),
+            ("learn", "use_uncertainty"), ("learn", "mode"),
             ("sim", "train_scenes"), ("sim", "fit_scenes"), ("sim", "test_scenes"),
             ("sim", "objects"), ("sim", "test_objects"), ("sim", "frames"),
             ("sim", "crossings"), ("sim", "center_pct"), ("sim", "missed_rate"),

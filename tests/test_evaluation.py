@@ -386,3 +386,91 @@ def test_amota_rematches_only_the_frames_a_cut_touches(monkeypatch):
     assert 0 < calls <= bound
     monkeypatch.undo()
     assert got == oracle_amota(preds, gt, 2.0, 40)
+
+
+# ---------------------------------------------------------------------------
+# AC validity: correct and incorrect links
+
+
+def _link_scene(gt_ids_per_frame):
+    """A box-only sequence whose frame f holds one detection per entry of
+    gt_ids_per_frame[f], with that gt_id."""
+    stub = PointCloud(np.zeros((0, 3)))
+    frames = [FrameRecord(index=f, detections=tuple(
+        Detection(frame=f, box=_box(float(k)), score=1.0, cloud_ref="c", gt_id=g)
+        for k, g in enumerate(ids))) for f, ids in enumerate(gt_ids_per_frame)]
+    return Sequence(frames=tuple(frames), clouds={"c": stub})
+
+
+def _track(tid, members, link_conf):
+    from uatrack.core import TrackletLabel
+    return TrackletLabel(tid, tuple(members), tuple(link_conf))
+
+
+class TestConfidenceLinks:
+    def test_equal_gt_ids_make_a_correct_link(self):
+        seq = _link_scene([[5, 6], [6, 5], [5]])
+        tracks = [_track(0, [(0, 0), (1, 1), (2, 0)], [0.75, 0.5]),
+                  _track(1, [(0, 1), (1, 0)], [0.25])]
+        assert evaluation.confidence_links(seq, tracks) == ([0.75, 0.5, 0.25], [])
+
+    def test_different_gt_ids_make_an_incorrect_link(self):
+        seq = _link_scene([[5, 6], [6, 5]])
+        tracks = [_track(0, [(0, 0), (1, 0)], [0.75])]
+        assert evaluation.confidence_links(seq, tracks) == ([], [0.75])
+
+    def test_missing_gt_id_at_either_end_makes_an_incorrect_link(self):
+        seq = _link_scene([[None, 7], [7, None], [None]])
+        tracks = [_track(0, [(0, 0), (1, 0)], [0.125]),   # None -> 7
+                  _track(1, [(0, 1), (1, 1)], [0.25]),    # 7 -> None
+                  _track(2, [(1, 1), (2, 0)], [0.5])]     # None -> None
+        assert evaluation.confidence_links(seq, tracks) == ([], [0.125, 0.25, 0.5])
+
+
+class TestReportFromLinks:
+    def test_histogram_edges(self):
+        report = evaluation.report_from_links([0.0, 0.05, 0.999, 1.0], [0.5])
+        want = [0] * 20
+        want[0] = want[1] = 1
+        want[19] = 2
+        assert report.correct_hist == tuple(want)
+        assert report.incorrect_hist == tuple(1 if k == 10 else 0 for k in range(20))
+        assert report.n_links == 5
+
+    def test_empty_side_has_no_mean(self):
+        report = evaluation.report_from_links([], [0.5, 0.75])
+        assert report.mean_correct is None and report.mean_incorrect == 0.625
+        assert report.correct_hist == (0,) * 20 and report.n_links == 2
+        report = evaluation.report_from_links([0.25], [])
+        assert report.mean_correct == 0.25 and report.mean_incorrect is None
+        empty = evaluation.report_from_links([], [])
+        assert (empty.mean_correct, empty.mean_incorrect, empty.n_links) == (None, None, 0)
+
+
+def test_confidence_csv_lines(tmp_path):
+    report = evaluation.report_from_links([0.0, 0.05, 0.999, 1.0], [0.5, 0.55])
+    evaluation.write_confidence_csv(tmp_path / "c.csv", report)
+    assert (tmp_path / "c.csv").read_bytes().decode("utf-8").split("\r\n") == [
+        "bin_lo,bin_hi,correct,incorrect",
+        "0.0,0.05,1,0",
+        "0.05,0.1,1,0",
+        "0.1,0.15,0,0",
+        "0.15,0.2,0,0",
+        "0.2,0.25,0,0",
+        "0.25,0.3,0,0",
+        "0.3,0.35,0,0",
+        "0.35,0.4,0,0",
+        "0.4,0.45,0,0",
+        "0.45,0.5,0,0",
+        "0.5,0.55,0,1",
+        "0.55,0.6,0,1",
+        "0.6,0.65,0,0",
+        "0.65,0.7,0,0",
+        "0.7,0.75,0,0",
+        "0.75,0.8,0,0",
+        "0.8,0.85,0,0",
+        "0.85,0.9,0,0",
+        "0.9,0.95,0,0",
+        "0.95,1.0,2,0",
+        "",
+    ]

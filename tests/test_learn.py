@@ -119,8 +119,7 @@ def negative_candidates(src, anchor):
     return [d for d in range(src.det_count(anchor.seq, anchor.frame)) if d != anchor.det]
 
 
-def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3,
-                        max_gap=TrainerConfig.max_gap):
+def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=3):
     """Build a TripletSource from hand-specified tracks over one scene of
     stub frames, each detection's crop one origin row."""
     from uatrack.core import TrackletLabel
@@ -131,14 +130,14 @@ def _source_from_tracks(track_members, link_conf, frame_sizes, n_dets_per_frame=
               for f, k in sizes.items() if k}
     tracks = [TrackletLabel(tid, tuple(members), tuple(link_conf[tid]))
               for tid, members in track_members.items()]
-    return build_triplet_source([frames], [tracks], max_gap)
+    return build_triplet_source([frames], [tracks])
 
 
 def test_source_keeps_the_stacks_as_cut():
     """build_triplet_source holds each stack that `cli.frame_crops` cut, the
     object itself, and a crop is its rows between the stack's bounds."""
     frames, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
-    src = build_triplet_source(frames, tracks, TrainerConfig.max_gap)
+    src = build_triplet_source(frames, tracks)
     assert len(src.frames) == len(frames[0]) > 6
     for index, stack in frames[0].items():
         assert src.frames[(0, index)] is stack
@@ -184,18 +183,22 @@ class TestSampleTriplet:
         assert t is None
 
     def test_max_gap_respected(self):
-        src = _source_from_tracks({0: [(0, 0), (8, 0)], 1: [(0, 1), (2, 1)]},
-                                  {0: [0.5], 1: [0.5]}, {}, max_gap=3)
+        """A pair MAX_GAP frames apart is drawn; one a frame further is not."""
+        gap = learn.MAX_GAP
+        assert gap == 10
+        src = _source_from_tracks({0: [(0, 0), (gap + 1, 0)], 1: [(0, 1), (gap, 1)]},
+                                  {0: [0.5], 1: [0.5]}, {})
         rng = np.random.default_rng(0)
         drawn = [sample_triplet(src, rng) for _ in range(40)]
         assert None in drawn  # track 0's one pair is out of range
         assert {(t[0], t[1]) for t in drawn if t is not None} == {
-            (DetRef(0, 0, 1), DetRef(0, 2, 1))}
+            (DetRef(0, 0, 1), DetRef(0, gap, 1))}
 
     def test_no_pair_within_max_gap_raises(self):
-        with pytest.raises(TrainingDataExhausted, match="max_gap=3"):
-            _source_from_tracks({0: [(0, 0), (8, 0)], 1: [(1, 1), (5, 1)]},
-                                {0: [0.5], 1: [0.9]}, {}, max_gap=3)
+        gap = learn.MAX_GAP
+        with pytest.raises(TrainingDataExhausted, match=f"MAX_GAP={gap}"):
+            _source_from_tracks({0: [(0, 0), (gap + 1, 0)], 1: [(1, 1), (gap + 5, 1)]},
+                                {0: [0.5], 1: [0.9]}, {})
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -534,15 +537,15 @@ class TestTrain:
             train(frames, [singles], net, TrainerConfig(batch_size=2, epochs=1))
 
     def test_exhausted_without_pairs_in_range(self):
-        """Two-member tracks whose frame gap exceeds max_gap give no pair:
-        training stops before sampling and names max_gap."""
-        frames, tracks = _mini_training_setup(n_frames=8, n=8)
+        """Two-member tracks whose frame gap exceeds MAX_GAP give no pair:
+        training stops before sampling and names MAX_GAP."""
+        frames, tracks = _mini_training_setup(n_frames=learn.MAX_GAP + 4, n=8)
         far = [replace(lab, members=(lab.members[0], lab.members[-1]), link_conf=(0.9,))
-               for lab in tracks[0] if lab.members[-1][0] - lab.members[0][0] > 2]
+               for lab in tracks[0] if lab.members[-1][0] - lab.members[0][0] > learn.MAX_GAP]
         assert far
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
-        with pytest.raises(TrainingDataExhausted, match="max_gap=2"):
-            train(frames, [far], net, TrainerConfig(batch_size=2, epochs=1, max_gap=2))
+        with pytest.raises(TrainingDataExhausted, match=f"MAX_GAP={learn.MAX_GAP}"):
+            train(frames, [far], net, TrainerConfig(batch_size=2, epochs=1))
 
     def test_negative_is_the_hardest_candidate(self, monkeypatch):
         """Every negative train picks has the highest cosine to the anchor
@@ -569,8 +572,10 @@ class TestTrain:
 class TestBatchGradients:
     @staticmethod
     def _batch(seed=0, size=48):
-        frames, tracks = _mini_training_setup(seed=seed, n_frames=8, n_objects=4, n=24)
-        src = build_triplet_source(frames, tracks, max_gap=3)
+        # longer than MAX_GAP, so that some pairs are out of range
+        frames, tracks = _mini_training_setup(seed=seed, n_frames=learn.MAX_GAP + 4,
+                                              n_objects=4, n=24)
+        src = build_triplet_source(frames, tracks)
         rng = np.random.default_rng(seed)
         batch = []
         while len(batch) < size:
@@ -617,7 +622,7 @@ class TestBatchGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         frames, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3, n=12)
-        src = build_triplet_source(frames, tracks, TrainerConfig.max_gap)
+        src = build_triplet_source(frames, tracks)
         crops = src.crop
 
         checked = 0
