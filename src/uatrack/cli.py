@@ -41,8 +41,6 @@ log = logging.getLogger("uatrack")
 
 SPLITS = ("train", "fit", "test")
 
-APPEARANCE = "motion+score+appearance"  # the one mode that needs the checkpoint
-
 
 class PipelineError(RuntimeError):
     pass
@@ -134,12 +132,12 @@ def run_pseudo_tracks(rc: RunConfig, detections, target):
     return [detections], [target]
 
 
-def frame_crops(seq: Sequence, points_per_crop: int) -> dict:
+def frame_crops(seq: Sequence) -> dict:
     """{frame index: its stack of crops} of seq's frames with detections."""
     recs = [rec for rec in seq.frames if rec.detections]
     return dict(zip((rec.index for rec in recs),
                     embed.canonicalize_frames(seq, (rec.detections for rec in recs),
-                                              points_per_crop),
+                                              embed.POINTS_PER_CROP),
                     strict=True))
 
 
@@ -150,10 +148,10 @@ def run_train(rc: RunConfig, scenes, checkpoint, history):
     for det_path, clouds_path, track_path in scenes:
         seq = _read_scene(rc, det_path, clouds_path)
         tracks.append(assoc.read_pseudo_tracks(track_path, seq))
-        frames.append(frame_crops(seq, rc.embed.points_per_crop))
+        frames.append(frame_crops(seq))
         del seq
         inputs += [det_path, clouds_path, track_path]
-    net = embed.EmbedNet.random(rc.embed.widths, seed=rc.seed).astype(embed.PASS_DTYPE)
+    net = embed.EmbedNet.random(seed=rc.seed).astype(embed.PASS_DTYPE)
     net, rows = learn.train(frames, tracks, net, rc.learn, seed=rc.seed)
     embed.save_checkpoint(checkpoint, net)
     learn.write_loss_history(history, rows)
@@ -168,17 +166,16 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
     if not models:  # motion-only: nothing to fit, nothing read
         return [], []
     net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
-           if APPEARANCE in models else None)
+           if mot.APPEARANCE in models else None)
     harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path),
-                                     kalman.NoiseConfig(), rc.assoc, net=net,
-                                     points_per_crop=rc.embed.points_per_crop)
+                                     kalman.NoiseConfig(), rc.assoc, net=net)
                 for det_path, clouds_path in scenes]
     x = np.concatenate([x for x, _ in harvests])
     y = np.concatenate([y for _, y in harvests])
     for mode, target in models.items():
         # a derived copy dies with its fit call, so one is held at a time
         mot.save_logistic(target, mot.fit_logistic(
-            x if mode == APPEARANCE else mot.without_appearance(x), y))
+            x if mode == mot.APPEARANCE else mot.without_appearance(x), y))
     inputs = [p for scene in scenes for p in scene] + ([checkpoint] if net is not None else [])
     return inputs, list(models.values())
 
@@ -188,7 +185,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     logistic maps each fused mode to its model file."""
     modes = {mode for *_, targets in scenes for mode in targets}
     net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
-           if checkpoint is not None and APPEARANCE in modes else None)
+           if checkpoint is not None and mot.APPEARANCE in modes else None)
     models = {mode: mot.load_logistic(path) for mode, path in logistic.items()}
     inputs = list(logistic.values()) + ([checkpoint] if net is not None else [])
     outputs = []
@@ -196,8 +193,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
         seq = _read_scene(rc, det_path, clouds_path)
         for mode, target in targets.items():
             rows = mot.track_sequence(seq, kalman.NoiseConfig(), rc.assoc, mode, net=net,
-                                      model=models.get(mode),
-                                      points_per_crop=rc.embed.points_per_crop)
+                                      model=models.get(mode))
             write_track_rows(target, rows)
             outputs.append(target)
         del seq
@@ -219,7 +215,7 @@ def run_sot_eval(rc: RunConfig, scenes, checkpoint, out_dir):
         for name, triples in per_task.items():
             cand = (sim.perturb_boxes(seq, noise, _scene_seed(rc, "test", i, 200))
                     if name == "noisy" else None)
-            triples += evaluation.sot_evaluate(net, seq, cand, rc.embed.points_per_crop).per_task
+            triples += evaluation.sot_evaluate(net, seq, cand).per_task
         del seq, cand  # the copy shares seq's clouds; both go before the next read
     outputs, summary = [], {}
     for name, triples in per_task.items():
@@ -490,7 +486,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_fit_logistic(args) -> int:
-    mode = APPEARANCE if args.checkpoint else "motion+score"
+    mode = mot.APPEARANCE if args.checkpoint else "motion+score"
     run_fit_logistic(_load_config(args.config), _paired(args, "detections", "clouds"),
                      args.checkpoint, {mode: args.out_model})
     print(f"fit the {mode} model; model at {args.out_model}")

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .assoc import AssocConfig
-from .embed import DEFAULT_POINTS, DEFAULT_WIDTHS
 from .learn import TrainerConfig
 from .mot import MODES as MOT_MODES
 from .sim import SPURIOUS_RATE, NoiseModel, SceneConfig
@@ -16,20 +15,6 @@ from .sim import SPURIOUS_RATE, NoiseModel, SceneConfig
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EmbedSection:
-    widths: tuple[int, ...] = DEFAULT_WIDTHS
-    points_per_crop: int = DEFAULT_POINTS  # most rows a crop holds
-
-    def __post_init__(self):
-        if len(self.widths) < 2 or self.widths[0] != 3:
-            raise ValueError(f"widths must start at 3 with an output layer, got {self.widths}")
-        if min(self.widths) < 1:
-            raise ValueError(f"every width must be >= 1, got {self.widths}")
-        if self.points_per_crop < 1:
-            raise ValueError("points_per_crop must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,7 +97,6 @@ class EvalSection:
 class RunConfig:
     seed: int = 0
     assoc: AssocConfig = field(default_factory=AssocConfig)
-    embed: EmbedSection = field(default_factory=EmbedSection)
     learn: LearnSection = field(default_factory=LearnSection)
     sim: SimSection = field(default_factory=SimSection)
     mot: MotSection = field(default_factory=MotSection)
@@ -147,12 +131,8 @@ def _parse_value(section: str, key: str, raw: str, current):
             return v
         if isinstance(current, str):
             return raw
-        if isinstance(current, tuple):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if isinstance(current[0], int):
-                return tuple(int(p) for p in parts)
-            if isinstance(current[0], str):
-                return tuple(parts)
+        if isinstance(current, tuple):  # of str: [mot] modes
+            return tuple(p.strip() for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
     raise ConfigError(f"[{section}] {key}: unsupported value type")

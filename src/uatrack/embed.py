@@ -27,14 +27,14 @@ bounds, crop k being rows bounds[k] up to bounds[k + 1]. That is the one
 stack format, `canonicalize` alone cuts stacks (`one_crop` takes a crop
 of a stack as a stack of its own), and a detection's crop is the same
 bytes whether it is cut alone or with others. A crop is a fixed function
-of its cloud, its box and n = `[embed] points_per_crop`, with no random
-draw: of its count in-box survivors, in cloud order, it keeps all of them
-when count <= n and survivor (j * count) // n for j < n when count > n; a
-crop with none is one origin row. So a crop holds at most n distinct
-points, and a detection gets the same crop in every stage and epoch.
-Crops are stored as float32. `canonicalize_frames` is the one crop path:
-the tracker and the logistic-fit harvest in `mot`, SOT evaluation and
-training (`cli.frame_crops`) all cut whole frames through it, at most
+of its cloud, its box and n (`POINTS_PER_CROP` in every stage), with no
+random draw: of its count in-box survivors, in cloud order, it keeps all
+of them when count <= n and survivor (j * count) // n for j < n when
+count > n; a crop with none is one origin row. So a crop holds at most n
+distinct points, and a detection gets the same crop in every stage and
+epoch. Crops are stored as float32. `canonicalize_frames` is the one crop
+path: the tracker and the logistic-fit harvest in `mot`, SOT evaluation
+and training (`cli.frame_crops`) all cut whole frames through it, at most
 MAX_PASS_POINTS cloud points a pass.
 
 Parameters. An `EmbedNet` holds each layer once, as one read-only
@@ -99,7 +99,7 @@ DEFAULT_WIDTHS = (3, 64, 64, 64)
 # the dtype of the pipeline's passes: `cli` casts every net it embeds or
 # trains with to it (see the module docstring)
 PASS_DTYPE = np.float32
-DEFAULT_POINTS = 128
+POINTS_PER_CROP = 128
 
 NET_MAGIC = b"UANN"
 

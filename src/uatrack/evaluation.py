@@ -33,8 +33,8 @@ class SotResult:
         return self.correct / self.total if self.total else 0.0
 
 
-def sot_evaluate(net: embed.EmbedNet, seq: Sequence, candidates: Sequence | None = None,
-                 points_per_crop: int = embed.DEFAULT_POINTS) -> SotResult:
+def sot_evaluate(net: embed.EmbedNet, seq: Sequence,
+                 candidates: Sequence | None = None) -> SotResult:
     """Arg-max-cosine association accuracy of one scene; a caller pooling
     scenes adds up the (target, correct, total) triples.
 
@@ -63,9 +63,9 @@ def sot_evaluate(net: embed.EmbedNet, seq: Sequence, candidates: Sequence | None
         gt_ids += [d.gt_id for d in dets]
     # map lets go of each frame's crops before the next pass is cut
     embs = list(map(partial(embed.forward, net), embed.canonicalize_frames(
-        cand, (cand.frames[k].detections for k in needed), points_per_crop)))
+        cand, (cand.frames[k].detections for k in needed), embed.POINTS_PER_CROP)))
     anchor_embs = embed.forward(net, embed.canonicalize(
-        seq, [det for _, det in anchors.values()], points_per_crop))
+        seq, [det for _, det in anchors.values()], embed.POINTS_PER_CROP))
     emb = np.concatenate(embs) if embs else np.zeros((0, net.dim))
     emb_norms = embed.norms(emb)
     per_task = []

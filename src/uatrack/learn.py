@@ -295,7 +295,8 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
     the checkpoint does not depend on it; each step's network is built in
     net's dtype and its passes compute in it (mixed precision, Micikevicius
     et al., ICLR 2018). A step whose parameters leave that dtype's range
-    raises NumericalError naming it. An epoch is ceil(members / batch size)
+    raises NumericalError naming it, and so do the last step's parameters,
+    which later stages cast. An epoch is ceil(members / batch size)
     steps. A pseudo-track has one member per frame, so no mined negative
     is of the anchor's track.
     """
@@ -321,10 +322,7 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
                 if got is not None:
                     drawn.append(got)
 
-            try:
-                current = embed.EmbedNet.from_params(embed.cast_params(params, net.dtype))
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} at step {global_step} (epoch {_epoch})") from None
+            current = _step_net(params, net.dtype, f"at step {global_step} (epoch {_epoch})")
             frames, fwd = step_forward(current, src, drawn)
             triplets = [Triplet(a, pos, a._replace(det=mine_hard_negative(
                             *frames[(a.seq, a.frame)][:2], a.det)), weight)
@@ -347,7 +345,16 @@ def train(frames_per_scene, tracks_per_scene, net: embed.EmbedNet, cfg: TrainerC
             ))
             global_step += 1
 
+    _step_net(params, net.dtype, f"after step {global_step - 1}, the last")
     return embed.EmbedNet.from_params(params), history
+
+
+def _step_net(params, dtype, where: str) -> embed.EmbedNet:
+    """The network of params cast to dtype; a NumericalError names where."""
+    try:
+        return embed.EmbedNet.from_params(embed.cast_params(params, dtype))
+    except NumericalError as exc:
+        raise NumericalError(f"{exc} {where}") from None
 
 
 def write_loss_history(path, history) -> None:

@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 LOG_CLAMP = 1e-8
 
 MODES = ("motion", "motion+score", "motion+score+appearance")
+APPEARANCE = MODES[-1]  # the one mode that needs the checkpoint
 
 FIT_LAMBDA = 1e-4  # L2 penalty on the standardized weights
 FIT_DECREMENT_TOL = 1e-12  # Newton decrement at which fit_logistic stops
@@ -215,10 +216,8 @@ def _warn_if_distance_not_penalized(model: LogisticModel, m) -> None:
 
 def without_appearance(x) -> np.ndarray:
     """A copy of rows x as `feature_rows` gives them with the cosine at 0."""
-    x = np.array(x, dtype=np.float64)
-    x[:, FEATURE_NAMES.index("a")] = 0.0
-    x[:, FEATURE_NAMES.index("log_a")] = np.log(0.5)
-    return x
+    x = np.asarray(x, dtype=np.float64)
+    return feature_rows(x[:, 0], np.zeros(len(x)), x[:, 2])
 
 
 class _PairFeatures:
@@ -232,10 +231,10 @@ class _PairFeatures:
     is 0. Frames are cropped as the tracker reaches them, so `frame` must
     see each frame once, in order, as `assoc.run_tracker` calls cost_fn."""
 
-    def __init__(self, seq: Sequence, net: embed.EmbedNet | None, points_per_crop: int):
+    def __init__(self, seq: Sequence, net: embed.EmbedNet | None):
         self.net = net
         self.crops = None if net is None else embed.canonicalize_frames(
-            seq, (rec.detections for rec in seq.frames), points_per_crop)
+            seq, (rec.detections for rec in seq.frames), embed.POINTS_PER_CROP)
         self.track_embs: dict[int, np.ndarray] = {}
         self.dets: tuple[Detection, ...] = ()
         self.det_scores = np.zeros(0)
@@ -271,17 +270,16 @@ class _PairFeatures:
 
 def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, mode: str,
                    net: embed.EmbedNet | None = None,
-                   model: LogisticModel | None = None,
-                   points_per_crop: int = embed.DEFAULT_POINTS) -> list[TrackRow]:
+                   model: LogisticModel | None = None) -> list[TrackRow]:
     """Track seq in one of MODES: one row per (frame, matched track)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    use_appearance = mode == "motion+score+appearance"
+    use_appearance = mode == APPEARANCE
     if use_appearance and net is None:
         raise ValueError("appearance mode requires an embedding checkpoint")
     if mode != "motion" and model is None:
         raise ValueError(f"mode {mode!r} requires a fitted logistic model")
-    pairs = _PairFeatures(seq, net if use_appearance else None, points_per_crop)
+    pairs = _PairFeatures(seq, net if use_appearance else None)
 
     def cost_fn(ids, rec, m, admitted):
         pairs.frame(rec)
@@ -305,14 +303,13 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
 
 
 def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
-                     net: embed.EmbedNet | None = None,
-                     points_per_crop: int = embed.DEFAULT_POINTS):
+                     net: embed.EmbedNet | None = None):
     """(x, y) for `fit_logistic`: the rows of the pairs the motion tracker
     admits, frame by frame, each labeled 1 iff the track's last matched
     detection and the candidate share a non-null gt_id."""
     xs, ys = [np.zeros((0, len(FEATURE_NAMES)))], []
     track_gt: dict[int, int | None] = {}
-    pairs = _PairFeatures(seq, net, points_per_crop)
+    pairs = _PairFeatures(seq, net)
 
     def cost_fn(ids, rec, m, admitted):
         pairs.frame(rec)

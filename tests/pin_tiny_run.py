@@ -6,6 +6,14 @@ tiny config: each stage's manifest line without its config hash.
 test_cli.py::TestPipeline::test_artifacts_are_the_pinned_bytes compares
 every tiny run with the file. Rewrite it only for a change that moves an
 artifact on purpose, and name what moved, and why, in CHANGES.md.
+
+A change to TINY itself that should move no output is pinned with the
+parent commit's program: run this script with the new tests/ and the
+parent's src/ (a `git archive` of the parent commit; it must accept every
+key the new TINY sets). The pin then holds the parent's bytes, and the
+change's own tiny run must equal them.
+
+    PYTHONPATH=<parent checkout>/src python3 tests/pin_tiny_run.py
 """
 
 import json

@@ -528,7 +528,7 @@ class TestRunTracker:
         seq = SCENES[scene]()
         net = embed.EmbedNet.random((3, 8, 8), seed=1)
         model = mot.LogisticModel(coef=np.array([-0.4, 1.5, 2.0, -0.3, 0.6, 0.4]), intercept=0.5)
-        kw = dict(net=net, model=model, points_per_crop=16)
+        kw = dict(net=net, model=model)
         got = mot.track_sequence(seq, KCFG, ACFG, mode, **kw)
         monkeypatch.setattr(mot, "run_tracker", reference_tracker)
         want = mot.track_sequence(seq, KCFG, ACFG, mode, **kw)

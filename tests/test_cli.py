@@ -32,10 +32,6 @@ TINY = """\
 [global]
 seed = 3
 
-[embed]
-widths = 3,8,8
-points_per_crop = 16
-
 [sim]
 train_scenes = 1
 fit_scenes = 1
@@ -216,7 +212,7 @@ class TestPipeline:
         assert list(lines[1]["inputs"]) == ["sim/train_00/clouds", "sim/train_00/corrupted.jsonl",
                                             "sim/train_00/gt_tracks.jsonl"]
         net = embed.load_checkpoint(tmp_path / "run" / "train" / "checkpoint.uann")
-        assert net.dim == 8
+        assert net.dim == embed.DEFAULT_WIDTHS[-1]
 
         scene = tmp_path / "run" / "sim" / "train_00"
         path = scene / "gt_tracks.jsonl"
@@ -458,22 +454,24 @@ def _config_error(tmp_path, capsys, text):
     ("sim", "size_pct", "0.1"),
     ("sim", "yaw_deg", "5.0"),
     ("sim", "spurious_rate", "0.1"),
+    ("embed", "widths", "3,8,8"),
+    ("embed", "points_per_crop", "16"),
 ])
 def test_removed_key_exits_2(section, key, value, tmp_path, capsys):
     """Keys whose options are gone (the fused modes' score gate, the squared
-    Mahalanobis variant, random negatives, cloud dropout), keys set in
-    another section (the trainer's seed is [global] seed, its crop size
-    [embed] points_per_crop), and keys that became constants (the Kalman
-    noise, the tracker's max age and AC epsilon, Adam's betas and epsilon,
-    AMOTA's match distance, the triplet margin, the frame period, the
-    scene bounds, and the detector's size, yaw and spurious noise) are
-    refused, whatever their value, not ignored. [kalman] has no key left,
-    so the section itself is refused."""
+    Mahalanobis variant, random negatives, cloud dropout), a key set in
+    another section (the trainer's seed is [global] seed), and keys that
+    became constants (the Kalman noise, the tracker's max age and AC
+    epsilon, Adam's betas and epsilon, AMOTA's match distance, the triplet
+    margin, the frame period, the scene bounds, the detector's size, yaw
+    and spurious noise, and the network's widths and crop size, in [embed]
+    or [learn]) are refused, whatever their value, not ignored. [kalman]
+    and [embed] have no key left, so each section itself is refused."""
     header = f"[{section}]\n"
     setting = f"{key} = {value}\n"
     text = (TINY.replace(header, header + setting) if header in TINY
             else TINY + "\n" + header + setting)
-    want = ("unknown section [kalman]" if section == "kalman"
+    want = (f"unknown section [{section}]" if section in ("kalman", "embed")
             else f"[{section}] unknown key {key!r}")
     assert _config_error(tmp_path, capsys, text) == f"config error: {want}"
 
@@ -501,7 +499,6 @@ def test_non_finite_value_exits_2(section, key, value, tmp_path, capsys):
      "config error: [sim]: train scenes: a scene needs at least 2 frames, got 1"),
     ("sim", "missed_rate", "2", 2, "config error: [sim]: missed_rate must be in [0, 1], got 2.0"),
     ("sim", "center_pct", "-1", 2, "config error: [sim]: center_pct must be >= 0, got -1.0"),
-    ("embed", "widths", "3, 0, 4", 2, "config error: [embed]: every width must be >= 1"),
     # too long a scene for a crossing pair to stay inside the bounds
     ("sim", "frames", "60", 1, "error: could not place a crossing pair inside bounds 45.0"),
 ])
@@ -587,14 +584,22 @@ def test_negative_seed_flag_exits_2(command, tmp_path, capsys):
     pytest.param("learning_rate = 1e-3", "learning_rate = 1e300",
                  "network parameters leave the float32 range at step 1",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # a one-step run: the last step's parameters leave float32's range
+    pytest.param("batch_size = 8\nlearning_rate = 1e-3",
+                 "batch_size = 64\nlearning_rate = 1e300",
+                 "network parameters leave the float32 range after step 0, the last",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ])
 def test_run_that_cannot_train_exits_1(old, new, message, tmp_path, capsys):
     """A valid config whose data cannot train (TrainingDataExhausted) or
-    whose training diverges (NumericalError) ends in one error line."""
+    whose training diverges (NumericalError) ends in one error line, and
+    writes no checkpoint."""
+    assert old in TINY
     (tmp_path / "run.cfg").write_text(TINY.replace(old, new))
     code, err = _main(capsys, ["pipeline", "--config", str(tmp_path / "run.cfg"),
                                "--out-dir", str(tmp_path / "run")])
     TestMalformedInput.assert_one_line_error(code, err, message)
+    assert not (tmp_path / "run" / "train" / "checkpoint.uann").exists()
 
 
 @pytest.mark.parametrize("case", ["config-a-directory", "config-not-utf8", "out-dir-a-file",

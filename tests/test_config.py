@@ -1,12 +1,13 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from uatrack import embed, mot, sim
+from uatrack import cli, config, evaluation, mot, sim
 from uatrack.assoc import AssocConfig
 from uatrack.config import (
     ConfigError,
-    EmbedSection,
     EvalSection,
     LearnSection,
     MotSection,
@@ -21,11 +22,6 @@ from uatrack.sim import NoiseModel, SceneConfig
 
 
 class TestDefaults:
-    def test_embed_section_matches_embed_constants(self):
-        sect = EmbedSection()
-        assert sect.widths == embed.DEFAULT_WIDTHS
-        assert sect.points_per_crop == embed.DEFAULT_POINTS
-
     def test_sim_section_matches_scene_and_noise_models(self):
         """[sim] sets two of the detector's five noise values; the rest are
         NoiseModel's box-noise defaults and sim.SPURIOUS_RATE."""
@@ -69,14 +65,13 @@ class TestRoundTrip:
         rc = RunConfig(
             seed=7,
             assoc=AssocConfig(gate=9.5),
-            embed=EmbedSection(widths=(3, 16, 8), points_per_crop=32),
             learn=LearnSection(learning_rate=1e-3, batch_size=8, epochs=2,
                                use_uncertainty=False, mode="oracle"),
             sim=replace(SimSection(), train_scenes=2, center_pct=0.25),
             mot=MotSection(modes=("motion", "motion+score")),
             eval=EvalSection(recall_levels=10, sot_noise="on"),
         )
-        for name in ("assoc", "embed", "learn", "sim", "mot", "eval"):
+        for name in ("assoc", "learn", "sim", "mot", "eval"):
             assert getattr(rc, name) != getattr(RunConfig(), name), name
         assert self._round_trip(rc) == rc
 
@@ -92,7 +87,6 @@ class TestRoundTrip:
         assert keys == [
             ("global", "seed"),
             ("assoc", "gate"),
-            ("embed", "widths"), ("embed", "points_per_crop"),
             ("learn", "learning_rate"), ("learn", "batch_size"), ("learn", "epochs"),
             ("learn", "use_uncertainty"), ("learn", "mode"),
             ("sim", "train_scenes"), ("sim", "fit_scenes"), ("sim", "test_scenes"),
@@ -101,3 +95,24 @@ class TestRoundTrip:
             ("mot", "modes"),
             ("eval", "recall_levels"), ("eval", "sot_noise"),
         ]
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def test_crop_size_and_widths_are_not_settings():
+    """Every stage cuts crops of embed.POINTS_PER_CROP rows and trains a
+    net of embed.DEFAULT_WIDTHS: no function of cli, mot or evaluation
+    takes a crop size, and config imports nothing from embed."""
+    for module in (cli, mot, evaluation):
+        params = {a.arg for node in ast.walk(_tree(module)) if isinstance(node, ast.arguments)
+                  for a in node.posonlyargs + node.args + node.kwonlyargs}
+        assert "points_per_crop" not in params, module.__name__
+    imported = set()
+    for node in ast.walk(_tree(config)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "", *(a.name for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not {name for name in imported if name.split(".")[-1] == "embed"}, imported

@@ -19,7 +19,6 @@ from uatrack.evaluation import (
 )
 
 NET = embed.EmbedNet.random((3, 8, 8), seed=2)
-POINTS = 16
 
 
 def _scenes(noisy: bool):
@@ -31,7 +30,7 @@ def _scenes(noisy: bool):
             for s, seq in zip((3, 4), clean)]
 
 
-def oracle_sot(net, seq, candidates, n) -> SotResult:
+def oracle_sot(net, seq, candidates) -> SotResult:
     """Per-anchor arg-max-cosine association that crops and embeds the
     anchor and every candidate afresh with `canonicalize` and `forward`."""
     cand = seq if candidates is None else candidates
@@ -42,7 +41,8 @@ def oracle_sot(net, seq, candidates, n) -> SotResult:
                 anchors[det.gt_id] = (rec.index, det)
     per_task = []
     for target, (anchor_frame, anchor) in anchors.items():
-        anchor_emb = embed.forward(net, embed.canonicalize(cand, [anchor], n))[0]
+        anchor_emb = embed.forward(
+            net, embed.canonicalize(cand, [anchor], embed.POINTS_PER_CROP))[0]
         t_correct = t_total = 0
         for rec in cand.frames:
             if rec.index <= anchor_frame:
@@ -51,7 +51,7 @@ def oracle_sot(net, seq, candidates, n) -> SotResult:
                 continue
             best_idx, best_cos = None, -math.inf
             for idx, det in enumerate(rec.detections):
-                crop = embed.canonicalize(cand, [det], n)
+                crop = embed.canonicalize(cand, [det], embed.POINTS_PER_CROP)
                 c = cosine(anchor_emb, embed.forward(net, crop)[0])
                 if c > best_cos:
                     best_idx, best_cos = idx, c
@@ -66,8 +66,8 @@ class TestSotEvaluate:
     def test_equals_oracle(self, noisy):
         per_task = []
         for seq, cand in _scenes(noisy):
-            got = sot_evaluate(NET, seq, cand, POINTS)
-            assert got == oracle_sot(NET, seq, cand, POINTS)
+            got = sot_evaluate(NET, seq, cand)
+            assert got == oracle_sot(NET, seq, cand)
             per_task += got.per_task
         pooled = SotResult(tuple(per_task))
         assert len(pooled.per_task) == 8 and pooled.total > 50
@@ -88,7 +88,7 @@ class TestSotEvaluate:
         monkeypatch.setattr(embed, "forward", counting)
         for seq, cand in _scenes(noisy):
             calls.clear()
-            sot_evaluate(NET, seq, cand, POINTS)
+            sot_evaluate(NET, seq, cand)
             frames = (seq if cand is None else cand).frames
             first = {}  # gt id -> its anchor's frame
             for rec in seq.frames:
@@ -128,13 +128,13 @@ class TestSotTies:
             net = embed.EmbedNet(weights=net.weights,
                                  biases=tuple(rng.uniform(0.1, 1.0, b.shape) for b in net.biases))
         seq = self._seq(target_first)
-        empty = [embed.forward(net, embed.canonicalize(seq, [d], POINTS))[0]
+        empty = [embed.forward(net, embed.canonicalize(seq, [d], embed.POINTS_PER_CROP))[0]
                  for d in seq.frames[1].detections]
         assert empty[0].tobytes() == empty[1].tobytes()
         assert (np.linalg.norm(empty[0]) > 0) == biased
-        got = sot_evaluate(net, seq, points_per_crop=POINTS)
+        got = sot_evaluate(net, seq)
         assert got.per_task[0] == (0, int(target_first), 1)
-        assert got == oracle_sot(net, seq, None, POINTS)
+        assert got == oracle_sot(net, seq, None)
 
 
 def test_sot_scene_without_targets_scores_nothing():
@@ -142,7 +142,7 @@ def test_sot_scene_without_targets_scores_nothing():
     seq = replace(seq, frames=tuple(
         replace(rec, detections=tuple(replace(d, gt_id=None) for d in rec.detections))
         for rec in seq.frames))
-    got = sot_evaluate(NET, seq, points_per_crop=POINTS)
+    got = sot_evaluate(NET, seq)
     assert got == SotResult(()) and (got.correct, got.total, got.accuracy) == (0, 0, 0.0)
 
 

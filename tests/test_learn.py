@@ -268,19 +268,19 @@ def dense_batch_loss_and_grads(net, crops, triplets, fwd=None, use_uncertainty=T
     return loss_sum, grads, weight_sum
 
 
-def _mini_scene(seed=0, n_frames=10, n_objects=3):
+def _mini_scene(seed=0, n_frames=10, n_objects=3, base_points=120):
     """A small simulated scene and its pseudo-tracks."""
     scene = sim.SceneConfig(n_objects=n_objects, n_frames=n_frames,
-                            base_points=120, min_points=20)
+                            base_points=base_points, min_points=20)
     seq = sim.generate_sequence(scene, seed=seed)
     return seq, assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), assoc.AssocConfig())
 
 
-def _mini_training_setup(seed=0, n_frames=10, n_objects=3, n=16):
-    """train's inputs for one small scene: its frames cut into crops of at
-    most n points as `cli.run_train` cuts them, and its pseudo-tracks."""
+def _mini_training_setup(seed=0, n_frames=10, n_objects=3):
+    """train's inputs for one small scene: its frames cut into crops as
+    `cli.run_train` cuts them, and its pseudo-tracks."""
     seq, tracks = _mini_scene(seed, n_frames, n_objects)
-    return [cli.frame_crops(seq, n)], [tracks]
+    return [cli.frame_crops(seq)], [tracks]
 
 
 class TestTrain:
@@ -316,7 +316,7 @@ class TestTrain:
         assert files[0] == files[1]
 
     def test_history_matches_dense_per_member_path(self, monkeypatch):
-        frames, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4, n=32)
+        frames, tracks = _mini_training_setup(seed=5, n_frames=12, n_objects=4)
         net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
         out, history = train(frames, tracks, net, cfg, seed=2)
@@ -333,7 +333,9 @@ class TestTrain:
         """Training on crops that keep each row of the reference once follows
         training on the n-row reference crops, whose copies the max pool
         ignores."""
-        seq, tracks = _mini_scene(seed=5, n_frames=12, n_objects=4)
+        # clouds dense enough that some crops are cut to POINTS_PER_CROP rows
+        seq, tracks = _mini_scene(seed=5, n_frames=12, n_objects=4,
+                                  base_points=2 * embed.POINTS_PER_CROP)
         net = embed.EmbedNet.random((3, 16, 16, 8), seed=3)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=8, epochs=4)
         rows = []
@@ -351,10 +353,11 @@ class TestTrain:
                 n * np.arange(len(crops) + 1))
 
         monkeypatch.setattr(embed, "canonicalize", recording)
-        out, history = train([cli.frame_crops(seq, 64)], [tracks], net, cfg, seed=2)
-        assert max(rows) == 64 and min(rows) < 64  # both the dense and the sparse path
+        out, history = train([cli.frame_crops(seq)], [tracks], net, cfg, seed=2)
+        n = embed.POINTS_PER_CROP
+        assert max(rows) == n and min(rows) < n  # both the dense and the sparse path
         monkeypatch.setattr(embed, "canonicalize", reference_stack)
-        ref_out, ref_history = train([cli.frame_crops(seq, 64)], [tracks], net, cfg, seed=2)
+        ref_out, ref_history = train([cli.frame_crops(seq)], [tracks], net, cfg, seed=2)
         assert len(history) == len(ref_history) > 10
         for r, q in zip(history, ref_history):
             assert r.mean_weight == q.mean_weight
@@ -371,13 +374,13 @@ class TestTrain:
         for seed in (5, 6):
             seq, t = _mini_scene(seed=seed, n_frames=12, n_objects=4)
             seqs.append(seq)
-            frames.append(cli.frame_crops(seq, 16))
+            frames.append(cli.frame_crops(seq))
             tracks.append(t)
         for seq, crops in zip(seqs, frames):
             recs = [rec for rec in seq.frames if rec.detections]
             assert list(crops) == [rec.index for rec in recs] and len(recs) > 6
             for rec in recs:
-                want = embed.canonicalize(seq, rec.detections, 16)
+                want = embed.canonicalize(seq, rec.detections, embed.POINTS_PER_CROP)
                 assert crops[rec.index].points.tobytes() == want.points.tobytes()
                 assert crops[rec.index].bounds.tolist() == want.bounds.tolist()
 
@@ -519,8 +522,21 @@ class TestTrain:
                            r"float32 range at step 1 \(epoch 0\)$"):
             train(frames, tracks, net, cfg, seed=1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_float32_range_left_by_the_last_step(self):
+        """A run whose last step takes the parameters out of float32's range
+        is refused by name too, rather than returning a network that no
+        later stage can cast: here a one-step run."""
+        frames, tracks = _mini_training_setup()
+        net = embed.EmbedNet.random((3, 8, 4), seed=2).astype(np.float32)
+        cfg = TrainerConfig(learning_rate=1e300, batch_size=64, epochs=1)
+        assert build_triplet_source(frames, tracks).total_members <= cfg.batch_size
+        with pytest.raises(kalman.NumericalError, match=r"^network parameters leave the "
+                           r"float32 range after step 0, the last$"):
+            train(frames, tracks, net, cfg, seed=1)
+
     def test_loss_decreases_on_shape_dataset(self):
-        frames, tracks = _mini_training_setup(seed=5, n_frames=16, n_objects=4, n=48)
+        frames, tracks = _mini_training_setup(seed=5, n_frames=16, n_objects=4)
         net = embed.EmbedNet.random((3, 32, 32, 32), seed=0)
         cfg = TrainerConfig(learning_rate=3e-3, batch_size=16, epochs=30)
         _, history = train(frames, tracks, net, cfg, seed=0)
@@ -530,7 +546,7 @@ class TestTrain:
         assert last < 0.5 * first
 
     def test_exhausted_without_pairs(self):
-        frames, tracks = _mini_training_setup(n_frames=2, n=8)
+        frames, tracks = _mini_training_setup(n_frames=2)
         singles = [replace(lab, members=lab.members[:1], link_conf=()) for lab in tracks[0]]
         net = embed.EmbedNet.random((3, 4, 4), seed=0)
         with pytest.raises(TrainingDataExhausted):
@@ -539,7 +555,7 @@ class TestTrain:
     def test_exhausted_without_pairs_in_range(self):
         """Two-member tracks whose frame gap exceeds MAX_GAP give no pair:
         training stops before sampling and names MAX_GAP."""
-        frames, tracks = _mini_training_setup(n_frames=learn.MAX_GAP + 4, n=8)
+        frames, tracks = _mini_training_setup(n_frames=learn.MAX_GAP + 4)
         far = [replace(lab, members=(lab.members[0], lab.members[-1]), link_conf=(0.9,))
                for lab in tracks[0] if lab.members[-1][0] - lab.members[0][0] > learn.MAX_GAP]
         assert far
@@ -574,7 +590,7 @@ class TestBatchGradients:
     def _batch(seed=0, size=48):
         # longer than MAX_GAP, so that some pairs are out of range
         frames, tracks = _mini_training_setup(seed=seed, n_frames=learn.MAX_GAP + 4,
-                                              n_objects=4, n=24)
+                                              n_objects=4)
         src = build_triplet_source(frames, tracks)
         rng = np.random.default_rng(seed)
         batch = []
@@ -621,7 +637,7 @@ class TestBatchGradients:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        frames, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3, n=12)
+        frames, tracks = _mini_training_setup(seed=3, n_frames=8, n_objects=3)
         src = build_triplet_source(frames, tracks)
         crops = src.crop
 

@@ -62,7 +62,6 @@ def _scene(seed=5):
 KCFG = kalman.NoiseConfig()
 ACFG = AssocConfig()
 NET = embed.EmbedNet.random((3, 8, 8), seed=1)
-POINTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,8 @@ def reference_score(model, row):
 def reference_track_sequence(seq, mode, net, model):
     """track_sequence as first written, the reference: one scalar cosine,
     one feature row and one score per admitted pair."""
-    embedding = ((lambda det: embed.forward(net, embed.canonicalize(seq, [det], POINTS))[0])
+    embedding = ((lambda det: embed.forward(
+                      net, embed.canonicalize(seq, [det], embed.POINTS_PER_CROP))[0])
                  if mode == "motion+score+appearance" else None)
     track_embs = {}
     frame = {}
@@ -156,11 +156,18 @@ class TestFeatureRows:
         assert mot.feature_rows([], [], []).shape == (0, 6)
 
     def test_without_appearance(self):
+        """The rows with the cosine at 0, as `feature_rows` gives them and
+        as the a = 0 encoding written out, m = 0 and d = 0 among them; x
+        itself is left as it was."""
         m, a, d = _pairs(np.random.default_rng(1), 200)
         x = mot.feature_rows(m, a, d)
         kept = x.copy()
         got = mot.without_appearance(x)
         assert got.tobytes() == mot.feature_rows(m, np.zeros_like(a), d).tobytes()
+        written = x.copy()
+        written[:, mot.FEATURE_NAMES.index("a")] = 0.0
+        written[:, mot.FEATURE_NAMES.index("log_a")] = np.log(0.5)
+        assert got.tobytes() == written.tobytes()
         assert x.tobytes() == kept.tobytes()
 
 
@@ -249,7 +256,7 @@ class TestFitLogistic:
         """name -> (x, y): the harvest of a noisy scene with the cosine of
         an embedding (appearance) and at 0 (motion+score), and the separable
         sets."""
-        x, y = mot.harvest_features(_scene(), KCFG, ACFG, net=NET, points_per_crop=POINTS)
+        x, y = mot.harvest_features(_scene(), KCFG, ACFG, net=NET)
         return {
             "appearance": (x, y),
             "motion+score": (mot.without_appearance(x), y),
@@ -363,7 +370,7 @@ class TestHarvestFeatures:
         members = {lab.track_id: lab.members for lab in tracks}
 
         def emb(det):
-            return embed.forward(net, embed.canonicalize(seq, [det], POINTS))[0]
+            return embed.forward(net, embed.canonicalize(seq, [det], embed.POINTS_PER_CROP))[0]
 
         expected = []
         n_pairs = 0
@@ -384,7 +391,7 @@ class TestHarvestFeatures:
     @pytest.mark.parametrize("net", [NET, None], ids=["appearance", "no-net"])
     def test_examples_equal_oracle(self, net):
         seq = _scene()
-        x, y = mot.harvest_features(seq, KCFG, ACFG, net=net, points_per_crop=POINTS)
+        x, y = mot.harvest_features(seq, KCFG, ACFG, net=net)
         expected, n_pairs = self._oracle(seq, net)
         want_x = np.array([row for row, _ in expected])
         assert n_pairs > len(expected) > 50  # the gate drops pairs
@@ -415,11 +422,10 @@ class TestTrackSequence:
         seq = _crowded(seed)
         model = FIXED_MODEL
         if fitted:
-            x, y = mot.harvest_features(seq, KCFG, ACFG, net=NET, points_per_crop=POINTS)
+            x, y = mot.harvest_features(seq, KCFG, ACFG, net=NET)
             model = fit_logistic(x if mode == "motion+score+appearance"
                                  else mot.without_appearance(x), y)
-        got = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model,
-                                 points_per_crop=POINTS)
+        got = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model)
         assert got == reference_track_sequence(seq, mode, NET, model)
         assert len(got) > 100
         if mode != "motion":  # the scores decide some links
@@ -438,10 +444,9 @@ def test_tracker_and_harvest_compute_no_confidence(monkeypatch):
 
     monkeypatch.setattr(assoc, "association_confidence", counted)
     seq = _scene()
-    x, _ = mot.harvest_features(seq, KCFG, ACFG, net=NET, points_per_crop=POINTS)
+    x, _ = mot.harvest_features(seq, KCFG, ACFG, net=NET)
     for mode in mot.MODES:
-        mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=FIXED_MODEL,
-                           points_per_crop=POINTS)
+        mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=FIXED_MODEL)
     assert len(x) > 50 and calls == []
     tracks = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
     assert len(calls) == sum(len(lab.link_conf) for lab in tracks) > 20
