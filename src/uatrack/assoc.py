@@ -90,13 +90,13 @@ def greedy_associate(m, gate: float, cost=None) -> AssociationResult:
     )
 
 
-def association_confidence(m, i: int, j: int, eps: float = AC_EPS) -> float:
+def association_confidence(m, i: int, j: int) -> float:
     """The AC of pair (i, j) of m, against its best row and column rivals:
 
-        AC = 1 - exp(-min(min_{k!=j} m[i,k], min_{k!=i} m[k,j]) / (m[i,j]+eps))
+        AC = 1 - exp(-min(min_{k!=j} m[i,k], min_{k!=i} m[k,j]) / (m[i,j]+AC_EPS))
 
-    and 1 with no rival. m is as greedy_associate checked it and eps > 0,
-    so only the indices are checked here.
+    and 1 with no rival. m is as greedy_associate checked it, so only the
+    indices are checked here.
     """
     rows, cols = m.shape
     if not (0 <= i < rows and 0 <= j < cols):
@@ -106,7 +106,7 @@ def association_confidence(m, i: int, j: int, eps: float = AC_EPS) -> float:
                      col[:i].min(initial=np.inf), col[i + 1:].min(initial=np.inf))
     if competitor == np.inf:
         return 1.0
-    return float(1.0 - math.exp(-competitor / (m[i, j] + eps)))
+    return float(1.0 - math.exp(-competitor / (m[i, j] + AC_EPS)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +115,13 @@ def association_confidence(m, i: int, j: int, eps: float = AC_EPS) -> float:
 
 def run_tracker(
     seq: Sequence,
-    kcfg: kalman.NoiseConfig,
     acfg: AssocConfig,
     cost_fn=None,
     on_match=None,
     collect_confidence: bool = True,
 ) -> list[TrackletLabel] | None:
-    """Predict, associate greedily and update over a sequence.
+    """Predict, associate greedily and update over a sequence, with kalman's
+    hand-set noise variances Q_DIAG, R_DIAG and P0_DIAG.
 
     The live tracks are one stacked Kalman state in birth order, so a frame
     makes one predict, one Mahalanobis matrix m and one update. A pair is
@@ -135,7 +135,7 @@ def run_tracker(
     With collect_confidence, returns every track ever born, in id order,
     each link carrying its match's AC on m; else None.
     """
-    mean, cov = kalman.init_tracks(np.zeros((0, kalman.OBS_DIM)), kcfg)
+    mean, cov = kalman.init_tracks(np.zeros((0, kalman.OBS_DIM)))
     ids = np.zeros(0, dtype=np.int64)
     misses = np.zeros(0, dtype=np.int64)
     # (members, link confidences), indexed by track id
@@ -146,19 +146,19 @@ def run_tracker(
     for rec in seq.frames:
         if prev_index is not None and len(ids):
             dt = (rec.index - prev_index) * FRAME_PERIOD
-            mean, cov = kalman.predict(mean, cov, dt, kcfg)
+            mean, cov = kalman.predict(mean, cov, dt)
         prev_index = rec.index
 
         boxes = np.array([det.box.to_array() for det in rec.detections]).reshape(
             -1, kalman.OBS_DIM)
-        m = mahalanobis_matrix(mean, cov, boxes, kcfg)
+        m = mahalanobis_matrix(mean, cov, boxes)
         cost = None if cost_fn is None else cost_fn(ids, rec, m, m <= acfg.gate)
         res = greedy_associate(m, acfg.gate, cost)
 
         rows = [p.track for p in res.pairs]
         if rows:
             mean[rows], cov[rows] = kalman.update(
-                mean[rows], cov[rows], boxes[[p.det for p in res.pairs]], kcfg)
+                mean[rows], cov[rows], boxes[[p.det for p in res.pairs]])
         for pair in res.pairs:
             tid = int(ids[pair.track])
             if tracks is not None:
@@ -172,7 +172,7 @@ def run_tracker(
         misses[rows] = 0
         keep = misses < MAX_AGE
         born = list(res.unmatched_detections)
-        born_mean, born_cov = kalman.init_tracks(boxes[born], kcfg)
+        born_mean, born_cov = kalman.init_tracks(boxes[born])
         born_ids = np.arange(born_total, born_total + len(born))
         born_total += len(born)
         for tid, j in zip(born_ids.tolist(), born):
@@ -191,23 +191,19 @@ def run_tracker(
             for tid, (members, link) in enumerate(tracks)]
 
 
-def mahalanobis_matrix(mean, cov, boxes, kcfg: kalman.NoiseConfig) -> np.ndarray:
+def mahalanobis_matrix(mean, cov, boxes) -> np.ndarray:
     """Track x detection distances m (`kalman.mahalanobis`) of the stacked
     tracks against the rows of boxes, zeros when either side is empty."""
     if len(mean) and len(boxes):
-        return kalman.mahalanobis(mean, cov, boxes, kcfg)
+        return kalman.mahalanobis(mean, cov, boxes)
     return np.zeros((len(mean), len(boxes)))
 
 
-def build_pseudo_tracks(
-    seq: Sequence,
-    kcfg: kalman.NoiseConfig,
-    acfg: AssocConfig,
-) -> list[TrackletLabel]:
+def build_pseudo_tracks(seq: Sequence, acfg: AssocConfig) -> list[TrackletLabel]:
     """The motion tracker's tracks of seq, each link carrying its AC."""
     if not seq.frames:
         raise ValueError("sequence has no frames")
-    return run_tracker(seq, kcfg, acfg, collect_confidence=True)
+    return run_tracker(seq, acfg, collect_confidence=True)
 
 
 def gt_tracks(seq: Sequence) -> list[TrackletLabel]:

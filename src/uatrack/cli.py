@@ -127,7 +127,7 @@ def _stage_simulate(rc: RunConfig, out: Path):
 def run_pseudo_tracks(rc: RunConfig, detections, target):
     """Pseudo-tracks of one scene, from its boxes alone."""
     seq = _read_boxes(rc, detections)
-    tracks = assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), rc.assoc)
+    tracks = assoc.build_pseudo_tracks(seq, rc.assoc)
     assoc.write_pseudo_tracks(target, tracks)
     return [detections], [target]
 
@@ -167,8 +167,7 @@ def run_fit_logistic(rc: RunConfig, scenes, checkpoint, models):
         return [], []
     net = (embed.load_checkpoint(checkpoint).astype(embed.PASS_DTYPE)
            if mot.APPEARANCE in models else None)
-    harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path),
-                                     kalman.NoiseConfig(), rc.assoc, net=net)
+    harvests = [mot.harvest_features(_read_scene(rc, det_path, clouds_path), rc.assoc, net=net)
                 for det_path, clouds_path in scenes]
     x = np.concatenate([x for x, _ in harvests])
     y = np.concatenate([y for _, y in harvests])
@@ -192,8 +191,7 @@ def run_mot(rc: RunConfig, scenes, checkpoint, logistic):
     for det_path, clouds_path, targets in scenes:
         seq = _read_scene(rc, det_path, clouds_path)
         for mode, target in targets.items():
-            rows = mot.track_sequence(seq, kalman.NoiseConfig(), rc.assoc, mode, net=net,
-                                      model=models.get(mode))
+            rows = mot.track_sequence(seq, rc.assoc, mode, net=net, model=models.get(mode))
             write_track_rows(target, rows)
             outputs.append(target)
         del seq

@@ -16,12 +16,11 @@ solved or multiplied.
 Every function takes T tracks as one stack, means (T, 11) and covariances
 (T, 15), and returns new arrays. A track's numbers are bit for bit those
 of filtering it alone, whatever else is in its stack, and do not depend on
-the BLAS build. States are born in init_tracks from a validated
-NoiseConfig, and predict and update keep the variances positive and wrap
-the yaw, so no state is validated again.
+the BLAS build. States are born in init_tracks with the variances
+P0_DIAG, predict adds Q_DIAG and the innovation adds R_DIAG, all three
+hand-set, finite and > 0; predict and update keep the variances positive
+and wrap the yaw, so no state is validated again.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,52 +41,31 @@ class NumericalError(ArithmeticError):
     """A computation met a value it cannot use, such as a non-finite one."""
 
 
-def _default_q() -> np.ndarray:
-    q = np.full(STATE_DIM, 1e-2)
-    q[OBS_DIM:] = 1e-1
-    return q
+def _constant(values) -> np.ndarray:
+    v = np.array(values, dtype=np.float64)
+    v.setflags(write=False)
+    return v
 
 
-def _default_r() -> np.ndarray:
-    return np.full(OBS_DIM, 1e-1)
+# diagonal variances of the process noise, the observation noise and a
+# newborn track
+Q_DIAG = _constant([1e-2] * OBS_DIM + [1e-1] * (STATE_DIM - OBS_DIM))
+R_DIAG = _constant([1e-1] * OBS_DIM)
+P0_DIAG = _constant([1.0] * OBS_DIM + [10.0] * (STATE_DIM - OBS_DIM))
 
 
-def _default_p0() -> np.ndarray:
-    p = np.ones(STATE_DIM)
-    p[OBS_DIM:] = 10.0
-    return p
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseConfig:
-    """Diagonal process / observation / initial covariance variances. The
-    pipeline's stages filter with the defaults."""
-
-    q_diag: np.ndarray = field(default_factory=_default_q)
-    r_diag: np.ndarray = field(default_factory=_default_r)
-    p0_diag: np.ndarray = field(default_factory=_default_p0)
-
-    def __post_init__(self):
-        for name, dim in (("q_diag", STATE_DIM), ("r_diag", OBS_DIM), ("p0_diag", STATE_DIM)):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(dim).copy()
-            if not np.isfinite(v).all() or (v <= 0).any():
-                raise ValueError(f"{name} entries must be finite and > 0")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-def init_tracks(boxes, cfg: NoiseConfig):
+def init_tracks(boxes):
     """Birth one track per (x, y, z, yaw, l, w, h) row of boxes: velocities
-    zero, covariance diag(p0). Returns (means (T, 11), covs (T, 15))."""
+    zero, covariance diag(P0_DIAG). Returns (means (T, 11), covs (T, 15))."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, OBS_DIM)
     mean = np.zeros((len(boxes), STATE_DIM))
     mean[:, :OBS_DIM] = boxes
     cov = np.zeros((len(boxes), COV_DIM))
-    cov[:, :STATE_DIM] = cfg.p0_diag
+    cov[:, :STATE_DIM] = P0_DIAG
     return mean, cov
 
 
-def predict(mean, cov, dt: float, cfg: NoiseConfig):
+def predict(mean, cov, dt: float):
     """(means, covs) of every track dt seconds on: per moving component p
     with velocity v, p += dt v, P_pv' = P_pv + dt P_vv, P_pp += dt (P_pv +
     P_pv'), and every variance gains its process noise."""
@@ -97,18 +75,18 @@ def predict(mean, cov, dt: float, cfg: NoiseConfig):
     mean[:, MOVING] += dt * mean[:, VELOCITY]
     mean[:, ANGLE] = wrap_angles(mean[:, ANGLE])
     out = cov.copy()
-    out[:, :STATE_DIM] += cfg.q_diag
+    out[:, :STATE_DIM] += Q_DIAG
     cross = cov[:, CROSS] + dt * cov[:, VELOCITY]
     out[:, MOVING] += dt * (cov[:, CROSS] + cross)
     out[:, CROSS] = cross
     return mean, out
 
 
-def _innovation_var(cov, cfg: NoiseConfig) -> np.ndarray:
+def _innovation_var(cov) -> np.ndarray:
     """Each track's innovation variances S_i = P_ii + R_i, (T, 7); one not
     finite and > 0, which only a hand-made state has, raises NumericalError
     naming its row."""
-    s = cov[:, :OBS_DIM] + cfg.r_diag
+    s = cov[:, :OBS_DIM] + R_DIAG
     ok = (s > 0) & (s < np.inf)
     if not ok.all():
         row = int(np.argmin(ok.all(axis=1)))
@@ -117,32 +95,32 @@ def _innovation_var(cov, cfg: NoiseConfig) -> np.ndarray:
     return s
 
 
-def innovation(mean, cov, obs, cfg: NoiseConfig):
+def innovation(mean, cov, obs):
     """Each track's residual against its row of obs, yaw wrapped, and its
     innovation variances, (T, 7) each."""
     r = np.asarray(obs, dtype=np.float64) - mean[:, :OBS_DIM]
     r[:, ANGLE] = wrap_angles(r[:, ANGLE])
-    return r, _innovation_var(cov, cfg)
+    return r, _innovation_var(cov)
 
 
-def mahalanobis(mean, cov, boxes, cfg: NoiseConfig) -> np.ndarray:
+def mahalanobis(mean, cov, boxes) -> np.ndarray:
     """(T, D) distances sqrt(sum_i r_i^2 / S_i), summed in component order,
     of every track to every box row, r the residual with its yaw wrapped. A
     non-finite yaw residual raises ValueError."""
     r = np.asarray(boxes, dtype=np.float64)[None, :, :] - mean[:, None, :OBS_DIM]
     r[:, :, ANGLE] = wrap_angles(r[:, :, ANGLE])
-    s = _innovation_var(cov, cfg)
+    s = _innovation_var(cov)
     r *= r
     r /= s[:, None, :]
     return np.sqrt(r.sum(axis=2))
 
 
-def update(mean, cov, obs, cfg: NoiseConfig):
+def update(mean, cov, obs):
     """(means, covs) of each track corrected by its row of obs: per
     component i, gains k_i = P_ii / S_i and, if it moves, g_i = P_iv / S_i
     on its velocity v: x_i += k_i r_i, v += g_i r_i, P_vv -= g_i P_iv,
     P_iv -= k_i P_iv and P_ii -= k_i P_ii."""
-    r, s = innovation(mean, cov, obs, cfg)
+    r, s = innovation(mean, cov, obs)
     k = cov[:, :OBS_DIM] / s
     g = cov[:, CROSS] / s[:, MOVING]
     mean = mean.copy()

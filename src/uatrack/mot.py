@@ -268,7 +268,7 @@ class _PairFeatures:
         return self.dets[det_idx]
 
 
-def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, mode: str,
+def track_sequence(seq: Sequence, acfg: AssocConfig, mode: str,
                    net: embed.EmbedNet | None = None,
                    model: LogisticModel | None = None) -> list[TrackRow]:
     """Track seq in one of MODES: one row per (frame, matched track)."""
@@ -296,14 +296,12 @@ def track_sequence(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig, m
         det = pairs.matched(track_id, det_idx)
         rows.append(TrackRow(frame=det.frame, track_id=track_id, box=box, score=det.score))
 
-    run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match,
-                collect_confidence=False)
+    run_tracker(seq, acfg, cost_fn=cost_fn, on_match=on_match, collect_confidence=False)
     rows.sort(key=lambda r: (r.frame, r.track_id))
     return rows
 
 
-def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
-                     net: embed.EmbedNet | None = None):
+def harvest_features(seq: Sequence, acfg: AssocConfig, net: embed.EmbedNet | None = None):
     """(x, y) for `fit_logistic`: the rows of the pairs the motion tracker
     admits, frame by frame, each labeled 1 iff the track's last matched
     detection and the candidate share a non-null gt_id."""
@@ -323,5 +321,5 @@ def harvest_features(seq: Sequence, kcfg: kalman.NoiseConfig, acfg: AssocConfig,
     def on_match(track_id, det_idx, _box):
         track_gt[track_id] = pairs.matched(track_id, det_idx).gt_id
 
-    run_tracker(seq, kcfg, acfg, cost_fn=cost_fn, on_match=on_match, collect_confidence=False)
+    run_tracker(seq, acfg, cost_fn=cost_fn, on_match=on_match, collect_confidence=False)
     return np.concatenate(xs), np.array(ys, dtype=np.int64)

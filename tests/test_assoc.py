@@ -188,20 +188,20 @@ class TestAssociationConfidence:
             [5.0, 9.0, 9.0],
         ])
         expected = 1.0 - math.exp(-2.0 / 1.0001)
-        assert association_confidence(m, 0, 0, eps=1e-4) == pytest.approx(expected, abs=1e-9)
+        assert association_confidence(m, 0, 0) == pytest.approx(expected, abs=1e-9)
 
     def test_perfect_match_limit(self):
         m = np.array([[0.0, 3.0], [2.0, 5.0]])
-        ac = association_confidence(m, 0, 0, eps=1e-4)
+        ac = association_confidence(m, 0, 0)
         assert ac == pytest.approx(1.0, abs=1e-6)
 
     def test_ratio_one_value(self):
-        # competitor equals the match: AC -> 1 - e^-1 (eps ignored)
+        # competitor equals the match: AC = 1 - exp(-1 / 1.0001), just under
+        # 1 - 1/e
         m = np.array([[1.0, 1.0]])
-        expected = 1.0 - math.exp(-1.0)
-        assert association_confidence(m, 0, 0, eps=1e-12) == pytest.approx(expected, abs=1e-6)
-        assert association_confidence(m, 0, 0, eps=1e-12) == pytest.approx(
-            0.6321205588285577, abs=1e-6)
+        ac = association_confidence(m, 0, 0)
+        assert ac == pytest.approx(1.0 - math.exp(-1.0 / 1.0001), abs=1e-9)
+        assert ac < 1.0 - math.exp(-1.0)
 
     def test_single_cell_is_certain(self):
         assert association_confidence(np.array([[4.2]]), 0, 0) == 1.0
@@ -233,13 +233,9 @@ class TestAssociationConfidence:
             b = greedy_associate(c * m, c * gate)
             assert [(p.track, p.det) for p in a.pairs] == [(p.track, p.det) for p in b.pairs]
             i, j = a.pairs[0].track, a.pairs[0].det
-            # exact with eps=0 equivalent: pass a vanishing eps
-            ac_a = association_confidence(m, i, j, eps=1e-300)
-            ac_b = association_confidence(c * m, i, j, eps=1e-300)
-            assert ac_b == pytest.approx(ac_a, abs=1e-12)
-            ac_a4 = association_confidence(m, i, j, eps=1e-4)
-            ac_b4 = association_confidence(c * m, i, j, eps=1e-4)
-            assert ac_b4 == pytest.approx(ac_a4, abs=1e-3)
+            ac_a = association_confidence(m, i, j)
+            ac_b = association_confidence(c * m, i, j)
+            assert ac_b == pytest.approx(ac_a, abs=1e-3)
 
 
 def reference_association_confidence(m, i, j, eps=1e-4):
@@ -261,38 +257,37 @@ def reference_association_confidence(m, i, j, eps=1e-4):
 
 @st.composite
 def ac_cases(draw):
-    """(m, i, j, eps): entries drawn often from a few values, so that ties
+    """(m, i, j): entries drawn often from a few values, so that ties
     between the match and its competitors, and zeros, are common."""
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     entry = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 20.0))
     m = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
-    return (m.reshape(rows, cols), draw(st.integers(0, rows - 1)),
-            draw(st.integers(0, cols - 1)), draw(st.sampled_from([1e-4, 1e-12, 1.0])))
+    return m.reshape(rows, cols), draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
 
 
 class TestAssociationConfidenceReference:
     @given(ac_cases())
     @settings(max_examples=300, deadline=None)
-    @example((np.array([[4.2]]), 0, 0, 1e-4))
-    @example((np.array([[0.0]]), 0, 0, 1e-4))
-    @example((np.array([[2.0, 0.0, 2.0, 7.0]]), 0, 2, 1e-4))  # 1 x n, zero competitor
-    @example((np.array([[3.0], [3.0], [9.0]]), 1, 0, 1e-4))  # n x 1, tied competitor
-    @example((np.array([[1.0, 1.0], [1.0, 1.0]]), 1, 1, 1e-4))  # all tied
-    @example((np.zeros((3, 3)), 0, 2, 1e-4))
+    @example((np.array([[4.2]]), 0, 0))
+    @example((np.array([[0.0]]), 0, 0))
+    @example((np.array([[2.0, 0.0, 2.0, 7.0]]), 0, 2))  # 1 x n, zero competitor
+    @example((np.array([[3.0], [3.0], [9.0]]), 1, 0))  # n x 1, tied competitor
+    @example((np.array([[1.0, 1.0], [1.0, 1.0]]), 1, 1))  # all tied
+    @example((np.zeros((3, 3)), 0, 2))
     def test_equals_reference_bit_for_bit(self, case):
-        m, i, j, eps = case
-        got = association_confidence(m, i, j, eps)
-        want = reference_association_confidence(m, i, j, eps)
+        m, i, j = case
+        got = association_confidence(m, i, j)
+        want = reference_association_confidence(m, i, j)
         assert type(got) is float
         assert got.hex() == want.hex()
 
 
-def pair_oracle(states, detections, kcfg):
+def pair_oracle(states, detections):
     """The per-pair form, in Python floats: sqrt(sum_i r_i^2 / S_i) for
     every (track, detection), summed in component order."""
     m = np.zeros((len(states), len(detections)))
     for i, (mean, cov) in enumerate(states):
-        s = (cov[0, :7] + kcfg.r_diag).tolist()
+        s = (cov[0, :7] + kalman.R_DIAG).tolist()
         for j, det in enumerate(detections):
             r = (det.box.to_array() - mean[0, :7]).tolist()
             r[3] = wrap_angle(r[3])
@@ -325,7 +320,7 @@ def _det(yaw, xyz=(1.0, 2.0, 0.5)):
     return Detection(frame=0, box=Box7(*xyz, yaw, 4.0, 2.0, 1.5), score=1.0, cloud_ref="c")
 
 
-def _predicted_state(seed, yaw, kcfg):
+def _predicted_state(seed, yaw):
     """A predicted one-track state, (mean (1, 11), cov (1, 15)), whose
     variances and component-velocity covariances are random."""
     rng = np.random.default_rng(seed)
@@ -337,56 +332,49 @@ def _predicted_state(seed, yaw, kcfg):
     mean[0, 3] = yaw
     mean[0, 4:7] = np.abs(mean[0, 4:7]) + 1.0
     mean[0, 10] = 0.0  # no yaw rate, so the predicted yaw is still yaw
-    return kalman.predict(mean, cov, float(rng.uniform(0.05, 1.0)), kcfg)
+    return kalman.predict(mean, cov, float(rng.uniform(0.05, 1.0)))
 
 
 def _with_singular_row(n, bad_row):
-    """n stacked tracks and a NoiseConfig under which row bad_row alone has
-    zero innovation variances."""
+    """n stacked tracks of which row bad_row alone has zero innovation
+    variances: its box variances are -R_DIAG."""
     mean = np.zeros((n, 11))
     mean[:, 4:7] = (4, 2, 1.5)
     cov = np.ones((n, 15))
     cov[:, 11:] = 0.0
     cov[bad_row] = 0.0
-    bad = kalman.NoiseConfig()
-    # bypass frozen validation to force a zero innovation variance
-    object.__setattr__(bad, "r_diag", np.zeros(7))
-    return mean, cov, bad
+    cov[bad_row, :7] = -kalman.R_DIAG
+    return mean, cov
 
 
 class TestMahalanobisMatrix:
     @given(
         tracks=st.lists(st.tuples(st.integers(0, 2**32 - 1), yaws), max_size=4),
         dets=st.lists(st.tuples(yaws, st.tuples(*[st.floats(-20, 20)] * 3)), max_size=6),
-        r_diag=st.lists(st.floats(1e-3, 2.0), min_size=7, max_size=7),
     )
-    @example(tracks=[(1, math.pi - 0.05)], dets=[(-math.pi + 0.05, (1.0, 2.0, 0.5))],
-             r_diag=[0.1] * 7)
+    @example(tracks=[(1, math.pi - 0.05)], dets=[(-math.pi + 0.05, (1.0, 2.0, 0.5))])
     @settings(max_examples=200, deadline=None)
-    def test_equals_pair_oracle_bit_for_bit(self, tracks, dets, r_diag):
-        kcfg = kalman.NoiseConfig(r_diag=np.array(r_diag))
-        states = [_predicted_state(seed, yaw, kcfg) for seed, yaw in tracks]
+    def test_equals_pair_oracle_bit_for_bit(self, tracks, dets):
+        states = [_predicted_state(seed, yaw) for seed, yaw in tracks]
         detections = [_det(yaw, xyz) for yaw, xyz in dets]
-        got = assoc.mahalanobis_matrix(*stack(states), box_rows(detections), kcfg)
-        expected = pair_oracle(states, detections, kcfg)
+        got = assoc.mahalanobis_matrix(*stack(states), box_rows(detections))
+        expected = pair_oracle(states, detections)
         assert got.shape == (len(states), len(detections))
         assert np.array_equal(got, expected)
 
     def test_singular_s_raises_numerical_error(self):
-        mean, cov, bad = _with_singular_row(3, 2)
+        mean, cov = _with_singular_row(3, 2)
         with pytest.raises(kalman.NumericalError, match=r"track row 2 is not finite and > 0"):
-            assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0)]), bad)
+            assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0)]))
 
     def test_nan_state_yaw_raises_value_error(self):
-        mean, cov = kalman.init_tracks(box_rows([_det(0.0), _det(1.0)]), kalman.NoiseConfig())
+        mean, cov = kalman.init_tracks(box_rows([_det(0.0), _det(1.0)]))
         mean[1, 3] = math.nan
         with pytest.raises(ValueError, match="finite"):
-            assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0), _det(1.0)]),
-                                     kalman.NoiseConfig())
+            assoc.mahalanobis_matrix(mean, cov, box_rows([_det(0.0), _det(1.0)]))
 
     def test_no_matrix_factored(self, monkeypatch):
-        kcfg = kalman.NoiseConfig()
-        mean, cov = stack([_predicted_state(seed, 0.3 * seed, kcfg) for seed in range(4)])
+        mean, cov = stack([_predicted_state(seed, 0.3 * seed) for seed in range(4)])
         dets = box_rows([_det(0.5 * k - 1.0, (k, -k, 0.0)) for k in range(6)])
 
         def refuse(*args, **kwargs):
@@ -394,10 +382,10 @@ class TestMahalanobisMatrix:
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
-        assert assoc.mahalanobis_matrix(mean, cov, dets, kcfg).shape == (4, 6)
+        assert assoc.mahalanobis_matrix(mean, cov, dets).shape == (4, 6)
         # a frame without detections, or without tracks, scores nothing
-        assert assoc.mahalanobis_matrix(mean, cov, dets[:0], kcfg).shape == (4, 0)
-        assert assoc.mahalanobis_matrix(mean[:0], cov[:0], dets, kcfg).shape == (0, 6)
+        assert assoc.mahalanobis_matrix(mean, cov, dets[:0]).shape == (4, 0)
+        assert assoc.mahalanobis_matrix(mean[:0], cov[:0], dets).shape == (0, 6)
 
 
 @dataclass
@@ -410,7 +398,7 @@ class _Live:
     link_conf: list
 
 
-def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_confidence=True):
+def reference_tracker(seq, acfg, cost_fn=None, on_match=None, collect_confidence=True):
     """The per-track loop that the stacked run_tracker replaced: each live
     track filtered on its own, as a stack of one, predicted, scored,
     updated and marked missed one at a time. Its hooks get what
@@ -424,14 +412,14 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
         if prev_index is not None and live:
             dt = (rec.index - prev_index) * FRAME_PERIOD
             for tr in live:
-                tr.mean, tr.cov = kalman.predict(tr.mean, tr.cov, dt, kcfg)
+                tr.mean, tr.cov = kalman.predict(tr.mean, tr.cov, dt)
         prev_index = rec.index
 
         dets = box_rows(rec.detections)
         m = np.zeros((len(live), len(rec.detections)))
         if rec.detections:
             for i, tr in enumerate(live):
-                m[i] = kalman.mahalanobis(tr.mean, tr.cov, dets, kcfg)[0]
+                m[i] = kalman.mahalanobis(tr.mean, tr.cov, dets)[0]
         ids = np.array([tr.track_id for tr in live], dtype=np.int64)
         cost = None if cost_fn is None else cost_fn(ids, rec, m, m <= acfg.gate)
         res = assoc.greedy_associate(m, acfg.gate, cost)
@@ -439,9 +427,8 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
         for pair in res.pairs:
             tr = live[pair.track]
             if collect_confidence:
-                tr.link_conf.append(
-                    assoc.association_confidence(m, pair.track, pair.det, assoc.AC_EPS))
-            tr.mean, tr.cov = kalman.update(tr.mean, tr.cov, dets[pair.det][None], kcfg)
+                tr.link_conf.append(assoc.association_confidence(m, pair.track, pair.det))
+            tr.mean, tr.cov = kalman.update(tr.mean, tr.cov, dets[pair.det][None])
             tr.misses = 0
             tr.members.append((rec.index, pair.det))
             if on_match is not None:
@@ -456,7 +443,7 @@ def reference_tracker(seq, kcfg, acfg, cost_fn=None, on_match=None, collect_conf
                     continue
             survivors.append(tr)
         for j in res.unmatched_detections:
-            mean, cov = kalman.init_tracks(dets[j], kcfg)
+            mean, cov = kalman.init_tracks(dets[j])
             tr = _Live(track_id=next_id, mean=mean, cov=cov, misses=0,
                        members=[(rec.index, j)], link_conf=[])
             order[next_id] = tr
@@ -484,7 +471,6 @@ SCENES = {
     "default": lambda: _sim_scene(RunConfig().sim.objects, RunConfig().sim.crossings, 4),
     "12-objects-3-crossings": lambda: _sim_scene(12, 3, 8),
 }
-KCFG = kalman.NoiseConfig()
 ACFG = AssocConfig()
 
 
@@ -508,7 +494,7 @@ class TestRunTracker:
         def on_match(track_id, det_idx, box):
             calls.append(("match", track_id, det_idx, _bits(box.to_array())))
 
-        return tracker(seq, KCFG, ACFG, cost_fn=cost_fn, on_match=on_match), calls
+        return tracker(seq, ACFG, cost_fn=cost_fn, on_match=on_match), calls
 
     @pytest.mark.parametrize("scene", sorted(SCENES))
     def test_equals_per_track_reference(self, scene):
@@ -529,9 +515,9 @@ class TestRunTracker:
         net = embed.EmbedNet.random((3, 8, 8), seed=1)
         model = mot.LogisticModel(coef=np.array([-0.4, 1.5, 2.0, -0.3, 0.6, 0.4]), intercept=0.5)
         kw = dict(net=net, model=model)
-        got = mot.track_sequence(seq, KCFG, ACFG, mode, **kw)
+        got = mot.track_sequence(seq, ACFG, mode, **kw)
         monkeypatch.setattr(mot, "run_tracker", reference_tracker)
-        want = mot.track_sequence(seq, KCFG, ACFG, mode, **kw)
+        want = mot.track_sequence(seq, ACFG, mode, **kw)
         assert len(got) > 100
         assert [(r.frame, r.track_id, _bits(r.box.to_array()), r.score) for r in got] == \
             [(r.frame, r.track_id, _bits(r.box.to_array()), r.score) for r in want]
@@ -547,7 +533,7 @@ class TestRunTracker:
 
     def _members(self, present):
         seq = self._static_seq(present, max(present))
-        return [list(lab.members) for lab in assoc.run_tracker(seq, KCFG, ACFG)]
+        return [list(lab.members) for lab in assoc.run_tracker(seq, ACFG)]
 
     def test_newborn_track_survives_max_age_minus_one_misses(self):
         gap = assoc.MAX_AGE - 1
@@ -585,7 +571,7 @@ class TestBuildPseudoTracks:
 
     def test_single_object_noise_free(self):
         seq = self._single_object_seq(10)
-        tracks = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
+        tracks = build_pseudo_tracks(seq, AssocConfig())
         assert len(tracks) == 1
         assert len(tracks[0].members) == 10
         assert all(abs(ac - 1.0) < 1e-6 for ac in tracks[0].link_conf)
@@ -594,7 +580,7 @@ class TestBuildPseudoTracks:
         # two parallel straight movers 10 m apart
         scene = sim.SceneConfig(n_objects=2, n_frames=15)
         seq = sim.generate_sequence(scene, seed=11)
-        tracks = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
+        tracks = build_pseudo_tracks(seq, AssocConfig())
         assert len(tracks) == 2
         rec_by = {r.index: r for r in seq.frames}
         for lab in tracks:
@@ -606,7 +592,7 @@ class TestBuildPseudoTracks:
         scene = sim.SceneConfig(n_objects=2, n_frames=25, crossings=1)
         seq = sim.generate_sequence(scene, seed=2)
         noisy = sim.perturb_boxes(seq, sim.NoiseModel(), seed=7)
-        tracks = build_pseudo_tracks(noisy, kalman.NoiseConfig(), AssocConfig())
+        tracks = build_pseudo_tracks(noisy, AssocConfig())
         # locate the crossing window from ground truth geometry
         rec_by = {r.index: r for r in seq.frames}
         dists = []
@@ -625,6 +611,6 @@ class TestBuildPseudoTracks:
 
     def test_file_round_trip(self, tmp_path):
         seq = self._single_object_seq(8)
-        tracks = build_pseudo_tracks(seq, kalman.NoiseConfig(), AssocConfig())
+        tracks = build_pseudo_tracks(seq, AssocConfig())
         write_pseudo_tracks(tmp_path / "p.jsonl", tracks)
         assert read_pseudo_tracks(tmp_path / "p.jsonl", seq) == tracks

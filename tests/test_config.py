@@ -16,7 +16,6 @@ from uatrack.config import (
     parse_config,
     serialize_config,
 )
-from uatrack.kalman import NoiseConfig
 from uatrack.mot import MODES
 from uatrack.sim import NoiseModel, SceneConfig
 
@@ -48,7 +47,7 @@ class TestDefaults:
     def test_mot_section_rejects_what_track_sequence_rejects(self):
         seq = sim.generate_sequence(SceneConfig(n_objects=1, n_frames=2), seed=0)
         with pytest.raises(ValueError, match="mode"):
-            mot.track_sequence(seq, NoiseConfig(), AssocConfig(), "fused")
+            mot.track_sequence(seq, AssocConfig(), "fused")
         with pytest.raises(ValueError, match="mode"):
             MotSection(modes=("motion", "fused"))
 

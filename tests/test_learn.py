@@ -273,7 +273,7 @@ def _mini_scene(seed=0, n_frames=10, n_objects=3, base_points=120):
     scene = sim.SceneConfig(n_objects=n_objects, n_frames=n_frames,
                             base_points=base_points, min_points=20)
     seq = sim.generate_sequence(scene, seed=seed)
-    return seq, assoc.build_pseudo_tracks(seq, kalman.NoiseConfig(), assoc.AssocConfig())
+    return seq, assoc.build_pseudo_tracks(seq, assoc.AssocConfig())
 
 
 def _mini_training_setup(seed=0, n_frames=10, n_objects=3):

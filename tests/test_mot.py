@@ -59,7 +59,6 @@ def _scene(seed=5):
     return sim.corrupt_detections(seq, noise, seed=(seed, 100))
 
 
-KCFG = kalman.NoiseConfig()
 ACFG = AssocConfig()
 NET = embed.EmbedNet.random((3, 8, 8), seed=1)
 
@@ -114,7 +113,7 @@ def reference_track_sequence(seq, mode, net, model):
             track_embs[track_id] = embedding(det)
         rows.append(TrackRow(frame=det.frame, track_id=track_id, box=box, score=det.score))
 
-    assoc.run_tracker(seq, KCFG, ACFG, cost_fn=cost_fn, on_match=on_match,
+    assoc.run_tracker(seq, ACFG, cost_fn=cost_fn, on_match=on_match,
                       collect_confidence=False)
     rows.sort(key=lambda r: (r.frame, r.track_id))
     return rows
@@ -256,7 +255,7 @@ class TestFitLogistic:
         """name -> (x, y): the harvest of a noisy scene with the cosine of
         an embedding (appearance) and at 0 (motion+score), and the separable
         sets."""
-        x, y = mot.harvest_features(_scene(), KCFG, ACFG, net=NET)
+        x, y = mot.harvest_features(_scene(), ACFG, net=NET)
         return {
             "appearance": (x, y),
             "motion+score": (mot.without_appearance(x), y),
@@ -341,8 +340,8 @@ class TestMotionModeEquivalence:
     @pytest.mark.parametrize("seed", [5, 6])
     def test_rows_follow_pseudo_tracks(self, seed):
         seq = _scene(seed)
-        tracks = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
-        rows = mot.track_sequence(seq, KCFG, ACFG, "motion")
+        tracks = assoc.build_pseudo_tracks(seq, ACFG)
+        rows = mot.track_sequence(seq, ACFG, "motion")
         frames_of: dict[int, list[int]] = {}
         for r in rows:
             frames_of.setdefault(r.track_id, []).append(r.frame)
@@ -365,7 +364,7 @@ class TestHarvestFeatures:
             frames.append((rec, list(ids), m.copy()))
             return m
 
-        tracks = reference_tracker(seq, KCFG, ACFG, cost_fn=cost_fn)
+        tracks = reference_tracker(seq, ACFG, cost_fn=cost_fn)
         det_at = {rec.index: rec.detections for rec in seq.frames}
         members = {lab.track_id: lab.members for lab in tracks}
 
@@ -391,7 +390,7 @@ class TestHarvestFeatures:
     @pytest.mark.parametrize("net", [NET, None], ids=["appearance", "no-net"])
     def test_examples_equal_oracle(self, net):
         seq = _scene()
-        x, y = mot.harvest_features(seq, KCFG, ACFG, net=net)
+        x, y = mot.harvest_features(seq, ACFG, net=net)
         expected, n_pairs = self._oracle(seq, net)
         want_x = np.array([row for row, _ in expected])
         assert n_pairs > len(expected) > 50  # the gate drops pairs
@@ -422,14 +421,14 @@ class TestTrackSequence:
         seq = _crowded(seed)
         model = FIXED_MODEL
         if fitted:
-            x, y = mot.harvest_features(seq, KCFG, ACFG, net=NET)
+            x, y = mot.harvest_features(seq, ACFG, net=NET)
             model = fit_logistic(x if mode == "motion+score+appearance"
                                  else mot.without_appearance(x), y)
-        got = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model)
+        got = mot.track_sequence(seq, ACFG, mode, net=NET, model=model)
         assert got == reference_track_sequence(seq, mode, NET, model)
         assert len(got) > 100
         if mode != "motion":  # the scores decide some links
-            assert got != mot.track_sequence(seq, KCFG, ACFG, "motion")
+            assert got != mot.track_sequence(seq, ACFG, "motion")
 
 
 def test_tracker_and_harvest_compute_no_confidence(monkeypatch):
@@ -444,11 +443,11 @@ def test_tracker_and_harvest_compute_no_confidence(monkeypatch):
 
     monkeypatch.setattr(assoc, "association_confidence", counted)
     seq = _scene()
-    x, _ = mot.harvest_features(seq, KCFG, ACFG, net=NET)
+    x, _ = mot.harvest_features(seq, ACFG, net=NET)
     for mode in mot.MODES:
-        mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=FIXED_MODEL)
+        mot.track_sequence(seq, ACFG, mode, net=NET, model=FIXED_MODEL)
     assert len(x) > 50 and calls == []
-    tracks = assoc.build_pseudo_tracks(seq, KCFG, ACFG)
+    tracks = assoc.build_pseudo_tracks(seq, ACFG)
     assert len(calls) == sum(len(lab.link_conf) for lab in tracks) > 20
 
 
@@ -494,18 +493,18 @@ class TestAdmission:
     def _m_last(self, seq):
         """m of the last detection against the filter run over the others."""
         boxes = [rec.detections[0].box.to_array()[None] for rec in seq.frames]
-        mean, cov = kalman.init_tracks(boxes[0], KCFG)
+        mean, cov = kalman.init_tracks(boxes[0])
         for box in boxes[1:-1]:
-            mean, cov = kalman.update(*kalman.predict(mean, cov, FRAME_PERIOD, KCFG), box, KCFG)
-        mean, cov = kalman.predict(mean, cov, FRAME_PERIOD, KCFG)
-        return float(kalman.mahalanobis(mean, cov, boxes[-1], KCFG)[0, 0])
+            mean, cov = kalman.update(*kalman.predict(mean, cov, FRAME_PERIOD), box)
+        mean, cov = kalman.predict(mean, cov, FRAME_PERIOD)
+        return float(kalman.mahalanobis(mean, cov, boxes[-1])[0, 0])
 
     @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])
     def test_fused_links_an_admitted_pair_whatever_its_score(self, mode):
         seq = _box_seq(self._walk(1.0))
         assert self._m_last(seq) <= ACFG.gate
         model = _cosine_model(0.0, -3.0)  # A = 0.047 for every pair
-        rows = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model)
+        rows = mot.track_sequence(seq, ACFG, mode, net=NET, model=model)
         assert [r.track_id for r in rows] == [0] * 7
 
     @pytest.mark.parametrize("mode", ["motion+score", "motion+score+appearance"])
@@ -513,7 +512,7 @@ class TestAdmission:
         seq = _box_seq(self._walk(40.0))
         assert self._m_last(seq) > ACFG.gate
         model = _cosine_model(0.0, 30.0)  # A = 1 - 1e-13 for every pair
-        rows = mot.track_sequence(seq, KCFG, ACFG, mode, net=NET, model=model)
+        rows = mot.track_sequence(seq, ACFG, mode, net=NET, model=model)
         assert [r.track_id for r in rows] == [0] * 6 + [1]
 
 
@@ -531,7 +530,7 @@ class TestBounce:
 
     def test_motion_switches_and_appearance_does_not(self, monkeypatch):
         seq = self._seq()
-        motion = _gt_tracks(seq, mot.track_sequence(seq, KCFG, ACFG, "motion"))
+        motion = _gt_tracks(seq, mot.track_sequence(seq, ACFG, "motion"))
         assert any(len(set(ids)) > 1 for ids in motion.values())
 
         # embeddings one-hot by ground-truth identity: each crop is one row
@@ -543,7 +542,7 @@ class TestBounce:
         # A = 0.38 for the same car and 0.011 for the other: a true
         # continuation scores below one half, yet it is admitted and wins
         model = _cosine_model(4.0, -4.5)
-        rows = mot.track_sequence(seq, KCFG, ACFG, "motion+score+appearance",
+        rows = mot.track_sequence(seq, ACFG, "motion+score+appearance",
                                   net=NET, model=model)
         fused = _gt_tracks(seq, rows)
         assert fused == {0: [0] * 17, 1: [1] * 17}
